@@ -626,13 +626,24 @@ mod tests {
         // must cost at least as much as the native path in aggregate —
         // the proxy adds work, it cannot remove any. Aggregated across
         // all nine pairs with a tolerance so scheduler noise under
-        // parallel test execution cannot flake the assertion.
-        let rows = run_figure10(Scale::Bench, 30);
-        let native: f64 = rows.iter().map(|r| r.without_proxy_ms).sum();
-        let proxied: f64 = rows.iter().map(|r| r.with_proxy_ms).sum();
+        // parallel test execution cannot flake the assertion. A
+        // preempted sample can still outweigh the tolerance, so each
+        // arm's total is the fastest of three runs: preemption only ever
+        // adds time, and a real inversion survives the minimum.
+        let runs: Vec<(f64, f64)> = (0..3)
+            .map(|_| {
+                let rows = run_figure10(Scale::Bench, 30);
+                let native: f64 = rows.iter().map(|r| r.without_proxy_ms).sum();
+                let proxied: f64 = rows.iter().map(|r| r.with_proxy_ms).sum();
+                (native, proxied)
+            })
+            .collect();
+        let native = runs.iter().map(|r| r.0).fold(f64::INFINITY, f64::min);
+        let proxied = runs.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
         assert!(
             proxied >= native * 0.7,
-            "proxied total {proxied} ms vs native total {native} ms"
+            "fastest proxied total {proxied} ms vs fastest native total {native} ms \
+             (native, proxied per run: {runs:?})"
         );
     }
 

@@ -6,9 +6,9 @@
 //! WebView binding, a JavaScript bridge crossing on top. Yet those reads
 //! are idempotent over short windows: the GPS engine interpolates the
 //! same fix for the same instant, the contact store only changes when
-//! something writes to it. This module puts a `Cached` decorator between
-//! the overload and proxy-plane traced layers
-//! (`Resilient → Overload → Cached → Traced`) providing:
+//! something writes to it. This module is the cache layer of the
+//! layer stack (`stack` module), between the proxy-plane trace and the overload
+//! layer, providing:
 //!
 //! * a **read-through cache** — results are stored under a per-proxy
 //!   TTL measured on the simulated clock, so expiry replays
@@ -22,7 +22,7 @@
 //!   is recorded at fill time and compared on every read: the device's
 //!   fault epoch (bumped by every
 //!   [`FaultPlan`](mobivine_device::fault::FaultPlan) transition), the
-//!   resilience circuit breaker's transition epoch, and a per-decorator
+//!   resilience circuit breaker's transition epoch, and a per-proxy
 //!   generation bumped by `setProperty`. Any mismatch discards the
 //!   entry before it can be served, so a stale read never survives a
 //!   mutation.
@@ -34,7 +34,6 @@
 //! families.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -42,13 +41,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mobivine_device::Device;
-use mobivine_telemetry::span::{ambient, ActiveSpan, Plane};
-use mobivine_telemetry::{Counter, Labels, MetricsRegistry};
+use mobivine_telemetry::span::ActiveSpan;
 
-use crate::api::{CalendarProxy, ContactsProxy, LocationProxy, ProxyBase};
-use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::PropertyValue;
-use crate::types::{CalendarRecord, ContactRecord, Location, SharedProximityListener};
+use crate::error::ProxyError;
+use crate::property::{bad_value, knob, PropertyValue};
+use crate::registry::ProxyKind;
+use crate::telemetry::{layer_counters, layer_span};
 
 // ---------------------------------------------------------------------
 // Policy
@@ -129,83 +127,46 @@ impl CachePolicy {
     pub fn coalescing_enabled(&self) -> bool {
         self.coalescing
     }
+
+    /// The TTL of the cached read of a `kind` proxy.
+    pub(crate) fn ttl_for(&self, kind: ProxyKind) -> u64 {
+        match kind {
+            ProxyKind::Contacts => self.contacts_ttl_ms,
+            ProxyKind::Calendar => self.calendar_ttl_ms,
+            _ => self.location_ttl_ms,
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------
 
-macro_rules! cache_counters {
-    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
-        /// Shared cache counters, updated by the decorators and
-        /// snapshotted by observability code.
-        ///
-        /// A standalone block ([`CacheMetrics::shared`]) counts
-        /// privately; a registry-backed block
-        /// ([`CacheMetrics::on_registry`]) publishes the same counters
-        /// as `cache_<name>_total` series.
-        #[derive(Debug, Default)]
-        pub struct CacheMetrics {
-            $($(#[$doc])* $name: Counter,)*
-        }
-
-        /// A point-in-time copy of [`CacheMetrics`].
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct CacheSnapshot {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl CacheMetrics {
-            /// Copies every counter at once.
-            pub fn snapshot(&self) -> CacheSnapshot {
-                CacheSnapshot {
-                    $($name: self.$name.value(),)*
-                }
-            }
-
-            /// A counter block whose handles live in `registry` under
-            /// `cache_<name>_total`.
-            pub fn on_registry(registry: &Arc<MetricsRegistry>) -> Arc<Self> {
-                Arc::new(Self {
-                    $($name: registry.counter(
-                        concat!("cache_", stringify!($name), "_total"),
-                        &Labels::empty(),
-                    ),)*
-                })
-            }
-        }
-    };
-}
-
-cache_counters! {
-    /// Reads served from a stored, still-fresh entry.
-    hit,
-    /// Reads that filled from the layer below (one binding-plane
-    /// invocation each).
-    miss,
-    /// Reads that joined an identical in-flight fill instead of issuing
-    /// their own.
-    coalesced,
-    /// Entries discarded by an invalidation trigger (`setProperty`,
-    /// fault-plan transition, circuit-state change) — natural TTL
-    /// expiry is not counted here.
-    invalidated,
-}
-
-impl CacheMetrics {
-    /// A fresh, shareable counter block (not registry-backed).
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-}
-
-impl fmt::Display for CacheSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "hit={} miss={} coalesced={} invalidated={}",
-            self.hit, self.miss, self.coalesced, self.invalidated,
-        )
+layer_counters! {
+    /// Shared cache counters, updated by the cache layers and
+    /// snapshotted by observability code.
+    ///
+    /// A standalone block ([`CacheMetrics::shared`]) counts
+    /// privately; a registry-backed block
+    /// ([`CacheMetrics::on_registry`]) publishes the same counters
+    /// as `cache_<name>_total` series.
+    CacheMetrics,
+    /// A point-in-time copy of [`CacheMetrics`].
+    CacheSnapshot,
+    "cache",
+    {
+        /// Reads served from a stored, still-fresh entry.
+        hit,
+        /// Reads that filled from the layer below (one binding-plane
+        /// invocation each).
+        miss,
+        /// Reads that joined an identical in-flight fill instead of issuing
+        /// their own.
+        coalesced,
+        /// Entries discarded by an invalidation trigger (`setProperty`,
+        /// fault-plan transition, circuit-state change) — natural TTL
+        /// expiry is not counted here.
+        invalidated,
     }
 }
 
@@ -224,7 +185,7 @@ pub struct Stamp {
     /// The resilience circuit breaker's transition epoch at fill time
     /// (zero when the stack has no breaker under this proxy).
     pub circuit_epoch: u64,
-    /// The decorator's `setProperty` generation at fill time.
+    /// The proxy's `setProperty` generation at fill time.
     pub generation: u64,
 }
 
@@ -232,31 +193,11 @@ pub struct Stamp {
 // Engine
 // ---------------------------------------------------------------------
 
-fn int_of(value: &PropertyValue) -> Option<i64> {
-    if let Some(i) = value.as_int() {
-        return Some(i);
-    }
-    value.as_str().and_then(|s| s.parse().ok())
-}
+/// The property family name in `BadPropertyValue` messages.
+const LAYER: &str = "cache";
 
-fn bool_of(value: &PropertyValue) -> Option<bool> {
-    if let Some(b) = value.as_bool() {
-        return Some(b);
-    }
-    if let Some(i) = value.as_int() {
-        return Some(i != 0);
-    }
-    value.as_str().and_then(|s| s.parse().ok())
-}
-
-fn bad_value(key: &str, value: &PropertyValue) -> ProxyError {
-    ProxyError::new(
-        ProxyErrorKind::BadPropertyValue,
-        format!("cache property '{key}' cannot take value {value:?}"),
-    )
-}
-
-/// The TTL/stamp/knob state shared by one cached decorator.
+/// One proxy's TTL/stamp/knob state: the cache layer of its
+/// layer stack.
 pub struct CacheEngine {
     device: Device,
     metrics: Arc<CacheMetrics>,
@@ -269,7 +210,7 @@ pub struct CacheEngine {
 impl CacheEngine {
     /// Creates an engine over `device` with the given starting TTL.
     /// `circuit_epoch` is the breaker's transition-epoch handle when a
-    /// resilience layer sits below this decorator.
+    /// resilience layer sits below this cache.
     pub fn new(
         device: Device,
         ttl_ms: u64,
@@ -321,27 +262,20 @@ impl CacheEngine {
     }
 
     /// Intercepts the cache property keys; returns `None` for keys that
-    /// belong to the wrapped proxy.
-    fn try_set_cache_property(
+    /// belong to the layers below.
+    pub(crate) fn try_set_property(
         &self,
         key: &str,
         value: &PropertyValue,
     ) -> Option<Result<(), ProxyError>> {
         let result = match key {
-            "cache.ttl_ms" => match int_of(value) {
-                Some(n) if n >= 0 => {
-                    self.ttl_ms.store(n as u64, Ordering::Release);
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "cache.coalescing" => match bool_of(value) {
-                Some(b) => {
-                    self.coalescing.store(b, Ordering::Release);
-                    Ok(())
-                }
-                None => Err(bad_value(key, value)),
-            },
+            "cache.ttl_ms" => {
+                knob(LAYER, key, value, 0).map(|ms: u64| self.ttl_ms.store(ms, Ordering::Release))
+            }
+            "cache.coalescing" => value
+                .parse_bool()
+                .map(|on| self.coalescing.store(on, Ordering::Release))
+                .ok_or_else(|| bad_value(LAYER, key, value)),
             _ => return None,
         };
         Some(result)
@@ -403,7 +337,7 @@ impl<V: Clone> Flight<V> {
     }
 }
 
-/// The keyed store underneath one cached decorator: fresh entries plus
+/// The keyed store underneath one cached read: fresh entries plus
 /// the map of in-flight fills.
 ///
 /// Lock discipline: `entries` and `flights` are taken briefly and never
@@ -467,23 +401,13 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
         key: K,
         fill: impl FnOnce() -> Result<V, ProxyError>,
     ) -> Result<V, ProxyError> {
-        let mut span = if ambient::is_active() {
-            ambient::child(
-                format!("cache:{operation}"),
-                Plane::Resilience,
-                engine.device.now_ms(),
-            )
-        } else {
-            None
-        };
-        let result = self.get_or_fill_inner(engine, key, fill, span.as_mut());
-        if let Some(mut s) = span.take() {
-            if let Err(e) = &result {
-                s.attr("error", crate::telemetry::kind_name(e.kind()));
-            }
-            s.end(engine.device.now_ms());
-        }
-        result
+        layer_span(
+            &engine.device,
+            "cache",
+            operation,
+            ProxyError::kind,
+            |span| self.get_or_fill_inner(engine, key, fill, span),
+        )
     }
 
     fn get_or_fill_inner(
@@ -596,208 +520,10 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
     }
 }
 
-// ---------------------------------------------------------------------
-// Decorators
-// ---------------------------------------------------------------------
-
-macro_rules! cached_set_property {
-    () => {
-        fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-            match self.engine.try_set_cache_property(key, &value) {
-                Some(result) => {
-                    if result.is_ok() {
-                        self.cell.invalidate_all(&self.engine);
-                    }
-                    result
-                }
-                None => {
-                    // Invalidate before forwarding, and even if the
-                    // inner layer rejects the key: a property write is
-                    // a mutation signal whether or not it lands.
-                    self.cell.invalidate_all(&self.engine);
-                    self.inner.set_property(key, value)
-                }
-            }
-        }
-    };
-}
-
-/// [`LocationProxy`] decorator: read-through caching and single-flight
-/// coalescing for `getLocation`. Proximity-alert registration mutates
-/// listener state and is forwarded untouched.
-pub struct CachedLocationProxy {
-    inner: Arc<dyn LocationProxy>,
-    engine: CacheEngine,
-    cell: CacheCell<(), Location>,
-}
-
-impl CachedLocationProxy {
-    /// Wraps `inner` under `policy`, stamping entries against `device`'s
-    /// fault epoch and (when present) the breaker epoch of the
-    /// resilience layer below.
-    pub fn new(
-        inner: Arc<dyn LocationProxy>,
-        device: Device,
-        policy: &CachePolicy,
-        circuit_epoch: Option<Arc<AtomicU64>>,
-        metrics: Arc<CacheMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: CacheEngine::new(
-                device,
-                policy.location_ttl(),
-                policy.coalescing_enabled(),
-                circuit_epoch,
-                metrics,
-            ),
-            cell: CacheCell::new(),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &CacheEngine {
-        &self.engine
-    }
-}
-
-impl ProxyBase for CachedLocationProxy {
-    cached_set_property!();
-}
-
-impl LocationProxy for CachedLocationProxy {
-    fn add_proximity_alert(
-        &self,
-        latitude: f64,
-        longitude: f64,
-        altitude: f64,
-        radius: f64,
-        timer_s: i64,
-        listener: SharedProximityListener,
-    ) -> Result<(), ProxyError> {
-        self.inner
-            .add_proximity_alert(latitude, longitude, altitude, radius, timer_s, listener)
-    }
-
-    fn remove_proximity_alert(
-        &self,
-        listener: &SharedProximityListener,
-    ) -> Result<bool, ProxyError> {
-        self.inner.remove_proximity_alert(listener)
-    }
-
-    fn get_location(&self) -> Result<Location, ProxyError> {
-        let inner = &self.inner;
-        self.cell
-            .get_or_fill(&self.engine, "getLocation", (), || inner.get_location())
-    }
-
-    fn get_location_with_power(&self) -> Result<(Location, f64), ProxyError> {
-        // The power ledger is monotonic — caching the pair would serve
-        // stale energy figures — so the multi-read always goes through.
-        self.inner.get_location_with_power()
-    }
-}
-
-/// [`ContactsProxy`] decorator: read-through caching keyed by query.
-pub struct CachedContactsProxy {
-    inner: Arc<dyn ContactsProxy>,
-    engine: CacheEngine,
-    cell: CacheCell<String, Vec<ContactRecord>>,
-}
-
-impl CachedContactsProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn ContactsProxy>,
-        device: Device,
-        policy: &CachePolicy,
-        metrics: Arc<CacheMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: CacheEngine::new(
-                device,
-                policy.contacts_ttl(),
-                policy.coalescing_enabled(),
-                None,
-                metrics,
-            ),
-            cell: CacheCell::new(),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &CacheEngine {
-        &self.engine
-    }
-}
-
-impl ProxyBase for CachedContactsProxy {
-    cached_set_property!();
-}
-
-impl ContactsProxy for CachedContactsProxy {
-    fn find_contacts(&self, query: &str) -> Result<Vec<ContactRecord>, ProxyError> {
-        let inner = &self.inner;
-        self.cell
-            .get_or_fill(&self.engine, "findContacts", query.to_owned(), || {
-                inner.find_contacts(query)
-            })
-    }
-}
-
-/// [`CalendarProxy`] decorator: read-through caching keyed by window.
-pub struct CachedCalendarProxy {
-    inner: Arc<dyn CalendarProxy>,
-    engine: CacheEngine,
-    cell: CacheCell<(u64, u64), Vec<CalendarRecord>>,
-}
-
-impl CachedCalendarProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn CalendarProxy>,
-        device: Device,
-        policy: &CachePolicy,
-        metrics: Arc<CacheMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: CacheEngine::new(
-                device,
-                policy.calendar_ttl(),
-                policy.coalescing_enabled(),
-                None,
-                metrics,
-            ),
-            cell: CacheCell::new(),
-        }
-    }
-
-    /// The engine, for observability and tests.
-    pub fn engine(&self) -> &CacheEngine {
-        &self.engine
-    }
-}
-
-impl ProxyBase for CachedCalendarProxy {
-    cached_set_property!();
-}
-
-impl CalendarProxy for CachedCalendarProxy {
-    fn entries_between(&self, from_ms: u64, to_ms: u64) -> Result<Vec<CalendarRecord>, ProxyError> {
-        let inner = &self.inner;
-        self.cell
-            .get_or_fill(&self.engine, "entriesBetween", (from_ms, to_ms), || {
-                inner.entries_between(from_ms, to_ms)
-            })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ProxyErrorKind;
     use std::sync::atomic::AtomicUsize;
 
     fn engine(device: &Device, ttl_ms: u64) -> CacheEngine {
@@ -1032,21 +758,21 @@ mod tests {
         let device = Device::builder().build();
         let engine = engine(&device, 10_000);
         assert_eq!(
-            engine.try_set_cache_property("cache.ttl_ms", &PropertyValue::Int(500)),
+            engine.try_set_property("cache.ttl_ms", &PropertyValue::Int(500)),
             Some(Ok(()))
         );
         assert_eq!(engine.ttl_ms(), 500);
         assert_eq!(
-            engine.try_set_cache_property("cache.coalescing", &PropertyValue::Bool(false)),
+            engine.try_set_property("cache.coalescing", &PropertyValue::Bool(false)),
             Some(Ok(()))
         );
         assert!(!engine.coalescing());
         assert!(matches!(
-            engine.try_set_cache_property("cache.ttl_ms", &PropertyValue::Int(-1)),
+            engine.try_set_property("cache.ttl_ms", &PropertyValue::Int(-1)),
             Some(Err(_))
         ));
         assert_eq!(
-            engine.try_set_cache_property("provider", &PropertyValue::str("gps")),
+            engine.try_set_property("provider", &PropertyValue::str("gps")),
             None,
             "foreign keys fall through to the wrapped proxy"
         );

@@ -38,7 +38,11 @@
 //! - a [`journal`] layer (write-ahead intent journaling with
 //!   fsync-barrier simulation, idempotency keys and torn-tail-safe
 //!   crash recovery for the mutating paths —
-//!   [`registry::Mobivine::with_journal`]), and
+//!   [`registry::Mobivine::with_journal`]),
+//! - the `stack` module that runs those layers — plus the plane-aware
+//!   [`telemetry`] at both ends — around every proxy in one declared
+//!   order, with one layered decorator per uniform interface (DESIGN.md
+//!   §16 "Layer stack"), and
 //! - a [`registry::Mobivine`] runtime facade constructing proxies per
 //!   platform from the standard descriptor catalog.
 //!
@@ -74,6 +78,7 @@ pub mod registry;
 pub mod resilience;
 pub mod s60;
 pub mod shard;
+pub(crate) mod stack;
 pub mod telemetry;
 pub mod types;
 pub mod webview;

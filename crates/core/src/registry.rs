@@ -37,14 +37,16 @@
 //! ## Composable construction
 //!
 //! [`Mobivine::builder`] composes platform selection, resilience,
-//! overload protection, caching and telemetry in any order with a
-//! single `build()`; the legacy `for_*`/`with_*` chain remains for
-//! simple cases. Either way the decorator stack always comes out in
-//! the one canonical order, outermost first:
-//! `Traced(Proxy) → Cached → Overload → Journaled → Resilient →
-//! Traced(Binding)` — the journal sits inside the overload gate (shed
-//! calls burn no intent record) and outside the retry engine (one
-//! logical call appends one intent, however many retries it takes).
+//! overload protection, caching, durability and telemetry in any order
+//! with a single `build()`; the legacy `for_*`/`with_*` chain remains
+//! for simple cases. Either way every proxy comes out of one
+//! construction path: the per-platform match builds only the bare
+//! binding, and the `stack` module wraps it in the enabled layers in the
+//! one declared order (`stack::ORDER`, DESIGN.md §16 "Layer
+//! stack"), outermost first:
+//! `TraceProxy → Cache → Overload → Journal → Resilience →
+//! TraceBinding`. A runtime with no layer enabled hands out the bare
+//! binding itself.
 
 use std::fmt;
 use std::sync::Arc;
@@ -54,7 +56,6 @@ use mobivine_android::context::Context;
 use mobivine_device::Device;
 use mobivine_proxydl::{PlatformId, ProxyDescriptor};
 use mobivine_s60::S60Platform;
-use mobivine_telemetry::span::Plane;
 use mobivine_telemetry::{IncidentStore, MetricsRegistry, PromotionPolicy, SloEngine};
 use mobivine_webview::WebView;
 
@@ -65,26 +66,15 @@ use crate::android::{
 use crate::api::{
     CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy,
 };
-use crate::cache::{
-    CacheMetrics, CachePolicy, CachedCalendarProxy, CachedContactsProxy, CachedLocationProxy,
-};
+use crate::cache::{CacheMetrics, CachePolicy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::journal::{
-    JournalEngine, JournalMetrics, JournalPolicy, JournaledHttpProxy, JournaledSmsProxy,
-};
-use crate::overload::{
-    OverloadCallProxy, OverloadHttpProxy, OverloadLocationProxy, OverloadMetrics, OverloadPolicy,
-    OverloadSmsProxy,
-};
+use crate::journal::{JournalEngine, JournalMetrics, JournalPolicy};
+use crate::overload::{OverloadMetrics, OverloadPolicy};
 use crate::property::PropertyValue;
-use crate::resilience::{
-    ResilienceMetrics, ResiliencePolicy, ResilientCallProxy, ResilientHttpProxy,
-    ResilientLocationProxy, ResilientSmsProxy,
-};
+use crate::resilience::{ResilienceMetrics, ResiliencePolicy};
 use crate::s60::{S60CalendarProxy, S60ContactsProxy, S60HttpProxy, S60LocationProxy, S60SmsProxy};
-use crate::telemetry::{
-    TelemetryRuntime, TracedCallProxy, TracedHttpProxy, TracedLocationProxy, TracedSmsProxy,
-};
+use crate::stack::{self, Interface, Layer, LayerPolicies, Layers, ORDER};
+use crate::telemetry::TelemetryRuntime;
 use crate::webview::proxies::{
     WebViewCallProxy, WebViewHttpProxy, WebViewLocationProxy, WebViewSmsProxy,
 };
@@ -215,7 +205,13 @@ impl ProxyApi for dyn LocationProxy {
     }
 
     fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_location()
+        runtime.layered::<Self>(|target| {
+            Ok(match target {
+                Target::Android(ctx) => Arc::new(with_context(AndroidLocationProxy::new(), ctx)?),
+                Target::S60(platform) => Arc::new(S60LocationProxy::new(platform.clone())),
+                Target::WebView(webview) => Arc::new(WebViewLocationProxy::new(webview)?),
+            })
+        })
     }
 }
 
@@ -227,7 +223,13 @@ impl ProxyApi for dyn SmsProxy {
     }
 
     fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_sms()
+        runtime.layered::<Self>(|target| {
+            Ok(match target {
+                Target::Android(ctx) => Arc::new(with_context(AndroidSmsProxy::new(), ctx)?),
+                Target::S60(platform) => Arc::new(S60SmsProxy::new(platform.clone())),
+                Target::WebView(webview) => Arc::new(WebViewSmsProxy::new(webview)?),
+            })
+        })
     }
 }
 
@@ -239,7 +241,13 @@ impl ProxyApi for dyn CallProxy {
     }
 
     fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_call()
+        runtime.layered::<Self>(|target| {
+            Ok(match target {
+                Target::Android(ctx) => Arc::new(with_context(AndroidCallProxy::new(), ctx)?),
+                Target::S60(_) => return Err(runtime.unsupported("Call")),
+                Target::WebView(webview) => Arc::new(WebViewCallProxy::new(webview)?),
+            })
+        })
     }
 }
 
@@ -251,7 +259,13 @@ impl ProxyApi for dyn HttpProxy {
     }
 
     fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_http()
+        runtime.layered::<Self>(|target| {
+            Ok(match target {
+                Target::Android(ctx) => Arc::new(with_context(AndroidHttpProxy::new(), ctx)?),
+                Target::S60(platform) => Arc::new(S60HttpProxy::new(platform.clone())),
+                Target::WebView(webview) => Arc::new(WebViewHttpProxy::new(webview)?),
+            })
+        })
     }
 }
 
@@ -263,7 +277,13 @@ impl ProxyApi for dyn ContactsProxy {
     }
 
     fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_contacts()
+        runtime.layered::<Self>(|target| {
+            Ok(match target {
+                Target::Android(ctx) => Arc::new(with_context(AndroidContactsProxy::new(), ctx)?),
+                Target::S60(platform) => Arc::new(S60ContactsProxy::new(platform.clone())),
+                Target::WebView(_) => return Err(runtime.unsupported("Contacts")),
+            })
+        })
     }
 }
 
@@ -275,51 +295,28 @@ impl ProxyApi for dyn CalendarProxy {
     }
 
     fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.build_calendar()
+        runtime.layered::<Self>(|target| {
+            Ok(match target {
+                Target::Android(ctx) => Arc::new(with_context(AndroidCalendarProxy::new(), ctx)?),
+                Target::S60(platform) => Arc::new(S60CalendarProxy::new(platform.clone())),
+                Target::WebView(_) => return Err(runtime.unsupported("Calendar")),
+            })
+        })
     }
 }
 
-/// The runtime's resilience configuration: one policy and one shared
-/// counter block applied identically to every proxy it constructs.
-struct ResilienceRuntime {
-    policy: ResiliencePolicy,
-    metrics: Arc<ResilienceMetrics>,
-}
-
-/// The runtime's overload-protection configuration: one policy and one
-/// shared counter block applied identically to every proxy it
-/// constructs.
-struct OverloadRuntime {
-    policy: OverloadPolicy,
-    metrics: Arc<OverloadMetrics>,
-}
-
-/// The runtime's read-through cache configuration: one policy and one
-/// shared counter block applied identically to every cacheable proxy
-/// it constructs.
-struct CacheRuntime {
-    policy: CachePolicy,
-    metrics: Arc<CacheMetrics>,
-}
-
-/// The runtime's durability configuration: one policy, one shared
-/// counter block, and one shared [`JournalEngine`] (the write-ahead
-/// log + applied-key table) behind every mutating proxy it constructs.
-struct JournalRuntime {
-    policy: JournalPolicy,
-    metrics: Arc<JournalMetrics>,
-    engine: Arc<JournalEngine>,
+/// An Android binding handed the application context — the
+/// `loc.setProperty("context", this)` of the paper's Fig. 8(a).
+fn with_context<T: ProxyBase>(proxy: T, ctx: &Context) -> Result<T, ProxyError> {
+    proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
+    Ok(proxy)
 }
 
 /// The MobiVine runtime for one application on one platform.
 pub struct Mobivine {
     target: Target,
     catalog: Arc<Vec<ProxyDescriptor>>,
-    resilience: Option<ResilienceRuntime>,
-    overload: Option<OverloadRuntime>,
-    cache: Option<CacheRuntime>,
-    journal: Option<JournalRuntime>,
-    telemetry: Option<TelemetryRuntime>,
+    layers: Layers,
     slo: Option<Arc<SloEngine>>,
     resolved: ResolutionCache,
 }
@@ -339,11 +336,7 @@ impl Mobivine {
         Self {
             target,
             catalog: Arc::new(mobivine_proxydl::catalog::standard_catalog()),
-            resilience: None,
-            overload: None,
-            cache: None,
-            journal: None,
-            telemetry: None,
+            layers: Layers::default(),
             slo: None,
             resolved: ResolutionCache::default(),
         }
@@ -372,107 +365,79 @@ impl Mobivine {
         Self::with_target(Target::WebView(webview))
     }
 
-    /// Turns on the resilience layer: every Location/SMS/Call/HTTP
-    /// proxy this runtime constructs is pre-wrapped in the matching
-    /// [`crate::resilience`] decorator under `policy` — identically on
-    /// every platform, so retry behaviour is part of the uniform
-    /// surface rather than per-platform application code.
-    ///
-    /// All decorators share one [`ResilienceMetrics`] block, readable
-    /// through [`Mobivine::resilience_metrics`].
-    #[must_use]
-    pub fn with_resilience(mut self, policy: ResiliencePolicy) -> Self {
-        let metrics = match &self.telemetry {
-            Some(t) => ResilienceMetrics::on_registry(t.metrics()),
-            None => ResilienceMetrics::shared(),
-        };
-        self.resilience = Some(ResilienceRuntime { policy, metrics });
-        // The decorator stack changed: previously resolved proxies do
-        // not carry the new layer, so the memo is invalidated.
+    /// Records one policy change, then rebuilds the counter blocks (and
+    /// journal engine) of the `stale` layers only; every other layer
+    /// keeps its own. Wiring order therefore never matters. Proxies
+    /// resolved earlier do not carry the change, so the memo is
+    /// invalidated.
+    fn rewire(mut self, stale: &[Layer], record: impl FnOnce(&mut LayerPolicies)) -> Self {
+        let mut layers = std::mem::take(&mut self.layers);
+        record(&mut layers.policies);
+        self.layers = layers.rebuild(&self.device(), stale);
         self.resolved = ResolutionCache::default();
         self
+    }
+
+    /// Turns on the resilience layer: every Location/SMS/Call/HTTP
+    /// proxy this runtime constructs retries, circuit-breaks and falls
+    /// back under `policy` — identically on every platform, so retry
+    /// behaviour is part of the uniform surface rather than
+    /// per-platform application code. Each proxy owns its breaker.
+    ///
+    /// All proxies share one [`ResilienceMetrics`] block, readable
+    /// through [`Mobivine::resilience_metrics`].
+    #[must_use]
+    pub fn with_resilience(self, policy: ResiliencePolicy) -> Self {
+        self.rewire(&[Layer::Resilience], |p| p.resilience = Some(policy))
     }
 
     /// Turns on overload protection: every Location/SMS/Call/HTTP proxy
-    /// this runtime constructs is wrapped in the matching
-    /// [`crate::overload`] decorator under `policy` — a per-proxy
-    /// bulkhead, an adaptive load-shedding admission gate and
-    /// deadline-aware fail-fast, sitting **outside** the resilience
-    /// layer (when present) so a shed never spends retry budget.
+    /// this runtime constructs gets a per-proxy bulkhead, an adaptive
+    /// load-shedding admission gate and deadline-aware fail-fast under
+    /// `policy`, **outside** the resilience layer so a shed never
+    /// spends retry budget.
     ///
-    /// All decorators share one [`OverloadMetrics`] block, readable
+    /// All proxies share one [`OverloadMetrics`] block, readable
     /// through [`Mobivine::overload_metrics`].
     #[must_use]
-    pub fn with_overload(mut self, policy: OverloadPolicy) -> Self {
-        let metrics = match &self.telemetry {
-            Some(t) => OverloadMetrics::on_registry(t.metrics()),
-            None => OverloadMetrics::shared(),
-        };
-        self.overload = Some(OverloadRuntime { policy, metrics });
-        self.resolved = ResolutionCache::default();
-        self
+    pub fn with_overload(self, policy: OverloadPolicy) -> Self {
+        self.rewire(&[Layer::Overload], |p| p.overload = Some(policy))
     }
 
-    /// Turns on the read-through cache layer: the idempotent-read
-    /// proxies this runtime constructs (Location, Contacts, Calendar)
-    /// are wrapped in the matching [`crate::cache`] decorator under
-    /// `policy` — a TTL'd result cache with single-flight coalescing
-    /// and stamp-based invalidation, sitting **outside** the overload
-    /// layer (when present) so a cache hit costs neither admission nor
-    /// binding-plane work, and **inside** the proxy-plane traced layer
-    /// so hits and misses both appear in the span tree. Write-shaped
-    /// proxies (SMS, Call, HTTP) are never cached.
+    /// Turns on the read-through cache layer for the idempotent reads
+    /// (Location, Contacts, Calendar): a TTL'd result cache with
+    /// single-flight coalescing and stamp-based invalidation under
+    /// `policy`, **outside** the overload layer so a hit costs neither
+    /// admission nor binding-plane work, and **inside** the proxy-plane
+    /// trace so hits and misses both appear in the span tree.
+    /// Write-shaped proxies (SMS, Call, HTTP) are never cached.
     ///
-    /// All decorators share one [`CacheMetrics`] block, readable
-    /// through [`Mobivine::cache_metrics`].
+    /// All proxies share one [`CacheMetrics`] block, readable through
+    /// [`Mobivine::cache_metrics`].
     #[must_use]
-    pub fn with_cache(mut self, policy: CachePolicy) -> Self {
-        let metrics = match &self.telemetry {
-            Some(t) => CacheMetrics::on_registry(t.metrics()),
-            None => CacheMetrics::shared(),
-        };
-        self.cache = Some(CacheRuntime { policy, metrics });
-        self.resolved = ResolutionCache::default();
-        self
+    pub fn with_cache(self, policy: CachePolicy) -> Self {
+        self.rewire(&[Layer::Cache], |p| p.cache = Some(policy))
     }
 
-    /// Turns on the durability layer: the mutating proxies this
-    /// runtime constructs (SMS, HTTP) are wrapped in the matching
-    /// [`crate::journal`] decorator under `policy` — every send or
-    /// submit appends an intent record to a shared write-ahead journal
-    /// and crosses a simulated fsync barrier *before* the side effect
-    /// runs, and mutations carrying an ambient
+    /// Turns on the durability layer for the mutating proxies (SMS,
+    /// HTTP): every send or submit appends an intent record to a shared
+    /// write-ahead journal and crosses a simulated fsync barrier
+    /// *before* the side effect runs, and mutations carrying an ambient
     /// [`crate::journal::IdempotencyKey`] are deduplicated against the
-    /// journal (the `AlreadyApplied` fast path). The decorator sits
+    /// journal (the `AlreadyApplied` fast path). The layer sits
     /// **inside** the overload gate (shed calls burn no intent) and
     /// **outside** the retry engine (one logical call appends one
     /// intent, however many retries it takes).
     ///
-    /// All decorators share one [`JournalMetrics`] block, readable
-    /// through [`Mobivine::journal_metrics`].
+    /// All proxies share one [`JournalEngine`], readable through
+    /// [`Mobivine::journal_engine`] and [`Mobivine::journal_metrics`].
     #[must_use]
-    pub fn with_journal(mut self, policy: JournalPolicy) -> Self {
-        let metrics = match &self.telemetry {
-            Some(t) => JournalMetrics::on_registry(t.metrics()),
-            None => JournalMetrics::shared(),
-        };
-        let engine = Arc::new(JournalEngine::new(
-            self.device(),
-            policy.clone(),
-            Arc::clone(&metrics),
-        ));
-        self.journal = Some(JournalRuntime {
-            policy,
-            metrics,
-            engine,
-        });
-        self.resolved = ResolutionCache::default();
-        self
+    pub fn with_journal(self, policy: JournalPolicy) -> Self {
+        self.rewire(&[Layer::Journal], |p| p.journal = Some(policy))
     }
 
     /// Turns on plane-aware telemetry: every Location/SMS/Call/HTTP
-    /// proxy this runtime constructs is wrapped **twice** in the
-    /// matching [`crate::telemetry`] traced decorator — at the
+    /// proxy this runtime constructs is traced **twice** — at the
     /// outermost semantic plane and at the binding plane (below the
     /// resilience layer, when present) — so each call descends the
     /// stack as a parented span tree: app → proxy → resilience →
@@ -480,10 +445,9 @@ impl Mobivine {
     ///
     /// Metrics publish into the device's [`MetricsRegistry`] (shared
     /// with the device subsystems); spans collect in the tracer
-    /// returned by [`Mobivine::tracer`]. If
-    /// [`Mobivine::with_resilience`] was already applied, its counters
-    /// are re-homed onto the same registry so one exporter covers the
-    /// whole call path.
+    /// returned by [`Mobivine::tracer`]. Every other layer's counters
+    /// are homed on the same registry, whichever was wired first, so
+    /// one exporter covers the whole call path.
     #[must_use]
     pub fn with_telemetry(self) -> Self {
         self.with_telemetry_retention(mobivine_telemetry::DEFAULT_SPAN_RETENTION)
@@ -505,47 +469,32 @@ impl Mobivine {
     /// ([`Mobivine::incidents`]) before ring wrap-around can overwrite
     /// them.
     #[must_use]
-    pub fn with_telemetry_recorder(
-        mut self,
+    pub fn with_telemetry_recorder(self, span_retention: usize, policy: PromotionPolicy) -> Self {
+        let telemetry = self.telemetry_runtime(span_retention, policy);
+        // Every counter block re-homes onto the new registry.
+        self.rewire(&ORDER, |p| p.telemetry = Some(telemetry))
+    }
+
+    /// A telemetry runtime on the device's registry, grading against
+    /// the attached SLO engine, if any.
+    fn telemetry_runtime(
+        &self,
         span_retention: usize,
         policy: PromotionPolicy,
-    ) -> Self {
-        let mut telemetry = TelemetryRuntime::with_recorder(
+    ) -> TelemetryRuntime {
+        let telemetry = TelemetryRuntime::with_recorder(
             Arc::clone(self.device().metrics()),
             span_retention,
             policy,
         );
-        if let Some(engine) = &self.slo {
-            telemetry = telemetry.with_slo(Arc::clone(engine));
+        match &self.slo {
+            Some(engine) => telemetry.with_slo(Arc::clone(engine)),
+            None => telemetry,
         }
-        if let Some(r) = &mut self.resilience {
-            r.metrics = ResilienceMetrics::on_registry(telemetry.metrics());
-        }
-        if let Some(o) = &mut self.overload {
-            o.metrics = OverloadMetrics::on_registry(telemetry.metrics());
-        }
-        if let Some(c) = &mut self.cache {
-            c.metrics = CacheMetrics::on_registry(telemetry.metrics());
-        }
-        let device = self.device();
-        if let Some(j) = &mut self.journal {
-            // Re-home the counters and rebuild the engine on them: this
-            // runs at wiring time, before any intent could have been
-            // appended, so the fresh (empty) journal is equivalent.
-            j.metrics = JournalMetrics::on_registry(telemetry.metrics());
-            j.engine = Arc::new(JournalEngine::new(
-                device,
-                j.policy.clone(),
-                Arc::clone(&j.metrics),
-            ));
-        }
-        self.telemetry = Some(telemetry);
-        self.resolved = ResolutionCache::default();
-        self
     }
 
-    /// Attaches a declarative SLO engine: proxy-plane decorators feed
-    /// every finished call's `(ok, latency)` into the engine's matching
+    /// Attaches a declarative SLO engine: the proxy plane feeds every
+    /// finished call's `(ok, latency)` into the engine's matching
     /// `(proxy, method, platform)` objectives, evaluated on virtual-time
     /// multi-window burn rates. Order-independent with
     /// [`Mobivine::with_telemetry`] — whichever comes second picks up
@@ -553,48 +502,53 @@ impl Mobivine {
     /// proxy plane is where outcomes are observed).
     #[must_use]
     pub fn with_slo(mut self, engine: Arc<SloEngine>) -> Self {
-        if let Some(telemetry) = self.telemetry.take() {
-            self.telemetry = Some(telemetry.with_slo(Arc::clone(&engine)));
-        }
-        self.slo = Some(engine);
-        self.resolved = ResolutionCache::default();
-        self
+        self.slo = Some(Arc::clone(&engine));
+        self.rewire(&[], |p| {
+            p.telemetry = p.telemetry.take().map(|t| t.with_slo(engine));
+        })
     }
 
     /// The shared resilience counters, when
     /// [`Mobivine::with_resilience`] was applied.
     pub fn resilience_metrics(&self) -> Option<Arc<ResilienceMetrics>> {
-        self.resilience.as_ref().map(|r| Arc::clone(&r.metrics))
+        self.layers.resilience.clone()
     }
 
     /// The shared overload-protection counters, when
     /// [`Mobivine::with_overload`] was applied.
     pub fn overload_metrics(&self) -> Option<Arc<OverloadMetrics>> {
-        self.overload.as_ref().map(|o| Arc::clone(&o.metrics))
+        self.layers.overload.clone()
     }
 
     /// The shared cache counters, when [`Mobivine::with_cache`] was
     /// applied.
     pub fn cache_metrics(&self) -> Option<Arc<CacheMetrics>> {
-        self.cache.as_ref().map(|c| Arc::clone(&c.metrics))
+        self.layers.cache.clone()
     }
 
     /// The shared durability counters, when [`Mobivine::with_journal`]
     /// was applied.
     pub fn journal_metrics(&self) -> Option<Arc<JournalMetrics>> {
-        self.journal.as_ref().map(|j| Arc::clone(&j.metrics))
+        self.layers
+            .journal
+            .as_ref()
+            .map(|engine| Arc::clone(engine.metrics()))
     }
 
     /// The shared write-ahead journal engine, when
     /// [`Mobivine::with_journal`] was applied.
     pub fn journal_engine(&self) -> Option<&Arc<JournalEngine>> {
-        self.journal.as_ref().map(|j| &j.engine)
+        self.layers.journal.as_ref()
+    }
+
+    fn telemetry(&self) -> Option<&TelemetryRuntime> {
+        self.layers.policies.telemetry.as_ref()
     }
 
     /// The tracer collecting proxy-call spans, when
     /// [`Mobivine::with_telemetry`] was applied.
     pub fn tracer(&self) -> Option<&mobivine_telemetry::Tracer> {
-        self.telemetry.as_ref().map(TelemetryRuntime::tracer)
+        self.telemetry().map(TelemetryRuntime::tracer)
     }
 
     /// The metrics registry the traced proxies publish into, when
@@ -602,15 +556,13 @@ impl Mobivine {
     /// registry, so device-layer series appear alongside the proxy
     /// series.
     pub fn telemetry_metrics(&self) -> Option<Arc<MetricsRegistry>> {
-        self.telemetry.as_ref().map(|t| Arc::clone(t.metrics()))
+        self.telemetry().map(|t| Arc::clone(t.metrics()))
     }
 
     /// The flight recorder's bounded store of promoted incident traces,
     /// when [`Mobivine::with_telemetry`] was applied.
     pub fn incidents(&self) -> Option<&Arc<IncidentStore>> {
-        self.telemetry
-            .as_ref()
-            .and_then(TelemetryRuntime::incidents)
+        self.telemetry().and_then(TelemetryRuntime::incidents)
     }
 
     /// The SLO engine grading proxy-plane calls, when
@@ -668,15 +620,34 @@ impl Mobivine {
         )
     }
 
+    /// The one construction path: `bind` builds the bare platform
+    /// binding for this runtime's target, and [`stack::wrap`] wraps it
+    /// in every layer this runtime enables, in the declared order.
+    fn layered<P: ?Sized + Interface>(
+        &self,
+        bind: impl FnOnce(&Target) -> Result<Arc<P>, ProxyError>,
+    ) -> Result<Arc<P>, ProxyError> {
+        if !self.supports_kind(P::KIND) {
+            return Err(self.unsupported(P::KIND.interface()));
+        }
+        let binding = bind(&self.target)?;
+        let platform = self.platform_id();
+        Ok(stack::wrap(
+            binding,
+            &self.layers,
+            &self.device(),
+            platform.id(),
+        ))
+    }
+
     /// Resolves the proxy for capability `P`, memoized.
     ///
     /// The first acquisition of each [`ProxyKind`] constructs the
-    /// platform binding with the full decorator stack (telemetry,
-    /// resilience) and caches the shared instance; every later
-    /// acquisition is a lock-free read returning a clone of the same
-    /// `Arc`. This is the hot-path acquisition primitive fleet-scale
-    /// workloads lean on: acquisition cost collapses from per-call
-    /// construction to one atomic load.
+    /// platform binding wrapped in every enabled layer and caches the
+    /// shared instance; every later acquisition is a lock-free read
+    /// returning a clone of the same `Arc`. This is the hot-path
+    /// acquisition primitive fleet-scale workloads lean on: acquisition
+    /// cost collapses from per-call construction to one atomic load.
     ///
     /// # Errors
     ///
@@ -736,283 +707,14 @@ impl Mobivine {
         }
         Ok(resolved)
     }
-
-    fn build_location(&self) -> Result<Arc<dyn LocationProxy>, ProxyError> {
-        if !self.supports("Location") {
-            return Err(self.unsupported("Location"));
-        }
-        let mut proxy: Arc<dyn LocationProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidLocationProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60LocationProxy::new(platform.clone())),
-            Target::WebView(webview) => Arc::new(WebViewLocationProxy::new(webview)?),
-        };
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedLocationProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Binding,
-                self.platform_id().id(),
-            ));
-        }
-        let mut circuit_epoch = None;
-        if let Some(r) = &self.resilience {
-            let resilient = ResilientLocationProxy::new(
-                proxy,
-                self.device(),
-                r.policy.clone(),
-                Arc::clone(&r.metrics),
-            );
-            circuit_epoch = Some(resilient.circuit_epoch_handle());
-            proxy = Arc::new(resilient);
-        }
-        if let Some(o) = &self.overload {
-            proxy = Arc::new(OverloadLocationProxy::new(
-                proxy,
-                self.device(),
-                o.policy.clone(),
-                Arc::clone(&o.metrics),
-            ));
-        }
-        if let Some(c) = &self.cache {
-            proxy = Arc::new(CachedLocationProxy::new(
-                proxy,
-                self.device(),
-                &c.policy,
-                circuit_epoch,
-                Arc::clone(&c.metrics),
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedLocationProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Proxy,
-                self.platform_id().id(),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_sms(&self) -> Result<Arc<dyn SmsProxy>, ProxyError> {
-        if !self.supports("SMS") {
-            return Err(self.unsupported("SMS"));
-        }
-        let mut proxy: Arc<dyn SmsProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidSmsProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60SmsProxy::new(platform.clone())),
-            Target::WebView(webview) => Arc::new(WebViewSmsProxy::new(webview)?),
-        };
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedSmsProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Binding,
-                self.platform_id().id(),
-            ));
-        }
-        if let Some(r) = &self.resilience {
-            proxy = Arc::new(ResilientSmsProxy::new(
-                proxy,
-                self.device(),
-                r.policy.clone(),
-                Arc::clone(&r.metrics),
-            ));
-        }
-        if let Some(j) = &self.journal {
-            proxy = Arc::new(JournaledSmsProxy::new(proxy, Arc::clone(&j.engine)));
-        }
-        if let Some(o) = &self.overload {
-            proxy = Arc::new(OverloadSmsProxy::new(
-                proxy,
-                self.device(),
-                o.policy.clone(),
-                Arc::clone(&o.metrics),
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedSmsProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Proxy,
-                self.platform_id().id(),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_call(&self) -> Result<Arc<dyn CallProxy>, ProxyError> {
-        if !self.supports("Call") {
-            return Err(self.unsupported("Call"));
-        }
-        let mut proxy: Arc<dyn CallProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidCallProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(_) => return Err(self.unsupported("Call")),
-            Target::WebView(webview) => Arc::new(WebViewCallProxy::new(webview)?),
-        };
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedCallProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Binding,
-                self.platform_id().id(),
-            ));
-        }
-        if let Some(r) = &self.resilience {
-            proxy = Arc::new(ResilientCallProxy::new(
-                proxy,
-                self.device(),
-                r.policy.clone(),
-                Arc::clone(&r.metrics),
-            ));
-        }
-        if let Some(o) = &self.overload {
-            proxy = Arc::new(OverloadCallProxy::new(
-                proxy,
-                self.device(),
-                o.policy.clone(),
-                Arc::clone(&o.metrics),
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedCallProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Proxy,
-                self.platform_id().id(),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_http(&self) -> Result<Arc<dyn HttpProxy>, ProxyError> {
-        if !self.supports("Http") {
-            return Err(self.unsupported("Http"));
-        }
-        let mut proxy: Arc<dyn HttpProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidHttpProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60HttpProxy::new(platform.clone())),
-            Target::WebView(webview) => Arc::new(WebViewHttpProxy::new(webview)?),
-        };
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedHttpProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Binding,
-                self.platform_id().id(),
-            ));
-        }
-        if let Some(r) = &self.resilience {
-            proxy = Arc::new(ResilientHttpProxy::new(
-                proxy,
-                self.device(),
-                r.policy.clone(),
-                Arc::clone(&r.metrics),
-            ));
-        }
-        if let Some(j) = &self.journal {
-            proxy = Arc::new(JournaledHttpProxy::new(proxy, Arc::clone(&j.engine)));
-        }
-        if let Some(o) = &self.overload {
-            proxy = Arc::new(OverloadHttpProxy::new(
-                proxy,
-                self.device(),
-                o.policy.clone(),
-                Arc::clone(&o.metrics),
-            ));
-        }
-        if let Some(t) = &self.telemetry {
-            proxy = Arc::new(TracedHttpProxy::new(
-                proxy,
-                self.device(),
-                t,
-                Plane::Proxy,
-                self.platform_id().id(),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_contacts(&self) -> Result<Arc<dyn ContactsProxy>, ProxyError> {
-        if !self.supports("Contacts") {
-            return Err(self.unsupported("Contacts"));
-        }
-        let mut proxy: Arc<dyn ContactsProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidContactsProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60ContactsProxy::new(platform.clone())),
-            Target::WebView(_) => return Err(self.unsupported("Contacts")),
-        };
-        if let Some(c) = &self.cache {
-            proxy = Arc::new(CachedContactsProxy::new(
-                proxy,
-                self.device(),
-                &c.policy,
-                Arc::clone(&c.metrics),
-            ));
-        }
-        Ok(proxy)
-    }
-
-    fn build_calendar(&self) -> Result<Arc<dyn CalendarProxy>, ProxyError> {
-        if !self.supports("Calendar") {
-            return Err(self.unsupported("Calendar"));
-        }
-        let mut proxy: Arc<dyn CalendarProxy> = match &self.target {
-            Target::Android(ctx) => {
-                let proxy = AndroidCalendarProxy::new();
-                proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-                Arc::new(proxy)
-            }
-            Target::S60(platform) => Arc::new(S60CalendarProxy::new(platform.clone())),
-            Target::WebView(_) => return Err(self.unsupported("Calendar")),
-        };
-        if let Some(c) = &self.cache {
-            proxy = Arc::new(CachedCalendarProxy::new(
-                proxy,
-                self.device(),
-                &c.policy,
-                Arc::clone(&c.metrics),
-            ));
-        }
-        Ok(proxy)
-    }
 }
 
 /// Composable construction of a [`Mobivine`] runtime.
 ///
-/// The legacy surface requires a fixed sequence — a `for_*` constructor
-/// first, then `with_resilience` / `with_telemetry` in an order the
-/// caller must get right. The builder accepts platform selection,
-/// resilience, telemetry and a shared catalog **in any order** and
-/// applies them canonically in [`MobivineBuilder::build`] (telemetry is
-/// wired before resilience so the resilience counters always land on
-/// the telemetry registry when both are present).
+/// The legacy surface requires a `for_*` constructor first, then the
+/// `with_*` options. The builder accepts platform selection, every
+/// layer's policy, telemetry and a shared catalog **in any order** and
+/// wires them in one pass in [`MobivineBuilder::build`].
 ///
 /// # Example
 ///
@@ -1155,8 +857,8 @@ impl MobivineBuilder {
         self
     }
 
-    /// Builds the runtime, applying the configured options in canonical
-    /// order regardless of the order the builder methods were called.
+    /// Builds the runtime: every recorded option is wired in one pass,
+    /// so the order the builder methods were called never matters.
     ///
     /// # Errors
     ///
@@ -1176,26 +878,20 @@ impl MobivineBuilder {
         if let Some(catalog) = self.catalog {
             runtime.catalog = catalog;
         }
-        if let Some(engine) = self.slo {
-            runtime = runtime.with_slo(engine);
-        }
-        if let Some(span_retention) = self.telemetry {
-            let policy = self.promotion.unwrap_or_default();
-            runtime = runtime.with_telemetry_recorder(span_retention, policy);
-        }
-        if let Some(policy) = self.resilience {
-            runtime = runtime.with_resilience(policy);
-        }
-        if let Some(policy) = self.journal {
-            runtime = runtime.with_journal(policy);
-        }
-        if let Some(policy) = self.overload {
-            runtime = runtime.with_overload(policy);
-        }
-        if let Some(policy) = self.cache {
-            runtime = runtime.with_cache(policy);
-        }
-        Ok(runtime)
+        runtime.slo = self.slo;
+        let promotion = self.promotion.unwrap_or_default();
+        let telemetry = self
+            .telemetry
+            .map(|span_retention| runtime.telemetry_runtime(span_retention, promotion));
+        Ok(runtime.rewire(&ORDER, |p| {
+            *p = LayerPolicies {
+                telemetry,
+                cache: self.cache,
+                overload: self.overload,
+                journal: self.journal,
+                resilience: self.resilience,
+            }
+        }))
     }
 }
 
@@ -1302,6 +998,38 @@ mod tests {
 
         let s60 = Mobivine::for_s60(S60Platform::new(Device::builder().build()));
         assert_eq!(s60.warm().unwrap(), 5, "everything but Call");
+    }
+
+    #[test]
+    fn a_later_option_keeps_the_other_layers_metrics_handles() {
+        let runtime = android_runtime()
+            .with_resilience(ResiliencePolicy::default())
+            .with_journal(JournalPolicy::default());
+        let resilience = runtime.resilience_metrics().unwrap();
+        let journal = Arc::clone(runtime.journal_engine().unwrap());
+        let runtime = runtime
+            .with_cache(CachePolicy::default())
+            .with_overload(OverloadPolicy::default())
+            .with_slo(Arc::new(SloEngine::new(Vec::new())));
+        assert!(Arc::ptr_eq(
+            &resilience,
+            &runtime.resilience_metrics().unwrap()
+        ));
+        assert!(Arc::ptr_eq(&journal, runtime.journal_engine().unwrap()));
+        // Re-setting a layer's own policy gives it a fresh block.
+        let overload = runtime.overload_metrics().unwrap();
+        let runtime = runtime.with_overload(OverloadPolicy::default());
+        assert!(!Arc::ptr_eq(
+            &overload,
+            &runtime.overload_metrics().unwrap()
+        ));
+        // Telemetry re-homes every block onto its registry.
+        let runtime = runtime.with_telemetry();
+        assert!(!Arc::ptr_eq(
+            &resilience,
+            &runtime.resilience_metrics().unwrap()
+        ));
+        assert!(!Arc::ptr_eq(&journal, runtime.journal_engine().unwrap()));
     }
 
     #[test]

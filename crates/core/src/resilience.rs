@@ -1,12 +1,12 @@
 //! The M-Proxy resilience layer: retries, circuit breaking and
-//! fallbacks as enrichment decorators (§3.3).
+//! fallbacks as an enrichment layer (§3.3).
 //!
 //! Mobile platform capabilities fail transiently all the time — the GPS
 //! loses its fix, the packet radio drops out of coverage, the SMSC
 //! sheds load. The paper's enrichment plane ("value-added services such
 //! as reliable delivery … can be plugged in without touching the
-//! application") motivates this module: every uniform proxy can be
-//! wrapped in a [`ResiliencePolicy`]-driven decorator that
+//! application") motivates this module: the resilience layer of the
+//! layer stack (`stack` module), driven by a [`ResiliencePolicy`], which
 //!
 //! * retries **transient** failures ([`is_transient`]) with exponential
 //!   backoff and seeded jitter, advancing the *simulated device clock*
@@ -22,20 +22,18 @@
 //! resilience exactly the way they tune `powerConsumption` or
 //! `pollInterval`.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use mobivine_device::Device;
-use mobivine_telemetry::span::{ambient, ActiveSpan, Plane};
-use mobivine_telemetry::{Counter, Labels, MetricsRegistry};
+use mobivine_telemetry::span::ActiveSpan;
 
-use crate::api::{CallProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::PropertyValue;
-use crate::types::{CallProgress, DeliveryListener, HttpResult, Location, SharedProximityListener};
+use crate::property::{bad_value, knob, PropertyValue};
+use crate::telemetry::{layer_counters, layer_span};
+use crate::types::Location;
 
 /// Whether an error category is worth retrying.
 ///
@@ -61,7 +59,7 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Tunable knobs for the resilience decorators.
+/// Tunable knobs for the resilience layer.
 ///
 /// Every field is also settable at run time through the property plane;
 /// the property keys are listed on each builder method.
@@ -314,137 +312,55 @@ impl CircuitBreaker {
     }
 }
 
-macro_rules! counters {
-    ($($(#[$doc:meta])* $name:ident),* $(,)?) => {
-        /// Shared resilience counters, updated lock-free by the
-        /// decorators and snapshotted by observability code.
-        ///
-        /// Each field is a telemetry [`Counter`] handle. A standalone
-        /// block ([`ResilienceMetrics::shared`]) counts privately; a
-        /// registry-backed block ([`ResilienceMetrics::on_registry`])
-        /// publishes the same counters as `resilience_<name>_total`
-        /// series, so exporters see them alongside every other metric.
-        #[derive(Debug, Default)]
-        pub struct ResilienceMetrics {
-            $($(#[$doc])* $name: Counter,)*
-        }
-
-        /// A point-in-time copy of [`ResilienceMetrics`].
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-        pub struct ResilienceSnapshot {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl ResilienceMetrics {
-            /// Copies every counter at once.
-            pub fn snapshot(&self) -> ResilienceSnapshot {
-                ResilienceSnapshot {
-                    $($name: self.$name.value(),)*
-                }
-            }
-
-            /// A counter block whose handles live in `registry` under
-            /// `resilience_<name>_total`, making the resilience layer's
-            /// activity visible to every exporter reading the registry.
-            pub fn on_registry(registry: &Arc<MetricsRegistry>) -> Arc<Self> {
-                Arc::new(Self {
-                    $($name: registry.counter(
-                        concat!("resilience_", stringify!($name), "_total"),
-                        &Labels::empty(),
-                    ),)*
-                })
-            }
-        }
-    };
-}
-
-counters! {
-    /// Calls entering a resilient decorator.
-    calls,
-    /// Attempts issued against the wrapped proxy (>= calls).
-    attempts,
-    /// Backoff-then-retry cycles taken.
-    retries,
-    /// Calls that ultimately succeeded.
-    successes,
-    /// Transient attempt failures observed.
-    transient_failures,
-    /// Fatal (non-retryable) failures returned immediately.
-    fatal_failures,
-    /// Calls rejected fast by an open circuit.
-    circuit_rejections,
-    /// Times a failure opened (or re-opened) the circuit.
-    circuit_opens,
-    /// Location calls answered from the last known fix.
-    fallback_last_known,
-    /// Location calls answered from the configured default position.
-    fallback_default,
-    /// Calls abandoned because the retry deadline ran out.
-    deadline_exhausted,
-}
-
-impl ResilienceMetrics {
-    /// A fresh, shareable counter block (not registry-backed; use
-    /// [`ResilienceMetrics::on_registry`] to publish through a
-    /// [`MetricsRegistry`]).
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    fn bump(&self, counter: &Counter) {
-        counter.inc();
+layer_counters! {
+    /// Shared resilience counters, updated lock-free by the
+    /// resilience layers and snapshotted by observability code.
+    ///
+    /// Each field is a telemetry `Counter` handle. A standalone
+    /// block ([`ResilienceMetrics::shared`]) counts privately; a
+    /// registry-backed block ([`ResilienceMetrics::on_registry`])
+    /// publishes the same counters as `resilience_<name>_total`
+    /// series, so exporters see them alongside every other metric.
+    ResilienceMetrics,
+    /// A point-in-time copy of [`ResilienceMetrics`].
+    ResilienceSnapshot,
+    "resilience",
+    {
+        /// Calls entering a resilience layer.
+        calls,
+        /// Attempts issued against the wrapped proxy (>= calls).
+        attempts,
+        /// Backoff-then-retry cycles taken.
+        retries,
+        /// Calls that ultimately succeeded.
+        successes,
+        /// Transient attempt failures observed.
+        transient_failures,
+        /// Fatal (non-retryable) failures returned immediately.
+        fatal_failures,
+        /// Calls rejected fast by an open circuit.
+        circuit_rejections,
+        /// Times a failure opened (or re-opened) the circuit.
+        circuit_opens,
+        /// Location calls answered from the last known fix.
+        fallback_last_known,
+        /// Location calls answered from the configured default position.
+        fallback_default,
+        /// Calls abandoned because the retry deadline ran out.
+        deadline_exhausted,
     }
 }
 
-impl fmt::Display for ResilienceSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "calls={} attempts={} retries={} successes={} transient={} fatal={} \
-             circuit_rejections={} circuit_opens={} fallback_last_known={} \
-             fallback_default={} deadline_exhausted={}",
-            self.calls,
-            self.attempts,
-            self.retries,
-            self.successes,
-            self.transient_failures,
-            self.fatal_failures,
-            self.circuit_rejections,
-            self.circuit_opens,
-            self.fallback_last_known,
-            self.fallback_default,
-            self.deadline_exhausted,
-        )
-    }
-}
+/// The property family name in `BadPropertyValue` messages.
+const LAYER: &str = "resilience";
 
-fn int_of(value: &PropertyValue) -> Option<i64> {
-    if let Some(i) = value.as_int() {
-        return Some(i);
-    }
-    value.as_str().and_then(|s| s.parse().ok())
-}
-
-fn float_of(value: &PropertyValue) -> Option<f64> {
-    if let Some(i) = value.as_int() {
-        return Some(i as f64);
-    }
-    value.as_str().and_then(|s| s.parse().ok())
-}
-
-fn bad_value(key: &str, value: &PropertyValue) -> ProxyError {
-    ProxyError::new(
-        ProxyErrorKind::BadPropertyValue,
-        format!("resilience property '{key}' cannot take value {value:?}"),
-    )
-}
-
-/// The retry/breaker engine shared by all four decorators.
-struct Engine {
+/// One proxy's retry/breaker engine: the resilience layer of its
+/// layer stack.
+pub(crate) struct ResilienceEngine {
     device: Device,
     policy: Mutex<ResiliencePolicy>,
-    breaker: CircuitBreaker,
-    metrics: Arc<ResilienceMetrics>,
+    pub(crate) breaker: CircuitBreaker,
+    pub(crate) metrics: Arc<ResilienceMetrics>,
     /// Per-call salt source so two calls with the same policy seed
     /// still jitter differently (while replaying identically run-over-run).
     seq: AtomicU64,
@@ -452,7 +368,7 @@ struct Engine {
 
 /// How a resilient call ultimately failed — drives the Location
 /// fallback chain.
-enum FailureMode {
+pub(crate) enum FailureMode {
     /// Transient exhaustion, deadline, or open circuit: worth a fallback.
     Degraded(ProxyError),
     /// Deterministic failure: propagate untouched, no fallback.
@@ -460,15 +376,19 @@ enum FailureMode {
 }
 
 impl FailureMode {
-    fn into_error(self) -> ProxyError {
+    pub(crate) fn into_error(self) -> ProxyError {
         match self {
             FailureMode::Degraded(e) | FailureMode::Fatal(e) => e,
         }
     }
 }
 
-impl Engine {
-    fn new(device: Device, policy: ResiliencePolicy, metrics: Arc<ResilienceMetrics>) -> Self {
+impl ResilienceEngine {
+    pub(crate) fn new(
+        device: Device,
+        policy: ResiliencePolicy,
+        metrics: Arc<ResilienceMetrics>,
+    ) -> Self {
         let breaker = CircuitBreaker::new(policy.circuit_threshold, policy.circuit_cooldown_ms);
         Self {
             device,
@@ -479,7 +399,7 @@ impl Engine {
         }
     }
 
-    fn policy(&self) -> ResiliencePolicy {
+    pub(crate) fn policy(&self) -> ResiliencePolicy {
         self.policy.lock().clone()
     }
 
@@ -488,34 +408,17 @@ impl Engine {
     /// trace is active, the whole execution is recorded as one
     /// resilience-plane span whose events mark every attempt, retry and
     /// circuit transition.
-    fn execute<T>(
+    pub(crate) fn execute<T>(
         &self,
         operation: &str,
         call: &dyn Fn() -> Result<T, ProxyError>,
     ) -> Result<T, FailureMode> {
-        // `is_active` first: when no trace is open (telemetry off, or
-        // an unspanned call path) the name `format!` is skipped
-        // entirely, keeping the resilience layer allocation-free.
-        let mut span = if ambient::is_active() {
-            ambient::child(
-                format!("resilience:{operation}"),
-                Plane::Resilience,
-                self.device.now_ms(),
-            )
-        } else {
-            None
+        let kind = |failure: &FailureMode| match failure {
+            FailureMode::Degraded(e) | FailureMode::Fatal(e) => e.kind(),
         };
-        let result = self.execute_inner(operation, call, span.as_mut());
-        if let Some(mut s) = span.take() {
-            if let Err(failure) = &result {
-                let e = match failure {
-                    FailureMode::Degraded(e) | FailureMode::Fatal(e) => e,
-                };
-                s.attr("error", crate::telemetry::kind_name(e.kind()));
-            }
-            s.end(self.device.now_ms());
-        }
-        result
+        layer_span(&self.device, "resilience", operation, kind, |span| {
+            self.execute_inner(operation, call, span)
+        })
     }
 
     fn execute_inner<T>(
@@ -525,9 +428,9 @@ impl Engine {
         mut span: Option<&mut ActiveSpan>,
     ) -> Result<T, FailureMode> {
         let policy = self.policy();
-        self.metrics.bump(&self.metrics.calls);
+        self.metrics.calls.inc();
         if !self.breaker.admit(self.device.now_ms()) {
-            self.metrics.bump(&self.metrics.circuit_rejections);
+            self.metrics.circuit_rejections.inc();
             if let Some(s) = span.as_deref_mut() {
                 s.event("circuit_rejected", self.device.now_ms());
             }
@@ -550,20 +453,20 @@ impl Engine {
         let mut attempt: u32 = 0;
         loop {
             attempt += 1;
-            self.metrics.bump(&self.metrics.attempts);
+            self.metrics.attempts.inc();
             if let Some(s) = span.as_deref_mut() {
                 s.event("attempt", self.device.now_ms());
             }
             match call() {
                 Ok(value) => {
                     self.breaker.record_success();
-                    self.metrics.bump(&self.metrics.successes);
+                    self.metrics.successes.inc();
                     return Ok(value);
                 }
                 Err(e) if is_transient(e.kind()) => {
-                    self.metrics.bump(&self.metrics.transient_failures);
+                    self.metrics.transient_failures.inc();
                     if self.breaker.record_failure(self.device.now_ms()) {
-                        self.metrics.bump(&self.metrics.circuit_opens);
+                        self.metrics.circuit_opens.inc();
                         if let Some(s) = span.as_deref_mut() {
                             s.event("circuit_open", self.device.now_ms());
                         }
@@ -573,7 +476,7 @@ impl Engine {
                     }
                     let backoff = policy.backoff_for(attempt, salt);
                     if self.device.now_ms().saturating_add(backoff) > deadline {
-                        self.metrics.bump(&self.metrics.deadline_exhausted);
+                        self.metrics.deadline_exhausted.inc();
                         if let Some(s) = span.as_deref_mut() {
                             s.event("deadline_exhausted", self.device.now_ms());
                             // Cause attribution: without it a trace
@@ -599,7 +502,7 @@ impl Engine {
                         }
                         return Err(FailureMode::Degraded(err));
                     }
-                    self.metrics.bump(&self.metrics.retries);
+                    self.metrics.retries.inc();
                     if let Some(s) = span.as_deref_mut() {
                         s.event("retry", self.device.now_ms());
                     }
@@ -611,14 +514,14 @@ impl Engine {
                     // that just asked us to back off — but the failure
                     // is load, not correctness, so the fallback chain
                     // may still serve a degraded answer.
-                    self.metrics.bump(&self.metrics.fatal_failures);
+                    self.metrics.fatal_failures.inc();
                     if let Some(s) = span.as_deref_mut() {
                         s.event("overload_shed", self.device.now_ms());
                     }
                     return Err(FailureMode::Degraded(e));
                 }
                 Err(e) => {
-                    self.metrics.bump(&self.metrics.fatal_failures);
+                    self.metrics.fatal_failures.inc();
                     return Err(FailureMode::Fatal(e));
                 }
             }
@@ -626,151 +529,67 @@ impl Engine {
     }
 
     /// Intercepts the resilience property keys; returns `None` for keys
-    /// that belong to the wrapped proxy.
-    fn try_set_policy_property(
+    /// that belong to the layers below.
+    pub(crate) fn try_set_policy_property(
         &self,
         key: &str,
         value: &PropertyValue,
     ) -> Option<Result<(), ProxyError>> {
         let mut policy = self.policy.lock();
         let result = match key {
-            "retry.max_attempts" => match int_of(value) {
-                Some(n) if n >= 1 => {
-                    policy.max_attempts = n as u32;
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "retry.backoff_ms" => match int_of(value) {
-                Some(n) if n >= 0 => {
-                    policy.backoff_base_ms = n as u64;
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "retry.deadline_ms" => match int_of(value) {
-                Some(n) if n >= 0 => {
-                    policy.deadline_ms = n as u64;
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "retry.jitter_seed" => match int_of(value) {
-                Some(n) => {
-                    policy.jitter_seed = n as u64;
-                    Ok(())
-                }
-                None => Err(bad_value(key, value)),
-            },
-            "circuit.threshold" => match int_of(value) {
-                Some(n) if n >= 1 => {
-                    policy.circuit_threshold = n as u32;
-                    self.breaker
-                        .configure(policy.circuit_threshold, policy.circuit_cooldown_ms);
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "circuit.cooldown_ms" => match int_of(value) {
-                Some(n) if n >= 0 => {
-                    policy.circuit_cooldown_ms = n as u64;
-                    self.breaker
-                        .configure(policy.circuit_threshold, policy.circuit_cooldown_ms);
-                    Ok(())
-                }
-                _ => Err(bad_value(key, value)),
-            },
-            "fallback.latitude" => match float_of(value) {
-                Some(lat) => {
-                    policy.fallback_latitude = Some(lat);
-                    Ok(())
-                }
-                None => Err(bad_value(key, value)),
-            },
-            "fallback.longitude" => match float_of(value) {
-                Some(lon) => {
-                    policy.fallback_longitude = Some(lon);
-                    Ok(())
-                }
-                None => Err(bad_value(key, value)),
-            },
+            "retry.max_attempts" => knob(LAYER, key, value, 1).map(|n| policy.max_attempts = n),
+            "retry.backoff_ms" => knob(LAYER, key, value, 0).map(|n| policy.backoff_base_ms = n),
+            "retry.deadline_ms" => knob(LAYER, key, value, 0).map(|n| policy.deadline_ms = n),
+            // Any integer seeds the jitter stream; negatives wrap.
+            "retry.jitter_seed" => value
+                .parse_int()
+                .map(|n| policy.jitter_seed = n as u64)
+                .ok_or_else(|| bad_value(LAYER, key, value)),
+            "circuit.threshold" => knob(LAYER, key, value, 1).map(|n| {
+                policy.circuit_threshold = n;
+                self.breaker.configure(n, policy.circuit_cooldown_ms);
+            }),
+            "circuit.cooldown_ms" => knob(LAYER, key, value, 0).map(|n| {
+                policy.circuit_cooldown_ms = n;
+                self.breaker.configure(policy.circuit_threshold, n);
+            }),
+            "fallback.latitude" => value
+                .parse_float()
+                .map(|lat| policy.fallback_latitude = Some(lat))
+                .ok_or_else(|| bad_value(LAYER, key, value)),
+            "fallback.longitude" => value
+                .parse_float()
+                .map(|lon| policy.fallback_longitude = Some(lon))
+                .ok_or_else(|| bad_value(LAYER, key, value)),
             _ => return None,
         };
         Some(result)
     }
-}
 
-macro_rules! forward_set_property {
-    () => {
-        fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-            match self.engine.try_set_policy_property(key, &value) {
-                Some(result) => result,
-                None => self.inner.set_property(key, value),
-            }
-        }
-    };
-}
-
-/// [`LocationProxy`] decorator: retries, circuit breaking and the
-/// GPS → last-known-fix → configured-default fallback chain.
-pub struct ResilientLocationProxy {
-    inner: Arc<dyn LocationProxy>,
-    engine: Engine,
-    last_fix: Mutex<Option<Location>>,
-}
-
-impl ResilientLocationProxy {
-    /// Wraps `inner`, timing backoffs against `device`'s simulated
-    /// clock and reporting into `metrics`.
-    pub fn new(
-        inner: Arc<dyn LocationProxy>,
-        device: Device,
-        policy: ResiliencePolicy,
-        metrics: Arc<ResilienceMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: Engine::new(device, policy, metrics),
-            last_fix: Mutex::new(None),
-        }
-    }
-
-    /// The breaker state, for observability and tests.
-    pub fn circuit_state(&self) -> CircuitState {
-        self.engine.breaker.state()
-    }
-
-    /// A shared handle on the breaker's transition epoch — the cache
-    /// layer snapshots this at fill time so circuit-state changes
-    /// invalidate reads cached under the previous state.
-    pub fn circuit_epoch_handle(&self) -> Arc<AtomicU64> {
-        self.engine.breaker.epoch_handle()
-    }
-
-    /// Serves the fallback chain after a degraded failure: the last
-    /// known fix (stale — its timestamp predates `now`), then the
+    /// Serves the Location fallback chain after a degraded failure: the
+    /// last genuine fix (stale — its timestamp predates now), then the
     /// configured default position (infinite stated inaccuracy).
-    fn fallback_location(&self, failure: FailureMode) -> Result<Location, ProxyError> {
+    pub(crate) fn fallback_location(
+        &self,
+        last_fix: Option<Location>,
+        failure: FailureMode,
+    ) -> Result<Location, ProxyError> {
         let failure = match failure {
             FailureMode::Fatal(e) => return Err(e),
             FailureMode::Degraded(e) => e,
         };
-        if let Some(stale) = *self.last_fix.lock() {
-            self.engine
-                .metrics
-                .bump(&self.engine.metrics.fallback_last_known);
+        if let Some(stale) = last_fix {
+            self.metrics.fallback_last_known.inc();
             return Ok(stale);
         }
-        if let Some((lat, lon)) = self.engine.policy().fallback() {
-            self.engine
-                .metrics
-                .bump(&self.engine.metrics.fallback_default);
+        if let Some((lat, lon)) = self.policy().fallback() {
+            self.metrics.fallback_default.inc();
             return Ok(Location {
                 latitude: lat,
                 longitude: lon,
                 altitude: 0.0,
                 accuracy_m: f64::INFINITY,
-                timestamp_ms: self.engine.device.now_ms(),
+                timestamp_ms: self.device.now_ms(),
                 speed_mps: 0.0,
                 course_deg: 0.0,
             });
@@ -779,208 +598,13 @@ impl ResilientLocationProxy {
     }
 }
 
-impl ProxyBase for ResilientLocationProxy {
-    forward_set_property!();
-}
-
-impl LocationProxy for ResilientLocationProxy {
-    fn add_proximity_alert(
-        &self,
-        latitude: f64,
-        longitude: f64,
-        altitude: f64,
-        radius: f64,
-        timer_s: i64,
-        listener: SharedProximityListener,
-    ) -> Result<(), ProxyError> {
-        self.engine
-            .execute("addProximityAlert", &|| {
-                self.inner.add_proximity_alert(
-                    latitude,
-                    longitude,
-                    altitude,
-                    radius,
-                    timer_s,
-                    Arc::clone(&listener),
-                )
-            })
-            .map_err(FailureMode::into_error)
-    }
-
-    fn remove_proximity_alert(
-        &self,
-        listener: &SharedProximityListener,
-    ) -> Result<bool, ProxyError> {
-        // Removal is a local bookkeeping operation — never retried.
-        self.inner.remove_proximity_alert(listener)
-    }
-
-    fn get_location(&self) -> Result<Location, ProxyError> {
-        match self
-            .engine
-            .execute("getLocation", &|| self.inner.get_location())
-        {
-            Ok(fix) => {
-                *self.last_fix.lock() = Some(fix);
-                Ok(fix)
-            }
-            Err(failure) => self.fallback_location(failure),
-        }
-    }
-
-    fn get_location_with_power(&self) -> Result<(Location, f64), ProxyError> {
-        match self.engine.execute("getLocationWithPower", &|| {
-            self.inner.get_location_with_power()
-        }) {
-            Ok((fix, power)) => {
-                *self.last_fix.lock() = Some(fix);
-                Ok((fix, power))
-            }
-            // Fallback fixes carry no energy reading — the ledger lives
-            // behind the (failed) platform call.
-            Err(failure) => self.fallback_location(failure).map(|fix| (fix, 0.0)),
-        }
-    }
-}
-
-/// [`SmsProxy`] decorator: retries and circuit breaking around
-/// `sendTextMessage`.
-pub struct ResilientSmsProxy {
-    inner: Arc<dyn SmsProxy>,
-    engine: Engine,
-}
-
-impl ResilientSmsProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn SmsProxy>,
-        device: Device,
-        policy: ResiliencePolicy,
-        metrics: Arc<ResilienceMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: Engine::new(device, policy, metrics),
-        }
-    }
-
-    /// The breaker state, for observability and tests.
-    pub fn circuit_state(&self) -> CircuitState {
-        self.engine.breaker.state()
-    }
-}
-
-impl ProxyBase for ResilientSmsProxy {
-    forward_set_property!();
-}
-
-impl SmsProxy for ResilientSmsProxy {
-    fn send_text_message(
-        &self,
-        destination: &str,
-        text: &str,
-        delivery_listener: Option<Arc<dyn DeliveryListener>>,
-    ) -> Result<u64, ProxyError> {
-        self.engine
-            .execute("sendTextMessage", &|| {
-                self.inner
-                    .send_text_message(destination, text, delivery_listener.clone())
-            })
-            .map_err(FailureMode::into_error)
-    }
-}
-
-/// [`HttpProxy`] decorator: retries and circuit breaking around
-/// `request`. HTTP error statuses are successful results and are never
-/// retried; only transport failures are.
-pub struct ResilientHttpProxy {
-    inner: Arc<dyn HttpProxy>,
-    engine: Engine,
-}
-
-impl ResilientHttpProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn HttpProxy>,
-        device: Device,
-        policy: ResiliencePolicy,
-        metrics: Arc<ResilienceMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: Engine::new(device, policy, metrics),
-        }
-    }
-
-    /// The breaker state, for observability and tests.
-    pub fn circuit_state(&self) -> CircuitState {
-        self.engine.breaker.state()
-    }
-}
-
-impl ProxyBase for ResilientHttpProxy {
-    forward_set_property!();
-}
-
-impl HttpProxy for ResilientHttpProxy {
-    fn request(&self, method: &str, url: &str, body: &[u8]) -> Result<HttpResult, ProxyError> {
-        self.engine
-            .execute("request", &|| self.inner.request(method, url, body))
-            .map_err(FailureMode::into_error)
-    }
-}
-
-/// [`CallProxy`] decorator: only `makeACall` is retried — progress
-/// polling and hang-up refer to an existing call id and must not be
-/// replayed.
-pub struct ResilientCallProxy {
-    inner: Arc<dyn CallProxy>,
-    engine: Engine,
-}
-
-impl ResilientCallProxy {
-    /// Wraps `inner` under `policy`.
-    pub fn new(
-        inner: Arc<dyn CallProxy>,
-        device: Device,
-        policy: ResiliencePolicy,
-        metrics: Arc<ResilienceMetrics>,
-    ) -> Self {
-        Self {
-            inner,
-            engine: Engine::new(device, policy, metrics),
-        }
-    }
-
-    /// The breaker state, for observability and tests.
-    pub fn circuit_state(&self) -> CircuitState {
-        self.engine.breaker.state()
-    }
-}
-
-impl ProxyBase for ResilientCallProxy {
-    forward_set_property!();
-}
-
-impl CallProxy for ResilientCallProxy {
-    fn make_a_call(&self, number: &str) -> Result<u64, ProxyError> {
-        self.engine
-            .execute("makeACall", &|| self.inner.make_a_call(number))
-            .map_err(FailureMode::into_error)
-    }
-
-    fn call_progress(&self, call_id: u64) -> Result<CallProgress, ProxyError> {
-        self.inner.call_progress(call_id)
-    }
-
-    fn end_call(&self, call_id: u64) -> Result<(), ProxyError> {
-        self.inner.end_call(call_id)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{LocationProxy, ProxyBase};
+    use crate::stack::tests::layered;
+    use crate::stack::{LayerPolicies, Layered};
+    use crate::types::SharedProximityListener;
 
     fn device() -> Device {
         Device::builder().msisdn("+resilience").build()
@@ -1042,13 +666,25 @@ mod tests {
         }
     }
 
-    fn resilient(flaky: Flaky, policy: ResiliencePolicy) -> ResilientLocationProxy {
-        ResilientLocationProxy::new(
-            Arc::new(flaky),
-            device(),
-            policy,
-            ResilienceMetrics::shared(),
-        )
+    /// `inner` behind a stack with only the resilience layer on.
+    fn resilient_on(
+        device: &Device,
+        inner: Arc<dyn LocationProxy>,
+        policy: ResiliencePolicy,
+    ) -> Layered<dyn LocationProxy> {
+        let policies = LayerPolicies {
+            resilience: Some(policy),
+            ..LayerPolicies::default()
+        };
+        layered(inner, policies, device)
+    }
+
+    fn resilient(flaky: Flaky, policy: ResiliencePolicy) -> Layered<dyn LocationProxy> {
+        resilient_on(&device(), Arc::new(flaky), policy)
+    }
+
+    fn engine(proxy: &Layered<dyn LocationProxy>) -> &ResilienceEngine {
+        proxy.stack.resilience.as_ref().expect("resilience layer")
     }
 
     #[test]
@@ -1074,14 +710,13 @@ mod tests {
     #[test]
     fn ambient_deadline_tightens_the_retry_budget() {
         let dev = device();
-        let proxy = ResilientLocationProxy::new(
+        let proxy = resilient_on(
+            &dev,
             Arc::new(Flaky::new(50, ProxyErrorKind::Unavailable)),
-            dev.clone(),
             ResiliencePolicy::default()
                 .max_attempts(50)
                 .backoff_base_ms(400)
                 .deadline_ms(1_000_000),
-            ResilienceMetrics::shared(),
         );
         // The policy budget is effectively unlimited, but the ambient
         // cancellation context caps the whole retry loop at 1 s.
@@ -1092,7 +727,7 @@ mod tests {
             dev.now_ms() <= deadline.expires_at_ms(),
             "retries never burned past the ambient expiry"
         );
-        assert_eq!(proxy.engine.metrics.snapshot().deadline_exhausted, 1);
+        assert_eq!(engine(&proxy).metrics.snapshot().deadline_exhausted, 1);
     }
 
     #[test]
@@ -1128,17 +763,16 @@ mod tests {
                 )
             }
         }
-        let proxy = ResilientLocationProxy::new(
+        let proxy = resilient_on(
+            &device(),
             Arc::new(Shedding),
-            device(),
             ResiliencePolicy::default()
                 .max_attempts(5)
                 .fallback_position(28.6, 77.2),
-            ResilienceMetrics::shared(),
         );
         let fix = proxy.get_location().expect("shed degrades to fallback");
         assert_eq!((fix.latitude, fix.longitude), (28.6, 77.2));
-        let snap = proxy.engine.metrics.snapshot();
+        let snap = engine(&proxy).metrics.snapshot();
         assert_eq!(snap.attempts, 1, "a shed is never retried here");
         assert_eq!(snap.fallback_default, 1);
     }
@@ -1170,7 +804,7 @@ mod tests {
         );
         let fix = proxy.get_location().expect("third attempt succeeds");
         assert_eq!(fix.latitude, 1.0);
-        let snap = proxy.engine.metrics.snapshot();
+        let snap = engine(&proxy).metrics.snapshot();
         assert_eq!(snap.attempts, 3);
         assert_eq!(snap.retries, 2);
         assert_eq!(snap.successes, 1);
@@ -1184,7 +818,7 @@ mod tests {
         );
         let err = proxy.get_location().unwrap_err();
         assert_eq!(err.kind(), ProxyErrorKind::Security);
-        let snap = proxy.engine.metrics.snapshot();
+        let snap = engine(&proxy).metrics.snapshot();
         assert_eq!(snap.attempts, 1);
         assert_eq!(snap.fatal_failures, 1);
     }
@@ -1192,13 +826,12 @@ mod tests {
     #[test]
     fn backoff_advances_the_simulated_clock_not_the_wall_clock() {
         let dev = device();
-        let proxy = ResilientLocationProxy::new(
+        let proxy = resilient_on(
+            &dev,
             Arc::new(Flaky::new(2, ProxyErrorKind::Io)),
-            dev.clone(),
             ResiliencePolicy::default()
                 .max_attempts(3)
                 .backoff_base_ms(100),
-            ResilienceMetrics::shared(),
         );
         let before = dev.now_ms();
         proxy.get_location().unwrap();
@@ -1219,7 +852,7 @@ mod tests {
         let err = proxy.get_location().unwrap_err();
         assert_eq!(err.kind(), ProxyErrorKind::DeadlineExceeded);
         assert_eq!(err.platform_exception(), Some("fake.Exception"));
-        let snap = proxy.engine.metrics.snapshot();
+        let snap = engine(&proxy).metrics.snapshot();
         assert_eq!(snap.deadline_exhausted, 1);
         assert!(snap.attempts < 50);
     }
@@ -1261,10 +894,10 @@ mod tests {
         );
         assert!(proxy.get_location().is_err());
         assert!(proxy.get_location().is_err());
-        assert_eq!(proxy.circuit_state(), CircuitState::Open);
+        assert_eq!(engine(&proxy).breaker.state(), CircuitState::Open);
         let err = proxy.get_location().unwrap_err();
         assert_eq!(err.kind(), ProxyErrorKind::CircuitOpen);
-        let snap = proxy.engine.metrics.snapshot();
+        let snap = engine(&proxy).metrics.snapshot();
         assert_eq!(snap.circuit_rejections, 1);
         assert_eq!(
             snap.attempts, 2,
@@ -1276,11 +909,10 @@ mod tests {
     fn location_falls_back_to_last_known_fix_marked_stale_by_timestamp() {
         let dev = device();
         let inner = Arc::new(Flaky::new(0, ProxyErrorKind::Unavailable));
-        let proxy = ResilientLocationProxy::new(
+        let proxy = resilient_on(
+            &dev,
             inner.clone(),
-            dev.clone(),
             ResiliencePolicy::default().max_attempts(1),
-            ResilienceMetrics::shared(),
         );
         let fresh = proxy.get_location().unwrap();
         // Now the GPS goes dark for good.
@@ -1293,7 +925,7 @@ mod tests {
             stale.timestamp_ms < dev.now_ms(),
             "staleness is visible in the timestamp"
         );
-        assert_eq!(proxy.engine.metrics.snapshot().fallback_last_known, 1);
+        assert_eq!(engine(&proxy).metrics.snapshot().fallback_last_known, 1);
     }
 
     #[test]
@@ -1307,7 +939,7 @@ mod tests {
         let fix = proxy.get_location().unwrap();
         assert_eq!((fix.latitude, fix.longitude), (28.6, 77.2));
         assert!(fix.accuracy_m.is_infinite());
-        assert_eq!(proxy.engine.metrics.snapshot().fallback_default, 1);
+        assert_eq!(engine(&proxy).metrics.snapshot().fallback_default, 1);
     }
 
     #[test]
@@ -1335,8 +967,8 @@ mod tests {
             .set_property("retry.backoff_ms", PropertyValue::str("50"))
             .unwrap();
         proxy.get_location().expect("5 attempts now allowed");
-        assert_eq!(proxy.engine.policy().max_attempts, 5);
-        assert_eq!(proxy.engine.policy().backoff_base_ms, 50);
+        assert_eq!(engine(&proxy).policy().max_attempts, 5);
+        assert_eq!(engine(&proxy).policy().backoff_base_ms, 50);
         let err = proxy
             .set_property("circuit.threshold", PropertyValue::str("zero"))
             .unwrap_err();

@@ -1,0 +1,1554 @@
+//! The layer stack: one declared order, one pipeline, one layered
+//! decorator per uniform interface.
+//!
+//! MobiVine's claim is that one uniform proxy layer sits over
+//! fragmented platforms and that a new platform needs only a new
+//! binding plane (§3.3–§4). The policy layers keep that claim by being
+//! written once each, as an engine with the shape `execute(method,
+//! next)`, and run by one generic pipeline in the order [`ORDER`]
+//! declares, outermost first:
+//!
+//! ```text
+//! TraceProxy → Cache → Overload → Journal → Resilience → TraceBinding → binding
+//! ```
+//!
+//! Each uniform interface has one layered decorator whose methods are
+//! one-line `Stack::run` calls carrying a static [`CallMeta`]. What
+//! really differs per interface — the location fallback and degrade
+//! tiers, the HTTP droppable-path degrade, the SMS dedup memo, the HTTP
+//! `?idem=` rewrite and the cache cells — are typed hooks on that
+//! decorator. The layers are a closed enum walked by one generic
+//! function, not `dyn` objects: a layer method generic over the reply
+//! type is not object-safe, and erasing the reply type would cost a
+//! heap allocation per call on a path pinned at zero. DESIGN.md §16
+//! ("Layer stack") has the full tables.
+
+use std::borrow::Cow;
+use std::hash::Hash;
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+
+use mobivine_device::Device;
+use mobivine_telemetry::span::Plane;
+use mobivine_telemetry::MetricsRegistry;
+
+use crate::api::{
+    CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy,
+};
+use crate::cache::{CacheCell, CacheEngine, CacheMetrics, CachePolicy};
+use crate::error::ProxyError;
+use crate::journal::{
+    current_idempotency_key, intent_payload, url_with_idempotency_key, JournalEngine,
+    JournalMetrics, JournalPolicy,
+};
+use crate::overload::{OverloadEngine, OverloadMetrics, OverloadPolicy};
+use crate::property::{bad_value, PropertyValue};
+use crate::registry::ProxyApi;
+use crate::resilience::{FailureMode, ResilienceEngine, ResilienceMetrics, ResiliencePolicy};
+use crate::telemetry::{Instrument, TelemetryRuntime};
+use crate::types::{
+    CalendarRecord, CallProgress, ContactRecord, DeliveryListener, HttpResult, Location,
+    SharedProximityListener,
+};
+
+/// What every layer and every binding call returns.
+type Reply<T> = Result<T, ProxyError>;
+
+/// The rest of the descent below a layer.
+type Next<'a, T> = &'a dyn Fn() -> Reply<T>;
+
+// ---------------------------------------------------------------------
+// The declared order
+// ---------------------------------------------------------------------
+
+/// One policy layer of the stack, each turned on by a
+/// [`crate::registry::Mobivine`] `with_*` option.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Layer {
+    /// The proxy-plane trace: a span, call/error counters and the
+    /// latency histogram per uniform call (`with_telemetry`).
+    TraceProxy,
+    /// The read-through cache (`with_cache`).
+    Cache,
+    /// Deadline fail-fast, bulkhead and admission control
+    /// (`with_overload`).
+    Overload,
+    /// Write-ahead intents and idempotency dedup (`with_journal`).
+    Journal,
+    /// Retries, circuit breaker and fallbacks (`with_resilience`).
+    Resilience,
+    /// The binding-plane trace: a span per attempt that reaches the
+    /// binding (`with_telemetry`).
+    TraceBinding,
+}
+
+/// The canonical layer order, outermost first. Calls descend it,
+/// `setProperty` keys are routed down it, and every proxy's engines are
+/// built from it.
+pub(crate) const ORDER: [Layer; 6] = [
+    Layer::TraceProxy,
+    Layer::Cache,
+    Layer::Overload,
+    Layer::Journal,
+    Layer::Resilience,
+    Layer::TraceBinding,
+];
+
+/// The static description of one uniform method: its metric labels and
+/// which of its proxy's layers it passes through. Both trace planes see
+/// every method.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct CallMeta {
+    /// The catalog interface name (`"Location"`) — the `proxy` label.
+    pub(crate) proxy: &'static str,
+    /// The uniform method name (`"getLocation"`) — the `method` label.
+    pub(crate) method: &'static str,
+    /// Passes through overload and resilience. Bookkeeping on an
+    /// existing registration or call is never shed and never retried —
+    /// hanging up is how load drains.
+    gated: bool,
+    /// Served through the cache layer (idempotent reads only).
+    cached: bool,
+    /// Journaled: a write-ahead intent precedes the effect.
+    mutating: bool,
+}
+
+impl CallMeta {
+    /// A method that passes through overload and resilience.
+    const fn gated(proxy: &'static str, method: &'static str) -> Self {
+        Self {
+            proxy,
+            method,
+            gated: true,
+            cached: false,
+            mutating: false,
+        }
+    }
+
+    /// A method that bypasses overload and resilience.
+    const fn ungated(proxy: &'static str, method: &'static str) -> Self {
+        Self {
+            gated: false,
+            ..Self::gated(proxy, method)
+        }
+    }
+
+    /// The same method, served through the cache layer.
+    const fn cached(self) -> Self {
+        Self {
+            cached: true,
+            ..self
+        }
+    }
+
+    /// The same method, journaled as a mutation.
+    const fn mutating(self) -> Self {
+        Self {
+            mutating: true,
+            ..self
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Runtime-wide wiring
+// ---------------------------------------------------------------------
+
+/// What the `with_*` calls recorded: one slot per layer, `None` = off.
+#[derive(Default)]
+pub(crate) struct LayerPolicies {
+    pub(crate) telemetry: Option<TelemetryRuntime>,
+    pub(crate) cache: Option<CachePolicy>,
+    pub(crate) overload: Option<OverloadPolicy>,
+    pub(crate) journal: Option<JournalPolicy>,
+    pub(crate) resilience: Option<ResiliencePolicy>,
+}
+
+/// A runtime's enabled layers: the recorded policies plus the shared
+/// counter blocks and the one journal engine built from them. Each
+/// proxy's [`Stack`] reports into these; its breaker, bulkhead,
+/// admission controller and cache cells are its own.
+#[derive(Default)]
+pub(crate) struct Layers {
+    pub(crate) policies: LayerPolicies,
+    pub(crate) cache: Option<Arc<CacheMetrics>>,
+    pub(crate) overload: Option<Arc<OverloadMetrics>>,
+    pub(crate) journal: Option<Arc<JournalEngine>>,
+    pub(crate) resilience: Option<Arc<ResilienceMetrics>>,
+}
+
+impl Layers {
+    /// The one place the counter blocks and the journal engine are
+    /// built: on the telemetry registry when tracing is on (one exporter
+    /// covers the whole call path), private otherwise. Only the layers
+    /// in `stale` — those whose own policy, or whose home registry, just
+    /// changed — get new ones; every other enabled layer keeps its own,
+    /// so a metrics handle taken earlier keeps seeing the traffic.
+    pub(crate) fn rebuild(self, device: &Device, stale: &[Layer]) -> Self {
+        let Self {
+            policies,
+            cache,
+            overload,
+            journal,
+            resilience,
+        } = self;
+        let registry = policies.telemetry.as_ref().map(TelemetryRuntime::metrics);
+        let fresh = |layer| stale.contains(&layer);
+        Self {
+            cache: keep_or_build(&policies.cache, cache, fresh(Layer::Cache), |_| {
+                home(registry, CacheMetrics::on_registry)
+            }),
+            overload: keep_or_build(&policies.overload, overload, fresh(Layer::Overload), |_| {
+                home(registry, OverloadMetrics::on_registry)
+            }),
+            journal: keep_or_build(
+                &policies.journal,
+                journal,
+                fresh(Layer::Journal),
+                |policy| {
+                    let metrics = home(registry, JournalMetrics::on_registry);
+                    Arc::new(JournalEngine::new(device.clone(), policy.clone(), metrics))
+                },
+            ),
+            resilience: keep_or_build(
+                &policies.resilience,
+                resilience,
+                fresh(Layer::Resilience),
+                |_| home(registry, ResilienceMetrics::on_registry),
+            ),
+            policies,
+        }
+    }
+}
+
+/// An enabled layer's block: the one it had unless `fresh`, else a new
+/// one from `build`. `None` when the layer is off.
+fn keep_or_build<P, B>(
+    policy: &Option<P>,
+    kept: Option<B>,
+    fresh: bool,
+    build: impl FnOnce(&P) -> B,
+) -> Option<B> {
+    let policy = policy.as_ref()?;
+    Some(kept.filter(|_| !fresh).unwrap_or_else(|| build(policy)))
+}
+
+/// A counter block on `registry` when there is one, else a private one.
+fn home<M: Default>(
+    registry: Option<&Arc<MetricsRegistry>>,
+    on_registry: fn(&Arc<MetricsRegistry>) -> Arc<M>,
+) -> Arc<M> {
+    registry.map_or_else(|| Arc::new(M::default()), on_registry)
+}
+
+// ---------------------------------------------------------------------
+// One proxy's stack
+// ---------------------------------------------------------------------
+
+/// One proxy's engines: a slot per layer of [`ORDER`], `None` when the
+/// layer is off or does not wrap this proxy's kind.
+#[derive(Default)]
+pub(crate) struct Stack {
+    /// The layers with an engine, in declared order: a call descends
+    /// only these, so a layer that is off costs nothing per call.
+    enabled: [Option<Layer>; ORDER.len()],
+    pub(crate) trace_proxy: Option<Instrument>,
+    pub(crate) cache: Option<CacheEngine>,
+    pub(crate) overload: Option<OverloadEngine>,
+    pub(crate) journal: Option<Arc<JournalEngine>>,
+    pub(crate) resilience: Option<ResilienceEngine>,
+    pub(crate) trace_binding: Option<Instrument>,
+}
+
+impl Stack {
+    /// Builds the engines `layers` enables for a proxy of interface `P`
+    /// — innermost first, so the cache can stamp its entries with this
+    /// proxy's own breaker epoch. `None` when no layer wraps it.
+    fn new<P: ?Sized + Interface>(
+        layers: &Layers,
+        device: &Device,
+        platform: &str,
+    ) -> Option<Self> {
+        let policies = &layers.policies;
+        // A layer wraps the interface when one of its methods passes
+        // through it: the cache a cached read, the journal a mutation,
+        // every other layer a gated method — so the PIM extensions get
+        // nothing but the cache.
+        let wraps = |layer: &Layer| {
+            P::METHODS.iter().any(|meta| match layer {
+                Layer::Cache => meta.cached,
+                Layer::Journal => meta.mutating,
+                _ => meta.gated,
+            })
+        };
+        let trace = |plane| {
+            let telemetry = policies.telemetry.as_ref();
+            telemetry.map(|t| Instrument::new(device.clone(), t, plane, P::METHODS, platform))
+        };
+        let mut stack = Stack::default();
+        for layer in ORDER.into_iter().rev().filter(wraps) {
+            match layer {
+                Layer::TraceBinding => stack.trace_binding = trace(Plane::Binding),
+                Layer::Resilience => {
+                    let enabled = policies.resilience.clone().zip(layers.resilience.clone());
+                    stack.resilience = enabled.map(|(policy, metrics)| {
+                        ResilienceEngine::new(device.clone(), policy, metrics)
+                    });
+                }
+                Layer::Journal => stack.journal = layers.journal.clone(),
+                Layer::Overload => {
+                    let enabled = policies.overload.clone().zip(layers.overload.clone());
+                    stack.overload = enabled.map(|(policy, metrics)| {
+                        OverloadEngine::new(device.clone(), policy, metrics)
+                    });
+                }
+                Layer::Cache => {
+                    let epoch = stack.resilience.as_ref().map(|r| r.breaker.epoch_handle());
+                    let enabled = policies.cache.as_ref().zip(layers.cache.clone());
+                    stack.cache = enabled.map(|(policy, metrics)| {
+                        let ttl = policy.ttl_for(P::KIND);
+                        let coalescing = policy.coalescing_enabled();
+                        CacheEngine::new(device.clone(), ttl, coalescing, epoch, metrics)
+                    });
+                }
+                Layer::TraceProxy => stack.trace_proxy = trace(Plane::Proxy),
+            }
+        }
+        let built = |layer: &Layer| match layer {
+            Layer::TraceProxy => stack.trace_proxy.is_some(),
+            Layer::Cache => stack.cache.is_some(),
+            Layer::Overload => stack.overload.is_some(),
+            Layer::Journal => stack.journal.is_some(),
+            Layer::Resilience => stack.resilience.is_some(),
+            Layer::TraceBinding => stack.trace_binding.is_some(),
+        };
+        let mut enabled = ORDER.into_iter().filter(built);
+        let enabled = std::array::from_fn(|_| enabled.next());
+        stack.enabled = enabled;
+        stack.enabled[0].is_some().then_some(stack)
+    }
+
+    /// Runs one uniform call down the declared order: each enabled layer
+    /// the method passes through wraps the rest of the descent, and
+    /// `call` — the binding invocation — runs at the bottom.
+    pub(crate) fn run<T>(&self, meta: &CallMeta, hooks: &dyn Hooks<T>, call: Next<T>) -> Reply<T> {
+        self.descend(0, meta, hooks, call)
+    }
+
+    fn descend<T>(
+        &self,
+        depth: usize,
+        meta: &CallMeta,
+        hooks: &dyn Hooks<T>,
+        call: Next<T>,
+    ) -> Reply<T> {
+        let Some(Some(layer)) = self.enabled.get(depth) else {
+            return call();
+        };
+        let next = || self.descend(depth + 1, meta, hooks, call);
+        match layer {
+            Layer::TraceProxy => match &self.trace_proxy {
+                Some(instrument) => instrument.traced(meta.method, next),
+                None => next(),
+            },
+            Layer::Cache => match &self.cache {
+                Some(engine) if meta.cached => hooks.cache(engine, meta, &next),
+                _ => next(),
+            },
+            Layer::Overload => match &self.overload {
+                Some(engine) if meta.gated => {
+                    hooks.overload(engine, engine.execute(meta.method, &next))
+                }
+                _ => next(),
+            },
+            Layer::Journal => match &self.journal {
+                Some(engine) if meta.mutating => hooks.journal(engine, meta, &next),
+                _ => next(),
+            },
+            Layer::Resilience => match &self.resilience {
+                Some(engine) if meta.gated => {
+                    hooks.resilience(engine, engine.execute(meta.method, &next))
+                }
+                _ => next(),
+            },
+            Layer::TraceBinding => match &self.trace_binding {
+                Some(instrument) => instrument.traced(meta.method, next),
+                None => next(),
+            },
+        }
+    }
+
+    /// Routes one `setProperty` down the declared order. The trace
+    /// planes forward untraced (configuration, not a platform call); the
+    /// cache claims `cache.*` keys and flushes on success — and flushes
+    /// before forwarding any other key, because a write is a mutation
+    /// signal whether or not it lands; overload claims its keys plus the
+    /// interface's own; the journal appends a `set_property` intent for
+    /// every key that reaches it; resilience claims its keys; `forward`
+    /// hands the rest to the binding.
+    fn set_property<P: ?Sized + Interface>(
+        &self,
+        memo: &P::Memo,
+        key: &str,
+        value: PropertyValue,
+        forward: impl FnOnce(&str, PropertyValue) -> Reply<()>,
+    ) -> Reply<()> {
+        for layer in ORDER {
+            let claimed = match layer {
+                Layer::TraceProxy | Layer::TraceBinding => None,
+                Layer::Cache => self.cache.as_ref().and_then(|engine| {
+                    let claimed = engine.try_set_property(key, &value);
+                    if !matches!(claimed, Some(Err(_))) {
+                        P::flush(memo, engine);
+                    }
+                    claimed
+                }),
+                Layer::Overload => self.overload.as_ref().and_then(|engine| {
+                    P::claim_overload_key(memo, key, &value)
+                        .or_else(|| engine.try_set_policy_property(key, &value))
+                }),
+                Layer::Journal => {
+                    if let Some(engine) = &self.journal {
+                        engine.intent(&intent_payload("set_property", None, key));
+                    }
+                    None
+                }
+                Layer::Resilience => self
+                    .resilience
+                    .as_ref()
+                    .and_then(|engine| engine.try_set_policy_property(key, &value)),
+            };
+            if let Some(result) = claimed {
+                return result;
+            }
+        }
+        forward(key, value)
+    }
+}
+
+// ---------------------------------------------------------------------
+// Typed hooks
+// ---------------------------------------------------------------------
+
+/// An interface's typed behaviour at the layers whose work depends on
+/// the reply type. Every default is the layer's plain pass-through; a
+/// call with nothing interface-specific passes `&()`.
+pub(crate) trait Hooks<T> {
+    /// Cache layer: serve the read from its cell or fill it from below.
+    fn cache(&self, _engine: &CacheEngine, _meta: &CallMeta, fill: Next<T>) -> Reply<T> {
+        fill()
+    }
+
+    /// Overload layer: remember an admitted answer, or absorb a shed
+    /// into a degraded one.
+    fn overload(&self, _engine: &OverloadEngine, result: Reply<T>) -> Reply<T> {
+        result
+    }
+
+    /// Journal layer: append the write-ahead intent, then run the
+    /// effect.
+    fn journal(&self, engine: &JournalEngine, meta: &CallMeta, effect: Next<T>) -> Reply<T> {
+        engine.intent(&intent_payload(meta.method, current_idempotency_key(), ""));
+        effect()
+    }
+
+    /// Resilience layer: remember a genuine success, or fall back after
+    /// a degraded failure.
+    fn resilience(&self, _engine: &ResilienceEngine, result: Result<T, FailureMode>) -> Reply<T> {
+        result.map_err(FailureMode::into_error)
+    }
+}
+
+impl<T> Hooks<T> for () {}
+
+/// The cache hook of a read keyed by its arguments.
+struct Keyed<'a, K, V>(&'a CacheCell<K, V>, K);
+
+impl<K: Eq + Hash + Clone, V: Clone> Hooks<V> for Keyed<'_, K, V> {
+    fn cache(&self, engine: &CacheEngine, meta: &CallMeta, fill: Next<V>) -> Reply<V> {
+        self.0
+            .get_or_fill(engine, meta.method, self.1.clone(), fill)
+    }
+}
+
+// ---------------------------------------------------------------------
+// The layered decorator
+// ---------------------------------------------------------------------
+
+/// A uniform interface the stack can wrap.
+pub(crate) trait Interface: ProxyApi + ProxyBase {
+    /// Every uniform method of the interface.
+    const METHODS: &'static [CallMeta];
+    /// The per-proxy state of the interface's typed hooks.
+    type Memo: Default + Send + Sync;
+
+    /// Erases the layered decorator to the uniform trait object.
+    fn erase(layered: Layered<Self>) -> Arc<Self>;
+
+    /// The cache layer's flush of the interface's cells.
+    fn flush(_memo: &Self::Memo, _cache: &CacheEngine) {}
+
+    /// Claims an interface-specific overload knob.
+    fn claim_overload_key(
+        _memo: &Self::Memo,
+        _key: &str,
+        _value: &PropertyValue,
+    ) -> Option<Reply<()>> {
+        None
+    }
+}
+
+/// The one layered decorator of a uniform interface: the bare binding,
+/// the proxy's [`Stack`] and the state of the interface's typed hooks.
+pub(crate) struct Layered<P: ?Sized + Interface> {
+    inner: Arc<P>,
+    pub(crate) stack: Stack,
+    memo: P::Memo,
+}
+
+impl<P: ?Sized + Interface> ProxyBase for Layered<P> {
+    fn set_property(&self, key: &str, value: PropertyValue) -> Reply<()> {
+        let forward = |key: &str, value| self.inner.set_property(key, value);
+        self.stack
+            .set_property::<P>(&self.memo, key, value, forward)
+    }
+}
+
+/// Wraps `binding` in every layer `layers` enables for its interface —
+/// the registry's only construction path, so a new platform's binding
+/// gets every layer with no layer code. With no layer enabled the bare
+/// binding comes back untouched: a bare runtime pays nothing.
+pub(crate) fn wrap<P: ?Sized + Interface>(
+    binding: Arc<P>,
+    layers: &Layers,
+    device: &Device,
+    platform: &str,
+) -> Arc<P> {
+    match Stack::new::<P>(layers, device, platform) {
+        Some(stack) => P::erase(Layered {
+            inner: binding,
+            stack,
+            memo: P::Memo::default(),
+        }),
+        None => binding,
+    }
+}
+
+// ---- Location ----------------------------------------------------------
+
+const ADD_PROXIMITY_ALERT: CallMeta = CallMeta::gated("Location", "addProximityAlert");
+// Local bookkeeping: never shed, never retried.
+const REMOVE_PROXIMITY_ALERT: CallMeta = CallMeta::ungated("Location", "removeProximityAlert");
+const GET_LOCATION: CallMeta = CallMeta::gated("Location", "getLocation").cached();
+// The power ledger is monotonic: caching the pair would serve stale
+// energy figures, so the multi-read always goes through.
+const GET_LOCATION_WITH_POWER: CallMeta = CallMeta::gated("Location", "getLocationWithPower");
+
+/// Per-proxy state of the Location hooks: the `getLocation` cache cell
+/// and the two last-fix memories.
+#[derive(Default)]
+pub(crate) struct LocationMemo {
+    cell: CacheCell<(), Location>,
+    /// The last genuine success — the resilience fallback's first
+    /// resort.
+    resilience_fix: Mutex<Option<Location>>,
+    /// Whatever resilience answered last, fallbacks included — what the
+    /// overload degrade tiers serve.
+    overload_fix: Mutex<Option<Location>>,
+}
+
+/// A Location reply: the fix alone, or the multi-read's fix and power.
+trait Fix: Copy {
+    fn fix(self) -> Location;
+
+    /// A degraded or fallback answer. It carries no power figure: the
+    /// ledger sits behind the platform call that did not happen.
+    fn from_fix(fix: Location) -> Self;
+
+    /// The cache layer; only the bare read is cached.
+    fn cached(
+        _memo: &LocationMemo,
+        _engine: &CacheEngine,
+        _meta: &CallMeta,
+        fill: Next<Self>,
+    ) -> Reply<Self> {
+        fill()
+    }
+}
+
+impl Fix for Location {
+    fn fix(self) -> Location {
+        self
+    }
+
+    fn from_fix(fix: Location) -> Self {
+        fix
+    }
+
+    fn cached(
+        memo: &LocationMemo,
+        engine: &CacheEngine,
+        meta: &CallMeta,
+        fill: Next<Self>,
+    ) -> Reply<Self> {
+        memo.cell.get_or_fill(engine, meta.method, (), fill)
+    }
+}
+
+impl Fix for (Location, f64) {
+    fn fix(self) -> Location {
+        self.0
+    }
+
+    fn from_fix(fix: Location) -> Self {
+        (fix, 0.0)
+    }
+}
+
+impl<T: Fix> Hooks<T> for LocationMemo {
+    fn cache(&self, engine: &CacheEngine, meta: &CallMeta, fill: Next<T>) -> Reply<T> {
+        T::cached(self, engine, meta, fill)
+    }
+
+    fn overload(&self, engine: &OverloadEngine, result: Reply<T>) -> Reply<T> {
+        match result {
+            Ok(reply) => {
+                *self.overload_fix.lock() = Some(reply.fix());
+                Ok(reply)
+            }
+            Err(shed) => engine
+                .degrade_location(*self.overload_fix.lock(), shed)
+                .map(T::from_fix),
+        }
+    }
+
+    fn resilience(&self, engine: &ResilienceEngine, result: Result<T, FailureMode>) -> Reply<T> {
+        match result {
+            Ok(reply) => {
+                *self.resilience_fix.lock() = Some(reply.fix());
+                Ok(reply)
+            }
+            Err(failure) => engine
+                .fallback_location(*self.resilience_fix.lock(), failure)
+                .map(T::from_fix),
+        }
+    }
+}
+
+impl Interface for dyn LocationProxy {
+    const METHODS: &'static [CallMeta] = &[
+        ADD_PROXIMITY_ALERT,
+        REMOVE_PROXIMITY_ALERT,
+        GET_LOCATION,
+        GET_LOCATION_WITH_POWER,
+    ];
+    type Memo = LocationMemo;
+
+    fn erase(layered: Layered<Self>) -> Arc<Self> {
+        Arc::new(layered)
+    }
+
+    fn flush(memo: &LocationMemo, cache: &CacheEngine) {
+        memo.cell.invalidate_all(cache);
+    }
+}
+
+impl LocationProxy for Layered<dyn LocationProxy> {
+    fn add_proximity_alert(
+        &self,
+        latitude: f64,
+        longitude: f64,
+        altitude: f64,
+        radius: f64,
+        timer_s: i64,
+        listener: SharedProximityListener,
+    ) -> Reply<()> {
+        self.stack.run(&ADD_PROXIMITY_ALERT, &(), &|| {
+            let listener = Arc::clone(&listener);
+            self.inner
+                .add_proximity_alert(latitude, longitude, altitude, radius, timer_s, listener)
+        })
+    }
+
+    fn remove_proximity_alert(&self, listener: &SharedProximityListener) -> Reply<bool> {
+        self.stack.run(&REMOVE_PROXIMITY_ALERT, &(), &|| {
+            self.inner.remove_proximity_alert(listener)
+        })
+    }
+
+    fn get_location(&self) -> Reply<Location> {
+        self.stack
+            .run(&GET_LOCATION, &self.memo, &|| self.inner.get_location())
+    }
+
+    fn get_location_with_power(&self) -> Reply<(Location, f64)> {
+        self.stack.run(&GET_LOCATION_WITH_POWER, &self.memo, &|| {
+            self.inner.get_location_with_power()
+        })
+    }
+}
+
+// ---- SMS ---------------------------------------------------------------
+
+const SEND_TEXT_MESSAGE: CallMeta = CallMeta::gated("SMS", "sendTextMessage").mutating();
+
+/// The SMS journal hook: one intent per logical send, and a duplicate
+/// delivery (same ambient idempotency key) answered with the memoized
+/// message id instead of a second radio effect.
+struct SendText<'a>(&'a str);
+
+impl Hooks<u64> for SendText<'_> {
+    fn journal(&self, engine: &JournalEngine, _meta: &CallMeta, effect: Next<u64>) -> Reply<u64> {
+        let key = current_idempotency_key();
+        if let Some(key) = key {
+            if engine.check(key).is_err() {
+                if let Some(id) = engine.memoized_message(key) {
+                    // Counted, not errored: the effect already committed
+                    // once; re-delivery observes the original outcome.
+                    return Ok(id);
+                }
+            }
+        }
+        engine.intent(&intent_payload("send_sms", key, self.0));
+        let id = effect()?;
+        if let Some(key) = key {
+            engine.mark_applied(key, id);
+        }
+        Ok(id)
+    }
+}
+
+impl Interface for dyn SmsProxy {
+    const METHODS: &'static [CallMeta] = &[SEND_TEXT_MESSAGE];
+    type Memo = ();
+
+    fn erase(layered: Layered<Self>) -> Arc<Self> {
+        Arc::new(layered)
+    }
+}
+
+impl SmsProxy for Layered<dyn SmsProxy> {
+    fn send_text_message(
+        &self,
+        destination: &str,
+        text: &str,
+        delivery_listener: Option<Arc<dyn DeliveryListener>>,
+    ) -> Reply<u64> {
+        self.stack
+            .run(&SEND_TEXT_MESSAGE, &SendText(destination), &|| {
+                self.inner
+                    .send_text_message(destination, text, delivery_listener.clone())
+            })
+    }
+}
+
+// ---- Call --------------------------------------------------------------
+
+const MAKE_A_CALL: CallMeta = CallMeta::gated("Call", "makeACall");
+// Both refer to an existing call id and must always go through.
+const CALL_PROGRESS: CallMeta = CallMeta::ungated("Call", "callProgress");
+const END_CALL: CallMeta = CallMeta::ungated("Call", "endCall");
+
+impl Interface for dyn CallProxy {
+    const METHODS: &'static [CallMeta] = &[MAKE_A_CALL, CALL_PROGRESS, END_CALL];
+    type Memo = ();
+
+    fn erase(layered: Layered<Self>) -> Arc<Self> {
+        Arc::new(layered)
+    }
+}
+
+impl CallProxy for Layered<dyn CallProxy> {
+    fn make_a_call(&self, number: &str) -> Reply<u64> {
+        self.stack
+            .run(&MAKE_A_CALL, &(), &|| self.inner.make_a_call(number))
+    }
+
+    fn call_progress(&self, call_id: u64) -> Reply<CallProgress> {
+        self.stack
+            .run(&CALL_PROGRESS, &(), &|| self.inner.call_progress(call_id))
+    }
+
+    fn end_call(&self, call_id: u64) -> Reply<()> {
+        self.stack
+            .run(&END_CALL, &(), &|| self.inner.end_call(call_id))
+    }
+}
+
+// ---- HTTP --------------------------------------------------------------
+
+const REQUEST: CallMeta = CallMeta::gated("Http", "request").mutating();
+
+/// The HTTP hooks of one request: the droppable-path degrade and the
+/// submit intent, both keyed by the URL the caller asked for.
+struct Submit<'a> {
+    /// The URL fragment marking droppable enrichment
+    /// (`shed.droppable_path`).
+    droppable: &'a Mutex<Option<String>>,
+    url: &'a str,
+}
+
+impl Hooks<HttpResult> for Submit<'_> {
+    fn overload(&self, engine: &OverloadEngine, result: Reply<HttpResult>) -> Reply<HttpResult> {
+        result.or_else(|shed| engine.degrade_http(self.droppable.lock().as_deref(), self.url, shed))
+    }
+
+    fn journal(
+        &self,
+        engine: &JournalEngine,
+        _meta: &CallMeta,
+        effect: Next<HttpResult>,
+    ) -> Reply<HttpResult> {
+        engine.intent(&intent_payload("http", current_idempotency_key(), self.url));
+        effect()
+    }
+}
+
+impl Interface for dyn HttpProxy {
+    const METHODS: &'static [CallMeta] = &[REQUEST];
+    type Memo = Mutex<Option<String>>;
+
+    fn erase(layered: Layered<Self>) -> Arc<Self> {
+        Arc::new(layered)
+    }
+
+    fn claim_overload_key(
+        memo: &Self::Memo,
+        key: &str,
+        value: &PropertyValue,
+    ) -> Option<Reply<()>> {
+        (key == "shed.droppable_path").then(|| match value.as_str() {
+            Some(fragment) => {
+                *memo.lock() = (!fragment.is_empty()).then(|| fragment.to_owned());
+                Ok(())
+            }
+            None => Err(bad_value("overload", key, value)),
+        })
+    }
+}
+
+impl Layered<dyn HttpProxy> {
+    /// The `?idem=` rewrite: with the journal layer on, the ambient
+    /// idempotency key travels to the server in the URL, so the
+    /// server-side durability layer owns exactly-once. The client never
+    /// suppresses an HTTP send — only the server knows whether the
+    /// previous delivery committed.
+    fn wire_url<'a>(&self, url: &'a str) -> Cow<'a, str> {
+        match (&self.stack.journal, current_idempotency_key()) {
+            (Some(_), Some(key)) => Cow::Owned(url_with_idempotency_key(url, key)),
+            _ => Cow::Borrowed(url),
+        }
+    }
+}
+
+impl HttpProxy for Layered<dyn HttpProxy> {
+    fn request(&self, method: &str, url: &str, body: &[u8]) -> Reply<HttpResult> {
+        let wire = self.wire_url(url);
+        let hooks = Submit {
+            droppable: &self.memo,
+            url,
+        };
+        self.stack.run(&REQUEST, &hooks, &|| {
+            self.inner.request(method, &wire, body)
+        })
+    }
+}
+
+// ---- PIM extensions ----------------------------------------------------
+
+const FIND_CONTACTS: CallMeta = CallMeta::ungated("Contacts", "findContacts").cached();
+const ENTRIES_BETWEEN: CallMeta = CallMeta::ungated("Calendar", "entriesBetween").cached();
+
+impl Interface for dyn ContactsProxy {
+    const METHODS: &'static [CallMeta] = &[FIND_CONTACTS];
+    type Memo = CacheCell<String, Vec<ContactRecord>>;
+
+    fn erase(layered: Layered<Self>) -> Arc<Self> {
+        Arc::new(layered)
+    }
+
+    fn flush(memo: &Self::Memo, cache: &CacheEngine) {
+        memo.invalidate_all(cache);
+    }
+}
+
+impl ContactsProxy for Layered<dyn ContactsProxy> {
+    fn find_contacts(&self, query: &str) -> Reply<Vec<ContactRecord>> {
+        let hooks = Keyed(&self.memo, query.to_owned());
+        self.stack
+            .run(&FIND_CONTACTS, &hooks, &|| self.inner.find_contacts(query))
+    }
+}
+
+impl Interface for dyn CalendarProxy {
+    const METHODS: &'static [CallMeta] = &[ENTRIES_BETWEEN];
+    type Memo = CacheCell<(u64, u64), Vec<CalendarRecord>>;
+
+    fn erase(layered: Layered<Self>) -> Arc<Self> {
+        Arc::new(layered)
+    }
+
+    fn flush(memo: &Self::Memo, cache: &CacheEngine) {
+        memo.invalidate_all(cache);
+    }
+}
+
+impl CalendarProxy for Layered<dyn CalendarProxy> {
+    fn entries_between(&self, from_ms: u64, to_ms: u64) -> Reply<Vec<CalendarRecord>> {
+        let hooks = Keyed(&self.memo, (from_ms, to_ms));
+        self.stack.run(&ENTRIES_BETWEEN, &hooks, &|| {
+            self.inner.entries_between(from_ms, to_ms)
+        })
+    }
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    use mobivine_android::{AndroidPlatform, SdkVersion};
+    use mobivine_device::net::{HttpRequest, HttpResponse, Method};
+    use mobivine_s60::S60Platform;
+    use mobivine_webview::WebView;
+
+    use crate::error::ProxyErrorKind;
+    use crate::journal::Lsn;
+    use crate::registry::{Mobivine, ProxyKind};
+    use crate::types::ProximityEvent;
+
+    impl Layers {
+        /// Every enabled layer's counter block and journal engine, built
+        /// fresh from `policies`.
+        pub(crate) fn new(policies: LayerPolicies, device: &Device) -> Self {
+            let fresh = Self {
+                policies,
+                ..Self::default()
+            };
+            fresh.rebuild(device, &ORDER)
+        }
+    }
+
+    /// The unerased decorator [`wrap`] would build, so unit tests can reach
+    /// the proxy's engines.
+    pub(crate) fn layered<P: ?Sized + Interface>(
+        binding: Arc<P>,
+        policies: LayerPolicies,
+        device: &Device,
+    ) -> Layered<P> {
+        let layers = Layers::new(policies, device);
+        Layered {
+            inner: binding,
+            stack: Stack::new::<P>(&layers, device, "test").expect("a layer is enabled"),
+            memo: P::Memo::default(),
+        }
+    }
+
+    #[test]
+    fn the_declared_order_is_pinned() {
+        assert_eq!(
+            ORDER,
+            [
+                Layer::TraceProxy,
+                Layer::Cache,
+                Layer::Overload,
+                Layer::Journal,
+                Layer::Resilience,
+                Layer::TraceBinding,
+            ]
+        );
+    }
+
+    /// Which layers wrap an interface follows from its methods: with
+    /// every layer on, each proxy descends only the layers one of its
+    /// methods passes through, in the declared order.
+    #[test]
+    fn each_interface_gets_the_layers_its_methods_need() {
+        fn enabled<P: ?Sized + Interface>(layers: &Layers, device: &Device) -> Vec<Layer> {
+            let stack = Stack::new::<P>(layers, device, "test").expect("a layer wraps it");
+            stack.enabled.into_iter().flatten().collect()
+        }
+        let device = Device::builder().build();
+        let layers = Layers::new(every_layer(&device), &device);
+        use Layer::{Cache, Journal, Overload, Resilience, TraceBinding, TraceProxy};
+        let gated = [TraceProxy, Overload, Resilience, TraceBinding];
+        let location = [TraceProxy, Cache, Overload, Resilience, TraceBinding];
+        let mutating = [TraceProxy, Overload, Journal, Resilience, TraceBinding];
+        assert_eq!(enabled::<dyn LocationProxy>(&layers, &device), location);
+        assert_eq!(enabled::<dyn SmsProxy>(&layers, &device), mutating);
+        assert_eq!(enabled::<dyn CallProxy>(&layers, &device), gated);
+        assert_eq!(enabled::<dyn HttpProxy>(&layers, &device), mutating);
+        assert_eq!(enabled::<dyn ContactsProxy>(&layers, &device), [Cache]);
+        assert_eq!(enabled::<dyn CalendarProxy>(&layers, &device), [Cache]);
+    }
+
+    /// A binding for a platform the stack has never seen: its
+    /// `getLocation` fails transiently while `failures` counts down.
+    #[derive(Default)]
+    struct Toy {
+        failures: AtomicU64,
+        calls: AtomicU64,
+    }
+
+    impl Toy {
+        fn failing(failures: u64) -> Self {
+            Self {
+                failures: AtomicU64::new(failures),
+                calls: AtomicU64::new(0),
+            }
+        }
+    }
+
+    impl ProxyBase for Toy {
+        fn set_property(&self, _key: &str, _value: PropertyValue) -> Result<(), ProxyError> {
+            Ok(())
+        }
+    }
+
+    impl LocationProxy for Toy {
+        fn add_proximity_alert(
+            &self,
+            _latitude: f64,
+            _longitude: f64,
+            _altitude: f64,
+            _radius: f64,
+            _timer_s: i64,
+            _listener: SharedProximityListener,
+        ) -> Result<(), ProxyError> {
+            Ok(())
+        }
+
+        fn remove_proximity_alert(
+            &self,
+            _listener: &SharedProximityListener,
+        ) -> Result<bool, ProxyError> {
+            Ok(true)
+        }
+
+        fn get_location(&self) -> Result<Location, ProxyError> {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            let left = self.failures.load(Ordering::Relaxed);
+            if left > 0 {
+                self.failures.store(left - 1, Ordering::Relaxed);
+                return Err(ProxyError::new(ProxyErrorKind::Unavailable, "no fix yet"));
+            }
+            Ok(Location {
+                latitude: 1.0,
+                longitude: 2.0,
+                ..Location::default()
+            })
+        }
+    }
+
+    fn every_layer(device: &Device) -> LayerPolicies {
+        LayerPolicies {
+            telemetry: Some(TelemetryRuntime::new(Arc::clone(device.metrics()))),
+            cache: Some(CachePolicy::default()),
+            overload: Some(OverloadPolicy::default()),
+            journal: Some(JournalPolicy::default()),
+            resilience: Some(ResiliencePolicy::default()),
+        }
+    }
+
+    /// The paper's "new platform = new binding plane" claim: a binding
+    /// with no layer code of its own, wrapped by the registry's
+    /// construction function, receives every layer.
+    #[test]
+    fn a_new_binding_receives_every_layer_with_no_layer_code() {
+        let device = Device::builder().build();
+        let layers = Layers::new(every_layer(&device), &device);
+        let toy = Arc::new(Toy::failing(1));
+        let proxy = wrap::<dyn LocationProxy>(toy.clone(), &layers, &device, "toy");
+
+        let first = proxy.get_location().expect("retried past the cold start");
+        let second = proxy.get_location().expect("served from the cache");
+        assert_eq!(first, second);
+        assert_eq!(
+            toy.calls.load(Ordering::Relaxed),
+            2,
+            "the hit never reached it"
+        );
+
+        let resilience = layers.resilience.as_ref().unwrap().snapshot();
+        assert_eq!((resilience.calls, resilience.retries), (1, 1));
+        assert_eq!(layers.overload.as_ref().unwrap().snapshot().admitted, 1);
+        let cache = layers.cache.as_ref().unwrap().snapshot();
+        assert_eq!((cache.miss, cache.hit), (1, 1));
+        let spans = layers
+            .policies
+            .telemetry
+            .as_ref()
+            .unwrap()
+            .tracer()
+            .finished();
+        let planes = |plane| spans.iter().filter(|s| s.plane == plane).count();
+        assert_eq!(planes(Plane::Proxy), 2, "one proxy-plane span per call");
+        assert_eq!(planes(Plane::Binding), 2, "one binding span per attempt");
+        assert!(spans
+            .iter()
+            .any(|s| s.plane == Plane::Proxy && s.name == "proxy:Location.getLocation"));
+    }
+
+    /// A call binding that always connects.
+    struct ToyCall;
+
+    impl ProxyBase for ToyCall {
+        fn set_property(&self, _key: &str, _value: PropertyValue) -> Result<(), ProxyError> {
+            Ok(())
+        }
+    }
+
+    impl CallProxy for ToyCall {
+        fn make_a_call(&self, _number: &str) -> Result<u64, ProxyError> {
+            Ok(1)
+        }
+
+        fn call_progress(&self, _call_id: u64) -> Result<CallProgress, ProxyError> {
+            Ok(CallProgress::Connected)
+        }
+
+        fn end_call(&self, _call_id: u64) -> Result<(), ProxyError> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn bypassed_methods_skip_their_layers_but_stay_traced() {
+        let device = Device::builder().build();
+        let layers = Layers::new(every_layer(&device), &device);
+        let location = wrap::<dyn LocationProxy>(Arc::new(Toy::default()), &layers, &device, "toy");
+        let call = wrap::<dyn CallProxy>(Arc::new(ToyCall), &layers, &device, "toy");
+
+        let listener: SharedProximityListener = Arc::new(|_: &ProximityEvent| {});
+        assert!(location.remove_proximity_alert(&listener).unwrap());
+        assert_eq!(call.call_progress(1).unwrap(), CallProgress::Connected);
+        call.end_call(1).unwrap();
+        let resilience = layers.resilience.as_ref().unwrap();
+        let overload = layers.overload.as_ref().unwrap();
+        assert_eq!(resilience.snapshot().calls, 0, "never retried");
+        assert_eq!(overload.snapshot().admitted, 0, "never gated");
+
+        location.get_location_with_power().unwrap();
+        location.get_location_with_power().unwrap();
+        let cache = layers.cache.as_ref().unwrap().snapshot();
+        assert_eq!(
+            (cache.hit, cache.miss),
+            (0, 0),
+            "the multi-read bypasses the cache"
+        );
+        assert_eq!(resilience.snapshot().calls, 2);
+        assert_eq!(overload.snapshot().admitted, 2);
+
+        let spans = layers
+            .policies
+            .telemetry
+            .as_ref()
+            .unwrap()
+            .tracer()
+            .finished();
+        for method in ["removeProximityAlert", "callProgress", "endCall"] {
+            let planes: Vec<Plane> = spans
+                .iter()
+                .filter(|s| s.name.ends_with(method))
+                .map(|s| s.plane)
+                .collect();
+            assert_eq!(planes, [Plane::Binding, Plane::Proxy], "{method}");
+        }
+    }
+
+    /// A binding recording every property key that reaches it.
+    #[derive(Default)]
+    struct Recorder {
+        keys: Mutex<Vec<String>>,
+    }
+
+    impl ProxyBase for Recorder {
+        fn set_property(&self, key: &str, _value: PropertyValue) -> Result<(), ProxyError> {
+            self.keys.lock().push(key.to_owned());
+            Ok(())
+        }
+    }
+
+    impl LocationProxy for Recorder {
+        fn add_proximity_alert(
+            &self,
+            _latitude: f64,
+            _longitude: f64,
+            _altitude: f64,
+            _radius: f64,
+            _timer_s: i64,
+            _listener: SharedProximityListener,
+        ) -> Result<(), ProxyError> {
+            Ok(())
+        }
+
+        fn remove_proximity_alert(
+            &self,
+            _listener: &SharedProximityListener,
+        ) -> Result<bool, ProxyError> {
+            Ok(true)
+        }
+
+        fn get_location(&self) -> Result<Location, ProxyError> {
+            Ok(Location::default())
+        }
+    }
+
+    impl HttpProxy for Recorder {
+        fn request(
+            &self,
+            _method: &str,
+            _url: &str,
+            _body: &[u8],
+        ) -> Result<HttpResult, ProxyError> {
+            Ok(HttpResult {
+                status: 200,
+                headers: Vec::new(),
+                body: Vec::new(),
+            })
+        }
+    }
+
+    #[test]
+    fn set_property_is_claimed_down_the_declared_order() {
+        let device = Device::builder().build();
+        let layers = Layers::new(every_layer(&device), &device);
+        let cache = Arc::clone(layers.cache.as_ref().unwrap());
+        let appends = || {
+            layers
+                .journal
+                .as_ref()
+                .unwrap()
+                .metrics()
+                .snapshot()
+                .appends
+        };
+        let binding = Arc::new(Recorder::default());
+        let location = wrap::<dyn LocationProxy>(binding.clone(), &layers, &device, "test");
+        let http = wrap::<dyn HttpProxy>(binding.clone(), &layers, &device, "test");
+        let str = PropertyValue::str;
+
+        // The cache claims its own knobs and flushes on success.
+        location.get_location().unwrap();
+        location
+            .set_property("cache.ttl_ms", PropertyValue::Int(500))
+            .unwrap();
+        assert_eq!(cache.snapshot().invalidated, 1);
+        let err = location.set_property("cache.ttl_ms", PropertyValue::Int(-1));
+        assert_eq!(err.unwrap_err().kind(), ProxyErrorKind::BadPropertyValue);
+        // It flushes before forwarding any other key, claimed or not.
+        location.get_location().unwrap();
+        location
+            .set_property("bulkhead.max_concurrency", PropertyValue::Int(4))
+            .unwrap();
+        assert_eq!(cache.snapshot().invalidated, 2);
+        location
+            .set_property("retry.max_attempts", PropertyValue::Int(4))
+            .unwrap();
+        location.set_property("provider", str("gps")).unwrap();
+        // `shed.droppable_path` is an HTTP knob: Location forwards it.
+        location
+            .set_property("shed.droppable_path", str("/x"))
+            .unwrap();
+        assert_eq!(*binding.keys.lock(), ["provider", "shed.droppable_path"]);
+        assert_eq!(appends(), 0, "Location is never journaled");
+
+        // HTTP: overload claims the droppable path before the journal.
+        http.set_property("shed.droppable_path", str("/enrich"))
+            .unwrap();
+        assert_eq!(appends(), 0);
+        // The journal records every key that reaches it, claimed below
+        // (resilience) or forwarded to the binding.
+        http.set_property("retry.max_attempts", PropertyValue::Int(2))
+            .unwrap();
+        assert_eq!(appends(), 1);
+        http.set_property("timeout", str("5")).unwrap();
+        assert_eq!(appends(), 2);
+        assert_eq!(
+            *binding.keys.lock(),
+            ["provider", "shed.droppable_path", "timeout"]
+        );
+    }
+
+    /// A mutating binding that reads the journal's durable end inside
+    /// every effect. Its first send fails transiently.
+    struct WalProbe {
+        journal: Arc<JournalEngine>,
+        seen: Mutex<Vec<Lsn>>,
+        sends: AtomicU64,
+    }
+
+    impl WalProbe {
+        fn observe(&self) {
+            let (durable_end, _, _) = self.journal.journal_stats();
+            self.seen.lock().push(durable_end);
+        }
+    }
+
+    impl ProxyBase for WalProbe {
+        fn set_property(&self, _key: &str, _value: PropertyValue) -> Result<(), ProxyError> {
+            self.observe();
+            Ok(())
+        }
+    }
+
+    impl SmsProxy for WalProbe {
+        fn send_text_message(
+            &self,
+            _destination: &str,
+            _text: &str,
+            _delivery_listener: Option<Arc<dyn DeliveryListener>>,
+        ) -> Result<u64, ProxyError> {
+            self.observe();
+            if self.sends.fetch_add(1, Ordering::Relaxed) == 0 {
+                return Err(ProxyError::new(ProxyErrorKind::Io, "radio blip"));
+            }
+            Ok(7)
+        }
+    }
+
+    impl HttpProxy for WalProbe {
+        fn request(
+            &self,
+            _method: &str,
+            _url: &str,
+            _body: &[u8],
+        ) -> Result<HttpResult, ProxyError> {
+            self.observe();
+            Ok(HttpResult {
+                status: 200,
+                headers: Vec::new(),
+                body: Vec::new(),
+            })
+        }
+    }
+
+    /// The write-ahead invariant: no mutating effect runs before its
+    /// intent is durable.
+    #[test]
+    fn every_journaled_effect_runs_after_its_intent_is_durable() {
+        let device = Device::builder().build();
+        let layers = Layers::new(every_layer(&device), &device);
+        let journal = Arc::clone(layers.journal.as_ref().unwrap());
+        let probe = Arc::new(WalProbe {
+            journal: Arc::clone(&journal),
+            seen: Mutex::new(Vec::new()),
+            sends: AtomicU64::new(0),
+        });
+        let sms = wrap::<dyn SmsProxy>(probe.clone(), &layers, &device, "test");
+        let http = wrap::<dyn HttpProxy>(probe.clone(), &layers, &device, "test");
+        let effects: [(&str, Next<()>); 4] = [
+            ("send", &|| {
+                sms.send_text_message("100", "hi", None).map(drop)
+            }),
+            ("request", &|| {
+                http.request("POST", "http://h/p", b"{}").map(drop)
+            }),
+            ("sms setProperty", &|| {
+                sms.set_property("provider", PropertyValue::str("x"))
+            }),
+            ("http setProperty", &|| {
+                http.set_property("provider", PropertyValue::str("x"))
+            }),
+        ];
+        for (what, effect) in effects {
+            let (before, _, _) = journal.journal_stats();
+            probe.seen.lock().clear();
+            effect().unwrap();
+            let seen = probe.seen.lock().clone();
+            assert!(!seen.is_empty(), "{what} reached the binding");
+            assert!(
+                seen.iter().all(|durable| *durable > before),
+                "{what} ran before its intent was durable: {before} then {seen:?}"
+            );
+        }
+        assert_eq!(
+            probe.sends.load(Ordering::Relaxed),
+            2,
+            "the send was retried"
+        );
+        assert_eq!(
+            journal.metrics().snapshot().appends,
+            4,
+            "one intent per logical call, however many attempts"
+        );
+    }
+
+    #[test]
+    fn u32_knobs_reject_values_that_would_truncate() {
+        let device = Device::builder().build();
+        let policies = LayerPolicies {
+            overload: Some(OverloadPolicy::default()),
+            resilience: Some(ResiliencePolicy::default()),
+            ..LayerPolicies::default()
+        };
+        let proxy = layered::<dyn LocationProxy>(Arc::new(Toy::default()), policies, &device);
+        let overload = proxy.stack.overload.as_ref().unwrap();
+        let resilience = proxy.stack.resilience.as_ref().unwrap();
+        let knobs: [(&str, &dyn Fn() -> u32); 4] = [
+            ("bulkhead.max_concurrency", &|| overload.bulkhead().cap()),
+            ("bulkhead.queue_depth", &|| overload.policy().queue_depth),
+            ("retry.max_attempts", &|| resilience.policy().max_attempts),
+            ("circuit.threshold", &|| {
+                resilience.policy().circuit_threshold
+            }),
+        ];
+        for (key, read) in knobs {
+            let largest = PropertyValue::Int(i64::from(u32::MAX));
+            proxy.set_property(key, largest).unwrap();
+            assert_eq!(read(), u32::MAX, "{key}: the largest u32 fits");
+            proxy.set_property(key, PropertyValue::Int(7)).unwrap();
+            for overflow in [
+                PropertyValue::Int(1 << 32),
+                PropertyValue::str("4294967296"),
+                PropertyValue::Int(i64::MAX),
+            ] {
+                let err = proxy.set_property(key, overflow).unwrap_err();
+                assert_eq!(err.kind(), ProxyErrorKind::BadPropertyValue, "{key}");
+            }
+            assert_eq!(
+                read(),
+                7,
+                "{key}: a rejected value leaves the knob as it was"
+            );
+        }
+    }
+
+    #[test]
+    fn resilience_remembers_successes_and_overload_remembers_fallbacks() {
+        let device = Device::builder().build();
+        let toy = Arc::new(Toy::failing(u64::MAX));
+        let policies = LayerPolicies {
+            overload: Some(OverloadPolicy::default().target_ms(1)),
+            resilience: Some(
+                ResiliencePolicy::default()
+                    .max_attempts(1)
+                    .fallback_position(28.6, 77.2),
+            ),
+            ..LayerPolicies::default()
+        };
+        let proxy = layered::<dyn LocationProxy>(toy.clone(), policies, &device);
+        let resilience = proxy.stack.resilience.as_ref().unwrap();
+        let overload = proxy.stack.overload.as_ref().unwrap();
+
+        // Dark from the start: both reads fall back to the default, so
+        // resilience never memorized its own fallback.
+        let fallback = proxy.get_location().unwrap();
+        assert_eq!((fallback.latitude, fallback.longitude), (28.6, 77.2));
+        proxy.get_location().unwrap();
+        let snap = resilience.metrics.snapshot();
+        assert_eq!((snap.fallback_default, snap.fallback_last_known), (2, 0));
+
+        // Overload did memorize it: with the gate closed, a shed
+        // degrades to the fallback fix.
+        for _ in 0..100 {
+            overload.admission().observe(10_000, 1);
+        }
+        let mut degraded = None;
+        for _ in 0..200 {
+            let fix = proxy.get_location().unwrap();
+            if overload.metrics().snapshot().degraded > 0 {
+                degraded = Some(fix);
+                break;
+            }
+        }
+        let degraded = degraded.expect("a closed gate sheds");
+        assert_eq!((degraded.latitude, degraded.longitude), (28.6, 77.2));
+
+        // A genuine success is what resilience falls back to next.
+        proxy
+            .set_property("shed.enabled", PropertyValue::Bool(false))
+            .unwrap();
+        toy.failures.store(0, Ordering::Relaxed);
+        let genuine = proxy.get_location().unwrap();
+        toy.failures.store(u64::MAX, Ordering::Relaxed);
+        assert_eq!(proxy.get_location().unwrap(), genuine);
+        assert_eq!(resilience.metrics.snapshot().fallback_last_known, 1);
+    }
+
+    /// The fixed no-fault script the neutrality test replays: two reads,
+    /// a send, a POST to a registered route and, where the platform has
+    /// one, a call.
+    fn script(runtime: &Mobivine) -> Vec<String> {
+        let location = runtime.proxy::<dyn LocationProxy>().unwrap();
+        let sms = runtime.proxy::<dyn SmsProxy>().unwrap();
+        let http = runtime.proxy::<dyn HttpProxy>().unwrap();
+        let mut results = vec![
+            format!("{:?}", location.get_location()),
+            format!("{:?}", location.get_location()),
+            format!("{:?}", sms.send_text_message("+91-sup", "on site", None)),
+            format!(
+                "{:?}",
+                http.request("POST", "http://backend.example/submit", b"{}")
+            ),
+        ];
+        if runtime.supports_kind(ProxyKind::Call) {
+            let call = runtime.proxy::<dyn CallProxy>().unwrap();
+            results.push(format!("{:?}", call.make_a_call("+91-sup")));
+        }
+        results
+    }
+
+    /// A fault-free runtime on a fresh device with `toggles` enabled.
+    fn runtime(platform: &str, toggles: &[Layer]) -> Mobivine {
+        let device = Device::builder().msisdn("+91-me").build();
+        device.gps().set_noise_enabled(false);
+        device.smsc().register_address("+91-sup");
+        device.network().register_route(
+            "backend.example",
+            Method::Post,
+            "/submit",
+            |_: &HttpRequest| HttpResponse::ok(b"{\"ok\":true}".to_vec()),
+        );
+        let mut builder = Mobivine::builder();
+        for layer in toggles {
+            builder = match layer {
+                Layer::TraceProxy | Layer::TraceBinding => builder.with_telemetry(),
+                Layer::Cache => builder.with_cache(CachePolicy::default()),
+                Layer::Overload => builder.with_overload(OverloadPolicy::default()),
+                Layer::Journal => {
+                    builder.with_journal(JournalPolicy::default().fsync_latency_ms(0))
+                }
+                Layer::Resilience => builder.with_resilience(ResiliencePolicy::default()),
+            };
+        }
+        let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
+        let builder = match platform {
+            "android" => builder.android(android.new_context()),
+            "s60" => builder.s60(S60Platform::new(device)),
+            _ => builder.webview(Arc::new(WebView::new(android.new_context()))),
+        };
+        builder.build().unwrap()
+    }
+
+    /// With no fault injected, every subset of layers returns exactly
+    /// what the bare runtime returns. The subsets come from the declared
+    /// order, so a new layer is covered as soon as it is declared.
+    #[test]
+    fn every_layer_subset_is_neutral_on_every_platform() {
+        // Telemetry wires both trace planes at once.
+        let toggles: Vec<Layer> = ORDER
+            .into_iter()
+            .filter(|layer| *layer != Layer::TraceBinding)
+            .collect();
+        assert_eq!(toggles.len(), 5);
+        for platform in ["android", "s60", "webview"] {
+            let bare = script(&runtime(platform, &[]));
+            assert!(
+                bare.iter().all(|result| result.starts_with("Ok(")),
+                "{platform}: {bare:?}"
+            );
+            for mask in 1..1u32 << toggles.len() {
+                let subset: Vec<Layer> = toggles
+                    .iter()
+                    .enumerate()
+                    .filter(|(bit, _)| mask & (1 << bit) != 0)
+                    .map(|(_, layer)| *layer)
+                    .collect();
+                let layered = script(&runtime(platform, &subset));
+                assert_eq!(layered, bare, "{platform} with {subset:?}");
+            }
+        }
+    }
+}

@@ -11,23 +11,21 @@
 //! * [`TelemetryRuntime`] — one [`Tracer`] plus one shared
 //!   [`MetricsRegistry`] (the device's, so device subsystems and
 //!   middleware publish into the same registry),
-//! * traced decorators ([`TracedLocationProxy`], [`TracedSmsProxy`],
-//!   [`TracedHttpProxy`], [`TracedCallProxy`]) that the
-//!   [`crate::registry::Mobivine`] runtime installs **twice** per
-//!   proxy: once at the outermost semantic plane
-//!   ([`Plane::Proxy`]) and once at the binding plane
-//!   ([`Plane::Binding`]) below the resilience layer — so retries show
-//!   up as multiple binding-plane child spans under one proxy-plane
-//!   span.
+//! * the per-proxy `Instrument` that the layer stack
+//!   (the `stack` module, DESIGN.md §16) runs **twice** per call: as its
+//!   outermost layer at the semantic plane ([`Plane::Proxy`]) and as its
+//!   innermost at the binding plane ([`Plane::Binding`]) below the
+//!   resilience layer — so retries show up as multiple binding-plane
+//!   child spans under one proxy-plane span.
 //!
-//! The proxy-plane decorator also feeds the metrics registry: a
+//! The proxy plane also feeds the metrics registry: a
 //! `proxy_calls_total` / `proxy_errors_total` counter pair and a
 //! `proxy_call_ms` latency histogram, all labelled
 //! `(proxy, method, platform)`.
 //!
 //! **The per-call path performs no heap allocation and takes no global
-//! lock.** Everything string-shaped is resolved once, at decorator
-//! construction (`Mobivine::with_telemetry` wiring time): each method
+//! lock.** Everything string-shaped is resolved once, when the stack is
+//! built (proxy resolution after `Mobivine::with_telemetry`): each method
 //! gets a pre-formatted [`SpanName`] and — at the proxy plane — a
 //! [`CallInstruments`] bundle of pre-resolved counter/histogram
 //! handles. A traced call is then: clone two `Arc` span names, two or
@@ -48,22 +46,20 @@
 //! Spans parent implicitly through the ambient span stack
 //! ([`mobivine_telemetry::span::ambient`]): if the application opened
 //! its own root span the proxy call nests under it; otherwise the
-//! proxy-plane decorator starts a fresh trace.
+//! proxy plane starts a fresh trace.
 
 use std::sync::Arc;
 
 use mobivine_device::Device;
 use mobivine_telemetry::recorder::take_promotion;
-use mobivine_telemetry::span::{ambient, Plane, SpanName, DEFAULT_SPAN_RETENTION};
+use mobivine_telemetry::span::{ambient, ActiveSpan, Plane, SpanName, DEFAULT_SPAN_RETENTION};
 use mobivine_telemetry::{
     Counter, Histogram, IncidentStore, Labels, MetricsRegistry, PromotionPolicy, Recorder,
     RecorderCounters, SloEngine, SloRecorder, Tracer,
 };
 
-use crate::api::{CallProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::PropertyValue;
-use crate::types::{CallProgress, DeliveryListener, HttpResult, Location, SharedProximityListener};
+use crate::stack::CallMeta;
 
 /// One runtime's telemetry wiring: the tracer collecting span records
 /// (with its flight-recorder promotion policy), the metrics registry
@@ -120,7 +116,7 @@ impl TelemetryRuntime {
         }
     }
 
-    /// Attaches an SLO engine; proxy-plane decorators wired after this
+    /// Attaches an SLO engine; proxy planes wired after this
     /// call feed every finished call's `(ok, latency)` into the
     /// engine's matching objectives.
     pub fn with_slo(mut self, slo: Arc<SloEngine>) -> Self {
@@ -150,6 +146,104 @@ impl TelemetryRuntime {
     pub fn incidents(&self) -> Option<&Arc<IncidentStore>> {
         self.tracer.incident_store()
     }
+}
+
+/// Declares one policy layer's shared counter block and its snapshot:
+/// a telemetry [`Counter`] per field, private to the block
+/// (`shared()`) or published on a registry as `<prefix>_<field>_total`
+/// (`on_registry()`), and a `snapshot()` copying every value at once
+/// that displays as `name=value` pairs.
+macro_rules! layer_counters {
+    (
+        $(#[$metrics_doc:meta])* $metrics:ident,
+        $(#[$snapshot_doc:meta])* $snapshot:ident,
+        $prefix:literal,
+        { $($(#[$doc:meta])* $name:ident),* $(,)? }
+    ) => {
+        $(#[$metrics_doc])*
+        #[derive(Debug, Default)]
+        pub struct $metrics {
+            $($(#[$doc])* $name: ::mobivine_telemetry::Counter,)*
+        }
+
+        $(#[$snapshot_doc])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct $snapshot {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl $metrics {
+            /// Copies every counter at once.
+            pub fn snapshot(&self) -> $snapshot {
+                $snapshot {
+                    $($name: self.$name.value(),)*
+                }
+            }
+
+            #[doc = concat!(
+                "A counter block whose handles live in `registry` under `",
+                $prefix,
+                "_<name>_total`."
+            )]
+            pub fn on_registry(
+                registry: &::std::sync::Arc<::mobivine_telemetry::MetricsRegistry>,
+            ) -> ::std::sync::Arc<Self> {
+                let none = ::mobivine_telemetry::Labels::empty();
+                ::std::sync::Arc::new(Self {
+                    $($name: registry.counter(
+                        concat!($prefix, "_", stringify!($name), "_total"),
+                        &none,
+                    ),)*
+                })
+            }
+
+            /// A fresh, shareable counter block (not registry-backed).
+            pub fn shared() -> ::std::sync::Arc<Self> {
+                ::std::sync::Arc::new(Self::default())
+            }
+        }
+
+        /// `name=value` for every counter, space-separated.
+        impl ::std::fmt::Display for $snapshot {
+            fn fmt(&self, f: &mut ::std::fmt::Formatter<'_>) -> ::std::fmt::Result {
+                let fields: &[(&str, u64)] = &[$((stringify!($name), self.$name)),*];
+                for (i, (name, value)) in fields.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    write!(f, "{sep}{name}={value}")?;
+                }
+                Ok(())
+            }
+        }
+    };
+}
+pub(crate) use layer_counters;
+
+/// Runs one middle layer's work for `operation` inside a
+/// `<layer>:<operation>` child span at the resilience plane, when a
+/// trace is ambient; the span carries the error kind of a failure.
+/// `is_active` is checked first, so an untraced call skips the name
+/// `format!` and stays allocation-free.
+pub(crate) fn layer_span<T, E>(
+    device: &Device,
+    layer: &str,
+    operation: &str,
+    kind: impl Fn(&E) -> ProxyErrorKind,
+    work: impl FnOnce(Option<&mut ActiveSpan>) -> Result<T, E>,
+) -> Result<T, E> {
+    let mut span = ambient::is_active()
+        .then(|| {
+            let name = format!("{layer}:{operation}");
+            ambient::child(name, Plane::Resilience, device.now_ms())
+        })
+        .flatten();
+    let result = work(span.as_mut());
+    if let Some(mut span) = span {
+        if let Err(e) = &result {
+            span.attr("error", kind_name(kind(e)));
+        }
+        span.end(device.now_ms());
+    }
+    result
 }
 
 /// The static name of an error kind, for the span `error` attribute.
@@ -212,11 +306,11 @@ struct MethodInstrument {
     slo: Option<SloRecorder>,
 }
 
-/// The per-decorator instrumentation kit: where to time, trace and
-/// count. All names and handles are resolved in [`Instrument::new`];
-/// the per-call [`Instrument::traced`] only copies symbols and bumps
-/// atomics.
-struct Instrument {
+/// One proxy's instrumentation kit at one plane — a trace layer of its
+/// layer stack: where to time, trace and count. All names and
+/// handles are resolved in [`Instrument::new`]; the per-call
+/// [`Instrument::traced`] only copies symbols and bumps atomics.
+pub(crate) struct Instrument {
     device: Device,
     tracer: Tracer,
     plane: Plane,
@@ -225,17 +319,16 @@ struct Instrument {
 }
 
 impl Instrument {
-    fn new(
+    pub(crate) fn new(
         device: Device,
         runtime: &TelemetryRuntime,
         plane: Plane,
-        proxy: &'static str,
+        methods: &[CallMeta],
         platform: &str,
-        methods: &[&'static str],
     ) -> Self {
         let methods = methods
             .iter()
-            .map(|&method| MethodInstrument {
+            .map(|&CallMeta { proxy, method, .. }| MethodInstrument {
                 method,
                 span_name: SpanName::from(format!("{plane}:{proxy}.{method}")),
                 instruments: (plane == Plane::Proxy)
@@ -260,7 +353,7 @@ impl Instrument {
         self.methods
             .iter()
             .find(|m| m.method == method)
-            .expect("method listed in the traced_proxy! method table")
+            .expect("method listed in the interface's CallMeta table")
     }
 
     /// Runs one proxy call inside a span; the proxy plane additionally
@@ -273,7 +366,7 @@ impl Instrument {
     /// classification has already run — [`take_promotion`] then hands
     /// back the promoted [`mobivine_telemetry::TraceId`] to pin on the
     /// latency bucket as an exemplar.
-    fn traced<T>(
+    pub(crate) fn traced<T>(
         &self,
         method: &'static str,
         call: impl FnOnce() -> Result<T, ProxyError>,
@@ -314,205 +407,15 @@ impl Instrument {
     }
 }
 
-macro_rules! traced_proxy {
-    ($(#[$doc:meta])* $name:ident, $trait:ident, $label:literal,
-     [$($method:literal),+ $(,)?]) => {
-        $(#[$doc])*
-        pub struct $name {
-            inner: Arc<dyn $trait>,
-            instrument: Instrument,
-        }
-
-        impl $name {
-            /// Wraps `inner` at `plane`, timing against `device`'s
-            /// simulated clock and reporting through `runtime`. Span
-            /// names and (proxy-plane) metric handles for every method
-            /// are resolved here, once.
-            pub fn new(
-                inner: Arc<dyn $trait>,
-                device: Device,
-                runtime: &TelemetryRuntime,
-                plane: Plane,
-                platform: &str,
-            ) -> Self {
-                Self {
-                    inner,
-                    instrument: Instrument::new(
-                        device,
-                        runtime,
-                        plane,
-                        $label,
-                        platform,
-                        &[$($method),+],
-                    ),
-                }
-            }
-        }
-
-        impl ProxyBase for $name {
-            fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-                // Property writes are local configuration, not platform
-                // calls — forwarded untraced.
-                self.inner.set_property(key, value)
-            }
-        }
-    };
-}
-
-traced_proxy!(
-    /// [`LocationProxy`] decorator recording one span (and, at the
-    /// proxy plane, metrics) per call.
-    TracedLocationProxy,
-    LocationProxy,
-    "Location",
-    [
-        "addProximityAlert",
-        "removeProximityAlert",
-        "getLocation",
-        "getLocationWithPower"
-    ]
-);
-
-impl LocationProxy for TracedLocationProxy {
-    fn add_proximity_alert(
-        &self,
-        latitude: f64,
-        longitude: f64,
-        altitude: f64,
-        radius: f64,
-        timer_s: i64,
-        listener: SharedProximityListener,
-    ) -> Result<(), ProxyError> {
-        self.instrument.traced("addProximityAlert", || {
-            self.inner
-                .add_proximity_alert(latitude, longitude, altitude, radius, timer_s, listener)
-        })
-    }
-
-    fn remove_proximity_alert(
-        &self,
-        listener: &SharedProximityListener,
-    ) -> Result<bool, ProxyError> {
-        self.instrument.traced("removeProximityAlert", || {
-            self.inner.remove_proximity_alert(listener)
-        })
-    }
-
-    fn get_location(&self) -> Result<Location, ProxyError> {
-        self.instrument
-            .traced("getLocation", || self.inner.get_location())
-    }
-
-    fn get_location_with_power(&self) -> Result<(Location, f64), ProxyError> {
-        self.instrument.traced("getLocationWithPower", || {
-            self.inner.get_location_with_power()
-        })
-    }
-}
-
-traced_proxy!(
-    /// [`SmsProxy`] decorator recording one span (and, at the proxy
-    /// plane, metrics) per call.
-    TracedSmsProxy,
-    SmsProxy,
-    "SMS",
-    ["sendTextMessage"]
-);
-
-impl SmsProxy for TracedSmsProxy {
-    fn send_text_message(
-        &self,
-        destination: &str,
-        text: &str,
-        delivery_listener: Option<Arc<dyn DeliveryListener>>,
-    ) -> Result<u64, ProxyError> {
-        self.instrument.traced("sendTextMessage", || {
-            self.inner
-                .send_text_message(destination, text, delivery_listener)
-        })
-    }
-}
-
-traced_proxy!(
-    /// [`HttpProxy`] decorator recording one span (and, at the proxy
-    /// plane, metrics) per call.
-    TracedHttpProxy,
-    HttpProxy,
-    "Http",
-    ["request"]
-);
-
-impl HttpProxy for TracedHttpProxy {
-    fn request(&self, method: &str, url: &str, body: &[u8]) -> Result<HttpResult, ProxyError> {
-        self.instrument
-            .traced("request", || self.inner.request(method, url, body))
-    }
-}
-
-traced_proxy!(
-    /// [`CallProxy`] decorator recording one span (and, at the proxy
-    /// plane, metrics) per call.
-    TracedCallProxy,
-    CallProxy,
-    "Call",
-    ["makeACall", "callProgress", "endCall"]
-);
-
-impl CallProxy for TracedCallProxy {
-    fn make_a_call(&self, number: &str) -> Result<u64, ProxyError> {
-        self.instrument
-            .traced("makeACall", || self.inner.make_a_call(number))
-    }
-
-    fn call_progress(&self, call_id: u64) -> Result<CallProgress, ProxyError> {
-        self.instrument
-            .traced("callProgress", || self.inner.call_progress(call_id))
-    }
-
-    fn end_call(&self, call_id: u64) -> Result<(), ProxyError> {
-        self.instrument
-            .traced("endCall", || self.inner.end_call(call_id))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mobivine_telemetry::export::{chrome_trace_json, validate_chrome_trace};
     use mobivine_telemetry::span::validate_tree;
 
-    struct FixedLocation;
-
-    impl ProxyBase for FixedLocation {
-        fn set_property(&self, _key: &str, _value: PropertyValue) -> Result<(), ProxyError> {
-            Ok(())
-        }
-    }
-
-    impl LocationProxy for FixedLocation {
-        fn add_proximity_alert(
-            &self,
-            _latitude: f64,
-            _longitude: f64,
-            _altitude: f64,
-            _radius: f64,
-            _timer_s: i64,
-            _listener: SharedProximityListener,
-        ) -> Result<(), ProxyError> {
-            Ok(())
-        }
-
-        fn remove_proximity_alert(
-            &self,
-            _listener: &SharedProximityListener,
-        ) -> Result<bool, ProxyError> {
-            Ok(true)
-        }
-
-        fn get_location(&self) -> Result<Location, ProxyError> {
-            Ok(Location::default())
-        }
-    }
+    use crate::api::{HttpProxy, LocationProxy};
+    use crate::stack::Interface;
+    use crate::types::{HttpResult, Location};
 
     fn runtime() -> (Device, TelemetryRuntime) {
         let device = Device::builder().build();
@@ -520,17 +423,30 @@ mod tests {
         (device, telemetry)
     }
 
+    /// The instrument a Location proxy's stack runs at `plane`.
+    fn location(
+        device: Device,
+        telemetry: &TelemetryRuntime,
+        plane: Plane,
+        platform: &str,
+    ) -> Instrument {
+        let methods = <dyn LocationProxy as Interface>::METHODS;
+        Instrument::new(device, telemetry, plane, methods, platform)
+    }
+
+    fn fix() -> Result<Location, ProxyError> {
+        Ok(Location::default())
+    }
+
+    fn down() -> Result<HttpResult, ProxyError> {
+        Err(ProxyError::new(ProxyErrorKind::Io, "down"))
+    }
+
     #[test]
     fn proxy_plane_records_span_and_metrics() {
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
-        proxy.get_location().unwrap();
+        let proxy = location(device, &telemetry, Plane::Proxy, "android");
+        proxy.traced("getLocation", fix).unwrap();
         let spans = telemetry.tracer().finished();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "proxy:Location.getLocation");
@@ -553,13 +469,7 @@ mod tests {
     #[test]
     fn instruments_are_resolved_at_wiring_time() {
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = location(device, &telemetry, Plane::Proxy, "android");
         // The series exist (at zero) before the first call: resolution
         // happened in `new`, not per call.
         let labels = Labels::call("Location", "getLocation", "android");
@@ -571,7 +481,7 @@ mod tests {
             0
         );
         for _ in 0..3 {
-            proxy.get_location().unwrap();
+            proxy.traced("getLocation", fix).unwrap();
         }
         assert_eq!(
             telemetry
@@ -584,15 +494,11 @@ mod tests {
     #[test]
     fn binding_plane_skips_metrics_but_nests_under_proxy_plane() {
         let (device, telemetry) = runtime();
-        let binding: Arc<dyn LocationProxy> = Arc::new(TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device.clone(),
-            &telemetry,
-            Plane::Binding,
-            "s60",
-        ));
-        let proxy = TracedLocationProxy::new(binding, device, &telemetry, Plane::Proxy, "s60");
-        proxy.get_location().unwrap();
+        let binding = location(device.clone(), &telemetry, Plane::Binding, "s60");
+        let proxy = location(device, &telemetry, Plane::Proxy, "s60");
+        proxy
+            .traced("getLocation", || binding.traced("getLocation", fix))
+            .unwrap();
         let spans = telemetry.tracer().finished();
         assert_eq!(spans.len(), 2);
         validate_tree(&spans).expect("single connected tree");
@@ -614,26 +520,10 @@ mod tests {
 
     #[test]
     fn errors_are_counted_and_attributed() {
-        struct Failing;
-        impl ProxyBase for Failing {
-            fn set_property(&self, _k: &str, _v: PropertyValue) -> Result<(), ProxyError> {
-                Ok(())
-            }
-        }
-        impl HttpProxy for Failing {
-            fn request(&self, _m: &str, _u: &str, _b: &[u8]) -> Result<HttpResult, ProxyError> {
-                Err(ProxyError::new(crate::error::ProxyErrorKind::Io, "down"))
-            }
-        }
         let (device, telemetry) = runtime();
-        let proxy = TracedHttpProxy::new(
-            Arc::new(Failing),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
-        assert!(proxy.request("GET", "http://s/x", b"").is_err());
+        let methods = <dyn HttpProxy as Interface>::METHODS;
+        let proxy = Instrument::new(device, &telemetry, Plane::Proxy, methods, "android");
+        assert!(proxy.traced("request", down).is_err());
         let labels = Labels::call("Http", "request", "android");
         assert_eq!(
             telemetry
@@ -672,46 +562,14 @@ mod tests {
     fn blown_deadline_promotes_the_trace_and_pins_an_exemplar() {
         use mobivine_telemetry::PromotionReason;
 
-        struct SlowLocation(Device);
-        impl ProxyBase for SlowLocation {
-            fn set_property(&self, _k: &str, _v: PropertyValue) -> Result<(), ProxyError> {
-                Ok(())
-            }
-        }
-        impl LocationProxy for SlowLocation {
-            fn add_proximity_alert(
-                &self,
-                _latitude: f64,
-                _longitude: f64,
-                _altitude: f64,
-                _radius: f64,
-                _timer_s: i64,
-                _listener: SharedProximityListener,
-            ) -> Result<(), ProxyError> {
-                Ok(())
-            }
-            fn remove_proximity_alert(
-                &self,
-                _listener: &SharedProximityListener,
-            ) -> Result<bool, ProxyError> {
-                Ok(true)
-            }
-            fn get_location(&self) -> Result<Location, ProxyError> {
-                self.0.advance_ms(50);
-                Ok(Location::default())
-            }
-        }
-
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(SlowLocation(device.clone())),
-            device.clone(),
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = location(device.clone(), &telemetry, Plane::Proxy, "android");
+        let slow = || {
+            device.advance_ms(50);
+            fix()
+        };
         let deadline = crate::overload::Deadline::after(device.now_ms(), 10);
-        crate::overload::with_deadline(deadline, || proxy.get_location().unwrap());
+        crate::overload::with_deadline(deadline, || proxy.traced("getLocation", slow).unwrap());
 
         let spans = telemetry.tracer().finished();
         assert!(spans[0]
@@ -738,15 +596,9 @@ mod tests {
     #[test]
     fn healthy_calls_within_deadline_are_not_promoted() {
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device.clone(),
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = location(device.clone(), &telemetry, Plane::Proxy, "android");
         let deadline = crate::overload::Deadline::after(device.now_ms(), 100);
-        crate::overload::with_deadline(deadline, || proxy.get_location().unwrap());
+        crate::overload::with_deadline(deadline, || proxy.traced("getLocation", fix).unwrap());
         assert!(telemetry.incidents().unwrap().is_empty());
         let labels = Labels::call("Location", "getLocation", "android");
         assert!(telemetry
@@ -783,15 +635,9 @@ mod tests {
         ]));
         let telemetry =
             TelemetryRuntime::new(Arc::clone(device.metrics())).with_slo(Arc::clone(&engine));
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device.clone(),
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
+        let proxy = location(device.clone(), &telemetry, Plane::Proxy, "android");
         for _ in 0..5 {
-            proxy.get_location().unwrap();
+            proxy.traced("getLocation", fix).unwrap();
         }
         let report = engine.report(device.now_ms());
         let status = &report.statuses[0];
@@ -809,26 +655,10 @@ mod tests {
     fn error_promotion_is_on_by_default() {
         use mobivine_telemetry::PromotionReason;
 
-        struct Failing;
-        impl ProxyBase for Failing {
-            fn set_property(&self, _k: &str, _v: PropertyValue) -> Result<(), ProxyError> {
-                Ok(())
-            }
-        }
-        impl HttpProxy for Failing {
-            fn request(&self, _m: &str, _u: &str, _b: &[u8]) -> Result<HttpResult, ProxyError> {
-                Err(ProxyError::new(crate::error::ProxyErrorKind::Io, "down"))
-            }
-        }
         let (device, telemetry) = runtime();
-        let proxy = TracedHttpProxy::new(
-            Arc::new(Failing),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
-        assert!(proxy.request("GET", "http://s/x", b"").is_err());
+        let methods = <dyn HttpProxy as Interface>::METHODS;
+        let proxy = Instrument::new(device, &telemetry, Plane::Proxy, methods, "android");
+        assert!(proxy.traced("request", down).is_err());
         let store = telemetry.incidents().unwrap();
         assert_eq!(store.promoted_total(), 1);
         assert!(matches!(&store.traces()[0].reason, PromotionReason::Error(kind) if kind == "Io"));
@@ -844,14 +674,8 @@ mod tests {
     #[test]
     fn exported_trace_round_trips() {
         let (device, telemetry) = runtime();
-        let proxy = TracedLocationProxy::new(
-            Arc::new(FixedLocation),
-            device,
-            &telemetry,
-            Plane::Proxy,
-            "android",
-        );
-        proxy.get_location().unwrap();
+        let proxy = location(device, &telemetry, Plane::Proxy, "android");
+        proxy.traced("getLocation", fix).unwrap();
         let json = chrome_trace_json(&telemetry.tracer().finished());
         validate_chrome_trace(&json).expect("valid chrome trace");
     }

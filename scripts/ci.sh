@@ -134,7 +134,7 @@ if [ -n "$clippy_allows" ]; then
 fi
 
 # The traced hot path must stay allocation-free: label construction in
-# the decorator module is sanctioned only inside CallInstruments::resolve
+# the telemetry module is sanctioned only inside CallInstruments::resolve
 # (which runs once, at wiring time). Any other Labels::call/Labels::new
 # in the non-test portion of telemetry.rs is a per-call allocation
 # sneaking back in. (tests/zero_alloc_telemetry.rs proves the property
@@ -153,15 +153,13 @@ if [ -n "$hot_labels" ]; then
     exit 1
 fi
 
-# The write-ahead invariant, pinned at review time: no mutating path
-# may apply an effect before its intent is journaled. In the server's
-# durable_mutate, `apply_record` must not appear above the
-# `journal.append` call; in the client decorators (everything below the
-# Decorators banner in core/journal.rs), every `self.inner.…` effect
-# call must be preceded — in the same function — by a journal-engine
-# touch (`self.engine.intent/check/memoized_message`).
-# (tests/journal_recovery.rs and the crash smoke above prove the
-# property dynamically; this guard catches a reordered edit statically.)
+# The write-ahead invariant, pinned at review time on the server side:
+# in durable_mutate, `apply_record` must not appear above the
+# `journal.append` call. (The client side is pinned by the core unit
+# test stack::tests::every_journaled_effect_runs_after_its_intent_is_durable,
+# whose binding reads the journal's durable end inside every effect;
+# tests/journal_recovery.rs and the crash smoke above prove the property
+# dynamically.)
 wal_order=$(awk '
     /#\[cfg\(test\)\]/ { exit }
     /fn durable_mutate/ { in_fn = 1; appended = 0 }
@@ -171,18 +169,6 @@ wal_order=$(awk '
     }
     in_fn && /^}/ { in_fn = 0 }
 ' crates/apps/src/server.rs)
-wal_order="$wal_order$(awk '
-    /^\/\/ -+$/ { banner = 1; next }
-    banner && /^\/\/ Decorators$/ { in_decorators = 1 }
-    { banner = 0 }
-    !in_decorators { next }
-    /#\[cfg\(test\)\]/ { exit }
-    /fn / { covered = 0 }
-    /self\.engine/ { covered = 1 }
-    /self\.inner\./ && !covered {
-        print "crates/core/src/journal.rs:" FNR ": effect before intent: " $0
-    }
-' crates/core/src/journal.rs)"
 if [ -n "$wal_order" ]; then
     echo "error: write-ahead ordering violated (journal the intent" >&2
     echo "before the effect it covers):" >&2

@@ -10,8 +10,10 @@ use std::sync::{Arc, Mutex};
 use common::{android_runtime, device, resilient_runtimes_isolated, runtimes};
 use mobivine::api::{CallProxy, HttpProxy, LocationProxy, SmsProxy};
 use mobivine::error::ProxyErrorKind;
-use mobivine::resilience::{CircuitState, ResiliencePolicy};
+use mobivine::registry::Mobivine;
+use mobivine::resilience::ResiliencePolicy;
 use mobivine::types::DeliveryOutcome;
+use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::fault::FaultPlan;
 use mobivine_device::gps::GpsAvailability;
 use mobivine_device::GeoPoint;
@@ -613,37 +615,60 @@ fn coverage_outage_mid_call_is_ridden_out_where_calls_exist() {
 
 #[test]
 fn circuit_state_is_visible_through_the_decorator() {
-    // Direct decorator-level visibility check (registry returns trait
-    // objects, so this uses the concrete wrapper).
+    // The registry hands out trait objects, so the breaker is observed
+    // from outside: through the shared counters and the error kinds it
+    // produces.
     let device = device();
     device.network().set_down(true);
-    let runtime = android_runtime(&device);
-    let inner = runtime.proxy::<dyn HttpProxy>().unwrap();
-    let resilient = mobivine::resilience::ResilientHttpProxy::new(
-        inner,
-        device.clone(),
-        ResiliencePolicy::default()
-            .max_attempts(1)
-            .circuit_threshold(2)
-            .circuit_cooldown_ms(1_000),
-        mobivine::resilience::ResilienceMetrics::shared(),
-    );
-    use mobivine::api::HttpProxy;
-    assert_eq!(resilient.circuit_state(), CircuitState::Closed);
-    let _ = resilient.request("GET", "http://wfm.example/", &[]);
-    let _ = resilient.request("GET", "http://wfm.example/", &[]);
-    assert_eq!(resilient.circuit_state(), CircuitState::Open);
+    let runtime = Mobivine::builder()
+        .with_resilience(
+            ResiliencePolicy::default()
+                .max_attempts(1)
+                .circuit_threshold(2)
+                .circuit_cooldown_ms(1_000),
+        )
+        .android(AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context())
+        .build()
+        .unwrap();
+    let metrics = runtime.resilience_metrics().expect("resilience installed");
+    let http = runtime.proxy::<dyn HttpProxy>().unwrap();
+    let request = || http.request("GET", "http://wfm.example/", &[]);
+
+    // Closed: failures reach the binding until the threshold opens it.
+    assert_eq!(request().unwrap_err().kind(), ProxyErrorKind::Io);
+    assert_eq!(metrics.snapshot().circuit_opens, 0, "one failure: closed");
+    assert_eq!(request().unwrap_err().kind(), ProxyErrorKind::Io);
+    assert_eq!(metrics.snapshot().circuit_opens, 1, "second failure opens");
+
+    // Open: the next call is rejected without reaching the binding.
+    assert_eq!(request().unwrap_err().kind(), ProxyErrorKind::CircuitOpen);
+    let snap = metrics.snapshot();
+    assert_eq!((snap.circuit_rejections, snap.attempts), (1, 2));
+
+    // Half-open: once the cooldown elapses one probe is admitted, and
+    // its success closes the circuit.
     device.network().set_down(false);
     device.advance_ms(1_100);
-    // The next admission flips to half-open and the success closes it.
     device.network().register_route(
         "wfm.example",
         mobivine_device::net::Method::Get,
         "/",
         |_| mobivine_device::net::HttpResponse::ok("up"),
     );
-    resilient
-        .request("GET", "http://wfm.example/", &[])
-        .unwrap();
-    assert_eq!(resilient.circuit_state(), CircuitState::Closed);
+    request().unwrap();
+    assert_eq!(
+        metrics.snapshot().attempts,
+        3,
+        "the probe reached the binding"
+    );
+
+    // Closed again: the failure count restarted, so one failure no
+    // longer opens it.
+    device.network().set_down(true);
+    assert_eq!(request().unwrap_err().kind(), ProxyErrorKind::Io);
+    assert_eq!(
+        metrics.snapshot().circuit_opens,
+        1,
+        "closed: below threshold"
+    );
 }
