@@ -292,10 +292,11 @@ struct Entry<V> {
     expires_at_ms: u64,
 }
 
-/// One in-flight fill. Single-use: the leader publishes exactly once,
-/// then the flight is dropped from the map, so no epoch bookkeeping is
-/// needed. Uses the standard-library mutex/condvar pair because the
-/// follower side genuinely parks the thread.
+/// One in-flight fill. The leader publishes exactly once, then the
+/// flight is dropped from the map, so no epoch bookkeeping is needed; a
+/// flight no follower still holds is reset and kept as the cell's
+/// spare for the next leader. Uses the standard-library mutex/condvar
+/// pair because the follower side genuinely parks the thread.
 struct Flight<V> {
     state: std::sync::Mutex<Option<Result<V, ProxyError>>>,
     cv: std::sync::Condvar,
@@ -323,6 +324,14 @@ impl<V: Clone> Flight<V> {
         self.cv.notify_all();
     }
 
+    /// Clears the published result so the flight can lead again.
+    fn reset(&mut self) {
+        *self
+            .state
+            .get_mut()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
+    }
+
     fn wait(&self) -> Result<V, ProxyError> {
         let mut state = self.lock();
         loop {
@@ -346,14 +355,25 @@ impl<V: Clone> Flight<V> {
 /// cannot wedge readers of other keys.
 pub struct CacheCell<K, V> {
     entries: Mutex<HashMap<K, Entry<V>>>,
-    flights: Mutex<HashMap<K, Arc<Flight<V>>>>,
+    flights: Mutex<Flights<K, V>>,
+}
+
+/// A cell's in-flight fills.
+struct Flights<K, V> {
+    by_key: HashMap<K, Arc<Flight<V>>>,
+    /// A finished flight nobody else holds, led again by the next miss
+    /// so an uncontended miss allocates nothing.
+    spare: Option<Arc<Flight<V>>>,
 }
 
 impl<K, V> Default for CacheCell<K, V> {
     fn default() -> Self {
         Self {
             entries: Mutex::new(HashMap::new()),
-            flights: Mutex::new(HashMap::new()),
+            flights: Mutex::new(Flights {
+                by_key: HashMap::new(),
+                spare: None,
+            }),
         }
     }
 }
@@ -392,22 +412,19 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
 
     /// The read-through path: serve a fresh stored result, join an
     /// identical in-flight fill, or lead a new fill of `fill` —
-    /// recording the decision as a `cache_*` counter always and as a
-    /// span event when a trace is ambient.
+    /// recording the decision as a `cache_*` counter always and, when a
+    /// trace is ambient, as an event on a span named `span_name`
+    /// (`cache:<method>`).
     pub fn get_or_fill(
         &self,
         engine: &CacheEngine,
-        operation: &str,
+        span_name: &'static str,
         key: K,
         fill: impl FnOnce() -> Result<V, ProxyError>,
     ) -> Result<V, ProxyError> {
-        layer_span(
-            &engine.device,
-            "cache",
-            operation,
-            ProxyError::kind,
-            |span| self.get_or_fill_inner(engine, key, fill, span),
-        )
+        layer_span(&engine.device, span_name, ProxyError::kind, |span| {
+            self.get_or_fill_inner(engine, key, fill, span)
+        })
     }
 
     fn get_or_fill_inner(
@@ -462,11 +479,14 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
         }
         let role = {
             let mut flights = self.flights.lock();
-            match flights.get(&key) {
+            match flights.by_key.get(&key) {
                 Some(flight) => Role::Follower(Arc::clone(flight)),
                 None => {
-                    let flight = Arc::new(Flight::new());
-                    flights.insert(key.clone(), Arc::clone(&flight));
+                    let flight = flights
+                        .spare
+                        .take()
+                        .unwrap_or_else(|| Arc::new(Flight::new()));
+                    flights.by_key.insert(key.clone(), Arc::clone(&flight));
                     Role::Leader(flight)
                 }
             }
@@ -479,7 +499,7 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
                 }
                 flight.wait()
             }
-            Role::Leader(flight) => {
+            Role::Leader(mut flight) => {
                 if let Some(s) = span {
                     s.event("cache_miss", now);
                 }
@@ -487,8 +507,14 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
                 // Unpublish before publishing: a caller arriving after
                 // the removal starts a fresh flight instead of joining
                 // a finished one.
-                self.flights.lock().remove(&key);
+                self.flights.lock().by_key.remove(&key);
                 flight.publish(result.clone());
+                // Out of the map, so no new follower can join: when no
+                // follower still holds it, the flight is free to reuse.
+                if let Some(spent) = Arc::get_mut(&mut flight) {
+                    spent.reset();
+                    self.flights.lock().spare = Some(flight);
+                }
                 result
             }
         }
@@ -558,11 +584,11 @@ mod tests {
             fills.fetch_add(1, Ordering::SeqCst);
             Ok(7)
         };
-        assert_eq!(cell.get_or_fill(&engine, "read", (), fill), Ok(7));
-        assert_eq!(cell.get_or_fill(&engine, "read", (), fill), Ok(7));
+        assert_eq!(cell.get_or_fill(&engine, "cache:read", (), fill), Ok(7));
+        assert_eq!(cell.get_or_fill(&engine, "cache:read", (), fill), Ok(7));
         assert_eq!(fills.load(Ordering::SeqCst), 1, "second read served hot");
         device.advance_ms(1_001);
-        assert_eq!(cell.get_or_fill(&engine, "read", (), fill), Ok(7));
+        assert_eq!(cell.get_or_fill(&engine, "cache:read", (), fill), Ok(7));
         assert_eq!(fills.load(Ordering::SeqCst), 2, "expired entry refilled");
         let snap = engine.metrics().snapshot();
         assert_eq!((snap.hit, snap.miss), (1, 2));
@@ -580,7 +606,7 @@ mod tests {
             Ok(1)
         };
         for _ in 0..3 {
-            assert!(cell.get_or_fill(&engine, "read", (), fill).is_ok());
+            assert!(cell.get_or_fill(&engine, "cache:read", (), fill).is_ok());
         }
         assert_eq!(fills.load(Ordering::SeqCst), 3);
         assert_eq!(engine.metrics().snapshot().hit, 0);
@@ -597,7 +623,7 @@ mod tests {
             Err(ProxyError::new(ProxyErrorKind::Unavailable, "no fix"))
         };
         for _ in 0..2 {
-            assert!(cell.get_or_fill(&engine, "read", (), fill).is_err());
+            assert!(cell.get_or_fill(&engine, "cache:read", (), fill).is_err());
         }
         assert_eq!(fills.load(Ordering::SeqCst), 2, "each failure re-fills");
         assert!(cell.is_empty());
@@ -613,9 +639,9 @@ mod tests {
             fills.fetch_add(1, Ordering::SeqCst);
             Ok(9)
         };
-        cell.get_or_fill(&engine, "read", (), fill).ok();
+        cell.get_or_fill(&engine, "cache:read", (), fill).ok();
         device.bump_fault_epoch();
-        cell.get_or_fill(&engine, "read", (), fill).ok();
+        cell.get_or_fill(&engine, "cache:read", (), fill).ok();
         assert_eq!(fills.load(Ordering::SeqCst), 2);
         assert_eq!(engine.metrics().snapshot().invalidated, 1);
     }
@@ -637,11 +663,11 @@ mod tests {
             fills.fetch_add(1, Ordering::SeqCst);
             Ok(3)
         };
-        cell.get_or_fill(&engine, "read", (), fill).ok();
-        cell.get_or_fill(&engine, "read", (), fill).ok();
+        cell.get_or_fill(&engine, "cache:read", (), fill).ok();
+        cell.get_or_fill(&engine, "cache:read", (), fill).ok();
         assert_eq!(fills.load(Ordering::SeqCst), 1);
         breaker_epoch.fetch_add(1, Ordering::SeqCst);
-        cell.get_or_fill(&engine, "read", (), fill).ok();
+        cell.get_or_fill(&engine, "cache:read", (), fill).ok();
         assert_eq!(fills.load(Ordering::SeqCst), 2);
         assert_eq!(engine.metrics().snapshot().invalidated, 1);
     }
@@ -652,7 +678,7 @@ mod tests {
         let engine = engine(&device, 60_000);
         let cell: CacheCell<u32, u64> = CacheCell::new();
         for k in 0..3 {
-            cell.get_or_fill(&engine, "read", k, || Ok(u64::from(k)))
+            cell.get_or_fill(&engine, "cache:read", k, || Ok(u64::from(k)))
                 .ok();
         }
         assert_eq!(cell.len(), 3);
@@ -671,13 +697,13 @@ mod tests {
         let engine = engine(&device, 60_000);
         let cell: CacheCell<(), u64> = CacheCell::new();
         let fills = AtomicUsize::new(0);
-        cell.get_or_fill(&engine, "read", (), || {
+        cell.get_or_fill(&engine, "cache:read", (), || {
             fills.fetch_add(1, Ordering::SeqCst);
             device.bump_fault_epoch(); // mutation mid-flight
             Ok(1)
         })
         .ok();
-        cell.get_or_fill(&engine, "read", (), || {
+        cell.get_or_fill(&engine, "cache:read", (), || {
             fills.fetch_add(1, Ordering::SeqCst);
             Ok(2)
         })
@@ -693,47 +719,61 @@ mod tests {
         let fills = Arc::new(AtomicUsize::new(0));
         const FOLLOWERS: usize = 4;
 
-        // The leader's fill spins until every follower has joined the
-        // flight (observable through the coalesced counter), making the
-        // interleaving deterministic: exactly one fill, FOLLOWERS joins.
-        let leader = {
-            let engine = Arc::clone(&engine);
-            let cell = Arc::clone(&cell);
-            let fills = Arc::clone(&fills);
-            std::thread::spawn(move || {
-                cell.get_or_fill(&engine, "read", (), || {
-                    fills.fetch_add(1, Ordering::SeqCst);
-                    while engine.metrics().snapshot().coalesced < FOLLOWERS as u64 {
-                        std::thread::yield_now();
-                    }
-                    Ok(42)
-                })
-            })
-        };
-        while engine.metrics().snapshot().miss == 0 {
-            std::thread::yield_now(); // leader holds the flight
-        }
-        let followers: Vec<_> = (0..FOLLOWERS)
-            .map(|_| {
+        // Round two leads a reused flight: the uncontended miss between
+        // the rounds leaves its finished flight as the cell's spare, and
+        // the followers must see round two's answer, not a stale one.
+        for (round, answer) in [(1, 42), (2, 43)] {
+            let before = engine.metrics().snapshot();
+            // The leader's fill spins until every follower has joined
+            // the flight (observable through the coalesced counter),
+            // making the interleaving deterministic: exactly one fill,
+            // FOLLOWERS joins.
+            let leader = {
                 let engine = Arc::clone(&engine);
                 let cell = Arc::clone(&cell);
                 let fills = Arc::clone(&fills);
                 std::thread::spawn(move || {
-                    cell.get_or_fill(&engine, "read", (), || {
+                    cell.get_or_fill(&engine, "cache:read", (), || {
                         fills.fetch_add(1, Ordering::SeqCst);
-                        Ok(0)
+                        let joined = before.coalesced + FOLLOWERS as u64;
+                        while engine.metrics().snapshot().coalesced < joined {
+                            std::thread::yield_now();
+                        }
+                        Ok(answer)
                     })
                 })
-            })
-            .collect();
-        assert_eq!(leader.join().map_err(|_| "leader panicked"), Ok(Ok(42)));
-        for follower in followers {
-            assert_eq!(follower.join().map_err(|_| "follower panicked"), Ok(Ok(42)));
+            };
+            while engine.metrics().snapshot().miss == before.miss {
+                std::thread::yield_now(); // leader holds the flight
+            }
+            let followers: Vec<_> = (0..FOLLOWERS)
+                .map(|_| {
+                    let engine = Arc::clone(&engine);
+                    let cell = Arc::clone(&cell);
+                    let fills = Arc::clone(&fills);
+                    std::thread::spawn(move || {
+                        cell.get_or_fill(&engine, "cache:read", (), || {
+                            fills.fetch_add(1, Ordering::SeqCst);
+                            Ok(0)
+                        })
+                    })
+                })
+                .collect();
+            let leader = leader.join().map_err(|_| "leader panicked");
+            assert_eq!(leader, Ok(Ok(answer)), "round {round}");
+            for follower in followers {
+                let follower = follower.join().map_err(|_| "follower panicked");
+                assert_eq!(follower, Ok(Ok(answer)), "round {round}");
+            }
+            assert_eq!(fills.swap(0, Ordering::SeqCst), 1, "one binding invocation");
+            let snap = engine.metrics().snapshot();
+            assert_eq!(snap.coalesced - before.coalesced, FOLLOWERS as u64);
+            assert_eq!(snap.miss - before.miss, 1);
+
+            device.advance_ms(60_001);
+            cell.get_or_fill(&engine, "cache:read", (), || Ok(0)).ok();
+            device.advance_ms(60_001);
         }
-        assert_eq!(fills.load(Ordering::SeqCst), 1, "one binding invocation");
-        let snap = engine.metrics().snapshot();
-        assert_eq!(snap.coalesced, FOLLOWERS as u64);
-        assert_eq!(snap.miss, 1);
     }
 
     #[test]
@@ -743,7 +783,7 @@ mod tests {
         let cell: CacheCell<(), u64> = CacheCell::new();
         let fills = AtomicUsize::new(0);
         for _ in 0..2 {
-            cell.get_or_fill(&engine, "read", (), || {
+            cell.get_or_fill(&engine, "cache:read", (), || {
                 fills.fetch_add(1, Ordering::SeqCst);
                 Ok(5)
             })

@@ -627,15 +627,11 @@ impl JournalEngine {
         if self.policy.fsync_latency_ms > 0 {
             self.device.advance_ms(self.policy.fsync_latency_ms);
         }
-        if ambient::is_active() {
-            if let Some(mut span) = ambient::child(
-                "journal:fsync".to_string(),
-                Plane::Resilience,
-                self.device.now_ms(),
-            ) {
-                span.attr("lsn", lsn.to_string());
-                span.end(self.device.now_ms());
-            }
+        if let Some(mut span) =
+            ambient::child("journal:fsync", Plane::Resilience, self.device.now_ms())
+        {
+            span.attr("lsn", lsn.to_string());
+            span.end(self.device.now_ms());
         }
         lsn
     }

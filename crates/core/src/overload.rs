@@ -45,6 +45,7 @@ use mobivine_telemetry::span::ActiveSpan;
 
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::property::{bad_value, knob, PropertyValue};
+use crate::stack::CallMeta;
 use crate::telemetry::{layer_counters, layer_span};
 use crate::types::{HttpResult, Location};
 
@@ -551,17 +552,16 @@ impl OverloadEngine {
     /// Runs `call` under deadline fail-fast, admission control and the
     /// bulkhead, recording every decision as a span event when a trace
     /// is ambient and as an `overload_*` counter always.
-    pub fn execute<T>(
+    pub(crate) fn execute<T>(
         &self,
-        operation: &str,
+        meta: &CallMeta,
         call: &dyn Fn() -> Result<T, ProxyError>,
     ) -> Result<T, ProxyError> {
         layer_span(
             &self.device,
-            "overload",
-            operation,
+            meta.spans.overload,
             ProxyError::kind,
-            |span| self.execute_inner(operation, call, span),
+            |span| self.execute_inner(meta.method, call, span),
         )
     }
 

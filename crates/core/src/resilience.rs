@@ -32,6 +32,7 @@ use mobivine_telemetry::span::ActiveSpan;
 
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::property::{bad_value, knob, PropertyValue};
+use crate::stack::CallMeta;
 use crate::telemetry::{layer_counters, layer_span};
 use crate::types::Location;
 
@@ -410,14 +411,14 @@ impl ResilienceEngine {
     /// circuit transition.
     pub(crate) fn execute<T>(
         &self,
-        operation: &str,
+        meta: &CallMeta,
         call: &dyn Fn() -> Result<T, ProxyError>,
     ) -> Result<T, FailureMode> {
         let kind = |failure: &FailureMode| match failure {
             FailureMode::Degraded(e) | FailureMode::Fatal(e) => e.kind(),
         };
-        layer_span(&self.device, "resilience", operation, kind, |span| {
-            self.execute_inner(operation, call, span)
+        layer_span(&self.device, meta.spans.resilience, kind, |span| {
+            self.execute_inner(meta.method, call, span)
         })
     }
 

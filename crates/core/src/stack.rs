@@ -95,15 +95,20 @@ pub(crate) const ORDER: [Layer; 6] = [
     Layer::TraceBinding,
 ];
 
-/// The static description of one uniform method: its metric labels and
-/// which of its proxy's layers it passes through. Both trace planes see
-/// every method.
+/// The static description of one uniform method: its metric labels,
+/// its span names, and which of its proxy's layers it passes through.
+/// Both trace planes see every method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct CallMeta {
     /// The catalog interface name (`"Location"`) — the `proxy` label.
     pub(crate) proxy: &'static str,
     /// The uniform method name (`"getLocation"`) — the `method` label.
     pub(crate) method: &'static str,
+    /// The method's position in its interface's [`Interface::METHODS`]
+    /// table, where the proxy plane keeps its per-method handles.
+    pub(crate) index: usize,
+    /// The span each layer opens for this method.
+    pub(crate) spans: SpanNames,
     /// Passes through overload and resilience. Bookkeeping on an
     /// existing registration or call is never shed and never retried —
     /// hanging up is how load drains.
@@ -114,23 +119,52 @@ pub(crate) struct CallMeta {
     mutating: bool,
 }
 
-impl CallMeta {
-    /// A method that passes through overload and resilience.
-    const fn gated(proxy: &'static str, method: &'static str) -> Self {
-        Self {
-            proxy,
-            method,
+/// The names of the spans one uniform method opens, one per layer that
+/// traces it. They are fixed at compile time by [`call_meta!`], so
+/// wiring a proxy formats nothing and a traced call copies pointers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SpanNames {
+    /// `proxy:<Proxy>.<method>`, the proxy-plane trace.
+    pub(crate) proxy: &'static str,
+    /// `binding:<Proxy>.<method>`, the binding-plane trace.
+    pub(crate) binding: &'static str,
+    /// `cache:<method>`.
+    pub(crate) cache: &'static str,
+    /// `overload:<method>`.
+    pub(crate) overload: &'static str,
+    /// `resilience:<method>`.
+    pub(crate) resilience: &'static str,
+}
+
+/// The [`CallMeta`] of a gated method sitting at `$index` in its
+/// interface's `METHODS` table, with every span name spelled out at
+/// compile time.
+macro_rules! call_meta {
+    ($index:literal, $proxy:literal, $method:literal) => {
+        CallMeta {
+            proxy: $proxy,
+            method: $method,
+            index: $index,
+            spans: SpanNames {
+                proxy: concat!("proxy:", $proxy, ".", $method),
+                binding: concat!("binding:", $proxy, ".", $method),
+                cache: concat!("cache:", $method),
+                overload: concat!("overload:", $method),
+                resilience: concat!("resilience:", $method),
+            },
             gated: true,
             cached: false,
             mutating: false,
         }
-    }
+    };
+}
 
-    /// A method that bypasses overload and resilience.
-    const fn ungated(proxy: &'static str, method: &'static str) -> Self {
+impl CallMeta {
+    /// The same method, bypassing overload and resilience.
+    const fn ungated(self) -> Self {
         Self {
             gated: false,
-            ..Self::gated(proxy, method)
+            ..self
         }
     }
 
@@ -149,6 +183,21 @@ impl CallMeta {
             ..self
         }
     }
+}
+
+/// An interface's `METHODS` table, checked at compile time: each
+/// method sits at the index its [`CallMeta`] carries, so the proxy
+/// plane's per-method lookup is one bounds-checked index.
+const fn indexed(methods: &'static [CallMeta]) -> &'static [CallMeta] {
+    let mut i = 0;
+    while i < methods.len() {
+        assert!(
+            methods[i].index == i,
+            "a CallMeta's index must be its position in METHODS"
+        );
+        i += 1;
+    }
+    methods
 }
 
 // ---------------------------------------------------------------------
@@ -349,7 +398,7 @@ impl Stack {
         let next = || self.descend(depth + 1, meta, hooks, call);
         match layer {
             Layer::TraceProxy => match &self.trace_proxy {
-                Some(instrument) => instrument.traced(meta.method, next),
+                Some(instrument) => instrument.traced(meta, next),
                 None => next(),
             },
             Layer::Cache => match &self.cache {
@@ -357,9 +406,7 @@ impl Stack {
                 _ => next(),
             },
             Layer::Overload => match &self.overload {
-                Some(engine) if meta.gated => {
-                    hooks.overload(engine, engine.execute(meta.method, &next))
-                }
+                Some(engine) if meta.gated => hooks.overload(engine, engine.execute(meta, &next)),
                 _ => next(),
             },
             Layer::Journal => match &self.journal {
@@ -367,13 +414,11 @@ impl Stack {
                 _ => next(),
             },
             Layer::Resilience => match &self.resilience {
-                Some(engine) if meta.gated => {
-                    hooks.resilience(engine, engine.execute(meta.method, &next))
-                }
+                Some(engine) if meta.gated => hooks.resilience(engine, engine.execute(meta, &next)),
                 _ => next(),
             },
             Layer::TraceBinding => match &self.trace_binding {
-                Some(instrument) => instrument.traced(meta.method, next),
+                Some(instrument) => instrument.traced(meta, next),
                 None => next(),
             },
         }
@@ -468,7 +513,7 @@ struct Keyed<'a, K, V>(&'a CacheCell<K, V>, K);
 impl<K: Eq + Hash + Clone, V: Clone> Hooks<V> for Keyed<'_, K, V> {
     fn cache(&self, engine: &CacheEngine, meta: &CallMeta, fill: Next<V>) -> Reply<V> {
         self.0
-            .get_or_fill(engine, meta.method, self.1.clone(), fill)
+            .get_or_fill(engine, meta.spans.cache, self.1.clone(), fill)
     }
 }
 
@@ -537,13 +582,14 @@ pub(crate) fn wrap<P: ?Sized + Interface>(
 
 // ---- Location ----------------------------------------------------------
 
-const ADD_PROXIMITY_ALERT: CallMeta = CallMeta::gated("Location", "addProximityAlert");
+const ADD_PROXIMITY_ALERT: CallMeta = call_meta!(0, "Location", "addProximityAlert");
 // Local bookkeeping: never shed, never retried.
-const REMOVE_PROXIMITY_ALERT: CallMeta = CallMeta::ungated("Location", "removeProximityAlert");
-const GET_LOCATION: CallMeta = CallMeta::gated("Location", "getLocation").cached();
+const REMOVE_PROXIMITY_ALERT: CallMeta =
+    call_meta!(1, "Location", "removeProximityAlert").ungated();
+const GET_LOCATION: CallMeta = call_meta!(2, "Location", "getLocation").cached();
 // The power ledger is monotonic: caching the pair would serve stale
 // energy figures, so the multi-read always goes through.
-const GET_LOCATION_WITH_POWER: CallMeta = CallMeta::gated("Location", "getLocationWithPower");
+const GET_LOCATION_WITH_POWER: CallMeta = call_meta!(3, "Location", "getLocationWithPower");
 
 /// Per-proxy state of the Location hooks: the `getLocation` cache cell
 /// and the two last-fix memories.
@@ -592,7 +638,7 @@ impl Fix for Location {
         meta: &CallMeta,
         fill: Next<Self>,
     ) -> Reply<Self> {
-        memo.cell.get_or_fill(engine, meta.method, (), fill)
+        memo.cell.get_or_fill(engine, meta.spans.cache, (), fill)
     }
 }
 
@@ -637,12 +683,12 @@ impl<T: Fix> Hooks<T> for LocationMemo {
 }
 
 impl Interface for dyn LocationProxy {
-    const METHODS: &'static [CallMeta] = &[
+    const METHODS: &'static [CallMeta] = indexed(&[
         ADD_PROXIMITY_ALERT,
         REMOVE_PROXIMITY_ALERT,
         GET_LOCATION,
         GET_LOCATION_WITH_POWER,
-    ];
+    ]);
     type Memo = LocationMemo;
 
     fn erase(layered: Layered<Self>) -> Arc<Self> {
@@ -691,7 +737,7 @@ impl LocationProxy for Layered<dyn LocationProxy> {
 
 // ---- SMS ---------------------------------------------------------------
 
-const SEND_TEXT_MESSAGE: CallMeta = CallMeta::gated("SMS", "sendTextMessage").mutating();
+const SEND_TEXT_MESSAGE: CallMeta = call_meta!(0, "SMS", "sendTextMessage").mutating();
 
 /// The SMS journal hook: one intent per logical send, and a duplicate
 /// delivery (same ambient idempotency key) answered with the memoized
@@ -720,7 +766,7 @@ impl Hooks<u64> for SendText<'_> {
 }
 
 impl Interface for dyn SmsProxy {
-    const METHODS: &'static [CallMeta] = &[SEND_TEXT_MESSAGE];
+    const METHODS: &'static [CallMeta] = indexed(&[SEND_TEXT_MESSAGE]);
     type Memo = ();
 
     fn erase(layered: Layered<Self>) -> Arc<Self> {
@@ -745,13 +791,13 @@ impl SmsProxy for Layered<dyn SmsProxy> {
 
 // ---- Call --------------------------------------------------------------
 
-const MAKE_A_CALL: CallMeta = CallMeta::gated("Call", "makeACall");
+const MAKE_A_CALL: CallMeta = call_meta!(0, "Call", "makeACall");
 // Both refer to an existing call id and must always go through.
-const CALL_PROGRESS: CallMeta = CallMeta::ungated("Call", "callProgress");
-const END_CALL: CallMeta = CallMeta::ungated("Call", "endCall");
+const CALL_PROGRESS: CallMeta = call_meta!(1, "Call", "callProgress").ungated();
+const END_CALL: CallMeta = call_meta!(2, "Call", "endCall").ungated();
 
 impl Interface for dyn CallProxy {
-    const METHODS: &'static [CallMeta] = &[MAKE_A_CALL, CALL_PROGRESS, END_CALL];
+    const METHODS: &'static [CallMeta] = indexed(&[MAKE_A_CALL, CALL_PROGRESS, END_CALL]);
     type Memo = ();
 
     fn erase(layered: Layered<Self>) -> Arc<Self> {
@@ -778,7 +824,7 @@ impl CallProxy for Layered<dyn CallProxy> {
 
 // ---- HTTP --------------------------------------------------------------
 
-const REQUEST: CallMeta = CallMeta::gated("Http", "request").mutating();
+const REQUEST: CallMeta = call_meta!(0, "Http", "request").mutating();
 
 /// The HTTP hooks of one request: the droppable-path degrade and the
 /// submit intent, both keyed by the URL the caller asked for.
@@ -806,7 +852,7 @@ impl Hooks<HttpResult> for Submit<'_> {
 }
 
 impl Interface for dyn HttpProxy {
-    const METHODS: &'static [CallMeta] = &[REQUEST];
+    const METHODS: &'static [CallMeta] = indexed(&[REQUEST]);
     type Memo = Mutex<Option<String>>;
 
     fn erase(layered: Layered<Self>) -> Arc<Self> {
@@ -857,11 +903,13 @@ impl HttpProxy for Layered<dyn HttpProxy> {
 
 // ---- PIM extensions ----------------------------------------------------
 
-const FIND_CONTACTS: CallMeta = CallMeta::ungated("Contacts", "findContacts").cached();
-const ENTRIES_BETWEEN: CallMeta = CallMeta::ungated("Calendar", "entriesBetween").cached();
+const FIND_CONTACTS: CallMeta = call_meta!(0, "Contacts", "findContacts").ungated().cached();
+const ENTRIES_BETWEEN: CallMeta = call_meta!(0, "Calendar", "entriesBetween")
+    .ungated()
+    .cached();
 
 impl Interface for dyn ContactsProxy {
-    const METHODS: &'static [CallMeta] = &[FIND_CONTACTS];
+    const METHODS: &'static [CallMeta] = indexed(&[FIND_CONTACTS]);
     type Memo = CacheCell<String, Vec<ContactRecord>>;
 
     fn erase(layered: Layered<Self>) -> Arc<Self> {
@@ -882,7 +930,7 @@ impl ContactsProxy for Layered<dyn ContactsProxy> {
 }
 
 impl Interface for dyn CalendarProxy {
-    const METHODS: &'static [CallMeta] = &[ENTRIES_BETWEEN];
+    const METHODS: &'static [CallMeta] = indexed(&[ENTRIES_BETWEEN]);
     type Memo = CacheCell<(u64, u64), Vec<CalendarRecord>>;
 
     fn erase(layered: Layered<Self>) -> Arc<Self> {

@@ -24,14 +24,21 @@
 //! `(proxy, method, platform)`.
 //!
 //! **The per-call path performs no heap allocation and takes no global
-//! lock.** Everything string-shaped is resolved once, when the stack is
-//! built (proxy resolution after `Mobivine::with_telemetry`): each method
-//! gets a pre-formatted [`SpanName`] and — at the proxy plane — a
-//! [`CallInstruments`] bundle of pre-resolved counter/histogram
-//! handles. A traced call is then: clone two `Arc` span names, two or
-//! three atomic increments, one histogram bucket add, and a record
-//! moved into a per-thread span ring. `Labels::call` must never appear
-//! inside the per-call methods (CI greps for it); it belongs in
+//! lock** — with the middle layers on too. Span names form a static
+//! vocabulary: each method's `CallMeta` constant (the `stack` module's
+//! `call_meta!`) spells out its `proxy:`/`binding:<Proxy>.<method>` and
+//! `<layer>:<method>` names at compile time, so neither wiring nor a
+//! call formats one, and `layer_span` and the trace planes copy a
+//! `&'static str`. The built-in platforms' `platform` attribute is a
+//! static symbol, span events are static and stored inline, and error
+//! kinds map to static names through `kind_name`. What is resolved at
+//! wiring time (proxy resolution after `Mobivine::with_telemetry`) is
+//! the proxy plane's [`CallInstruments`] bundle of counter/histogram
+//! handles, one per method, found per call by the `CallMeta`'s index. A
+//! traced call is then: one ambient frame per span, two or three atomic
+//! increments, one histogram bucket add, and a record moved into a
+//! per-thread span ring. `Labels::call` must never appear inside the
+//! per-call methods (CI greps for it); it belongs in
 //! [`CallInstruments::resolve`] alone.
 //!
 //! The proxy plane also closes the incident-debugging loop: it stamps
@@ -218,24 +225,17 @@ macro_rules! layer_counters {
 }
 pub(crate) use layer_counters;
 
-/// Runs one middle layer's work for `operation` inside a
-/// `<layer>:<operation>` child span at the resilience plane, when a
-/// trace is ambient; the span carries the error kind of a failure.
-/// `is_active` is checked first, so an untraced call skips the name
-/// `format!` and stays allocation-free.
+/// Runs one middle layer's work inside a child span named `name` (a
+/// `<layer>:<method>` name from the method's [`CallMeta`]) at the
+/// resilience plane, when a trace is ambient; the span carries the error
+/// kind of a failure.
 pub(crate) fn layer_span<T, E>(
     device: &Device,
-    layer: &str,
-    operation: &str,
+    name: &'static str,
     kind: impl Fn(&E) -> ProxyErrorKind,
     work: impl FnOnce(Option<&mut ActiveSpan>) -> Result<T, E>,
 ) -> Result<T, E> {
-    let mut span = ambient::is_active()
-        .then(|| {
-            let name = format!("{layer}:{operation}");
-            ambient::child(name, Plane::Resilience, device.now_ms())
-        })
-        .flatten();
+    let mut span = ambient::child(name, Plane::Resilience, device.now_ms());
     let result = work(span.as_mut());
     if let Some(mut span) = span {
         if let Err(e) = &result {
@@ -244,6 +244,18 @@ pub(crate) fn layer_span<T, E>(
         span.end(device.now_ms());
     }
     result
+}
+
+/// The span `platform` attribute of a platform id: the built-in
+/// platforms' ids are static symbols; a custom platform's is copied
+/// once, at wiring time.
+fn platform_symbol(platform: &str) -> SpanName {
+    match platform {
+        "android" => SpanName::Static("android"),
+        "s60" => SpanName::Static("s60"),
+        "android-webview" => SpanName::Static("android-webview"),
+        custom => SpanName::from(custom.to_owned()),
+    }
 }
 
 /// The static name of an error kind, for the span `error` attribute.
@@ -295,26 +307,27 @@ impl CallInstruments {
     }
 }
 
-/// One method's wiring-time state: its pre-formatted span name and, at
-/// the proxy plane, its metric handles and the SLO recorder feeding
-/// whichever declared objectives watch this `(proxy, method,
-/// platform)` series.
+/// One method's proxy-plane state: its metric handles and the SLO
+/// recorder feeding whichever declared objectives watch this `(proxy,
+/// method, platform)` series.
 struct MethodInstrument {
-    method: &'static str,
-    span_name: SpanName,
-    instruments: Option<CallInstruments>,
+    instruments: CallInstruments,
     slo: Option<SloRecorder>,
 }
 
 /// One proxy's instrumentation kit at one plane — a trace layer of its
-/// layer stack: where to time, trace and count. All names and
-/// handles are resolved in [`Instrument::new`]; the per-call
-/// [`Instrument::traced`] only copies symbols and bumps atomics.
+/// layer stack: where to time, trace and count. Span names come
+/// pre-spelled in each [`CallMeta`] and handles are resolved in
+/// [`Instrument::new`]; the per-call [`Instrument::traced`] only copies
+/// symbols and bumps atomics.
 pub(crate) struct Instrument {
     device: Device,
     tracer: Tracer,
     plane: Plane,
     platform: SpanName,
+    /// The proxy plane's per-method state, indexed by
+    /// [`CallMeta::index`]; empty at the binding plane, which only
+    /// traces.
     methods: Vec<MethodInstrument>,
 }
 
@@ -326,34 +339,33 @@ impl Instrument {
         methods: &[CallMeta],
         platform: &str,
     ) -> Self {
-        let methods = methods
-            .iter()
-            .map(|&CallMeta { proxy, method, .. }| MethodInstrument {
-                method,
-                span_name: SpanName::from(format!("{plane}:{proxy}.{method}")),
-                instruments: (plane == Plane::Proxy)
-                    .then(|| CallInstruments::resolve(&runtime.metrics, proxy, method, platform)),
-                slo: (plane == Plane::Proxy)
-                    .then_some(runtime.slo.as_ref())
-                    .flatten()
-                    .map(|engine| engine.recorder(proxy, method, platform))
-                    .filter(|recorder| !recorder.is_empty()),
-            })
-            .collect();
+        let methods = if plane == Plane::Proxy {
+            methods
+                .iter()
+                .map(|&CallMeta { proxy, method, .. }| MethodInstrument {
+                    instruments: CallInstruments::resolve(
+                        &runtime.metrics,
+                        proxy,
+                        method,
+                        platform,
+                    ),
+                    slo: runtime
+                        .slo
+                        .as_ref()
+                        .map(|engine| engine.recorder(proxy, method, platform))
+                        .filter(|recorder| !recorder.is_empty()),
+                })
+                .collect()
+        } else {
+            Vec::new()
+        };
         Self {
             device,
             tracer: runtime.tracer.clone(),
             plane,
-            platform: SpanName::from(platform.to_owned()),
+            platform: platform_symbol(platform),
             methods,
         }
-    }
-
-    fn method(&self, method: &'static str) -> &MethodInstrument {
-        self.methods
-            .iter()
-            .find(|m| m.method == method)
-            .expect("method listed in the interface's CallMeta table")
     }
 
     /// Runs one proxy call inside a span; the proxy plane additionally
@@ -368,20 +380,24 @@ impl Instrument {
     /// latency bucket as an exemplar.
     pub(crate) fn traced<T>(
         &self,
-        method: &'static str,
+        meta: &CallMeta,
         call: impl FnOnce() -> Result<T, ProxyError>,
     ) -> Result<T, ProxyError> {
-        let entry = self.method(method);
+        let name = match self.plane {
+            Plane::Proxy => meta.spans.proxy,
+            _ => meta.spans.binding,
+        };
+        let entry = self.methods.get(meta.index);
         let now = self.device.now_ms();
-        let mut span = ambient::child(entry.span_name.clone(), self.plane, now)
-            .unwrap_or_else(|| self.tracer.root(entry.span_name.clone(), self.plane, now));
+        let mut span = ambient::child(name, self.plane, now)
+            .unwrap_or_else(|| self.tracer.root(name, self.plane, now));
         span.attr("platform", self.platform.clone());
         let result = call();
         let end = self.device.now_ms();
         if let Err(e) = &result {
             span.attr("error", kind_name(e.kind()));
         }
-        if entry.instruments.is_some() {
+        if entry.is_some() {
             if let Some(deadline) = crate::overload::current_deadline() {
                 if end > deadline.expires_at_ms() {
                     span.attr("deadline", "blown");
@@ -389,7 +405,7 @@ impl Instrument {
             }
         }
         span.end(end);
-        if let Some(instruments) = &entry.instruments {
+        if let Some(MethodInstrument { instruments, slo }) = entry {
             instruments.calls.inc();
             if result.is_err() {
                 instruments.errors.inc();
@@ -399,7 +415,7 @@ impl Instrument {
             if let Some(trace_id) = take_promotion(&self.tracer) {
                 instruments.latency.attach_exemplar(latency, trace_id);
             }
-            if let Some(slo) = &entry.slo {
+            if let Some(slo) = slo {
                 slo.record(end, result.is_ok(), latency);
             }
         }
@@ -434,6 +450,20 @@ mod tests {
         Instrument::new(device, telemetry, plane, methods, platform)
     }
 
+    /// The static description of `method` on the interface whose
+    /// table is `methods`.
+    fn meta(methods: &'static [CallMeta], method: &str) -> &'static CallMeta {
+        methods.iter().find(|m| m.method == method).unwrap()
+    }
+
+    fn get_location() -> &'static CallMeta {
+        meta(<dyn LocationProxy as Interface>::METHODS, "getLocation")
+    }
+
+    fn request() -> &'static CallMeta {
+        meta(<dyn HttpProxy as Interface>::METHODS, "request")
+    }
+
     fn fix() -> Result<Location, ProxyError> {
         Ok(Location::default())
     }
@@ -446,7 +476,7 @@ mod tests {
     fn proxy_plane_records_span_and_metrics() {
         let (device, telemetry) = runtime();
         let proxy = location(device, &telemetry, Plane::Proxy, "android");
-        proxy.traced("getLocation", fix).unwrap();
+        proxy.traced(get_location(), fix).unwrap();
         let spans = telemetry.tracer().finished();
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].name, "proxy:Location.getLocation");
@@ -481,7 +511,7 @@ mod tests {
             0
         );
         for _ in 0..3 {
-            proxy.traced("getLocation", fix).unwrap();
+            proxy.traced(get_location(), fix).unwrap();
         }
         assert_eq!(
             telemetry
@@ -497,7 +527,7 @@ mod tests {
         let binding = location(device.clone(), &telemetry, Plane::Binding, "s60");
         let proxy = location(device, &telemetry, Plane::Proxy, "s60");
         proxy
-            .traced("getLocation", || binding.traced("getLocation", fix))
+            .traced(get_location(), || binding.traced(get_location(), fix))
             .unwrap();
         let spans = telemetry.tracer().finished();
         assert_eq!(spans.len(), 2);
@@ -523,7 +553,7 @@ mod tests {
         let (device, telemetry) = runtime();
         let methods = <dyn HttpProxy as Interface>::METHODS;
         let proxy = Instrument::new(device, &telemetry, Plane::Proxy, methods, "android");
-        assert!(proxy.traced("request", down).is_err());
+        assert!(proxy.traced(request(), down).is_err());
         let labels = Labels::call("Http", "request", "android");
         assert_eq!(
             telemetry
@@ -569,7 +599,7 @@ mod tests {
             fix()
         };
         let deadline = crate::overload::Deadline::after(device.now_ms(), 10);
-        crate::overload::with_deadline(deadline, || proxy.traced("getLocation", slow).unwrap());
+        crate::overload::with_deadline(deadline, || proxy.traced(get_location(), slow).unwrap());
 
         let spans = telemetry.tracer().finished();
         assert!(spans[0]
@@ -598,7 +628,7 @@ mod tests {
         let (device, telemetry) = runtime();
         let proxy = location(device.clone(), &telemetry, Plane::Proxy, "android");
         let deadline = crate::overload::Deadline::after(device.now_ms(), 100);
-        crate::overload::with_deadline(deadline, || proxy.traced("getLocation", fix).unwrap());
+        crate::overload::with_deadline(deadline, || proxy.traced(get_location(), fix).unwrap());
         assert!(telemetry.incidents().unwrap().is_empty());
         let labels = Labels::call("Location", "getLocation", "android");
         assert!(telemetry
@@ -637,7 +667,7 @@ mod tests {
             TelemetryRuntime::new(Arc::clone(device.metrics())).with_slo(Arc::clone(&engine));
         let proxy = location(device.clone(), &telemetry, Plane::Proxy, "android");
         for _ in 0..5 {
-            proxy.traced("getLocation", fix).unwrap();
+            proxy.traced(get_location(), fix).unwrap();
         }
         let report = engine.report(device.now_ms());
         let status = &report.statuses[0];
@@ -658,7 +688,7 @@ mod tests {
         let (device, telemetry) = runtime();
         let methods = <dyn HttpProxy as Interface>::METHODS;
         let proxy = Instrument::new(device, &telemetry, Plane::Proxy, methods, "android");
-        assert!(proxy.traced("request", down).is_err());
+        assert!(proxy.traced(request(), down).is_err());
         let store = telemetry.incidents().unwrap();
         assert_eq!(store.promoted_total(), 1);
         assert!(matches!(&store.traces()[0].reason, PromotionReason::Error(kind) if kind == "Io"));
@@ -675,7 +705,7 @@ mod tests {
     fn exported_trace_round_trips() {
         let (device, telemetry) = runtime();
         let proxy = location(device, &telemetry, Plane::Proxy, "android");
-        proxy.traced("getLocation", fix).unwrap();
+        proxy.traced(get_location(), fix).unwrap();
         let json = chrome_trace_json(&telemetry.tracer().finished());
         validate_chrome_trace(&json).expect("valid chrome trace");
     }

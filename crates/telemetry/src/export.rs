@@ -68,9 +68,9 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> String {
             ("tid".to_owned(), Value::Number(span.trace_id.0 as f64)),
             ("args".to_owned(), span_args(span)),
         ]));
-        for event in &span.events {
+        for event in span.events.iter() {
             events.push(Value::Object(vec![
-                ("name".to_owned(), Value::String(event.name.clone())),
+                ("name".to_owned(), Value::String(event.name.to_owned())),
                 ("cat".to_owned(), Value::String(span.plane.to_string())),
                 ("ph".to_owned(), Value::String("i".to_owned())),
                 ("ts".to_owned(), Value::Number(event.at_ms as f64 * 1000.0)),

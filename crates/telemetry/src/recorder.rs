@@ -38,8 +38,9 @@ pub const DEFAULT_INCIDENT_CAPACITY: usize = 1024;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PromotionReason {
     /// The root span recorded an `error` attribute; the payload is the
-    /// error-kind name (e.g. `Overloaded`, `DeadlineExceeded`).
-    Error(String),
+    /// error-kind name (e.g. `Overloaded`, `DeadlineExceeded`), carried
+    /// as the attribute's own symbol so promotion copies no string.
+    Error(SpanName),
     /// The call completed past its propagated deadline budget
     /// (`deadline=blown` on the root span).
     DeadlineBlown,
@@ -65,7 +66,7 @@ impl PromotionReason {
     /// Human-readable label for reports.
     pub fn label(&self) -> &str {
         match self {
-            PromotionReason::Error(kind) => kind,
+            PromotionReason::Error(kind) => kind.as_str(),
             PromotionReason::DeadlineBlown => "deadline_blown",
             PromotionReason::SlowCall { .. } => "slow_call",
         }
@@ -146,8 +147,8 @@ impl PromotionPolicy {
             return Some(PromotionReason::DeadlineBlown);
         }
         if self.promote_errors {
-            if let Some(kind) = root.attrs.get("error") {
-                return Some(PromotionReason::Error(kind.to_owned()));
+            if let Some(kind) = root.attrs.get_name("error") {
+                return Some(PromotionReason::Error(kind.clone()));
             }
         }
         let name = root.name.as_str();

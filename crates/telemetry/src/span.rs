@@ -12,9 +12,10 @@
 //!
 //! The recording path is allocation-free after warm-up: span names are
 //! [`SpanName`] symbols (a `&'static str` or a shared `Arc<str>`
-//! resolved once at wiring time), attributes live inline in an
-//! [`AttrList`] until they overflow, and a finished record is **moved**
-//! into a per-thread bounded sink — there is no global
+//! resolved once at wiring time), events are `&'static str`, attributes
+//! and events live inline in an [`InlineList`] until they overflow, each
+//! open span's ambient frame owns its one tracer handle, and a finished
+//! record is **moved** into a per-thread bounded sink — there is no global
 //! `Mutex<Vec<_>>` that every worker thread serialises through. Each
 //! sink is a **flight-recorder ring**: it pre-allocates its full
 //! retention capacity on creation and, once full, overwrites the
@@ -39,6 +40,8 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -176,74 +179,118 @@ impl From<Arc<str>> for SpanName {
     }
 }
 
-/// How many attributes a span stores without touching the heap. Proxy
-/// and platform spans carry one or two (`platform`, plus `error` or
-/// `provider`); only the chatty device/net spans overflow.
-const INLINE_ATTRS: usize = 2;
+/// How many entries a span's attribute and event lists store without
+/// touching the heap. Proxy and platform spans carry one or two
+/// attributes (`platform`, plus `error` or `provider`) and layer spans
+/// one or two events (`cache_hit`, `admitted`, `attempt`); only the
+/// chatty device/net spans and retried calls overflow.
+const INLINE: usize = 2;
+
+/// An append-only list whose first two entries live inline; the
+/// rest spill to a `Vec`. Pushing into a list that has not spilled never
+/// allocates.
+#[derive(Clone, Debug)]
+pub struct InlineList<T> {
+    inline: [Option<T>; INLINE],
+    overflow: Vec<T>,
+}
+
+impl<T> Default for InlineList<T> {
+    fn default() -> Self {
+        Self {
+            inline: [None, None],
+            overflow: Vec::new(),
+        }
+    }
+}
+
+impl<T> InlineList<T> {
+    /// Appends an entry.
+    pub fn push(&mut self, item: T) {
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some(item),
+            None => self.overflow.push(item),
+        }
+    }
+
+    /// Iterates the entries in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &T> + '_ {
+        self.inline.iter().flatten().chain(self.overflow.iter())
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.inline.iter().flatten().count() + self.overflow.len()
+    }
+
+    /// Whether there are no entries.
+    pub fn is_empty(&self) -> bool {
+        self.inline[0].is_none()
+    }
+}
+
+impl<T: PartialEq> PartialEq for InlineList<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
 
 /// Key/value annotations with inline storage for the common case.
 /// Keys are `&'static str` (attribute vocabularies are fixed at
 /// compile time); values are [`SpanName`]s so static values cost
 /// nothing and dynamic ones are a moved allocation, never a copy.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct AttrList {
-    inline: [Option<(&'static str, SpanName)>; INLINE_ATTRS],
-    overflow: Vec<(&'static str, SpanName)>,
+    entries: InlineList<(&'static str, SpanName)>,
 }
 
 impl AttrList {
     /// Appends an annotation (duplicates are kept, like the previous
     /// `Vec<(String, String)>` representation).
     pub fn push(&mut self, key: &'static str, value: SpanName) {
-        for slot in &mut self.inline {
-            if slot.is_none() {
-                *slot = Some((key, value));
-                return;
-            }
-        }
-        self.overflow.push((key, value));
+        self.entries.push((key, value));
     }
 
     /// Iterates `(key, value)` in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &str)> + '_ {
-        self.inline
-            .iter()
-            .filter_map(|slot| slot.as_ref())
-            .chain(self.overflow.iter())
-            .map(|(k, v)| (*k, v.as_str()))
+        self.entries.iter().map(|(k, v)| (*k, v.as_str()))
     }
 
     /// The first value recorded under `key`, if any.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
+        self.get_name(key).map(SpanName::as_str)
+    }
+
+    /// The first value recorded under `key` as the stored symbol, so a
+    /// caller keeping it clones a pointer, not the string.
+    pub fn get_name(&self, key: &str) -> Option<&SpanName> {
+        self.entries.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     /// Number of annotations.
     pub fn len(&self) -> usize {
-        self.inline.iter().filter(|slot| slot.is_some()).count() + self.overflow.len()
+        self.entries.len()
     }
 
     /// Whether there are no annotations.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl PartialEq for AttrList {
-    fn eq(&self, other: &Self) -> bool {
-        self.iter().eq(other.iter())
+        self.entries.is_empty()
     }
 }
 
 /// A point-in-time annotation inside a span (a retry, a circuit
-/// transition, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// transition, …). Event vocabularies are fixed at compile time, so
+/// recording one copies a pointer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
     /// What happened.
-    pub name: String,
+    pub name: &'static str,
     /// When it happened, in virtual milliseconds.
     pub at_ms: u64,
 }
+
+/// A span's events: the first two inline, the rest spilled.
+pub type EventList = InlineList<SpanEvent>;
 
 /// A finished span.
 #[derive(Debug, Clone, PartialEq)]
@@ -263,7 +310,7 @@ pub struct SpanRecord {
     /// End, in virtual milliseconds (`>= start_ms`).
     pub end_ms: u64,
     /// Point events recorded while the span was open.
-    pub events: Vec<SpanEvent>,
+    pub events: EventList,
     /// Key/value annotations.
     pub attrs: AttrList,
 }
@@ -357,11 +404,36 @@ struct TracerInner {
 
 static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
 
+/// Hashes a tracer id with one multiply (Fibonacci hashing). Tracer ids
+/// are sequential and process-local, so SipHash's flooding resistance
+/// buys nothing on a lookup every span pays; the multiply spreads the
+/// id over the high bits the table probes with.
+#[derive(Default)]
+struct TracerIdHasher(u64);
+
+impl Hasher for TracerIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(*byte));
+        }
+    }
+
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type SinkTable = HashMap<u64, Arc<SpanSink>, BuildHasherDefault<TracerIdHasher>>;
+
 thread_local! {
     /// This thread's sink per tracer id. An entry appears the first
     /// time a thread files a span for a tracer and lives for the
     /// thread's lifetime.
-    static LOCAL_SINKS: RefCell<HashMap<u64, Arc<SpanSink>>> = RefCell::new(HashMap::new());
+    static LOCAL_SINKS: RefCell<SinkTable> = RefCell::new(SinkTable::default());
 }
 
 /// Mints spans and collects the finished records.
@@ -509,23 +581,9 @@ impl Tracer {
         now_ms: u64,
     ) -> ActiveSpan {
         let span_id = SpanId(self.fresh_id());
-        let record = SpanRecord {
-            trace_id,
-            span_id,
-            parent_id,
-            name,
-            plane,
-            start_ms: now_ms,
-            end_ms: now_ms,
-            events: Vec::new(),
-            attrs: AttrList::default(),
-        };
-        let span = ActiveSpan {
-            tracer: self.clone(),
-            record: Some(record),
-        };
-        ambient::push(self.clone(), span.context());
-        span
+        let ctx = TraceContext { trace_id, span_id };
+        ambient::push(self.clone(), ctx);
+        ActiveSpan::open(ctx, parent_id, name, plane, now_ms)
     }
 
     /// Moves a finished record into this thread's ring for this
@@ -606,14 +664,43 @@ impl Tracer {
 /// An open span. Finish it with [`ActiveSpan::end`]; dropping an
 /// unfinished span closes it at its start time (zero duration) so the
 /// record and the ambient stack stay consistent on early returns.
+///
+/// The span's tracer handle lives in its ambient stack frame, which is
+/// thread-local, so a span is closed on the thread that opened it (it
+/// is not `Send`).
 pub struct ActiveSpan {
-    tracer: Tracer,
     /// `Some` while open; `finish` moves the record out into the sink,
     /// so closing a span copies nothing.
     record: Option<SpanRecord>,
+    _same_thread: PhantomData<*const ()>,
 }
 
 impl ActiveSpan {
+    /// A span opened under `ctx` whose frame is already on the ambient
+    /// stack.
+    fn open(
+        ctx: TraceContext,
+        parent_id: Option<SpanId>,
+        name: SpanName,
+        plane: Plane,
+        now_ms: u64,
+    ) -> Self {
+        Self {
+            record: Some(SpanRecord {
+                trace_id: ctx.trace_id,
+                span_id: ctx.span_id,
+                parent_id,
+                name,
+                plane,
+                start_ms: now_ms,
+                end_ms: now_ms,
+                events: EventList::default(),
+                attrs: AttrList::default(),
+            }),
+            _same_thread: PhantomData,
+        }
+    }
+
     /// The open record. Infallible by construction: `record` is `Some`
     /// from `Tracer::span` until `finish`, and `finish` is reachable
     /// only through `end(self)` (which consumes the span) or `Drop` —
@@ -637,11 +724,8 @@ impl ActiveSpan {
     }
 
     /// Records a point event at `at_ms` virtual time.
-    pub fn event(&mut self, name: &str, at_ms: u64) {
-        self.record_mut().events.push(SpanEvent {
-            name: name.to_owned(),
-            at_ms,
-        });
+    pub fn event(&mut self, name: &'static str, at_ms: u64) {
+        self.record_mut().events.push(SpanEvent { name, at_ms });
     }
 
     /// Attaches (or appends) a key/value annotation. Static values are
@@ -662,8 +746,9 @@ impl ActiveSpan {
             return;
         };
         record.end_ms = now_ms.max(record.start_ms);
-        ambient::pop(record.span_id);
-        self.tracer.file(record);
+        if let Some(tracer) = ambient::pop(record.span_id) {
+            tracer.file(record);
+        }
     }
 }
 
@@ -679,43 +764,74 @@ impl Drop for ActiveSpan {
 /// The ambient span stack: implicit parenting for layers that are not
 /// telemetry-aware in their signatures.
 pub mod ambient {
-    use super::{ActiveSpan, Plane, SpanName, Tracer};
+    use super::{ActiveSpan, Plane, SpanId, SpanName, Tracer};
     use crate::context::TraceContext;
 
+    /// One open span: its context and the handle of the tracer it files
+    /// into — the only tracer handle the span holds.
+    struct Frame {
+        tracer: Tracer,
+        ctx: TraceContext,
+    }
+
     thread_local! {
-        static STACK: std::cell::RefCell<Vec<(Tracer, TraceContext)>> =
+        static STACK: std::cell::RefCell<Vec<Frame>> =
             const { std::cell::RefCell::new(Vec::new()) };
     }
 
     pub(super) fn push(tracer: Tracer, ctx: TraceContext) {
-        STACK.with(|stack| stack.borrow_mut().push((tracer, ctx)));
+        STACK.with(|stack| stack.borrow_mut().push(Frame { tracer, ctx }));
     }
 
-    pub(super) fn pop(span_id: super::SpanId) {
+    /// Removes the frame of `span_id`, handing back its tracer.
+    pub(super) fn pop(span_id: SpanId) -> Option<Tracer> {
         STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // LIFO in the common case; scan back for robustness when
             // spans end out of order.
-            if let Some(idx) = stack.iter().rposition(|(_, ctx)| ctx.span_id == span_id) {
-                stack.remove(idx);
+            if stack.last()?.ctx.span_id == span_id {
+                return stack.pop().map(|frame| frame.tracer);
             }
-        });
+            let idx = stack
+                .iter()
+                .rposition(|frame| frame.ctx.span_id == span_id)?;
+            Some(stack.remove(idx).tracer)
+        })
     }
 
     /// The innermost open span's context on this thread, if any.
     pub fn current() -> Option<TraceContext> {
-        STACK.with(|stack| stack.borrow().last().map(|(_, ctx)| *ctx))
+        STACK.with(|stack| stack.borrow().last().map(|frame| frame.ctx))
     }
 
-    /// Whether any span is open on this thread. Lets callers skip
-    /// building a dynamic span name (a `format!`) when it would go
-    /// nowhere.
-    pub fn is_active() -> bool {
-        STACK.with(|stack| !stack.borrow().is_empty())
-    }
-
-    fn top() -> Option<(Tracer, TraceContext)> {
-        STACK.with(|stack| stack.borrow().last().cloned())
+    /// Opens a span under `parent` (the innermost open span's context
+    /// when `None`) in the innermost open span's tracer, all under one
+    /// borrow of the stack.
+    fn open(
+        parent: Option<TraceContext>,
+        name: impl Into<SpanName>,
+        plane: Plane,
+        now_ms: u64,
+    ) -> Option<ActiveSpan> {
+        STACK.with(|stack| {
+            let mut stack = stack.borrow_mut();
+            let top = stack.last()?;
+            let parent = parent.unwrap_or(top.ctx);
+            let tracer = top.tracer.clone();
+            let ctx = TraceContext {
+                trace_id: parent.trace_id,
+                span_id: SpanId(tracer.fresh_id()),
+            };
+            stack.push(Frame { tracer, ctx });
+            drop(stack);
+            Some(ActiveSpan::open(
+                ctx,
+                Some(parent.span_id),
+                name.into(),
+                plane,
+                now_ms,
+            ))
+        })
     }
 
     /// Opens a child of the innermost open span, using its tracer.
@@ -723,8 +839,7 @@ pub mod ambient {
     /// instrumented code paths are free when telemetry is off. The
     /// name is only converted when a span is actually opened.
     pub fn child(name: impl Into<SpanName>, plane: Plane, now_ms: u64) -> Option<ActiveSpan> {
-        let (tracer, ctx) = top()?;
-        Some(tracer.child_of(ctx, name, plane, now_ms))
+        open(None, name, plane, now_ms)
     }
 
     /// Opens a span under an **explicit** parent context (e.g. one that
@@ -737,8 +852,7 @@ pub mod ambient {
         plane: Plane,
         now_ms: u64,
     ) -> Option<ActiveSpan> {
-        let (tracer, _) = top()?;
-        Some(tracer.child_of(parent, name, plane, now_ms))
+        open(Some(parent), name, plane, now_ms)
     }
 }
 
@@ -826,7 +940,6 @@ mod tests {
     fn no_ambient_span_means_no_recording() {
         assert!(ambient::child("x", Plane::Device, 0).is_none());
         assert_eq!(ambient::current(), None);
-        assert!(!ambient::is_active());
     }
 
     #[test]
@@ -865,10 +978,11 @@ mod tests {
         span.event("retry", 120);
         span.end(200);
         let record = &tracer.finished()[0];
+        let events: Vec<SpanEvent> = record.events.iter().copied().collect();
         assert_eq!(
-            record.events,
-            vec![SpanEvent {
-                name: "retry".into(),
+            events,
+            [SpanEvent {
+                name: "retry",
                 at_ms: 120
             }]
         );

@@ -122,9 +122,13 @@ fi
 # clippy runs with -D warnings above, so every `#[allow(clippy::…)]` is
 # a pinned, reviewed exception. The allowlist below is exhaustive; a new
 # allow anywhere else must either fix the lint or extend this list in
-# the same change.
+# the same change. crates/benchmark/src/workload.rs carries an
+# allow(clippy::too_many_arguments) that stays pinned until the next
+# benchmark change fixes that signature (ROADMAP, "Correctness you cannot
+# bypass").
 clippy_allows=$(grep -rln "allow(clippy" --include='*.rs' . \
     | grep -v -e '^\./crates/bench/src/fleet_bench\.rs$' \
+              -e '^\./crates/benchmark/src/workload\.rs$' \
               -e '^\./target/' \
               -e '^\./stubs/' || true)
 if [ -n "$clippy_allows" ]; then

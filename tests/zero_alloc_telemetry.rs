@@ -25,13 +25,24 @@
 //!   arguments and encodes the reply as offset views into the same
 //!   arenas. So the WebView pin is the same as android/s60: exactly
 //!   zero allocations per warmed traced `getLocation`.
+//!
+//! The same bar holds with the cache, overload and resilience layers
+//! stacked under telemetry, each opening its own span: a cache hit, a
+//! forced cache miss that descends every layer to the platform, and the
+//! uncached `getLocationWithPower` multi-read all make exactly zero
+//! allocations once warm. Layer span names are compile-time constants,
+//! span events are static and stored inline, and the built-in platform
+//! attribute is a static symbol.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use mobivine::api::LocationProxy;
+use mobivine::cache::CachePolicy;
+use mobivine::overload::OverloadPolicy;
 use mobivine::registry::Mobivine;
+use mobivine::resilience::ResiliencePolicy;
 use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::Device;
 use mobivine_s60::S60Platform;
@@ -85,8 +96,62 @@ fn measure(proxy: &Arc<dyn LocationProxy>, calls: u32) -> u64 {
     allocations() - before
 }
 
+/// Runs `prepare` then `call`, `calls` times, and returns the
+/// allocations `call` made; `prepare` runs outside the counted window.
+fn measure_each(calls: u32, prepare: &dyn Fn(), call: &dyn Fn()) -> u64 {
+    let mut total = 0;
+    for _ in 0..calls {
+        prepare();
+        let before = allocations();
+        call();
+        total += allocations() - before;
+    }
+    total
+}
+
 const WARMUP_CALLS: u32 = 5;
 const MEASURED_CALLS: u32 = 50;
+
+/// `runtime` with telemetry, cache, overload and resilience on.
+fn every_read_layer(runtime: Mobivine) -> Mobivine {
+    runtime
+        .with_telemetry()
+        .with_cache(CachePolicy::default())
+        .with_overload(OverloadPolicy::default())
+        .with_resilience(ResiliencePolicy::default())
+}
+
+/// Pins the warmed, fully layered read paths of `runtime` at zero
+/// allocations: a cache hit, a forced miss (the clock moves past the
+/// cache TTL outside the counted window) and the uncached multi-read.
+fn assert_layered_reads_allocate_nothing(platform: &str, device: &Device, runtime: &Mobivine) {
+    let proxy = runtime
+        .proxy::<dyn LocationProxy>()
+        .expect("every platform supports Location");
+    let ttl = CachePolicy::default().location_ttl();
+    let get_location = || {
+        std::hint::black_box(proxy.get_location().expect("getLocation succeeds"));
+    };
+    let with_power = || {
+        let reply = proxy.get_location_with_power();
+        std::hint::black_box(reply.expect("getLocationWithPower succeeds"));
+    };
+    let expire = || {
+        device.advance_ms(ttl + 1);
+    };
+    let pin = |path: &str, prepare: &dyn Fn(), call: &dyn Fn()| {
+        measure_each(WARMUP_CALLS, prepare, call);
+        let allocs = measure_each(MEASURED_CALLS, prepare, call);
+        assert_eq!(
+            allocs, 0,
+            "fully layered {platform} {path} must not allocate after warm-up \
+             ({allocs} allocations over {MEASURED_CALLS} calls)"
+        );
+    };
+    pin("getLocation cache hit", &|| {}, &get_location);
+    pin("getLocation cache miss", &expire, &get_location);
+    pin("getLocationWithPower", &|| {}, &with_power);
+}
 
 #[test]
 fn traced_get_location_allocates_nothing_after_warmup() {
@@ -133,4 +198,20 @@ fn traced_get_location_allocates_nothing_after_warmup() {
          scratch WireBuf pair, stack traceparent and static span names \
          make the bridge crossing itself allocation-free"
     );
+
+    // --- Every read layer, on every platform: absolute zero --------
+    let device = Device::builder().build();
+    let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
+    let runtime = every_read_layer(Mobivine::for_android(android.new_context()));
+    assert_layered_reads_allocate_nothing("android", &device, &runtime);
+
+    let device = Device::builder().build();
+    let runtime = every_read_layer(Mobivine::for_s60(S60Platform::new(device.clone())));
+    assert_layered_reads_allocate_nothing("s60", &device, &runtime);
+
+    let device = Device::builder().build();
+    let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
+    let webview = Arc::new(WebView::new(android.new_context()));
+    let runtime = every_read_layer(Mobivine::for_webview(webview));
+    assert_layered_reads_allocate_nothing("webview", &device, &runtime);
 }
