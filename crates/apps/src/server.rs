@@ -13,9 +13,7 @@ use serde::{Deserialize, Serialize};
 
 use mobivine::journal::fnv1a;
 use mobivine::registry::Mobivine;
-use mobivine::{
-    CheckpointCell, IdempotencyKey, Journal, JournalMetrics, JournalPolicy, JournalSnapshot, Lsn,
-};
+use mobivine::{IdempotencyKey, Journal, JournalMetrics, JournalPolicy, JournalSnapshot, Lsn};
 use mobivine_device::fault::{CrashKind, CrashSchedule};
 use mobivine_device::net::{HttpResponse, Method, SimNetwork};
 use mobivine_device::Device;
@@ -153,31 +151,44 @@ pub struct DurabilityConfig {
     pub crash: Option<Arc<CrashSchedule>>,
 }
 
-/// The checkpoint payload: everything the journal protects. Task
-/// assignments and capacity knobs are dispatcher-owned configuration
-/// (they arrive out-of-band, not through the mutating HTTP routes) and
-/// survive a middleware crash on their own.
-#[derive(Debug, Clone, Default)]
+/// The checkpoint: everything the journal protects, plus the journal
+/// high-water mark it covers. Task assignments and capacity knobs are
+/// dispatcher-owned configuration (they arrive out-of-band, not
+/// through the mutating HTTP routes) and survive a middleware crash on
+/// their own.
+///
+/// Between crashes the live vectors only grow by appends and the live
+/// key set only gains keys, and recovery rebuilds the live state as
+/// this snapshot plus the replayed suffix. So the snapshot is always a
+/// prefix of the live state, and a checkpoint only has to append what
+/// was applied since the last one. The empty default covers nothing:
+/// recovery replays from genesis.
+#[derive(Debug, Default, PartialEq)]
 struct DurableSnapshot {
     completed: Vec<(u64, u64)>,
     activity: Vec<ActivityEntry>,
     tracks: Vec<TrackPoint>,
     applied: HashSet<u64>,
     keyed_applies: u64,
+    high_water: Lsn,
 }
 
-/// Per-server durability state: the WAL, the checkpoint slot, the
+/// Per-server durability state: the WAL, the checkpoint, the
 /// applied-key table, the crash schedule and the recovery ledger.
 #[derive(Debug)]
 struct DurableState {
     journal: Journal,
     metrics: Arc<JournalMetrics>,
-    checkpoint: CheckpointCell<DurableSnapshot>,
+    /// A separate copy a crash cannot touch.
+    checkpoint: DurableSnapshot,
     checkpoint_every: u32,
     since_checkpoint: u32,
     /// Idempotency keys whose effect committed in the current state
     /// generation (wiped by a crash, rebuilt by checkpoint + replay).
     applied: HashSet<u64>,
+    /// The keys of `applied` the checkpoint does not hold yet, in apply
+    /// order: what the next checkpoint inserts.
+    applied_since_checkpoint: Vec<u64>,
     /// Total keyed applies in the current generation. Exactly-once
     /// holds iff this equals `applied.len()` — the duplicates gate.
     keyed_applies: u64,
@@ -272,15 +283,19 @@ fn encode_record(tag: &str, key: Option<IdempotencyKey>, json: &str) -> String {
     format!("{tag}|{key}|{json}")
 }
 
-/// Applies one decoded mutation. This is the ONLY place journaled
-/// effects reach server state — live requests and recovery replay both
-/// come through here, which is what makes replay idempotent by
-/// construction. Returns `false` for an undecodable record.
-fn apply_record(
-    state: &mut ServerState,
-    mut bookkeeping: Option<(&mut HashSet<u64>, &mut u64)>,
-    payload: &str,
-) -> bool {
+/// Applies one decoded mutation, the journal record at `at`. This is
+/// the ONLY place journaled effects reach server state — live requests
+/// and recovery replay both come through here, which is what makes
+/// replay idempotent by construction. Returns `false` for an
+/// undecodable record.
+///
+/// The write-ahead invariant is checked here: the record must already
+/// sit on the durable image, with nothing left unfsynced.
+fn apply_record(state: &mut ServerState, d: &mut DurableState, at: Lsn, payload: &str) -> bool {
+    debug_assert!(
+        at < d.journal.durable_end() && d.journal.volatile_len() == 0,
+        "write-ahead violated: the effect of the record at {at} ran before its intent was durable"
+    );
     let mut parts = payload.splitn(3, '|');
     let (Some(tag), Some(key), Some(json)) = (parts.next(), parts.next(), parts.next()) else {
         return false;
@@ -298,17 +313,16 @@ fn apply_record(
         _ => false,
     };
     if applied {
-        if let (Some((applied_set, keyed)), Some(k)) =
-            (bookkeeping.as_mut(), IdempotencyKey::from_hex(key))
-        {
-            applied_set.insert(k.0);
-            **keyed += 1;
+        if let Some(k) = IdempotencyKey::from_hex(key) {
+            d.applied.insert(k.0);
+            d.applied_since_checkpoint.push(k.0);
+            d.keyed_applies += 1;
         }
     }
     applied
 }
 
-/// Wipes the crashed generation and rebuilds it from the latest
+/// Wipes the crashed generation and rebuilds it from a copy of the
 /// checkpoint plus a journal replay, recording the crash in the
 /// recovery ledger.
 fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: CrashKind) {
@@ -317,23 +331,18 @@ fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: Cras
     state.activity.clear();
     state.tracks.clear();
     d.applied.clear();
-    d.keyed_applies = 0;
-    let from = match d.checkpoint.load() {
-        Some((snap, high_water)) => {
-            state.completed = snap.completed;
-            state.activity = snap.activity;
-            state.tracks = snap.tracks;
-            d.applied = snap.applied;
-            d.keyed_applies = snap.keyed_applies;
-            high_water
-        }
-        None => Lsn(0),
-    };
-    let recovery = d.journal.recover(from);
+    d.applied_since_checkpoint.clear();
+    let snap = &d.checkpoint;
+    state.completed.extend_from_slice(&snap.completed);
+    state.activity.extend_from_slice(&snap.activity);
+    state.tracks.extend_from_slice(&snap.tracks);
+    d.applied.clone_from(&snap.applied);
+    d.keyed_applies = snap.keyed_applies;
+    let recovery = d.journal.recover(snap.high_water);
     let replayed = recovery.records.len() as u64;
     for record in &recovery.records {
         if let Ok(payload) = std::str::from_utf8(&record.payload) {
-            apply_record(state, Some((&mut d.applied, &mut d.keyed_applies)), payload);
+            apply_record(state, d, record.lsn, payload);
         }
     }
     d.recoveries += 1;
@@ -349,10 +358,12 @@ fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: Cras
     d.recovery_cost_us.push(cost_us);
 }
 
-/// Snapshots state + applied table into the checkpoint slot once
-/// `checkpoint_every` applies have accumulated, then GCs sealed journal
-/// segments below the new high-water mark.
-fn maybe_checkpoint(state: &mut ServerState, d: &mut DurableState) {
+/// Once `checkpoint_every` applies have accumulated, extends the
+/// checkpoint by what was applied since the last one (the snapshot is
+/// a prefix of the live state, so this costs O(applies since), not
+/// O(state)), then GCs sealed journal segments below the new
+/// high-water mark.
+fn maybe_checkpoint(state: &ServerState, d: &mut DurableState) {
     if d.checkpoint_every == 0 {
         return;
     }
@@ -361,23 +372,24 @@ fn maybe_checkpoint(state: &mut ServerState, d: &mut DurableState) {
         return;
     }
     d.since_checkpoint = 0;
-    let snapshot = DurableSnapshot {
-        completed: state.completed.clone(),
-        activity: state.activity.clone(),
-        tracks: state.tracks.clone(),
-        applied: d.applied.clone(),
-        keyed_applies: d.keyed_applies,
-    };
-    let high_water = d.journal.durable_end();
-    d.checkpoint.save(snapshot, high_water);
-    d.journal.truncate_before(high_water);
+    let snap = &mut d.checkpoint;
+    snap.completed
+        .extend_from_slice(&state.completed[snap.completed.len()..]);
+    snap.activity
+        .extend_from_slice(&state.activity[snap.activity.len()..]);
+    snap.tracks
+        .extend_from_slice(&state.tracks[snap.tracks.len()..]);
+    snap.applied.extend(d.applied_since_checkpoint.drain(..));
+    snap.keyed_applies = d.keyed_applies;
+    snap.high_water = d.journal.durable_end();
+    d.journal.truncate_before(snap.high_water);
     d.metrics.note_checkpoint();
 }
 
 /// The durable mutation path: duplicate check → journal the intent →
 /// (scheduled crash?) → fsync barrier → effect → checkpoint. The
 /// intent is journaled and fsynced BEFORE `apply_record` runs — the
-/// write-ahead invariant.
+/// write-ahead invariant, which `apply_record` asserts.
 fn durable_mutate(
     state: &mut ServerState,
     tag: &str,
@@ -397,7 +409,7 @@ fn durable_mutate(
         }
     }
     let payload = encode_record(tag, key, json);
-    d.journal.append(payload.as_bytes());
+    let lsn = d.journal.append(payload.as_bytes());
     let scheduled = key.and_then(|k| d.crash.as_ref().and_then(|c| c.take(k.0)));
     let response = match scheduled {
         Some(kind @ CrashKind::TornWrite) => {
@@ -420,23 +432,14 @@ fn durable_mutate(
             // Effect ran but the covering checkpoint didn't: the wipe
             // discards it and replay re-applies it — net exactly once.
             d.journal.fsync();
-            apply_record(
-                state,
-                Some((&mut d.applied, &mut d.keyed_applies)),
-                &payload,
-            );
+            apply_record(state, &mut d, lsn, &payload);
             d.journal.crash(None);
             recover_after_crash(state, &mut d, kind);
             HttpResponse::status_only(503)
         }
         None => {
             d.journal.fsync();
-            let applied = apply_record(
-                state,
-                Some((&mut d.applied, &mut d.keyed_applies)),
-                &payload,
-            );
-            if applied {
+            if apply_record(state, &mut d, lsn, &payload) {
                 maybe_checkpoint(state, &mut d);
                 HttpResponse::ok(success_body)
             } else {
@@ -484,10 +487,11 @@ impl WfmServer {
         server.state.lock().durability = Some(DurableState {
             journal,
             metrics,
-            checkpoint: CheckpointCell::new(),
+            checkpoint: DurableSnapshot::default(),
             checkpoint_every: config.checkpoint_every,
             since_checkpoint: 0,
             applied: HashSet::new(),
+            applied_since_checkpoint: Vec::new(),
             keyed_applies: 0,
             suppressed_duplicates: 0,
             crash: config.crash,
@@ -723,6 +727,7 @@ impl WfmServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::splitmix64;
     use mobivine_device::net::HttpRequest;
     use mobivine_device::Device;
 
@@ -1101,6 +1106,137 @@ mod tests {
         assert_eq!(ledger.replayed_records, 3);
         assert_eq!(ledger.checkpoints, 1);
         assert_eq!(ledger.duplicates(), 0);
+    }
+
+    /// Posts the mutation `key` names (route and body are functions of
+    /// the key, so a re-delivery repeats the original request).
+    fn post_keyed(device: &Device, key: IdempotencyKey) -> u16 {
+        let (path, body) = match key.0 % 3 {
+            0 => (
+                "report-location",
+                serde_json::to_vec(&TrackPoint {
+                    agent_id: key.0 % 5,
+                    latitude: 28.0,
+                    longitude: 77.0,
+                    at_ms: key.0 % 10_000,
+                }),
+            ),
+            1 => (
+                "activity-log",
+                serde_json::to_vec(&ActivityEntry {
+                    agent_id: key.0 % 5,
+                    at_ms: key.0 % 10_000,
+                    event: format!("event {}", key.0 % 97),
+                }),
+            ),
+            _ => (
+                "task-complete",
+                serde_json::to_vec(&CompleteBody {
+                    agent_id: key.0 % 5,
+                    task_id: key.0 % 1_000,
+                }),
+            ),
+        };
+        let url = format!("http://wfm.example/{path}?idem={}", key.to_hex());
+        let req = HttpRequest::post(&url, body.unwrap()).unwrap();
+        device.network().execute(&req).unwrap().0.status
+    }
+
+    /// Checks a durable server's checkpoint against its live state and
+    /// returns the checkpoint count. Always: the snapshot is a prefix of
+    /// the live state and the key delta holds exactly the keyed applies
+    /// the snapshot lacks. When a checkpoint was taken since
+    /// `checkpoints_before`: the snapshot equals a from-scratch clone of
+    /// the live state, with the journal's durable end as its mark.
+    fn check_checkpoint(server: &WfmServer, checkpoints_before: u64) -> u64 {
+        let state = server.state.lock();
+        let d = state.durability.as_ref().unwrap();
+        let snap = &d.checkpoint;
+        let checkpoints = d.metrics.snapshot().checkpoints;
+        if checkpoints > checkpoints_before {
+            let full = DurableSnapshot {
+                completed: state.completed.clone(),
+                activity: state.activity.clone(),
+                tracks: state.tracks.clone(),
+                applied: d.applied.clone(),
+                keyed_applies: d.keyed_applies,
+                high_water: d.journal.durable_end(),
+            };
+            assert_eq!(*snap, full, "incremental checkpoint != full clone");
+        }
+        assert!(state.completed.starts_with(&snap.completed));
+        assert!(state.activity.starts_with(&snap.activity));
+        assert!(state.tracks.starts_with(&snap.tracks));
+        let delta = &d.applied_since_checkpoint;
+        assert_eq!(
+            delta.len() as u64,
+            d.keyed_applies - snap.keyed_applies,
+            "key delta holds exactly the applies since the checkpoint"
+        );
+        assert!(delta
+            .iter()
+            .all(|k| d.applied.contains(k) && !snap.applied.contains(k)));
+        assert_eq!(snap.applied.len() + delta.len(), d.applied.len());
+        checkpoints
+    }
+
+    #[test]
+    fn incremental_checkpoints_equal_a_full_clone_through_every_crash_kind() {
+        let kinds = [
+            CrashKind::TornWrite,
+            CrashKind::BeforeEffect,
+            CrashKind::AfterEffect,
+        ];
+        for checkpoint_every in [1, 3, 64] {
+            for seed in 1..=3u64 {
+                let mut rng = seed;
+                let keys: Vec<IdempotencyKey> = (0..300)
+                    .map(|op| IdempotencyKey::derive(seed, 0, 1, op))
+                    .collect();
+                let victims: Vec<(u64, CrashKind)> = keys
+                    .iter()
+                    .filter(|_| splitmix64(&mut rng).is_multiple_of(8))
+                    .enumerate()
+                    .map(|(i, k)| (k.0, kinds[i % kinds.len()]))
+                    .collect();
+                let schedule = CrashSchedule::new(victims);
+                schedule.arm();
+                let (device, server) = durable_installed(DurabilityConfig {
+                    checkpoint_every,
+                    crash: Some(Arc::clone(&schedule)),
+                    ..Default::default()
+                });
+                let (clean_device, clean) = durable_installed(DurabilityConfig {
+                    checkpoint_every,
+                    ..Default::default()
+                });
+                let mut checkpoints = 0;
+                for (op, &fresh) in keys.iter().enumerate() {
+                    // One post in six re-delivers an earlier key.
+                    let r = splitmix64(&mut rng);
+                    let key = if op > 0 && r.is_multiple_of(6) {
+                        keys[(r / 6) as usize % op]
+                    } else {
+                        fresh
+                    };
+                    if post_keyed(&device, key) == 503 {
+                        checkpoints = check_checkpoint(&server, checkpoints);
+                        assert_eq!(post_keyed(&device, key), 200, "retry commits");
+                    }
+                    checkpoints = check_checkpoint(&server, checkpoints);
+                    assert_eq!(post_keyed(&clean_device, key), 200);
+                }
+                let ledger = server.recovery_snapshot().unwrap();
+                let context = format!("checkpoint_every={checkpoint_every} seed={seed}");
+                assert!(ledger.torn_crashes > 0, "{context}");
+                assert!(ledger.gap_crashes > 0, "{context}");
+                assert!(ledger.effect_crashes > 0, "{context}");
+                assert!(ledger.checkpoints > 0, "{context}");
+                assert_eq!(ledger.duplicates(), 0, "{context}");
+                assert_eq!(server.state_digest(), clean.state_digest(), "{context}");
+                assert_eq!(server.counts(), clean.counts(), "{context}");
+            }
+        }
     }
 
     #[test]

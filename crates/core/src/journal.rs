@@ -14,9 +14,12 @@
 //!   rotation at record boundaries, and torn-tail detection: recovery
 //!   scans the durable image, truncates the first incomplete or
 //!   checksum-corrupt frame, and replays only fully committed records;
-//! * a **[`CheckpointCell`]** — a typed snapshot of arbitrary state
-//!   plus the journal high-water mark it covers, so recovery is
-//!   replay-from-checkpoint, never replay-from-genesis;
+//! * **checkpoint support** — a caller's state snapshot records
+//!   [`Journal::durable_end`] as the high-water mark it covers and
+//!   [`Journal::truncate_before`] drops the sealed segments below it,
+//!   so recovery replays only the suffix past the checkpoint, never
+//!   from genesis (the durable WFM server extends its snapshot
+//!   incrementally);
 //! * **[`IdempotencyKey`]s** — deterministic per `(seed, device,
 //!   round, op)` and carried down the call path through an ambient
 //!   per-thread scope ([`with_idempotency_key`]), exactly like the
@@ -56,11 +59,19 @@ use crate::telemetry::layer_counters;
 // Checksums and framing
 // ---------------------------------------------------------------------
 
+/// The FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
 /// FNV-1a over a byte slice — the journal's record checksum. The same
 /// fold the fleet report uses, so a corrupt frame and a corrupt
 /// checksum disagree with probability 1 − 2⁻⁶⁴ per bit pattern.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64;
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a hash over `bytes`, so a payload written in
+/// parts checksums the same as the parts concatenated.
+fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
     for b in bytes {
         hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3);
     }
@@ -267,23 +278,37 @@ impl Journal {
     /// Appends one intent record to the volatile buffer and returns
     /// the LSN its frame will occupy once fsynced.
     pub fn append(&mut self, payload: &[u8]) -> Lsn {
+        self.append_parts(&[payload])
+    }
+
+    /// Appends one intent record whose payload is `parts` concatenated,
+    /// framed straight into the volatile buffer without first joining
+    /// the parts. Returns the LSN its frame will occupy once fsynced.
+    pub(crate) fn append_parts(&mut self, parts: &[&[u8]]) -> Lsn {
         let lsn = Lsn(self.durable_end().0 + self.volatile.len() as u64);
-        let len = payload.len() as u32;
-        self.volatile.extend_from_slice(&len.to_le_bytes());
-        self.volatile
-            .extend_from_slice(&fnv1a(payload).to_le_bytes());
-        self.volatile.extend_from_slice(payload);
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        let checksum = parts
+            .iter()
+            .fold(FNV_OFFSET, |hash, part| fnv1a_fold(hash, part));
+        self.volatile.extend_from_slice(&(len as u32).to_le_bytes());
+        self.volatile.extend_from_slice(&checksum.to_le_bytes());
+        for part in parts {
+            self.volatile.extend_from_slice(part);
+        }
         self.metrics.appends.inc();
         lsn
     }
 
-    /// The durability barrier: drains the volatile buffer into the
+    /// The durability barrier: copies the volatile buffer into the
     /// durable image and rotates the active segment at the record
-    /// boundary if it has grown past the policy size.
+    /// boundary if it has grown past the policy size. The buffer is
+    /// cleared, not freed, so the next append reuses its capacity.
     pub fn fsync(&mut self) {
         if !self.volatile.is_empty() {
-            let mut pending = std::mem::take(&mut self.volatile);
-            self.active_mut().bytes.append(&mut pending);
+            let pending = std::mem::take(&mut self.volatile);
+            self.active_mut().bytes.extend_from_slice(&pending);
+            self.volatile = pending;
+            self.volatile.clear();
         }
         self.metrics.fsyncs.inc();
         self.maybe_rotate();
@@ -424,43 +449,6 @@ impl Journal {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoints
-// ---------------------------------------------------------------------
-
-/// A typed checkpoint slot: a snapshot of arbitrary state plus the
-/// journal high-water mark it covers. Recovery loads the snapshot and
-/// replays only the journal suffix past the mark.
-#[derive(Debug, Default)]
-pub struct CheckpointCell<T: Clone> {
-    slot: Option<(T, Lsn)>,
-}
-
-impl<T: Clone> CheckpointCell<T> {
-    /// An empty cell (recovery replays from genesis until the first
-    /// save).
-    pub fn new() -> Self {
-        Self { slot: None }
-    }
-
-    /// Atomically replaces the checkpoint: `state` covers every journal
-    /// record below `high_water`.
-    pub fn save(&mut self, state: T, high_water: Lsn) {
-        self.slot = Some((state, high_water));
-    }
-
-    /// The latest checkpoint, if one was ever saved.
-    pub fn load(&self) -> Option<(T, Lsn)> {
-        self.slot.clone()
-    }
-
-    /// The high-water mark replay should start from (genesis when no
-    /// checkpoint exists).
-    pub fn high_water(&self) -> Lsn {
-        self.slot.as_ref().map(|(_, lsn)| *lsn).unwrap_or_default()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Idempotency keys
 // ---------------------------------------------------------------------
 
@@ -490,6 +478,16 @@ impl IdempotencyKey {
     /// the `idem` URL query parameter.
     pub fn to_hex(self) -> String {
         format!("{:016x}", self.0)
+    }
+
+    /// The digits of [`IdempotencyKey::to_hex`], without allocating.
+    fn hex_digits(self) -> [u8; 16] {
+        let mut digits = [0u8; 16];
+        for (i, digit) in digits.iter_mut().enumerate() {
+            let nibble = (self.0 >> (60 - 4 * i)) & 0xF;
+            *digit = b"0123456789abcdef"[nibble as usize];
+        }
+        digits
     }
 
     /// Parses the wire form back. `None` for anything that is not
@@ -614,13 +612,25 @@ impl JournalEngine {
         self.state.lock().applied.get(&key).copied()
     }
 
-    /// Appends one intent record and crosses the fsync barrier,
-    /// charging the barrier's simulated latency to the device clock.
-    /// This MUST run before the side effect it covers.
-    pub fn intent(&self, payload: &[u8]) -> Lsn {
+    /// Appends one intent record, `op|key-hex|detail` (`-` for no
+    /// key), and crosses the fsync barrier, charging the barrier's
+    /// simulated latency to the device clock. This MUST run before the
+    /// side effect it covers.
+    pub fn intent(&self, op: &str, key: Option<IdempotencyKey>, detail: &str) -> Lsn {
+        let hex;
+        let key: &[u8] = match key {
+            Some(key) => {
+                hex = key.hex_digits();
+                &hex
+            }
+            None => b"-",
+        };
         let lsn = {
             let mut state = self.state.lock();
-            let lsn = state.journal.append(payload);
+            let lsn =
+                state
+                    .journal
+                    .append_parts(&[op.as_bytes(), b"|", key, b"|", detail.as_bytes()]);
             state.journal.fsync();
             lsn
         };
@@ -659,14 +669,6 @@ impl fmt::Debug for JournalEngine {
             .field("policy", &self.policy)
             .finish_non_exhaustive()
     }
-}
-
-/// The bytes of one intent record: `op|key-or-dash|detail`.
-pub(crate) fn intent_payload(op: &str, key: Option<IdempotencyKey>, detail: &str) -> Vec<u8> {
-    let key = key
-        .map(IdempotencyKey::to_hex)
-        .unwrap_or_else(|| "-".into());
-    format!("{op}|{key}|{detail}").into_bytes()
 }
 
 /// Appends `?idem=<key>` (or `&idem=` when a query already exists) so
@@ -814,16 +816,67 @@ mod tests {
         assert_eq!(tail.records[0].payload, b"record-5-padding-padding");
     }
 
+    /// The journal's durable image, segments concatenated.
+    fn durable_bytes(j: &Journal) -> Vec<u8> {
+        j.segments.iter().flat_map(|s| s.bytes.clone()).collect()
+    }
+
     #[test]
-    fn checkpoint_cell_round_trips() {
-        let mut cell: CheckpointCell<Vec<u64>> = CheckpointCell::new();
-        assert_eq!(cell.high_water(), Lsn(0));
-        assert!(cell.load().is_none());
-        cell.save(vec![1, 2, 3], Lsn(96));
-        let (state, hw) = cell.load().expect("saved above");
-        assert_eq!(state, vec![1, 2, 3]);
-        assert_eq!(hw, Lsn(96));
-        assert_eq!(cell.high_water(), Lsn(96));
+    fn fsync_keeps_the_volatile_buffers_capacity() {
+        let (mut j, _m) = journal();
+        j.append(b"first-record");
+        let capacity = j.volatile.capacity();
+        assert!(capacity >= FRAME_HEADER + 12);
+        j.fsync();
+        assert_eq!(j.volatile_len(), 0);
+        assert_eq!(j.volatile.capacity(), capacity, "cleared, not freed");
+        j.append(b"second");
+        assert_eq!(j.volatile.capacity(), capacity, "reused, not regrown");
+    }
+
+    #[test]
+    fn intent_frames_match_the_joined_payload_encoding() {
+        let engine = JournalEngine::new(
+            Device::builder().build(),
+            JournalPolicy::default(),
+            JournalMetrics::shared(),
+        );
+        let cases = [
+            ("http", Some(IdempotencyKey(0xabcd)), "x"),
+            (
+                "send_sms",
+                Some(IdempotencyKey(u64::MAX)),
+                "+91 98100 00001",
+            ),
+            (
+                "sendTextMessage",
+                Some(IdempotencyKey(0x0123_4567_89ab_cdef)),
+                "",
+            ),
+            ("set_property", None, "cache.ttl_ms"),
+        ];
+        // The encoding intents had when they were joined into a String
+        // before framing: `op|key-hex-or-dash|detail`.
+        let (mut joined, _m) = journal();
+        for (op, key, detail) in cases {
+            let lsn = engine.intent(op, key, detail);
+            let key = key
+                .map(IdempotencyKey::to_hex)
+                .unwrap_or_else(|| "-".into());
+            assert_eq!(
+                joined.append(format!("{op}|{key}|{detail}").as_bytes()),
+                lsn
+            );
+            joined.fsync();
+        }
+        let image = durable_bytes(&engine.state.lock().journal);
+        assert_eq!(image, durable_bytes(&joined));
+        // The first frame, spelled out: length, FNV-1a, payload.
+        let payload = b"http|000000000000abcd|x";
+        let mut frame = 23u32.to_le_bytes().to_vec();
+        frame.extend_from_slice(&0x6293_b2a2_78b0_f32fu64.to_le_bytes());
+        frame.extend_from_slice(payload);
+        assert_eq!(&image[..frame.len()], &frame[..]);
     }
 
     #[test]

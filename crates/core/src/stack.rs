@@ -39,8 +39,7 @@ use crate::api::{
 use crate::cache::{CacheCell, CacheEngine, CacheMetrics, CachePolicy};
 use crate::error::ProxyError;
 use crate::journal::{
-    current_idempotency_key, intent_payload, url_with_idempotency_key, JournalEngine,
-    JournalMetrics, JournalPolicy,
+    current_idempotency_key, url_with_idempotency_key, JournalEngine, JournalMetrics, JournalPolicy,
 };
 use crate::overload::{OverloadEngine, OverloadMetrics, OverloadPolicy};
 use crate::property::{bad_value, PropertyValue};
@@ -455,7 +454,7 @@ impl Stack {
                 }),
                 Layer::Journal => {
                     if let Some(engine) = &self.journal {
-                        engine.intent(&intent_payload("set_property", None, key));
+                        engine.intent("set_property", None, key);
                     }
                     None
                 }
@@ -494,7 +493,7 @@ pub(crate) trait Hooks<T> {
     /// Journal layer: append the write-ahead intent, then run the
     /// effect.
     fn journal(&self, engine: &JournalEngine, meta: &CallMeta, effect: Next<T>) -> Reply<T> {
-        engine.intent(&intent_payload(meta.method, current_idempotency_key(), ""));
+        engine.intent(meta.method, current_idempotency_key(), "");
         effect()
     }
 
@@ -756,7 +755,7 @@ impl Hooks<u64> for SendText<'_> {
                 }
             }
         }
-        engine.intent(&intent_payload("send_sms", key, self.0));
+        engine.intent("send_sms", key, self.0);
         let id = effect()?;
         if let Some(key) = key {
             engine.mark_applied(key, id);
@@ -846,7 +845,7 @@ impl Hooks<HttpResult> for Submit<'_> {
         _meta: &CallMeta,
         effect: Next<HttpResult>,
     ) -> Reply<HttpResult> {
-        engine.intent(&intent_payload("http", current_idempotency_key(), self.url));
+        engine.intent("http", current_idempotency_key(), self.url);
         effect()
     }
 }

@@ -157,29 +157,6 @@ if [ -n "$hot_labels" ]; then
     exit 1
 fi
 
-# The write-ahead invariant, pinned at review time on the server side:
-# in durable_mutate, `apply_record` must not appear above the
-# `journal.append` call. (The client side is pinned by the core unit
-# test stack::tests::every_journaled_effect_runs_after_its_intent_is_durable,
-# whose binding reads the journal's durable end inside every effect;
-# tests/journal_recovery.rs and the crash smoke above prove the property
-# dynamically.)
-wal_order=$(awk '
-    /#\[cfg\(test\)\]/ { exit }
-    /fn durable_mutate/ { in_fn = 1; appended = 0 }
-    in_fn && /journal\.append/ { appended = 1 }
-    in_fn && /apply_record\(/ && !appended {
-        print "crates/apps/src/server.rs:" FNR ": effect before journal append: " $0
-    }
-    in_fn && /^}/ { in_fn = 0 }
-' crates/apps/src/server.rs)
-if [ -n "$wal_order" ]; then
-    echo "error: write-ahead ordering violated (journal the intent" >&2
-    echo "before the effect it covers):" >&2
-    echo "$wal_order" >&2
-    exit 1
-fi
-
 # The zero-alloc telemetry test must still gate at exactly 0 heap
 # allocations on the warmed traced path — with the flight recorder on,
 # and since the wire arenas landed the WebView bridge crossing is held
