@@ -51,7 +51,8 @@ pub const SCHEMA: &str = "mobivine.figure10.v3";
 /// same durable traffic with a deterministic crash storm armed vs
 /// crash-free) and its exactly-once gate: byte-identical checksums,
 /// zero duplicate effects, and a storm that exercised at least one
-/// torn-write and one intent/effect-gap crash per shard.
+/// torn-write and one intent/effect-gap crash per shard. Every brownout
+/// arm must also have promoted at least one trace.
 pub const FLEET_SCHEMA: &str = "mobivine.fleet.v6";
 
 fn num(v: f64) -> Value {
@@ -685,6 +686,12 @@ pub fn validate_fleet_json(json: &str) -> Result<FleetCheck, String> {
         let deadline_blown = require_number(entry, "deadline_blown", &context)?;
         let promoted_traces = require_number(entry, "promoted_traces", &context)?;
         let promoted_deadline = require_number(entry, "promoted_deadline", &context)?;
+        // Both arms run with the flight recorder on and both fail calls
+        // (sheds on one, blown deadlines on the other), so a traced
+        // brownout that promoted nothing lost its evidence.
+        if promoted_traces < 1.0 {
+            return Err(format!("{context}: the traced arm promoted no trace"));
+        }
         if promoted_deadline > promoted_traces {
             return Err(format!(
                 "{context}: promoted_deadline {promoted_deadline} exceeds promoted_traces {promoted_traces}"
@@ -1185,6 +1192,13 @@ mod tests {
         let json = fleet_sample().replace("\"admission\":false", "\"admission\":true");
         let err = validate_fleet_json(&json).unwrap_err();
         assert!(err.contains("brownout"), "{err}");
+    }
+
+    #[test]
+    fn fleet_summary_rejects_a_brownout_arm_without_promoted_traces() {
+        let json = regex_free_replace(&fleet_sample(), "promoted_traces", 0.0);
+        let err = validate_fleet_json(&json).unwrap_err();
+        assert!(err.contains("promoted no trace"), "{err}");
     }
 
     #[test]

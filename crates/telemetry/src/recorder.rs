@@ -19,6 +19,9 @@
 //! Classification is allocation-free when the answer is "not
 //! interesting" — the common case on a healthy hot path — so the
 //! recorder can stay on in the zero-allocation traced configurations.
+//! So is a promotion the store would drop: once the keep-first store is
+//! full, the trace is counted and noted for its exemplar but not copied
+//! out of the ring.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -217,19 +220,20 @@ impl IncidentStore {
         }
     }
 
-    /// Stores a promoted trace if there is room. Returns whether it
-    /// was kept.
-    fn push(&self, trace: PromotedTrace) -> bool {
+    /// Counts one promotion and stores its trace if there is room;
+    /// `None` is a promotion whose trace was not collected because the
+    /// store was already full. Returns whether the trace was kept.
+    fn push(&self, trace: Option<PromotedTrace>) -> bool {
         self.promoted.fetch_add(1, Ordering::Relaxed);
-        let mut traces = self.traces.lock();
-        if traces.len() < self.capacity {
-            traces.push(trace);
-            true
-        } else {
-            drop(traces);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            false
+        if let Some(trace) = trace {
+            let mut traces = self.traces.lock();
+            if traces.len() < self.capacity {
+                traces.push(trace);
+                return true;
+            }
         }
+        self.dropped.fetch_add(1, Ordering::Relaxed);
+        false
     }
 
     /// The store's capacity.
@@ -315,30 +319,39 @@ impl Recorder {
         &self.store
     }
 
-    /// Promotes a collected trace (called by `Tracer::file` with the
-    /// resident trace spans, root last).
+    /// Whether a trace promoted now could be kept. The store keeps the
+    /// first traces and never removes one, so once it is full
+    /// `Tracer::file` skips copying traces out of the ring: each
+    /// promotion is still counted (as dropped) and still noted for
+    /// [`take_promotion`].
+    pub(crate) fn has_room(&self) -> bool {
+        self.store.traces.lock().len() < self.store.capacity
+    }
+
+    /// Promotes trace `trace_id` (called by `Tracer::file` with the
+    /// resident trace spans, root last, or `None` when the store had no
+    /// room for them).
     pub(crate) fn promote(
         &self,
         tracer_id: u64,
+        trace_id: TraceId,
         reason: PromotionReason,
-        spans: Vec<SpanRecord>,
+        spans: Option<Vec<SpanRecord>>,
         counters: Option<&RecorderCounters>,
     ) {
-        let root = match spans.last() {
-            Some(root) => root,
-            None => return,
-        };
-        let trace = PromotedTrace {
-            trace_id: root.trace_id,
-            root_span: root.span_id,
-            root_name: root.name.clone(),
-            reason,
-            start_ms: root.start_ms,
-            end_ms: root.end_ms,
-            complete: validate_tree(&spans).is_ok(),
-            spans,
-        };
-        let trace_id = trace.trace_id;
+        let trace = spans.and_then(|spans| {
+            let root = spans.last()?;
+            Some(PromotedTrace {
+                trace_id,
+                root_span: root.span_id,
+                root_name: root.name.clone(),
+                reason,
+                start_ms: root.start_ms,
+                end_ms: root.end_ms,
+                complete: validate_tree(&spans).is_ok(),
+                spans,
+            })
+        });
         let kept = self.store.push(trace);
         if let Some(counters) = counters {
             counters.promoted.inc();
@@ -458,6 +471,54 @@ mod tests {
         assert_eq!(store.dropped(), 3);
         let starts: Vec<u64> = store.traces().iter().map(|t| t.start_ms).collect();
         assert_eq!(starts, vec![0, 10], "earliest incidents win");
+    }
+
+    #[test]
+    fn a_full_store_counts_promotions_without_collecting_them() {
+        // The same five errored traces through a store that fills after
+        // two and through one with room for all five.
+        let run = |capacity: usize| {
+            let policy = PromotionPolicy::default().max_incidents(capacity);
+            let tracer = recorder_tracer(64, policy);
+            let counters = RecorderCounters {
+                evicted: Counter::default(),
+                promoted: Counter::default(),
+                promoted_dropped: Counter::default(),
+            };
+            tracer.install_counters(counters.clone());
+            let mut exemplars = Vec::new();
+            let mut at_fill = Vec::new();
+            for i in 0..5u64 {
+                let mut root = tracer.root("op", Plane::Proxy, i * 10);
+                ambient::child("platform:gps", Plane::Platform, i * 10 + 1)
+                    .expect("ambient parent")
+                    .end(i * 10 + 2);
+                root.attr("error", "Timeout");
+                root.end(i * 10 + 3);
+                exemplars.push(take_promotion(&tracer));
+                if i + 1 == capacity as u64 {
+                    at_fill = tracer.incident_store().unwrap().traces();
+                }
+            }
+            (tracer, counters, exemplars, at_fill)
+        };
+        let (full, counters, exemplars, at_fill) = run(2);
+        let (roomy, roomy_counters, roomy_exemplars, _) = run(5);
+        let store = full.incident_store().unwrap();
+        let roomy_store = roomy.incident_store().unwrap();
+
+        assert_eq!(store.promoted_total(), 5);
+        assert_eq!(store.dropped(), 3);
+        assert_eq!(counters.promoted.value(), 5);
+        assert_eq!(counters.promoted_dropped.value(), 3);
+        assert_eq!(roomy_store.promoted_total(), 5);
+        assert_eq!(roomy_counters.promoted.value(), 5);
+        assert_eq!(roomy_counters.promoted_dropped.value(), 0);
+        assert!(exemplars.iter().all(Option::is_some), "{exemplars:?}");
+        assert_eq!(exemplars, roomy_exemplars, "one exemplar per promotion");
+        assert_eq!(store.traces(), at_fill, "nothing kept after the fill");
+        assert_eq!(store.traces()[..], roomy_store.traces()[..2]);
+        assert_eq!(full.finished(), roomy.finished());
     }
 
     #[test]

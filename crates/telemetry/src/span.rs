@@ -13,25 +13,34 @@
 //! The recording path is allocation-free after warm-up: span names are
 //! [`SpanName`] symbols (a `&'static str` or a shared `Arc<str>`
 //! resolved once at wiring time), events are `&'static str`, attributes
-//! and events live inline in an [`InlineList`] until they overflow, each
-//! open span's ambient frame owns its one tracer handle, and a finished
-//! record is **moved** into a per-thread bounded sink — there is no global
-//! `Mutex<Vec<_>>` that every worker thread serialises through. Each
-//! sink is a **flight-recorder ring**: it pre-allocates its full
-//! retention capacity on creation and, once full, overwrites the
-//! oldest record in place (evictions are counted, never silent), so
-//! 50k-device fleet runs with tracing on have bounded memory while the
+//! and events live inline in an [`InlineList`] until they overflow, and
+//! only frames opened through a [`Tracer`] hold a tracer handle (an
+//! ambient child mints its id through its owner frame's). Finished
+//! records are filed **per trace**: while the outermost open span is a
+//! trace root, its descendants' records are moved, in finish order, into
+//! a per-thread pending buffer (cleared, never freed, so it stops
+//! allocating once it has held the longest trace), and when the root
+//! closes the whole batch is moved into a per-thread bounded sink under
+//! one sink lookup and one ring lock. A nested root, a
+//! [`Tracer::child_of`] span or a span closed out of order files at
+//! once, after the pending batch, so every ring still receives records
+//! in finish order. There is no global `Mutex<Vec<_>>` that every worker
+//! thread serialises through. Each sink is a **flight-recorder ring**:
+//! it pre-allocates its full retention capacity on creation and, once
+//! full, overwrites the oldest record in place (evictions are counted,
+//! never silent), so 50k-device fleet runs with tracing on have bounded memory while the
 //! most recent history is always resident. [`Tracer::finished`]
 //! stitches the per-thread sinks back together in registration order,
-//! oldest record first within each sink.
+//! oldest record first within each sink; a trace whose root is still
+//! open is not visible there until the root closes.
 //!
 //! An optional [`Recorder`](crate::recorder::Recorder) installed with
 //! [`Tracer::install_recorder`] adds **tail-based promotion**: when a
 //! trace's root span files with an interesting outcome (error, blown
 //! deadline, latency over a per-operation threshold) the whole trace
-//! tree — the children are still resident in the same thread's ring —
-//! is copied out into a bounded incident store before the ring can
-//! overwrite it.
+//! tree — the children were filed into the same thread's ring just
+//! before it — is copied out into a bounded incident store before the
+//! ring can overwrite it, unless the store is already full.
 //!
 //! All timestamps are `u64` virtual milliseconds supplied by the
 //! caller (the simulated device clock in this workspace), never the
@@ -582,23 +591,29 @@ impl Tracer {
     ) -> ActiveSpan {
         let span_id = SpanId(self.fresh_id());
         let ctx = TraceContext { trace_id, span_id };
-        ambient::push(self.clone(), ctx);
+        ambient::push(self.clone(), ctx, parent_id.is_none());
         ActiveSpan::open(ctx, parent_id, name, plane, now_ms)
     }
 
-    /// Moves a finished record into this thread's ring for this
-    /// tracer, creating (and registering) the sink on first use. When
-    /// the ring is full the oldest record is overwritten in place.
+    /// Moves a batch of finished records, in finish order, into this
+    /// thread's ring for this tracer — one sink lookup and one ring
+    /// lock for the whole batch — creating (and registering) the sink on
+    /// first use. When the ring is full the oldest record is overwritten
+    /// in place; evictions are summed into one add per counter. The
+    /// batch is left empty with its capacity intact.
     ///
     /// Tail-based promotion happens here: a **root** record closing
     /// means its trace is complete — in this synchronous world every
-    /// child filed into the same thread-local ring before it — so the
-    /// installed [`Recorder`] classifies the root and, if the outcome
-    /// is interesting, the trace tree is copied out *before* the root
-    /// is inserted (the collected set is exactly the resident children
-    /// plus the root).
-    fn file(&self, record: SpanRecord) {
-        let promotion = LOCAL_SINKS.with(|sinks| {
+    /// child was filed into the same thread-local ring before it, or
+    /// precedes it in the batch — so the installed [`Recorder`]
+    /// classifies the root and, if the outcome is interesting and the
+    /// incident store still has room, the trace tree is copied out
+    /// *before* the root is inserted (the collected set is exactly the
+    /// resident children plus the root). A batch holds at most one root,
+    /// its last record.
+    fn file(&self, batch: &mut Vec<SpanRecord>) {
+        let recorder = self.inner.recorder.get();
+        let (evicted, promotion) = LOCAL_SINKS.with(|sinks| {
             let mut sinks = sinks.borrow_mut();
             let sink = sinks.entry(self.inner.id).or_insert_with(|| {
                 let sink = Arc::new(SpanSink {
@@ -608,32 +623,44 @@ impl Tracer {
                 sink
             });
             let mut ring = sink.ring.lock();
-            let promotion = match (record.parent_id, self.inner.recorder.get()) {
-                (None, Some(recorder)) => recorder.policy().classify(&record).map(|reason| {
-                    let mut spans = ring.collect_trace(record.trace_id);
-                    spans.push(record.clone());
-                    (reason, spans)
-                }),
-                _ => None,
-            };
-            if ring.push(record) {
-                self.inner.evicted.fetch_add(1, Ordering::Relaxed);
-                if let Some(counters) = self.inner.counters.get() {
-                    counters.evicted.inc();
+            let mut evicted = 0;
+            let mut promotion = None;
+            for record in batch.drain(..) {
+                if let (None, Some(recorder)) = (record.parent_id, recorder) {
+                    if let Some(reason) = recorder.policy().classify(&record) {
+                        let spans = recorder.has_room().then(|| {
+                            let mut spans = ring.collect_trace(record.trace_id);
+                            spans.push(record.clone());
+                            spans
+                        });
+                        promotion = Some((record.trace_id, reason, spans));
+                    }
                 }
+                evicted += u64::from(ring.push(record));
             }
-            promotion
+            (evicted, promotion)
         });
-        if let Some((reason, spans)) = promotion {
-            if let Some(recorder) = self.inner.recorder.get() {
-                recorder.promote(self.inner.id, reason, spans, self.inner.counters.get());
+        let counters = self.inner.counters.get();
+        if evicted > 0 {
+            self.inner.evicted.fetch_add(evicted, Ordering::Relaxed);
+            if let Some(counters) = counters {
+                counters.evicted.add(evicted);
             }
+        }
+        if let (Some((trace_id, reason, spans)), Some(recorder)) = (promotion, recorder) {
+            recorder.promote(self.inner.id, trace_id, reason, spans, counters);
         }
     }
 
     /// A copy of every finished span: oldest-first within each sink,
     /// sinks in registration order (on one thread that is plain finish
     /// order for the retained suffix).
+    ///
+    /// The descendants of a trace root that is still open are not
+    /// filed yet: the recording thread batches them and files them when
+    /// the root closes, so until then no caller — on any thread — sees
+    /// them here. Nested roots and spans opened with
+    /// [`Tracer::child_of`] are filed as they close.
     pub fn finished(&self) -> Vec<SpanRecord> {
         let sinks = self.inner.sinks.lock();
         let mut out = Vec::new();
@@ -665,7 +692,7 @@ impl Tracer {
 /// unfinished span closes it at its start time (zero duration) so the
 /// record and the ambient stack stay consistent on early returns.
 ///
-/// The span's tracer handle lives in its ambient stack frame, which is
+/// The span's tracer is found through its ambient stack frame, which is
 /// thread-local, so a span is closed on the thread that opened it (it
 /// is not `Send`).
 pub struct ActiveSpan {
@@ -746,9 +773,7 @@ impl ActiveSpan {
             return;
         };
         record.end_ms = now_ms.max(record.start_ms);
-        if let Some(tracer) = ambient::pop(record.span_id) {
-            tracer.file(record);
-        }
+        ambient::close(record);
     }
 }
 
@@ -764,66 +789,161 @@ impl Drop for ActiveSpan {
 /// The ambient span stack: implicit parenting for layers that are not
 /// telemetry-aware in their signatures.
 pub mod ambient {
-    use super::{ActiveSpan, Plane, SpanId, SpanName, Tracer};
+    use std::cell::RefCell;
+
+    use super::{ActiveSpan, Plane, SpanId, SpanName, SpanRecord, Tracer};
     use crate::context::TraceContext;
 
-    /// One open span: its context and the handle of the tracer it files
-    /// into — the only tracer handle the span holds.
+    /// One open span.
     struct Frame {
-        tracer: Tracer,
         ctx: TraceContext,
+        /// The tracer handle, held only by frames opened through a
+        /// [`Tracer`] (`root`, `child_of`); an ambient child borrows its
+        /// owner's.
+        tracer: Option<Tracer>,
+        /// Index of the frame holding this span's tracer: its own index
+        /// for a tracer-opened frame, its parent frame's owner for an
+        /// ambient child. Always a frame at or below this one whose
+        /// `tracer` is `Some`.
+        owner: usize,
+        /// Whether the span is a trace root (opened by [`Tracer::root`]).
+        root: bool,
+    }
+
+    impl Frame {
+        /// The tracer of a frame that is some frame's owner.
+        fn tracer(&self) -> &Tracer {
+            self.tracer
+                .as_ref()
+                .expect("an owner frame holds its tracer")
+        }
+    }
+
+    /// This thread's open spans plus the finished records waiting for
+    /// the outermost root to close.
+    struct Ambient {
+        stack: Vec<Frame>,
+        /// Finished descendants of `stack[0]`, in finish order, filed
+        /// into its tracer when it closes. Only non-empty while
+        /// `stack[0]` is a trace root; cleared, never freed.
+        pending: Vec<SpanRecord>,
     }
 
     thread_local! {
-        static STACK: std::cell::RefCell<Vec<Frame>> =
-            const { std::cell::RefCell::new(Vec::new()) };
+        static AMBIENT: RefCell<Ambient> = const {
+            RefCell::new(Ambient {
+                stack: Vec::new(),
+                pending: Vec::new(),
+            })
+        };
     }
 
-    pub(super) fn push(tracer: Tracer, ctx: TraceContext) {
-        STACK.with(|stack| stack.borrow_mut().push(Frame { tracer, ctx }));
+    /// Pushes the frame of a span opened through `tracer`.
+    pub(super) fn push(tracer: Tracer, ctx: TraceContext, root: bool) {
+        AMBIENT.with(|ambient| {
+            let stack = &mut ambient.borrow_mut().stack;
+            let owner = stack.len();
+            stack.push(Frame {
+                ctx,
+                tracer: Some(tracer),
+                owner,
+                root,
+            });
+        });
     }
 
-    /// Removes the frame of `span_id`, handing back its tracer.
-    pub(super) fn pop(span_id: SpanId) -> Option<Tracer> {
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // LIFO in the common case; scan back for robustness when
-            // spans end out of order.
-            if stack.last()?.ctx.span_id == span_id {
-                return stack.pop().map(|frame| frame.tracer);
-            }
-            let idx = stack
+    /// Removes the frame of `record`'s span and files the record.
+    ///
+    /// While the outermost open span is a trace root, the records of
+    /// the spans that file into its tracer through it are batched and
+    /// filed together with the root when it closes. Everything else —
+    /// a nested root, a [`Tracer::child_of`] span and its children, a
+    /// span closed out of order — is filed at once, after the batch, so
+    /// every ring still receives its records in finish order. A record
+    /// whose frame is gone is dropped.
+    pub(super) fn close(record: SpanRecord) {
+        AMBIENT.with(|ambient| {
+            let Ambient { stack, pending } = &mut *ambient.borrow_mut();
+            let Some(idx) = stack
                 .iter()
-                .rposition(|frame| frame.ctx.span_id == span_id)?;
-            Some(stack.remove(idx).tracer)
-        })
+                .rposition(|frame| frame.ctx.span_id == record.span_id)
+            else {
+                return;
+            };
+            // The top frame, filing through the outermost frame, which
+            // is a trace root: batch the record.
+            if idx + 1 == stack.len() && stack[idx].owner == 0 && stack[0].root {
+                let frame = stack.pop().expect("idx is the top frame");
+                pending.push(record);
+                if let Some(tracer) = frame.tracer {
+                    // The outermost root itself: file the whole trace.
+                    tracer.file(pending);
+                }
+                return;
+            }
+            if !pending.is_empty() {
+                stack[0].tracer().file(pending);
+            }
+            let tracer = remove(stack, idx);
+            pending.push(record);
+            tracer.file(pending);
+        });
+    }
+
+    /// Removes the frame at `idx` (not necessarily the top), returning
+    /// the tracer its span files into. When that frame owned the tracer
+    /// of frames still open above it, the first of them inherits it and
+    /// becomes the owner of the rest.
+    fn remove(stack: &mut Vec<Frame>, idx: usize) -> Tracer {
+        let frame = stack.remove(idx);
+        let tracer = match frame.tracer {
+            Some(tracer) => tracer,
+            None => stack[frame.owner].tracer().clone(),
+        };
+        let mut heir = None;
+        for (i, above) in stack.iter_mut().enumerate().skip(idx) {
+            if above.owner == idx {
+                above.owner = *heir.get_or_insert_with(|| {
+                    above.tracer = Some(tracer.clone());
+                    i
+                });
+            } else if above.owner > idx {
+                above.owner -= 1;
+            }
+        }
+        tracer
     }
 
     /// The innermost open span's context on this thread, if any.
     pub fn current() -> Option<TraceContext> {
-        STACK.with(|stack| stack.borrow().last().map(|frame| frame.ctx))
+        AMBIENT.with(|ambient| ambient.borrow().stack.last().map(|frame| frame.ctx))
     }
 
     /// Opens a span under `parent` (the innermost open span's context
     /// when `None`) in the innermost open span's tracer, all under one
-    /// borrow of the stack.
+    /// borrow of the stack. The new frame holds no tracer handle: it
+    /// records the innermost span's owner and mints its id there.
     fn open(
         parent: Option<TraceContext>,
         name: impl Into<SpanName>,
         plane: Plane,
         now_ms: u64,
     ) -> Option<ActiveSpan> {
-        STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
+        AMBIENT.with(|ambient| {
+            let stack = &mut ambient.borrow_mut().stack;
             let top = stack.last()?;
             let parent = parent.unwrap_or(top.ctx);
-            let tracer = top.tracer.clone();
+            let owner = top.owner;
             let ctx = TraceContext {
                 trace_id: parent.trace_id,
-                span_id: SpanId(tracer.fresh_id()),
+                span_id: SpanId(stack[owner].tracer().fresh_id()),
             };
-            stack.push(Frame { tracer, ctx });
-            drop(stack);
+            stack.push(Frame {
+                ctx,
+                tracer: None,
+                owner,
+                root: false,
+            });
             Some(ActiveSpan::open(
                 ctx,
                 Some(parent.span_id),
@@ -1053,6 +1173,127 @@ mod tests {
         let starts: Vec<u64> = tracer.finished().iter().map(|s| s.start_ms).collect();
         assert_eq!(starts, vec![21, 22, 23, 24]);
         assert_eq!(tracer.evicted_spans(), 8);
+    }
+
+    fn names(spans: &[SpanRecord]) -> Vec<&str> {
+        spans.iter().map(|span| span.name.as_str()).collect()
+    }
+
+    fn recording(retention: usize) -> Tracer {
+        Tracer::with_recorder(retention, Recorder::default())
+    }
+
+    #[test]
+    fn nested_roots_file_in_finish_order_into_their_own_rings() {
+        let tracer = recording(64);
+        let other = Tracer::new();
+        let outer = tracer.root("outer", Plane::App, 0);
+        ambient::child("a", Plane::Proxy, 1).unwrap().end(2);
+        // A nested root on another tracer takes its children with it.
+        let elsewhere = other.root("elsewhere", Plane::Proxy, 3);
+        ambient::child("d", Plane::Device, 4).unwrap().end(5);
+        elsewhere.end(6);
+        ambient::child("c", Plane::Proxy, 7).unwrap().end(8);
+        // A nested root on the same tracer, promoted on its own.
+        let mut inner = tracer.root("inner", Plane::Proxy, 9);
+        ambient::child("b", Plane::Device, 10).unwrap().end(11);
+        inner.attr("error", "Timeout");
+        inner.end(12);
+        outer.end(13);
+
+        assert_eq!(names(&tracer.finished()), ["a", "c", "b", "inner", "outer"]);
+        assert_eq!(names(&other.finished()), ["d", "elsewhere"]);
+        let traces = tracer.incident_store().unwrap().traces();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(names(&traces[0].spans), ["b", "inner"]);
+        assert!(traces[0].complete);
+        assert_eq!(tracer.evicted_spans(), 0);
+    }
+
+    #[test]
+    fn a_root_closed_before_its_children_hands_its_tracer_up() {
+        let tracer = recording(64);
+        let mut root = tracer.root("root", Plane::App, 0);
+        ambient::child("x", Plane::Proxy, 1).unwrap().end(2);
+        let a = ambient::child("a", Plane::Proxy, 3).unwrap();
+        let b = ambient::child("b", Plane::Platform, 4).unwrap();
+        root.attr("error", "Timeout");
+        drop(root);
+        // `a` now holds the tracer: a new child still mints its id there.
+        let c = ambient::child("c", Plane::Device, 5).unwrap();
+        c.end(6);
+        b.end(7);
+        a.end(8);
+        assert_eq!(ambient::current(), None);
+
+        let spans = tracer.finished();
+        assert_eq!(names(&spans), ["x", "root", "c", "b", "a"]);
+        let ids: Vec<u64> = spans.iter().map(|span| span.span_id.0).collect();
+        assert_eq!(ids, [3, 2, 6, 5, 4], "ids minted in open order");
+        assert!(spans.iter().all(|span| span.trace_id == spans[1].trace_id));
+        let traces = tracer.incident_store().unwrap().traces();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(names(&traces[0].spans), ["x", "root"]);
+        assert!(traces[0].complete);
+    }
+
+    #[test]
+    fn a_trace_longer_than_the_retention_promotes_its_resident_spans() {
+        let tracer = recording(3);
+        let mut root = tracer.root("root", Plane::Proxy, 0);
+        let a = ambient::child("a", Plane::Bridge, 1).unwrap();
+        let a_ctx = a.context();
+        a.end(2);
+        ambient::child_of(a_ctx, "late", Plane::Platform, 3)
+            .unwrap()
+            .end(4);
+        ambient::child("b", Plane::Device, 5).unwrap().end(6);
+        ambient::child("c", Plane::Device, 7).unwrap().end(8);
+        root.attr("error", "Timeout");
+        root.end(9);
+
+        // Filed one at a time, `c` evicts `a` and the root evicts `late`.
+        let traces = tracer.incident_store().unwrap().traces();
+        assert_eq!(names(&traces[0].spans), ["late", "b", "c", "root"]);
+        assert!(!traces[0].complete, "late's parent was evicted");
+        assert_eq!(names(&tracer.finished()), ["b", "c", "root"]);
+        assert_eq!(tracer.evicted_spans(), 2);
+    }
+
+    #[test]
+    fn evicted_spans_match_the_eviction_counter_after_wrap_around() {
+        let tracer = Tracer::with_retention(4);
+        let counters = RecorderCounters {
+            evicted: crate::Counter::default(),
+            promoted: crate::Counter::default(),
+            promoted_dropped: crate::Counter::default(),
+        };
+        tracer.install_counters(counters.clone());
+        for trace in 0..5u64 {
+            let root = tracer.root("root", Plane::App, trace * 10);
+            for child in 1..=3 {
+                let at = trace * 10 + child;
+                ambient::child("child", Plane::Proxy, at).unwrap().end(at);
+            }
+            root.end(trace * 10 + 9);
+        }
+        assert_eq!(tracer.evicted_spans(), 16, "20 spans through a ring of 4");
+        assert_eq!(counters.evicted.value(), 16);
+        let starts: Vec<u64> = tracer.finished().iter().map(|s| s.start_ms).collect();
+        assert_eq!(starts, [41, 42, 43, 40]);
+    }
+
+    #[test]
+    fn an_open_traces_children_are_visible_once_its_root_closes() {
+        let tracer = Tracer::new();
+        let root = tracer.root("root", Plane::App, 0);
+        ambient::child("child", Plane::Proxy, 1).unwrap().end(2);
+        let from_another_thread =
+            || std::thread::scope(|scope| scope.spawn(|| tracer.finished()).join().unwrap());
+        assert!(from_another_thread().is_empty());
+        assert!(tracer.finished().is_empty(), "nor on the recording thread");
+        root.end(3);
+        assert_eq!(names(&from_another_thread()), ["child", "root"]);
     }
 
     #[test]

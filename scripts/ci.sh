@@ -18,13 +18,15 @@ cargo run -q --release -p mobivine-bench --bin figure10 -- \
 cargo run -q --release -p mobivine-bench --bin figure10 -- --check "$summary"
 
 # Fleet smoke: drive ~500 devices through the load engine, emit the
-# mobivine.fleet.v5 summary, and schema-check it (the check also
+# mobivine.fleet.v6 summary, and schema-check it (the check also
 # enforces the brownout overload gate embedded in the summary,
 # accountability clause included — the unprotected arm's deadline-blown
-# calls must all have promoted traces — the cache gate: equal
-# checksums across the cached/uncached arms plus a ≥5x cut in
-# binding-plane reads — and the bridge gate: equal checksums across the
-# batched/unbatched arms plus strictly fewer bridge crossings batched).
+# calls must all have promoted traces, and every traced brownout arm
+# must have promoted at least one — the cache gate: equal checksums
+# across the cached/uncached arms, a cached arm that hit, plus a ≥5x cut
+# in binding-plane reads — the bridge gate: equal checksums across the
+# batched/unbatched arms plus strictly fewer bridge crossings batched —
+# and the crash arms' exactly-once gate).
 # The figure10 run above already smoke-runs the telemetry_hotpath and
 # bridge-marshalling ablations (its summary embeds and --check enforces
 # the per-call-lookup vs cached-handles rows and the ≥3x batched
@@ -32,27 +34,6 @@ cargo run -q --release -p mobivine-bench --bin figure10 -- --check "$summary"
 cargo run -q --release -p mobivine-bench --bin fleet -- \
     --devices 500 --shards 1,4 --workers 2 --rounds 2 --json "$fleet_summary"
 cargo run -q --release -p mobivine-bench --bin fleet -- --check "$fleet_summary"
-
-# Cache smoke: the read-heavy cached arm of the summary just emitted
-# must actually have hit (hits > 0). Belt to the validator's suspenders:
-# the schema check above already enforces the full gate, this guard
-# keeps the raw evidence greppable in CI logs.
-if ! grep -q '"hits":[1-9]' "$fleet_summary"; then
-    echo "error: the cached fleet arm never hit:" >&2
-    grep -o '"hits":[0-9]*' "$fleet_summary" >&2 || true
-    exit 1
-fi
-
-# SLO smoke: the brownout arms of the summary just emitted ran with the
-# flight recorder on, so a traced brownout must have promoted at least
-# one trace (promoted_traces > 0 in the JSON). Belt to the validator's
-# suspenders: the schema check above only proves the *unprotected* arm
-# explains its breaches.
-if ! grep -q '"promoted_traces":[1-9]' "$fleet_summary"; then
-    echo "error: no promoted traces in the fleet brownout arms:" >&2
-    grep -o '"promoted_traces":[0-9]*' "$fleet_summary" >&2 || true
-    exit 1
-fi
 
 # Chaos/brownout smoke: ramp one shard 10x under batch-arrival
 # deadlines, overload layer on vs off. Exits non-zero unless the
@@ -64,41 +45,10 @@ cargo run -q --release -p mobivine-bench --bin fleet -- --brownout
 # Crash-storm smoke: run the durable fleet twice — once under a
 # deterministic crash storm (torn writes, intent gaps, post-effect
 # wipes at scheduled idempotency keys), once crash-free — and exit
-# non-zero unless the stormed arm recovers every shard to the
-# crash-free checksum with zero duplicated effects. The binary gates
-# this itself; the greps below keep the raw exactly-once evidence
-# (recoveries happened, duplicates stayed zero) in the CI log.
-crash_digest="$(mktemp)"
-cargo run -q --release -p mobivine-bench --bin fleet -- --crash \
-    | tee "$crash_digest"
-if ! grep -q '"recoveries":[1-9]' "$crash_digest"; then
-    echo "error: the crash-storm arm never recovered a shard" >&2
-    rm -f "$crash_digest"
-    exit 1
-fi
-if ! grep -q '"duplicates":0' "$crash_digest"; then
-    echo "error: the crash storm duplicated an effect:" >&2
-    grep -o '"duplicates":[0-9]*' "$crash_digest" >&2 || true
-    rm -f "$crash_digest"
-    exit 1
-fi
-rm -f "$crash_digest"
-
-# SLO route smoke: a struggling traced runtime must serve a parsing
-# GET /slo report (validated against mobivine.slo.v1) and a /health
-# document — tests/flight_recorder.rs and the apps::server suite cover
-# this in `cargo test` above; re-assert here that the suites exist so a
-# deleted test cannot silently drop the gate.
-for gate in tests/flight_recorder.rs crates/apps/src/server.rs; do
-    if [ ! -f "$gate" ]; then
-        echo "error: SLO/incident gate file missing: $gate" >&2
-        exit 1
-    fi
-done
-grep -q "slo_route_serves_a_valid_burn_rate_report" crates/apps/src/server.rs || {
-    echo "error: the GET /slo round-trip test is gone" >&2
-    exit 1
-}
+# non-zero unless the stormed arm recovers every scheduled crash
+# (recoveries == shards x crashes per shard) to the crash-free checksum
+# with zero duplicated effects on either arm.
+cargo run -q --release -p mobivine-bench --bin fleet -- --crash
 
 # Regression gate against the committed baselines: schema-check both,
 # then re-run every BENCH_fleet.json scaling row (checksums must
