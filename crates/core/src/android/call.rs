@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use mobivine_android::context::Context;
 use mobivine_device::call::{CallId, CallState};
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{CallProxy, ProxyBase};
 use crate::error::ProxyError;
@@ -27,12 +28,8 @@ impl AndroidCallProxy {
     /// Creates an unconfigured proxy; set the `context` property before
     /// calling.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::call()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android call binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("Call", &PlatformId::Android),
         }
     }
 

@@ -9,6 +9,7 @@ use mobivine_android::context::Context;
 use mobivine_android::intent::{Intent, IntentFilter, IntentReceiver};
 use mobivine_android::location::{Registration, KEY_PROXIMITY_ENTERING};
 use mobivine_android::pending_intent::PendingIntent;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{LocationProxy, ProxyBase};
 use crate::error::ProxyError;
@@ -32,7 +33,7 @@ struct AlertRecord {
 /// (`com.ibm.proxies.android.location.LocationProxyImpl` in the
 /// descriptor).
 pub struct AndroidLocationProxy {
-    properties: PropertyBag,
+    pub(crate) properties: PropertyBag,
     alerts: Mutex<Vec<AlertRecord>>,
 }
 
@@ -47,12 +48,8 @@ impl AndroidLocationProxy {
     /// invoking any interface (Fig. 8(a):
     /// `loc.setProperty("context", this)`).
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::location()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android location binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("Location", &PlatformId::Android),
             alerts: Mutex::new(Vec::new()),
         }
     }

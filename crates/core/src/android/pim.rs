@@ -5,6 +5,7 @@ use std::sync::Arc;
 
 use mobivine_android::context::Context;
 use mobivine_android::permissions::Permission;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{CalendarProxy, ContactsProxy, ProxyBase};
 use crate::error::ProxyError;
@@ -25,12 +26,8 @@ impl Default for AndroidContactsProxy {
 impl AndroidContactsProxy {
     /// Creates an unconfigured proxy; set the `context` property first.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::contacts()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android contacts binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("Contacts", &PlatformId::Android),
         }
     }
 
@@ -76,12 +73,8 @@ impl Default for AndroidCalendarProxy {
 impl AndroidCalendarProxy {
     /// Creates an unconfigured proxy; set the `context` property first.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::calendar()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android calendar binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("Calendar", &PlatformId::Android),
         }
     }
 

@@ -4,6 +4,7 @@ use std::sync::Arc;
 
 use mobivine_android::context::Context;
 use mobivine_android::telephony::SmsResult;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{ProxyBase, SmsProxy};
 use crate::error::ProxyError;
@@ -26,12 +27,8 @@ impl AndroidSmsProxy {
     /// Creates an unconfigured proxy; set the `context` property before
     /// sending.
     pub fn new() -> Self {
-        let binding = mobivine_proxydl::catalog::sms()
-            .binding_for(&mobivine_proxydl::PlatformId::Android)
-            .expect("catalog declares an Android sms binding")
-            .clone();
         Self {
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("SMS", &PlatformId::Android),
         }
     }
 

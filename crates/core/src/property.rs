@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::RwLock;
 
-use mobivine_proxydl::PlatformBinding;
+use mobivine_proxydl::{PlatformBinding, PlatformId};
 
 use crate::error::{ProxyError, ProxyErrorKind};
 
@@ -156,9 +156,11 @@ pub(crate) fn knob<T: TryFrom<i64>>(
         .ok_or_else(|| bad_value(layer, key, value))
 }
 
-/// A descriptor-validated property store, one per proxy instance.
+/// A descriptor-validated property store, one per proxy instance. The
+/// binding plane it validates against is shared: every proxy of one
+/// kind on one platform points at the same catalog entry.
 pub struct PropertyBag {
-    binding: PlatformBinding,
+    binding: Arc<PlatformBinding>,
     values: RwLock<HashMap<String, PropertyValue>>,
 }
 
@@ -174,15 +176,31 @@ impl fmt::Debug for PropertyBag {
 impl PropertyBag {
     /// Creates a bag validating against `binding` (the proxy's
     /// binding-plane descriptor for the running platform).
-    pub fn new(binding: PlatformBinding) -> Self {
+    pub fn new(binding: impl Into<Arc<PlatformBinding>>) -> Self {
         Self {
-            binding,
+            binding: binding.into(),
             values: RwLock::new(HashMap::new()),
         }
     }
 
+    /// A bag validating against the standard catalog's `interface`
+    /// binding on `platform`, shared with every other proxy of that kind
+    /// (see [`mobivine_proxydl::catalog::standard_binding`]).
+    ///
+    /// # Panics
+    ///
+    /// If the standard catalog declares no such binding: a binding
+    /// constructor naming the wrong interface is a programming error.
+    pub(crate) fn standard(interface: &str, platform: &PlatformId) -> Self {
+        Self::new(
+            mobivine_proxydl::catalog::standard_binding(interface, platform).unwrap_or_else(|| {
+                panic!("the standard catalog declares no {interface} binding on {platform}")
+            }),
+        )
+    }
+
     /// The binding plane this bag validates against.
-    pub fn binding(&self) -> &PlatformBinding {
+    pub fn binding(&self) -> &Arc<PlatformBinding> {
         &self.binding
     }
 
@@ -332,7 +350,7 @@ impl PropertyBag {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mobivine_proxydl::{PlatformId, PropertySpec};
+    use mobivine_proxydl::PropertySpec;
 
     fn bag() -> PropertyBag {
         PropertyBag::new(

@@ -335,7 +335,7 @@ impl Mobivine {
     fn with_target(target: Target) -> Self {
         Self {
             target,
-            catalog: Arc::new(mobivine_proxydl::catalog::standard_catalog()),
+            catalog: mobivine_proxydl::catalog::standard(),
             layers: Layers::default(),
             slo: None,
             resolved: ResolutionCache::default(),
@@ -590,7 +590,8 @@ impl Mobivine {
         }
     }
 
-    /// The descriptor catalog backing this runtime.
+    /// The descriptor catalog backing this runtime: the process-wide
+    /// standard catalog, one allocation shared by every runtime.
     pub fn catalog(&self) -> &[ProxyDescriptor] {
         &self.catalog
     }
@@ -713,8 +714,8 @@ impl Mobivine {
 ///
 /// The legacy surface requires a `for_*` constructor first, then the
 /// `with_*` options. The builder accepts platform selection, every
-/// layer's policy, telemetry and a shared catalog **in any order** and
-/// wires them in one pass in [`MobivineBuilder::build`].
+/// layer's policy and telemetry **in any order** and wires them in one
+/// pass in [`MobivineBuilder::build`].
 ///
 /// # Example
 ///
@@ -738,7 +739,6 @@ impl Mobivine {
 #[derive(Default)]
 pub struct MobivineBuilder {
     target: Option<Target>,
-    catalog: Option<Arc<Vec<ProxyDescriptor>>>,
     resilience: Option<ResiliencePolicy>,
     overload: Option<OverloadPolicy>,
     cache: Option<CachePolicy>,
@@ -783,15 +783,6 @@ impl MobivineBuilder {
     #[must_use]
     pub fn webview(mut self, webview: Arc<WebView>) -> Self {
         self.target = Some(Target::WebView(webview));
-        self
-    }
-
-    /// Uses a shared descriptor catalog instead of a private copy of
-    /// the standard one. Fleet shards pass one `Arc` to every runtime
-    /// they own, so a 10k-device shard holds one catalog, not 10k.
-    #[must_use]
-    pub fn catalog(mut self, catalog: Arc<Vec<ProxyDescriptor>>) -> Self {
-        self.catalog = Some(catalog);
         self
     }
 
@@ -875,9 +866,6 @@ impl MobivineBuilder {
             Target::S60(platform) => Mobivine::for_s60(platform),
             Target::WebView(webview) => Mobivine::for_webview(webview),
         };
-        if let Some(catalog) = self.catalog {
-            runtime.catalog = catalog;
-        }
         runtime.slo = self.slo;
         let promotion = self.promotion.unwrap_or_default();
         let telemetry = self
@@ -1220,21 +1208,42 @@ mod tests {
     }
 
     #[test]
-    fn builder_shares_a_caller_provided_catalog() {
+    fn runtimes_share_one_catalog_and_proxies_one_binding_plane() {
+        use crate::property::PropertyBag;
         let device = Device::builder().build();
         let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let catalog = Arc::new(mobivine_proxydl::catalog::standard_catalog());
-        let a = Mobivine::builder()
-            .catalog(Arc::clone(&catalog))
-            .android(platform.new_context())
-            .build()
-            .unwrap();
-        let b = Mobivine::builder()
-            .catalog(Arc::clone(&catalog))
-            .s60(S60Platform::new(device))
-            .build()
-            .unwrap();
-        assert!(std::ptr::eq(a.catalog().as_ptr(), b.catalog().as_ptr()));
+        let webview = Arc::new(WebView::new(platform.new_context()));
+        let runtimes = [
+            Mobivine::for_android(platform.new_context()),
+            Mobivine::for_s60(S60Platform::new(device.clone())),
+            Mobivine::for_webview(Arc::clone(&webview)),
+        ];
+        let shared = mobivine_proxydl::catalog::standard();
+        for runtime in &runtimes {
+            assert!(std::ptr::eq(runtime.catalog().as_ptr(), shared.as_ptr()));
+        }
+
+        // Two devices' proxies of one kind point at one binding plane.
+        let other = Device::builder().build();
+        let other_webview =
+            WebView::new(AndroidPlatform::new(other.clone(), SdkVersion::M5Rc15).new_context());
+        install_wrappers(&other_webview);
+        let same = |a: &PropertyBag, b: &PropertyBag| Arc::ptr_eq(a.binding(), b.binding());
+        assert!(same(
+            &AndroidLocationProxy::new().properties,
+            &AndroidLocationProxy::new().properties
+        ));
+        assert!(same(
+            &S60SmsProxy::new(S60Platform::new(device)).properties,
+            &S60SmsProxy::new(S60Platform::new(other)).properties
+        ));
+        assert!(same(
+            &WebViewHttpProxy::new(&webview).unwrap().core.properties,
+            &WebViewHttpProxy::new(&other_webview)
+                .unwrap()
+                .core
+                .properties
+        ));
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! configure, lazy transmit, stream reads) behind the uniform one-call
 //! `request`.
 
+use mobivine_proxydl::PlatformId;
 use mobivine_s60::io::Connector;
 use mobivine_s60::S60Platform;
 
@@ -22,13 +23,9 @@ pub struct S60HttpProxy {
 impl S60HttpProxy {
     /// Creates a proxy bound to `platform`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::http()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 http binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("Http", &PlatformId::NokiaS60),
         }
     }
 }

@@ -32,6 +32,7 @@ use mobivine_s60::location::{
 use mobivine_s60::S60Platform;
 
 use mobivine_device::power::PowerLevel;
+use mobivine_proxydl::PlatformId;
 
 use crate::api::{LocationProxy, ProxyBase};
 use crate::error::ProxyError;
@@ -72,13 +73,9 @@ impl S60LocationProxy {
     /// Creates a proxy bound to `platform`. Platform-specific criteria
     /// (accuracy, response time, power) arrive via `setProperty`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::location()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 location binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("Location", &PlatformId::NokiaS60),
             alerts: Mutex::new(Vec::new()),
             provider_cache: Mutex::new(None),
         }

@@ -1,6 +1,7 @@
 //! S60 PIM proxy bindings (Contacts, Calendar) — extension features for
 //! the paper's future-work interfaces (§7).
 
+use mobivine_proxydl::PlatformId;
 use mobivine_s60::permissions::ApiPermission;
 use mobivine_s60::S60Platform;
 
@@ -18,13 +19,9 @@ pub struct S60ContactsProxy {
 impl S60ContactsProxy {
     /// Creates a proxy bound to `platform`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::contacts()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 contacts binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("Contacts", &PlatformId::NokiaS60),
         }
     }
 }
@@ -61,13 +58,9 @@ pub struct S60CalendarProxy {
 impl S60CalendarProxy {
     /// Creates a proxy bound to `platform`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::calendar()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 calendar binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("Calendar", &PlatformId::NokiaS60),
         }
     }
 }

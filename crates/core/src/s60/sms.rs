@@ -6,6 +6,7 @@
 
 use std::sync::Arc;
 
+use mobivine_proxydl::PlatformId;
 use mobivine_s60::messaging::{MessageConnection, MessageType};
 use mobivine_s60::S60Platform;
 
@@ -18,19 +19,15 @@ use crate::types::{DeliveryListener, DeliveryOutcome};
 /// (`com.ibm.S60.sms.SmsProxy` in the descriptor).
 pub struct S60SmsProxy {
     platform: S60Platform,
-    properties: PropertyBag,
+    pub(crate) properties: PropertyBag,
 }
 
 impl S60SmsProxy {
     /// Creates a proxy bound to `platform`.
     pub fn new(platform: S60Platform) -> Self {
-        let binding = mobivine_proxydl::catalog::sms()
-            .binding_for(&mobivine_proxydl::PlatformId::NokiaS60)
-            .expect("catalog declares an S60 sms binding")
-            .clone();
         Self {
             platform,
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard("SMS", &PlatformId::NokiaS60),
         }
     }
 }

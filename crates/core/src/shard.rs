@@ -2,29 +2,27 @@
 //!
 //! One [`crate::registry::Mobivine`] runtime serves one application on
 //! one device. A fleet of tens of thousands of simulated devices needs
-//! the same uniform surface without paying per-device overhead twice
-//! over: a private descriptor-catalog allocation per runtime, and
-//! per-call proxy construction on every acquisition.
+//! the same uniform surface without per-call proxy construction on
+//! every acquisition. Descriptors cost nothing per device: every runtime
+//! in the process holds one `Arc` to
+//! [`mobivine_proxydl::catalog::standard`], and every proxy one `Arc` to
+//! its binding plane, so shards own no catalog.
 //!
-//! [`ShardedRegistry`] fixes both. Runtimes are partitioned round-robin
-//! into a fixed number of **shards**; every runtime in a shard shares
-//! one `Arc`'d descriptor catalog (a 10k-device shard holds one catalog,
-//! not 10k), and each runtime's resolution is memoized (see
+//! [`ShardedRegistry`] partitions runtimes round-robin into a fixed
+//! number of **shards**, and memoizes each runtime's resolution (see
 //! [`crate::registry::Mobivine::proxy`]), so steady-state acquisition
 //! across the whole fleet is a lock-free read per device. Shards are
-//! also the unit of worker ownership upstream: the fleet engine assigns
+//! the unit of worker ownership upstream: the fleet engine assigns
 //! disjoint shards to workers, so no two workers ever contend on the
 //! same runtime.
 
 use std::sync::Arc;
 
-use mobivine_proxydl::ProxyDescriptor;
-
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::registry::{Mobivine, MobivineBuilder, ProxyApi};
 
-/// A registry of per-device runtimes partitioned into catalog-sharing
-/// shards, with typed memoized resolution routed by device index.
+/// A registry of per-device runtimes partitioned into shards, with
+/// typed memoized resolution routed by device index.
 ///
 /// Registration is a build-time phase (`&mut self`); after that the
 /// registry is read-only and every acquisition path
@@ -50,24 +48,23 @@ use crate::registry::{Mobivine, MobivineBuilder, ProxyApi};
 /// # Ok::<(), mobivine::error::ProxyError>(())
 /// ```
 pub struct ShardedRegistry {
-    /// One shared catalog per shard; `catalogs.len()` is the shard count.
-    catalogs: Vec<Arc<Vec<ProxyDescriptor>>>,
-    /// Runtime `i` belongs to shard `i % catalogs.len()`.
+    /// Fixed at construction, never zero.
+    shard_count: usize,
+    /// Runtime `i` belongs to shard `i % shard_count`.
     runtimes: Vec<Arc<Mobivine>>,
 }
 
 impl std::fmt::Debug for ShardedRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedRegistry")
-            .field("shards", &self.catalogs.len())
+            .field("shards", &self.shard_count)
             .field("runtimes", &self.runtimes.len())
             .finish()
     }
 }
 
 impl ShardedRegistry {
-    /// Creates an empty registry with `shard_count` shards, each owning
-    /// one shared copy of the standard descriptor catalog.
+    /// Creates an empty registry with `shard_count` shards.
     ///
     /// # Errors
     ///
@@ -79,18 +76,15 @@ impl ShardedRegistry {
                 "ShardedRegistry needs at least one shard",
             ));
         }
-        let catalogs = (0..shard_count)
-            .map(|_| Arc::new(mobivine_proxydl::catalog::standard_catalog()))
-            .collect();
         Ok(Self {
-            catalogs,
+            shard_count,
             runtimes: Vec::new(),
         })
     }
 
     /// The number of shards.
     pub fn shard_count(&self) -> usize {
-        self.catalogs.len()
+        self.shard_count
     }
 
     /// The number of registered runtimes.
@@ -105,22 +99,12 @@ impl ShardedRegistry {
 
     /// The shard owning device `device_index` (round-robin).
     pub fn shard_of(&self, device_index: usize) -> usize {
-        device_index % self.catalogs.len()
+        device_index % self.shard_count
     }
 
-    /// The catalog shared by every runtime in `shard`.
-    ///
-    /// # Panics
-    ///
-    /// If `shard >= shard_count()`.
-    pub fn shard_catalog(&self, shard: usize) -> Arc<Vec<ProxyDescriptor>> {
-        Arc::clone(&self.catalogs[shard])
-    }
-
-    /// Registers the next runtime: hands `configure` a
-    /// [`MobivineBuilder`] pre-seeded with the owning shard's shared
-    /// catalog (platform selection and options are the caller's),
-    /// builds it, and returns the new device index.
+    /// Registers the next runtime: hands `configure` a fresh
+    /// [`MobivineBuilder`] (platform selection and options are the
+    /// caller's), builds it, and returns the new device index.
     ///
     /// # Errors
     ///
@@ -131,9 +115,7 @@ impl ShardedRegistry {
         configure: impl FnOnce(MobivineBuilder) -> MobivineBuilder,
     ) -> Result<usize, ProxyError> {
         let device_index = self.runtimes.len();
-        let shard = self.shard_of(device_index);
-        let builder = Mobivine::builder().catalog(Arc::clone(&self.catalogs[shard]));
-        let runtime = configure(builder).build()?;
+        let runtime = configure(Mobivine::builder()).build()?;
         self.runtimes.push(Arc::new(runtime));
         Ok(device_index)
     }
@@ -145,7 +127,7 @@ impl ShardedRegistry {
 
     /// The device indices belonging to `shard`, in registration order.
     pub fn shard_members(&self, shard: usize) -> impl Iterator<Item = usize> + '_ {
-        let shards = self.catalogs.len();
+        let shards = self.shard_count;
         (0..self.runtimes.len()).filter(move |i| i % shards == shard)
     }
 
@@ -223,25 +205,18 @@ mod tests {
     }
 
     #[test]
-    fn shard_members_share_one_catalog_allocation() {
-        let registry = android_fleet(2, 6);
-        let members: Vec<usize> = registry.shard_members(0).collect();
-        let first = registry.runtime(members[0]).unwrap();
-        for &m in &members[1..] {
-            let other = registry.runtime(m).unwrap();
-            assert!(
-                std::ptr::eq(first.catalog().as_ptr(), other.catalog().as_ptr()),
-                "devices {} and {} share shard 0's catalog",
-                members[0],
-                m
-            );
+    fn every_runtime_in_every_shard_shares_one_catalog_allocation() {
+        let registry = android_fleet(3, 9);
+        let shared = mobivine_proxydl::catalog::standard();
+        for shard in 0..registry.shard_count() {
+            for m in registry.shard_members(shard) {
+                let runtime = registry.runtime(m).unwrap();
+                assert!(
+                    std::ptr::eq(runtime.catalog().as_ptr(), shared.as_ptr()),
+                    "device {m} in shard {shard} holds the process-wide catalog"
+                );
+            }
         }
-        // Different shards own different allocations.
-        let other_shard = registry.runtime(1).unwrap();
-        assert!(!std::ptr::eq(
-            first.catalog().as_ptr(),
-            other_shard.catalog().as_ptr()
-        ));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mobivine_device::Device;
+use mobivine_proxydl::PlatformId;
 use mobivine_telemetry::span::ambient;
 use mobivine_telemetry::TraceparentBuf;
 use mobivine_webview::bridge::BridgeError;
@@ -58,24 +59,22 @@ fn wrapper_handle(webview: &WebView, name: &str) -> Result<JsInterfaceHandle, Pr
 
 /// Shared plumbing for the JS proxies: the wrapper handle plus the
 /// page's notification infrastructure.
-struct JsProxyCore {
+pub(crate) struct JsProxyCore {
     handle: JsInterfaceHandle,
     table: Arc<NotificationTable>,
     device: Device,
-    properties: PropertyBag,
+    pub(crate) properties: PropertyBag,
 }
 
 impl JsProxyCore {
-    fn new(
-        webview: &WebView,
-        name: &str,
-        binding: mobivine_proxydl::PlatformBinding,
-    ) -> Result<Self, ProxyError> {
+    /// `name` is the wrapper's JavaScript name, `interface` the
+    /// descriptor name in the standard catalog.
+    fn new(webview: &WebView, name: &str, interface: &str) -> Result<Self, ProxyError> {
         Ok(Self {
             handle: wrapper_handle(webview, name)?,
             table: Arc::clone(webview.notifications()),
             device: webview.context().device().clone(),
-            properties: PropertyBag::new(binding),
+            properties: PropertyBag::standard(interface, &PlatformId::AndroidWebView),
         })
     }
 
@@ -194,12 +193,8 @@ impl WebViewLocationProxy {
     /// Returns `Unavailable` if [`crate::webview::install_wrappers`] has
     /// not run on this page.
     pub fn new(webview: &WebView) -> Result<Self, ProxyError> {
-        let binding = mobivine_proxydl::catalog::location()
-            .binding_for(&mobivine_proxydl::PlatformId::AndroidWebView)
-            .expect("catalog declares a WebView location binding")
-            .clone();
         Ok(Self {
-            core: JsProxyCore::new(webview, interface_names::LOCATION, binding)?,
+            core: JsProxyCore::new(webview, interface_names::LOCATION, "Location")?,
             registrations: Mutex::new(HashMap::new()),
             batched: AtomicBool::new(false),
         })
@@ -352,12 +347,8 @@ impl WebViewSmsProxy {
     ///
     /// Returns `Unavailable` if wrappers are not installed.
     pub fn new(webview: &WebView) -> Result<Self, ProxyError> {
-        let binding = mobivine_proxydl::catalog::sms()
-            .binding_for(&mobivine_proxydl::PlatformId::AndroidWebView)
-            .expect("catalog declares a WebView sms binding")
-            .clone();
         Ok(Self {
-            core: JsProxyCore::new(webview, interface_names::SMS, binding)?,
+            core: JsProxyCore::new(webview, interface_names::SMS, "SMS")?,
             handlers: Mutex::new(Vec::new()),
         })
     }
@@ -445,12 +436,8 @@ impl WebViewCallProxy {
     ///
     /// Returns `Unavailable` if wrappers are not installed.
     pub fn new(webview: &WebView) -> Result<Self, ProxyError> {
-        let binding = mobivine_proxydl::catalog::call()
-            .binding_for(&mobivine_proxydl::PlatformId::AndroidWebView)
-            .expect("catalog declares a WebView call binding")
-            .clone();
         Ok(Self {
-            core: JsProxyCore::new(webview, interface_names::CALL, binding)?,
+            core: JsProxyCore::new(webview, interface_names::CALL, "Call")?,
         })
     }
 }
@@ -491,7 +478,7 @@ impl CallProxy for WebViewCallProxy {
 
 /// The JavaScript `HttpProxyImpl`.
 pub struct WebViewHttpProxy {
-    core: JsProxyCore,
+    pub(crate) core: JsProxyCore,
 }
 
 impl WebViewHttpProxy {
@@ -501,12 +488,8 @@ impl WebViewHttpProxy {
     ///
     /// Returns `Unavailable` if wrappers are not installed.
     pub fn new(webview: &WebView) -> Result<Self, ProxyError> {
-        let binding = mobivine_proxydl::catalog::http()
-            .binding_for(&mobivine_proxydl::PlatformId::AndroidWebView)
-            .expect("catalog declares a WebView http binding")
-            .clone();
         Ok(Self {
-            core: JsProxyCore::new(webview, interface_names::HTTP, binding)?,
+            core: JsProxyCore::new(webview, interface_names::HTTP, "Http")?,
         })
     }
 }

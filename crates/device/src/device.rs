@@ -3,7 +3,7 @@
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use mobivine_telemetry::MetricsRegistry;
 
@@ -153,6 +153,12 @@ impl Device {
     /// scheduled transition fires).
     pub fn bump_fault_epoch(&self) {
         self.fault_epoch.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// The fault epoch without keeping the device alive: a fault
+    /// transition queued on the device's own event queue holds this.
+    pub(crate) fn weak_fault_epoch(&self) -> Weak<AtomicU64> {
+        Arc::downgrade(&self.fault_epoch)
     }
 
     /// This device's phone number.

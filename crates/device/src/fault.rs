@@ -32,7 +32,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
@@ -152,20 +152,36 @@ impl FaultPlan {
         }
     }
 
-    fn schedule(&self, at_ms: u64, label: &'static str, action: impl FnOnce(u64) + Send + 'static) {
+    /// Queues one transition: at `at_ms` it counts itself, bumps the
+    /// fault epoch and runs `action` on `target`.
+    ///
+    /// The closure lives on the device's own event queue, so it holds
+    /// only [`Weak`] handles: a strong `Device`, `SimNetwork` or `Smsc`
+    /// (the latter two hold the queue) would form a cycle that keeps a
+    /// dropped device — and whatever its server routes capture — alive.
+    /// A device alive to pump its queue keeps the targets alive too.
+    fn schedule<T: Send + Sync + 'static>(
+        &self,
+        at_ms: u64,
+        label: &'static str,
+        target: &Arc<T>,
+        action: impl FnOnce(&T) + Send + 'static,
+    ) {
         let transitions = self.device.metrics().counter(
             "device_fault_transitions_total",
             &mobivine_telemetry::Labels::new(&[("fault", label)]),
         );
-        let device = self.device.clone();
-        let id = self
-            .device
-            .events()
-            .schedule_at(at_ms, label, move |at_ms| {
-                transitions.inc();
-                device.bump_fault_epoch();
-                action(at_ms);
-            });
+        let epoch = self.device.weak_fault_epoch();
+        let target: Weak<T> = Arc::downgrade(target);
+        let id = self.device.events().schedule_at(at_ms, label, move |_| {
+            transitions.inc();
+            if let Some(epoch) = epoch.upgrade() {
+                epoch.fetch_add(1, Ordering::AcqRel);
+            }
+            if let Some(target) = target.upgrade() {
+                action(&target);
+            }
+        });
         self.scheduled.lock().push(id);
     }
 
@@ -189,22 +205,20 @@ impl FaultPlan {
     /// Takes the packet network down at `from_ms` and restores it at
     /// `until_ms` — the classic partition window t₁–t₂.
     pub fn network_partition(&self, from_ms: u64, until_ms: u64) -> &Self {
-        let net = Arc::clone(self.device.network());
-        self.schedule(from_ms, "fault.network.down", move |_| net.set_down(true));
-        let net = Arc::clone(self.device.network());
-        self.schedule(until_ms, "fault.network.up", move |_| net.set_down(false));
+        let net = self.device.network();
+        self.schedule(from_ms, "fault.network.down", net, |net| net.set_down(true));
+        self.schedule(until_ms, "fault.network.up", net, |net| net.set_down(false));
         self
     }
 
     /// Marks the GPS engine temporarily unavailable over
     /// `from_ms..until_ms`.
     pub fn gps_outage(&self, from_ms: u64, until_ms: u64) -> &Self {
-        let gps = Arc::clone(self.device.gps());
-        self.schedule(from_ms, "fault.gps.lost", move |_| {
+        let gps = self.device.gps();
+        self.schedule(from_ms, "fault.gps.lost", gps, |gps| {
             gps.set_availability(GpsAvailability::TemporarilyUnavailable);
         });
-        let gps = Arc::clone(self.device.gps());
-        self.schedule(until_ms, "fault.gps.recovered", move |_| {
+        self.schedule(until_ms, "fault.gps.recovered", gps, |gps| {
             gps.set_availability(GpsAvailability::Available);
         });
         self
@@ -226,12 +240,11 @@ impl FaultPlan {
     /// from its own seeded stream, so the drop pattern stays
     /// reproducible.
     pub fn sms_loss_window(&self, from_ms: u64, until_ms: u64, probability: f64) -> &Self {
-        let smsc = Arc::clone(self.device.smsc());
-        self.schedule(from_ms, "fault.smsc.lossy", move |_| {
+        let smsc = self.device.smsc();
+        self.schedule(from_ms, "fault.smsc.lossy", smsc, move |smsc| {
             smsc.set_loss_probability(probability);
         });
-        let smsc = Arc::clone(self.device.smsc());
-        self.schedule(until_ms, "fault.smsc.clean", move |_| {
+        self.schedule(until_ms, "fault.smsc.clean", smsc, |smsc| {
             smsc.set_loss_probability(0.0);
         });
         self
@@ -244,14 +257,18 @@ impl FaultPlan {
     pub fn latency_spike(&self, from_ms: u64, until_ms: u64, factor: u64) -> &Self {
         let restore = self.device.network().round_trip_ms(0);
         let spiked = restore.saturating_mul(factor.max(1));
-        let net = Arc::clone(self.device.network());
-        self.schedule(from_ms, "fault.network.latency_spike", move |_| {
+        let net = self.device.network();
+        self.schedule(from_ms, "fault.network.latency_spike", net, move |net| {
             net.set_base_latency_ms(spiked);
         });
-        let net = Arc::clone(self.device.network());
-        self.schedule(until_ms, "fault.network.latency_restored", move |_| {
-            net.set_base_latency_ms(restore);
-        });
+        self.schedule(
+            until_ms,
+            "fault.network.latency_restored",
+            net,
+            move |net| {
+                net.set_base_latency_ms(restore);
+            },
+        );
         self
     }
 
@@ -263,12 +280,11 @@ impl FaultPlan {
         self.latency_spike(from_ms, until_ms, factor);
         let restore = self.device.smsc().latency_ms();
         let spiked = restore.saturating_mul(factor.max(1));
-        let smsc = Arc::clone(self.device.smsc());
-        self.schedule(from_ms, "fault.smsc.overloaded", move |_| {
+        let smsc = self.device.smsc();
+        self.schedule(from_ms, "fault.smsc.overloaded", smsc, move |smsc| {
             smsc.set_latency_ms(spiked);
         });
-        let smsc = Arc::clone(self.device.smsc());
-        self.schedule(until_ms, "fault.smsc.drained", move |_| {
+        self.schedule(until_ms, "fault.smsc.drained", smsc, move |smsc| {
             smsc.set_latency_ms(restore);
         });
         self
@@ -281,15 +297,24 @@ impl FaultPlan {
     /// Circuit-switched services — calls, SMS submission — fail at the
     /// radio while the window is open.
     pub fn coverage_outage(&self, from_ms: u64, until_ms: u64) -> &Self {
-        let coverage = Arc::clone(self.device.coverage());
-        self.schedule(from_ms, "fault.radio.out_of_coverage", move |_| {
-            coverage.clear();
-            coverage.add_cell(crate::geo::GeoPoint::new(-89.9, 0.0), 1.0);
-        });
-        let coverage = Arc::clone(self.device.coverage());
-        self.schedule(until_ms, "fault.radio.coverage_restored", move |_| {
-            coverage.clear();
-        });
+        let coverage = self.device.coverage();
+        self.schedule(
+            from_ms,
+            "fault.radio.out_of_coverage",
+            coverage,
+            |coverage| {
+                coverage.clear();
+                coverage.add_cell(crate::geo::GeoPoint::new(-89.9, 0.0), 1.0);
+            },
+        );
+        self.schedule(
+            until_ms,
+            "fault.radio.coverage_restored",
+            coverage,
+            |coverage| {
+                coverage.clear();
+            },
+        );
         self
     }
 
@@ -299,8 +324,7 @@ impl FaultPlan {
     /// transition — counted, epoch-bumping, replayable — so cache
     /// stamps and chaos traces see the storm begin.
     pub fn crash_storm(&self, at_ms: u64, schedule: &Arc<CrashSchedule>) -> &Self {
-        let schedule = Arc::clone(schedule);
-        self.schedule(at_ms, "fault.crash.armed", move |_| schedule.arm());
+        self.schedule(at_ms, "fault.crash.armed", schedule, CrashSchedule::arm);
         self
     }
 

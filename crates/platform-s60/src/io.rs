@@ -11,7 +11,7 @@ use std::fmt;
 use parking_lot::Mutex;
 
 use mobivine_device::latency::NativeApi;
-use mobivine_device::net::{HttpRequest, Method, NetworkError};
+use mobivine_device::net::{HttpRequest, Method, NetworkError, Url, UrlError};
 
 use crate::error::S60Exception;
 use crate::permissions::ApiPermission;
@@ -37,15 +37,14 @@ impl Connector {
                 "connector scheme not supported: {url}"
             )));
         }
-        // Validate eagerly so setup errors surface at open() like on the
-        // real platform.
-        let _probe: mobivine_device::net::Url =
-            url.parse().map_err(|e: mobivine_device::net::UrlError| {
-                S60Exception::IllegalArgument(e.to_string())
-            })?;
+        // Parse eagerly so setup errors surface at open() like on the
+        // real platform; the connection keeps the parsed form.
+        let url = url
+            .parse()
+            .map_err(|e: UrlError| S60Exception::IllegalArgument(e.to_string()))?;
         Ok(HttpConnection {
             platform: platform.clone(),
-            url: url.to_owned(),
+            url,
             method: Method::Get,
             request_properties: Vec::new(),
             request_body: Vec::new(),
@@ -69,7 +68,7 @@ enum ConnState {
 /// `javax.microedition.io.HttpConnection`.
 pub struct HttpConnection {
     platform: S60Platform,
-    url: String,
+    url: Url,
     method: Method,
     request_properties: Vec<(String, String)>,
     request_body: Vec<u8>,
@@ -223,15 +222,9 @@ impl HttpConnection {
         let device = self.platform.device();
         device.latency().consume(NativeApi::HttpRequest);
         device.power().draw("radio", 1.5);
-        let url = self
-            .url
-            .parse()
-            .map_err(|e: mobivine_device::net::UrlError| {
-                S60Exception::IllegalArgument(e.to_string())
-            })?;
         let mut request = HttpRequest {
             method: self.method,
-            url,
+            url: self.url.clone(),
             headers: self.request_properties.clone(),
             body: self.request_body.clone(),
         };
@@ -355,6 +348,24 @@ mod tests {
             Connector::open_http(&platform, "socket://x:80"),
             Err(S60Exception::IllegalArgument(_))
         ));
+    }
+
+    #[test]
+    fn malformed_http_url_rejected_at_open() {
+        let platform = platform_with_server();
+        for url in [
+            "http://",
+            "http://wfm.example:port/tasks",
+            "http://:80/tasks",
+        ] {
+            assert!(
+                matches!(
+                    Connector::open_http(&platform, url),
+                    Err(S60Exception::IllegalArgument(_))
+                ),
+                "{url}"
+            );
+        }
     }
 
     #[test]

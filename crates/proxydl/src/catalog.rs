@@ -8,6 +8,8 @@
 //! future-work interfaces (§7), which this reproduction implements as
 //! extension features.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::binding::{PlatformBinding, PlatformId, PropertySpec};
 use crate::descriptor::ProxyDescriptor;
 use crate::semantic::{MethodSpec, SemanticPlane};
@@ -544,9 +546,40 @@ pub fn calendar() -> ProxyDescriptor {
         .binding(s60)
 }
 
-/// The full standard catalog, in drawer order.
+/// The full standard catalog, in drawer order: a fresh owned copy,
+/// for callers that extend or edit descriptors (the plug-in, new
+/// platform bindings). Read-only callers share [`standard`].
 pub fn standard_catalog() -> Vec<ProxyDescriptor> {
     vec![location(), sms(), call(), http(), contacts(), calendar()]
+}
+
+/// The standard catalog, built once per process and shared: descriptors
+/// are static metadata (§3.3), so every runtime holds the same
+/// allocation instead of a private copy.
+pub fn standard() -> Arc<Vec<ProxyDescriptor>> {
+    static STANDARD: OnceLock<Arc<Vec<ProxyDescriptor>>> = OnceLock::new();
+    Arc::clone(STANDARD.get_or_init(|| Arc::new(standard_catalog())))
+}
+
+/// The binding plane of the standard `interface` (descriptor name, e.g.
+/// `"Location"`) on `platform`, shared by every proxy of that kind in
+/// the process; `None` where the catalog declares no such binding.
+pub fn standard_binding(interface: &str, platform: &PlatformId) -> Option<Arc<PlatformBinding>> {
+    static BINDINGS: OnceLock<Vec<(String, Arc<PlatformBinding>)>> = OnceLock::new();
+    BINDINGS
+        .get_or_init(|| {
+            standard()
+                .iter()
+                .flat_map(|d| {
+                    d.bindings
+                        .iter()
+                        .map(|b| (d.name.clone(), Arc::new(b.clone())))
+                })
+                .collect()
+        })
+        .iter()
+        .find(|(name, binding)| name == interface && &binding.platform == platform)
+        .map(|(_, binding)| Arc::clone(binding))
 }
 
 #[cfg(test)]
@@ -573,6 +606,27 @@ mod tests {
             let back = ProxyDescriptor::parse(&text).unwrap();
             assert_eq!(back, descriptor, "descriptor {}", descriptor.name);
         }
+    }
+
+    #[test]
+    fn the_shared_catalog_is_built_once_and_matches_the_builders() {
+        let catalog = standard();
+        assert!(Arc::ptr_eq(&catalog, &standard()));
+        assert_eq!(*catalog, standard_catalog());
+    }
+
+    #[test]
+    fn shared_bindings_match_the_catalog_and_are_built_once() {
+        for descriptor in standard_catalog() {
+            for binding in &descriptor.bindings {
+                let shared = standard_binding(&descriptor.name, &binding.platform).unwrap();
+                assert_eq!(*shared, *binding);
+                let again = standard_binding(&descriptor.name, &binding.platform).unwrap();
+                assert!(Arc::ptr_eq(&shared, &again));
+            }
+        }
+        assert!(standard_binding("Call", &PlatformId::NokiaS60).is_none());
+        assert!(standard_binding("Teleport", &PlatformId::Android).is_none());
     }
 
     #[test]
