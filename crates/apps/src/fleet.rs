@@ -23,6 +23,7 @@
 //! Two runs of [`Fleet::run`] with the same [`FleetConfig`] therefore
 //! produce byte-identical [`FleetReport`]s, worker count included.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -48,6 +49,17 @@ use crate::server::{DurabilityConfig, TrackPoint, WfmServer, WfmServerCounts};
 
 /// The supervisor MSISDN every fleet device texts.
 pub const FLEET_SUPERVISOR: &str = "+91-98-SUPERVISOR";
+
+/// Per-worker-ring span retention of a traced fleet device. Small on
+/// purpose: at fleet scale the rings are a sampling window; traces
+/// worth keeping are *promoted* out of them into each device's bounded
+/// incident store.
+const SPAN_RETENTION: usize = 16;
+
+/// Per-device incident-store capacity of a traced fleet device: how
+/// many promoted traces each device keeps (further promotions are
+/// counted and dropped).
+const INCIDENT_CAPACITY: usize = 256;
 
 /// The server host name of `shard` (one [`WfmServer`] per shard,
 /// reachable from every member device's simulated network).
@@ -173,15 +185,6 @@ pub struct FleetConfig {
     /// The traced hot path is allocation-free after wiring, so this
     /// costs atomics and span-record moves, not heap churn.
     pub telemetry: bool,
-    /// Per-worker-ring span retention cap when `telemetry` is on.
-    /// Small by default: at fleet scale the rings are a sampling
-    /// window; traces worth keeping are *promoted* out of them into
-    /// each device's bounded incident store.
-    pub span_retention: usize,
-    /// Per-device incident-store capacity: how many promoted traces
-    /// each device keeps (further promotions are counted and dropped).
-    /// Only meaningful with `telemetry` on.
-    pub incident_capacity: usize,
     /// When `true` (requires `telemetry`), every device runtime gets a
     /// per-device [`SloEngine`] over a fleet-wide objective template
     /// (availability per proxy method per platform, plus latency
@@ -228,8 +231,6 @@ impl Default for FleetConfig {
             read_heavy: false,
             cache: false,
             telemetry: false,
-            span_retention: 16,
-            incident_capacity: 256,
             slo: false,
             brownout: None,
             bridge_batch: None,
@@ -270,12 +271,6 @@ impl FleetConfig {
         if self.ops_per_round == 0 {
             return illegal("ops_per_round");
         }
-        if self.telemetry && self.span_retention == 0 {
-            return illegal("span_retention (with telemetry enabled)");
-        }
-        if self.telemetry && self.incident_capacity == 0 {
-            return illegal("incident_capacity (with telemetry enabled)");
-        }
         if self.slo && !self.telemetry {
             return Err(ProxyError::new(
                 ProxyErrorKind::IllegalArgument,
@@ -314,10 +309,11 @@ impl FleetConfig {
                 ));
             };
             if durability.checkpoint_every != 1 {
-                // With a checkpoint after every apply, each recovery's
-                // replay length depends only on the crash kind, never
-                // on which ops other workers interleaved before the
-                // crash — the worker-invariance the digest gate pins.
+                // With a checkpoint after every apply (and after every
+                // recovery), each recovery's replay length depends only
+                // on the crash kind, never on which ops other workers
+                // interleaved before the crash — the worker-invariance
+                // the digest gate pins.
                 return Err(ProxyError::new(
                     ProxyErrorKind::IllegalArgument,
                     "FleetConfig: crash_plan requires durability.checkpoint_every == 1 \
@@ -525,6 +521,93 @@ impl FleetReport {
             return 0;
         }
         self.total_ops * 1_000 / self.virtual_elapsed_ms
+    }
+
+    /// Every numeric outcome of the run except the op and error counts
+    /// and the checksum, flattened under stable names: the run-wide
+    /// counters and latency quantiles, `shardN.p99_ms` per shard, and
+    /// each digest that is present under its own prefix (`cache.`,
+    /// `bridge.`, `recovery.`, `incidents.`). This is the only place a
+    /// fleet counter is named; bench scenarios gate on these keys.
+    pub fn counters(&self) -> BTreeMap<String, u64> {
+        let mut out: BTreeMap<String, u64> = [
+            ("sms_sent", self.sms_sent),
+            ("http_ok", self.http_ok),
+            ("location_fixes", self.location_fixes),
+            ("shed", self.shed),
+            ("degraded", self.degraded),
+            ("deadline_exceeded", self.deadline_exceeded),
+            ("deadline_blown", self.deadline_blown),
+            ("p50_ms", self.p50_ms),
+            ("p95_ms", self.p95_ms),
+            ("p99_ms", self.p99_ms),
+            ("virtual_ops_per_sec", self.virtual_ops_per_sec()),
+        ]
+        .into_iter()
+        .map(|(key, value)| (key.to_owned(), value))
+        .collect();
+        for shard in &self.per_shard {
+            out.insert(format!("shard{}.p99_ms", shard.shard), shard.p99_ms);
+        }
+        let mut digest = |prefix: &str, fields: &[(&str, u64)]| {
+            for (key, value) in fields {
+                out.insert(format!("{prefix}.{key}"), *value);
+            }
+        };
+        if let Some(c) = &self.cache {
+            digest(
+                "cache",
+                &[
+                    ("hits", c.hits),
+                    ("misses", c.misses),
+                    ("coalesced", c.coalesced),
+                    ("invalidated", c.invalidated),
+                ],
+            );
+        }
+        if let Some(b) = &self.bridge {
+            digest(
+                "bridge",
+                &[
+                    ("webview_devices", b.webview_devices),
+                    ("crossings", b.crossings),
+                ],
+            );
+        }
+        if let Some(r) = &self.recovery {
+            digest(
+                "recovery",
+                &[
+                    ("recoveries", r.recoveries),
+                    ("torn_crashes", r.torn_crashes),
+                    ("gap_crashes", r.gap_crashes),
+                    ("effect_crashes", r.effect_crashes),
+                    ("replayed_records", r.replayed_records),
+                    ("torn_truncated", r.torn_truncated),
+                    ("checkpoints", r.checkpoints),
+                    ("suppressed_duplicates", r.suppressed_duplicates),
+                    ("duplicates", r.duplicates),
+                    ("recovery_p50_us", r.recovery_p50_us),
+                    ("recovery_p99_us", r.recovery_p99_us),
+                    ("client_appends", r.client_appends),
+                    ("client_fsyncs", r.client_fsyncs),
+                    ("client_already_applied", r.client_already_applied),
+                ],
+            );
+        }
+        if let Some(i) = &self.incidents {
+            digest(
+                "incidents",
+                &[
+                    ("promoted_traces", i.promoted_traces),
+                    ("promoted_deadline", i.promoted_deadline),
+                    ("promoted_dropped", i.promoted_dropped),
+                    ("spans_evicted", i.spans_evicted),
+                    ("incident_checksum", i.incident_checksum),
+                ],
+            );
+        }
+        out
     }
 }
 
@@ -974,7 +1057,7 @@ impl Fleet {
                         .latency_threshold("proxy:Http.request", b.p99_target_ms)
                 })
                 .unwrap_or_default()
-                .max_incidents(config.incident_capacity);
+                .max_incidents(INCIDENT_CAPACITY);
             // One engine *per device*: shared burn-rate windows would
             // interleave worker writes; per-device engines merge in
             // index order at report time, keeping the digest
@@ -987,7 +1070,7 @@ impl Fleet {
             let instrument = |b: mobivine::registry::MobivineBuilder| {
                 let b = if config.telemetry {
                     let b = b
-                        .with_telemetry_retention(config.span_retention)
+                        .with_telemetry_retention(SPAN_RETENTION)
                         .with_promotion_policy(promotion.clone());
                     match &slo_engine {
                         Some(engine) => b.with_slo(Arc::clone(engine)),
@@ -1527,16 +1610,7 @@ mod tests {
             tick_ms: 500,
             ops_per_round: 2,
             seed: 11,
-            read_heavy: false,
-            cache: false,
-            telemetry: false,
-            span_retention: 16,
-            incident_capacity: 256,
-            slo: false,
-            brownout: None,
-            bridge_batch: None,
-            durability: None,
-            crash_plan: None,
+            ..FleetConfig::default()
         }
     }
 
@@ -1618,7 +1692,6 @@ mod tests {
     fn telemetry_keeps_reports_worker_invariant() {
         let traced = FleetConfig {
             telemetry: true,
-            span_retention: 8,
             ..small_config()
         };
         let first = Fleet::build(traced.clone()).unwrap().run();
@@ -1634,26 +1707,6 @@ mod tests {
         // Tracing must not change *what* the fleet computes.
         let untraced = Fleet::build(small_config()).unwrap().run();
         assert_eq!(first.checksum, untraced.checksum);
-    }
-
-    #[test]
-    fn zero_retention_with_telemetry_is_rejected() {
-        let err = FleetConfig {
-            telemetry: true,
-            span_retention: 0,
-            ..small_config()
-        }
-        .validated()
-        .unwrap_err();
-        assert_eq!(err.kind(), ProxyErrorKind::IllegalArgument);
-        // Without telemetry the retention knob is inert.
-        assert!(FleetConfig {
-            telemetry: false,
-            span_retention: 0,
-            ..small_config()
-        }
-        .validated()
-        .is_ok());
     }
 
     #[test]

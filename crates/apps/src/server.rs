@@ -324,7 +324,11 @@ fn apply_record(state: &mut ServerState, d: &mut DurableState, at: Lsn, payload:
 
 /// Wipes the crashed generation and rebuilds it from a copy of the
 /// checkpoint plus a journal replay, recording the crash in the
-/// recovery ledger.
+/// recovery ledger. With checkpoints on, the rebuilt state is
+/// checkpointed at once, so a later crash never replays this
+/// recovery's records again: each recovery replays only what its own
+/// crash left past the checkpoint, whatever traffic (if any) landed
+/// between two crashes.
 fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: CrashKind) {
     // Process death: journal-protected in-memory state is gone.
     state.completed.clear();
@@ -356,13 +360,13 @@ fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: Cras
     // per-record replay work, and a torn-tail scan surcharge (µs).
     let cost_us = 150 + 40 * replayed + 90 * recovery.torn_records;
     d.recovery_cost_us.push(cost_us);
+    if d.checkpoint_every != 0 {
+        checkpoint(state, d);
+    }
 }
 
-/// Once `checkpoint_every` applies have accumulated, extends the
-/// checkpoint by what was applied since the last one (the snapshot is
-/// a prefix of the live state, so this costs O(applies since), not
-/// O(state)), then GCs sealed journal segments below the new
-/// high-water mark.
+/// Once `checkpoint_every` applies have accumulated, takes a
+/// [`checkpoint`].
 fn maybe_checkpoint(state: &ServerState, d: &mut DurableState) {
     if d.checkpoint_every == 0 {
         return;
@@ -371,6 +375,14 @@ fn maybe_checkpoint(state: &ServerState, d: &mut DurableState) {
     if d.since_checkpoint < d.checkpoint_every {
         return;
     }
+    checkpoint(state, d);
+}
+
+/// Extends the checkpoint by what was applied since the last one (the
+/// snapshot is a prefix of the live state, so this costs O(applies
+/// since), not O(state)), then GCs sealed journal segments below the
+/// new high-water mark.
+fn checkpoint(state: &ServerState, d: &mut DurableState) {
     d.since_checkpoint = 0;
     let snap = &mut d.checkpoint;
     snap.completed
@@ -1104,7 +1116,33 @@ mod tests {
         // Applies 0..2 are covered by the checkpoint; 3, 4 and the
         // crashed intent replay.
         assert_eq!(ledger.replayed_records, 3);
-        assert_eq!(ledger.checkpoints, 1);
+        // One after the third apply, one right after the recovery.
+        assert_eq!(ledger.checkpoints, 2);
+        assert_eq!(ledger.duplicates(), 0);
+    }
+
+    #[test]
+    fn back_to_back_crashes_replay_each_record_once() {
+        // Two gap crashes with nothing applied in between: the second
+        // recovery must not replay the record the first one replayed.
+        let first = IdempotencyKey::derive(7, 0, 1, 0);
+        let second = IdempotencyKey::derive(7, 0, 1, 1);
+        let schedule = CrashSchedule::new([
+            (first.0, CrashKind::BeforeEffect),
+            (second.0, CrashKind::BeforeEffect),
+        ]);
+        schedule.arm();
+        let (device, server) = durable_installed(DurabilityConfig {
+            checkpoint_every: 1,
+            crash: Some(Arc::clone(&schedule)),
+            ..Default::default()
+        });
+        assert_eq!(post_track(&device, first, 100), 503);
+        assert_eq!(post_track(&device, second, 101), 503);
+        assert_eq!(server.counts().tracks, 2);
+        let ledger = server.recovery_snapshot().unwrap();
+        assert_eq!(ledger.recoveries, 2);
+        assert_eq!(ledger.replayed_records, 2, "one replayed record per crash");
         assert_eq!(ledger.duplicates(), 0);
     }
 

@@ -1,121 +1,76 @@
-//! Fleet-scale throughput benchmark.
+//! Fleet benchmark: every declared fleet scenario, plus the
+//! proxy-acquisition comparison.
 //!
 //! Usage: `cargo run -p mobivine-bench --bin fleet [--devices N]
 //! [--shards A,B,C] [--workers N] [--rounds N] [--ops N] [--seed N]
-//! [--json [PATH]] [--check PATH] [--compare PATH] [--brownout]
-//! [--crash]`
+//! [--json [PATH]] [--check PATH] [--compare PATH] [--scenario NAME]`
 //!
-//! Runs the deterministic fleet load engine at each shard count — plus
-//! one telemetry-on configuration at the first shard count, so the
-//! summary carries the tracing-overhead ablation — the
-//! resolution-throughput comparison (per-call construction vs
-//! sharded + memoized), the brownout comparison (one shard ramped,
-//! overload layer on vs off, at a fixed small configuration so the gate
-//! margins stay pinned; both arms trace their devices, so each row also
-//! carries the flight-recorder evidence), and the cache comparison
-//! (the same read-heavy traffic with the read-through proxy cache on vs
-//! off, also at a fixed configuration), and the bridge comparison (the
-//! same read-heavy traffic turned into power-aware multi-reads, with
-//! WebView bridge batching on vs off), and the crash comparison (the
-//! same durable traffic with a deterministic crash storm armed vs
-//! crash-free). `--json` emits the
-//! machine-readable summary (schema `mobivine.fleet.v6`) —
-//! deterministic for a fixed configuration — on stdout, or at `PATH`
-//! when one follows the flag; `--check PATH` validates an existing
-//! summary file instead of measuring anything; `--brownout` runs only
-//! the brownout comparison and exits non-zero unless both arms hold the
-//! overload gate, which since v3 includes the accountability clause:
-//! every deadline-blown call of the unprotected arm must have a
-//! promoted trace in the incident store (the CI chaos smoke);
-//! `--crash` runs only the crash comparison and exits non-zero unless
-//! the stormed arm reproduced the crash-free checksum with zero
-//! duplicate effects, ≥1 torn-write and ≥1 intent/effect-gap crash
-//! recovered per shard (the CI crash smoke — it also prints a one-line
-//! JSON digest of the stormed arm).
+//! Runs every scenario of [`SCENARIOS`] — the scaling sweep, which the
+//! sizing flags shape, and the fixed-size brownout, cache, bridge and
+//! crash comparisons — and the wall-clock resolution comparison
+//! (per-call construction vs sharded + memoized), prints each
+//! scenario's table with its gate verdicts, and exits non-zero if any
+//! gate fails. `--json` writes the `mobivine.fleet.v7` summary instead
+//! of the tables — deterministic for a fixed sweep — on stdout, or at
+//! `PATH` when one follows the flag. `--check PATH` parses a summary and
+//! evaluates every declared gate over its rows. `--scenario NAME` runs
+//! one scenario, prints its table and exits non-zero if a gate fails.
 //!
 //! `--compare PATH` is the regression gate CI runs against the
-//! committed baseline: every scaling row of the baseline is re-run at
-//! its recorded configuration and must reproduce its checksum exactly
-//! and reach at least 75% of its recorded deterministic throughput
-//! (>25% regression fails); the live proxy-acquisition and
-//! telemetry-recording comparisons must both clear their 5x speedup
-//! bars; since v4 the live cache comparison must hold its gate:
-//! byte-identical checksums across arms and a ≥5x cut in binding-plane
-//! read invocations; and since v5 the live bridge comparison must hold
-//! its gate: byte-identical checksums across the batched and unbatched
-//! arms and strictly fewer bridge crossings batched; and since v6 the
-//! live crash comparison must hold its exactly-once gate.
+//! committed baseline: every scenario is rebuilt from the baseline's
+//! recorded sweep and re-run; every committed arm's checksum must
+//! reproduce exactly, every gate must hold on the live rows, and every
+//! arm must reach at least 75% of its recorded deterministic
+//! throughput. The live proxy-acquisition and telemetry-recording
+//! comparisons must both clear their 5x speedup bars.
 
 use mobivine_bench::fleet_bench::{
-    bridge_gate_holds, cache_gate_holds, crash_gate_holds, render_bridge_table,
-    render_brownout_table, render_cache_table, render_crash_table, render_fleet_table,
-    render_resolution_table, resolution_speedup, run_fleet_bridge, run_fleet_brownout,
-    run_fleet_cache, run_fleet_crash, run_fleet_scaling, run_fleet_scaling_with_telemetry,
-    run_resolution_comparison, BridgeRow, BrownoutRow, CacheRow, CrashRow,
+    check, render, render_resolution_table, resolution_speedup, run_resolution_comparison,
+    run_scenario, scenarios, Row, Sweep, SCENARIOS,
 };
-use mobivine_bench::summary::{fleet_summary_json, parse_fleet_baseline, validate_fleet_json};
+use mobivine_bench::summary::{fleet_summary_json, validate_fleet_json};
 use mobivine_bench::telemetry_hotpath::{hotpath_speedup, run_hotpath_comparison};
 
-/// The brownout comparison's fixed configuration: small enough for a
-/// CI smoke, large enough that the ramp overloads the target shard.
-/// Keeping it independent of the sweep flags pins the gate margins.
-fn brownout_comparison() -> Vec<BrownoutRow> {
-    run_fleet_brownout(30, 4, 3, 3, 2, 11)
+/// What the command line asked for.
+enum Mode {
+    Run { json_out: Option<Option<String>> },
+    Check(String),
+    Compare(String),
+    Scenario(String),
 }
 
-/// The cache comparison's fixed configuration: a read-heavy mix big
-/// enough that the warmed cache's hit rate dominates, small enough for
-/// a CI smoke. Independent of the sweep flags, like the brownout.
-fn cache_comparison() -> Vec<CacheRow> {
-    run_fleet_cache(30, 4, 3, 4, 6, 11)
-}
-
-/// The bridge comparison's fixed configuration: the cache comparison's
-/// read-heavy shape, with every fix turned into a power-aware
-/// multi-read so the WebView devices have something to batch.
-fn bridge_comparison() -> Vec<BridgeRow> {
-    run_fleet_bridge(30, 4, 3, 4, 6, 11)
-}
-
-/// The crash comparison's fixed configuration: the brownout shape with
-/// durability on, three deterministic crashes per shard when stormed.
-/// Independent of the sweep flags so the gate margins stay pinned.
-fn crash_comparison() -> Vec<CrashRow> {
-    run_fleet_crash(30, 4, 3, 3, 2, 11, 3)
-}
-
-/// Re-runs every baseline scaling row and the live speedup gates.
+/// Re-runs every scenario of the baseline's sweep and the live speedup
+/// gates.
 fn compare_against_baseline(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let baseline = parse_fleet_baseline(&text)?;
-    for (i, row) in baseline.iter().enumerate() {
-        eprintln!(
-            "re-running baseline row {i}: {} devices, {} shards, telemetry {} ...",
-            row.devices, row.shards, row.telemetry
-        );
-        let rerun = run_fleet_scaling_with_telemetry(
-            row.devices,
-            &[row.shards],
-            row.workers,
-            row.rounds,
-            row.ops_per_round,
-            row.seed,
-            row.telemetry,
-        );
-        let current = &rerun[0];
-        if current.checksum != row.checksum {
-            return Err(format!(
-                "scaling[{i}]: checksum {:016x} != baseline {:016x} — the fleet no longer \
-                 computes the same results",
-                current.checksum, row.checksum
-            ));
-        }
-        let floor = row.virtual_ops_per_sec * 3 / 4;
-        if current.virtual_ops_per_sec < floor {
-            return Err(format!(
-                "scaling[{i}]: throughput {} ops/vsec is more than 25% below baseline {}",
-                current.virtual_ops_per_sec, row.virtual_ops_per_sec
-            ));
+    let baseline = validate_fleet_json(&text)?;
+    for scenario in scenarios(&baseline.sweep) {
+        eprintln!("re-running scenario {} ...", scenario.name);
+        let live = run_scenario(&scenario);
+        check(&scenario, &live)?;
+        for row in &live {
+            let committed = baseline
+                .rows
+                .iter()
+                .find(|b| b.scenario == row.scenario && b.arm == row.arm)
+                .ok_or_else(|| format!("{}/{}: no committed row", row.scenario, row.arm))?;
+            if row.checksum != committed.checksum {
+                return Err(format!(
+                    "{}/{}: checksum {:016x} != baseline {:016x} — the fleet no longer \
+                     computes the same results",
+                    row.scenario, row.arm, row.checksum, committed.checksum
+                ));
+            }
+            let rate = |r: &Row| r.value("virtual_ops_per_sec").unwrap_or(0);
+            if rate(row) < rate(committed) * 3 / 4 {
+                return Err(format!(
+                    "{}/{}: throughput {} ops/vsec is more than 25% below baseline {}",
+                    row.scenario,
+                    row.arm,
+                    rate(row),
+                    rate(committed)
+                ));
+            }
         }
     }
     let resolution = run_resolution_comparison(64, 20_000);
@@ -134,249 +89,139 @@ fn compare_against_baseline(path: &str) -> Result<(), String> {
         ));
     }
     eprintln!("telemetry cached-handle speedup: {speedup:.1}x");
-    for row in brownout_comparison() {
-        if !row.holds_the_gate() {
-            return Err(format!("brownout overload gate failed: {row:?}"));
+    Ok(())
+}
+
+/// Parses the flag value after `args[i]`, exiting with status 2 when it
+/// is missing or malformed.
+fn value<T: std::str::FromStr>(args: &[String], i: usize) -> T {
+    match args.get(i + 1).map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => {
+            eprintln!("{} requires a valid value", args[i]);
+            std::process::exit(2);
         }
     }
-    eprintln!("brownout overload gate: both arms hold");
-    let cache = cache_comparison();
-    if !cache_gate_holds(&cache) {
-        return Err(format!(
-            "cache gate failed (equal checksums + ≥5x binding-read cut required): {cache:?}"
-        ));
-    }
-    eprintln!("read-through cache gate: holds");
-    let bridge = bridge_comparison();
-    if !bridge_gate_holds(&bridge) {
-        return Err(format!(
-            "bridge gate failed (equal checksums + fewer batched crossings required): {bridge:?}"
-        ));
-    }
-    eprintln!("webview bridge-batching gate: holds");
-    let crash = crash_comparison();
-    if !crash_gate_holds(&crash) {
-        return Err(format!(
-            "crash gate failed (equal checksums + zero duplicates + full storm coverage required): {crash:?}"
-        ));
-    }
-    eprintln!("crash-storm exactly-once gate: holds");
-    Ok(())
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let mut devices: usize = 10_000;
-    let mut shard_counts: Vec<usize> = vec![1, 2, 4, 8];
-    let mut workers: usize = 4;
-    let mut rounds: u64 = 3;
-    let mut ops: u32 = 2;
-    let mut seed: u64 = 7;
-    let mut json_out: Option<Option<String>> = None;
+    let mut sweep = Sweep::default();
+    let mut mode = Mode::Run { json_out: None };
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--devices" => {
-                devices = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(devices);
-                i += 2;
-            }
+            "--devices" => sweep.devices = value(&args, i),
+            "--workers" => sweep.workers = value(&args, i),
+            "--rounds" => sweep.rounds = value(&args, i),
+            "--ops" => sweep.ops_per_round = value(&args, i),
+            "--seed" => sweep.seed = value(&args, i),
             "--shards" => {
-                if let Some(list) = args.get(i + 1) {
-                    let parsed: Vec<usize> =
-                        list.split(',').filter_map(|v| v.parse().ok()).collect();
-                    if !parsed.is_empty() {
-                        shard_counts = parsed;
-                    }
-                }
-                i += 2;
+                let list: String = value(&args, i);
+                sweep.shards = list.split(',').map(|v| v.parse().unwrap_or(0)).collect();
             }
-            "--workers" => {
-                workers = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(workers);
-                i += 2;
-            }
-            "--rounds" => {
-                rounds = args
-                    .get(i + 1)
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or(rounds);
-                i += 2;
-            }
-            "--ops" => {
-                ops = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(ops);
-                i += 2;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(seed);
-                i += 2;
-            }
-            "--json" => match args.get(i + 1) {
-                Some(path) if !path.starts_with("--") => {
-                    json_out = Some(Some(path.clone()));
-                    i += 2;
-                }
-                _ => {
-                    json_out = Some(None);
-                    i += 1;
-                }
-            },
-            "--compare" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--compare requires a baseline file path");
-                    std::process::exit(2);
+            "--check" => mode = Mode::Check(value(&args, i)),
+            "--compare" => mode = Mode::Compare(value(&args, i)),
+            "--scenario" => mode = Mode::Scenario(value(&args, i)),
+            "--json" => {
+                let path = args.get(i + 1).filter(|p| !p.starts_with("--")).cloned();
+                i += if path.is_some() { 2 } else { 1 };
+                mode = Mode::Run {
+                    json_out: Some(path),
                 };
-                match compare_against_baseline(path) {
-                    Ok(()) => {
-                        println!("{path}: no regression against baseline");
-                        std::process::exit(0);
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: regression gate failed: {e}");
-                        std::process::exit(1);
-                    }
-                }
-            }
-            "--crash" => {
-                let rows = crash_comparison();
-                print!("{}", render_crash_table(&rows));
-                let digest = rows.first().map(|r| {
-                    format!(
-                        "{{\"recoveries\":{},\"torn_crashes\":{},\"gap_crashes\":{},\"duplicates\":{}}}",
-                        r.recoveries, r.torn_crashes, r.gap_crashes, r.duplicates
-                    )
-                });
-                if let Some(digest) = digest {
-                    println!("{digest}");
-                }
-                if crash_gate_holds(&rows) {
-                    println!("acceptance (checksum parity + exactly-once under the storm): PASS");
-                    std::process::exit(0);
-                }
-                println!("acceptance (checksum parity + exactly-once under the storm): FAIL");
-                std::process::exit(1);
-            }
-            "--brownout" => {
-                let rows = brownout_comparison();
-                print!("{}", render_brownout_table(&rows));
-                if rows.iter().all(BrownoutRow::holds_the_gate) {
-                    println!("acceptance (shed keeps accepted p99 within target): PASS");
-                    std::process::exit(0);
-                }
-                println!("acceptance (shed keeps accepted p99 within target): FAIL");
-                std::process::exit(1);
-            }
-            "--check" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--check requires a file path");
-                    std::process::exit(2);
-                };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(text) => text,
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        std::process::exit(1);
-                    }
-                };
-                match validate_fleet_json(&text) {
-                    Ok(check) => {
-                        println!(
-                            "{path}: valid ({} scaling rows, {} resolution rows, {} brownout arms, {} cache arms, {} bridge arms, {} crash arms)",
-                            check.scaling_rows,
-                            check.resolution_rows,
-                            check.brownout_rows,
-                            check.cache_rows,
-                            check.bridge_rows,
-                            check.crash_rows
-                        );
-                        std::process::exit(0);
-                    }
-                    Err(e) => {
-                        eprintln!("{path}: invalid fleet summary: {e}");
-                        std::process::exit(1);
-                    }
-                }
+                continue;
             }
             other => {
                 eprintln!("unknown argument {other}");
                 std::process::exit(2);
             }
         }
+        i += 2;
+    }
+    if !sweep.is_runnable() {
+        eprintln!("every sweep count must be a positive integer: {sweep:?}");
+        std::process::exit(2);
     }
 
-    eprintln!(
-        "running fleet benchmark: {devices} devices, shard counts {shard_counts:?}, \
-         {workers} workers, {rounds} rounds x {ops} ops, seed {seed} ..."
-    );
-    let mut scaling = run_fleet_scaling(devices, &shard_counts, workers, rounds, ops, seed);
-    // One traced configuration at the first shard count: the summary
-    // then carries the telemetry-overhead ablation, and its checksum
-    // must equal the untraced row's.
-    scaling.extend(run_fleet_scaling_with_telemetry(
-        devices,
-        &shard_counts[..1],
-        workers,
-        rounds,
-        ops,
-        seed,
-        true,
-    ));
-    let resolution = run_resolution_comparison(devices.min(64), 50_000);
-    let brownout = brownout_comparison();
-    let cache = cache_comparison();
-    let bridge = bridge_comparison();
-    let crash = crash_comparison();
-
-    if let Some(target) = json_out {
-        let json = fleet_summary_json(&scaling, &resolution, &brownout, &cache, &bridge, &crash);
-        match target {
-            Some(path) => {
-                if let Err(e) = std::fs::write(&path, &json) {
-                    eprintln!("cannot write {path}: {e}");
+    match mode {
+        Mode::Check(path) => {
+            let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                eprintln!("cannot read {path}: {e}");
+                std::process::exit(1);
+            });
+            match validate_fleet_json(&text) {
+                Ok(summary) => println!(
+                    "{path}: valid ({} scenario rows), every gate holds",
+                    summary.rows.len()
+                ),
+                Err(e) => {
+                    eprintln!("{path}: invalid fleet summary:\n{e}");
                     std::process::exit(1);
                 }
-                eprintln!("wrote fleet summary to {path}");
             }
-            None => println!("{json}"),
         }
-        return;
+        Mode::Compare(path) => match compare_against_baseline(&path) {
+            Ok(()) => println!("{path}: no regression against baseline"),
+            Err(e) => {
+                eprintln!("{path}: regression gate failed: {e}");
+                std::process::exit(1);
+            }
+        },
+        Mode::Scenario(name) => {
+            let Some(scenario) = scenarios(&sweep).into_iter().find(|s| s.name == name) else {
+                let names: Vec<&str> = scenarios(&sweep).iter().map(|s| s.name).collect();
+                eprintln!("unknown scenario {name:?}; declared: {names:?}");
+                std::process::exit(2);
+            };
+            let rows = run_scenario(&scenario);
+            print!("{}", render(&scenario, &rows));
+            if let Err(e) = check(&scenario, &rows) {
+                println!("acceptance: FAIL\n{e}");
+                std::process::exit(1);
+            }
+            println!("acceptance: PASS");
+        }
+        Mode::Run { json_out } => {
+            eprintln!(
+                "running {} fleet scenarios; sweep {sweep:?} ...",
+                SCENARIOS.len()
+            );
+            let mut rows = Vec::new();
+            let mut failures = Vec::new();
+            for scenario in scenarios(&sweep) {
+                let scenario_rows = run_scenario(&scenario);
+                if json_out.is_none() {
+                    println!("{}", render(&scenario, &scenario_rows));
+                }
+                failures.extend(check(&scenario, &scenario_rows).err());
+                rows.extend(scenario_rows);
+            }
+            let resolution = run_resolution_comparison(sweep.devices.min(64), 50_000);
+            match json_out {
+                Some(target) => {
+                    let json = fleet_summary_json(&sweep, &resolution, &rows);
+                    match target {
+                        Some(path) => {
+                            if let Err(e) = std::fs::write(&path, &json) {
+                                eprintln!("cannot write {path}: {e}");
+                                std::process::exit(1);
+                            }
+                            eprintln!("wrote fleet summary to {path}");
+                        }
+                        None => println!("{json}"),
+                    }
+                }
+                None => {
+                    print!("{}", render_resolution_table(&resolution));
+                    let speedup = resolution_speedup(&resolution).unwrap_or(0.0);
+                    let verdict = if speedup >= 5.0 { "PASS" } else { "FAIL" };
+                    println!("acceptance (>= 5x memoized speedup): {verdict}");
+                }
+            }
+            if !failures.is_empty() {
+                eprintln!("gates failed:\n{}", failures.join("\n"));
+                std::process::exit(1);
+            }
+        }
     }
-
-    print!("{}", render_fleet_table(&scaling));
-    println!();
-    print!("{}", render_resolution_table(&resolution));
-    if let Some(speedup) = resolution_speedup(&resolution) {
-        let verdict = if speedup >= 5.0 { "PASS" } else { "FAIL" };
-        println!("acceptance (>= 5x memoized speedup): {verdict}");
-    }
-    println!();
-    print!("{}", render_brownout_table(&brownout));
-    println!();
-    print!("{}", render_cache_table(&cache));
-    let verdict = if cache_gate_holds(&cache) {
-        "PASS"
-    } else {
-        "FAIL"
-    };
-    println!("acceptance (equal checksums + >= 5x binding-read cut): {verdict}");
-    println!();
-    print!("{}", render_bridge_table(&bridge));
-    let verdict = if bridge_gate_holds(&bridge) {
-        "PASS"
-    } else {
-        "FAIL"
-    };
-    println!("acceptance (equal checksums + fewer batched crossings): {verdict}");
-    println!();
-    print!("{}", render_crash_table(&crash));
-    let verdict = if crash_gate_holds(&crash) {
-        "PASS"
-    } else {
-        "FAIL"
-    };
-    println!("acceptance (checksum parity + exactly-once under the storm): {verdict}");
 }

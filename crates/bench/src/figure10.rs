@@ -425,19 +425,10 @@ fn journal_arm_config(durability: Option<DurabilityFleetConfig>) -> FleetConfig 
         shards: 4,
         workers: 3,
         rounds: 3,
-        tick_ms: 1_000,
         ops_per_round: 2,
         seed: 11,
-        read_heavy: false,
-        cache: false,
-        telemetry: false,
-        span_retention: 16,
-        incident_capacity: 256,
-        slo: false,
-        brownout: None,
-        bridge_batch: None,
         durability,
-        crash_plan: None,
+        ..FleetConfig::default()
     }
 }
 

@@ -1,24 +1,21 @@
-//! Fleet-scale throughput and scaling benchmark.
+//! Fleet scenarios as data, plus the proxy-acquisition comparison.
 //!
-//! Three measurements, one artifact:
+//! A [`Scenario`] is a set of [`Arm`]s — each a [`FleetConfig`] the
+//! [`mobivine_apps::fleet`] load engine runs — and the [`Check`]s its
+//! rows must pass. [`SCENARIOS`] declares every fleet scenario the
+//! benchmark runs; [`run_scenario`] turns one into [`Row`]s, [`check`]
+//! evaluates its gates over rows (live, or parsed back out of a
+//! summary), and [`render`] prints them. Every row field derives from
+//! virtual time and seeded streams, so a row is identical run over run.
 //!
-//! 1. **Scaling sweep** — runs the [`mobivine_apps::fleet`] load engine
-//!    at a fixed device count across several shard counts, reporting
-//!    per-configuration throughput and virtual-latency percentiles.
-//!    Everything in these rows except the wall-clock column derives
-//!    from virtual time and seeded streams, so the JSON summary
-//!    (`mobivine.fleet.v4`) is byte-identical across runs.
-//! 2. **Resolution comparison** — acquisition throughput of the
-//!    unsharded per-call-construction baseline (a fresh runtime and a
-//!    freshly constructed proxy stack per acquisition, the shape of the
-//!    pre-redesign accessors) against the sharded + memoized resolver
-//!    ([`mobivine::shard::ShardedRegistry::resolve`]). Wall-clock
-//!    ops/sec appears only in the human-readable table; the JSON
-//!    carries the deterministic fields.
-//! 3. **Cache comparison** — the same read-heavy traffic with the
-//!    read-through proxy cache on and off: byte-identical checksums,
-//!    ≥5x fewer binding-plane read invocations ([`cache_gate_holds`]).
+//! The resolution comparison times proxy acquisition on the wall clock:
+//! the unsharded per-call-construction baseline (a fresh runtime and a
+//! freshly constructed proxy stack per acquisition) against the
+//! sharded + memoized resolver
+//! ([`mobivine::shard::ShardedRegistry::resolve`]).
 
+use std::collections::BTreeMap;
+use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -31,13 +28,16 @@ use mobivine_apps::fleet::{
 };
 use mobivine_device::Device;
 
-/// One scaling-sweep configuration's results.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetScalingRow {
-    /// Shard count of this configuration.
-    pub shards: usize,
+/// The shape of the scaling sweep, the one scenario the command line
+/// sizes. A summary records it so that `--compare` rebuilds every
+/// scenario exactly.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Sweep {
     /// Simulated devices driven.
     pub devices: usize,
+    /// Shard counts swept, one arm each; the first also gets a traced
+    /// arm.
+    pub shards: Vec<usize>,
     /// Worker threads used.
     pub workers: usize,
     /// Lockstep rounds run.
@@ -46,447 +46,615 @@ pub struct FleetScalingRow {
     pub ops_per_round: u32,
     /// Master seed of the run.
     pub seed: u64,
-    /// Whether the device runtimes carried plane-aware telemetry.
-    pub telemetry: bool,
-    /// Total proxy operations issued.
-    pub total_ops: u64,
-    /// Operations that returned an error.
-    pub errors: u64,
-    /// Throughput in ops per virtual second (deterministic).
-    pub virtual_ops_per_sec: u64,
-    /// Median per-op virtual latency, ms.
-    pub p50_ms: u64,
-    /// 95th-percentile per-op virtual latency, ms.
-    pub p95_ms: u64,
-    /// 99th-percentile per-op virtual latency, ms.
-    pub p99_ms: u64,
-    /// Determinism fingerprint of the run.
-    pub checksum: u64,
-    /// Wall-clock duration of the run, ms (table only — never in the
-    /// JSON, which must be reproducible).
-    pub wall_ms: f64,
 }
 
-/// One arm of the brownout comparison: the same traffic ramp run with
-/// the overload layer on (`admission = true`) or off. Both arms run
-/// with the flight recorder and SLO engine on, so each row also carries
-/// the incident-debugging evidence (how many deadlines blew, how many
-/// of those breaches the recorder promoted a trace for). Every field
-/// but `wall_ms` derives from virtual time and seeded streams.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BrownoutRow {
-    /// Whether the target shard's devices carried the overload layer.
-    pub admission: bool,
-    /// The ramped shard.
-    pub target_shard: usize,
-    /// Traffic multiplier applied to the target shard.
-    pub ops_multiplier: u32,
-    /// Per-batch deadline budget, virtual ms.
-    pub deadline_budget_ms: u64,
-    /// The accepted-call sojourn p99 bound the gate pins.
-    pub p99_target_ms: u64,
-    /// Total proxy operations issued fleet-wide.
-    pub total_ops: u64,
-    /// Operations that returned an error.
-    pub errors: u64,
-    /// Calls rejected by the admission gate or bulkhead.
-    pub shed: u64,
-    /// Calls served degraded (cached fix / synthetic HTTP accept).
-    pub degraded: u64,
-    /// Calls failed fast on an exhausted deadline budget.
-    pub deadline_exceeded: u64,
-    /// Accepted-call sojourn p99 of the ramped shard, virtual ms.
-    pub shard_p99_ms: u64,
-    /// Calls whose per-batch deadline had expired by the time they
-    /// finished (telemetry-independent; derived from flush sojourns).
-    pub deadline_blown: u64,
-    /// Traces the flight recorder promoted (kept + dropped).
-    pub promoted_traces: u64,
-    /// Kept promoted traces whose reason is a blown deadline.
-    pub promoted_deadline: u64,
-    /// Fingerprint of the incident digest (promoted trace ids, reasons
-    /// and exemplars); separate from `checksum` by design.
-    pub incident_checksum: u64,
-    /// Determinism fingerprint of the run.
-    pub checksum: u64,
-    /// Wall-clock duration, ms (table only).
-    pub wall_ms: f64,
+impl Sweep {
+    /// Whether a fleet of this shape can be built: at least one shard
+    /// count, and no count zero.
+    pub fn is_runnable(&self) -> bool {
+        !self.shards.is_empty()
+            && !self.shards.contains(&0)
+            && self.devices > 0
+            && self.workers > 0
+            && self.rounds > 0
+            && self.ops_per_round > 0
+    }
 }
 
-impl BrownoutRow {
-    /// Whether this arm behaved as the overload design promises: with
-    /// admission on, excess load was shed and the accepted-call p99 of
-    /// the ramped shard stayed within target; with admission off,
-    /// nothing was shed, the p99 blew past it, **and** every
-    /// deadline-blown call has a promoted trace explaining the breach
-    /// (the flight recorder's accountability half of the gate).
-    pub fn holds_the_gate(&self) -> bool {
-        if self.admission {
-            self.shed > 0 && self.shard_p99_ms <= self.p99_target_ms
-        } else {
-            self.shed == 0
-                && self.shard_p99_ms > self.p99_target_ms
-                && self.deadline_blown > 0
-                && self.promoted_deadline == self.deadline_blown
+impl Default for Sweep {
+    fn default() -> Self {
+        Self {
+            devices: 10_000,
+            shards: vec![1, 2, 4, 8],
+            workers: 4,
+            rounds: 3,
+            ops_per_round: 2,
+            seed: 7,
         }
     }
 }
 
-/// One arm of the cache comparison: the same read-heavy traffic run
-/// with the read-through proxy cache ([`mobivine::cache`]) on or off.
-/// `binding_reads` is what the gate compares — the number of location
-/// reads that reached the binding plane: *all* of them in the uncached
-/// arm, only the cache misses in the cached arm. Every field but
-/// `wall_ms` derives from virtual time and seeded streams.
+/// One configuration of a scenario.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CacheRow {
-    /// Whether the devices carried the read-through cache.
-    pub cached: bool,
-    /// Simulated devices driven.
-    pub devices: usize,
+pub struct Arm {
+    /// Name, unique within the scenario.
+    pub name: String,
+    /// What the fleet runs.
+    pub config: FleetConfig,
+}
+
+impl Arm {
+    fn new(name: impl Into<String>, config: FleetConfig) -> Self {
+        Self {
+            name: name.into(),
+            config,
+        }
+    }
+}
+
+/// One arm's results. `counters` is [`mobivine_apps::FleetReport::counters`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Row {
+    /// The scenario the arm belongs to.
+    pub scenario: String,
+    /// The arm's name.
+    pub arm: String,
     /// Total proxy operations issued.
-    pub total_ops: u64,
+    pub ops: u64,
     /// Operations that returned an error.
     pub errors: u64,
-    /// Location fixes obtained (identical across arms by design).
-    pub location_fixes: u64,
-    /// Location reads that invoked the binding plane.
-    pub binding_reads: u64,
-    /// Reads served from cache (zero in the uncached arm).
-    pub hits: u64,
-    /// Reads that waited on another caller's in-flight fill.
-    pub coalesced: u64,
-    /// Cached entries discarded by invalidation.
-    pub invalidated: u64,
-    /// Determinism fingerprint of the run — must equal the other arm's.
+    /// Determinism fingerprint of the run.
     pub checksum: u64,
-    /// Wall-clock duration, ms (table only).
-    pub wall_ms: f64,
+    /// Every other numeric outcome, by name.
+    pub counters: BTreeMap<String, u64>,
 }
 
-/// Whether a cached/uncached arm pair behaves as the cache design
-/// promises: byte-identical checksums (caching is invisible to what the
-/// fleet computes), a warm cache that actually hits, and at least a 5x
-/// cut in binding-plane read invocations.
-pub fn cache_gate_holds(rows: &[CacheRow]) -> bool {
-    let Some(on) = rows.iter().find(|r| r.cached) else {
-        return false;
-    };
-    let Some(off) = rows.iter().find(|r| !r.cached) else {
-        return false;
-    };
-    on.checksum == off.checksum
-        && on.hits > 0
-        && on.binding_reads > 0
-        && off.binding_reads >= on.binding_reads * 5
+impl Row {
+    /// The value a gate reads as `name`: `ops`, `errors`, `checksum` or
+    /// a counter.
+    pub fn value(&self, name: &str) -> Option<u64> {
+        match name {
+            "ops" => Some(self.ops),
+            "errors" => Some(self.errors),
+            "checksum" => Some(self.checksum),
+            _ => self.counters.get(name).copied(),
+        }
+    }
 }
 
-/// Runs the cache comparison: the same read-heavy traffic (¾ location
-/// reads), once with every device runtime carrying the read-through
-/// cache and once without. Returns the cached arm first.
-///
-/// # Panics
-///
-/// Panics if the fleet cannot be built — a zero in the configuration or
-/// a proxy-construction failure, both programming errors here.
-pub fn run_fleet_cache(
-    devices: usize,
-    shards: usize,
-    workers: usize,
-    rounds: u64,
-    ops_per_round: u32,
-    seed: u64,
-) -> Vec<CacheRow> {
-    [true, false]
-        .into_iter()
-        .map(|cached| {
-            let config = FleetConfig {
-                devices,
-                shards,
-                workers,
-                rounds,
-                tick_ms: 1_000,
-                ops_per_round,
-                seed,
-                read_heavy: true,
-                cache: cached,
-                telemetry: false,
-                span_retention: 16,
-                incident_capacity: 256,
-                slo: false,
-                brownout: None,
-                bridge_batch: None,
-                durability: None,
-                crash_plan: None,
-            };
-            let fleet = Fleet::build(config).expect("cache configuration is valid");
-            let started = Instant::now();
-            let report = fleet.run();
-            let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
-            let digest = report.cache.clone().unwrap_or_default();
-            CacheRow {
-                cached,
-                devices,
-                total_ops: report.total_ops,
-                errors: report.errors,
-                location_fixes: report.location_fixes,
-                binding_reads: if cached {
-                    digest.misses
-                } else {
-                    report.location_fixes
+/// Whether the value named `key` is a 64-bit fingerprint rather than a
+/// count: summaries write these as 16-digit hex, which JSON's doubles
+/// cannot mangle, and tables print them the same way.
+pub(crate) fn is_fingerprint(key: &str) -> bool {
+    key.ends_with("checksum")
+}
+
+/// One side of a [`Check`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Term {
+    /// `k × arm.counter`.
+    Counter {
+        /// Multiplier.
+        k: u64,
+        /// The arm whose row is read.
+        arm: String,
+        /// The value read ([`Row::value`]).
+        counter: String,
+    },
+    /// A constant.
+    Const(u64),
+}
+
+/// `1 × arm.counter`.
+pub fn at(arm: &str, counter: &str) -> Term {
+    Term::Counter {
+        k: 1,
+        arm: arm.to_owned(),
+        counter: counter.to_owned(),
+    }
+}
+
+impl Term {
+    /// `self == rhs`.
+    pub fn eq(self, rhs: impl Into<Term>) -> Check {
+        self.against(Cmp::Eq, rhs)
+    }
+
+    /// `self < rhs`.
+    pub fn lt(self, rhs: impl Into<Term>) -> Check {
+        self.against(Cmp::Lt, rhs)
+    }
+
+    /// `self <= rhs`.
+    pub fn le(self, rhs: impl Into<Term>) -> Check {
+        self.against(Cmp::Le, rhs)
+    }
+
+    /// `self > rhs`.
+    pub fn gt(self, rhs: impl Into<Term>) -> Check {
+        self.against(Cmp::Gt, rhs)
+    }
+
+    /// `self >= rhs`.
+    pub fn ge(self, rhs: impl Into<Term>) -> Check {
+        self.against(Cmp::Ge, rhs)
+    }
+
+    fn against(self, cmp: Cmp, rhs: impl Into<Term>) -> Check {
+        Check {
+            lhs: self,
+            cmp,
+            rhs: rhs.into(),
+        }
+    }
+
+    /// This counter term scaled by `k`.
+    pub fn times(self, k: u64) -> Self {
+        match self {
+            Term::Counter { arm, counter, .. } => Term::Counter { k, arm, counter },
+            Term::Const(c) => Term::Const(c * k),
+        }
+    }
+
+    fn eval(&self, rows: &[&Row]) -> Result<u128, String> {
+        match self {
+            Term::Counter { k, arm, counter } => {
+                let row = rows
+                    .iter()
+                    .find(|r| r.arm == *arm)
+                    .ok_or_else(|| format!("no row for arm `{arm}`"))?;
+                let value = row
+                    .value(counter)
+                    .ok_or_else(|| format!("arm `{arm}` has no counter `{counter}`"))?;
+                Ok(u128::from(*k) * u128::from(value))
+            }
+            Term::Const(c) => Ok(u128::from(*c)),
+        }
+    }
+}
+
+impl From<u64> for Term {
+    fn from(c: u64) -> Self {
+        Term::Const(c)
+    }
+}
+
+impl fmt::Display for Term {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Term::Counter { k: 1, arm, counter } => write!(f, "{arm}.{counter}"),
+            Term::Counter { k, arm, counter } => write!(f, "{k} × {arm}.{counter}"),
+            Term::Const(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+/// A [`Check`]'s comparison.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    /// `==`
+    Eq,
+    /// `<`
+    Lt,
+    /// `<=`
+    Le,
+    /// `>`
+    Gt,
+    /// `>=`
+    Ge,
+}
+
+impl Cmp {
+    fn holds(self, lhs: u128, rhs: u128) -> bool {
+        match self {
+            Cmp::Eq => lhs == rhs,
+            Cmp::Lt => lhs < rhs,
+            Cmp::Le => lhs <= rhs,
+            Cmp::Gt => lhs > rhs,
+            Cmp::Ge => lhs >= rhs,
+        }
+    }
+}
+
+impl fmt::Display for Cmp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Cmp::Eq => "==",
+            Cmp::Lt => "<",
+            Cmp::Le => "<=",
+            Cmp::Gt => ">",
+            Cmp::Ge => ">=",
+        })
+    }
+}
+
+/// A gate: `lhs cmp rhs` over a scenario's rows.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Check {
+    /// Left-hand side.
+    pub lhs: Term,
+    /// Comparison.
+    pub cmp: Cmp,
+    /// Right-hand side.
+    pub rhs: Term,
+}
+
+impl Check {
+    /// Both sides' values, or the name a row lacks.
+    fn eval(&self, rows: &[&Row]) -> Result<(u128, u128), String> {
+        Ok((self.lhs.eval(rows)?, self.rhs.eval(rows)?))
+    }
+
+    /// Why the gate does not hold over `rows`, or `None` when it does.
+    fn failure(&self, rows: &[&Row]) -> Option<String> {
+        match self.eval(rows) {
+            Ok((lhs, rhs)) if self.cmp.holds(lhs, rhs) => None,
+            Ok((lhs, rhs)) => Some(format!("fails ({lhs} vs {rhs})")),
+            Err(e) => Some(format!("cannot be evaluated: {e}")),
+        }
+    }
+}
+
+impl fmt::Display for Check {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} {}", self.lhs, self.cmp, self.rhs)
+    }
+}
+
+/// The arm toggle changes how the fleet works, never what it computes.
+pub fn checksum_equal(a: &str, b: &str) -> Check {
+    at(a, "checksum").eq(at(b, "checksum"))
+}
+
+/// A named set of arms and the gates their rows must pass.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scenario {
+    /// Name, unique among scenarios.
+    pub name: &'static str,
+    /// The configurations run.
+    pub arms: Vec<Arm>,
+    /// Gates over the arms' rows.
+    pub gates: Vec<Check>,
+}
+
+/// Every declared fleet scenario. Adding one is one entry here.
+pub const SCENARIOS: &[fn(&Sweep) -> Scenario] = &[scaling, brownout, cache, bridge, crash];
+
+/// Every declared scenario, built for `sweep`.
+pub fn scenarios(sweep: &Sweep) -> Vec<Scenario> {
+    SCENARIOS.iter().map(|declare| declare(sweep)).collect()
+}
+
+/// The fixed shape of every scenario but the sweep: small enough for a
+/// CI smoke, large enough that each arm's effect shows. The sweep flags
+/// never change it, so these scenarios' gate margins stay pinned.
+fn small() -> FleetConfig {
+    FleetConfig {
+        devices: 30,
+        shards: 4,
+        workers: 3,
+        rounds: 3,
+        ops_per_round: 2,
+        seed: 11,
+        ..FleetConfig::default()
+    }
+}
+
+/// One arm per swept shard count plus a traced arm at the first one:
+/// sharding and tracing must not change what the fleet computes, and
+/// every arm's virtual latency quantiles stay ordered.
+fn scaling(sweep: &Sweep) -> Scenario {
+    let base = FleetConfig {
+        devices: sweep.devices,
+        workers: sweep.workers,
+        rounds: sweep.rounds,
+        ops_per_round: sweep.ops_per_round,
+        seed: sweep.seed,
+        ..FleetConfig::default()
+    };
+    let mut arms: Vec<Arm> = sweep
+        .shards
+        .iter()
+        .map(|&shards| {
+            Arm::new(
+                format!("shards{shards}"),
+                FleetConfig {
+                    shards,
+                    ..base.clone()
                 },
-                hits: digest.hits,
-                coalesced: digest.coalesced,
-                invalidated: digest.invalidated,
-                checksum: report.checksum,
-                wall_ms,
-            }
+            )
         })
-        .collect()
+        .collect();
+    arms.push(Arm::new(
+        "traced",
+        FleetConfig {
+            shards: sweep.shards[0],
+            telemetry: true,
+            ..base
+        },
+    ));
+    let first = arms[0].name.clone();
+    let mut gates: Vec<Check> = arms[1..]
+        .iter()
+        .map(|arm| checksum_equal(&first, &arm.name))
+        .collect();
+    for arm in &arms {
+        gates.push(at(&arm.name, "p50_ms").le(at(&arm.name, "p95_ms")));
+        gates.push(at(&arm.name, "p95_ms").le(at(&arm.name, "p99_ms")));
+    }
+    Scenario {
+        name: "scaling",
+        arms,
+        gates,
+    }
 }
 
-/// One arm of the bridge comparison: the same read-heavy traffic with
-/// every `LocationFix` widened into a multi-read (fix + power draw),
-/// run with WebView bridge batching on or off. `crossings` is what the
-/// gate compares — the number of times the fleet's WebView devices
-/// crossed the JavaScript bridge: one per multi-read batched, two
-/// unbatched. Every field but `wall_ms` derives from virtual time and
-/// seeded streams.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BridgeRow {
-    /// Whether the WebView devices batched their multi-reads.
-    pub batched: bool,
-    /// Simulated devices driven (every third one WebView).
-    pub devices: usize,
-    /// WebView devices contributing crossings.
-    pub webview_devices: u64,
-    /// Total proxy operations issued.
-    pub total_ops: u64,
-    /// Operations that returned an error.
-    pub errors: u64,
-    /// Location fixes obtained (identical across arms by design).
-    pub location_fixes: u64,
-    /// JavaScript-bridge crossings over the run, warm-up included.
-    pub crossings: u64,
-    /// Determinism fingerprint of the run — must equal the other arm's.
-    pub checksum: u64,
-    /// Wall-clock duration, ms (table only).
-    pub wall_ms: f64,
-}
-
-/// Whether a batched/unbatched arm pair behaves as the wire layer
-/// promises: byte-identical checksums (batching is invisible to what
-/// the fleet computes) and strictly fewer bridge crossings on the
-/// batched arm.
-pub fn bridge_gate_holds(rows: &[BridgeRow]) -> bool {
-    let Some(on) = rows.iter().find(|r| r.batched) else {
-        return false;
+/// One shard ramped 10× under batch-arrival deadlines, overload layer
+/// on vs off, both traced: admission sheds and holds the ramped shard's
+/// accepted-call p99 within target; without it the p99 blows past the
+/// target and the flight recorder promotes a trace for every blown
+/// deadline.
+fn brownout(_: &Sweep) -> Scenario {
+    let ramp = BrownoutConfig {
+        target_shard: 1,
+        ..BrownoutConfig::default()
     };
-    let Some(off) = rows.iter().find(|r| !r.batched) else {
-        return false;
+    let p99 = format!("shard{}.p99_ms", ramp.target_shard);
+    let target = ramp.p99_target_ms;
+    let arm = |name: &str, admission: bool| {
+        let brownout = Some(BrownoutConfig {
+            admission,
+            ..ramp.clone()
+        });
+        Arm::new(
+            name,
+            FleetConfig {
+                telemetry: true,
+                slo: true,
+                brownout,
+                ..small()
+            },
+        )
     };
-    on.checksum == off.checksum && on.crossings > 0 && on.crossings < off.crossings
+    let mut gates = vec![
+        at("admission", "shed").gt(0),
+        at("admission", &p99).le(target),
+        at("unprotected", "shed").eq(0),
+        at("unprotected", &p99).gt(target),
+        at("unprotected", "deadline_blown").gt(0),
+        at("unprotected", "incidents.promoted_deadline").eq(at("unprotected", "deadline_blown")),
+    ];
+    for name in ["admission", "unprotected"] {
+        gates.push(at(name, "incidents.promoted_traces").ge(1));
+        gates.push(
+            at(name, "incidents.promoted_deadline").le(at(name, "incidents.promoted_traces")),
+        );
+    }
+    Scenario {
+        name: "brownout",
+        arms: vec![arm("admission", true), arm("unprotected", false)],
+        gates,
+    }
 }
 
-/// Runs the bridge comparison: the same read-heavy multi-read traffic
-/// (every location fix also reads the GPS power draw), once with the
-/// WebView devices batching the two reads into one bridge crossing and
-/// once making two wire calls. Returns the batched arm first.
-///
-/// # Panics
-///
-/// Panics if the fleet cannot be built — a zero in the configuration or
-/// a proxy-construction failure, both programming errors here.
-pub fn run_fleet_bridge(
-    devices: usize,
-    shards: usize,
-    workers: usize,
-    rounds: u64,
-    ops_per_round: u32,
-    seed: u64,
-) -> Vec<BridgeRow> {
-    [true, false]
-        .into_iter()
-        .map(|batched| {
-            let config = FleetConfig {
-                devices,
-                shards,
-                workers,
-                rounds,
-                tick_ms: 1_000,
-                ops_per_round,
-                seed,
+/// Read-heavy traffic with the read-through proxy cache on vs off: the
+/// cached arm hits and reaches the binding plane (its misses) at least
+/// 5× less often than the uncached arm (every fix).
+fn cache(_: &Sweep) -> Scenario {
+    let base = FleetConfig {
+        read_heavy: true,
+        rounds: 4,
+        ops_per_round: 6,
+        ..small()
+    };
+    Scenario {
+        name: "cache",
+        arms: vec![
+            Arm::new(
+                "cached",
+                FleetConfig {
+                    cache: true,
+                    ..base.clone()
+                },
+            ),
+            Arm::new("uncached", base),
+        ],
+        gates: vec![
+            checksum_equal("cached", "uncached"),
+            at("cached", "cache.hits").gt(0),
+            at("cached", "cache.misses").gt(0),
+            at("uncached", "location_fixes").ge(at("cached", "cache.misses").times(5)),
+        ],
+    }
+}
+
+/// The cache scenario's traffic with every fix widened into a
+/// fix + power-draw multi-read, WebView bridge batching on vs off: the
+/// batched arm crosses the bridge strictly fewer times.
+fn bridge(_: &Sweep) -> Scenario {
+    let arm = |name: &str, batched: bool| {
+        Arm::new(
+            name,
+            FleetConfig {
                 read_heavy: true,
-                cache: false,
-                telemetry: false,
-                span_retention: 16,
-                incident_capacity: 256,
-                slo: false,
-                brownout: None,
+                rounds: 4,
+                ops_per_round: 6,
                 bridge_batch: Some(batched),
-                durability: None,
-                crash_plan: None,
-            };
-            let fleet = Fleet::build(config).expect("bridge configuration is valid");
-            let started = Instant::now();
-            let report = fleet.run();
-            let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
-            let digest = report.bridge.clone().unwrap_or_default();
-            BridgeRow {
-                batched,
-                devices,
-                webview_devices: digest.webview_devices,
-                total_ops: report.total_ops,
-                errors: report.errors,
-                location_fixes: report.location_fixes,
-                crossings: digest.crossings,
-                checksum: report.checksum,
-                wall_ms,
-            }
-        })
-        .collect()
-}
-
-/// One arm of the crash-storm comparison: the same durable traffic run
-/// with the deterministic crash schedule armed (`stormed = true`) or
-/// not. Both arms journal every mutating call, so the gate can pin the
-/// storm's recovery work *and* prove it changed nothing the fleet
-/// computes. Every field but `wall_ms` derives from virtual time and
-/// seeded streams.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CrashRow {
-    /// Whether the crash schedule was armed on every shard.
-    pub stormed: bool,
-    /// Simulated devices driven.
-    pub devices: usize,
-    /// Shards (each takes `crashes_per_shard` crashes when stormed).
-    pub shards: usize,
-    /// Crashes injected per shard (zero in the crash-free arm).
-    pub crashes_per_shard: usize,
-    /// Total proxy operations issued.
-    pub total_ops: u64,
-    /// Operations that returned an error after retries.
-    pub errors: u64,
-    /// Middleware recoveries performed (wipe + checkpoint + replay).
-    pub recoveries: u64,
-    /// Crashes that tore a journal record mid-write.
-    pub torn_crashes: u64,
-    /// Crashes landing between a durable intent and its effect.
-    pub gap_crashes: u64,
-    /// Crashes landing after the effect was applied.
-    pub effect_crashes: u64,
-    /// Journal records replayed across all recoveries.
-    pub replayed_records: u64,
-    /// Torn tails truncated during recovery.
-    pub torn_truncated: u64,
-    /// Retries absorbed by idempotency-key dedup.
-    pub suppressed_duplicates: u64,
-    /// Effects applied more than once (the exactly-once gate: zero).
-    pub duplicates: u64,
-    /// Median recovery latency, virtual µs.
-    pub recovery_p50_us: u64,
-    /// 99th-percentile recovery latency, virtual µs.
-    pub recovery_p99_us: u64,
-    /// Determinism fingerprint of the run — must equal the other arm's.
-    pub checksum: u64,
-    /// Wall-clock duration, ms (table only).
-    pub wall_ms: f64,
-}
-
-/// Whether a stormed/crash-free arm pair behaves as the durability
-/// design promises: byte-identical checksums (a storm of recovered
-/// crashes is invisible to what the fleet computes), zero duplicate
-/// effects, and a storm that actually exercised both hard crash points
-/// — at least one torn write and one intent/effect gap per shard.
-pub fn crash_gate_holds(rows: &[CrashRow]) -> bool {
-    let Some(on) = rows.iter().find(|r| r.stormed) else {
-        return false;
+                ..small()
+            },
+        )
     };
-    let Some(off) = rows.iter().find(|r| !r.stormed) else {
-        return false;
-    };
-    on.checksum == off.checksum
-        && on.errors == 0
-        && on.duplicates == 0
-        && off.duplicates == 0
-        && on.recoveries == (on.shards * on.crashes_per_shard) as u64
-        && on.torn_crashes >= on.shards as u64
-        && on.gap_crashes >= on.shards as u64
-        && off.recoveries == 0
+    Scenario {
+        name: "bridge",
+        arms: vec![arm("batched", true), arm("unbatched", false)],
+        gates: vec![
+            checksum_equal("batched", "unbatched"),
+            at("batched", "bridge.crossings").gt(0),
+            at("batched", "bridge.crossings").lt(at("unbatched", "bridge.crossings")),
+        ],
+    }
 }
 
-/// Runs the crash-storm comparison: the same durable traffic (client
-/// journals, per-apply server checkpoints, idempotency keys on the
-/// wire), once with [`CrashStormConfig`] killing every shard's
-/// middleware at deterministic points and once crash-free. Returns the
-/// stormed arm first.
+/// Durable traffic with a deterministic crash storm armed vs
+/// crash-free: every scheduled crash is recovered, both hard crash
+/// points hit every shard, and no effect is applied twice.
+fn crash(_: &Sweep) -> Scenario {
+    let storm = CrashStormConfig::default();
+    let base = FleetConfig {
+        durability: Some(DurabilityFleetConfig::default()),
+        ..small()
+    };
+    let shards = base.shards as u64;
+    let crashes = shards * storm.crashes_per_shard as u64;
+    Scenario {
+        name: "crash",
+        arms: vec![
+            Arm::new(
+                "stormed",
+                FleetConfig {
+                    crash_plan: Some(storm),
+                    ..base.clone()
+                },
+            ),
+            Arm::new("crash-free", base),
+        ],
+        gates: vec![
+            checksum_equal("stormed", "crash-free"),
+            at("stormed", "errors").eq(0),
+            at("stormed", "recovery.duplicates").eq(0),
+            at("crash-free", "recovery.duplicates").eq(0),
+            at("stormed", "recovery.recoveries").eq(crashes),
+            at("stormed", "recovery.torn_crashes").ge(shards),
+            at("stormed", "recovery.gap_crashes").ge(shards),
+            at("crash-free", "recovery.recoveries").eq(0),
+        ],
+    }
+}
+
+/// Runs every arm of `scenario`, in declaration order.
 ///
 /// # Panics
 ///
-/// Panics if the fleet cannot be built — a zero in the configuration,
-/// too few mutating calls per shard for the requested storm, or a
-/// proxy-construction failure, all programming errors here.
-pub fn run_fleet_crash(
-    devices: usize,
-    shards: usize,
-    workers: usize,
-    rounds: u64,
-    ops_per_round: u32,
-    seed: u64,
-    crashes_per_shard: usize,
-) -> Vec<CrashRow> {
-    [true, false]
-        .into_iter()
-        .map(|stormed| {
-            let config = FleetConfig {
-                devices,
-                shards,
-                workers,
-                rounds,
-                tick_ms: 1_000,
-                ops_per_round,
-                seed,
-                read_heavy: false,
-                cache: false,
-                telemetry: false,
-                span_retention: 16,
-                incident_capacity: 256,
-                slo: false,
-                brownout: None,
-                bridge_batch: None,
-                durability: Some(DurabilityFleetConfig::default()),
-                crash_plan: stormed.then_some(CrashStormConfig { crashes_per_shard }),
-            };
-            let fleet = Fleet::build(config).expect("crash configuration is valid");
-            let started = Instant::now();
-            let report = fleet.run();
-            let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
-            let digest = report
-                .recovery
-                .as_ref()
-                .expect("durability is on, so the digest is present");
-            CrashRow {
-                stormed,
-                devices,
-                shards,
-                crashes_per_shard: if stormed { crashes_per_shard } else { 0 },
-                total_ops: report.total_ops,
+/// Panics if an arm's fleet cannot be built — a declared configuration
+/// the fleet rejects is a programming error.
+pub fn run_scenario(scenario: &Scenario) -> Vec<Row> {
+    scenario
+        .arms
+        .iter()
+        .map(|arm| {
+            let report = Fleet::build(arm.config.clone())
+                .unwrap_or_else(|e| panic!("{}/{}: {e}", scenario.name, arm.name))
+                .run();
+            Row {
+                scenario: scenario.name.to_owned(),
+                arm: arm.name.clone(),
+                ops: report.total_ops,
                 errors: report.errors,
-                recoveries: digest.recoveries,
-                torn_crashes: digest.torn_crashes,
-                gap_crashes: digest.gap_crashes,
-                effect_crashes: digest.effect_crashes,
-                replayed_records: digest.replayed_records,
-                torn_truncated: digest.torn_truncated,
-                suppressed_duplicates: digest.suppressed_duplicates,
-                duplicates: digest.duplicates,
-                recovery_p50_us: digest.recovery_p50_us,
-                recovery_p99_us: digest.recovery_p99_us,
                 checksum: report.checksum,
-                wall_ms,
+                counters: report.counters(),
             }
         })
         .collect()
+}
+
+/// Evaluates `scenario`'s gates over the rows of `rows` that belong to
+/// it.
+///
+/// # Errors
+///
+/// One line per problem, each naming the scenario: a declared arm with
+/// no row, a gate that fails (with both sides' values), or a gate that
+/// names a counter its row lacks — never read as zero.
+pub fn check(scenario: &Scenario, rows: &[Row]) -> Result<(), String> {
+    let rows: Vec<&Row> = rows
+        .iter()
+        .filter(|r| r.scenario == scenario.name)
+        .collect();
+    let name = scenario.name;
+    let missing = scenario
+        .arms
+        .iter()
+        .filter(|arm| !rows.iter().any(|r| r.arm == arm.name))
+        .map(|arm| format!("scenario `{name}`: missing arm `{}`", arm.name));
+    let failing = scenario.gates.iter().filter_map(|gate| {
+        let failure = gate.failure(&rows)?;
+        Some(format!("scenario `{name}`: gate `{gate}` {failure}"))
+    });
+    joined(missing.chain(failing).collect())
+}
+
+fn joined(problems: Vec<String>) -> Result<(), String> {
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(problems.join("\n"))
+    }
+}
+
+/// [`check`] for every scenario of `scenarios`, after requiring every
+/// row to belong to one of their arms.
+///
+/// # Errors
+///
+/// Every problem [`check`] reports, plus one line per undeclared row.
+pub fn check_all(scenarios: &[Scenario], rows: &[Row]) -> Result<(), String> {
+    let mut problems: Vec<String> = rows
+        .iter()
+        .filter(|row| {
+            !scenarios
+                .iter()
+                .any(|s| s.name == row.scenario && s.arms.iter().any(|a| a.name == row.arm))
+        })
+        .map(|row| {
+            format!(
+                "row {}/{} belongs to no declared arm",
+                row.scenario, row.arm
+            )
+        })
+        .collect();
+    problems.extend(scenarios.iter().filter_map(|s| check(s, rows).err()));
+    joined(problems)
+}
+
+/// Renders `scenario`'s rows as a table — one line per value, one
+/// column per arm — followed by each gate's verdict.
+pub fn render(scenario: &Scenario, rows: &[Row]) -> String {
+    let rows: Vec<&Row> = rows
+        .iter()
+        .filter(|r| r.scenario == scenario.name)
+        .collect();
+    let mut keys = vec!["ops".to_owned(), "errors".to_owned(), "checksum".to_owned()];
+    for row in &rows {
+        for key in row.counters.keys() {
+            if !keys.contains(key) {
+                keys.push(key.clone());
+            }
+        }
+    }
+    keys[3..].sort();
+    let width = keys.iter().map(String::len).max().unwrap_or(0);
+    let mut out = format!("Scenario `{}`\n{:width$}", scenario.name, "");
+    for row in &rows {
+        out.push_str(&format!(" | {:>16}", row.arm));
+    }
+    out.push('\n');
+    for key in &keys {
+        out.push_str(&format!("{key:width$}"));
+        for row in &rows {
+            let cell = match row.value(key) {
+                Some(v) if is_fingerprint(key) => format!("{v:016x}"),
+                Some(v) => v.to_string(),
+                None => "-".to_owned(),
+            };
+            out.push_str(&format!(" | {cell:>16}"));
+        }
+        out.push('\n');
+    }
+    for gate in &scenario.gates {
+        let verdict = gate.failure(&rows).unwrap_or_else(|| "holds".to_owned());
+        out.push_str(&format!("gate `{gate}`: {verdict}\n"));
+    }
+    out
 }
 
 /// One row of the resolution-throughput comparison.
@@ -500,173 +668,6 @@ pub struct ResolutionRow {
     pub devices: usize,
     /// Wall-clock acquisitions per second (table only).
     pub wall_ops_per_sec: f64,
-}
-
-/// Runs the fleet at `devices` for each entry of `shard_counts`.
-///
-/// # Panics
-///
-/// Panics if the fleet cannot be built — a zero in the configuration or
-/// a proxy-construction failure, both programming errors here.
-pub fn run_fleet_scaling(
-    devices: usize,
-    shard_counts: &[usize],
-    workers: usize,
-    rounds: u64,
-    ops_per_round: u32,
-    seed: u64,
-) -> Vec<FleetScalingRow> {
-    run_fleet_scaling_with_telemetry(
-        devices,
-        shard_counts,
-        workers,
-        rounds,
-        ops_per_round,
-        seed,
-        false,
-    )
-}
-
-/// [`run_fleet_scaling`] with the telemetry decorators toggled: when
-/// `telemetry` is true every device runtime carries the traced proxy
-/// stack (span retention 16 per worker sink, the fleet default).
-///
-/// # Panics
-///
-/// Panics if the fleet cannot be built — a zero in the configuration or
-/// a proxy-construction failure, both programming errors here.
-#[allow(clippy::too_many_arguments)]
-pub fn run_fleet_scaling_with_telemetry(
-    devices: usize,
-    shard_counts: &[usize],
-    workers: usize,
-    rounds: u64,
-    ops_per_round: u32,
-    seed: u64,
-    telemetry: bool,
-) -> Vec<FleetScalingRow> {
-    shard_counts
-        .iter()
-        .map(|&shards| {
-            let config = FleetConfig {
-                devices,
-                shards,
-                workers,
-                rounds,
-                tick_ms: 1_000,
-                ops_per_round,
-                seed,
-                read_heavy: false,
-                cache: false,
-                telemetry,
-                span_retention: 16,
-                incident_capacity: 256,
-                slo: false,
-                brownout: None,
-                bridge_batch: None,
-                durability: None,
-                crash_plan: None,
-            };
-            let fleet = Fleet::build(config).expect("fleet configuration is valid");
-            let started = Instant::now();
-            let report = fleet.run();
-            let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
-            FleetScalingRow {
-                shards,
-                devices,
-                workers,
-                rounds,
-                ops_per_round,
-                seed,
-                telemetry,
-                total_ops: report.total_ops,
-                errors: report.errors,
-                virtual_ops_per_sec: report.virtual_ops_per_sec(),
-                p50_ms: report.p50_ms,
-                p95_ms: report.p95_ms,
-                p99_ms: report.p99_ms,
-                checksum: report.checksum,
-                wall_ms,
-            }
-        })
-        .collect()
-}
-
-/// Runs the brownout comparison: the same traffic ramp against one
-/// shard, once with the overload layer protecting the ramped devices
-/// and once without. Both arms trace their devices (flight recorder +
-/// SLO engine on) so the rows carry the incident evidence the gate
-/// audits. Returns the protected arm first.
-///
-/// # Panics
-///
-/// Panics if the fleet cannot be built — a zero in the configuration or
-/// a proxy-construction failure, both programming errors here.
-pub fn run_fleet_brownout(
-    devices: usize,
-    shards: usize,
-    workers: usize,
-    rounds: u64,
-    ops_per_round: u32,
-    seed: u64,
-) -> Vec<BrownoutRow> {
-    [true, false]
-        .into_iter()
-        .map(|admission| {
-            let brownout = BrownoutConfig {
-                target_shard: 1 % shards,
-                admission,
-                ..BrownoutConfig::default()
-            };
-            let config = FleetConfig {
-                devices,
-                shards,
-                workers,
-                rounds,
-                tick_ms: 1_000,
-                ops_per_round,
-                seed,
-                read_heavy: false,
-                cache: false,
-                telemetry: true,
-                span_retention: 16,
-                incident_capacity: 256,
-                slo: true,
-                brownout: Some(brownout.clone()),
-                bridge_batch: None,
-                durability: None,
-                crash_plan: None,
-            };
-            let fleet = Fleet::build(config).expect("brownout configuration is valid");
-            let started = Instant::now();
-            let report = fleet.run();
-            let wall_ms = started.elapsed().as_secs_f64() * 1_000.0;
-            let shard_p99_ms = report.per_shard[brownout.target_shard].p99_ms;
-            let incidents = report
-                .incidents
-                .as_ref()
-                .expect("telemetry is on, so the digest is present");
-            BrownoutRow {
-                admission,
-                target_shard: brownout.target_shard,
-                ops_multiplier: brownout.ops_multiplier,
-                deadline_budget_ms: brownout.deadline_budget_ms,
-                p99_target_ms: brownout.p99_target_ms,
-                total_ops: report.total_ops,
-                errors: report.errors,
-                shed: report.shed,
-                degraded: report.degraded,
-                deadline_exceeded: report.deadline_exceeded,
-                shard_p99_ms,
-                deadline_blown: report.deadline_blown,
-                promoted_traces: incidents.promoted_traces,
-                promoted_deadline: incidents.promoted_deadline,
-                incident_checksum: incidents.incident_checksum,
-                checksum: report.checksum,
-                wall_ms,
-            }
-        })
-        .collect()
 }
 
 /// Times `acquisitions` proxy acquisitions in both modes: the unsharded
@@ -748,183 +749,6 @@ pub fn resolution_speedup(rows: &[ResolutionRow]) -> Option<f64> {
     }
 }
 
-/// Renders the scaling sweep as an aligned text table.
-pub fn render_fleet_table(rows: &[FleetScalingRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Fleet scaling (virtual ops/sec; latencies in virtual ms)\n");
-    out.push_str(
-        "shards | devices | workers | tel |   ops   | errors | vops/sec | p50 | p95 | p99 |  wall ms\n",
-    );
-    out.push_str(
-        "-------+---------+---------+-----+---------+--------+----------+-----+-----+-----+---------\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:>6} | {:>7} | {:>7} | {:>3} | {:>7} | {:>6} | {:>8} | {:>3} | {:>3} | {:>3} | {:>8.1}\n",
-            row.shards,
-            row.devices,
-            row.workers,
-            if row.telemetry { "on" } else { "off" },
-            row.total_ops,
-            row.errors,
-            row.virtual_ops_per_sec,
-            row.p50_ms,
-            row.p95_ms,
-            row.p99_ms,
-            row.wall_ms,
-        ));
-    }
-    out
-}
-
-/// Renders the brownout comparison, including the verdict line per arm.
-pub fn render_brownout_table(rows: &[BrownoutRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Brownout: one shard ramped, overload layer on vs off (virtual ms)\n");
-    out.push_str(
-        "admission |   ops   | errors |  shed | degraded | dl-exceeded | dl-blown | promoted | shard p99 | target | verdict\n",
-    );
-    out.push_str(
-        "----------+---------+--------+-------+----------+-------------+----------+----------+-----------+--------+--------\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:>9} | {:>7} | {:>6} | {:>5} | {:>8} | {:>11} | {:>8} | {:>8} | {:>9} | {:>6} | {}\n",
-            if row.admission { "on" } else { "off" },
-            row.total_ops,
-            row.errors,
-            row.shed,
-            row.degraded,
-            row.deadline_exceeded,
-            row.deadline_blown,
-            row.promoted_traces,
-            row.shard_p99_ms,
-            row.p99_target_ms,
-            if row.holds_the_gate() {
-                "holds"
-            } else {
-                "FAILS"
-            },
-        ));
-    }
-    out
-}
-
-/// Renders the cache comparison, including the verdict line the
-/// acceptance gate reads.
-pub fn render_cache_table(rows: &[CacheRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Read-through cache: read-heavy fleet, cache on vs off\n");
-    out.push_str(
-        "cache |   ops   | fixes | binding reads |  hits | coalesced | invalidated |     checksum     |  wall ms\n",
-    );
-    out.push_str(
-        "------+---------+-------+---------------+-------+-----------+-------------+------------------+---------\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:>5} | {:>7} | {:>5} | {:>13} | {:>5} | {:>9} | {:>11} | {:016x} | {:>8.1}\n",
-            if row.cached { "on" } else { "off" },
-            row.total_ops,
-            row.location_fixes,
-            row.binding_reads,
-            row.hits,
-            row.coalesced,
-            row.invalidated,
-            row.checksum,
-            row.wall_ms,
-        ));
-    }
-    if let (Some(on), Some(off)) = (
-        rows.iter().find(|r| r.cached),
-        rows.iter().find(|r| !r.cached),
-    ) {
-        if on.binding_reads > 0 {
-            out.push_str(&format!(
-                "binding-plane read reduction: {:.1}x\n",
-                off.binding_reads as f64 / on.binding_reads as f64
-            ));
-        }
-    }
-    out
-}
-
-/// Renders the bridge comparison, including the crossing-reduction
-/// line the acceptance gate reads.
-pub fn render_bridge_table(rows: &[BridgeRow]) -> String {
-    let mut out = String::new();
-    out.push_str("WebView bridge batching: read-heavy multi-read fleet, batching on vs off\n");
-    out.push_str("batch |   ops   | fixes | webviews | crossings |     checksum     |  wall ms\n");
-    out.push_str("------+---------+-------+----------+-----------+------------------+---------\n");
-    for row in rows {
-        out.push_str(&format!(
-            "{:>5} | {:>7} | {:>5} | {:>8} | {:>9} | {:016x} | {:>8.1}\n",
-            if row.batched { "on" } else { "off" },
-            row.total_ops,
-            row.location_fixes,
-            row.webview_devices,
-            row.crossings,
-            row.checksum,
-            row.wall_ms,
-        ));
-    }
-    if let (Some(on), Some(off)) = (
-        rows.iter().find(|r| r.batched),
-        rows.iter().find(|r| !r.batched),
-    ) {
-        if on.crossings > 0 {
-            out.push_str(&format!(
-                "bridge-crossing reduction: {:.2}x\n",
-                off.crossings as f64 / on.crossings as f64
-            ));
-        }
-    }
-    out
-}
-
-/// Renders the crash-storm comparison, including the verdict line the
-/// acceptance gate reads.
-pub fn render_crash_table(rows: &[CrashRow]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "Crash storm: durable fleet, deterministic crashes on vs off (recovery in virtual µs)\n",
-    );
-    out.push_str(
-        "storm |   ops   | errors | recoveries | torn | gap | post | replayed | dedup | dups | rec p50 | rec p99 |     checksum     |  wall ms\n",
-    );
-    out.push_str(
-        "------+---------+--------+------------+------+-----+------+----------+-------+------+---------+---------+------------------+---------\n",
-    );
-    for row in rows {
-        out.push_str(&format!(
-            "{:>5} | {:>7} | {:>6} | {:>10} | {:>4} | {:>3} | {:>4} | {:>8} | {:>5} | {:>4} | {:>7} | {:>7} | {:016x} | {:>8.1}\n",
-            if row.stormed { "on" } else { "off" },
-            row.total_ops,
-            row.errors,
-            row.recoveries,
-            row.torn_crashes,
-            row.gap_crashes,
-            row.effect_crashes,
-            row.replayed_records,
-            row.suppressed_duplicates,
-            row.duplicates,
-            row.recovery_p50_us,
-            row.recovery_p99_us,
-            row.checksum,
-            row.wall_ms,
-        ));
-    }
-    out.push_str(&format!(
-        "exactly-once gate: {}\n",
-        if crash_gate_holds(rows) {
-            "holds"
-        } else {
-            "FAILS"
-        }
-    ));
-    out
-}
-
 /// Renders the resolution comparison, including the speedup line the
 /// acceptance gate reads.
 pub fn render_resolution_table(rows: &[ResolutionRow]) -> String {
@@ -950,211 +774,242 @@ pub fn render_resolution_table(rows: &[ResolutionRow]) -> String {
 mod tests {
     use super::*;
 
+    /// A sweep small enough for a unit test.
+    fn tiny() -> Sweep {
+        Sweep {
+            devices: 60,
+            shards: vec![1, 4],
+            workers: 3,
+            rounds: 2,
+            ops_per_round: 2,
+            seed: 5,
+        }
+    }
+
+    fn declared(name: &str) -> Scenario {
+        scenarios(&tiny())
+            .into_iter()
+            .find(|s| s.name == name)
+            .expect("declared scenario")
+    }
+
+    /// Runs the named scenario twice: its gates hold and every row,
+    /// counters included, reproduces exactly. Returns the rows.
+    fn holds_and_reproduces(name: &str) -> Vec<Row> {
+        let scenario = declared(name);
+        let rows = run_scenario(&scenario);
+        assert_eq!(rows.len(), scenario.arms.len());
+        check(&scenario, &rows).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(rows, run_scenario(&scenario), "{name} is not deterministic");
+        rows
+    }
+
     #[test]
     fn scaling_rows_are_deterministic_across_runs() {
-        let first = run_fleet_scaling(60, &[1, 4], 3, 2, 2, 5);
-        let second = run_fleet_scaling(60, &[1, 4], 3, 2, 2, 5);
-        assert_eq!(first.len(), 2);
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.checksum, b.checksum);
-            assert_eq!(a.total_ops, b.total_ops);
-            assert_eq!(a.virtual_ops_per_sec, b.virtual_ops_per_sec);
-            assert_eq!(
-                (a.p50_ms, a.p95_ms, a.p99_ms),
-                (b.p50_ms, b.p95_ms, b.p99_ms)
-            );
-        }
-        assert_eq!(first[0].total_ops, 60 * 2 * 2);
+        let rows = holds_and_reproduces("scaling");
+        let arms: Vec<&str> = rows.iter().map(|r| r.arm.as_str()).collect();
+        assert_eq!(arms, ["shards1", "shards4", "traced"]);
+        assert_eq!(rows[0].ops, 60 * 2 * 2);
+        assert_eq!(rows[0].value("shard0.p99_ms"), rows[0].value("p99_ms"));
+        assert!(rows[2].counters.contains_key("incidents.promoted_traces"));
     }
 
     #[test]
     fn brownout_rows_pin_the_overload_gate() {
-        let rows = run_fleet_brownout(30, 4, 3, 3, 2, 11);
-        assert_eq!(rows.len(), 2);
+        let rows = holds_and_reproduces("brownout");
         let (on, off) = (&rows[0], &rows[1]);
-        assert!(on.admission && !off.admission);
-        assert!(on.holds_the_gate(), "protected arm: {on:?}");
-        assert!(off.holds_the_gate(), "unprotected arm: {off:?}");
-        assert!(on.shed > 0 && on.degraded > 0 && on.deadline_exceeded > 0);
-
-        // The accountability half: the unprotected arm blew deadlines
-        // and the recorder promoted a trace for every one of them.
-        assert!(off.deadline_blown > 0, "unprotected arm: {off:?}");
-        assert_eq!(off.promoted_deadline, off.deadline_blown);
-        assert!(off.promoted_traces >= off.promoted_deadline);
-        assert!(off.incident_checksum != 0, "digest fingerprint missing");
-
-        // Deterministic: a re-run reproduces both arms exactly.
-        let again = run_fleet_brownout(30, 4, 3, 3, 2, 11);
-        for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(a.checksum, b.checksum);
-            assert_eq!(a.incident_checksum, b.incident_checksum);
-            assert_eq!(
-                (a.shed, a.degraded, a.deadline_exceeded, a.shard_p99_ms),
-                (b.shed, b.degraded, b.deadline_exceeded, b.shard_p99_ms)
-            );
-            assert_eq!(
-                (a.deadline_blown, a.promoted_traces, a.promoted_deadline),
-                (b.deadline_blown, b.promoted_traces, b.promoted_deadline)
-            );
-        }
-
-        let table = render_brownout_table(&rows);
-        assert!(table.contains("holds"), "{table}");
-        assert!(!table.contains("FAILS"), "{table}");
+        assert!(on.value("degraded") > Some(0) && on.value("deadline_exceeded") > Some(0));
+        assert_ne!(off.value("incidents.incident_checksum"), Some(0));
     }
 
     #[test]
     fn cache_rows_hold_the_gate_and_are_deterministic() {
-        let rows = run_fleet_cache(30, 4, 3, 4, 6, 11);
-        assert_eq!(rows.len(), 2);
-        let (on, off) = (&rows[0], &rows[1]);
-        assert!(on.cached && !off.cached);
+        let rows = holds_and_reproduces("cache");
         assert_eq!(
-            on.checksum, off.checksum,
-            "caching changed what the fleet computes: {on:?} vs {off:?}"
+            rows[0].value("location_fixes"),
+            rows[1].value("location_fixes")
         );
-        assert_eq!(on.location_fixes, off.location_fixes);
-        assert_eq!(off.hits, 0, "no cache, no hits");
-        assert!(on.hits > 0, "cached arm must hit: {on:?}");
-        assert!(
-            cache_gate_holds(&rows),
-            "≥5x binding-read cut required: {rows:?}"
-        );
-
-        let again = run_fleet_cache(30, 4, 3, 4, 6, 11);
-        for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(a.checksum, b.checksum);
-            assert_eq!(
-                (a.binding_reads, a.hits, a.coalesced, a.invalidated),
-                (b.binding_reads, b.hits, b.coalesced, b.invalidated)
-            );
-        }
-
-        let table = render_cache_table(&rows);
-        assert!(table.contains("reduction"), "{table}");
+        assert_eq!(rows[1].value("cache.hits"), None, "no cache, no digest");
     }
 
     #[test]
     fn bridge_rows_hold_the_gate_and_are_deterministic() {
-        let rows = run_fleet_bridge(30, 4, 3, 4, 6, 11);
-        assert_eq!(rows.len(), 2);
-        let (on, off) = (&rows[0], &rows[1]);
-        assert!(on.batched && !off.batched);
+        let rows = holds_and_reproduces("bridge");
         assert_eq!(
-            on.checksum, off.checksum,
-            "batching changed what the fleet computes: {on:?} vs {off:?}"
+            rows[0].value("location_fixes"),
+            rows[1].value("location_fixes")
         );
-        assert_eq!(on.location_fixes, off.location_fixes);
-        assert!(
-            bridge_gate_holds(&rows),
-            "batched arm must cut crossings: {rows:?}"
-        );
+        assert_eq!(rows[0].value("bridge.webview_devices"), Some(10));
+    }
 
-        let again = run_fleet_bridge(30, 4, 3, 4, 6, 11);
-        for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(a.checksum, b.checksum);
-            assert_eq!(a.crossings, b.crossings);
+    #[test]
+    fn crash_rows_hold_the_gate_and_are_deterministic() {
+        let rows = holds_and_reproduces("crash");
+        // Two replaying crash kinds (gap, post-effect) per shard, one
+        // record each: the checkpoint taken right after every recovery
+        // keeps a record from being replayed by a later crash.
+        assert_eq!(rows[0].value("recovery.replayed_records"), Some(8));
+        assert_eq!(rows[0].value("recovery.duplicates"), Some(0));
+    }
+
+    /// Sets the value `name` of `row` (`ops`, `errors`, `checksum` or a
+    /// counter the row has).
+    fn set(row: &mut Row, name: &str, value: u64) {
+        match name {
+            "ops" => row.ops = value,
+            "errors" => row.errors = value,
+            "checksum" => row.checksum = value,
+            _ => *row.counters.get_mut(name).expect("counter exists") = value,
         }
+    }
 
-        let table = render_bridge_table(&rows);
-        assert!(table.contains("reduction"), "{table}");
+    /// Rows on which `gate` fails, made by changing one counter it
+    /// names.
+    fn perturbed(gate: &Check, rows: &[Row]) -> Option<Vec<Row>> {
+        let live: Vec<&Row> = rows.iter().collect();
+        let (lhs, rhs) = gate.eval(&live).ok()?;
+        let (term, other) = match &gate.lhs {
+            Term::Counter { .. } => (&gate.lhs, rhs),
+            Term::Const(_) => (&gate.rhs, lhs),
+        };
+        let Term::Counter { k, arm, counter } = term else {
+            return None;
+        };
+        let index = rows.iter().position(|r| r.arm == *arm)?;
+        let current = rows[index].value(counter)?;
+        let near = u64::try_from(other / u128::from(*k)).unwrap_or(u64::MAX);
+        [0, current.wrapping_add(1), near, near.saturating_add(1)]
+            .into_iter()
+            .map(|value| {
+                let mut broken = rows.to_vec();
+                set(&mut broken[index], counter, value);
+                broken
+            })
+            .find(|broken| {
+                let broken: Vec<&Row> = broken.iter().collect();
+                matches!(gate.eval(&broken), Ok((l, r)) if !gate.cmp.holds(l, r))
+            })
+    }
+
+    #[test]
+    fn every_declared_gate_rejects_a_perturbed_counter() {
+        for scenario in scenarios(&tiny()) {
+            let rows = run_scenario(&scenario);
+            check(&scenario, &rows).unwrap_or_else(|e| panic!("{e}"));
+            for gate in &scenario.gates {
+                let broken = perturbed(gate, &rows)
+                    .unwrap_or_else(|| panic!("{}: nothing breaks `{gate}`", scenario.name));
+                let err = check(&scenario, &broken).expect_err("a broken gate must fail");
+                let named = format!("scenario `{}`: gate `{gate}` fails", scenario.name);
+                assert!(err.contains(&named), "{err}");
+            }
+            for arm in &scenario.arms {
+                let without: Vec<Row> =
+                    rows.iter().filter(|r| r.arm != arm.name).cloned().collect();
+                let err = check(&scenario, &without).expect_err("a missing arm must fail");
+                assert!(
+                    err.contains(&format!("missing arm `{}`", arm.name)),
+                    "{err}"
+                );
+            }
+        }
+    }
+
+    /// Asserts that `check` rejects `rows` with a line naming `scenario`
+    /// and containing `expected`.
+    fn rejected(scenario: &Scenario, rows: &[Row], expected: &str) {
+        let err = check(scenario, rows).expect_err(expected);
+        let named = format!("scenario `{}`: ", scenario.name);
+        assert!(
+            err.lines()
+                .any(|line| line.starts_with(&named) && line.contains(expected)),
+            "expected `{expected}` in:\n{err}"
+        );
     }
 
     #[test]
     fn bridge_gate_rejects_a_missing_or_drifted_arm() {
-        let rows = run_fleet_bridge(30, 4, 3, 4, 6, 11);
-        assert!(
-            !bridge_gate_holds(&rows[..1]),
-            "one arm is not a comparison"
-        );
+        let scenario = declared("bridge");
+        let rows = run_scenario(&scenario);
+        rejected(&scenario, &rows[..1], "missing arm `unbatched`");
         let mut drifted = rows.clone();
         drifted[0].checksum ^= 1;
-        assert!(
-            !bridge_gate_holds(&drifted),
-            "a checksum drift must fail the gate"
+        rejected(
+            &scenario,
+            &drifted,
+            "gate `batched.checksum == unbatched.checksum` fails",
         );
-        let mut inflated = rows;
-        inflated[0].crossings = inflated[1].crossings;
-        assert!(
-            !bridge_gate_holds(&inflated),
-            "equal crossings must fail the gate"
+        let mut inflated = rows.clone();
+        let crossings = rows[1].value("bridge.crossings").expect("crossings");
+        set(&mut inflated[0], "bridge.crossings", crossings);
+        rejected(
+            &scenario,
+            &inflated,
+            "gate `batched.bridge.crossings < unbatched.bridge.crossings` fails",
         );
     }
 
     #[test]
     fn cache_gate_rejects_a_missing_or_cold_arm() {
-        let rows = run_fleet_cache(30, 4, 3, 4, 6, 11);
-        assert!(!cache_gate_holds(&rows[..1]), "one arm is not a comparison");
+        let scenario = declared("cache");
+        let rows = run_scenario(&scenario);
+        rejected(&scenario, &rows[..1], "missing arm `uncached`");
         let mut cold = rows.clone();
-        cold[0].hits = 0;
-        assert!(!cache_gate_holds(&cold), "a cold cache must fail the gate");
+        set(&mut cold[0], "cache.hits", 0);
+        rejected(&scenario, &cold, "gate `cached.cache.hits > 0` fails");
         let mut drifted = rows;
         drifted[0].checksum ^= 1;
-        assert!(
-            !cache_gate_holds(&drifted),
-            "a checksum drift must fail the gate"
+        rejected(
+            &scenario,
+            &drifted,
+            "gate `cached.checksum == uncached.checksum` fails",
         );
-    }
-
-    #[test]
-    fn crash_rows_hold_the_gate_and_are_deterministic() {
-        let rows = run_fleet_crash(30, 4, 3, 3, 2, 11, 3);
-        assert_eq!(rows.len(), 2);
-        let (on, off) = (&rows[0], &rows[1]);
-        assert!(on.stormed && !off.stormed);
-        assert_eq!(
-            on.checksum, off.checksum,
-            "the storm changed what the fleet computes: {on:?} vs {off:?}"
-        );
-        assert_eq!(on.duplicates, 0, "exactly-once violated: {on:?}");
-        assert_eq!(on.recoveries, 12, "3 crashes on each of 4 shards");
-        assert!(crash_gate_holds(&rows), "{rows:?}");
-
-        let again = run_fleet_crash(30, 4, 3, 3, 2, 11, 3);
-        for (a, b) in rows.iter().zip(&again) {
-            assert_eq!(a.checksum, b.checksum);
-            assert_eq!(
-                (
-                    a.recoveries,
-                    a.torn_crashes,
-                    a.gap_crashes,
-                    a.effect_crashes
-                ),
-                (
-                    b.recoveries,
-                    b.torn_crashes,
-                    b.gap_crashes,
-                    b.effect_crashes
-                )
-            );
-            assert_eq!(
-                (a.replayed_records, a.recovery_p50_us, a.recovery_p99_us),
-                (b.replayed_records, b.recovery_p50_us, b.recovery_p99_us)
-            );
-        }
-
-        let table = render_crash_table(&rows);
-        assert!(table.contains("holds"), "{table}");
-        assert!(!table.contains("FAILS"), "{table}");
     }
 
     #[test]
     fn crash_gate_rejects_a_missing_or_drifted_arm() {
-        let rows = run_fleet_crash(30, 4, 3, 3, 2, 11, 3);
-        assert!(!crash_gate_holds(&rows[..1]), "one arm is not a comparison");
+        let scenario = declared("crash");
+        let rows = run_scenario(&scenario);
+        rejected(&scenario, &rows[..1], "missing arm `crash-free`");
         let mut drifted = rows.clone();
         drifted[0].checksum ^= 1;
-        assert!(
-            !crash_gate_holds(&drifted),
-            "a checksum drift must fail the gate"
+        rejected(
+            &scenario,
+            &drifted,
+            "gate `stormed.checksum == crash-free.checksum` fails",
         );
         let mut duplicated = rows;
-        duplicated[0].duplicates = 1;
-        assert!(
-            !crash_gate_holds(&duplicated),
-            "a duplicate effect must fail the gate"
+        set(&mut duplicated[0], "recovery.duplicates", 1);
+        rejected(
+            &scenario,
+            &duplicated,
+            "gate `stormed.recovery.duplicates == 0` fails",
         );
+    }
+
+    #[test]
+    fn a_gate_naming_an_absent_counter_is_an_error_not_zero() {
+        let row = |arm: &str| Row {
+            scenario: "toy".into(),
+            arm: arm.into(),
+            ops: 1,
+            errors: 0,
+            checksum: 7,
+            counters: BTreeMap::new(),
+        };
+        let scenario = Scenario {
+            name: "toy",
+            arms: vec![Arm::new("a", small()), Arm::new("b", small())],
+            gates: vec![at("a", "cache.hits").eq(0)],
+        };
+        let err = check(&scenario, &[row("a"), row("b")]).unwrap_err();
+        assert!(err.contains("arm `a` has no counter `cache.hits`"), "{err}");
+        let stray = Row {
+            arm: "c".into(),
+            ..row("c")
+        };
+        let err = check_all(&[scenario], &[row("a"), row("b"), stray]).unwrap_err();
+        assert!(err.contains("toy/c belongs to no declared arm"), "{err}");
     }
 
     #[test]
@@ -1178,9 +1033,18 @@ mod tests {
         assert!(table.contains("sharded-memoized"));
         assert!(table.contains("speedup"));
 
-        let scaling = run_fleet_scaling(30, &[2], 2, 1, 1, 3);
-        let table = render_fleet_table(&scaling);
-        assert!(table.contains("vops/sec"));
-        assert!(table.contains(" 30 "), "{table}");
+        let scenario = declared("cache");
+        let table = render(&scenario, &run_scenario(&scenario));
+        assert!(
+            table.contains("cached") && table.contains("uncached"),
+            "{table}"
+        );
+        assert!(table.contains("16c854b9eae6a413"), "{table}");
+        assert!(table.contains("cache.hits"), "{table}");
+        assert_eq!(
+            table.matches(": holds").count(),
+            scenario.gates.len(),
+            "{table}"
+        );
     }
 }

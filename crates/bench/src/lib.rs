@@ -7,6 +7,7 @@
 //! against each simulated platform with its native-API cost calibrated
 //! to the paper's measurements. [`harness`] holds the per-platform
 //! setup shared by the report binary and the Criterion benches.
+//! [`fleet_bench`] declares the fleet scenarios as data.
 
 pub mod bridge_overhead;
 pub mod figure10;
@@ -20,13 +21,11 @@ pub use figure10::{
     LatencyStats, ResilienceOverheadRow, Scale, TelemetryOverheadRow,
 };
 pub use fleet_bench::{
-    run_fleet_scaling, run_fleet_scaling_with_telemetry, run_resolution_comparison,
-    FleetScalingRow, ResolutionRow,
+    check, run_resolution_comparison, run_scenario, scenarios, ResolutionRow, Row, Scenario, Sweep,
+    SCENARIOS,
 };
 pub use summary::{
-    fleet_summary_json, parse_fleet_baseline, summary_json, validate_fleet_json,
-    validate_summary_json, FleetBaselineRow, FleetCheck, SummaryCheck,
+    fleet_summary_json, parse_fleet_json, summary_json, validate_fleet_json, validate_summary_json,
+    FleetSummary, SummaryCheck,
 };
-pub use telemetry_hotpath::{
-    hotpath_speedup, run_fleet_telemetry_ablation, run_hotpath_comparison, HotpathRow,
-};
+pub use telemetry_hotpath::{hotpath_speedup, run_hotpath_comparison, HotpathRow};

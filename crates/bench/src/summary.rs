@@ -3,11 +3,12 @@
 //! One JSON document per binary: the `figure10` summary carries the
 //! nine Figure 10 pairs with their histogram-derived p50/p95/p99 tails
 //! plus the resilience- and telemetry-overhead ablations; the `fleet`
-//! summary carries the scaling sweep and the resolution-mode inventory.
-//! [`validate_summary_json`] / [`validate_fleet_json`] are the schema
-//! checks shared by each binary's `--check` mode and CI. The fleet
-//! summary deliberately contains **no wall-clock-derived values**, so
-//! two runs with the same configuration emit byte-identical JSON.
+//! summary carries the sweep, the resolution-mode inventory and one row
+//! per fleet scenario arm. [`validate_summary_json`] /
+//! [`validate_fleet_json`] are the checks shared by each binary's
+//! `--check` mode and CI. The fleet summary deliberately contains **no
+//! wall-clock-derived values**, so two runs with the same configuration
+//! emit byte-identical JSON.
 
 use serde_json::Value;
 
@@ -16,9 +17,7 @@ use crate::figure10::{
     journal_overhead_factor, Figure10Row, JournalOverheadRow, LatencyStats, ResilienceOverheadRow,
     TelemetryOverheadRow,
 };
-use crate::fleet_bench::{
-    BridgeRow, BrownoutRow, CacheRow, CrashRow, FleetScalingRow, ResolutionRow,
-};
+use crate::fleet_bench::{check_all, is_fingerprint, scenarios, ResolutionRow, Row, Sweep};
 use crate::telemetry_hotpath::HotpathRow;
 
 /// Schema identifier stamped into (and required from) every summary.
@@ -33,27 +32,11 @@ use crate::telemetry_hotpath::HotpathRow;
 /// per-op wall cost.
 pub const SCHEMA: &str = "mobivine.figure10.v3";
 
-/// Schema identifier of the fleet benchmark summary. `v2` added the
-/// required `brownout` section (the overload-protection gate); `v3`
-/// added the flight-recorder evidence to each brownout arm
-/// (`deadline_blown`, `promoted_traces`, `promoted_deadline`,
-/// `incident_checksum`) and extended the gate: the unprotected arm must
-/// carry a promoted trace for every deadline-blown call. `v4` added the
-/// required `cache` section (read-heavy traffic with the read-through
-/// proxy cache on vs off) and its gate: both arms byte-identical by
-/// checksum, the cached arm actually hitting, and the uncached arm
-/// invoking the binding plane at least 5x more often for reads. `v5`
-/// added the required `bridge` section (the same read-heavy multi-read
-/// traffic with WebView bridge batching on vs off) and its gate: both
-/// arms byte-identical by checksum — batching must be invisible to
-/// what the fleet computes — and the batched arm crossing the bridge
-/// strictly fewer times. `v6` added the required `crash` section (the
-/// same durable traffic with a deterministic crash storm armed vs
-/// crash-free) and its exactly-once gate: byte-identical checksums,
-/// zero duplicate effects, and a storm that exercised at least one
-/// torn-write and one intent/effect-gap crash per shard. Every brownout
-/// arm must also have promoted at least one trace.
-pub const FLEET_SCHEMA: &str = "mobivine.fleet.v6";
+/// Schema identifier of the fleet benchmark summary: the sweep, the
+/// resolution inventory and one [`Row`] per scenario arm. The shape is
+/// fixed; the gates live in [`crate::fleet_bench::SCENARIOS`], so a new
+/// scenario adds rows, not a schema version.
+pub const FLEET_SCHEMA: &str = "mobivine.fleet.v7";
 
 fn num(v: f64) -> Value {
     Value::Number(v)
@@ -245,6 +228,16 @@ fn check_stats(entry: &Value, key: &str, context: &str) -> Result<(), String> {
     Ok(())
 }
 
+/// Parses `json` and requires its `schema` field to be `schema`.
+fn parse_root(json: &str, schema: &str) -> Result<Value, String> {
+    let root: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
+    match root.get_field("schema") {
+        Some(Value::String(s)) if s == schema => Ok(root),
+        Some(Value::String(s)) => Err(format!("unknown schema {s:?}, expected {schema:?}")),
+        _ => Err("missing schema field".to_owned()),
+    }
+}
+
 /// Validates a `figure10 --json` document against the
 /// [`SCHEMA`] shape.
 ///
@@ -253,12 +246,7 @@ fn check_stats(entry: &Value, key: &str, context: &str) -> Result<(), String> {
 /// A human-readable description of the first violation: bad JSON, a
 /// wrong or missing schema id, or a missing/mistyped field.
 pub fn validate_summary_json(json: &str) -> Result<SummaryCheck, String> {
-    let root: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    match root.get_field("schema") {
-        Some(Value::String(s)) if s == SCHEMA => {}
-        Some(Value::String(s)) => return Err(format!("unknown schema {s:?}, expected {SCHEMA:?}")),
-        _ => return Err("missing schema field".to_owned()),
-    }
+    let root = parse_root(json, SCHEMA)?;
     require_string(&root, "scale", "summary")?;
     require_number(&root, "runs", "summary")?;
 
@@ -372,14 +360,7 @@ pub fn validate_summary_json(json: &str) -> Result<SummaryCheck, String> {
         if total_ops <= 0.0 || errors < 0.0 || wall_us_per_op <= 0.0 {
             return Err(format!("{context}: non-positive measurement"));
         }
-        let checksum_hex = require_string(entry, "checksum", &context)?;
-        if checksum_hex.len() != 16 || !checksum_hex.chars().all(|c| c.is_ascii_hexdigit()) {
-            return Err(format!(
-                "{context}: checksum is not a 16-digit hex string: {checksum_hex:?}"
-            ));
-        }
-        let checksum = u64::from_str_radix(checksum_hex, 16)
-            .map_err(|e| format!("{context}: bad checksum: {e}"))?;
+        let checksum = require_u64(entry, "checksum", &context)?;
         journal_rows.push(JournalOverheadRow {
             mode,
             total_ops: total_ops as u64,
@@ -417,39 +398,28 @@ pub fn validate_summary_json(json: &str) -> Result<SummaryCheck, String> {
 }
 
 /// Builds the fleet summary document as a JSON string. Only
-/// deterministic fields are emitted — the wall-clock columns of the
-/// human-readable tables are intentionally absent, and the `u64`
-/// checksum is rendered as a hex string so no precision is lost to
-/// JSON's doubles.
-pub fn fleet_summary_json(
-    scaling: &[FleetScalingRow],
-    resolution: &[ResolutionRow],
-    brownout: &[BrownoutRow],
-    cache: &[CacheRow],
-    bridge: &[BridgeRow],
-    crash: &[CrashRow],
-) -> String {
-    let scaling = scaling
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("shards", num(row.shards as f64)),
-                ("devices", num(row.devices as f64)),
-                ("workers", num(row.workers as f64)),
-                ("rounds", num(row.rounds as f64)),
-                ("ops_per_round", num(row.ops_per_round as f64)),
-                ("seed", num(row.seed as f64)),
-                ("telemetry", Value::Bool(row.telemetry)),
-                ("total_ops", num(row.total_ops as f64)),
-                ("errors", num(row.errors as f64)),
-                ("virtual_ops_per_sec", num(row.virtual_ops_per_sec as f64)),
-                ("p50_ms", num(row.p50_ms as f64)),
-                ("p95_ms", num(row.p95_ms as f64)),
-                ("p99_ms", num(row.p99_ms as f64)),
-                ("checksum", text(&format!("{:016x}", row.checksum))),
-            ])
-        })
-        .collect();
+/// deterministic fields are emitted — the wall-clock acquisition rates
+/// stay in the human-readable table — and every fingerprint is a
+/// 16-digit hex string, so no precision is lost to JSON's doubles.
+pub fn fleet_summary_json(sweep: &Sweep, resolution: &[ResolutionRow], rows: &[Row]) -> String {
+    let value = |key: &str, v: u64| {
+        if is_fingerprint(key) {
+            text(&format!("{v:016x}"))
+        } else {
+            num(v as f64)
+        }
+    };
+    let sweep = object(vec![
+        ("devices", num(sweep.devices as f64)),
+        (
+            "shards",
+            Value::Array(sweep.shards.iter().map(|&s| num(s as f64)).collect()),
+        ),
+        ("workers", num(sweep.workers as f64)),
+        ("rounds", num(sweep.rounds as f64)),
+        ("ops_per_round", num(f64::from(sweep.ops_per_round))),
+        ("seed", num(sweep.seed as f64)),
+    ]);
     let resolution = resolution
         .iter()
         .map(|row| {
@@ -460,191 +430,106 @@ pub fn fleet_summary_json(
             ])
         })
         .collect();
-    let brownout = brownout
+    let rows = rows
         .iter()
         .map(|row| {
+            let counters = row
+                .counters
+                .iter()
+                .map(|(key, &v)| (key.clone(), value(key, v)))
+                .collect();
             object(vec![
-                ("admission", Value::Bool(row.admission)),
-                ("target_shard", num(row.target_shard as f64)),
-                ("ops_multiplier", num(f64::from(row.ops_multiplier))),
-                ("deadline_budget_ms", num(row.deadline_budget_ms as f64)),
-                ("p99_target_ms", num(row.p99_target_ms as f64)),
-                ("total_ops", num(row.total_ops as f64)),
-                ("errors", num(row.errors as f64)),
-                ("shed", num(row.shed as f64)),
-                ("degraded", num(row.degraded as f64)),
-                ("deadline_exceeded", num(row.deadline_exceeded as f64)),
-                ("shard_p99_ms", num(row.shard_p99_ms as f64)),
-                ("deadline_blown", num(row.deadline_blown as f64)),
-                ("promoted_traces", num(row.promoted_traces as f64)),
-                ("promoted_deadline", num(row.promoted_deadline as f64)),
-                (
-                    "incident_checksum",
-                    text(&format!("{:016x}", row.incident_checksum)),
-                ),
-                ("checksum", text(&format!("{:016x}", row.checksum))),
-            ])
-        })
-        .collect();
-    let cache = cache
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("cached", Value::Bool(row.cached)),
-                ("devices", num(row.devices as f64)),
-                ("total_ops", num(row.total_ops as f64)),
-                ("errors", num(row.errors as f64)),
-                ("location_fixes", num(row.location_fixes as f64)),
-                ("binding_reads", num(row.binding_reads as f64)),
-                ("hits", num(row.hits as f64)),
-                ("coalesced", num(row.coalesced as f64)),
-                ("invalidated", num(row.invalidated as f64)),
-                ("checksum", text(&format!("{:016x}", row.checksum))),
-            ])
-        })
-        .collect();
-    let bridge = bridge
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("batched", Value::Bool(row.batched)),
-                ("devices", num(row.devices as f64)),
-                ("webview_devices", num(row.webview_devices as f64)),
-                ("total_ops", num(row.total_ops as f64)),
-                ("errors", num(row.errors as f64)),
-                ("location_fixes", num(row.location_fixes as f64)),
-                ("crossings", num(row.crossings as f64)),
-                ("checksum", text(&format!("{:016x}", row.checksum))),
-            ])
-        })
-        .collect();
-    let crash = crash
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("stormed", Value::Bool(row.stormed)),
-                ("devices", num(row.devices as f64)),
-                ("shards", num(row.shards as f64)),
-                ("crashes_per_shard", num(row.crashes_per_shard as f64)),
-                ("total_ops", num(row.total_ops as f64)),
-                ("errors", num(row.errors as f64)),
-                ("recoveries", num(row.recoveries as f64)),
-                ("torn_crashes", num(row.torn_crashes as f64)),
-                ("gap_crashes", num(row.gap_crashes as f64)),
-                ("effect_crashes", num(row.effect_crashes as f64)),
-                ("replayed_records", num(row.replayed_records as f64)),
-                ("torn_truncated", num(row.torn_truncated as f64)),
-                (
-                    "suppressed_duplicates",
-                    num(row.suppressed_duplicates as f64),
-                ),
-                ("duplicates", num(row.duplicates as f64)),
-                ("recovery_p50_us", num(row.recovery_p50_us as f64)),
-                ("recovery_p99_us", num(row.recovery_p99_us as f64)),
-                ("checksum", text(&format!("{:016x}", row.checksum))),
+                ("scenario", text(&row.scenario)),
+                ("arm", text(&row.arm)),
+                ("ops", value("ops", row.ops)),
+                ("errors", value("errors", row.errors)),
+                ("checksum", value("checksum", row.checksum)),
+                ("counters", Value::Object(counters)),
             ])
         })
         .collect();
     object(vec![
         ("schema", text(FLEET_SCHEMA)),
-        ("scaling", Value::Array(scaling)),
+        ("sweep", sweep),
         ("resolution", Value::Array(resolution)),
-        ("brownout", Value::Array(brownout)),
-        ("cache", Value::Array(cache)),
-        ("bridge", Value::Array(bridge)),
-        ("crash", Value::Array(crash)),
+        ("rows", Value::Array(rows)),
     ])
     .to_string()
 }
 
-/// What a valid fleet summary contained.
+/// A fleet summary parsed back into the harness's types.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetCheck {
-    /// Number of shard-count configurations in the sweep.
-    pub scaling_rows: usize,
-    /// Number of resolution-mode rows (both modes must be present).
-    pub resolution_rows: usize,
-    /// Number of brownout arms (both admission modes must be present
-    /// and each must hold its side of the overload gate).
-    pub brownout_rows: usize,
-    /// Number of cache arms (cached and uncached must both be present
-    /// and the pair must hold the cache gate).
-    pub cache_rows: usize,
-    /// Number of bridge arms (batched and unbatched must both be
-    /// present and the pair must hold the bridge gate).
-    pub bridge_rows: usize,
-    /// Number of crash arms (stormed and crash-free must both be
-    /// present and the pair must hold the exactly-once gate).
-    pub crash_rows: usize,
+pub struct FleetSummary {
+    /// The scaling sweep the summary was run with.
+    pub sweep: Sweep,
+    /// One row per scenario arm.
+    pub rows: Vec<Row>,
 }
 
-/// Validates a `fleet --json` document against the [`FLEET_SCHEMA`]
-/// shape.
+/// Reads the value named `key` as a `u64`: a 16-digit hex string for a
+/// fingerprint ([`is_fingerprint`]), a non-negative integer otherwise.
+fn parse_u64(key: &str, value: &Value, context: &str) -> Result<u64, String> {
+    match value {
+        Value::String(s)
+            if is_fingerprint(key) && s.len() == 16 && s.chars().all(|c| c.is_ascii_hexdigit()) =>
+        {
+            u64::from_str_radix(s, 16).map_err(|e| format!("{context}: bad {key}: {e}"))
+        }
+        Value::Number(n)
+            if !is_fingerprint(key) && *n >= 0.0 && n.fract() == 0.0 && *n < 2f64.powi(53) =>
+        {
+            Ok(*n as u64)
+        }
+        other if is_fingerprint(key) => Err(format!(
+            "{context}: {key} is not a 16-digit hex string: {other:?}"
+        )),
+        other => Err(format!(
+            "{context}: {key} is not a non-negative integer: {other:?}"
+        )),
+    }
+}
+
+fn require_u64(entry: &Value, key: &str, context: &str) -> Result<u64, String> {
+    let value = entry
+        .get_field(key)
+        .ok_or_else(|| format!("{context}: missing field {key}"))?;
+    parse_u64(key, value, context)
+}
+
+/// Parses a `fleet --json` document against the [`FLEET_SCHEMA`]
+/// shape. Gates are not evaluated: [`validate_fleet_json`] does both.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation: bad JSON, a
-/// wrong or missing schema id, a missing/mistyped field, unordered
-/// percentiles, a malformed checksum, or a missing resolution mode.
-pub fn validate_fleet_json(json: &str) -> Result<FleetCheck, String> {
-    let root: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    match root.get_field("schema") {
-        Some(Value::String(s)) if s == FLEET_SCHEMA => {}
-        Some(Value::String(s)) => {
-            return Err(format!("unknown schema {s:?}, expected {FLEET_SCHEMA:?}"))
-        }
-        _ => return Err("missing schema field".to_owned()),
-    }
-
-    let scaling = require_array(&root, "scaling")?;
-    for (i, entry) in scaling.iter().enumerate() {
-        let context = format!("scaling[{i}]");
-        for key in [
-            "shards",
-            "devices",
-            "workers",
-            "rounds",
-            "ops_per_round",
-            "seed",
-            "total_ops",
-            "errors",
-            "virtual_ops_per_sec",
-        ] {
-            let value = require_number(entry, key, &context)?;
-            if value < 0.0 {
-                return Err(format!("{context}: negative {key}"));
-            }
-        }
-        match entry.get_field("telemetry") {
-            Some(Value::Bool(_)) => {}
-            other => {
-                return Err(format!(
-                    "{context}: telemetry is {other:?}, expected a bool"
-                ))
-            }
-        }
-        let p50 = require_number(entry, "p50_ms", &context)?;
-        let p95 = require_number(entry, "p95_ms", &context)?;
-        let p99 = require_number(entry, "p99_ms", &context)?;
-        if p50 > p95 || p95 > p99 {
-            return Err(format!(
-                "{context}: quantiles are not ordered: p50={p50} p95={p95} p99={p99}"
-            ));
-        }
-        let checksum = require_string(entry, "checksum", &context)?;
-        if checksum.len() != 16 || !checksum.chars().all(|c| c.is_ascii_hexdigit()) {
-            return Err(format!(
-                "{context}: checksum is not a 16-digit hex string: {checksum:?}"
-            ));
-        }
+/// wrong or missing schema id, a missing or mistyped field, a zero in
+/// the sweep, or a missing resolution mode.
+pub fn parse_fleet_json(json: &str) -> Result<FleetSummary, String> {
+    let root = parse_root(json, FLEET_SCHEMA)?;
+    let sweep = root.get_field("sweep").ok_or("missing object sweep")?;
+    let shards = require_array(sweep, "shards")?
+        .iter()
+        .map(|v| parse_u64("shards", v, "sweep").map(|n| n as usize))
+        .collect::<Result<Vec<_>, _>>()?;
+    let sweep = Sweep {
+        devices: require_u64(sweep, "devices", "sweep")? as usize,
+        shards,
+        workers: require_u64(sweep, "workers", "sweep")? as usize,
+        rounds: require_u64(sweep, "rounds", "sweep")?,
+        ops_per_round: u32::try_from(require_u64(sweep, "ops_per_round", "sweep")?)
+            .map_err(|e| format!("sweep: ops_per_round: {e}"))?,
+        seed: require_u64(sweep, "seed", "sweep")?,
+    };
+    if !sweep.is_runnable() {
+        return Err(format!("sweep: a count is zero: {sweep:?}"));
     }
 
     let resolution = require_array(&root, "resolution")?;
     for (i, entry) in resolution.iter().enumerate() {
         let context = format!("resolution[{i}]");
         require_string(entry, "mode", &context)?;
-        require_number(entry, "acquisitions", &context)?;
-        require_number(entry, "devices", &context)?;
+        require_u64(entry, "acquisitions", &context)?;
+        require_u64(entry, "devices", &context)?;
     }
     for mode in ["per-call-construction", "sharded-memoized"] {
         if !resolution
@@ -655,386 +540,54 @@ pub fn validate_fleet_json(json: &str) -> Result<FleetCheck, String> {
         }
     }
 
-    let brownout = require_array(&root, "brownout")?;
-    for (i, entry) in brownout.iter().enumerate() {
-        let context = format!("brownout[{i}]");
-        let admission = match entry.get_field("admission") {
-            Some(Value::Bool(b)) => *b,
-            other => {
-                return Err(format!(
-                    "{context}: admission is {other:?}, expected a bool"
-                ))
-            }
-        };
-        for key in [
-            "target_shard",
-            "ops_multiplier",
-            "deadline_budget_ms",
-            "total_ops",
-            "errors",
-            "degraded",
-            "deadline_exceeded",
-        ] {
-            let value = require_number(entry, key, &context)?;
-            if value < 0.0 {
-                return Err(format!("{context}: negative {key}"));
-            }
-        }
-        let target = require_number(entry, "p99_target_ms", &context)?;
-        let shed = require_number(entry, "shed", &context)?;
-        let shard_p99 = require_number(entry, "shard_p99_ms", &context)?;
-        let deadline_blown = require_number(entry, "deadline_blown", &context)?;
-        let promoted_traces = require_number(entry, "promoted_traces", &context)?;
-        let promoted_deadline = require_number(entry, "promoted_deadline", &context)?;
-        // Both arms run with the flight recorder on and both fail calls
-        // (sheds on one, blown deadlines on the other), so a traced
-        // brownout that promoted nothing lost its evidence.
-        if promoted_traces < 1.0 {
-            return Err(format!("{context}: the traced arm promoted no trace"));
-        }
-        if promoted_deadline > promoted_traces {
-            return Err(format!(
-                "{context}: promoted_deadline {promoted_deadline} exceeds promoted_traces {promoted_traces}"
-            ));
-        }
-        for key in ["checksum", "incident_checksum"] {
-            let checksum = require_string(entry, key, &context)?;
-            if checksum.len() != 16 || !checksum.chars().all(|c| c.is_ascii_hexdigit()) {
-                return Err(format!(
-                    "{context}: {key} is not a 16-digit hex string: {checksum:?}"
-                ));
-            }
-        }
-        // The overload gate itself: shedding must keep the accepted-call
-        // p99 of the ramped shard within target, and the unprotected arm
-        // must demonstrably blow past it — with a promoted trace in the
-        // incident store explaining every deadline breach.
-        if admission {
-            if shed <= 0.0 {
-                return Err(format!("{context}: admission arm shed nothing"));
-            }
-            if shard_p99 > target {
-                return Err(format!(
-                    "{context}: admission arm p99 {shard_p99} exceeds target {target}"
-                ));
-            }
-        } else {
-            if shed != 0.0 {
-                return Err(format!("{context}: unprotected arm shed {shed} calls"));
-            }
-            if shard_p99 <= target {
-                return Err(format!(
-                    "{context}: unprotected arm p99 {shard_p99} within target {target} — the ramp did not overload the shard"
-                ));
-            }
-            if deadline_blown <= 0.0 {
-                return Err(format!(
-                    "{context}: unprotected arm blew no deadlines — the ramp did not overload the shard"
-                ));
-            }
-            if promoted_deadline != deadline_blown {
-                return Err(format!(
-                    "{context}: {promoted_deadline} promoted deadline traces for {deadline_blown} blown deadlines — the flight recorder lost evidence"
-                ));
-            }
-        }
-    }
-    for (admission, label) in [(true, "admission-on"), (false, "admission-off")] {
-        if !brownout.iter().any(
-            |entry| matches!(entry.get_field("admission"), Some(Value::Bool(b)) if *b == admission),
-        ) {
-            return Err(format!("brownout: missing the {label} arm"));
-        }
-    }
-
-    let cache = require_array(&root, "cache")?;
-    let mut arms: Vec<(bool, u64, u64, &str)> = Vec::new();
-    for (i, entry) in cache.iter().enumerate() {
-        let context = format!("cache[{i}]");
-        let cached = match entry.get_field("cached") {
-            Some(Value::Bool(b)) => *b,
-            other => return Err(format!("{context}: cached is {other:?}, expected a bool")),
-        };
-        for key in [
-            "devices",
-            "total_ops",
-            "errors",
-            "location_fixes",
-            "coalesced",
-            "invalidated",
-        ] {
-            let value = require_number(entry, key, &context)?;
-            if value < 0.0 {
-                return Err(format!("{context}: negative {key}"));
-            }
-        }
-        let binding_reads = require_number(entry, "binding_reads", &context)?;
-        let hits = require_number(entry, "hits", &context)?;
-        if binding_reads < 0.0 || hits < 0.0 {
-            return Err(format!("{context}: negative read counter"));
-        }
-        let checksum = require_string(entry, "checksum", &context)?;
-        if checksum.len() != 16 || !checksum.chars().all(|c| c.is_ascii_hexdigit()) {
-            return Err(format!(
-                "{context}: checksum is not a 16-digit hex string: {checksum:?}"
-            ));
-        }
-        arms.push((cached, binding_reads as u64, hits as u64, checksum));
-    }
-    // The cache gate: both arms present, byte-identical results, a
-    // cached arm that actually hit, and a ≥5x cut in binding-plane read
-    // invocations.
-    let Some(on) = arms.iter().find(|(cached, ..)| *cached) else {
-        return Err("cache: missing the cached arm".to_owned());
-    };
-    let Some(off) = arms.iter().find(|(cached, ..)| !*cached) else {
-        return Err("cache: missing the uncached arm".to_owned());
-    };
-    if on.3 != off.3 {
-        return Err(format!(
-            "cache: arm checksums differ ({} vs {}) — caching changed what the fleet computes",
-            on.3, off.3
-        ));
-    }
-    if on.2 == 0 {
-        return Err("cache: the cached arm never hit".to_owned());
-    }
-    if on.1 == 0 || off.1 < on.1 * 5 {
-        return Err(format!(
-            "cache: binding-plane reads {} (cached) vs {} (uncached) miss the 5x reduction bar",
-            on.1, off.1
-        ));
-    }
-
-    let bridge = require_array(&root, "bridge")?;
-    let mut bridge_arms: Vec<(bool, u64, &str)> = Vec::new();
-    for (i, entry) in bridge.iter().enumerate() {
-        let context = format!("bridge[{i}]");
-        let batched = match entry.get_field("batched") {
-            Some(Value::Bool(b)) => *b,
-            other => return Err(format!("{context}: batched is {other:?}, expected a bool")),
-        };
-        for key in [
-            "devices",
-            "webview_devices",
-            "total_ops",
-            "errors",
-            "location_fixes",
-        ] {
-            let value = require_number(entry, key, &context)?;
-            if value < 0.0 {
-                return Err(format!("{context}: negative {key}"));
-            }
-        }
-        let crossings = require_number(entry, "crossings", &context)?;
-        if crossings < 0.0 {
-            return Err(format!("{context}: negative crossings"));
-        }
-        let checksum = require_string(entry, "checksum", &context)?;
-        if checksum.len() != 16 || !checksum.chars().all(|c| c.is_ascii_hexdigit()) {
-            return Err(format!(
-                "{context}: checksum is not a 16-digit hex string: {checksum:?}"
-            ));
-        }
-        bridge_arms.push((batched, crossings as u64, checksum));
-    }
-    // The bridge gate: both arms present, byte-identical results —
-    // batching must be invisible to what the fleet computes — and a
-    // batched arm that crossed the bridge strictly fewer times.
-    let Some(on) = bridge_arms.iter().find(|(batched, ..)| *batched) else {
-        return Err("bridge: missing the batched arm".to_owned());
-    };
-    let Some(off) = bridge_arms.iter().find(|(batched, ..)| !*batched) else {
-        return Err("bridge: missing the unbatched arm".to_owned());
-    };
-    if on.2 != off.2 {
-        return Err(format!(
-            "bridge: arm checksums differ ({} vs {}) — batching changed what the fleet computes",
-            on.2, off.2
-        ));
-    }
-    if on.1 == 0 {
-        return Err("bridge: the batched arm never crossed the bridge".to_owned());
-    }
-    if off.1 <= on.1 {
-        return Err(format!(
-            "bridge: crossings {} (batched) vs {} (unbatched) show no reduction",
-            on.1, off.1
-        ));
-    }
-
-    let crash = require_array(&root, "crash")?;
-    struct CrashArm {
-        stormed: bool,
-        shards: u64,
-        crashes_per_shard: u64,
-        recoveries: u64,
-        torn_crashes: u64,
-        gap_crashes: u64,
-        duplicates: u64,
-        checksum: String,
-    }
-    let mut crash_arms: Vec<CrashArm> = Vec::new();
-    for (i, entry) in crash.iter().enumerate() {
-        let context = format!("crash[{i}]");
-        let stormed = match entry.get_field("stormed") {
-            Some(Value::Bool(b)) => *b,
-            other => return Err(format!("{context}: stormed is {other:?}, expected a bool")),
-        };
-        for key in [
-            "devices",
-            "shards",
-            "crashes_per_shard",
-            "total_ops",
-            "errors",
-            "recoveries",
-            "torn_crashes",
-            "gap_crashes",
-            "effect_crashes",
-            "replayed_records",
-            "torn_truncated",
-            "suppressed_duplicates",
-            "duplicates",
-            "recovery_p50_us",
-            "recovery_p99_us",
-        ] {
-            let value = require_number(entry, key, &context)?;
-            if value < 0.0 {
-                return Err(format!("{context}: negative {key}"));
-            }
-        }
-        let checksum = require_string(entry, "checksum", &context)?;
-        if checksum.len() != 16 || !checksum.chars().all(|c| c.is_ascii_hexdigit()) {
-            return Err(format!(
-                "{context}: checksum is not a 16-digit hex string: {checksum:?}"
-            ));
-        }
-        crash_arms.push(CrashArm {
-            stormed,
-            shards: require_number(entry, "shards", &context)? as u64,
-            crashes_per_shard: require_number(entry, "crashes_per_shard", &context)? as u64,
-            recoveries: require_number(entry, "recoveries", &context)? as u64,
-            torn_crashes: require_number(entry, "torn_crashes", &context)? as u64,
-            gap_crashes: require_number(entry, "gap_crashes", &context)? as u64,
-            duplicates: require_number(entry, "duplicates", &context)? as u64,
-            checksum: checksum.to_owned(),
-        });
-    }
-    // The exactly-once gate: both arms present, byte-identical results
-    // — a storm of recovered crashes must be invisible to what the
-    // fleet computes — zero duplicate effects on either arm, every
-    // scheduled crash recovered, and both hard crash points exercised
-    // on every shard.
-    let Some(on) = crash_arms.iter().find(|a| a.stormed) else {
-        return Err("crash: missing the stormed arm".to_owned());
-    };
-    let Some(off) = crash_arms.iter().find(|a| !a.stormed) else {
-        return Err("crash: missing the crash-free arm".to_owned());
-    };
-    if on.checksum != off.checksum {
-        return Err(format!(
-            "crash: arm checksums differ ({} vs {}) — recovery changed what the fleet computes",
-            on.checksum, off.checksum
-        ));
-    }
-    if on.duplicates != 0 || off.duplicates != 0 {
-        return Err(format!(
-            "crash: {} stormed / {} crash-free duplicate effects — exactly-once is violated",
-            on.duplicates, off.duplicates
-        ));
-    }
-    if on.recoveries != on.shards * on.crashes_per_shard {
-        return Err(format!(
-            "crash: {} recoveries for {} shards x {} scheduled crashes",
-            on.recoveries, on.shards, on.crashes_per_shard
-        ));
-    }
-    if on.torn_crashes < on.shards || on.gap_crashes < on.shards {
-        return Err(format!(
-            "crash: {} torn / {} gap crashes did not cover all {} shards",
-            on.torn_crashes, on.gap_crashes, on.shards
-        ));
-    }
-    if off.recoveries != 0 {
-        return Err(format!(
-            "crash: the crash-free arm recovered {} times",
-            off.recoveries
-        ));
-    }
-
-    Ok(FleetCheck {
-        scaling_rows: scaling.len(),
-        resolution_rows: resolution.len(),
-        brownout_rows: brownout.len(),
-        cache_rows: cache.len(),
-        bridge_rows: bridge.len(),
-        crash_rows: crash.len(),
-    })
-}
-
-/// One scaling row parsed back out of a committed fleet baseline, with
-/// enough configuration to re-run it and enough results to compare.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FleetBaselineRow {
-    /// Shard count of the baseline run.
-    pub shards: usize,
-    /// Device count of the baseline run.
-    pub devices: usize,
-    /// Worker count of the baseline run.
-    pub workers: usize,
-    /// Rounds of the baseline run.
-    pub rounds: u64,
-    /// Ops per device per round of the baseline run.
-    pub ops_per_round: u32,
-    /// Seed of the baseline run.
-    pub seed: u64,
-    /// Whether the baseline run traced its devices.
-    pub telemetry: bool,
-    /// Recorded deterministic throughput, ops per virtual second.
-    pub virtual_ops_per_sec: u64,
-    /// Recorded determinism fingerprint.
-    pub checksum: u64,
-}
-
-/// Parses the scaling rows of a fleet baseline document (validating it
-/// first) so a regression gate can re-run each configuration.
-///
-/// # Errors
-///
-/// Everything [`validate_fleet_json`] rejects, plus a malformed
-/// checksum.
-pub fn parse_fleet_baseline(json: &str) -> Result<Vec<FleetBaselineRow>, String> {
-    validate_fleet_json(json)?;
-    let root: Value = serde_json::from_str(json).map_err(|e| format!("not valid JSON: {e}"))?;
-    let scaling = require_array(&root, "scaling")?;
-    scaling
+    let rows = require_array(&root, "rows")?
         .iter()
         .enumerate()
         .map(|(i, entry)| {
-            let context = format!("scaling[{i}]");
-            let checksum_hex = require_string(entry, "checksum", &context)?;
-            let checksum = u64::from_str_radix(checksum_hex, 16)
-                .map_err(|e| format!("{context}: bad checksum: {e}"))?;
-            let telemetry = matches!(entry.get_field("telemetry"), Some(Value::Bool(true)));
-            Ok(FleetBaselineRow {
-                shards: require_number(entry, "shards", &context)? as usize,
-                devices: require_number(entry, "devices", &context)? as usize,
-                workers: require_number(entry, "workers", &context)? as usize,
-                rounds: require_number(entry, "rounds", &context)? as u64,
-                ops_per_round: require_number(entry, "ops_per_round", &context)? as u32,
-                seed: require_number(entry, "seed", &context)? as u64,
-                telemetry,
-                virtual_ops_per_sec: require_number(entry, "virtual_ops_per_sec", &context)? as u64,
-                checksum,
+            let context = format!("rows[{i}]");
+            let Some(Value::Object(counters)) = entry.get_field("counters") else {
+                return Err(format!("{context}: missing object counters"));
+            };
+            Ok(Row {
+                scenario: require_string(entry, "scenario", &context)?.to_owned(),
+                arm: require_string(entry, "arm", &context)?.to_owned(),
+                ops: require_u64(entry, "ops", &context)?,
+                errors: require_u64(entry, "errors", &context)?,
+                checksum: require_u64(entry, "checksum", &context)?,
+                counters: counters
+                    .iter()
+                    .map(|(key, v)| Ok((key.clone(), parse_u64(key, v, &context)?)))
+                    .collect::<Result<_, String>>()?,
             })
         })
-        .collect()
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok(FleetSummary { sweep, rows })
+}
+
+/// Parses a `fleet --json` document and evaluates every gate of every
+/// declared scenario ([`crate::fleet_bench::SCENARIOS`], built for the
+/// recorded sweep) over its rows — the `fleet --check` contract.
+///
+/// # Errors
+///
+/// Everything [`parse_fleet_json`] and [`check_all`] reject.
+pub fn validate_fleet_json(json: &str) -> Result<FleetSummary, String> {
+    let summary = parse_fleet_json(json)?;
+    check_all(&scenarios(&summary.sweep), &summary.rows)?;
+    Ok(summary)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::OnceLock;
+
+    use mobivine_apps::fleet::{DurabilityFleetConfig, FleetConfig};
+
     use super::*;
     use crate::figure10::{run_figure10, run_resilience_overhead, run_telemetry_overhead, Scale};
+    use crate::fleet_bench::{
+        checksum_equal, render, run_resolution_comparison, run_scenario, Arm, Scenario,
+    };
 
     fn sample() -> String {
         summary_json(
@@ -1114,96 +667,126 @@ mod tests {
         assert!(err.contains("not valid JSON"), "{err}");
     }
 
-    fn fleet_sample() -> String {
-        let scaling = crate::fleet_bench::run_fleet_scaling(24, &[1, 2], 2, 1, 1, 3);
-        let resolution = crate::fleet_bench::run_resolution_comparison(4, 100);
-        let brownout = crate::fleet_bench::run_fleet_brownout(30, 4, 3, 3, 2, 11);
-        let cache = crate::fleet_bench::run_fleet_cache(30, 4, 3, 4, 6, 11);
-        let bridge = crate::fleet_bench::run_fleet_bridge(30, 4, 3, 4, 6, 11);
-        // One worker: how many records a storm replays depends on whether
-        // another worker's write lands between two crashes of a shard, so
-        // a multi-worker storm is not byte-identical run over run.
-        let crash = crate::fleet_bench::run_fleet_crash(30, 4, 1, 3, 2, 11, 3);
-        fleet_summary_json(&scaling, &resolution, &brownout, &cache, &bridge, &crash)
+    /// A sweep small enough for a unit test.
+    fn tiny() -> Sweep {
+        Sweep {
+            devices: 24,
+            shards: vec![1, 2],
+            workers: 2,
+            rounds: 1,
+            ops_per_round: 1,
+            seed: 3,
+        }
+    }
+
+    fn fleet_rows(scenarios: &[Scenario]) -> Vec<Row> {
+        scenarios.iter().flat_map(run_scenario).collect()
+    }
+
+    fn build_fleet_sample() -> String {
+        let resolution = run_resolution_comparison(4, 100);
+        fleet_summary_json(&tiny(), &resolution, &fleet_rows(&scenarios(&tiny())))
+    }
+
+    fn fleet_sample() -> &'static str {
+        static SAMPLE: OnceLock<String> = OnceLock::new();
+        SAMPLE.get_or_init(build_fleet_sample)
     }
 
     #[test]
     fn fleet_summary_round_trips_through_validation() {
-        let check = validate_fleet_json(&fleet_sample()).expect("generated fleet summary is valid");
+        let rows = fleet_rows(&scenarios(&tiny()));
+        let json = fleet_summary_json(&tiny(), &run_resolution_comparison(4, 100), &rows);
+        let summary = validate_fleet_json(&json).expect("generated fleet summary is valid");
+        assert_eq!(summary.sweep, tiny());
+        assert_eq!(summary.rows, rows, "parsing loses nothing");
         assert_eq!(
-            check,
-            FleetCheck {
-                scaling_rows: 2,
-                resolution_rows: 2,
-                brownout_rows: 2,
-                cache_rows: 2,
-                bridge_rows: 2,
-                crash_rows: 2,
-            }
+            rows.len(),
+            3 + 2 * 4,
+            "two shard counts + traced, four A/B pairs"
         );
     }
 
     #[test]
-    fn fleet_summary_rejects_a_missing_crash_arm() {
-        let json = fleet_sample().replace("\"stormed\":false", "\"stormed\":true");
+    fn fleet_summary_is_byte_identical_across_runs() {
+        assert_eq!(build_fleet_sample(), fleet_sample());
+    }
+
+    /// Renames `arm` in the sample; validation must name it missing.
+    fn assert_missing_arm_is_rejected(arm: &str) {
+        let json = fleet_sample().replace(&format!("\"arm\":\"{arm}\""), "\"arm\":\"gone\"");
         let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("crash-free arm"), "{err}");
+        assert!(err.contains(&format!("missing arm `{arm}`")), "{err}");
+        assert!(err.contains("belongs to no declared arm"), "{err}");
     }
 
     #[test]
-    fn fleet_summary_rejects_a_duplicated_effect() {
-        let json = regex_free_replace(&fleet_sample(), "duplicates", 1.0);
-        let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("exactly-once"), "{err}");
+    fn fleet_summary_rejects_a_missing_crash_arm() {
+        assert_missing_arm_is_rejected("crash-free");
     }
 
     #[test]
     fn fleet_summary_rejects_a_missing_bridge_arm() {
-        let json = fleet_sample().replace("\"batched\":false", "\"batched\":true");
-        let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("unbatched arm"), "{err}");
-    }
-
-    #[test]
-    fn fleet_summary_rejects_a_bridge_arm_without_reduction() {
-        // Pinning both arms' crossings to the same value erases the
-        // batched arm's advantage, which the v5 gate must reject.
-        let json = regex_free_replace(&fleet_sample(), "crossings", 500.0);
-        let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("no reduction"), "{err}");
+        assert_missing_arm_is_rejected("unbatched");
     }
 
     #[test]
     fn fleet_summary_rejects_a_missing_cache_arm() {
-        let json = fleet_sample().replace("\"cached\":false", "\"cached\":true");
-        let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("uncached arm"), "{err}");
-    }
-
-    #[test]
-    fn fleet_summary_rejects_a_cold_cache() {
-        let json = regex_free_replace(&fleet_sample(), "hits", 0.0);
-        let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("never hit"), "{err}");
+        assert_missing_arm_is_rejected("uncached");
     }
 
     #[test]
     fn fleet_summary_rejects_a_missing_brownout_arm() {
-        let json = fleet_sample().replace("\"admission\":false", "\"admission\":true");
+        assert_missing_arm_is_rejected("unprotected");
+    }
+
+    /// Sets counter `key` to `value` on every row of the sample file;
+    /// `--check` must then name `gate` as failing.
+    fn assert_file_gate_fails(key: &str, value: f64, gate: &str) {
+        let json = regex_free_replace(fleet_sample(), key, value);
         let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("brownout"), "{err}");
+        assert!(err.contains(&format!("gate `{gate}` fails")), "{err}");
+    }
+
+    #[test]
+    fn fleet_summary_rejects_a_duplicated_effect() {
+        assert_file_gate_fails(
+            "recovery.duplicates",
+            1.0,
+            "stormed.recovery.duplicates == 0",
+        );
+    }
+
+    #[test]
+    fn fleet_summary_rejects_a_bridge_arm_without_reduction() {
+        assert_file_gate_fails(
+            "bridge.crossings",
+            500.0,
+            "batched.bridge.crossings < unbatched.bridge.crossings",
+        );
+    }
+
+    #[test]
+    fn fleet_summary_rejects_a_cold_cache() {
+        assert_file_gate_fails("cache.hits", 0.0, "cached.cache.hits > 0");
     }
 
     #[test]
     fn fleet_summary_rejects_a_brownout_arm_without_promoted_traces() {
-        let json = regex_free_replace(&fleet_sample(), "promoted_traces", 0.0);
-        let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("promoted no trace"), "{err}");
+        assert_file_gate_fails(
+            "incidents.promoted_traces",
+            0.0,
+            "admission.incidents.promoted_traces >= 1",
+        );
     }
 
     #[test]
-    fn fleet_summary_is_byte_identical_across_runs() {
-        assert_eq!(fleet_sample(), fleet_sample());
+    fn fleet_summary_rejects_unexplained_deadline_breaches() {
+        assert_file_gate_fails(
+            "incidents.promoted_deadline",
+            0.0,
+            "unprotected.incidents.promoted_deadline == unprotected.deadline_blown",
+        );
     }
 
     #[test]
@@ -1214,13 +797,47 @@ mod tests {
     }
 
     #[test]
-    fn fleet_summary_rejects_unexplained_deadline_breaches() {
-        // Zero out the promoted-deadline evidence of every arm; the
-        // unprotected arm then has blown deadlines with no promoted
-        // traces, which the v3 gate must reject.
-        let json = regex_free_replace(&fleet_sample(), "promoted_deadline", 0.0);
+    fn a_declared_sixth_scenario_needs_no_other_edit() {
+        let small = FleetConfig {
+            devices: 30,
+            shards: 4,
+            workers: 3,
+            rounds: 3,
+            ops_per_round: 2,
+            seed: 11,
+            ..FleetConfig::default()
+        };
+        let journal = Scenario {
+            name: "journal",
+            arms: vec![
+                Arm {
+                    name: "journaled".into(),
+                    config: FleetConfig {
+                        durability: Some(DurabilityFleetConfig::default()),
+                        ..small.clone()
+                    },
+                },
+                Arm {
+                    name: "plain".into(),
+                    config: small,
+                },
+            ],
+            gates: vec![checksum_equal("journaled", "plain")],
+        };
+        let declared = [journal];
+        let rows = fleet_rows(&declared);
+        let json = fleet_summary_json(&tiny(), &run_resolution_comparison(4, 100), &rows);
+        let summary = parse_fleet_json(&json).expect("the shape is fixed");
+        check_all(&declared, &summary.rows).expect("the journal gate holds");
+        assert_eq!(summary.rows, rows);
+        assert!(render(&declared[0], &rows).contains(": holds"));
+        // The gates live in code: the declared table knows no journal
+        // scenario, so its rows are rejected there.
         let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("flight recorder lost evidence"), "{err}");
+        assert!(
+            err.contains("journal/plain belongs to no declared arm"),
+            "{err}"
+        );
     }
 
     /// Replaces field `key`'s numeric value with `value` in every
@@ -1245,6 +862,9 @@ mod tests {
     #[test]
     fn fleet_summary_rejects_wrong_schema() {
         let json = fleet_sample().replace(FLEET_SCHEMA, "mobivine.fleet.v0");
-        assert!(validate_fleet_json(&json).is_err());
+        let err = validate_fleet_json(&json).unwrap_err();
+        assert!(err.contains("unknown schema"), "{err}");
+        let err = validate_fleet_json("{not json").unwrap_err();
+        assert!(err.contains("not valid JSON"), "{err}");
     }
 }

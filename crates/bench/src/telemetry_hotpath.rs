@@ -1,32 +1,25 @@
 //! Telemetry hot-path ablation (the zero-allocation recording path).
 //!
-//! Two measurements:
+//! The recording-path comparison: what one traced proxy call pays to
+//! publish its metrics, in two shapes:
+//! - `per-call-lookup`: the pre-optimization shape. Every call builds a
+//!   fresh `(proxy, method, platform)` [`Labels`] set (heap), interns
+//!   it, and walks the sharded registry to find its counter and
+//!   histogram.
+//! - `cached-handles`: the [`CallInstruments`] shape the traced
+//!   decorators now use. Handles are resolved once at wiring time; each
+//!   call is two atomic increments and one histogram bucket add.
 //!
-//! 1. **Recording-path comparison** — what one traced proxy call pays
-//!    to publish its metrics, in two shapes:
-//!    - `per-call-lookup`: the pre-optimization shape. Every call
-//!      builds a fresh `(proxy, method, platform)` [`Labels`] set
-//!      (heap), interns it, and walks the sharded registry to find its
-//!      counter and histogram.
-//!    - `cached-handles`: the [`CallInstruments`] shape the traced
-//!      decorators now use. Handles are resolved once at wiring time;
-//!      each call is two atomic increments and one histogram bucket
-//!      add.
-//!
-//!    The acceptance gate requires the cached path to be at least 5x
-//!    the per-call-lookup baseline.
-//! 2. **Fleet throughput, telemetry on vs off** — the same
-//!    deterministic fleet run with and without the traced decorator
-//!    stack, proving tracing changes wall-clock cost only: the
-//!    determinism checksums of both runs must be equal.
+//! The acceptance gate requires the cached path to be at least 5x the
+//! per-call-lookup baseline. (That tracing leaves what the fleet
+//! computes unchanged is the scaling scenario's traced-arm gate in
+//! [`crate::fleet_bench`].)
 //!
 //! [`CallInstruments`]: mobivine::telemetry
 
 use std::time::Instant;
 
 use mobivine_telemetry::{Counter, Histogram, Labels, MetricsRegistry};
-
-use crate::fleet_bench::{run_fleet_scaling_with_telemetry, FleetScalingRow};
 
 /// One row of the recording-path comparison.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,40 +117,6 @@ pub fn hotpath_speedup(rows: &[HotpathRow]) -> Option<f64> {
     }
 }
 
-/// Runs the same fleet configuration with telemetry off then on.
-///
-/// The two rows carry identical determinism checksums — tracing must
-/// never change what the fleet computes — which
-/// [`render_hotpath_fleet_table`] asserts in its verdict line.
-pub fn run_fleet_telemetry_ablation(
-    devices: usize,
-    shards: usize,
-    workers: usize,
-    rounds: u64,
-    ops_per_round: u32,
-    seed: u64,
-) -> Vec<FleetScalingRow> {
-    let mut rows = run_fleet_scaling_with_telemetry(
-        devices,
-        &[shards],
-        workers,
-        rounds,
-        ops_per_round,
-        seed,
-        false,
-    );
-    rows.extend(run_fleet_scaling_with_telemetry(
-        devices,
-        &[shards],
-        workers,
-        rounds,
-        ops_per_round,
-        seed,
-        true,
-    ));
-    rows
-}
-
 /// Renders the recording-path comparison, including the speedup line
 /// the acceptance gate reads.
 pub fn render_hotpath_table(rows: &[HotpathRow]) -> String {
@@ -174,33 +133,6 @@ pub fn render_hotpath_table(rows: &[HotpathRow]) -> String {
     if let Some(speedup) = hotpath_speedup(rows) {
         out.push_str(&format!(
             "cached-handle speedup over per-call lookup: {speedup:.1}x\n"
-        ));
-    }
-    out
-}
-
-/// Renders the fleet telemetry-on/off comparison with a determinism
-/// verdict.
-pub fn render_hotpath_fleet_table(rows: &[FleetScalingRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Fleet throughput, telemetry off vs on\n");
-    out.push_str("telemetry |   ops   | vops/sec |  wall ms | checksum\n");
-    out.push_str("----------+---------+----------+----------+-----------------\n");
-    for row in rows {
-        out.push_str(&format!(
-            "{:>9} | {:>7} | {:>8} | {:>8.1} | {:016x}\n",
-            row.telemetry, row.total_ops, row.virtual_ops_per_sec, row.wall_ms, row.checksum,
-        ));
-    }
-    let checksums: Vec<u64> = rows.iter().map(|r| r.checksum).collect();
-    if checksums.len() >= 2 {
-        let verdict = if checksums.windows(2).all(|w| w[0] == w[1]) {
-            "PASS"
-        } else {
-            "FAIL"
-        };
-        out.push_str(&format!(
-            "determinism (telemetry must not change results): {verdict}\n"
         ));
     }
     out
@@ -244,17 +176,31 @@ mod tests {
 
     #[test]
     fn fleet_ablation_keeps_the_checksum() {
-        let rows = run_fleet_telemetry_ablation(24, 2, 2, 1, 1, 3);
-        assert_eq!(rows.len(), 2);
-        assert!(!rows[0].telemetry);
-        assert!(rows[1].telemetry);
+        use crate::fleet_bench::{check, run_scenario, scenarios, Sweep};
+
+        let sweep = Sweep {
+            devices: 24,
+            shards: vec![2],
+            workers: 2,
+            rounds: 1,
+            ops_per_round: 1,
+            seed: 3,
+        };
+        let scaling = scenarios(&sweep)
+            .into_iter()
+            .find(|s| s.name == "scaling")
+            .expect("scaling is declared");
+        let rows = run_scenario(&scaling);
+        let arms: Vec<&str> = rows.iter().map(|r| r.arm.as_str()).collect();
+        assert_eq!(arms, ["shards2", "traced"]);
+        assert!(!scaling.arms[0].config.telemetry);
+        assert!(scaling.arms[1].config.telemetry);
         assert_eq!(
             rows[0].checksum, rows[1].checksum,
             "telemetry must not change what the fleet computes"
         );
-        assert_eq!(rows[0].total_ops, rows[1].total_ops);
-        let table = render_hotpath_fleet_table(&rows);
-        assert!(table.contains("PASS"), "{table}");
+        assert_eq!(rows[0].ops, rows[1].ops);
+        check(&scaling, &rows).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

@@ -17,17 +17,12 @@ cargo run -q --release -p mobivine-bench --bin figure10 -- \
     --scale zero --runs 3 --json "$summary"
 cargo run -q --release -p mobivine-bench --bin figure10 -- --check "$summary"
 
-# Fleet smoke: drive ~500 devices through the load engine, emit the
-# mobivine.fleet.v6 summary, and schema-check it (the check also
-# enforces the brownout overload gate embedded in the summary,
-# accountability clause included — the unprotected arm's deadline-blown
-# calls must all have promoted traces, and every traced brownout arm
-# must have promoted at least one — the cache gate: equal checksums
-# across the cached/uncached arms, a cached arm that hit, plus a ≥5x cut
-# in binding-plane reads — the bridge gate: equal checksums across the
-# batched/unbatched arms plus strictly fewer bridge crossings batched —
-# and the crash arms' exactly-once gate).
-# The figure10 run above already smoke-runs the telemetry_hotpath and
+# Fleet smoke: run every declared fleet scenario (the scaling sweep at
+# ~500 devices plus the fixed-size brownout, cache, bridge and crash
+# comparisons), emit the mobivine.fleet.v7 summary, and check it: every
+# gate each scenario declares in crates/bench/src/fleet_bench.rs
+# (SCENARIOS) is evaluated over the summary's rows. The figure10 run
+# above already smoke-runs the telemetry_hotpath and
 # bridge-marshalling ablations (its summary embeds and --check enforces
 # the per-call-lookup vs cached-handles rows and the ≥3x batched
 # wire-buf speedup over per-call marshalling).
@@ -35,25 +30,16 @@ cargo run -q --release -p mobivine-bench --bin fleet -- \
     --devices 500 --shards 1,4 --workers 2 --rounds 2 --json "$fleet_summary"
 cargo run -q --release -p mobivine-bench --bin fleet -- --check "$fleet_summary"
 
-# Chaos/brownout smoke: ramp one shard 10x under batch-arrival
-# deadlines, overload layer on vs off. Exits non-zero unless the
-# admission arm sheds while holding the ramped shard's accepted-call
-# p99 within target AND the unprotected arm both blows past it and has
-# a promoted trace for every deadline-blown call.
-cargo run -q --release -p mobivine-bench --bin fleet -- --brownout
+# Chaos and crash smokes: print the brownout and crash-storm scenarios'
+# tables; each exits non-zero unless every gate of its scenario holds.
+cargo run -q --release -p mobivine-bench --bin fleet -- --scenario brownout
+cargo run -q --release -p mobivine-bench --bin fleet -- --scenario crash
 
-# Crash-storm smoke: run the durable fleet twice — once under a
-# deterministic crash storm (torn writes, intent gaps, post-effect
-# wipes at scheduled idempotency keys), once crash-free — and exit
-# non-zero unless the stormed arm recovers every scheduled crash
-# (recoveries == shards x crashes per shard) to the crash-free checksum
-# with zero duplicated effects on either arm.
-cargo run -q --release -p mobivine-bench --bin fleet -- --crash
-
-# Regression gate against the committed baselines: schema-check both,
-# then re-run every BENCH_fleet.json scaling row (checksums must
-# reproduce exactly; deterministic throughput may not drop more than
-# 25%) and the live acquisition + telemetry-recording 5x speedup bars.
+# Regression gate against the committed baselines: check both, then
+# rebuild every fleet scenario from BENCH_fleet.json's recorded sweep
+# (every committed arm's checksum must reproduce exactly, every gate
+# must hold, deterministic throughput may not drop more than 25%) and
+# the live acquisition + telemetry-recording 5x speedup bars.
 cargo run -q --release -p mobivine-bench --bin figure10 -- --check BENCH_figure10.json
 cargo run -q --release -p mobivine-bench --bin fleet -- --check BENCH_fleet.json
 cargo run -q --release -p mobivine-bench --bin fleet -- --compare BENCH_fleet.json
@@ -77,8 +63,7 @@ fi
 # benchmark change fixes that signature (ROADMAP, "Correctness you cannot
 # bypass").
 clippy_allows=$(grep -rln "allow(clippy" --include='*.rs' . \
-    | grep -v -e '^\./crates/bench/src/fleet_bench\.rs$' \
-              -e '^\./crates/benchmark/src/workload\.rs$' \
+    | grep -v -e '^\./crates/benchmark/src/workload\.rs$' \
               -e '^\./target/' \
               -e '^\./stubs/' || true)
 if [ -n "$clippy_allows" ]; then
