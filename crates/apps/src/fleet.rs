@@ -67,28 +67,32 @@ pub fn shard_host(shard: usize) -> String {
     format!("wfm.shard{shard}.example")
 }
 
+/// Traffic multiplier a brownout applies to the target shard's
+/// per-round ops.
+pub const BROWNOUT_OPS_MULTIPLIER: u32 = 10;
+
+/// A brownout's per-batch deadline budget, virtual ms: every op of a
+/// round's batch conceptually arrives at flush start and must finish
+/// within this budget of that instant.
+pub const BROWNOUT_DEADLINE_BUDGET_MS: u64 = 400;
+
+/// The accepted-call sojourn p99 bound the overload layer must hold
+/// under a brownout; also the AIMD loop's convergence target.
+pub const BROWNOUT_P99_TARGET_MS: u64 = 256;
+
 /// A brownout scenario: one shard's devices are hit with a traffic ramp
-/// (`ops_multiplier`× the fleet's per-round ops) while every one of
-/// their calls runs under a batch-arrival deadline. With `admission`
-/// on, those devices are built with the overload layer
+/// ([`BROWNOUT_OPS_MULTIPLIER`]× the fleet's per-round ops) while every
+/// one of their calls runs under a batch-arrival deadline. With
+/// `admission` on, those devices are built with the overload layer
 /// ([`mobivine::overload`]): the AIMD admission gate sheds the excess,
 /// the deadline budget fail-fasts the queue tail, and the accepted
-/// calls' sojourn p99 stays within `p99_target_ms`. With `admission`
-/// off the same ramp runs unprotected and the sojourn p99 blows past
-/// the target — the comparison the bench gate pins.
+/// calls' sojourn p99 stays within [`BROWNOUT_P99_TARGET_MS`]. With
+/// `admission` off the same ramp runs unprotected and the sojourn p99
+/// blows past the target — the comparison the bench gate pins.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BrownoutConfig {
     /// The shard whose member devices receive the ramp.
     pub target_shard: usize,
-    /// Traffic multiplier applied to the target shard's per-round ops.
-    pub ops_multiplier: u32,
-    /// Per-batch deadline budget, virtual ms: every op of a round's
-    /// batch conceptually arrives at flush start and must finish within
-    /// this budget of that instant.
-    pub deadline_budget_ms: u64,
-    /// The accepted-call sojourn p99 bound the overload layer must
-    /// hold; also the AIMD loop's convergence target.
-    pub p99_target_ms: u64,
     /// Whether the target shard's devices get the overload layer. Off
     /// = the unprotected baseline arm.
     pub admission: bool,
@@ -98,9 +102,6 @@ impl Default for BrownoutConfig {
     fn default() -> Self {
         Self {
             target_shard: 0,
-            ops_multiplier: 10,
-            deadline_budget_ms: 400,
-            p99_target_ms: 256,
             admission: true,
         }
     }
@@ -128,27 +129,10 @@ impl Default for DurabilityFleetConfig {
     }
 }
 
-/// A crash storm: each shard's middleware is killed at deterministic
-/// points — mid-record (torn write), between intent and effect, and
-/// after the effect but before its checkpoint — and recovers by
-/// checkpoint + journal replay. Victim calls are chosen by idempotency
-/// key from the seeded traffic plan, so the storm is identical across
-/// worker counts and reruns.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CrashStormConfig {
-    /// Crashes to schedule per shard, cycling through the crash kinds
-    /// starting with torn-write then intent/effect-gap — so any value
-    /// ≥ 2 exercises both headline kinds on every shard.
-    pub crashes_per_shard: usize,
-}
-
-impl Default for CrashStormConfig {
-    fn default() -> Self {
-        Self {
-            crashes_per_shard: 3,
-        }
-    }
-}
+/// Crashes a crash storm schedules per shard, cycling through the crash
+/// kinds torn-write, intent/effect-gap, after-effect — so every shard
+/// sees both headline kinds.
+pub const CRASHES_PER_SHARD: usize = 3;
 
 /// Configuration of one fleet run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,9 +197,15 @@ pub struct FleetConfig {
     /// the checksum: durability must not change what the fleet
     /// computes, only how much it survives.
     pub durability: Option<DurabilityFleetConfig>,
-    /// Optional crash storm (requires `durability` with
-    /// `checkpoint_every == 1`; mutually exclusive with `brownout`).
-    pub crash_plan: Option<CrashStormConfig>,
+    /// When `true`, a crash storm: each shard's middleware is killed at
+    /// deterministic points — mid-record (torn write), between intent
+    /// and effect, and after the effect but before its checkpoint —
+    /// [`CRASHES_PER_SHARD`] times, and recovers by checkpoint +
+    /// journal replay. Victim calls are chosen by idempotency key from
+    /// the seeded traffic plan, so the storm is identical across worker
+    /// counts and reruns. Requires `durability` with
+    /// `checkpoint_every == 1`; mutually exclusive with `brownout`.
+    pub crash_plan: bool,
 }
 
 impl Default for FleetConfig {
@@ -235,7 +225,7 @@ impl Default for FleetConfig {
             brownout: None,
             bridge_batch: None,
             durability: None,
-            crash_plan: None,
+            crash_plan: false,
         }
     }
 }
@@ -287,20 +277,8 @@ impl FleetConfig {
                     ),
                 ));
             }
-            if brownout.ops_multiplier == 0 {
-                return illegal("brownout ops_multiplier");
-            }
-            if brownout.deadline_budget_ms == 0 {
-                return illegal("brownout deadline_budget_ms");
-            }
-            if brownout.p99_target_ms == 0 {
-                return illegal("brownout p99_target_ms");
-            }
         }
-        if let Some(storm) = &self.crash_plan {
-            if storm.crashes_per_shard == 0 {
-                return illegal("crash_plan crashes_per_shard");
-            }
+        if self.crash_plan {
             let Some(durability) = &self.durability else {
                 return Err(ProxyError::new(
                     ProxyErrorKind::IllegalArgument,
@@ -696,7 +674,7 @@ fn fnv_fold(hash: u64, value: u64) -> u64 {
 /// at the scenario's p99 target. Every device gets the *same* list (its
 /// recorder only matches its own platform's series), so the per-device
 /// reports merge index-for-index at digest time.
-fn fleet_slo_objectives(brownout: Option<&BrownoutConfig>) -> Vec<SloObjective> {
+fn fleet_slo_objectives(brownout: bool) -> Vec<SloObjective> {
     let mut objectives = Vec::new();
     for platform in ["android", "s60", "android-webview"] {
         for (proxy, method) in [
@@ -713,14 +691,14 @@ fn fleet_slo_objectives(brownout: Option<&BrownoutConfig>) -> Vec<SloObjective> 
                     target_ppm: 995_000,
                 },
             });
-            if let Some(b) = brownout {
+            if brownout {
                 objectives.push(SloObjective {
                     name: format!("latency:{proxy}.{method}@{platform}"),
                     proxy: proxy.into(),
                     method: method.into(),
                     platform: platform.into(),
                     target: SloTarget::Latency {
-                        threshold_ms: b.p99_target_ms,
+                        threshold_ms: BROWNOUT_P99_TARGET_MS,
                         target_ppm: 990_000,
                     },
                 });
@@ -984,14 +962,11 @@ impl Fleet {
         // keyed by idempotency key — NOT by arrival order — so the
         // storm hits identical logical calls whatever the worker
         // interleaving.
-        let crash_schedules: Option<Vec<Arc<CrashSchedule>>> = match &config.crash_plan {
-            Some(storm) => Some(
-                crash_victims(&config, &registry, storm.crashes_per_shard)?
-                    .into_iter()
-                    .map(CrashSchedule::new)
-                    .collect(),
-            ),
-            None => None,
+        let crash_schedules: Option<Vec<Arc<CrashSchedule>>> = if config.crash_plan {
+            let victims = crash_victims(&config, &registry)?;
+            Some(victims.into_iter().map(CrashSchedule::new).collect())
+        } else {
+            None
         };
         let servers: Vec<WfmServer> = (0..config.shards)
             .map(|shard| match &config.durability {
@@ -1041,7 +1016,7 @@ impl Fleet {
                 .brownout
                 .as_ref()
                 .filter(|b| b.admission && shard == b.target_shard)
-                .map(|b| OverloadPolicy::default().target_ms(b.p99_target_ms));
+                .map(|_| OverloadPolicy::default().target_ms(BROWNOUT_P99_TARGET_MS));
             // The target shard's devices additionally promote traces
             // whose root call ran longer than the brownout's p99
             // target; every device promotes errors and blown deadlines
@@ -1050,11 +1025,12 @@ impl Fleet {
                 .brownout
                 .as_ref()
                 .filter(|b| shard == b.target_shard)
-                .map(|b| {
+                .map(|_| {
+                    let target = BROWNOUT_P99_TARGET_MS;
                     PromotionPolicy::default()
-                        .latency_threshold("proxy:Location.getLocation", b.p99_target_ms)
-                        .latency_threshold("proxy:SMS.sendTextMessage", b.p99_target_ms)
-                        .latency_threshold("proxy:Http.request", b.p99_target_ms)
+                        .latency_threshold("proxy:Location.getLocation", target)
+                        .latency_threshold("proxy:SMS.sendTextMessage", target)
+                        .latency_threshold("proxy:Http.request", target)
                 })
                 .unwrap_or_default()
                 .max_incidents(INCIDENT_CAPACITY);
@@ -1064,7 +1040,7 @@ impl Fleet {
             // worker-count-independent.
             let slo_engine = config.slo.then(|| {
                 Arc::new(SloEngine::new(fleet_slo_objectives(
-                    config.brownout.as_ref(),
+                    config.brownout.is_some(),
                 )))
             });
             let instrument = |b: mobivine::registry::MobivineBuilder| {
@@ -1208,8 +1184,8 @@ impl Fleet {
                                 let ramped =
                                     config.brownout.as_ref().filter(|b| shard == b.target_shard);
                                 let ops_per_round = match ramped {
-                                    Some(b) => {
-                                        config.ops_per_round.saturating_mul(b.ops_multiplier)
+                                    Some(_) => {
+                                        config.ops_per_round.saturating_mul(BROWNOUT_OPS_MULTIPLIER)
                                     }
                                     None => config.ops_per_round,
                                 };
@@ -1234,7 +1210,8 @@ impl Fleet {
                                     &shard_host(shard),
                                     &mut slice[offset],
                                     FlushCtx {
-                                        deadline_budget_ms: ramped.map(|b| b.deadline_budget_ms),
+                                        deadline_budget_ms: ramped
+                                            .map(|_| BROWNOUT_DEADLINE_BUDGET_MS),
                                         round,
                                         idem_seed: config.durability.as_ref().map(|_| config.seed),
                                     },
@@ -1541,7 +1518,6 @@ fn partition_target(tick_ms: u64, round: u64) -> u64 {
 fn crash_victims(
     config: &FleetConfig,
     registry: &ShardedRegistry,
-    crashes_per_shard: usize,
 ) -> Result<Vec<Vec<(u64, CrashKind)>>, ProxyError> {
     const KINDS: [CrashKind; 3] = [
         CrashKind::TornWrite,
@@ -1576,20 +1552,19 @@ fn crash_victims(
     }
     let mut victims = Vec::with_capacity(config.shards);
     for (shard, keys) in candidates.into_iter().enumerate() {
-        if keys.len() < crashes_per_shard {
+        if keys.len() < CRASHES_PER_SHARD {
             return Err(ProxyError::new(
                 ProxyErrorKind::IllegalArgument,
                 format!(
                     "FleetConfig: shard {shard} plans only {} HTTP reports; cannot schedule \
-                     {crashes_per_shard} crashes (raise rounds/ops_per_round or lower \
-                     crashes_per_shard)",
+                     {CRASHES_PER_SHARD} crashes (raise rounds or ops_per_round)",
                     keys.len()
                 ),
             ));
         }
-        let step = keys.len() / crashes_per_shard;
+        let step = keys.len() / CRASHES_PER_SHARD;
         victims.push(
-            (0..crashes_per_shard)
+            (0..CRASHES_PER_SHARD)
                 .map(|i| (keys[i * step], KINDS[i % KINDS.len()]))
                 .collect(),
         );
@@ -1629,7 +1604,6 @@ mod tests {
             brownout: Some(BrownoutConfig {
                 target_shard: 1,
                 admission,
-                ..BrownoutConfig::default()
             }),
             ..small_config()
         }
@@ -1727,7 +1701,7 @@ mod tests {
     fn brownout_with_admission_sheds_and_bounds_accepted_p99() {
         let config = brownout_config(true);
         let target = config.brownout.as_ref().unwrap().target_shard;
-        let p99_target = config.brownout.as_ref().unwrap().p99_target_ms;
+        let p99_target = BROWNOUT_P99_TARGET_MS;
         let report = Fleet::build(config).unwrap().run();
         assert!(report.shed > 0, "the gate shed load: {report:?}");
         let shard = &report.per_shard[target];
@@ -1744,7 +1718,7 @@ mod tests {
     fn brownout_without_admission_blows_past_the_target() {
         let config = brownout_config(false);
         let target = config.brownout.as_ref().unwrap().target_shard;
-        let p99_target = config.brownout.as_ref().unwrap().p99_target_ms;
+        let p99_target = BROWNOUT_P99_TARGET_MS;
         let report = Fleet::build(config).unwrap().run();
         assert_eq!(report.shed, 0, "no gate, no sheds");
         assert_eq!(report.deadline_exceeded, 0);
@@ -1970,9 +1944,7 @@ mod tests {
 
     fn crash_config() -> FleetConfig {
         FleetConfig {
-            crash_plan: Some(CrashStormConfig {
-                crashes_per_shard: 3,
-            }),
+            crash_plan: true,
             ..durable_config()
         }
     }
@@ -1980,7 +1952,7 @@ mod tests {
     #[test]
     fn crash_plan_requires_durability_with_per_apply_checkpoints() {
         let err = FleetConfig {
-            crash_plan: Some(CrashStormConfig::default()),
+            crash_plan: true,
             ..small_config()
         }
         .validated()
@@ -1991,7 +1963,7 @@ mod tests {
             durability: Some(DurabilityFleetConfig {
                 checkpoint_every: 4,
             }),
-            crash_plan: Some(CrashStormConfig::default()),
+            crash_plan: true,
             ..small_config()
         }
         .validated()

@@ -928,10 +928,17 @@ mod tests {
 
         let device = Device::builder().build();
         let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let runtime = Arc::new(
-            mobivine::registry::Mobivine::for_android(platform.new_context()).with_telemetry(),
+        let runtime = mobivine::registry::Mobivine::builder()
+            .android(platform.new_context())
+            .with_telemetry()
+            .build()
+            .unwrap();
+        install_slo_route(
+            device.network(),
+            "wfm.example",
+            device.clone(),
+            Arc::new(runtime),
         );
-        install_slo_route(device.network(), "wfm.example", device.clone(), runtime);
         let req = HttpRequest::get("http://wfm.example/slo").unwrap();
         let (resp, _) = device.network().execute(&req).unwrap();
         assert_eq!(resp.status, 404);

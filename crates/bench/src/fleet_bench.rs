@@ -24,7 +24,8 @@ use mobivine::registry::Mobivine;
 use mobivine::shard::ShardedRegistry;
 use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_apps::fleet::{
-    BrownoutConfig, CrashStormConfig, DurabilityFleetConfig, Fleet, FleetConfig,
+    BrownoutConfig, DurabilityFleetConfig, Fleet, FleetConfig, BROWNOUT_P99_TARGET_MS,
+    CRASHES_PER_SHARD,
 };
 use mobivine_device::Device;
 
@@ -400,7 +401,7 @@ fn brownout(_: &Sweep) -> Scenario {
         ..BrownoutConfig::default()
     };
     let p99 = format!("shard{}.p99_ms", ramp.target_shard);
-    let target = ramp.p99_target_ms;
+    let target = BROWNOUT_P99_TARGET_MS;
     let arm = |name: &str, admission: bool| {
         let brownout = Some(BrownoutConfig {
             admission,
@@ -499,20 +500,19 @@ fn bridge(_: &Sweep) -> Scenario {
 /// crash-free: every scheduled crash is recovered, both hard crash
 /// points hit every shard, and no effect is applied twice.
 fn crash(_: &Sweep) -> Scenario {
-    let storm = CrashStormConfig::default();
     let base = FleetConfig {
         durability: Some(DurabilityFleetConfig::default()),
         ..small()
     };
     let shards = base.shards as u64;
-    let crashes = shards * storm.crashes_per_shard as u64;
+    let crashes = shards * CRASHES_PER_SHARD as u64;
     Scenario {
         name: "crash",
         arms: vec![
             Arm::new(
                 "stormed",
                 FleetConfig {
-                    crash_plan: Some(storm),
+                    crash_plan: true,
                     ..base.clone()
                 },
             ),

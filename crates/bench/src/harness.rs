@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use mobivine::api::{LocationProxy, SmsProxy};
-use mobivine::registry::Mobivine;
+use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
 use mobivine::types::{ProximityEvent, SharedProximityListener};
 use mobivine_android::context::Context;
@@ -71,9 +71,9 @@ impl AndroidFixture {
         let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
         let ctx = platform.new_context();
         let runtime = Mobivine::for_android(ctx.clone());
-        let resilient =
-            Mobivine::for_android(ctx.clone()).with_resilience(ResiliencePolicy::default());
-        let instrumented = Mobivine::for_android(ctx.clone()).with_telemetry();
+        let layered = |b: MobivineBuilder| b.android(ctx.clone()).build().expect("fixture runtime");
+        let resilient = layered(Mobivine::builder().with_resilience(ResiliencePolicy::default()));
+        let instrumented = layered(Mobivine::builder().with_telemetry());
         Self {
             device,
             ctx,
@@ -189,9 +189,10 @@ impl S60Fixture {
         let provider =
             LocationProvider::get_instance(&platform, Criteria::new()).expect("fixture provider");
         let runtime = Mobivine::for_s60(platform.clone());
-        let resilient =
-            Mobivine::for_s60(platform.clone()).with_resilience(ResiliencePolicy::default());
-        let instrumented = Mobivine::for_s60(platform.clone()).with_telemetry();
+        let layered =
+            |b: MobivineBuilder| b.s60(platform.clone()).build().expect("fixture runtime");
+        let resilient = layered(Mobivine::builder().with_resilience(ResiliencePolicy::default()));
+        let instrumented = layered(Mobivine::builder().with_telemetry());
         Self {
             device,
             platform,
@@ -367,9 +368,12 @@ impl WebViewFixture {
             "RawBridge",
         );
         let runtime = Mobivine::for_webview(Arc::clone(&webview));
-        let resilient = Mobivine::for_webview(Arc::clone(&webview))
-            .with_resilience(ResiliencePolicy::default());
-        let instrumented = Mobivine::for_webview(Arc::clone(&webview)).with_telemetry();
+        let layered = |b: MobivineBuilder| {
+            let b = b.webview(Arc::clone(&webview));
+            b.build().expect("fixture runtime")
+        };
+        let resilient = layered(Mobivine::builder().with_resilience(ResiliencePolicy::default()));
+        let instrumented = layered(Mobivine::builder().with_telemetry());
         Self {
             device,
             webview: Arc::clone(&webview),

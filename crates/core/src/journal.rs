@@ -493,7 +493,8 @@ impl IdempotencyKey {
     /// Parses the wire form back. `None` for anything that is not
     /// exactly 16 hex digits.
     pub fn from_hex(s: &str) -> Option<Self> {
-        if s.len() != 16 {
+        // `from_str_radix` alone would also take a leading `+`.
+        if s.len() != 16 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         u64::from_str_radix(s, 16).ok().map(Self)
@@ -897,6 +898,16 @@ mod tests {
         assert_eq!(hex.len(), 16);
         assert_eq!(IdempotencyKey::from_hex(&hex), Some(a));
         assert_eq!(IdempotencyKey::from_hex("xyz"), None);
+    }
+
+    #[test]
+    fn from_hex_rejects_a_sign_prefix() {
+        // 16 characters that `u64::from_str_radix` would read as 10.
+        assert_eq!(IdempotencyKey::from_hex("+00000000000000a"), None);
+        assert_eq!(
+            IdempotencyKey::from_hex("000000000000000a"),
+            Some(IdempotencyKey(10))
+        );
     }
 
     #[test]

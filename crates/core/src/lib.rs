@@ -31,20 +31,21 @@
 //!   retries, policy gating — §3.3),
 //! - a [`resilience`] layer (retry policies with simulated-clock
 //!   backoff, per-proxy circuit breakers, location fallback chains —
-//!   applied uniformly via [`registry::Mobivine::with_resilience`]),
+//!   applied uniformly via [`registry::MobivineBuilder::with_resilience`]),
 //! - a [`cache`] layer (read-through result caching with single-flight
 //!   coalescing and stamp-based invalidation for the idempotent reads —
-//!   [`registry::Mobivine::with_cache`]),
+//!   [`registry::MobivineBuilder::with_cache`]),
 //! - a [`journal`] layer (write-ahead intent journaling with
 //!   fsync-barrier simulation, idempotency keys and torn-tail-safe
 //!   crash recovery for the mutating paths —
-//!   [`registry::Mobivine::with_journal`]),
+//!   [`registry::MobivineBuilder::with_journal`]),
 //! - the `stack` module that runs those layers — plus the plane-aware
 //!   [`telemetry`] at both ends — around every proxy in one declared
 //!   order, with one layered decorator per uniform interface (DESIGN.md
 //!   §16 "Layer stack"), and
-//! - a [`registry::Mobivine`] runtime facade constructing proxies per
-//!   platform from the standard descriptor catalog.
+//! - a [`registry::Mobivine`] runtime facade constructing proxies from
+//!   whichever [`registry::BindingPlane`] a platform plugs in, checked
+//!   against that plane's descriptor catalog.
 //!
 //! ## Quickstart
 //!
@@ -94,7 +95,7 @@ pub use overload::{
     current_deadline, with_deadline, AdmissionController, Bulkhead, Deadline, DegradeTier,
     OverloadMetrics, OverloadPolicy, OverloadSnapshot,
 };
-pub use registry::{Mobivine, MobivineBuilder, ProxyApi, ProxyKind};
+pub use registry::{BindingPlane, Mobivine, MobivineBuilder, ProxyApi, ProxyKind};
 pub use resilience::{
     CircuitBreaker, CircuitState, ResilienceMetrics, ResiliencePolicy, ResilienceSnapshot,
 };

@@ -1,13 +1,26 @@
 //! The MobiVine runtime facade and proxy registry.
 //!
 //! Applications obtain proxies from a [`Mobivine`] runtime bound to
-//! their platform. The registry consults the standard descriptor
+//! their platform. The registry consults the platform's descriptor
 //! catalog: interfaces without a binding on the running platform (Call
 //! on S60, PIM on WebView) fail with
 //! [`crate::error::ProxyErrorKind::UnsupportedOnPlatform`] rather than a
 //! missing symbol — MobiVine removes "the requirement of the proxy set
 //! being determined by the least common denominator of functionalities
 //! across different platforms" (§3.3).
+//!
+//! ## Platforms plug in as binding planes
+//!
+//! "One requires to publish only the binding artifacts for proxies
+//! corresponding to a new platform" (§3.3). At runtime that artifact
+//! is a [`BindingPlane`]: a platform id, a device, a descriptor catalog
+//! and one bind method per [`ProxyKind`] it publishes. The registry
+//! names no platform. Android, S60 and WebView implement the trait next
+//! to their bindings ([`crate::android`], [`crate::s60`],
+//! [`crate::webview`]) and add their one-line constructors there
+//! (`MobivineBuilder::android`, `Mobivine::for_android`, …) over
+//! [`MobivineBuilder::platform`]. Support is decided once, by the
+//! plane's catalog, before the plane is asked to bind.
 //!
 //! ## Acquiring proxies
 //!
@@ -34,16 +47,15 @@
 //! accessors (`location()`, `sms()`, …) were deprecated in 0.2.0 and
 //! have been removed.
 //!
-//! ## Composable construction
+//! ## Construction
 //!
-//! [`Mobivine::builder`] composes platform selection, resilience,
-//! overload protection, caching, durability and telemetry in any order
-//! with a single `build()`; the legacy `for_*`/`with_*` chain remains
-//! for simple cases. Either way every proxy comes out of one
-//! construction path: the per-platform match builds only the bare
-//! binding, and the `stack` module wraps it in the enabled layers in the
-//! one declared order (`stack::ORDER`, DESIGN.md §16 "Layer
-//! stack"), outermost first:
+//! [`Mobivine::builder`] is the one way to build a runtime: a platform
+//! plus each layer's policy, recorded in any order and wired once by
+//! [`MobivineBuilder::build`]; a runtime's layers never change after
+//! that. Every proxy comes out of one construction path: the plane
+//! binds the bare proxy, and the `stack` module wraps it in the enabled
+//! layers in the one declared order (`stack::ORDER`, DESIGN.md §16
+//! "Layer stack"), outermost first:
 //! `TraceProxy → Cache → Overload → Journal → Resilience →
 //! TraceBinding`. A runtime with no layer enabled hands out the bare
 //! binding itself.
@@ -52,38 +64,78 @@ use std::fmt;
 use std::sync::Arc;
 use std::sync::OnceLock;
 
-use mobivine_android::context::Context;
 use mobivine_device::Device;
 use mobivine_proxydl::{PlatformId, ProxyDescriptor};
-use mobivine_s60::S60Platform;
 use mobivine_telemetry::{IncidentStore, MetricsRegistry, PromotionPolicy, SloEngine};
-use mobivine_webview::WebView;
 
-use crate::android::{
-    AndroidCalendarProxy, AndroidCallProxy, AndroidContactsProxy, AndroidHttpProxy,
-    AndroidLocationProxy, AndroidSmsProxy,
-};
-use crate::api::{
-    CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy,
-};
+use crate::api::{CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, SmsProxy};
 use crate::cache::{CacheMetrics, CachePolicy};
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::journal::{JournalEngine, JournalMetrics, JournalPolicy};
 use crate::overload::{OverloadMetrics, OverloadPolicy};
-use crate::property::PropertyValue;
 use crate::resilience::{ResilienceMetrics, ResiliencePolicy};
-use crate::s60::{S60CalendarProxy, S60ContactsProxy, S60HttpProxy, S60LocationProxy, S60SmsProxy};
-use crate::stack::{self, Interface, Layer, LayerPolicies, Layers, ORDER};
+use crate::stack::{self, Interface, LayerPolicies, Layers};
 use crate::telemetry::TelemetryRuntime;
-use crate::webview::proxies::{
-    WebViewCallProxy, WebViewHttpProxy, WebViewLocationProxy, WebViewSmsProxy,
-};
-use crate::webview::wrappers::install_wrappers;
 
-enum Target {
-    Android(Context),
-    S60(S60Platform),
-    WebView(Arc<WebView>),
+/// What a binding plane answers for one kind: `None` when it publishes
+/// no binding for it, else the bare binding or the error building it.
+pub type Bound<P> = Option<Result<Arc<P>, ProxyError>>;
+
+/// One platform's binding plane at runtime — everything the registry
+/// knows about a platform.
+///
+/// The bind methods run once per kind per runtime, on first
+/// resolution, and return the **bare** binding: the registry wraps it
+/// in every enabled layer, so a plane needs no layer code. They are
+/// never on the call path. A kind is resolvable when the plane's
+/// [`BindingPlane::catalog`] binds it on [`BindingPlane::platform_id`]
+/// *and* the plane binds it.
+pub trait BindingPlane: Send + Sync {
+    /// The platform this plane binds, as the descriptor catalog names
+    /// it.
+    fn platform_id(&self) -> PlatformId;
+
+    /// The simulated device underneath: the clock and the metrics
+    /// registry every layer uses.
+    fn device(&self) -> &Device;
+
+    /// The descriptor catalog deciding which kinds this platform
+    /// supports. Defaults to the process-wide standard catalog; a new
+    /// platform publishes its bindings by extending the standard
+    /// descriptors ([`ProxyDescriptor::extend_platform`]).
+    fn catalog(&self) -> Arc<Vec<ProxyDescriptor>> {
+        mobivine_proxydl::catalog::standard()
+    }
+
+    /// The bare Location binding.
+    fn location(&self) -> Bound<dyn LocationProxy> {
+        None
+    }
+
+    /// The bare SMS binding.
+    fn sms(&self) -> Bound<dyn SmsProxy> {
+        None
+    }
+
+    /// The bare voice-call binding.
+    fn call(&self) -> Bound<dyn CallProxy> {
+        None
+    }
+
+    /// The bare HTTP binding.
+    fn http(&self) -> Bound<dyn HttpProxy> {
+        None
+    }
+
+    /// The bare Contacts binding.
+    fn contacts(&self) -> Bound<dyn ContactsProxy> {
+        None
+    }
+
+    /// The bare Calendar binding.
+    fn calendar(&self) -> Bound<dyn CalendarProxy> {
+        None
+    }
 }
 
 /// The six uniform proxy capabilities, keyed the way the descriptor
@@ -171,21 +223,15 @@ impl fmt::Debug for ResolutionCache {
 
 mod sealed {
     /// Prevents downstream crates from adding resolvable proxy types:
-    /// the registry's construction match is exhaustive over the six
-    /// catalog capabilities.
+    /// the resolution cache and [`super::BindingPlane`] have one slot
+    /// per catalog capability.
     pub trait Sealed {}
-    impl Sealed for dyn super::LocationProxy {}
-    impl Sealed for dyn super::SmsProxy {}
-    impl Sealed for dyn super::CallProxy {}
-    impl Sealed for dyn super::HttpProxy {}
-    impl Sealed for dyn super::ContactsProxy {}
-    impl Sealed for dyn super::CalendarProxy {}
 }
 
 /// The link between a uniform proxy trait object and its [`ProxyKind`]:
 /// the typed key of [`Mobivine::proxy`]. Implemented exactly for the
-/// six `dyn *Proxy` types; sealed, because the registry's construction
-/// logic is exhaustive over the catalog.
+/// six `dyn *Proxy` types; sealed, because the resolution cache and
+/// [`BindingPlane`] have one slot per catalog capability.
 pub trait ProxyApi: sealed::Sealed + Send + Sync {
     /// The capability this proxy type provides.
     const KIND: ProxyKind;
@@ -197,124 +243,40 @@ pub trait ProxyApi: sealed::Sealed + Send + Sync {
     fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError>;
 }
 
-impl ProxyApi for dyn LocationProxy {
-    const KIND: ProxyKind = ProxyKind::Location;
+/// Implements [`ProxyApi`] for each `dyn $api`: its resolution-cache
+/// slot and its bind method on the plane, both named `$slot`.
+macro_rules! proxy_api {
+    ($($api:ident => $kind:ident, $slot:ident;)*) => {$(
+        impl sealed::Sealed for dyn $api {}
 
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.location
-    }
+        impl ProxyApi for dyn $api {
+            const KIND: ProxyKind = ProxyKind::$kind;
 
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.layered::<Self>(|target| {
-            Ok(match target {
-                Target::Android(ctx) => Arc::new(with_context(AndroidLocationProxy::new(), ctx)?),
-                Target::S60(platform) => Arc::new(S60LocationProxy::new(platform.clone())),
-                Target::WebView(webview) => Arc::new(WebViewLocationProxy::new(webview)?),
-            })
-        })
-    }
+            fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
+                &cache.$slot
+            }
+
+            fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
+                runtime.layered(|plane| plane.$slot())
+            }
+        }
+    )*};
 }
 
-impl ProxyApi for dyn SmsProxy {
-    const KIND: ProxyKind = ProxyKind::Sms;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.sms
-    }
-
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.layered::<Self>(|target| {
-            Ok(match target {
-                Target::Android(ctx) => Arc::new(with_context(AndroidSmsProxy::new(), ctx)?),
-                Target::S60(platform) => Arc::new(S60SmsProxy::new(platform.clone())),
-                Target::WebView(webview) => Arc::new(WebViewSmsProxy::new(webview)?),
-            })
-        })
-    }
-}
-
-impl ProxyApi for dyn CallProxy {
-    const KIND: ProxyKind = ProxyKind::Call;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.call
-    }
-
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.layered::<Self>(|target| {
-            Ok(match target {
-                Target::Android(ctx) => Arc::new(with_context(AndroidCallProxy::new(), ctx)?),
-                Target::S60(_) => return Err(runtime.unsupported("Call")),
-                Target::WebView(webview) => Arc::new(WebViewCallProxy::new(webview)?),
-            })
-        })
-    }
-}
-
-impl ProxyApi for dyn HttpProxy {
-    const KIND: ProxyKind = ProxyKind::Http;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.http
-    }
-
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.layered::<Self>(|target| {
-            Ok(match target {
-                Target::Android(ctx) => Arc::new(with_context(AndroidHttpProxy::new(), ctx)?),
-                Target::S60(platform) => Arc::new(S60HttpProxy::new(platform.clone())),
-                Target::WebView(webview) => Arc::new(WebViewHttpProxy::new(webview)?),
-            })
-        })
-    }
-}
-
-impl ProxyApi for dyn ContactsProxy {
-    const KIND: ProxyKind = ProxyKind::Contacts;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.contacts
-    }
-
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.layered::<Self>(|target| {
-            Ok(match target {
-                Target::Android(ctx) => Arc::new(with_context(AndroidContactsProxy::new(), ctx)?),
-                Target::S60(platform) => Arc::new(S60ContactsProxy::new(platform.clone())),
-                Target::WebView(_) => return Err(runtime.unsupported("Contacts")),
-            })
-        })
-    }
-}
-
-impl ProxyApi for dyn CalendarProxy {
-    const KIND: ProxyKind = ProxyKind::Calendar;
-
-    fn slot(cache: &ResolutionCache) -> &OnceLock<Arc<Self>> {
-        &cache.calendar
-    }
-
-    fn construct(runtime: &Mobivine) -> Result<Arc<Self>, ProxyError> {
-        runtime.layered::<Self>(|target| {
-            Ok(match target {
-                Target::Android(ctx) => Arc::new(with_context(AndroidCalendarProxy::new(), ctx)?),
-                Target::S60(platform) => Arc::new(S60CalendarProxy::new(platform.clone())),
-                Target::WebView(_) => return Err(runtime.unsupported("Calendar")),
-            })
-        })
-    }
-}
-
-/// An Android binding handed the application context — the
-/// `loc.setProperty("context", this)` of the paper's Fig. 8(a).
-fn with_context<T: ProxyBase>(proxy: T, ctx: &Context) -> Result<T, ProxyError> {
-    proxy.set_property("context", PropertyValue::opaque(ctx.clone()))?;
-    Ok(proxy)
+proxy_api! {
+    LocationProxy => Location, location;
+    SmsProxy => Sms, sms;
+    CallProxy => Call, call;
+    HttpProxy => Http, http;
+    ContactsProxy => Contacts, contacts;
+    CalendarProxy => Calendar, calendar;
 }
 
 /// The MobiVine runtime for one application on one platform.
 pub struct Mobivine {
-    target: Target,
+    plane: Arc<dyn BindingPlane>,
+    /// The plane's platform id and catalog, read once at build.
+    platform: PlatformId,
     catalog: Arc<Vec<ProxyDescriptor>>,
     layers: Layers,
     slo: Option<Arc<SloEngine>>,
@@ -324,7 +286,7 @@ pub struct Mobivine {
 impl fmt::Debug for Mobivine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Mobivine")
-            .field("platform", &self.platform_id().id().to_owned())
+            .field("platform", &self.platform.id())
             .field("catalog", &self.catalog.len())
             .field("resolved", &self.resolved.resolved_count())
             .finish()
@@ -332,202 +294,38 @@ impl fmt::Debug for Mobivine {
 }
 
 impl Mobivine {
-    fn with_target(target: Target) -> Self {
-        Self {
-            target,
-            catalog: mobivine_proxydl::catalog::standard(),
-            layers: Layers::default(),
-            slo: None,
-            resolved: ResolutionCache::default(),
-        }
-    }
-
-    /// Starts composable construction: platform selection, resilience
-    /// and telemetry in any order, one [`MobivineBuilder::build`].
+    /// Starts construction: a platform and every layer's policy, in any
+    /// order, wired by one [`MobivineBuilder::build`].
     pub fn builder() -> MobivineBuilder {
         MobivineBuilder::default()
     }
 
-    /// Binds the runtime to an Android application context.
-    pub fn for_android(ctx: Context) -> Self {
-        Self::with_target(Target::Android(ctx))
-    }
-
-    /// Binds the runtime to an S60 platform.
-    pub fn for_s60(platform: S60Platform) -> Self {
-        Self::with_target(Target::S60(platform))
-    }
-
-    /// Binds the runtime to a WebView page, installing the Java
-    /// wrappers (the plug-in's `addJavaScriptInterface` injection).
-    pub fn for_webview(webview: Arc<WebView>) -> Self {
-        install_wrappers(&webview);
-        Self::with_target(Target::WebView(webview))
-    }
-
-    /// Records one policy change, then rebuilds the counter blocks (and
-    /// journal engine) of the `stale` layers only; every other layer
-    /// keeps its own. Wiring order therefore never matters. Proxies
-    /// resolved earlier do not carry the change, so the memo is
-    /// invalidated.
-    fn rewire(mut self, stale: &[Layer], record: impl FnOnce(&mut LayerPolicies)) -> Self {
-        let mut layers = std::mem::take(&mut self.layers);
-        record(&mut layers.policies);
-        self.layers = layers.rebuild(&self.device(), stale);
-        self.resolved = ResolutionCache::default();
-        self
-    }
-
-    /// Turns on the resilience layer: every Location/SMS/Call/HTTP
-    /// proxy this runtime constructs retries, circuit-breaks and falls
-    /// back under `policy` — identically on every platform, so retry
-    /// behaviour is part of the uniform surface rather than
-    /// per-platform application code. Each proxy owns its breaker.
-    ///
-    /// All proxies share one [`ResilienceMetrics`] block, readable
-    /// through [`Mobivine::resilience_metrics`].
-    #[must_use]
-    pub fn with_resilience(self, policy: ResiliencePolicy) -> Self {
-        self.rewire(&[Layer::Resilience], |p| p.resilience = Some(policy))
-    }
-
-    /// Turns on overload protection: every Location/SMS/Call/HTTP proxy
-    /// this runtime constructs gets a per-proxy bulkhead, an adaptive
-    /// load-shedding admission gate and deadline-aware fail-fast under
-    /// `policy`, **outside** the resilience layer so a shed never
-    /// spends retry budget.
-    ///
-    /// All proxies share one [`OverloadMetrics`] block, readable
-    /// through [`Mobivine::overload_metrics`].
-    #[must_use]
-    pub fn with_overload(self, policy: OverloadPolicy) -> Self {
-        self.rewire(&[Layer::Overload], |p| p.overload = Some(policy))
-    }
-
-    /// Turns on the read-through cache layer for the idempotent reads
-    /// (Location, Contacts, Calendar): a TTL'd result cache with
-    /// single-flight coalescing and stamp-based invalidation under
-    /// `policy`, **outside** the overload layer so a hit costs neither
-    /// admission nor binding-plane work, and **inside** the proxy-plane
-    /// trace so hits and misses both appear in the span tree.
-    /// Write-shaped proxies (SMS, Call, HTTP) are never cached.
-    ///
-    /// All proxies share one [`CacheMetrics`] block, readable through
-    /// [`Mobivine::cache_metrics`].
-    #[must_use]
-    pub fn with_cache(self, policy: CachePolicy) -> Self {
-        self.rewire(&[Layer::Cache], |p| p.cache = Some(policy))
-    }
-
-    /// Turns on the durability layer for the mutating proxies (SMS,
-    /// HTTP): every send or submit appends an intent record to a shared
-    /// write-ahead journal and crosses a simulated fsync barrier
-    /// *before* the side effect runs, and mutations carrying an ambient
-    /// [`crate::journal::IdempotencyKey`] are deduplicated against the
-    /// journal (the `AlreadyApplied` fast path). The layer sits
-    /// **inside** the overload gate (shed calls burn no intent) and
-    /// **outside** the retry engine (one logical call appends one
-    /// intent, however many retries it takes).
-    ///
-    /// All proxies share one [`JournalEngine`], readable through
-    /// [`Mobivine::journal_engine`] and [`Mobivine::journal_metrics`].
-    #[must_use]
-    pub fn with_journal(self, policy: JournalPolicy) -> Self {
-        self.rewire(&[Layer::Journal], |p| p.journal = Some(policy))
-    }
-
-    /// Turns on plane-aware telemetry: every Location/SMS/Call/HTTP
-    /// proxy this runtime constructs is traced **twice** — at the
-    /// outermost semantic plane and at the binding plane (below the
-    /// resilience layer, when present) — so each call descends the
-    /// stack as a parented span tree: app → proxy → resilience →
-    /// binding → platform → device.
-    ///
-    /// Metrics publish into the device's [`MetricsRegistry`] (shared
-    /// with the device subsystems); spans collect in the tracer
-    /// returned by [`Mobivine::tracer`]. Every other layer's counters
-    /// are homed on the same registry, whichever was wired first, so
-    /// one exporter covers the whole call path.
-    #[must_use]
-    pub fn with_telemetry(self) -> Self {
-        self.with_telemetry_retention(mobivine_telemetry::DEFAULT_SPAN_RETENTION)
-    }
-
-    /// Like [`Mobivine::with_telemetry`], but each worker thread's span
-    /// ring keeps at most `span_retention` finished spans (the oldest
-    /// are overwritten and counted as evicted). Fleet-scale runs use a
-    /// small retention so tracing ten thousand devices does not hold
-    /// ten thousand unbounded span buffers.
-    #[must_use]
-    pub fn with_telemetry_retention(self, span_retention: usize) -> Self {
-        self.with_telemetry_recorder(span_retention, PromotionPolicy::default())
-    }
-
-    /// Like [`Mobivine::with_telemetry_retention`], but with an
-    /// explicit tail-based [`PromotionPolicy`] deciding which finished
-    /// traces the flight recorder promotes into the incident store
-    /// ([`Mobivine::incidents`]) before ring wrap-around can overwrite
-    /// them.
-    #[must_use]
-    pub fn with_telemetry_recorder(self, span_retention: usize, policy: PromotionPolicy) -> Self {
-        let telemetry = self.telemetry_runtime(span_retention, policy);
-        // Every counter block re-homes onto the new registry.
-        self.rewire(&ORDER, |p| p.telemetry = Some(telemetry))
-    }
-
-    /// A telemetry runtime on the device's registry, grading against
-    /// the attached SLO engine, if any.
-    fn telemetry_runtime(
-        &self,
-        span_retention: usize,
-        policy: PromotionPolicy,
-    ) -> TelemetryRuntime {
-        let telemetry = TelemetryRuntime::with_recorder(
-            Arc::clone(self.device().metrics()),
-            span_retention,
-            policy,
-        );
-        match &self.slo {
-            Some(engine) => telemetry.with_slo(Arc::clone(engine)),
-            None => telemetry,
-        }
-    }
-
-    /// Attaches a declarative SLO engine: the proxy plane feeds every
-    /// finished call's `(ok, latency)` into the engine's matching
-    /// `(proxy, method, platform)` objectives, evaluated on virtual-time
-    /// multi-window burn rates. Order-independent with
-    /// [`Mobivine::with_telemetry`] — whichever comes second picks up
-    /// the other. Without telemetry the engine records nothing (the
-    /// proxy plane is where outcomes are observed).
-    #[must_use]
-    pub fn with_slo(mut self, engine: Arc<SloEngine>) -> Self {
-        self.slo = Some(Arc::clone(&engine));
-        self.rewire(&[], |p| {
-            p.telemetry = p.telemetry.take().map(|t| t.with_slo(engine));
-        })
+    /// A runtime on `plane` with no layer enabled: what the platforms'
+    /// `for_*` shorthands build.
+    pub(crate) fn bare(plane: Arc<dyn BindingPlane>) -> Self {
+        Self::builder().wire(plane)
     }
 
     /// The shared resilience counters, when
-    /// [`Mobivine::with_resilience`] was applied.
+    /// [`MobivineBuilder::with_resilience`] was applied.
     pub fn resilience_metrics(&self) -> Option<Arc<ResilienceMetrics>> {
         self.layers.resilience.clone()
     }
 
     /// The shared overload-protection counters, when
-    /// [`Mobivine::with_overload`] was applied.
+    /// [`MobivineBuilder::with_overload`] was applied.
     pub fn overload_metrics(&self) -> Option<Arc<OverloadMetrics>> {
         self.layers.overload.clone()
     }
 
-    /// The shared cache counters, when [`Mobivine::with_cache`] was
-    /// applied.
+    /// The shared cache counters, when [`MobivineBuilder::with_cache`]
+    /// was applied.
     pub fn cache_metrics(&self) -> Option<Arc<CacheMetrics>> {
         self.layers.cache.clone()
     }
 
-    /// The shared durability counters, when [`Mobivine::with_journal`]
-    /// was applied.
+    /// The shared durability counters, when
+    /// [`MobivineBuilder::with_journal`] was applied.
     pub fn journal_metrics(&self) -> Option<Arc<JournalMetrics>> {
         self.layers
             .journal
@@ -536,7 +334,7 @@ impl Mobivine {
     }
 
     /// The shared write-ahead journal engine, when
-    /// [`Mobivine::with_journal`] was applied.
+    /// [`MobivineBuilder::with_journal`] was applied.
     pub fn journal_engine(&self) -> Option<&Arc<JournalEngine>> {
         self.layers.journal.as_ref()
     }
@@ -546,52 +344,39 @@ impl Mobivine {
     }
 
     /// The tracer collecting proxy-call spans, when
-    /// [`Mobivine::with_telemetry`] was applied.
+    /// [`MobivineBuilder::with_telemetry`] was applied.
     pub fn tracer(&self) -> Option<&mobivine_telemetry::Tracer> {
         self.telemetry().map(TelemetryRuntime::tracer)
     }
 
     /// The metrics registry the traced proxies publish into, when
-    /// [`Mobivine::with_telemetry`] was applied. This is the device's
-    /// registry, so device-layer series appear alongside the proxy
-    /// series.
+    /// [`MobivineBuilder::with_telemetry`] was applied. This is the
+    /// device's registry, so device-layer series appear alongside the
+    /// proxy series.
     pub fn telemetry_metrics(&self) -> Option<Arc<MetricsRegistry>> {
         self.telemetry().map(|t| Arc::clone(t.metrics()))
     }
 
     /// The flight recorder's bounded store of promoted incident traces,
-    /// when [`Mobivine::with_telemetry`] was applied.
+    /// when [`MobivineBuilder::with_telemetry`] was applied.
     pub fn incidents(&self) -> Option<&Arc<IncidentStore>> {
         self.telemetry().and_then(TelemetryRuntime::incidents)
     }
 
     /// The SLO engine grading proxy-plane calls, when
-    /// [`Mobivine::with_slo`] was applied.
+    /// [`MobivineBuilder::with_slo`] was applied.
     pub fn slo_engine(&self) -> Option<&Arc<SloEngine>> {
         self.slo.as_ref()
     }
 
-    /// The simulated device underneath whichever platform binding this
-    /// runtime targets — the clock source for resilience backoffs.
-    fn device(&self) -> Device {
-        match &self.target {
-            Target::Android(ctx) => ctx.device().clone(),
-            Target::S60(platform) => platform.device().clone(),
-            Target::WebView(webview) => webview.context().device().clone(),
-        }
-    }
-
     /// The platform this runtime targets.
     pub fn platform_id(&self) -> PlatformId {
-        match &self.target {
-            Target::Android(_) => PlatformId::Android,
-            Target::S60(_) => PlatformId::NokiaS60,
-            Target::WebView(_) => PlatformId::AndroidWebView,
-        }
+        self.platform.clone()
     }
 
-    /// The descriptor catalog backing this runtime: the process-wide
-    /// standard catalog, one allocation shared by every runtime.
+    /// The descriptor catalog backing this runtime: the plane's, by
+    /// default the process-wide standard catalog, one allocation shared
+    /// by every runtime.
     pub fn catalog(&self) -> &[ProxyDescriptor] {
         &self.catalog
     }
@@ -599,11 +384,10 @@ impl Mobivine {
     /// Whether `interface` (descriptor name, e.g. `"Call"`) has a
     /// binding on the running platform.
     pub fn supports(&self, interface: &str) -> bool {
-        let platform = self.platform_id();
         self.catalog
             .iter()
             .find(|d| d.name == interface)
-            .is_some_and(|d| d.binding_for(&platform).is_some())
+            .is_some_and(|d| d.binding_for(&self.platform).is_some())
     }
 
     /// Whether `kind` has a binding on the running platform.
@@ -611,33 +395,31 @@ impl Mobivine {
         self.supports(kind.interface())
     }
 
-    fn unsupported(&self, interface: &str) -> ProxyError {
-        ProxyError::new(
-            ProxyErrorKind::UnsupportedOnPlatform,
-            format!(
-                "interface {interface} has no binding on platform {}",
-                self.platform_id().id()
-            ),
-        )
-    }
-
-    /// The one construction path: `bind` builds the bare platform
-    /// binding for this runtime's target, and [`stack::wrap`] wraps it
-    /// in every layer this runtime enables, in the declared order.
+    /// The one construction path: `bind` asks the plane for the bare
+    /// binding of a kind the catalog supports, and [`stack::wrap`]
+    /// wraps it in every layer this runtime enables, in the declared
+    /// order.
     fn layered<P: ?Sized + Interface>(
         &self,
-        bind: impl FnOnce(&Target) -> Result<Arc<P>, ProxyError>,
+        bind: impl FnOnce(&dyn BindingPlane) -> Bound<P>,
     ) -> Result<Arc<P>, ProxyError> {
+        let unsupported = || {
+            let (interface, platform) = (P::KIND.interface(), self.platform.id());
+            Err(ProxyError::new(
+                ProxyErrorKind::UnsupportedOnPlatform,
+                format!("interface {interface} has no binding on platform {platform}"),
+            ))
+        };
         if !self.supports_kind(P::KIND) {
-            return Err(self.unsupported(P::KIND.interface()));
+            return unsupported();
         }
-        let binding = bind(&self.target)?;
-        let platform = self.platform_id();
+        let binding = bind(&*self.plane).unwrap_or_else(unsupported)?;
+        let device = self.plane.device();
         Ok(stack::wrap(
             binding,
             &self.layers,
-            &self.device(),
-            platform.id(),
+            device,
+            self.platform.id(),
         ))
     }
 
@@ -710,12 +492,12 @@ impl Mobivine {
     }
 }
 
-/// Composable construction of a [`Mobivine`] runtime.
+/// Construction of a [`Mobivine`] runtime: the only one.
 ///
-/// The legacy surface requires a `for_*` constructor first, then the
-/// `with_*` options. The builder accepts platform selection, every
-/// layer's policy and telemetry **in any order** and wires them in one
-/// pass in [`MobivineBuilder::build`].
+/// The builder records a platform ([`MobivineBuilder::platform`], or a
+/// platform's shorthand such as `android()`) and every layer's policy
+/// **in any order**, and wires them in one pass in
+/// [`MobivineBuilder::build`].
 ///
 /// # Example
 ///
@@ -738,7 +520,7 @@ impl Mobivine {
 /// ```
 #[derive(Default)]
 pub struct MobivineBuilder {
-    target: Option<Target>,
+    plane: Option<Arc<dyn BindingPlane>>,
     resilience: Option<ResiliencePolicy>,
     overload: Option<OverloadPolicy>,
     cache: Option<CachePolicy>,
@@ -753,7 +535,7 @@ pub struct MobivineBuilder {
 impl fmt::Debug for MobivineBuilder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MobivineBuilder")
-            .field("target", &self.target.is_some())
+            .field("platform", &self.plane.is_some())
             .field("resilience", &self.resilience.is_some())
             .field("overload", &self.overload.is_some())
             .field("cache", &self.cache.is_some())
@@ -764,75 +546,110 @@ impl fmt::Debug for MobivineBuilder {
 }
 
 impl MobivineBuilder {
-    /// Targets an Android application context.
+    /// Targets the platform `plane` binds: the one platform entry
+    /// point. A later call replaces an earlier one.
     #[must_use]
-    pub fn android(mut self, ctx: Context) -> Self {
-        self.target = Some(Target::Android(ctx));
+    pub fn platform(mut self, plane: Arc<dyn BindingPlane>) -> Self {
+        self.plane = Some(plane);
         self
     }
 
-    /// Targets an S60 platform.
-    #[must_use]
-    pub fn s60(mut self, platform: S60Platform) -> Self {
-        self.target = Some(Target::S60(platform));
-        self
-    }
-
-    /// Targets a WebView page. The Java wrappers are installed at
-    /// [`MobivineBuilder::build`] time.
-    #[must_use]
-    pub fn webview(mut self, webview: Arc<WebView>) -> Self {
-        self.target = Some(Target::WebView(webview));
-        self
-    }
-
-    /// Enables the resilience layer (see [`Mobivine::with_resilience`]).
+    /// Turns on the resilience layer: every Location/SMS/Call/HTTP
+    /// proxy the runtime constructs retries, circuit-breaks and falls
+    /// back under `policy` — identically on every platform, so retry
+    /// behaviour is part of the uniform surface rather than
+    /// per-platform application code. Each proxy owns its breaker.
+    ///
+    /// All proxies share one [`ResilienceMetrics`] block, readable
+    /// through [`Mobivine::resilience_metrics`].
     #[must_use]
     pub fn with_resilience(mut self, policy: ResiliencePolicy) -> Self {
         self.resilience = Some(policy);
         self
     }
 
-    /// Enables overload protection (see [`Mobivine::with_overload`]).
+    /// Turns on overload protection: every Location/SMS/Call/HTTP proxy
+    /// the runtime constructs gets a per-proxy bulkhead, an adaptive
+    /// load-shedding admission gate and deadline-aware fail-fast under
+    /// `policy`, **outside** the resilience layer so a shed never
+    /// spends retry budget.
+    ///
+    /// All proxies share one [`OverloadMetrics`] block, readable
+    /// through [`Mobivine::overload_metrics`].
     #[must_use]
     pub fn with_overload(mut self, policy: OverloadPolicy) -> Self {
         self.overload = Some(policy);
         self
     }
 
-    /// Enables the read-through cache layer (see
-    /// [`Mobivine::with_cache`]).
+    /// Turns on the read-through cache layer for the idempotent reads
+    /// (Location, Contacts, Calendar): a TTL'd result cache with
+    /// single-flight coalescing and stamp-based invalidation under
+    /// `policy`, **outside** the overload layer so a hit costs neither
+    /// admission nor binding-plane work, and **inside** the proxy-plane
+    /// trace so hits and misses both appear in the span tree.
+    /// Write-shaped proxies (SMS, Call, HTTP) are never cached.
+    ///
+    /// All proxies share one [`CacheMetrics`] block, readable through
+    /// [`Mobivine::cache_metrics`].
     #[must_use]
     pub fn with_cache(mut self, policy: CachePolicy) -> Self {
         self.cache = Some(policy);
         self
     }
 
-    /// Enables the durability layer (see [`Mobivine::with_journal`]).
+    /// Turns on the durability layer for the mutating proxies (SMS,
+    /// HTTP): every send or submit appends an intent record to a shared
+    /// write-ahead journal and crosses a simulated fsync barrier
+    /// *before* the side effect runs, and mutations carrying an ambient
+    /// [`crate::journal::IdempotencyKey`] are deduplicated against the
+    /// journal (the `AlreadyApplied` fast path). The layer sits
+    /// **inside** the overload gate (shed calls burn no intent) and
+    /// **outside** the retry engine (one logical call appends one
+    /// intent, however many retries it takes).
+    ///
+    /// All proxies share one [`JournalEngine`], readable through
+    /// [`Mobivine::journal_engine`] and [`Mobivine::journal_metrics`].
     #[must_use]
     pub fn with_journal(mut self, policy: JournalPolicy) -> Self {
         self.journal = Some(policy);
         self
     }
 
-    /// Enables plane-aware telemetry (see [`Mobivine::with_telemetry`]).
+    /// Turns on plane-aware telemetry: every Location/SMS/Call/HTTP
+    /// proxy the runtime constructs is traced **twice** — at the
+    /// outermost semantic plane and at the binding plane (below the
+    /// resilience layer, when present) — so each call descends the
+    /// stack as a parented span tree: app → proxy → resilience →
+    /// binding → platform → device.
+    ///
+    /// Metrics publish into the device's [`MetricsRegistry`] (shared
+    /// with the device subsystems); spans collect in the tracer
+    /// returned by [`Mobivine::tracer`]. Every other layer's counters
+    /// are homed on the same registry, so one exporter covers the whole
+    /// call path.
     #[must_use]
     pub fn with_telemetry(mut self) -> Self {
         self.telemetry = Some(mobivine_telemetry::DEFAULT_SPAN_RETENTION);
         self
     }
 
-    /// Enables telemetry with a bounded per-worker span retention (see
-    /// [`Mobivine::with_telemetry_retention`]).
+    /// Like [`MobivineBuilder::with_telemetry`], but each worker
+    /// thread's span ring keeps at most `span_retention` finished spans
+    /// (the oldest are overwritten and counted as evicted). Fleet-scale
+    /// runs use a small retention so tracing ten thousand devices does
+    /// not hold ten thousand unbounded span buffers.
     #[must_use]
     pub fn with_telemetry_retention(mut self, span_retention: usize) -> Self {
         self.telemetry = Some(span_retention);
         self
     }
 
-    /// Overrides the flight recorder's tail-based promotion policy (see
-    /// [`Mobivine::with_telemetry_recorder`]). Implies telemetry at the
-    /// default retention unless `with_telemetry_retention` also runs.
+    /// Overrides the tail-based [`PromotionPolicy`] deciding which
+    /// finished traces the flight recorder promotes into the incident
+    /// store ([`Mobivine::incidents`]) before ring wrap-around can
+    /// overwrite them. Implies telemetry at the default retention
+    /// unless `with_telemetry_retention` also runs.
     #[must_use]
     pub fn with_promotion_policy(mut self, policy: PromotionPolicy) -> Self {
         self.telemetry
@@ -841,7 +658,11 @@ impl MobivineBuilder {
         self
     }
 
-    /// Attaches a declarative SLO engine (see [`Mobivine::with_slo`]).
+    /// Attaches a declarative SLO engine: the proxy plane feeds every
+    /// finished call's `(ok, latency)` into the engine's matching
+    /// `(proxy, method, platform)` objectives, evaluated on virtual-time
+    /// multi-window burn rates. Without telemetry the engine records
+    /// nothing (the proxy plane is where outcomes are observed).
     #[must_use]
     pub fn with_slo(mut self, engine: Arc<SloEngine>) -> Self {
         self.slo = Some(engine);
@@ -853,45 +674,75 @@ impl MobivineBuilder {
     ///
     /// # Errors
     ///
-    /// `IllegalArgument` if no platform target was selected.
-    pub fn build(self) -> Result<Mobivine, ProxyError> {
-        let Some(target) = self.target else {
-            return Err(ProxyError::new(
+    /// `IllegalArgument` if no platform was selected.
+    pub fn build(mut self) -> Result<Mobivine, ProxyError> {
+        let plane = self.plane.take().ok_or_else(|| {
+            ProxyError::new(
                 ProxyErrorKind::IllegalArgument,
-                "MobivineBuilder needs a platform target: call android(), s60() or webview()",
-            ));
-        };
-        let mut runtime = match target {
-            Target::Android(ctx) => Mobivine::for_android(ctx),
-            Target::S60(platform) => Mobivine::for_s60(platform),
-            Target::WebView(webview) => Mobivine::for_webview(webview),
-        };
-        runtime.slo = self.slo;
+                "MobivineBuilder needs a platform: call platform(), android(), s60() or webview()",
+            )
+        })?;
+        Ok(self.wire(plane))
+    }
+
+    /// Builds every enabled layer once, on `plane`'s device.
+    fn wire(self, plane: Arc<dyn BindingPlane>) -> Mobivine {
+        let device = plane.device();
         let promotion = self.promotion.unwrap_or_default();
-        let telemetry = self
-            .telemetry
-            .map(|span_retention| runtime.telemetry_runtime(span_retention, promotion));
-        Ok(runtime.rewire(&ORDER, |p| {
-            *p = LayerPolicies {
-                telemetry,
-                cache: self.cache,
-                overload: self.overload,
-                journal: self.journal,
-                resilience: self.resilience,
+        let telemetry = self.telemetry.map(|span_retention| {
+            let metrics = Arc::clone(device.metrics());
+            let telemetry = TelemetryRuntime::with_recorder(metrics, span_retention, promotion);
+            match &self.slo {
+                Some(engine) => telemetry.with_slo(Arc::clone(engine)),
+                None => telemetry,
             }
-        }))
+        });
+        let policies = LayerPolicies {
+            telemetry,
+            cache: self.cache,
+            overload: self.overload,
+            journal: self.journal,
+            resilience: self.resilience,
+        };
+        Mobivine {
+            layers: Layers::new(policies, device),
+            platform: plane.platform_id(),
+            catalog: plane.catalog(),
+            slo: self.slo,
+            resolved: ResolutionCache::default(),
+            plane,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::property::PropertyValue;
     use mobivine_android::{AndroidPlatform, SdkVersion};
-    use mobivine_device::Device;
+    use mobivine_s60::S60Platform;
+    use mobivine_webview::WebView;
 
     fn android_runtime() -> Mobivine {
         let platform = AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15);
         Mobivine::for_android(platform.new_context())
+    }
+
+    /// One runtime per platform over one device, each built with the
+    /// options `configure` records.
+    fn every_platform(configure: impl Fn(MobivineBuilder) -> MobivineBuilder) -> Vec<Mobivine> {
+        let device = Device::builder().build();
+        let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
+        let webview = Arc::new(WebView::new(android.new_context()));
+        let targets: [&dyn Fn(MobivineBuilder) -> MobivineBuilder; 3] = [
+            &|b| b.android(android.new_context()),
+            &|b| b.s60(S60Platform::new(device.clone())),
+            &|b| b.webview(Arc::clone(&webview)),
+        ];
+        let build = |target: &dyn Fn(MobivineBuilder) -> MobivineBuilder| {
+            target(configure(Mobivine::builder())).build().unwrap()
+        };
+        targets.into_iter().map(build).collect()
     }
 
     #[test]
@@ -989,49 +840,8 @@ mod tests {
     }
 
     #[test]
-    fn a_later_option_keeps_the_other_layers_metrics_handles() {
-        let runtime = android_runtime()
-            .with_resilience(ResiliencePolicy::default())
-            .with_journal(JournalPolicy::default());
-        let resilience = runtime.resilience_metrics().unwrap();
-        let journal = Arc::clone(runtime.journal_engine().unwrap());
-        let runtime = runtime
-            .with_cache(CachePolicy::default())
-            .with_overload(OverloadPolicy::default())
-            .with_slo(Arc::new(SloEngine::new(Vec::new())));
-        assert!(Arc::ptr_eq(
-            &resilience,
-            &runtime.resilience_metrics().unwrap()
-        ));
-        assert!(Arc::ptr_eq(&journal, runtime.journal_engine().unwrap()));
-        // Re-setting a layer's own policy gives it a fresh block.
-        let overload = runtime.overload_metrics().unwrap();
-        let runtime = runtime.with_overload(OverloadPolicy::default());
-        assert!(!Arc::ptr_eq(
-            &overload,
-            &runtime.overload_metrics().unwrap()
-        ));
-        // Telemetry re-homes every block onto its registry.
-        let runtime = runtime.with_telemetry();
-        assert!(!Arc::ptr_eq(
-            &resilience,
-            &runtime.resilience_metrics().unwrap()
-        ));
-        assert!(!Arc::ptr_eq(&journal, runtime.journal_engine().unwrap()));
-    }
-
-    #[test]
     fn with_resilience_pre_wraps_proxies_on_every_platform() {
-        let device = Device::builder().build();
-        let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let webview = Arc::new(WebView::new(android.new_context()));
-        let runtimes = [
-            Mobivine::for_android(android.new_context()),
-            Mobivine::for_s60(S60Platform::new(device.clone())),
-            Mobivine::for_webview(webview),
-        ];
-        for runtime in runtimes {
-            let runtime = runtime.with_resilience(ResiliencePolicy::default());
+        for runtime in every_platform(|b| b.with_resilience(ResiliencePolicy::default())) {
             let metrics = runtime.resilience_metrics().expect("metrics installed");
             let location = runtime.proxy::<dyn LocationProxy>().unwrap();
             // The resilience property plane answers on the wrapped
@@ -1059,16 +869,7 @@ mod tests {
 
     #[test]
     fn with_overload_pre_wraps_proxies_on_every_platform() {
-        let device = Device::builder().build();
-        let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let webview = Arc::new(WebView::new(android.new_context()));
-        let runtimes = [
-            Mobivine::for_android(android.new_context()),
-            Mobivine::for_s60(S60Platform::new(device.clone())),
-            Mobivine::for_webview(webview),
-        ];
-        for runtime in runtimes {
-            let runtime = runtime.with_overload(OverloadPolicy::default());
+        for runtime in every_platform(|b| b.with_overload(OverloadPolicy::default())) {
             let metrics = runtime.overload_metrics().expect("metrics installed");
             let location = runtime.proxy::<dyn LocationProxy>().unwrap();
             // The overload property plane answers on the wrapped proxy
@@ -1171,19 +972,20 @@ mod tests {
                 },
             }]
         };
+        let context =
+            || AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15).new_context();
         let slo_first = Mobivine::builder()
             .with_slo(Arc::new(SloEngine::new(objectives())))
             .with_telemetry()
-            .android(
-                AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15).new_context(),
-            )
+            .android(context())
             .build()
             .unwrap();
-        let telemetry_first = Mobivine::for_android(
-            AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15).new_context(),
-        )
-        .with_telemetry()
-        .with_slo(Arc::new(SloEngine::new(objectives())));
+        let telemetry_first = Mobivine::builder()
+            .android(context())
+            .with_telemetry()
+            .with_slo(Arc::new(SloEngine::new(objectives())))
+            .build()
+            .unwrap();
 
         for runtime in [slo_first, telemetry_first] {
             let engine = Arc::clone(runtime.slo_engine().expect("slo engine"));
@@ -1209,25 +1011,26 @@ mod tests {
 
     #[test]
     fn runtimes_share_one_catalog_and_proxies_one_binding_plane() {
+        use crate::android::AndroidLocationProxy;
         use crate::property::PropertyBag;
-        let device = Device::builder().build();
-        let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let webview = Arc::new(WebView::new(platform.new_context()));
-        let runtimes = [
-            Mobivine::for_android(platform.new_context()),
-            Mobivine::for_s60(S60Platform::new(device.clone())),
-            Mobivine::for_webview(Arc::clone(&webview)),
-        ];
+        use crate::s60::S60SmsProxy;
+        use crate::webview::{install_wrappers, WebViewHttpProxy};
+
         let shared = mobivine_proxydl::catalog::standard();
-        for runtime in &runtimes {
+        for runtime in every_platform(|b| b) {
             assert!(std::ptr::eq(runtime.catalog().as_ptr(), shared.as_ptr()));
         }
 
         // Two devices' proxies of one kind point at one binding plane.
-        let other = Device::builder().build();
-        let other_webview =
-            WebView::new(AndroidPlatform::new(other.clone(), SdkVersion::M5Rc15).new_context());
-        install_wrappers(&other_webview);
+        let (device, other) = (Device::builder().build(), Device::builder().build());
+        let page = |device: &Device| {
+            let webview = WebView::new(
+                AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context(),
+            );
+            install_wrappers(&webview);
+            webview
+        };
+        let (webview, other_webview) = (page(&device), page(&other));
         let same = |a: &PropertyBag, b: &PropertyBag| Arc::ptr_eq(a.binding(), b.binding());
         assert!(same(
             &AndroidLocationProxy::new().properties,
@@ -1248,16 +1051,7 @@ mod tests {
 
     #[test]
     fn with_cache_serves_the_second_read_without_binding_work() {
-        let device = Device::builder().build();
-        let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let webview = Arc::new(WebView::new(android.new_context()));
-        let runtimes = [
-            Mobivine::for_android(android.new_context()),
-            Mobivine::for_s60(S60Platform::new(device.clone())),
-            Mobivine::for_webview(webview),
-        ];
-        for runtime in runtimes {
-            let runtime = runtime.with_cache(CachePolicy::default());
+        for runtime in every_platform(|b| b.with_cache(CachePolicy::default())) {
             let metrics = runtime.cache_metrics().expect("metrics installed");
             let location = runtime.proxy::<dyn LocationProxy>().unwrap();
             location.get_location().unwrap();
@@ -1383,13 +1177,15 @@ mod tests {
                     .with_cache(CachePolicy::default())
                     .build()
                     .unwrap(),
-                // Legacy chain, cache wired before telemetry — the
-                // re-homing path.
-                _ => Mobivine::for_android(ctx)
+                // Platform between the options, telemetry last.
+                _ => Mobivine::builder()
                     .with_cache(CachePolicy::default())
                     .with_overload(OverloadPolicy::default())
+                    .android(ctx)
                     .with_resilience(ResiliencePolicy::default())
-                    .with_telemetry(),
+                    .with_telemetry()
+                    .build()
+                    .unwrap(),
             }
         };
         for n in 0..3 {

@@ -16,6 +16,15 @@
 //! platform" (§4.1). The registry surfaces this as
 //! [`crate::error::ProxyErrorKind::UnsupportedOnPlatform`].
 
+use std::sync::Arc;
+
+use mobivine_device::Device;
+use mobivine_proxydl::PlatformId;
+use mobivine_s60::S60Platform;
+
+use crate::api::{CalendarProxy, ContactsProxy, HttpProxy, LocationProxy, SmsProxy};
+use crate::registry::{BindingPlane, Bound, Mobivine, MobivineBuilder};
+
 mod http;
 mod location;
 mod pim;
@@ -25,3 +34,50 @@ pub use http::S60HttpProxy;
 pub use location::S60LocationProxy;
 pub use pim::{S60CalendarProxy, S60ContactsProxy};
 pub use sms::S60SmsProxy;
+
+/// The S60 binding plane is the platform handle. It binds no Call: the
+/// catalog declares none for S60, so the registry never asks.
+impl BindingPlane for S60Platform {
+    fn platform_id(&self) -> PlatformId {
+        PlatformId::NokiaS60
+    }
+
+    fn device(&self) -> &Device {
+        S60Platform::device(self)
+    }
+
+    fn location(&self) -> Bound<dyn LocationProxy> {
+        Some(Ok(Arc::new(S60LocationProxy::new(self.clone()))))
+    }
+
+    fn sms(&self) -> Bound<dyn SmsProxy> {
+        Some(Ok(Arc::new(S60SmsProxy::new(self.clone()))))
+    }
+
+    fn http(&self) -> Bound<dyn HttpProxy> {
+        Some(Ok(Arc::new(S60HttpProxy::new(self.clone()))))
+    }
+
+    fn contacts(&self) -> Bound<dyn ContactsProxy> {
+        Some(Ok(Arc::new(S60ContactsProxy::new(self.clone()))))
+    }
+
+    fn calendar(&self) -> Bound<dyn CalendarProxy> {
+        Some(Ok(Arc::new(S60CalendarProxy::new(self.clone()))))
+    }
+}
+
+impl MobivineBuilder {
+    /// Targets an S60 platform.
+    #[must_use]
+    pub fn s60(self, platform: S60Platform) -> Self {
+        self.platform(Arc::new(platform))
+    }
+}
+
+impl Mobivine {
+    /// A runtime with no layer on an S60 platform.
+    pub fn for_s60(platform: S60Platform) -> Self {
+        Self::bare(Arc::new(platform))
+    }
+}

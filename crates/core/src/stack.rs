@@ -62,7 +62,7 @@ type Next<'a, T> = &'a dyn Fn() -> Reply<T>;
 // ---------------------------------------------------------------------
 
 /// One policy layer of the stack, each turned on by a
-/// [`crate::registry::Mobivine`] `with_*` option.
+/// [`crate::registry::MobivineBuilder`] `with_*` option.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum Layer {
     /// The proxy-plane trace: a span, call/error counters and the
@@ -203,7 +203,7 @@ const fn indexed(methods: &'static [CallMeta]) -> &'static [CallMeta] {
 // Runtime-wide wiring
 // ---------------------------------------------------------------------
 
-/// What the `with_*` calls recorded: one slot per layer, `None` = off.
+/// What the builder recorded: one slot per layer, `None` = off.
 #[derive(Default)]
 pub(crate) struct LayerPolicies {
     pub(crate) telemetry: Option<TelemetryRuntime>,
@@ -217,7 +217,6 @@ pub(crate) struct LayerPolicies {
 /// counter blocks and the one journal engine built from them. Each
 /// proxy's [`Stack`] reports into these; its breaker, bulkhead,
 /// admission controller and cache cells are its own.
-#[derive(Default)]
 pub(crate) struct Layers {
     pub(crate) policies: LayerPolicies,
     pub(crate) cache: Option<Arc<CacheMetrics>>,
@@ -228,58 +227,24 @@ pub(crate) struct Layers {
 
 impl Layers {
     /// The one place the counter blocks and the journal engine are
-    /// built: on the telemetry registry when tracing is on (one exporter
-    /// covers the whole call path), private otherwise. Only the layers
-    /// in `stale` — those whose own policy, or whose home registry, just
-    /// changed — get new ones; every other enabled layer keeps its own,
-    /// so a metrics handle taken earlier keeps seeing the traffic.
-    pub(crate) fn rebuild(self, device: &Device, stale: &[Layer]) -> Self {
-        let Self {
-            policies,
-            cache,
-            overload,
-            journal,
-            resilience,
-        } = self;
+    /// built, once per runtime: on the telemetry registry when tracing
+    /// is on (one exporter covers the whole call path), private
+    /// otherwise.
+    pub(crate) fn new(policies: LayerPolicies, device: &Device) -> Self {
         let registry = policies.telemetry.as_ref().map(TelemetryRuntime::metrics);
-        let fresh = |layer| stale.contains(&layer);
         Self {
-            cache: keep_or_build(&policies.cache, cache, fresh(Layer::Cache), |_| {
-                home(registry, CacheMetrics::on_registry)
+            cache: (policies.cache.as_ref()).map(|_| home(registry, CacheMetrics::on_registry)),
+            overload: (policies.overload.as_ref())
+                .map(|_| home(registry, OverloadMetrics::on_registry)),
+            journal: policies.journal.as_ref().map(|policy| {
+                let metrics = home(registry, JournalMetrics::on_registry);
+                Arc::new(JournalEngine::new(device.clone(), policy.clone(), metrics))
             }),
-            overload: keep_or_build(&policies.overload, overload, fresh(Layer::Overload), |_| {
-                home(registry, OverloadMetrics::on_registry)
-            }),
-            journal: keep_or_build(
-                &policies.journal,
-                journal,
-                fresh(Layer::Journal),
-                |policy| {
-                    let metrics = home(registry, JournalMetrics::on_registry);
-                    Arc::new(JournalEngine::new(device.clone(), policy.clone(), metrics))
-                },
-            ),
-            resilience: keep_or_build(
-                &policies.resilience,
-                resilience,
-                fresh(Layer::Resilience),
-                |_| home(registry, ResilienceMetrics::on_registry),
-            ),
+            resilience: (policies.resilience.as_ref())
+                .map(|_| home(registry, ResilienceMetrics::on_registry)),
             policies,
         }
     }
-}
-
-/// An enabled layer's block: the one it had unless `fresh`, else a new
-/// one from `build`. `None` when the layer is off.
-fn keep_or_build<P, B>(
-    policy: &Option<P>,
-    kept: Option<B>,
-    fresh: bool,
-    build: impl FnOnce(&P) -> B,
-) -> Option<B> {
-    let policy = policy.as_ref()?;
-    Some(kept.filter(|_| !fresh).unwrap_or_else(|| build(policy)))
 }
 
 /// A counter block on `registry` when there is one, else a private one.
@@ -955,27 +920,9 @@ pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    use mobivine_android::{AndroidPlatform, SdkVersion};
-    use mobivine_device::net::{HttpRequest, HttpResponse, Method};
-    use mobivine_s60::S60Platform;
-    use mobivine_webview::WebView;
-
     use crate::error::ProxyErrorKind;
     use crate::journal::Lsn;
-    use crate::registry::{Mobivine, ProxyKind};
     use crate::types::ProximityEvent;
-
-    impl Layers {
-        /// Every enabled layer's counter block and journal engine, built
-        /// fresh from `policies`.
-        pub(crate) fn new(policies: LayerPolicies, device: &Device) -> Self {
-            let fresh = Self {
-                policies,
-                ..Self::default()
-            };
-            fresh.rebuild(device, &ORDER)
-        }
-    }
 
     /// The unerased decorator [`wrap`] would build, so unit tests can reach
     /// the proxy's engines.
@@ -992,6 +939,8 @@ pub(crate) mod tests {
         }
     }
 
+    /// A new layer must also join the builder toggles of the
+    /// layer-subset neutrality test (`tests/platform_plugin.rs`).
     #[test]
     fn the_declared_order_is_pinned() {
         assert_eq!(
@@ -1512,90 +1461,5 @@ pub(crate) mod tests {
         toy.failures.store(u64::MAX, Ordering::Relaxed);
         assert_eq!(proxy.get_location().unwrap(), genuine);
         assert_eq!(resilience.metrics.snapshot().fallback_last_known, 1);
-    }
-
-    /// The fixed no-fault script the neutrality test replays: two reads,
-    /// a send, a POST to a registered route and, where the platform has
-    /// one, a call.
-    fn script(runtime: &Mobivine) -> Vec<String> {
-        let location = runtime.proxy::<dyn LocationProxy>().unwrap();
-        let sms = runtime.proxy::<dyn SmsProxy>().unwrap();
-        let http = runtime.proxy::<dyn HttpProxy>().unwrap();
-        let mut results = vec![
-            format!("{:?}", location.get_location()),
-            format!("{:?}", location.get_location()),
-            format!("{:?}", sms.send_text_message("+91-sup", "on site", None)),
-            format!(
-                "{:?}",
-                http.request("POST", "http://backend.example/submit", b"{}")
-            ),
-        ];
-        if runtime.supports_kind(ProxyKind::Call) {
-            let call = runtime.proxy::<dyn CallProxy>().unwrap();
-            results.push(format!("{:?}", call.make_a_call("+91-sup")));
-        }
-        results
-    }
-
-    /// A fault-free runtime on a fresh device with `toggles` enabled.
-    fn runtime(platform: &str, toggles: &[Layer]) -> Mobivine {
-        let device = Device::builder().msisdn("+91-me").build();
-        device.gps().set_noise_enabled(false);
-        device.smsc().register_address("+91-sup");
-        device.network().register_route(
-            "backend.example",
-            Method::Post,
-            "/submit",
-            |_: &HttpRequest| HttpResponse::ok(b"{\"ok\":true}".to_vec()),
-        );
-        let mut builder = Mobivine::builder();
-        for layer in toggles {
-            builder = match layer {
-                Layer::TraceProxy | Layer::TraceBinding => builder.with_telemetry(),
-                Layer::Cache => builder.with_cache(CachePolicy::default()),
-                Layer::Overload => builder.with_overload(OverloadPolicy::default()),
-                Layer::Journal => {
-                    builder.with_journal(JournalPolicy::default().fsync_latency_ms(0))
-                }
-                Layer::Resilience => builder.with_resilience(ResiliencePolicy::default()),
-            };
-        }
-        let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let builder = match platform {
-            "android" => builder.android(android.new_context()),
-            "s60" => builder.s60(S60Platform::new(device)),
-            _ => builder.webview(Arc::new(WebView::new(android.new_context()))),
-        };
-        builder.build().unwrap()
-    }
-
-    /// With no fault injected, every subset of layers returns exactly
-    /// what the bare runtime returns. The subsets come from the declared
-    /// order, so a new layer is covered as soon as it is declared.
-    #[test]
-    fn every_layer_subset_is_neutral_on_every_platform() {
-        // Telemetry wires both trace planes at once.
-        let toggles: Vec<Layer> = ORDER
-            .into_iter()
-            .filter(|layer| *layer != Layer::TraceBinding)
-            .collect();
-        assert_eq!(toggles.len(), 5);
-        for platform in ["android", "s60", "webview"] {
-            let bare = script(&runtime(platform, &[]));
-            assert!(
-                bare.iter().all(|result| result.starts_with("Ok(")),
-                "{platform}: {bare:?}"
-            );
-            for mask in 1..1u32 << toggles.len() {
-                let subset: Vec<Layer> = toggles
-                    .iter()
-                    .enumerate()
-                    .filter(|(bit, _)| mask & (1 << bit) != 0)
-                    .map(|(_, layer)| *layer)
-                    .collect();
-                let layered = script(&runtime(platform, &subset));
-                assert_eq!(layered, bare, "{platform} with {subset:?}");
-            }
-        }
     }
 }

@@ -32,7 +32,7 @@
 //! `&'static str`. The built-in platforms' `platform` attribute is a
 //! static symbol, span events are static and stored inline, and error
 //! kinds map to static names through `kind_name`. What is resolved at
-//! wiring time (proxy resolution after `Mobivine::with_telemetry`) is
+//! wiring time (proxy resolution after `MobivineBuilder::with_telemetry`) is
 //! the proxy plane's [`CallInstruments`] bundle of counter/histogram
 //! handles, one per method, found per call by the `CallMeta`'s index. A
 //! traced call is then: one ambient frame per span, two or three atomic

@@ -43,11 +43,14 @@ impl TraceContext {
         let trace = parts.next()?;
         let span = parts.next()?;
         let flags = parts.next()?;
+        let hex = |field: &str| field.bytes().all(|b| b.is_ascii_hexdigit());
         if parts.next().is_some()
             || version.len() != 2
             || trace.len() != 32
             || span.len() != 16
             || flags.len() != 2
+            // `from_str_radix` alone would also take a leading `+`.
+            || ![version, trace, span, flags].into_iter().all(hex)
         {
             return None;
         }
@@ -159,6 +162,24 @@ mod tests {
             "00-00000000000000000000000000000000-0000000000000000-01",
             "00-100000000000000000000000deadbeef-000000000000002a-01",
             "00-000000000000000000000000deadbeef-000000000000002a-01-extra",
+        ] {
+            assert_eq!(TraceContext::parse_traceparent(bad), None, "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn every_field_must_be_hex_digits_only() {
+        let good = "00-000000000000000000000000deadbeef-000000000000002a-01";
+        assert!(TraceContext::parse_traceparent(good).is_some());
+        for bad in [
+            // A sign `u64::from_str_radix` would accept, in each half of
+            // the trace id and in the span id.
+            "00-+00000000000000000000000deadbeef-000000000000002a-01",
+            "00-000000000000000+00000000deadbeef-000000000000002a-01",
+            "00-000000000000000000000000deadbeef-+00000000000002a-01",
+            // Version and flags are never parsed, only width-checked.
+            "zz-000000000000000000000000deadbeef-000000000000002a-01",
+            "00-000000000000000000000000deadbeef-000000000000002a-+1",
         ] {
             assert_eq!(TraceContext::parse_traceparent(bad), None, "{bad:?}");
         }

@@ -40,9 +40,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             target_ppm: 999_000,
         },
     }]));
-    let runtime = Mobivine::for_android(platform.new_context())
+    let runtime = Mobivine::builder()
+        .android(platform.new_context())
         .with_telemetry()
-        .with_slo(Arc::clone(&engine));
+        .with_slo(Arc::clone(&engine))
+        .build()?;
     let proxy = runtime.proxy::<dyn LocationProxy>()?;
 
     // Healthy traffic: nothing is promoted, the ring just recycles.

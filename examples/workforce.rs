@@ -46,23 +46,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The ONLY platform-specific line in the whole application:
-    let runtime = match platform_name.as_str() {
+    let builder = match platform_name.as_str() {
         "android" => {
             let p = AndroidPlatform::new(scenario.device.clone(), SdkVersion::M5Rc15);
-            Mobivine::for_android(p.new_context())
+            Mobivine::builder().android(p.new_context())
         }
-        "s60" => Mobivine::for_s60(S60Platform::new(scenario.device.clone())),
+        "s60" => Mobivine::builder().s60(S60Platform::new(scenario.device.clone())),
         "webview" => {
             let p = AndroidPlatform::new(scenario.device.clone(), SdkVersion::M5Rc15);
-            Mobivine::for_webview(Arc::new(WebView::new(p.new_context())))
+            Mobivine::builder().webview(Arc::new(WebView::new(p.new_context())))
         }
         other => return Err(format!("unknown platform {other}").into()),
     };
-    let runtime = if trace_path.is_some() {
-        runtime.with_telemetry()
+    let builder = if trace_path.is_some() {
+        builder.with_telemetry()
     } else {
-        runtime
+        builder
     };
+    let runtime = builder.build()?;
     // The tracer handle shares the runtime's span store, so it stays
     // valid after the app takes ownership of the runtime.
     let tracer = runtime.tracer().cloned();

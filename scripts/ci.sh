@@ -8,6 +8,16 @@ cargo test -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Run the self-asserting examples: `cargo test` above only compiles
+# them. Each exits non-zero when one of its own assertions fails.
+for example in quickstart cross_platform_port enrichment incident_debugging \
+    new_platform platform_migration; do
+    cargo run -q --example "$example" > /dev/null
+done
+for platform in android s60 webview; do
+    cargo run -q --example workforce -- "$platform" > /dev/null
+done
+
 # Smoke-run the bench summary end to end: emit the machine-readable
 # figure10 document at zero scale and schema-check it.
 summary="$(mktemp)"

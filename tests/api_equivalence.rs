@@ -1,20 +1,21 @@
-//! Equivalence of the two construction surfaces after the typed-API
-//! migration.
+//! The typed resolver and the platform shorthands.
 //!
-//! The deprecated per-interface accessors (`location()`, `sms()`, ...)
-//! are gone: `proxy::<P>()` is the only acquisition surface, and this
-//! file pins what remains of the old contract:
+//! `proxy::<P>()` is the only acquisition surface and
+//! `MobivineBuilder` the only construction path; the `for_*`
+//! constructors are one-line shorthands for a bare runtime built
+//! through it. This file pins:
 //!
 //! 1. The typed resolver memoizes — repeated resolution hands back the
 //!    *same instance*, so every caller shares one proxy stack per
-//!    runtime, exactly as mixed old/new code used to.
-//! 2. A runtime assembled through [`MobivineBuilder`] is
-//!    indistinguishable from one made by the legacy `for_*`
-//!    constructors on every platform: same platform id, same catalog
-//!    support set, same proxy behaviour, same errors.
+//!    runtime.
+//! 2. Unsupported kinds fail with the catalog's error, and the failure
+//!    is not memoized.
+//! 3. A `for_*` runtime is indistinguishable from a builder-made one on
+//!    every platform: same platform id, same catalog support set, same
+//!    proxy behaviour.
 //!
-//! CI rejects reintroducing the deprecated-lint escape hatch anywhere
-//! in the tree.
+//! How each layer option behaves is pinned by the registry's unit
+//! tests, on builder-made runtimes.
 
 mod common;
 
@@ -24,13 +25,12 @@ use common::{android_runtime, device, s60_runtime, webview_runtime};
 use mobivine::api::{CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, SmsProxy};
 use mobivine::error::ProxyErrorKind;
 use mobivine::registry::{Mobivine, ProxyKind};
-use mobivine::resilience::ResiliencePolicy;
 use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::Device;
 use mobivine_s60::S60Platform;
 use mobivine_webview::WebView;
 
-fn legacy_runtimes(device: &Device) -> Vec<(&'static str, Mobivine)> {
+fn shorthand_runtimes(device: &Device) -> Vec<(&'static str, Mobivine)> {
     let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
     let web_platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
     vec![
@@ -57,7 +57,7 @@ fn builder_runtimes(device: &Device) -> Vec<(&'static str, Mobivine)> {
 #[test]
 fn typed_resolver_memoizes_one_instance_per_kind() {
     let device = device();
-    for (name, runtime) in legacy_runtimes(&device) {
+    for (name, runtime) in shorthand_runtimes(&device) {
         if runtime.supports_kind(ProxyKind::Location) {
             let first = runtime.proxy::<dyn LocationProxy>().unwrap();
             let second = runtime.proxy::<dyn LocationProxy>().unwrap();
@@ -134,11 +134,11 @@ fn unsupported_kinds_error_through_the_typed_resolver() {
 }
 
 /// Builder-made runtimes expose the same platform identity and catalog
-/// support set as the legacy constructors, on all three platforms.
+/// support set as the `for_*` shorthands, on all three platforms.
 #[test]
 fn builder_matches_legacy_constructor_identity_and_support() {
     let device = device();
-    let legacy = legacy_runtimes(&device);
+    let legacy = shorthand_runtimes(&device);
     let built = builder_runtimes(&device);
     for ((legacy_name, legacy), (built_name, built)) in legacy.iter().zip(&built) {
         assert_eq!(legacy_name, built_name);
@@ -163,7 +163,7 @@ fn builder_matches_legacy_constructor_identity_and_support() {
 #[test]
 fn builder_matches_legacy_constructor_behaviour() {
     let device = device();
-    for ((name, legacy), (_, built)) in legacy_runtimes(&device)
+    for ((name, legacy), (_, built)) in shorthand_runtimes(&device)
         .into_iter()
         .zip(builder_runtimes(&device))
     {
@@ -190,80 +190,4 @@ fn builder_matches_legacy_constructor_behaviour() {
     }
     device.advance_ms(10_000);
     assert_eq!(device.smsc().inbox("+91-sup").len(), 3);
-}
-
-/// `with_resilience` composes the same way on both construction paths:
-/// the happy-path call succeeds and the retry layer reports metrics on
-/// both, with identical attempt accounting.
-#[test]
-fn builder_resilience_matches_legacy_with_resilience() {
-    let device = device();
-    let legacy = Mobivine::for_android(
-        AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context(),
-    )
-    .with_resilience(ResiliencePolicy::default());
-    let built = Mobivine::builder()
-        .android(AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context())
-        .with_resilience(ResiliencePolicy::default())
-        .build()
-        .unwrap();
-
-    for runtime in [&legacy, &built] {
-        runtime
-            .proxy::<dyn LocationProxy>()
-            .unwrap()
-            .get_location()
-            .unwrap();
-    }
-    let legacy_metrics = legacy.resilience_metrics().expect("legacy metrics");
-    let built_metrics = built.resilience_metrics().expect("built metrics");
-    assert_eq!(
-        legacy_metrics.snapshot().calls,
-        built_metrics.snapshot().calls
-    );
-}
-
-/// `with_telemetry` composes the same way on both construction paths.
-#[test]
-fn builder_telemetry_matches_legacy_with_telemetry() {
-    let device = device();
-    let legacy = Mobivine::for_android(
-        AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context(),
-    )
-    .with_telemetry();
-    let built = Mobivine::builder()
-        .android(AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context())
-        .with_telemetry()
-        .build()
-        .unwrap();
-    assert_eq!(
-        legacy.telemetry_metrics().is_some(),
-        built.telemetry_metrics().is_some()
-    );
-    assert_eq!(legacy.tracer().is_some(), built.tracer().is_some());
-}
-
-/// `with_cache` composes the same way on both construction paths: both
-/// runtimes report cache metrics and serve the second read from cache.
-#[test]
-fn builder_cache_matches_legacy_with_cache() {
-    let device = device();
-    let legacy = Mobivine::for_android(
-        AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context(),
-    )
-    .with_cache(mobivine::cache::CachePolicy::default());
-    let built = Mobivine::builder()
-        .android(AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context())
-        .with_cache(mobivine::cache::CachePolicy::default())
-        .build()
-        .unwrap();
-
-    for runtime in [&legacy, &built] {
-        let location = runtime.proxy::<dyn LocationProxy>().unwrap();
-        location.get_location().unwrap();
-        location.get_location().unwrap();
-        let metrics = runtime.cache_metrics().expect("cache metrics");
-        let snapshot = metrics.snapshot();
-        assert_eq!((snapshot.miss, snapshot.hit), (1, 1));
-    }
 }

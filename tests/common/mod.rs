@@ -3,15 +3,18 @@
 //! Every cross-platform test wants the same shape: one simulated
 //! [`Device`] and a MobiVine runtime per platform binding (Android, S60,
 //! WebView) sharing it, so identical behaviour can be asserted across
-//! the board. This module is the single home of that fixture.
+//! the board. This module is the single home of that fixture, plus
+//! ([`memory_plane`]) a fourth platform that exists only in tests.
 
 // Each test binary that declares `mod common;` uses its own subset of
 // these helpers.
 #![allow(dead_code)]
 
+pub mod memory_plane;
+
 use std::sync::Arc;
 
-use mobivine::registry::Mobivine;
+use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
 use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::{Device, GeoPoint};
@@ -29,28 +32,48 @@ pub fn device() -> Device {
     device
 }
 
+/// A builder targeting Android over `device`: add layers, then build.
+pub fn android_builder(device: &Device) -> MobivineBuilder {
+    let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
+    Mobivine::builder().android(platform.new_context())
+}
+
+/// A builder targeting S60 over `device`.
+pub fn s60_builder(device: &Device) -> MobivineBuilder {
+    Mobivine::builder().s60(S60Platform::new(device.clone()))
+}
+
+/// A builder targeting a fresh WebView page over `device`.
+pub fn webview_builder(device: &Device) -> MobivineBuilder {
+    let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
+    Mobivine::builder().webview(Arc::new(WebView::new(platform.new_context())))
+}
+
+/// Targets one platform over a device.
+pub type PlatformBuilder = fn(&Device) -> MobivineBuilder;
+
+/// Every platform's builder, by name.
+pub const BUILDERS: [(&str, PlatformBuilder); 3] = [
+    ("android", android_builder),
+    ("s60", s60_builder),
+    ("webview", webview_builder),
+];
+
 /// An Android-bound runtime over `device`.
 pub fn android_runtime(device: &Device) -> Mobivine {
-    let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-    Mobivine::builder()
-        .android(platform.new_context())
+    android_builder(device)
         .build()
         .expect("android runtime builds")
 }
 
 /// An S60-bound runtime over `device`.
 pub fn s60_runtime(device: &Device) -> Mobivine {
-    Mobivine::builder()
-        .s60(S60Platform::new(device.clone()))
-        .build()
-        .expect("s60 runtime builds")
+    s60_builder(device).build().expect("s60 runtime builds")
 }
 
 /// A WebView-bound runtime over `device`.
 pub fn webview_runtime(device: &Device) -> Mobivine {
-    let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-    Mobivine::builder()
-        .webview(Arc::new(WebView::new(platform.new_context())))
+    webview_builder(device)
         .build()
         .expect("webview runtime builds")
 }
@@ -70,15 +93,14 @@ pub fn runtimes(device: &Device) -> Vec<(&'static str, Mobivine)> {
 pub fn resilient_runtimes_isolated(
     policy: &ResiliencePolicy,
 ) -> Vec<(&'static str, Device, Mobivine)> {
-    let make = [
-        ("android", android_runtime as fn(&Device) -> Mobivine),
-        ("s60", s60_runtime as fn(&Device) -> Mobivine),
-        ("webview", webview_runtime as fn(&Device) -> Mobivine),
-    ];
-    make.into_iter()
-        .map(|(name, make)| {
+    BUILDERS
+        .into_iter()
+        .map(|(name, builder)| {
             let device = device();
-            let runtime = make(&device).with_resilience(policy.clone());
+            let runtime = builder(&device)
+                .with_resilience(policy.clone())
+                .build()
+                .expect("resilient runtime builds");
             (name, device, runtime)
         })
         .collect()

@@ -18,7 +18,7 @@ use std::sync::{Arc, Weak};
 use mobivine::api::{HttpProxy, LocationProxy, SmsProxy};
 use mobivine::cache::CachePolicy;
 use mobivine::overload::OverloadPolicy;
-use mobivine::registry::Mobivine;
+use mobivine::registry::MobivineBuilder;
 use mobivine::resilience::ResiliencePolicy;
 use mobivine::JournalPolicy;
 use mobivine_device::fault::{CrashKind, CrashSchedule, FaultPlan};
@@ -80,7 +80,7 @@ impl Watch {
 
 /// Builds, exercises and drops one fully layered runtime over a device
 /// with a pending fault plan, returning what to watch.
-fn run_and_drop(platform: &str, runtime: fn(&Device) -> Mobivine) -> Watch {
+fn run_and_drop(platform: &str, builder: fn(&Device) -> MobivineBuilder) -> Watch {
     let device = common::device();
     let route_state = Arc::new(());
     let captured = Arc::clone(&route_state);
@@ -94,12 +94,14 @@ fn run_and_drop(platform: &str, runtime: fn(&Device) -> Mobivine) -> Watch {
         },
     );
     plan_everything(&device);
-    let runtime = runtime(&device)
+    let runtime = builder(&device)
         .with_telemetry()
         .with_cache(CachePolicy::default())
         .with_overload(OverloadPolicy::default())
         .with_journal(JournalPolicy::default())
-        .with_resilience(ResiliencePolicy::default());
+        .with_resilience(ResiliencePolicy::default())
+        .build()
+        .expect("layered runtime builds");
     let location = runtime.proxy::<dyn LocationProxy>().unwrap();
     let sms = runtime.proxy::<dyn SmsProxy>().unwrap();
     let http = runtime.proxy::<dyn HttpProxy>().unwrap();
@@ -119,15 +121,15 @@ fn run_and_drop(platform: &str, runtime: fn(&Device) -> Mobivine) -> Watch {
 
 #[test]
 fn an_android_device_with_a_pending_plan_is_released() {
-    run_and_drop("android", common::android_runtime).assert_released("android");
+    run_and_drop("android", common::android_builder).assert_released("android");
 }
 
 #[test]
 fn an_s60_device_with_a_pending_plan_is_released() {
-    run_and_drop("s60", common::s60_runtime).assert_released("s60");
+    run_and_drop("s60", common::s60_builder).assert_released("s60");
 }
 
 #[test]
 fn a_webview_device_with_a_pending_plan_is_released() {
-    run_and_drop("webview", common::webview_runtime).assert_released("webview");
+    run_and_drop("webview", common::webview_builder).assert_released("webview");
 }

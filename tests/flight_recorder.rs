@@ -12,7 +12,7 @@
 
 mod common;
 
-use common::{device, runtimes};
+use common::{device, BUILDERS};
 use mobivine::api::LocationProxy;
 use mobivine::overload::{with_deadline, Deadline};
 use mobivine_device::gps::GpsAvailability;
@@ -23,8 +23,8 @@ use mobivine_telemetry::{PromotionPolicy, PromotionReason};
 #[test]
 fn blown_deadlines_promote_validated_trace_trees_on_every_platform() {
     let device = device();
-    for (name, runtime) in runtimes(&device) {
-        let runtime = runtime.with_telemetry();
+    for (name, builder) in BUILDERS {
+        let runtime = builder(&device).with_telemetry().build().unwrap();
         let proxy = runtime.proxy::<dyn LocationProxy>().unwrap();
 
         // The batch's deadline expired 45 virtual ms ago by the time
@@ -63,8 +63,8 @@ fn gps_outages_promote_error_traces_uniformly() {
     device
         .gps()
         .set_availability(GpsAvailability::TemporarilyUnavailable);
-    for (name, runtime) in runtimes(&device) {
-        let runtime = runtime.with_telemetry();
+    for (name, builder) in BUILDERS {
+        let runtime = builder(&device).with_telemetry().build().unwrap();
         let proxy = runtime.proxy::<dyn LocationProxy>().unwrap();
         proxy.get_location().unwrap_err();
 
@@ -96,8 +96,8 @@ fn gps_outages_promote_error_traces_uniformly() {
 #[test]
 fn healthy_traffic_promotes_nothing() {
     let device = device();
-    for (name, runtime) in runtimes(&device) {
-        let runtime = runtime.with_telemetry();
+    for (name, builder) in BUILDERS {
+        let runtime = builder(&device).with_telemetry().build().unwrap();
         let proxy = runtime.proxy::<dyn LocationProxy>().unwrap();
         for _ in 0..5 {
             proxy.get_location().expect("gps is healthy");
@@ -113,8 +113,11 @@ fn exemplars_and_recorder_counters_surface_on_the_prometheus_page() {
     // Retention 1 forces ring wrap-around on every multi-span trace, so
     // the eviction counter must tick; promotion still works because the
     // recorder snapshots the tree before the ring overwrites it.
-    let runtime =
-        common::android_runtime(&device).with_telemetry_recorder(1, PromotionPolicy::default());
+    let runtime = common::android_builder(&device)
+        .with_telemetry_retention(1)
+        .with_promotion_policy(PromotionPolicy::default())
+        .build()
+        .unwrap();
     let proxy = runtime.proxy::<dyn LocationProxy>().unwrap();
 
     let deadline = Deadline::after(device.clock().now_ms(), 5);
@@ -156,7 +159,10 @@ fn exemplars_and_recorder_counters_surface_on_the_prometheus_page() {
 fn promotion_is_deterministic_across_reruns() {
     let promoted_ids = || {
         let device = device();
-        let runtime = common::android_runtime(&device).with_telemetry();
+        let runtime = common::android_builder(&device)
+            .with_telemetry()
+            .build()
+            .unwrap();
         let proxy = runtime.proxy::<dyn LocationProxy>().unwrap();
         for round in 0..4 {
             let deadline = Deadline::after(device.clock().now_ms(), 5);

@@ -18,7 +18,7 @@ use mobivine::cache::CachePolicy;
 use mobivine::error::ProxyErrorKind;
 use mobivine::overload::OverloadPolicy;
 use mobivine::property::PropertyValue;
-use mobivine::registry::Mobivine;
+use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
 use mobivine::JournalPolicy;
 use mobivine_device::gps::GpsAvailability;
@@ -30,14 +30,16 @@ use mobivine_telemetry::span::SpanRecord;
 /// Upper bound on requests before the tightened admission gate sheds.
 const MAX_REQUESTS_BEFORE_SHED: usize = 200;
 
-/// `runtime` with every policy layer on.
-fn fully_layered(runtime: Mobivine) -> Mobivine {
-    runtime
+/// A runtime on the platform `builder` targets, every policy layer on.
+fn fully_layered(builder: MobivineBuilder) -> Mobivine {
+    builder
         .with_telemetry()
         .with_cache(CachePolicy::default())
         .with_overload(OverloadPolicy::default())
         .with_journal(JournalPolicy::default())
         .with_resilience(ResiliencePolicy::default())
+        .build()
+        .expect("layered runtime builds")
 }
 
 /// Runs the script on one platform and returns the spans of the
@@ -96,9 +98,9 @@ fn script(device: &Device, runtime: &Mobivine) -> Vec<SpanRecord> {
 fn render(platform: &str) -> String {
     let device = common::device();
     let runtime = match platform {
-        "android" => common::android_runtime(&device),
-        "s60" => common::s60_runtime(&device),
-        _ => common::webview_runtime(&device),
+        "android" => common::android_builder(&device),
+        "s60" => common::s60_builder(&device),
+        _ => common::webview_builder(&device),
     };
     let spans = script(&device, &fully_layered(runtime));
     chrome_trace_json(&spans)

@@ -8,7 +8,7 @@
 //! must have kept producing expositions throughout.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 use mobivine_telemetry::metrics::{Labels, MetricsRegistry};
@@ -28,6 +28,10 @@ fn series_labels(recorder: usize, series: u64) -> Labels {
 fn scrape_concurrent_with_heavy_recording_loses_nothing() {
     let registry = MetricsRegistry::shared();
     let done = Arc::new(AtomicBool::new(false));
+    // Every recorder pauses halfway until the scraper has finished its
+    // first scrape, so at least one scrape lands mid-recording however
+    // the threads are scheduled.
+    let first_scrape = &Barrier::new(RECORDERS + 1);
 
     let scrapes_seen = thread::scope(|scope| {
         let recorders: Vec<_> = (0..RECORDERS)
@@ -47,6 +51,9 @@ fn scrape_concurrent_with_heavy_recording_loses_nothing() {
                         })
                         .collect();
                     for i in 0..INCREMENTS_PER_RECORDER {
+                        if i == INCREMENTS_PER_RECORDER / 2 {
+                            first_scrape.wait();
+                        }
                         let (counter, histogram) = &series[(i % SERIES_PER_RECORDER) as usize];
                         counter.inc();
                         histogram.record(i % 64);
@@ -62,12 +69,17 @@ fn scrape_concurrent_with_heavy_recording_loses_nothing() {
             let done = Arc::clone(&done);
             scope.spawn(move || {
                 let mut scrapes = 0u64;
-                while !done.load(Ordering::Acquire) {
+                loop {
                     let exposition = registry.render_prometheus();
                     std::hint::black_box(&exposition);
                     scrapes += 1;
+                    if scrapes == 1 {
+                        first_scrape.wait();
+                    }
+                    if done.load(Ordering::Acquire) {
+                        break scrapes;
+                    }
                 }
-                scrapes
             })
         };
 

@@ -9,56 +9,26 @@
 
 mod common;
 
-use std::sync::Arc;
-
-use common::device;
+use common::{android_builder, device, webview_builder, BUILDERS};
 use mobivine::api::LocationProxy;
 use mobivine::error::ProxyErrorKind;
 use mobivine::overload::{with_deadline, Deadline, OverloadPolicy};
 use mobivine::registry::Mobivine;
-use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::Device;
-use mobivine_s60::S60Platform;
 use mobivine_telemetry::span::{Plane, SpanRecord};
-use mobivine_webview::WebView;
-
-fn android_runtime(device: &Device) -> Mobivine {
-    let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-    Mobivine::builder()
-        .android(platform.new_context())
-        .build()
-        .expect("android runtime builds")
-}
-
-fn s60_runtime(device: &Device) -> Mobivine {
-    Mobivine::builder()
-        .s60(S60Platform::new(device.clone()))
-        .build()
-        .expect("s60 runtime builds")
-}
-
-fn webview_runtime(device: &Device) -> Mobivine {
-    let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-    Mobivine::builder()
-        .webview(Arc::new(WebView::new(platform.new_context())))
-        .build()
-        .expect("webview runtime builds")
-}
 
 /// One overload-protected, traced runtime per platform binding, each
 /// over its own fresh fixture device.
 fn overloaded_runtimes() -> Vec<(&'static str, Device, Mobivine)> {
-    let make = [
-        ("android", android_runtime as fn(&Device) -> Mobivine),
-        ("s60", s60_runtime as fn(&Device) -> Mobivine),
-        ("webview", webview_runtime as fn(&Device) -> Mobivine),
-    ];
-    make.into_iter()
-        .map(|(name, make)| {
+    BUILDERS
+        .into_iter()
+        .map(|(name, builder)| {
             let device = device();
-            let runtime = make(&device)
+            let runtime = builder(&device)
                 .with_telemetry()
-                .with_overload(OverloadPolicy::default());
+                .with_overload(OverloadPolicy::default())
+                .build()
+                .expect("overloaded runtime builds");
             (name, device, runtime)
         })
         .collect()
@@ -136,7 +106,7 @@ fn the_webview_bridge_itself_enforces_the_marshalled_budget() {
     // the JS bridge next to `traceparent`, and the wrapper on the far
     // side rejects an exhausted budget before the native proxy runs.
     let device = device();
-    let runtime = webview_runtime(&device).with_telemetry();
+    let runtime = webview_builder(&device).with_telemetry().build().unwrap();
     let expired = Deadline::after(device.now_ms(), 0);
     let (result, spans) = traced_call_with_deadline(&runtime, &device, expired);
 
@@ -169,9 +139,11 @@ fn sustained_pressure_sheds_with_a_typed_retry_hint() {
         "/ping",
         |_| mobivine_device::net::HttpResponse::status_only(200),
     );
-    let runtime = android_runtime(&device)
+    let runtime = android_builder(&device)
         .with_telemetry()
-        .with_overload(OverloadPolicy::default().target_ms(1).shed_seed(7));
+        .with_overload(OverloadPolicy::default().target_ms(1).shed_seed(7))
+        .build()
+        .unwrap();
     let proxy = runtime
         .proxy::<dyn mobivine::api::HttpProxy>()
         .expect("http proxy resolves");

@@ -9,7 +9,7 @@ mod common;
 use std::sync::Arc;
 use std::thread;
 
-use common::{android_runtime, device, s60_runtime, webview_runtime};
+use common::{android_builder, device, BUILDERS};
 use mobivine::api::LocationProxy;
 use mobivine::cache::CachePolicy;
 use mobivine::property::PropertyValue;
@@ -21,15 +21,14 @@ use mobivine_device::Device;
 /// One **cached** runtime per platform binding, each over its own fresh
 /// fixture device so cache counters never cross-talk.
 fn cached_runtimes_isolated(policy: &CachePolicy) -> Vec<(&'static str, Device, Mobivine)> {
-    let make = [
-        ("android", android_runtime as fn(&Device) -> Mobivine),
-        ("s60", s60_runtime as fn(&Device) -> Mobivine),
-        ("webview", webview_runtime as fn(&Device) -> Mobivine),
-    ];
-    make.into_iter()
-        .map(|(name, make)| {
+    BUILDERS
+        .into_iter()
+        .map(|(name, builder)| {
             let device = device();
-            let runtime = make(&device).with_cache(policy.clone());
+            let runtime = builder(&device)
+                .with_cache(policy.clone())
+                .build()
+                .expect("cached runtime builds");
             (name, device, runtime)
         })
         .collect()
@@ -101,7 +100,8 @@ fn fault_transition_invalidates_on_every_platform() {
 #[test]
 fn concurrent_reads_fill_the_binding_plane_exactly_once() {
     let device = device();
-    let runtime = Arc::new(android_runtime(&device).with_cache(CachePolicy::default()));
+    let runtime = android_builder(&device).with_cache(CachePolicy::default());
+    let runtime = Arc::new(runtime.build().unwrap());
     let metrics = runtime.cache_metrics().expect("cache metrics");
 
     const READERS: usize = 8;

@@ -9,13 +9,17 @@
 //! plus a rebuilt descriptor per proxy would take.
 //!
 //! The counter is a thread-local [`GlobalAlloc`] wrapper, as in
-//! `zero_alloc_telemetry.rs`; the test holds every platform in one
-//! `#[test]` so the process-wide catalog is warmed once, up front.
+//! `zero_alloc_telemetry.rs`; the test holds every platform — the
+//! test-only memory plane included — in one `#[test]` so the
+//! process-wide catalogs are warmed once, up front.
+
+mod common;
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
+use common::memory_plane::{memory_catalog, MemoryPlane};
 use mobivine::registry::MobivineBuilder;
 use mobivine::shard::ShardedRegistry;
 use mobivine_android::{AndroidPlatform, SdkVersion};
@@ -118,5 +122,15 @@ fn pushing_and_warming_a_bare_runtime_makes_a_bounded_number_of_allocations() {
     assert!(
         worst <= MAX_ALLOCS_PER_RUNTIME,
         "webview push + warm made {worst} allocations (bound {MAX_ALLOCS_PER_RUNTIME})"
+    );
+
+    // The test-only fourth platform: its extended catalog is built
+    // once, up front, like the standard one.
+    let memory = Arc::new(MemoryPlane::new(Device::builder().build()));
+    drop(memory_catalog());
+    let worst = worst_push_and_warm(&|b| b.platform(memory.clone()));
+    assert!(
+        worst <= MAX_ALLOCS_PER_RUNTIME,
+        "memory push + warm made {worst} allocations (bound {MAX_ALLOCS_PER_RUNTIME})"
     );
 }

@@ -12,7 +12,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{android_runtime, device, s60_runtime, webview_runtime};
+use common::{android_builder, device, webview_builder, BUILDERS};
 use mobivine::api::LocationProxy;
 use mobivine::registry::Mobivine;
 use mobivine::resilience::ResiliencePolicy;
@@ -75,9 +75,11 @@ fn traced_get_location(runtime: &Mobivine, device: &mobivine_device::Device) -> 
 #[test]
 fn android_call_descends_every_plane_as_one_tree() {
     let device = device();
-    let runtime = android_runtime(&device)
+    let runtime = android_builder(&device)
         .with_resilience(ResiliencePolicy::default())
-        .with_telemetry();
+        .with_telemetry()
+        .build()
+        .unwrap();
     let spans = traced_get_location(&runtime, &device);
     assert_connected_and_monotonic(&spans);
 
@@ -110,9 +112,11 @@ fn android_call_descends_every_plane_as_one_tree() {
 #[test]
 fn android_trace_round_trips_through_chrome_export() {
     let device = device();
-    let runtime = android_runtime(&device)
+    let runtime = android_builder(&device)
         .with_resilience(ResiliencePolicy::default())
-        .with_telemetry();
+        .with_telemetry()
+        .build()
+        .unwrap();
     let spans = traced_get_location(&runtime, &device);
     let json = chrome_trace_json(&spans);
     let summary = validate_chrome_trace(&json).expect("export validates");
@@ -123,7 +127,7 @@ fn android_trace_round_trips_through_chrome_export() {
 #[test]
 fn webview_bridge_crossing_keeps_the_tree_connected() {
     let device = device();
-    let runtime = webview_runtime(&device).with_telemetry();
+    let runtime = webview_builder(&device).with_telemetry().build().unwrap();
     let spans = traced_get_location(&runtime, &device);
     assert_connected_and_monotonic(&spans);
 
@@ -171,7 +175,11 @@ impl Midlet for TracedMidlet {
 fn s60_midlet_path_yields_one_connected_tree() {
     let device = device();
     let platform = S60Platform::new(device.clone());
-    let runtime = Mobivine::for_s60(platform.clone()).with_telemetry();
+    let runtime = Mobivine::builder()
+        .s60(platform.clone())
+        .with_telemetry()
+        .build()
+        .unwrap();
     let midlet = TracedMidlet {
         proxy: runtime
             .proxy::<dyn LocationProxy>()
@@ -198,16 +206,9 @@ fn s60_midlet_path_yields_one_connected_tree() {
 
 #[test]
 fn all_three_platforms_produce_complete_parented_trees() {
-    for (name, make) in [
-        (
-            "android",
-            android_runtime as fn(&mobivine_device::Device) -> Mobivine,
-        ),
-        ("s60", s60_runtime),
-        ("webview", webview_runtime),
-    ] {
+    for (name, builder) in BUILDERS {
         let device = device();
-        let runtime = make(&device).with_telemetry();
+        let runtime = builder(&device).with_telemetry().build().unwrap();
         let spans = traced_get_location(&runtime, &device);
         assert!(spans.len() >= 4, "{name}: expected a multi-plane descent");
         assert_connected_and_monotonic(&spans);

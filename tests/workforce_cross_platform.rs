@@ -7,7 +7,7 @@ mod common;
 
 use std::sync::Arc;
 
-use common::{android_runtime, s60_runtime, webview_runtime};
+use common::{android_runtime, s60_runtime, webview_runtime, BUILDERS};
 use mobivine::api::{HttpProxy, LocationProxy};
 use mobivine::registry::Mobivine;
 use mobivine::resilience::ResiliencePolicy;
@@ -152,20 +152,16 @@ fn resilient_proxy_variant_rides_out_a_startup_partition() {
     // the startup fetch retries across the outage on the simulated
     // clock and the patrol then completes with the standard outcome —
     // the application code is unchanged.
-    for (name, make) in [
-        (
-            "android",
-            android_runtime as fn(&mobivine_device::Device) -> Mobivine,
-        ),
-        ("s60", s60_runtime),
-        ("webview", webview_runtime),
-    ] {
+    for (name, builder) in BUILDERS {
         let scenario = Scenario::two_site_patrol(5);
-        let runtime = make(&scenario.device).with_resilience(
-            ResiliencePolicy::default()
-                .backoff_base_ms(500)
-                .jitter_seed(9),
-        );
+        let runtime = builder(&scenario.device)
+            .with_resilience(
+                ResiliencePolicy::default()
+                    .backoff_base_ms(500)
+                    .jitter_seed(9),
+            )
+            .build()
+            .unwrap();
         let metrics = runtime.resilience_metrics().unwrap();
         FaultPlan::new(&scenario.device).network_partition(1, 400);
         scenario.device.advance_ms(1);

@@ -41,7 +41,7 @@ use std::sync::Arc;
 use mobivine::api::LocationProxy;
 use mobivine::cache::CachePolicy;
 use mobivine::overload::OverloadPolicy;
-use mobivine::registry::Mobivine;
+use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
 use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::Device;
@@ -112,13 +112,24 @@ fn measure_each(calls: u32, prepare: &dyn Fn(), call: &dyn Fn()) -> u64 {
 const WARMUP_CALLS: u32 = 5;
 const MEASURED_CALLS: u32 = 50;
 
-/// `runtime` with telemetry, cache, overload and resilience on.
-fn every_read_layer(runtime: Mobivine) -> Mobivine {
-    runtime
+/// A runtime on the platform `builder` targets, with telemetry, cache,
+/// overload and resilience on.
+fn every_read_layer(builder: MobivineBuilder) -> Mobivine {
+    builder
         .with_telemetry()
         .with_cache(CachePolicy::default())
         .with_overload(OverloadPolicy::default())
         .with_resilience(ResiliencePolicy::default())
+        .build()
+        .expect("layered runtime builds")
+}
+
+/// A runtime on the platform `builder` targets, with telemetry on.
+fn traced(builder: MobivineBuilder) -> Mobivine {
+    builder
+        .with_telemetry()
+        .build()
+        .expect("traced runtime builds")
 }
 
 /// Pins the warmed, fully layered read paths of `runtime` at zero
@@ -157,7 +168,7 @@ fn assert_layered_reads_allocate_nothing(platform: &str, device: &Device, runtim
 fn traced_get_location_allocates_nothing_after_warmup() {
     // --- Android: absolute zero -----------------------------------
     let android = AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15);
-    let runtime = Mobivine::for_android(android.new_context()).with_telemetry();
+    let runtime = traced(Mobivine::builder().android(android.new_context()));
     let proxy = runtime
         .proxy::<dyn LocationProxy>()
         .expect("android supports Location");
@@ -170,7 +181,7 @@ fn traced_get_location_allocates_nothing_after_warmup() {
     );
 
     // --- S60: absolute zero ---------------------------------------
-    let runtime = Mobivine::for_s60(S60Platform::new(Device::builder().build())).with_telemetry();
+    let runtime = traced(Mobivine::builder().s60(S60Platform::new(Device::builder().build())));
     let proxy = runtime
         .proxy::<dyn LocationProxy>()
         .expect("s60 supports Location");
@@ -185,7 +196,7 @@ fn traced_get_location_allocates_nothing_after_warmup() {
     // --- WebView: absolute zero through the wire arenas -----------
     let android = AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15);
     let webview = Arc::new(WebView::new(android.new_context()));
-    let runtime = Mobivine::for_webview(webview).with_telemetry();
+    let runtime = traced(Mobivine::builder().webview(webview));
     let proxy = runtime
         .proxy::<dyn LocationProxy>()
         .expect("webview supports Location");
@@ -202,16 +213,16 @@ fn traced_get_location_allocates_nothing_after_warmup() {
     // --- Every read layer, on every platform: absolute zero --------
     let device = Device::builder().build();
     let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-    let runtime = every_read_layer(Mobivine::for_android(android.new_context()));
+    let runtime = every_read_layer(Mobivine::builder().android(android.new_context()));
     assert_layered_reads_allocate_nothing("android", &device, &runtime);
 
     let device = Device::builder().build();
-    let runtime = every_read_layer(Mobivine::for_s60(S60Platform::new(device.clone())));
+    let runtime = every_read_layer(Mobivine::builder().s60(S60Platform::new(device.clone())));
     assert_layered_reads_allocate_nothing("s60", &device, &runtime);
 
     let device = Device::builder().build();
     let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
     let webview = Arc::new(WebView::new(android.new_context()));
-    let runtime = every_read_layer(Mobivine::for_webview(webview));
+    let runtime = every_read_layer(Mobivine::builder().webview(webview));
     assert_layered_reads_allocate_nothing("webview", &device, &runtime);
 }
