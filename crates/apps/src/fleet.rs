@@ -492,15 +492,6 @@ pub struct BridgeDigest {
 }
 
 impl FleetReport {
-    /// Throughput in operations per *virtual* second (deterministic,
-    /// unlike wall-clock throughput).
-    pub fn virtual_ops_per_sec(&self) -> u64 {
-        if self.virtual_elapsed_ms == 0 {
-            return 0;
-        }
-        self.total_ops * 1_000 / self.virtual_elapsed_ms
-    }
-
     /// Every numeric outcome of the run except the op and error counts
     /// and the checksum, flattened under stable names: the run-wide
     /// counters and latency quantiles, `shardN.p99_ms` per shard, and
@@ -519,7 +510,6 @@ impl FleetReport {
             ("p50_ms", self.p50_ms),
             ("p95_ms", self.p95_ms),
             ("p99_ms", self.p99_ms),
-            ("virtual_ops_per_sec", self.virtual_ops_per_sec()),
         ]
         .into_iter()
         .map(|(key, value)| (key.to_owned(), value))
@@ -1637,7 +1627,6 @@ mod tests {
         let tracked: u64 = report.per_shard.iter().map(|s| s.server.tracks).sum();
         assert_eq!(tracked, report.http_ok);
         assert_eq!(report.virtual_elapsed_ms, 1_500);
-        assert!(report.virtual_ops_per_sec() > 0);
     }
 
     #[test]

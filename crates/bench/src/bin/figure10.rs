@@ -6,26 +6,17 @@
 //! Native API costs are calibrated to the paper's handset measurements;
 //! the proxy overhead on top is real measured Rust. The paper's values
 //! are printed alongside each measured pair. `--json` replaces the
-//! human-readable tables with a machine-readable summary (schema
-//! `mobivine.figure10.v3`, which adds the journal-overhead ablation —
-//! durability off vs journal vs journal + checkpoints on the same
-//! fleet traffic — and its bounded-overhead gate, on top of v2's
-//! WebView bridge-marshalling ablation and its 3x gate) on stdout, or
-//! at `PATH` when one follows the flag; `--check PATH` validates an
-//! existing summary file instead of measuring anything.
+//! human-readable table with a machine-readable summary (schema
+//! `mobivine.figure10.v4`) on stdout, or at `PATH` when one follows the
+//! flag; `--check PATH` validates an existing summary file instead of
+//! measuring anything. An unknown scale or a run count that is not a
+//! positive integer exits with status 2.
 
-use mobivine_bench::bridge_overhead::{
-    bridge_overhead_speedup, render_bridge_overhead_table, run_bridge_overhead,
-};
-use mobivine_bench::figure10::{
-    journal_overhead_factor, render_journal_table, render_resilience_table, render_table,
-    render_telemetry_table, run_figure10, run_journal_ablation, run_resilience_overhead,
-    run_telemetry_overhead, Scale,
-};
-use mobivine_bench::summary::{summary_json, validate_summary_json, SummarySections};
-use mobivine_bench::telemetry_hotpath::{
-    hotpath_speedup, render_hotpath_table, run_hotpath_comparison,
-};
+use std::num::NonZeroU32;
+
+use mobivine_bench::figure10::{render_table, run_figure10, Scale};
+use mobivine_bench::flag_value;
+use mobivine_bench::summary::{summary_json, validate_summary_json};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -35,55 +26,25 @@ fn main() {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--runs" => {
-                runs = args.get(i + 1).and_then(|v| v.parse().ok()).unwrap_or(runs);
-                i += 2;
-            }
-            "--scale" => {
-                scale = match args.get(i + 1).map(String::as_str) {
-                    Some("bench") => Scale::Bench,
-                    Some("zero") => Scale::ZeroCost,
-                    _ => Scale::Paper,
-                };
-                i += 2;
-            }
+            "--runs" => runs = flag_value::<NonZeroU32>(&args, i).get(),
+            "--scale" => scale = flag_value(&args, i),
             "--json" => {
                 // An optional path may follow; a bare `--json` (or one
                 // followed by another flag) writes to stdout.
-                match args.get(i + 1) {
-                    Some(path) if !path.starts_with("--") => {
-                        json_out = Some(Some(path.clone()));
-                        i += 2;
-                    }
-                    _ => {
-                        json_out = Some(None);
-                        i += 1;
-                    }
-                }
+                let path = args.get(i + 1).filter(|p| !p.starts_with("--")).cloned();
+                i += if path.is_some() { 2 } else { 1 };
+                json_out = Some(path);
+                continue;
             }
             "--check" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--check requires a file path");
-                    std::process::exit(2);
-                };
-                let text = match std::fs::read_to_string(path) {
-                    Ok(text) => text,
-                    Err(e) => {
-                        eprintln!("cannot read {path}: {e}");
-                        std::process::exit(1);
-                    }
-                };
+                let path: String = flag_value(&args, i);
+                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+                    eprintln!("cannot read {path}: {e}");
+                    std::process::exit(1);
+                });
                 match validate_summary_json(&text) {
-                    Ok(check) => {
-                        println!(
-                            "{path}: valid ({} figure10 rows, {} resilience rows, {} telemetry rows, {} hotpath rows, {} bridge rows, {} journal rows)",
-                            check.figure10_rows,
-                            check.resilience_rows,
-                            check.telemetry_rows,
-                            check.hotpath_rows,
-                            check.bridge_rows,
-                            check.journal_rows
-                        );
+                    Ok(()) => {
+                        println!("{path}: valid (the nine Figure 10 pairs)");
                         std::process::exit(0);
                     }
                     Err(e) => {
@@ -97,37 +58,14 @@ fn main() {
                 std::process::exit(2);
             }
         }
+        i += 2;
     }
 
     eprintln!("running figure 10 at {scale:?} scale, {runs} executions per API ...");
     let rows = run_figure10(scale, runs);
-    let resilience_rows = run_resilience_overhead(scale, runs);
-    let telemetry_rows = run_telemetry_overhead(scale, runs);
-    let hotpath_ops = match scale {
-        Scale::ZeroCost => 50_000,
-        _ => 500_000,
-    };
-    let hotpath_rows = run_hotpath_comparison(hotpath_ops);
-    let bridge_reads = match scale {
-        Scale::ZeroCost => 20_000,
-        _ => 200_000,
-    };
-    let bridge_rows = run_bridge_overhead(bridge_reads);
-    let journal_rows = run_journal_ablation();
 
     if let Some(target) = json_out {
-        let json = summary_json(
-            scale.as_str(),
-            runs,
-            &SummarySections {
-                rows: &rows,
-                resilience: &resilience_rows,
-                telemetry: &telemetry_rows,
-                hotpath: &hotpath_rows,
-                bridge: &bridge_rows,
-                journal: &journal_rows,
-            },
-        );
+        let json = summary_json(scale, runs, &rows);
         match target {
             Some(path) => {
                 if let Err(e) = std::fs::write(&path, &json) {
@@ -145,7 +83,7 @@ fn main() {
 
     let max_overhead = rows
         .iter()
-        .map(Figure10RowExt::overhead)
+        .map(|row| row.overhead_fraction())
         .fold(0.0f64, f64::max);
     println!(
         "\nmax relative proxy overhead: {:.1}% (paper max: 5.5%)",
@@ -154,43 +92,4 @@ fn main() {
     println!(
         "conclusion: the overhead of the proxy is a small fraction of the corresponding native interface"
     );
-
-    println!();
-    print!("{}", render_resilience_table(&resilience_rows));
-
-    println!();
-    print!("{}", render_telemetry_table(&telemetry_rows));
-
-    println!();
-    print!("{}", render_hotpath_table(&hotpath_rows));
-    if let Some(speedup) = hotpath_speedup(&hotpath_rows) {
-        let verdict = if speedup >= 5.0 { "PASS" } else { "FAIL" };
-        println!("acceptance (>= 5x cached-handle speedup): {verdict}");
-    }
-
-    println!();
-    print!("{}", render_bridge_overhead_table(&bridge_rows));
-    if let Some(speedup) = bridge_overhead_speedup(&bridge_rows) {
-        let verdict = if speedup >= 3.0 { "PASS" } else { "FAIL" };
-        println!("acceptance (>= 3x batched wire-buf speedup): {verdict}");
-    }
-
-    println!();
-    print!("{}", render_journal_table(&journal_rows));
-    match journal_overhead_factor(&journal_rows) {
-        Some(factor) if factor < 10.0 => {
-            println!("acceptance (checksum parity + durable cost < 10x baseline): PASS");
-        }
-        _ => println!("acceptance (checksum parity + durable cost < 10x baseline): FAIL"),
-    }
-}
-
-trait Figure10RowExt {
-    fn overhead(&self) -> f64;
-}
-
-impl Figure10RowExt for mobivine_bench::figure10::Figure10Row {
-    fn overhead(&self) -> f64 {
-        self.overhead_fraction()
-    }
 }

@@ -1,35 +1,28 @@
-//! Fleet benchmark: every declared fleet scenario, plus the
-//! proxy-acquisition comparison.
+//! Fleet benchmark: every declared fleet scenario.
 //!
 //! Usage: `cargo run -p mobivine-bench --bin fleet [--devices N]
 //! [--shards A,B,C] [--workers N] [--rounds N] [--ops N] [--seed N]
 //! [--json [PATH]] [--check PATH] [--compare PATH] [--scenario NAME]`
 //!
 //! Runs every scenario of [`SCENARIOS`] — the scaling sweep, which the
-//! sizing flags shape, and the fixed-size brownout, cache, bridge and
-//! crash comparisons — and the wall-clock resolution comparison
-//! (per-call construction vs sharded + memoized), prints each
-//! scenario's table with its gate verdicts, and exits non-zero if any
-//! gate fails. `--json` writes the `mobivine.fleet.v7` summary instead
-//! of the tables — deterministic for a fixed sweep — on stdout, or at
-//! `PATH` when one follows the flag. `--check PATH` parses a summary and
-//! evaluates every declared gate over its rows. `--scenario NAME` runs
-//! one scenario, prints its table and exits non-zero if a gate fails.
+//! sizing flags shape, and the fixed-size brownout, cache, bridge, crash
+//! and journal comparisons — prints each scenario's table with its gate
+//! verdicts, and exits non-zero if any gate fails. `--json` writes the
+//! `mobivine.fleet.v8` summary instead of the tables — deterministic for
+//! a fixed sweep — on stdout, or at `PATH` when one follows the flag.
+//! `--check PATH` parses a summary and evaluates every declared gate
+//! over its rows. `--scenario NAME` runs one scenario, prints its table
+//! and exits non-zero if a gate fails.
 //!
-//! `--compare PATH` is the regression gate CI runs against the
+//! `--compare PATH` is the determinism check CI runs against the
 //! committed baseline: every scenario is rebuilt from the baseline's
-//! recorded sweep and re-run; every committed arm's checksum must
-//! reproduce exactly, every gate must hold on the live rows, and every
-//! arm must reach at least 75% of its recorded deterministic
-//! throughput. The live proxy-acquisition and telemetry-recording
-//! comparisons must both clear their 5x speedup bars.
+//! recorded sweep and re-run, and every live row must equal its
+//! committed row exactly, every counter included
+//! ([`mobivine_bench::summary::compare`]).
 
-use mobivine_bench::fleet_bench::{
-    check, render, render_resolution_table, resolution_speedup, run_resolution_comparison,
-    run_scenario, scenarios, Row, Sweep, SCENARIOS,
-};
-use mobivine_bench::summary::{fleet_summary_json, validate_fleet_json};
-use mobivine_bench::telemetry_hotpath::{hotpath_speedup, run_hotpath_comparison};
+use mobivine_bench::flag_value as value;
+use mobivine_bench::fleet_bench::{check, render, run_scenario, scenarios, Sweep, SCENARIOS};
+use mobivine_bench::summary::{compare, fleet_summary_json, validate_fleet_json};
 
 /// What the command line asked for.
 enum Mode {
@@ -39,69 +32,17 @@ enum Mode {
     Scenario(String),
 }
 
-/// Re-runs every scenario of the baseline's sweep and the live speedup
-/// gates.
+/// Re-runs every scenario of the baseline's sweep and compares the live
+/// rows with the committed ones.
 fn compare_against_baseline(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let baseline = validate_fleet_json(&text)?;
+    let mut live = Vec::new();
     for scenario in scenarios(&baseline.sweep) {
         eprintln!("re-running scenario {} ...", scenario.name);
-        let live = run_scenario(&scenario);
-        check(&scenario, &live)?;
-        for row in &live {
-            let committed = baseline
-                .rows
-                .iter()
-                .find(|b| b.scenario == row.scenario && b.arm == row.arm)
-                .ok_or_else(|| format!("{}/{}: no committed row", row.scenario, row.arm))?;
-            if row.checksum != committed.checksum {
-                return Err(format!(
-                    "{}/{}: checksum {:016x} != baseline {:016x} — the fleet no longer \
-                     computes the same results",
-                    row.scenario, row.arm, row.checksum, committed.checksum
-                ));
-            }
-            let rate = |r: &Row| r.value("virtual_ops_per_sec").unwrap_or(0);
-            if rate(row) < rate(committed) * 3 / 4 {
-                return Err(format!(
-                    "{}/{}: throughput {} ops/vsec is more than 25% below baseline {}",
-                    row.scenario,
-                    row.arm,
-                    rate(row),
-                    rate(committed)
-                ));
-            }
-        }
+        live.extend(run_scenario(&scenario));
     }
-    let resolution = run_resolution_comparison(64, 20_000);
-    let speedup = resolution_speedup(&resolution).ok_or("resolution comparison incomplete")?;
-    if speedup < 5.0 {
-        return Err(format!(
-            "proxy-acquisition speedup {speedup:.1}x is below the 5x bar"
-        ));
-    }
-    eprintln!("proxy-acquisition speedup: {speedup:.1}x");
-    let hotpath = run_hotpath_comparison(200_000);
-    let speedup = hotpath_speedup(&hotpath).ok_or("hotpath comparison incomplete")?;
-    if speedup < 5.0 {
-        return Err(format!(
-            "telemetry cached-handle speedup {speedup:.1}x is below the 5x bar"
-        ));
-    }
-    eprintln!("telemetry cached-handle speedup: {speedup:.1}x");
-    Ok(())
-}
-
-/// Parses the flag value after `args[i]`, exiting with status 2 when it
-/// is missing or malformed.
-fn value<T: std::str::FromStr>(args: &[String], i: usize) -> T {
-    match args.get(i + 1).map(|v| v.parse()) {
-        Some(Ok(v)) => v,
-        _ => {
-            eprintln!("{} requires a valid value", args[i]);
-            std::process::exit(2);
-        }
-    }
+    compare(&baseline, &live)
 }
 
 fn main() {
@@ -161,9 +102,9 @@ fn main() {
             }
         }
         Mode::Compare(path) => match compare_against_baseline(&path) {
-            Ok(()) => println!("{path}: no regression against baseline"),
+            Ok(()) => println!("{path}: every committed row reproduces exactly"),
             Err(e) => {
-                eprintln!("{path}: regression gate failed: {e}");
+                eprintln!("{path}: live rows differ from the committed rows:\n{e}");
                 std::process::exit(1);
             }
         },
@@ -196,26 +137,17 @@ fn main() {
                 failures.extend(check(&scenario, &scenario_rows).err());
                 rows.extend(scenario_rows);
             }
-            let resolution = run_resolution_comparison(sweep.devices.min(64), 50_000);
-            match json_out {
-                Some(target) => {
-                    let json = fleet_summary_json(&sweep, &resolution, &rows);
-                    match target {
-                        Some(path) => {
-                            if let Err(e) = std::fs::write(&path, &json) {
-                                eprintln!("cannot write {path}: {e}");
-                                std::process::exit(1);
-                            }
-                            eprintln!("wrote fleet summary to {path}");
+            if let Some(target) = json_out {
+                let json = fleet_summary_json(&sweep, &rows);
+                match target {
+                    Some(path) => {
+                        if let Err(e) = std::fs::write(&path, &json) {
+                            eprintln!("cannot write {path}: {e}");
+                            std::process::exit(1);
                         }
-                        None => println!("{json}"),
+                        eprintln!("wrote fleet summary to {path}");
                     }
-                }
-                None => {
-                    print!("{}", render_resolution_table(&resolution));
-                    let speedup = resolution_speedup(&resolution).unwrap_or(0.0);
-                    let verdict = if speedup >= 5.0 { "PASS" } else { "FAIL" };
-                    println!("acceptance (>= 5x memoized speedup): {verdict}");
+                    None => println!("{json}"),
                 }
             }
             if !failures.is_empty() {

@@ -7,9 +7,9 @@
 //! overhead on top is genuinely measured Rust.
 
 use std::fmt;
+use std::str::FromStr;
 use std::time::Instant;
 
-use mobivine_apps::fleet::{DurabilityFleetConfig, Fleet, FleetConfig};
 use mobivine_device::latency::LatencyModel;
 use mobivine_telemetry::Histogram;
 
@@ -59,6 +59,18 @@ impl Scale {
             Scale::Bench => LatencyModel::bench_s60(),
             Scale::ZeroCost => LatencyModel::zero(),
         }
+    }
+}
+
+impl FromStr for Scale {
+    type Err = String;
+
+    /// Parses the name [`Scale::as_str`] prints.
+    fn from_str(name: &str) -> Result<Self, String> {
+        [Scale::Paper, Scale::Bench, Scale::ZeroCost]
+            .into_iter()
+            .find(|scale| scale.as_str() == name)
+            .ok_or_else(|| format!("unknown scale {name:?}, expected paper, bench or zero"))
     }
 }
 
@@ -149,12 +161,6 @@ pub fn measure<F: FnMut()>(runs: u32, mut f: F) -> LatencyStats {
         histogram.record(start.elapsed().as_micros() as u64);
     }
     LatencyStats::from_histogram_us(&histogram)
-}
-
-/// Mean per-call time in milliseconds over `runs` executions — a thin
-/// wrapper over [`measure`] for call sites that only need the mean.
-pub fn mean_ms<F: FnMut()>(runs: u32, f: F) -> f64 {
-    measure(runs, f).mean_ms
 }
 
 /// The paper's Figure 10 values, `(platform, api, without, with)`.
@@ -277,291 +283,6 @@ pub fn run_figure10(scale: Scale, runs: u32) -> Vec<Figure10Row> {
     rows
 }
 
-/// One row of the resilience-overhead ablation: `getLocation` on one
-/// platform — native, through the plain proxy, and through the proxy
-/// wrapped by the resilience layer (retry/circuit bookkeeping on the
-/// happy path, no faults injected).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResilienceOverheadRow {
-    /// Platform label, as the figure prints it.
-    pub platform: &'static str,
-    /// Mean native invocation time, ms.
-    pub native_ms: f64,
-    /// Mean plain-proxy invocation time, ms.
-    pub proxy_ms: f64,
-    /// Mean resilient-proxy invocation time, ms.
-    pub resilient_ms: f64,
-}
-
-impl fmt::Display for ResilienceOverheadRow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<16} {:>10.3} {:>10.3} {:>12.3}",
-            self.platform, self.native_ms, self.proxy_ms, self.resilient_ms,
-        )
-    }
-}
-
-/// Measures the resilience-layer overhead on the happy path: the
-/// `getLocation` cost native vs plain proxy vs resilient proxy on each
-/// platform, averaged over `runs` executions.
-pub fn run_resilience_overhead(scale: Scale, runs: u32) -> Vec<ResilienceOverheadRow> {
-    let android = AndroidFixture::new(scale.android());
-    let webview = WebViewFixture::new(scale.webview());
-    let s60 = S60Fixture::new(scale.s60());
-    vec![
-        ResilienceOverheadRow {
-            platform: "Android",
-            native_ms: mean_ms(runs, || android.native_get_location()),
-            proxy_ms: mean_ms(runs, || android.proxy_get_location()),
-            resilient_ms: mean_ms(runs, || android.resilient_get_location()),
-        },
-        ResilienceOverheadRow {
-            platform: "Android WebView",
-            native_ms: mean_ms(runs, || webview.native_get_location()),
-            proxy_ms: mean_ms(runs, || webview.proxy_get_location()),
-            resilient_ms: mean_ms(runs, || webview.resilient_get_location()),
-        },
-        ResilienceOverheadRow {
-            platform: "Nokia S60",
-            native_ms: mean_ms(runs, || s60.native_get_location()),
-            proxy_ms: mean_ms(runs, || s60.proxy_get_location()),
-            resilient_ms: mean_ms(runs, || s60.resilient_get_location()),
-        },
-    ]
-}
-
-/// One row of the telemetry-overhead ablation: `getLocation` through
-/// the plain proxy vs. through the proxy with the telemetry runtime
-/// attached (spans at every plane, counters and a latency histogram
-/// per call).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TelemetryOverheadRow {
-    /// Platform label, as the figure prints it.
-    pub platform: &'static str,
-    /// Mean uninstrumented proxy invocation time, ms.
-    pub bare_ms: f64,
-    /// Mean instrumented proxy invocation time, ms.
-    pub instrumented_ms: f64,
-}
-
-impl TelemetryOverheadRow {
-    /// Relative cost of the instrumentation.
-    pub fn overhead_fraction(&self) -> f64 {
-        if self.bare_ms <= 0.0 {
-            return 0.0;
-        }
-        (self.instrumented_ms - self.bare_ms) / self.bare_ms
-    }
-}
-
-impl fmt::Display for TelemetryOverheadRow {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{:<16} {:>10.3} {:>13.3}",
-            self.platform, self.bare_ms, self.instrumented_ms,
-        )
-    }
-}
-
-/// Measures the telemetry-layer overhead: `getLocation` through the
-/// plain proxy vs. the instrumented proxy on each platform, averaged
-/// over `runs` executions.
-pub fn run_telemetry_overhead(scale: Scale, runs: u32) -> Vec<TelemetryOverheadRow> {
-    let android = AndroidFixture::new(scale.android());
-    let webview = WebViewFixture::new(scale.webview());
-    let s60 = S60Fixture::new(scale.s60());
-    vec![
-        TelemetryOverheadRow {
-            platform: "Android",
-            bare_ms: mean_ms(runs, || android.proxy_get_location()),
-            instrumented_ms: mean_ms(runs, || android.instrumented_get_location()),
-        },
-        TelemetryOverheadRow {
-            platform: "Android WebView",
-            bare_ms: mean_ms(runs, || webview.proxy_get_location()),
-            instrumented_ms: mean_ms(runs, || webview.instrumented_get_location()),
-        },
-        TelemetryOverheadRow {
-            platform: "Nokia S60",
-            bare_ms: mean_ms(runs, || s60.proxy_get_location()),
-            instrumented_ms: mean_ms(runs, || s60.instrumented_get_location()),
-        },
-    ]
-}
-
-/// One arm of the journal-overhead ablation: the same deterministic
-/// fleet traffic with durability off, with the write-ahead journal on
-/// (intents + fsync barriers, no checkpoints, replay-from-genesis
-/// recovery), and with per-apply checkpoints on top. The checksum must
-/// be identical across all three arms — durability is bookkeeping, not
-/// behaviour — and `wall_us_per_op` is what the bounded-overhead gate
-/// compares.
-#[derive(Debug, Clone, PartialEq)]
-pub struct JournalOverheadRow {
-    /// `off`, `journal` or `journal+checkpoints`.
-    pub mode: &'static str,
-    /// Total proxy operations issued.
-    pub total_ops: u64,
-    /// Operations that returned an error.
-    pub errors: u64,
-    /// Client-side journal intents appended (zero with durability off).
-    pub client_appends: u64,
-    /// Server checkpoints taken (zero below the checkpointed arm).
-    pub checkpoints: u64,
-    /// Determinism fingerprint — identical across all three arms.
-    pub checksum: u64,
-    /// Mean wall-clock cost per operation, µs (table + gate).
-    pub wall_us_per_op: f64,
-}
-
-/// The journal ablation's fixed fleet configuration — the brownout/
-/// cache comparisons' shape, kept independent of the sweep flags.
-fn journal_arm_config(durability: Option<DurabilityFleetConfig>) -> FleetConfig {
-    FleetConfig {
-        devices: 30,
-        shards: 4,
-        workers: 3,
-        rounds: 3,
-        ops_per_round: 2,
-        seed: 11,
-        durability,
-        ..FleetConfig::default()
-    }
-}
-
-/// Runs the journal-overhead ablation: the same fleet traffic with
-/// durability off, journal-only (`checkpoint_every = 0`), and journal +
-/// per-apply checkpoints. Returns the arms in that order.
-///
-/// # Panics
-///
-/// Panics if a fleet cannot be built — a programming error here, the
-/// configurations are fixed.
-pub fn run_journal_ablation() -> Vec<JournalOverheadRow> {
-    [
-        ("off", None),
-        (
-            "journal",
-            Some(DurabilityFleetConfig {
-                checkpoint_every: 0,
-            }),
-        ),
-        (
-            "journal+checkpoints",
-            Some(DurabilityFleetConfig {
-                checkpoint_every: 1,
-            }),
-        ),
-    ]
-    .into_iter()
-    .map(|(mode, durability)| {
-        let fleet =
-            Fleet::build(journal_arm_config(durability)).expect("ablation configuration is valid");
-        let started = Instant::now();
-        let report = fleet.run();
-        let wall_us = started.elapsed().as_secs_f64() * 1_000_000.0;
-        let digest = report.recovery.as_ref();
-        JournalOverheadRow {
-            mode,
-            total_ops: report.total_ops,
-            errors: report.errors,
-            client_appends: digest.map_or(0, |d| d.client_appends),
-            checkpoints: digest.map_or(0, |d| d.checkpoints),
-            checksum: report.checksum,
-            wall_us_per_op: if report.total_ops > 0 {
-                wall_us / report.total_ops as f64
-            } else {
-                0.0
-            },
-        }
-    })
-    .collect()
-}
-
-/// The fully durable arm's per-op wall cost relative to the
-/// durability-off arm, when all three arms are present with identical
-/// checksums. `None` signals a missing arm or a checksum drift — the
-/// ablation is only meaningful when durability changed nothing the
-/// fleet computes.
-pub fn journal_overhead_factor(rows: &[JournalOverheadRow]) -> Option<f64> {
-    let off = rows.iter().find(|r| r.mode == "off")?;
-    let journal = rows.iter().find(|r| r.mode == "journal")?;
-    let checkpointed = rows.iter().find(|r| r.mode == "journal+checkpoints")?;
-    if journal.checksum != off.checksum || checkpointed.checksum != off.checksum {
-        return None;
-    }
-    if journal.client_appends == 0 || checkpointed.checkpoints == 0 {
-        return None;
-    }
-    if off.wall_us_per_op > 0.0 {
-        Some(checkpointed.wall_us_per_op / off.wall_us_per_op)
-    } else {
-        None
-    }
-}
-
-/// Renders the journal-overhead table the `figure10` binary prints
-/// below the bridge-marshalling ablation.
-pub fn render_journal_table(rows: &[JournalOverheadRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Journal overhead — same fleet traffic, durability off vs on vs on+checkpoints\n");
-    out.push_str("mode                |   ops   | errors | appends | checkpoints |     checksum     | wall µs/op\n");
-    out.push_str("--------------------+---------+--------+---------+-------------+------------------+-----------\n");
-    for row in rows {
-        out.push_str(&format!(
-            "{:<19} | {:>7} | {:>6} | {:>7} | {:>11} | {:016x} | {:>10.2}\n",
-            row.mode,
-            row.total_ops,
-            row.errors,
-            row.client_appends,
-            row.checkpoints,
-            row.checksum,
-            row.wall_us_per_op,
-        ));
-    }
-    if let Some(factor) = journal_overhead_factor(rows) {
-        out.push_str(&format!(
-            "durable per-op cost over the undurable baseline: {factor:.2}x\n"
-        ));
-    }
-    out
-}
-
-/// Renders the telemetry-overhead table the `figure10` binary prints
-/// below the resilience table.
-pub fn render_telemetry_table(rows: &[TelemetryOverheadRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Telemetry overhead — getLocation, proxy path, spans + metrics per call\n");
-    out.push_str(&format!(
-        "{:<16} {:>10} {:>13}\n",
-        "Platform", "proxy", "proxy+spans"
-    ));
-    for row in rows {
-        out.push_str(&row.to_string());
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders the resilience-overhead table the `figure10` binary prints
-/// below Figure 10 proper.
-pub fn render_resilience_table(rows: &[ResilienceOverheadRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Resilience overhead — getLocation, happy path (no faults injected)\n");
-    out.push_str(&format!(
-        "{:<16} {:>10} {:>10} {:>12}\n",
-        "Platform", "native", "proxy", "proxy+retry"
-    ));
-    for row in rows {
-        out.push_str(&row.to_string());
-        out.push('\n');
-    }
-    out
-}
-
 /// Renders the table the `figure10` binary prints.
 pub fn render_table(rows: &[Figure10Row]) -> String {
     let mut out = String::new();
@@ -640,29 +361,25 @@ mod tests {
 
     #[test]
     fn resilience_overhead_happy_path_is_small_in_absolute_terms() {
-        // With native costs zeroed, the resilient path is pure
-        // decorator bookkeeping — like the plain proxy it must stay
-        // well under a millisecond per call on any host.
-        let rows = run_resilience_overhead(Scale::ZeroCost, 5);
-        assert_eq!(rows.len(), 3);
-        for row in &rows {
+        // With native costs zeroed, the resilient path is pure layer
+        // bookkeeping — like the plain proxy it must stay well under a
+        // millisecond per call on any host.
+        let android = AndroidFixture::new(Scale::ZeroCost.android());
+        let webview = WebViewFixture::new(Scale::ZeroCost.webview());
+        let s60 = S60Fixture::new(Scale::ZeroCost.s60());
+        let paths: [(&str, &dyn Fn()); 3] = [
+            ("Android", &|| android.resilient_get_location()),
+            ("Android WebView", &|| webview.resilient_get_location()),
+            ("Nokia S60", &|| s60.resilient_get_location()),
+        ];
+        for (platform, path) in paths {
+            let stats = measure(5, path);
             assert!(
-                row.resilient_ms < 5.0,
-                "{} resilient path took {} ms",
-                row.platform,
-                row.resilient_ms
+                stats.mean_ms < 5.0,
+                "{platform} resilient path took {} ms",
+                stats.mean_ms
             );
         }
-    }
-
-    #[test]
-    fn render_resilience_table_has_one_row_per_platform() {
-        let rows = run_resilience_overhead(Scale::ZeroCost, 1);
-        let table = render_resilience_table(&rows);
-        assert!(table.contains("proxy+retry"));
-        assert!(table.contains("Android WebView"));
-        assert!(table.contains("Nokia S60"));
-        assert_eq!(table.lines().count(), 2 + 3);
     }
 
     #[test]
@@ -685,72 +402,6 @@ mod tests {
             );
             assert!(row.with_stats.p50_ms <= row.with_stats.p99_ms);
         }
-    }
-
-    #[test]
-    fn telemetry_overhead_is_bounded_in_absolute_terms() {
-        // With native costs zeroed, the instrumented path is pure span
-        // + metric bookkeeping on top of the bare proxy path — it must
-        // stay well under a millisecond per call on any host.
-        let rows = run_telemetry_overhead(Scale::ZeroCost, 5);
-        assert_eq!(rows.len(), 3);
-        for row in &rows {
-            assert!(
-                row.instrumented_ms < 5.0,
-                "{} instrumented path took {} ms",
-                row.platform,
-                row.instrumented_ms
-            );
-        }
-    }
-
-    #[test]
-    fn render_telemetry_table_has_one_row_per_platform() {
-        let rows = run_telemetry_overhead(Scale::ZeroCost, 1);
-        let table = render_telemetry_table(&rows);
-        assert!(table.contains("proxy+spans"));
-        assert!(table.contains("Android WebView"));
-        assert!(table.contains("Nokia S60"));
-        assert_eq!(table.lines().count(), 2 + 3);
-    }
-
-    #[test]
-    fn journal_ablation_arms_agree_and_bound_the_overhead() {
-        let rows = run_journal_ablation();
-        assert_eq!(rows.len(), 3);
-        let off = &rows[0];
-        assert_eq!(off.mode, "off");
-        assert_eq!(off.client_appends, 0, "no journal, no appends");
-        for row in &rows[1..] {
-            assert_eq!(
-                row.checksum, off.checksum,
-                "durability changed what the fleet computes: {row:?}"
-            );
-            assert!(row.client_appends > 0, "{row:?}");
-        }
-        assert_eq!(rows[1].checkpoints, 0, "checkpoint_every=0 disables them");
-        assert!(rows[2].checkpoints > 0, "per-apply checkpoints fire");
-        let factor = journal_overhead_factor(&rows).expect("arms agree");
-        assert!(
-            factor.is_finite() && factor > 0.0 && factor < 10.0,
-            "durable per-op cost {factor:.2}x blows the bounded-overhead gate"
-        );
-
-        let table = render_journal_table(&rows);
-        assert!(table.contains("journal+checkpoints"), "{table}");
-        assert!(table.contains("undurable baseline"), "{table}");
-    }
-
-    #[test]
-    fn journal_overhead_factor_rejects_a_drifted_or_missing_arm() {
-        let rows = run_journal_ablation();
-        assert!(journal_overhead_factor(&rows[..2]).is_none());
-        let mut drifted = rows.clone();
-        drifted[2].checksum ^= 1;
-        assert!(journal_overhead_factor(&drifted).is_none());
-        let mut unjournalled = rows;
-        unjournalled[1].client_appends = 0;
-        assert!(journal_overhead_factor(&unjournalled).is_none());
     }
 
     #[test]

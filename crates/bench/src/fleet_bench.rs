@@ -1,4 +1,4 @@
-//! Fleet scenarios as data, plus the proxy-acquisition comparison.
+//! Fleet scenarios as data.
 //!
 //! A [`Scenario`] is a set of [`Arm`]s — each a [`FleetConfig`] the
 //! [`mobivine_apps::fleet`] load engine runs — and the [`Check`]s its
@@ -6,28 +6,16 @@
 //! benchmark runs; [`run_scenario`] turns one into [`Row`]s, [`check`]
 //! evaluates its gates over rows (live, or parsed back out of a
 //! summary), and [`render`] prints them. Every row field derives from
-//! virtual time and seeded streams, so a row is identical run over run.
-//!
-//! The resolution comparison times proxy acquisition on the wall clock:
-//! the unsharded per-call-construction baseline (a fresh runtime and a
-//! freshly constructed proxy stack per acquisition) against the
-//! sharded + memoized resolver
-//! ([`mobivine::shard::ShardedRegistry::resolve`]).
+//! virtual time and seeded streams, so a row is identical run over run:
+//! the rows are determinism checks, never performance figures.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
-use std::time::Instant;
 
-use mobivine::api::LocationProxy;
-use mobivine::registry::Mobivine;
-use mobivine::shard::ShardedRegistry;
-use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_apps::fleet::{
     BrownoutConfig, DurabilityFleetConfig, Fleet, FleetConfig, BROWNOUT_P99_TARGET_MS,
     CRASHES_PER_SHARD,
 };
-use mobivine_device::Device;
 
 /// The shape of the scaling sweep, the one scenario the command line
 /// sizes. A summary records it so that `--compare` rebuilds every
@@ -319,7 +307,8 @@ pub struct Scenario {
 }
 
 /// Every declared fleet scenario. Adding one is one entry here.
-pub const SCENARIOS: &[fn(&Sweep) -> Scenario] = &[scaling, brownout, cache, bridge, crash];
+pub const SCENARIOS: &[fn(&Sweep) -> Scenario] =
+    &[scaling, brownout, cache, bridge, crash, journal];
 
 /// Every declared scenario, built for `sweep`.
 pub fn scenarios(sweep: &Sweep) -> Vec<Scenario> {
@@ -531,6 +520,32 @@ fn crash(_: &Sweep) -> Scenario {
     }
 }
 
+/// The same traffic with durability off, journaled without checkpoints
+/// and checkpointed after every apply: durability is bookkeeping, never
+/// behaviour, so all three arms compute the same checksum. Its cost is
+/// timed by the benchmark's `write_durable` workload and journal rung.
+fn journal(_: &Sweep) -> Scenario {
+    let durable = |checkpoint_every| FleetConfig {
+        durability: Some(DurabilityFleetConfig { checkpoint_every }),
+        ..small()
+    };
+    Scenario {
+        name: "journal",
+        arms: vec![
+            Arm::new("plain", small()),
+            Arm::new("journaled", durable(0)),
+            Arm::new("checkpointed", durable(1)),
+        ],
+        gates: vec![
+            checksum_equal("journaled", "plain"),
+            checksum_equal("checkpointed", "plain"),
+            at("journaled", "recovery.client_appends").gt(0),
+            at("journaled", "recovery.checkpoints").eq(0),
+            at("checkpointed", "recovery.checkpoints").gt(0),
+        ],
+    }
+}
+
 /// Runs every arm of `scenario`, in declaration order.
 ///
 /// # Panics
@@ -583,7 +598,7 @@ pub fn check(scenario: &Scenario, rows: &[Row]) -> Result<(), String> {
     joined(missing.chain(failing).collect())
 }
 
-fn joined(problems: Vec<String>) -> Result<(), String> {
+pub(crate) fn joined(problems: Vec<String>) -> Result<(), String> {
     if problems.is_empty() {
         Ok(())
     } else {
@@ -592,26 +607,33 @@ fn joined(problems: Vec<String>) -> Result<(), String> {
 }
 
 /// [`check`] for every scenario of `scenarios`, after requiring every
-/// row to belong to one of their arms.
+/// row to belong to one of their arms, and to be that arm's only row.
 ///
 /// # Errors
 ///
-/// Every problem [`check`] reports, plus one line per undeclared row.
+/// Every problem [`check`] reports, plus one line per undeclared row
+/// and one per arm with more than one row.
 pub fn check_all(scenarios: &[Scenario], rows: &[Row]) -> Result<(), String> {
-    let mut problems: Vec<String> = rows
-        .iter()
-        .filter(|row| {
-            !scenarios
-                .iter()
-                .any(|s| s.name == row.scenario && s.arms.iter().any(|a| a.name == row.arm))
-        })
-        .map(|row| {
-            format!(
+    let mut problems: Vec<String> = Vec::new();
+    for (i, row) in rows.iter().enumerate() {
+        if !scenarios
+            .iter()
+            .any(|s| s.name == row.scenario && s.arms.iter().any(|a| a.name == row.arm))
+        {
+            problems.push(format!(
                 "row {}/{} belongs to no declared arm",
                 row.scenario, row.arm
-            )
-        })
-        .collect();
+            ));
+        } else if rows[..i]
+            .iter()
+            .any(|r| r.scenario == row.scenario && r.arm == row.arm)
+        {
+            problems.push(format!(
+                "row {}/{} appears more than once",
+                row.scenario, row.arm
+            ));
+        }
+    }
     problems.extend(scenarios.iter().filter_map(|s| check(s, rows).err()));
     joined(problems)
 }
@@ -653,119 +675,6 @@ pub fn render(scenario: &Scenario, rows: &[Row]) -> String {
     for gate in &scenario.gates {
         let verdict = gate.failure(&rows).unwrap_or_else(|| "holds".to_owned());
         out.push_str(&format!("gate `{gate}`: {verdict}\n"));
-    }
-    out
-}
-
-/// One row of the resolution-throughput comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResolutionRow {
-    /// `per-call-construction` or `sharded-memoized`.
-    pub mode: &'static str,
-    /// Proxy acquisitions timed.
-    pub acquisitions: u64,
-    /// Distinct device runtimes cycled through.
-    pub devices: usize,
-    /// Wall-clock acquisitions per second (table only).
-    pub wall_ops_per_sec: f64,
-}
-
-/// Times `acquisitions` proxy acquisitions in both modes: the unsharded
-/// per-call-construction baseline first, then the sharded + memoized
-/// resolver, cycling over `devices` distinct runtimes.
-pub fn run_resolution_comparison(devices: usize, acquisitions: u64) -> Vec<ResolutionRow> {
-    let devices = devices.max(1);
-
-    // Baseline: every acquisition pays what the pre-redesign accessors
-    // paid on a cold registry — runtime assembly (private catalog copy
-    // included) plus full proxy-stack construction.
-    let contexts: Vec<_> = (0..devices)
-        .map(|i| {
-            AndroidPlatform::new(Device::builder().seed(i as u64).build(), SdkVersion::M5Rc15)
-                .new_context()
-        })
-        .collect();
-    let started = Instant::now();
-    for i in 0..acquisitions {
-        let runtime = Mobivine::for_android(contexts[(i as usize) % devices].clone());
-        let proxy = runtime
-            .proxy::<dyn LocationProxy>()
-            .expect("android supports Location");
-        std::hint::black_box(&proxy);
-    }
-    let baseline_secs = started.elapsed().as_secs_f64();
-
-    // Sharded + memoized: warm once, then lock-free cache hits.
-    let mut registry = ShardedRegistry::new(devices.clamp(1, 8)).expect("shard count is non-zero");
-    for ctx in &contexts {
-        let ctx = ctx.clone();
-        registry
-            .push_with(move |b| b.android(ctx))
-            .expect("runtime builds");
-    }
-    let registry = Arc::new(registry);
-    registry.warm().expect("warm-up succeeds");
-    let started = Instant::now();
-    for i in 0..acquisitions {
-        let proxy = registry
-            .resolve::<dyn LocationProxy>((i as usize) % devices)
-            .expect("warmed registry resolves");
-        std::hint::black_box(&proxy);
-    }
-    let memoized_secs = started.elapsed().as_secs_f64();
-
-    let rate = |secs: f64| {
-        if secs > 0.0 {
-            acquisitions as f64 / secs
-        } else {
-            f64::INFINITY
-        }
-    };
-    vec![
-        ResolutionRow {
-            mode: "per-call-construction",
-            acquisitions,
-            devices,
-            wall_ops_per_sec: rate(baseline_secs),
-        },
-        ResolutionRow {
-            mode: "sharded-memoized",
-            acquisitions,
-            devices,
-            wall_ops_per_sec: rate(memoized_secs),
-        },
-    ]
-}
-
-/// The memoized-over-baseline speedup factor, when both rows are
-/// present.
-pub fn resolution_speedup(rows: &[ResolutionRow]) -> Option<f64> {
-    let baseline = rows.iter().find(|r| r.mode == "per-call-construction")?;
-    let memoized = rows.iter().find(|r| r.mode == "sharded-memoized")?;
-    if baseline.wall_ops_per_sec > 0.0 {
-        Some(memoized.wall_ops_per_sec / baseline.wall_ops_per_sec)
-    } else {
-        None
-    }
-}
-
-/// Renders the resolution comparison, including the speedup line the
-/// acceptance gate reads.
-pub fn render_resolution_table(rows: &[ResolutionRow]) -> String {
-    let mut out = String::new();
-    out.push_str("Proxy acquisition throughput (wall clock)\n");
-    out.push_str("mode                  | acquisitions | devices |   ops/sec\n");
-    out.push_str("----------------------+--------------+---------+----------\n");
-    for row in rows {
-        out.push_str(&format!(
-            "{:<21} | {:>12} | {:>7} | {:>9.0}\n",
-            row.mode, row.acquisitions, row.devices, row.wall_ops_per_sec,
-        ));
-    }
-    if let Some(speedup) = resolution_speedup(rows) {
-        out.push_str(&format!(
-            "sharded+memoized speedup over per-call construction: {speedup:.1}x\n"
-        ));
     }
     out
 }
@@ -850,6 +759,18 @@ mod tests {
         // keeps a record from being replayed by a later crash.
         assert_eq!(rows[0].value("recovery.replayed_records"), Some(8));
         assert_eq!(rows[0].value("recovery.duplicates"), Some(0));
+    }
+
+    #[test]
+    fn journal_rows_hold_the_gate_and_are_deterministic() {
+        let rows = holds_and_reproduces("journal");
+        let (plain, journaled) = (&rows[0], &rows[1]);
+        assert_eq!(plain.value("recovery.client_appends"), None, "no journal");
+        assert_eq!(
+            journaled.value("recovery.client_appends"),
+            rows[2].value("recovery.client_appends"),
+            "checkpoints change no client append"
+        );
     }
 
     /// Sets the value `name` of `row` (`ops`, `errors`, `checksum` or a
@@ -988,6 +909,27 @@ mod tests {
     }
 
     #[test]
+    fn journal_gate_rejects_a_missing_or_drifted_arm() {
+        let scenario = declared("journal");
+        let rows = run_scenario(&scenario);
+        rejected(&scenario, &rows[..2], "missing arm `checkpointed`");
+        let mut drifted = rows.clone();
+        drifted[2].checksum ^= 1;
+        rejected(
+            &scenario,
+            &drifted,
+            "gate `checkpointed.checksum == plain.checksum` fails",
+        );
+        let mut unjournaled = rows;
+        set(&mut unjournaled[1], "recovery.client_appends", 0);
+        rejected(
+            &scenario,
+            &unjournaled,
+            "gate `journaled.recovery.client_appends > 0` fails",
+        );
+    }
+
+    #[test]
     fn a_gate_naming_an_absent_counter_is_an_error_not_zero() {
         let row = |arm: &str| Row {
             scenario: "toy".into(),
@@ -1013,26 +955,7 @@ mod tests {
     }
 
     #[test]
-    fn resolution_comparison_clears_the_speedup_bar() {
-        let rows = run_resolution_comparison(16, 2_000);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].mode, "per-call-construction");
-        assert_eq!(rows[1].mode, "sharded-memoized");
-        let speedup = resolution_speedup(&rows).expect("both rows present");
-        assert!(
-            speedup >= 5.0,
-            "memoized resolution must be >= 5x the construction baseline, got {speedup:.1}x"
-        );
-    }
-
-    #[test]
     fn tables_render_both_rows() {
-        let rows = run_resolution_comparison(4, 200);
-        let table = render_resolution_table(&rows);
-        assert!(table.contains("per-call-construction"));
-        assert!(table.contains("sharded-memoized"));
-        assert!(table.contains("speedup"));
-
         let scenario = declared("cache");
         let table = render(&scenario, &run_scenario(&scenario));
         assert!(

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use mobivine::api::{LocationProxy, SmsProxy};
-use mobivine::registry::{Mobivine, MobivineBuilder};
+use mobivine::registry::Mobivine;
 use mobivine::resilience::ResiliencePolicy;
 use mobivine::types::{ProximityEvent, SharedProximityListener};
 use mobivine_android::context::Context;
@@ -61,7 +61,6 @@ pub struct AndroidFixture {
     location_proxy: Arc<dyn LocationProxy>,
     sms_proxy: Arc<dyn SmsProxy>,
     resilient_location_proxy: Arc<dyn LocationProxy>,
-    instrumented_location_proxy: Arc<dyn LocationProxy>,
 }
 
 impl AndroidFixture {
@@ -71,9 +70,11 @@ impl AndroidFixture {
         let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
         let ctx = platform.new_context();
         let runtime = Mobivine::for_android(ctx.clone());
-        let layered = |b: MobivineBuilder| b.android(ctx.clone()).build().expect("fixture runtime");
-        let resilient = layered(Mobivine::builder().with_resilience(ResiliencePolicy::default()));
-        let instrumented = layered(Mobivine::builder().with_telemetry());
+        let resilient = Mobivine::builder()
+            .with_resilience(ResiliencePolicy::default())
+            .android(ctx.clone())
+            .build()
+            .expect("fixture runtime");
         Self {
             device,
             ctx,
@@ -84,9 +85,6 @@ impl AndroidFixture {
             resilient_location_proxy: resilient
                 .proxy::<dyn LocationProxy>()
                 .expect("android resilient location proxy"),
-            instrumented_location_proxy: instrumented
-                .proxy::<dyn LocationProxy>()
-                .expect("android instrumented location proxy"),
         }
     }
 
@@ -158,15 +156,6 @@ impl AndroidFixture {
             .get_location()
             .expect("resilient location succeeds");
     }
-
-    /// Proxy `getLocation` with the telemetry runtime attached — every
-    /// call records spans at each plane plus counters and a latency
-    /// histogram, pricing the instrumentation itself.
-    pub fn instrumented_get_location(&self) {
-        self.instrumented_location_proxy
-            .get_location()
-            .expect("instrumented location succeeds");
-    }
 }
 
 /// S60 fixture.
@@ -178,7 +167,6 @@ pub struct S60Fixture {
     location_proxy: Arc<dyn LocationProxy>,
     sms_proxy: Arc<dyn SmsProxy>,
     resilient_location_proxy: Arc<dyn LocationProxy>,
-    instrumented_location_proxy: Arc<dyn LocationProxy>,
 }
 
 impl S60Fixture {
@@ -189,10 +177,11 @@ impl S60Fixture {
         let provider =
             LocationProvider::get_instance(&platform, Criteria::new()).expect("fixture provider");
         let runtime = Mobivine::for_s60(platform.clone());
-        let layered =
-            |b: MobivineBuilder| b.s60(platform.clone()).build().expect("fixture runtime");
-        let resilient = layered(Mobivine::builder().with_resilience(ResiliencePolicy::default()));
-        let instrumented = layered(Mobivine::builder().with_telemetry());
+        let resilient = Mobivine::builder()
+            .with_resilience(ResiliencePolicy::default())
+            .s60(platform.clone())
+            .build()
+            .expect("fixture runtime");
         Self {
             device,
             platform,
@@ -204,9 +193,6 @@ impl S60Fixture {
             resilient_location_proxy: resilient
                 .proxy::<dyn LocationProxy>()
                 .expect("s60 resilient location proxy"),
-            instrumented_location_proxy: instrumented
-                .proxy::<dyn LocationProxy>()
-                .expect("s60 instrumented location proxy"),
         }
     }
 
@@ -282,13 +268,6 @@ impl S60Fixture {
             .get_location()
             .expect("resilient location succeeds");
     }
-
-    /// Proxy `getLocation` with the telemetry runtime attached.
-    pub fn instrumented_get_location(&self) {
-        self.instrumented_location_proxy
-            .get_location()
-            .expect("instrumented location succeeds");
-    }
 }
 
 /// A minimal hand-rolled bridge, the "without proxy" WebView baseline:
@@ -352,7 +331,6 @@ pub struct WebViewFixture {
     location_proxy: Arc<dyn LocationProxy>,
     sms_proxy: Arc<dyn SmsProxy>,
     resilient_location_proxy: Arc<dyn LocationProxy>,
-    instrumented_location_proxy: Arc<dyn LocationProxy>,
 }
 
 impl WebViewFixture {
@@ -368,12 +346,11 @@ impl WebViewFixture {
             "RawBridge",
         );
         let runtime = Mobivine::for_webview(Arc::clone(&webview));
-        let layered = |b: MobivineBuilder| {
-            let b = b.webview(Arc::clone(&webview));
-            b.build().expect("fixture runtime")
-        };
-        let resilient = layered(Mobivine::builder().with_resilience(ResiliencePolicy::default()));
-        let instrumented = layered(Mobivine::builder().with_telemetry());
+        let resilient = Mobivine::builder()
+            .with_resilience(ResiliencePolicy::default())
+            .webview(Arc::clone(&webview))
+            .build()
+            .expect("fixture runtime");
         Self {
             device,
             webview: Arc::clone(&webview),
@@ -384,9 +361,6 @@ impl WebViewFixture {
             resilient_location_proxy: resilient
                 .proxy::<dyn LocationProxy>()
                 .expect("webview resilient location proxy"),
-            instrumented_location_proxy: instrumented
-                .proxy::<dyn LocationProxy>()
-                .expect("webview instrumented location proxy"),
         }
     }
 
@@ -461,15 +435,6 @@ impl WebViewFixture {
             .get_location()
             .expect("resilient location succeeds");
     }
-
-    /// Proxy `getLocation` with the telemetry runtime attached — the
-    /// trace context additionally crosses the JS bridge as a
-    /// `traceparent` string on this platform.
-    pub fn instrumented_get_location(&self) {
-        self.instrumented_location_proxy
-            .get_location()
-            .expect("instrumented location succeeds");
-    }
 }
 
 #[cfg(test)]
@@ -486,7 +451,6 @@ mod tests {
         fixture.proxy_get_location();
         fixture.proxy_send_sms();
         fixture.resilient_get_location();
-        fixture.instrumented_get_location();
     }
 
     #[test]
@@ -499,7 +463,6 @@ mod tests {
         fixture.proxy_get_location();
         fixture.proxy_send_sms();
         fixture.resilient_get_location();
-        fixture.instrumented_get_location();
     }
 
     #[test]
@@ -512,6 +475,5 @@ mod tests {
         fixture.proxy_get_location();
         fixture.proxy_send_sms();
         fixture.resilient_get_location();
-        fixture.instrumented_get_location();
     }
 }

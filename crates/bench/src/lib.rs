@@ -9,23 +9,27 @@
 //! setup shared by the report binary and the Criterion benches.
 //! [`fleet_bench`] declares the fleet scenarios as data.
 
-pub mod bridge_overhead;
 pub mod figure10;
 pub mod fleet_bench;
 pub mod harness;
 pub mod summary;
-pub mod telemetry_hotpath;
 
-pub use figure10::{
-    measure, run_figure10, run_resilience_overhead, run_telemetry_overhead, Figure10Row,
-    LatencyStats, ResilienceOverheadRow, Scale, TelemetryOverheadRow,
-};
-pub use fleet_bench::{
-    check, run_resolution_comparison, run_scenario, scenarios, ResolutionRow, Row, Scenario, Sweep,
-    SCENARIOS,
-};
+pub use figure10::{measure, run_figure10, Figure10Row, LatencyStats, Scale};
+pub use fleet_bench::{check, run_scenario, scenarios, Row, Scenario, Sweep, SCENARIOS};
 pub use summary::{
-    fleet_summary_json, parse_fleet_json, summary_json, validate_fleet_json, validate_summary_json,
-    FleetSummary, SummaryCheck,
+    compare, fleet_summary_json, parse_fleet_json, summary_json, validate_fleet_json,
+    validate_summary_json, FleetSummary,
 };
-pub use telemetry_hotpath::{hotpath_speedup, run_hotpath_comparison, HotpathRow};
+
+/// Parses the value after the command-line flag `args[i]`, exiting with
+/// status 2 when it is missing or malformed. Shared by the bench
+/// binaries.
+pub fn flag_value<T: std::str::FromStr>(args: &[String], i: usize) -> T {
+    match args.get(i + 1).map(|v| v.parse()) {
+        Some(Ok(v)) => v,
+        _ => {
+            eprintln!("{} requires a valid value", args[i]);
+            std::process::exit(2);
+        }
+    }
+}

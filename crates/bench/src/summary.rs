@@ -1,42 +1,31 @@
 //! Machine-readable bench summaries (`figure10 --json`, `fleet --json`).
 //!
 //! One JSON document per binary: the `figure10` summary carries the
-//! nine Figure 10 pairs with their histogram-derived p50/p95/p99 tails
-//! plus the resilience- and telemetry-overhead ablations; the `fleet`
-//! summary carries the sweep, the resolution-mode inventory and one row
-//! per fleet scenario arm. [`validate_summary_json`] /
-//! [`validate_fleet_json`] are the checks shared by each binary's
-//! `--check` mode and CI. The fleet summary deliberately contains **no
-//! wall-clock-derived values**, so two runs with the same configuration
-//! emit byte-identical JSON.
+//! nine Figure 10 pairs with their histogram-derived p50/p95/p99 tails;
+//! the `fleet` summary carries the sweep and one row per fleet scenario
+//! arm. [`validate_summary_json`] / [`validate_fleet_json`] are the
+//! checks shared by each binary's `--check` mode and CI, and [`compare`]
+//! is `fleet --compare`'s determinism check. The fleet summary
+//! deliberately contains **no wall-clock-derived values**, so two runs
+//! with the same configuration emit byte-identical JSON.
+
+use std::collections::BTreeSet;
 
 use serde_json::Value;
 
-use crate::bridge_overhead::{bridge_overhead_speedup, BridgeOverheadRow};
-use crate::figure10::{
-    journal_overhead_factor, Figure10Row, JournalOverheadRow, LatencyStats, ResilienceOverheadRow,
-    TelemetryOverheadRow,
-};
-use crate::fleet_bench::{check_all, is_fingerprint, scenarios, ResolutionRow, Row, Sweep};
-use crate::telemetry_hotpath::HotpathRow;
+use crate::figure10::{Figure10Row, LatencyStats, Scale, PAPER_VALUES};
+use crate::fleet_bench::{check_all, is_fingerprint, joined, scenarios, Row, Sweep};
 
-/// Schema identifier stamped into (and required from) every summary.
-/// `v2` added the required `bridge_overhead` section (the WebView
-/// marshalling ablation: per-call text marshalling vs the arena wire
-/// format vs batched crossings) and its gate — the batched wire path
-/// must clear a 3x speedup over per-call marshalling. `v3` added the
-/// required `journal_overhead` section (the same fleet traffic with
-/// durability off, journal-only, and journal + per-apply checkpoints)
-/// and its bounded-overhead gate: all three arms byte-identical by
-/// checksum and the fully durable arm within 10x of the undurable
-/// per-op wall cost.
-pub const SCHEMA: &str = "mobivine.figure10.v3";
+/// Schema identifier stamped into (and required from) every figure10
+/// summary: `{schema, scale, runs, figure10}`, where `figure10` holds
+/// exactly the paper's nine (platform, API) pairs.
+pub const SCHEMA: &str = "mobivine.figure10.v4";
 
-/// Schema identifier of the fleet benchmark summary: the sweep, the
-/// resolution inventory and one [`Row`] per scenario arm. The shape is
+/// Schema identifier of the fleet benchmark summary:
+/// `{schema, sweep, rows}`, one [`Row`] per scenario arm. The shape is
 /// fixed; the gates live in [`crate::fleet_bench::SCENARIOS`], so a new
 /// scenario adds rows, not a schema version.
-pub const FLEET_SCHEMA: &str = "mobivine.fleet.v7";
+pub const FLEET_SCHEMA: &str = "mobivine.fleet.v8";
 
 fn num(v: f64) -> Value {
     Value::Number(v)
@@ -59,33 +48,8 @@ fn stats_value(stats: &LatencyStats) -> Value {
     ])
 }
 
-/// The per-section row slices a figure10 summary document is built
-/// from — one field per required section of the schema.
-pub struct SummarySections<'a> {
-    /// Figure-10 overhead rows (per platform × API).
-    pub rows: &'a [Figure10Row],
-    /// Resilience-layer overhead ablation.
-    pub resilience: &'a [ResilienceOverheadRow],
-    /// Telemetry on/off ablation.
-    pub telemetry: &'a [TelemetryOverheadRow],
-    /// Recording hot-path ablation (per-call lookup vs cached handles).
-    pub hotpath: &'a [HotpathRow],
-    /// WebView bridge-marshalling ablation.
-    pub bridge: &'a [BridgeOverheadRow],
-    /// Write-ahead-journal cost ablation.
-    pub journal: &'a [JournalOverheadRow],
-}
-
-/// Builds the summary document as a JSON string.
-pub fn summary_json(scale: &str, runs: u32, sections: &SummarySections<'_>) -> String {
-    let SummarySections {
-        rows,
-        resilience,
-        telemetry,
-        hotpath,
-        bridge,
-        journal,
-    } = *sections;
+/// Builds the summary document of a Figure 10 run as a JSON string.
+pub fn summary_json(scale: Scale, runs: u32, rows: &[Figure10Row]) -> String {
     let figure10 = rows
         .iter()
         .map(|row| {
@@ -100,93 +64,13 @@ pub fn summary_json(scale: &str, runs: u32, sections: &SummarySections<'_>) -> S
             ])
         })
         .collect();
-    let resilience = resilience
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("platform", text(row.platform)),
-                ("native_ms", num(row.native_ms)),
-                ("proxy_ms", num(row.proxy_ms)),
-                ("resilient_ms", num(row.resilient_ms)),
-            ])
-        })
-        .collect();
-    let telemetry = telemetry
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("platform", text(row.platform)),
-                ("bare_ms", num(row.bare_ms)),
-                ("instrumented_ms", num(row.instrumented_ms)),
-                ("overhead_fraction", num(row.overhead_fraction())),
-            ])
-        })
-        .collect();
-    let hotpath = hotpath
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("mode", text(row.mode)),
-                ("ops", num(row.ops as f64)),
-                ("wall_ops_per_sec", num(row.wall_ops_per_sec)),
-            ])
-        })
-        .collect();
-    let bridge = bridge
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("mode", text(row.mode)),
-                ("multi_reads", num(row.multi_reads as f64)),
-                ("wall_ops_per_sec", num(row.wall_ops_per_sec)),
-            ])
-        })
-        .collect();
-    let journal = journal
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("mode", text(row.mode)),
-                ("total_ops", num(row.total_ops as f64)),
-                ("errors", num(row.errors as f64)),
-                ("client_appends", num(row.client_appends as f64)),
-                ("checkpoints", num(row.checkpoints as f64)),
-                ("checksum", text(&format!("{:016x}", row.checksum))),
-                ("wall_us_per_op", num(row.wall_us_per_op)),
-            ])
-        })
-        .collect();
     object(vec![
         ("schema", text(SCHEMA)),
-        ("scale", text(scale)),
-        ("runs", num(runs as f64)),
+        ("scale", text(scale.as_str())),
+        ("runs", num(f64::from(runs))),
         ("figure10", Value::Array(figure10)),
-        ("resilience_overhead", Value::Array(resilience)),
-        ("telemetry_overhead", Value::Array(telemetry)),
-        ("telemetry_hotpath", Value::Array(hotpath)),
-        ("bridge_overhead", Value::Array(bridge)),
-        ("journal_overhead", Value::Array(journal)),
     ])
     .to_string()
-}
-
-/// What a valid summary contained.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SummaryCheck {
-    /// Number of Figure 10 pairs (always 9 for a full run).
-    pub figure10_rows: usize,
-    /// Number of resilience-overhead rows.
-    pub resilience_rows: usize,
-    /// Number of telemetry-overhead rows.
-    pub telemetry_rows: usize,
-    /// Number of telemetry hot-path rows (both modes must be present).
-    pub hotpath_rows: usize,
-    /// Number of bridge-marshalling rows (all three modes must be
-    /// present and the batched path must clear the 3x speedup bar).
-    pub bridge_rows: usize,
-    /// Number of journal-ablation rows (all three modes must be present
-    /// with identical checksums and a bounded durable per-op cost).
-    pub journal_rows: usize,
 }
 
 fn require_number(entry: &Value, key: &str, context: &str) -> Result<f64, String> {
@@ -238,170 +122,68 @@ fn parse_root(json: &str, schema: &str) -> Result<Value, String> {
     }
 }
 
-/// Validates a `figure10 --json` document against the
-/// [`SCHEMA`] shape.
+/// Validates a `figure10 --json` document against the [`SCHEMA`]
+/// shape: a known scale, a positive run count, and every pair of
+/// [`PAPER_VALUES`] exactly once, carrying the paper's values.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation: bad JSON, a
-/// wrong or missing schema id, or a missing/mistyped field.
-pub fn validate_summary_json(json: &str) -> Result<SummaryCheck, String> {
+/// wrong or missing schema id, a missing/mistyped field, zero runs, or
+/// a Figure 10 pair that is unknown, repeated, missing or carries other
+/// paper values.
+pub fn validate_summary_json(json: &str) -> Result<(), String> {
     let root = parse_root(json, SCHEMA)?;
-    require_string(&root, "scale", "summary")?;
-    require_number(&root, "runs", "summary")?;
+    require_string(&root, "scale", "summary")?.parse::<Scale>()?;
+    let runs = require_u64(&root, "runs", "summary")?;
+    if runs == 0 {
+        return Err("summary: runs is zero, so nothing was measured".to_owned());
+    }
 
-    let figure10 = require_array(&root, "figure10")?;
-    for (i, entry) in figure10.iter().enumerate() {
+    let mut seen: Vec<(&str, &str)> = Vec::new();
+    for (i, entry) in require_array(&root, "figure10")?.iter().enumerate() {
         let context = format!("figure10[{i}]");
-        require_string(entry, "platform", &context)?;
-        require_string(entry, "api", &context)?;
+        let platform = require_string(entry, "platform", &context)?;
+        let api = require_string(entry, "api", &context)?;
+        let Some(&(_, _, without, with)) = PAPER_VALUES
+            .iter()
+            .find(|(p, a, ..)| *p == platform && *a == api)
+        else {
+            return Err(format!(
+                "{context}: {platform} {api} is not a Figure 10 pair"
+            ));
+        };
+        if seen.contains(&(platform, api)) {
+            return Err(format!("{context}: {platform} {api} appears twice"));
+        }
+        seen.push((platform, api));
         check_stats(entry, "without", &context)?;
         check_stats(entry, "with", &context)?;
         require_number(entry, "overhead_fraction", &context)?;
-        require_number(entry, "paper_without_ms", &context)?;
-        require_number(entry, "paper_with_ms", &context)?;
-    }
-
-    let resilience = require_array(&root, "resilience_overhead")?;
-    for (i, entry) in resilience.iter().enumerate() {
-        let context = format!("resilience_overhead[{i}]");
-        require_string(entry, "platform", &context)?;
-        require_number(entry, "native_ms", &context)?;
-        require_number(entry, "proxy_ms", &context)?;
-        require_number(entry, "resilient_ms", &context)?;
-    }
-
-    let telemetry = require_array(&root, "telemetry_overhead")?;
-    for (i, entry) in telemetry.iter().enumerate() {
-        let context = format!("telemetry_overhead[{i}]");
-        require_string(entry, "platform", &context)?;
-        let bare = require_number(entry, "bare_ms", &context)?;
-        let instrumented = require_number(entry, "instrumented_ms", &context)?;
-        require_number(entry, "overhead_fraction", &context)?;
-        if bare < 0.0 || instrumented < 0.0 {
-            return Err(format!("{context}: negative latency"));
+        for (key, paper) in [("paper_without_ms", without), ("paper_with_ms", with)] {
+            let value = require_number(entry, key, &context)?;
+            if value != paper {
+                return Err(format!(
+                    "{context}: {key} is {value}, the paper's is {paper}"
+                ));
+            }
         }
     }
-
-    let hotpath = require_array(&root, "telemetry_hotpath")?;
-    for (i, entry) in hotpath.iter().enumerate() {
-        let context = format!("telemetry_hotpath[{i}]");
-        require_string(entry, "mode", &context)?;
-        require_number(entry, "ops", &context)?;
-        let rate = require_number(entry, "wall_ops_per_sec", &context)?;
-        if rate < 0.0 {
-            return Err(format!("{context}: negative wall_ops_per_sec"));
-        }
+    let missing: Vec<String> = PAPER_VALUES
+        .iter()
+        .filter(|(p, a, ..)| !seen.contains(&(p, a)))
+        .map(|(p, a, ..)| format!("{p} {a}"))
+        .collect();
+    if !missing.is_empty() {
+        return Err(format!("figure10: missing pairs {}", missing.join(", ")));
     }
-    for mode in ["per-call-lookup", "cached-handles"] {
-        if !hotpath
-            .iter()
-            .any(|entry| matches!(entry.get_field("mode"), Some(Value::String(s)) if s == mode))
-        {
-            return Err(format!("telemetry_hotpath: missing row for mode {mode:?}"));
-        }
-    }
-
-    let bridge = require_array(&root, "bridge_overhead")?;
-    let mut bridge_rows: Vec<BridgeOverheadRow> = Vec::new();
-    for (i, entry) in bridge.iter().enumerate() {
-        let context = format!("bridge_overhead[{i}]");
-        // Re-intern the mode so the parsed rows can flow back through
-        // the same speedup helper the table renderer uses.
-        let mode: &'static str = match require_string(entry, "mode", &context)? {
-            "per-call-marshalling" => "per-call-marshalling",
-            "wire-buf" => "wire-buf",
-            "batched" => "batched",
-            other => return Err(format!("{context}: unknown mode {other:?}")),
-        };
-        let multi_reads = require_number(entry, "multi_reads", &context)?;
-        let rate = require_number(entry, "wall_ops_per_sec", &context)?;
-        if multi_reads <= 0.0 || rate <= 0.0 {
-            return Err(format!("{context}: non-positive measurement"));
-        }
-        bridge_rows.push(BridgeOverheadRow {
-            mode,
-            multi_reads: multi_reads as u64,
-            wall_ops_per_sec: rate,
-        });
-    }
-    for mode in ["per-call-marshalling", "wire-buf", "batched"] {
-        if !bridge_rows.iter().any(|row| row.mode == mode) {
-            return Err(format!("bridge_overhead: missing row for mode {mode:?}"));
-        }
-    }
-    // The wire-layer gate: batching the arena-encoded crossings must
-    // beat per-call text marshalling by at least 3x.
-    let speedup =
-        bridge_overhead_speedup(&bridge_rows).ok_or("bridge_overhead: incomplete comparison")?;
-    if speedup < 3.0 {
-        return Err(format!(
-            "bridge_overhead: batched speedup {speedup:.1}x is below the 3x bar"
-        ));
-    }
-
-    let journal = require_array(&root, "journal_overhead")?;
-    let mut journal_rows: Vec<JournalOverheadRow> = Vec::new();
-    for (i, entry) in journal.iter().enumerate() {
-        let context = format!("journal_overhead[{i}]");
-        // Re-intern the mode so the parsed rows can flow back through
-        // the same overhead helper the table renderer uses.
-        let mode: &'static str = match require_string(entry, "mode", &context)? {
-            "off" => "off",
-            "journal" => "journal",
-            "journal+checkpoints" => "journal+checkpoints",
-            other => return Err(format!("{context}: unknown mode {other:?}")),
-        };
-        let total_ops = require_number(entry, "total_ops", &context)?;
-        let errors = require_number(entry, "errors", &context)?;
-        let client_appends = require_number(entry, "client_appends", &context)?;
-        let checkpoints = require_number(entry, "checkpoints", &context)?;
-        let wall_us_per_op = require_number(entry, "wall_us_per_op", &context)?;
-        if total_ops <= 0.0 || errors < 0.0 || wall_us_per_op <= 0.0 {
-            return Err(format!("{context}: non-positive measurement"));
-        }
-        let checksum = require_u64(entry, "checksum", &context)?;
-        journal_rows.push(JournalOverheadRow {
-            mode,
-            total_ops: total_ops as u64,
-            errors: errors as u64,
-            client_appends: client_appends as u64,
-            checkpoints: checkpoints as u64,
-            checksum,
-            wall_us_per_op,
-        });
-    }
-    for mode in ["off", "journal", "journal+checkpoints"] {
-        if !journal_rows.iter().any(|row| row.mode == mode) {
-            return Err(format!("journal_overhead: missing row for mode {mode:?}"));
-        }
-    }
-    // The durability gate: all three arms byte-identical — journalling
-    // must be invisible to what the fleet computes — and the fully
-    // durable arm's per-op wall cost bounded by 10x the undurable one.
-    let factor = journal_overhead_factor(&journal_rows)
-        .ok_or("journal_overhead: arms drifted or the ablation never journalled")?;
-    if factor >= 10.0 {
-        return Err(format!(
-            "journal_overhead: durable per-op cost {factor:.2}x blows the 10x bound"
-        ));
-    }
-
-    Ok(SummaryCheck {
-        figure10_rows: figure10.len(),
-        resilience_rows: resilience.len(),
-        telemetry_rows: telemetry.len(),
-        hotpath_rows: hotpath.len(),
-        bridge_rows: bridge.len(),
-        journal_rows: journal.len(),
-    })
+    Ok(())
 }
 
-/// Builds the fleet summary document as a JSON string. Only
-/// deterministic fields are emitted — the wall-clock acquisition rates
-/// stay in the human-readable table — and every fingerprint is a
-/// 16-digit hex string, so no precision is lost to JSON's doubles.
-pub fn fleet_summary_json(sweep: &Sweep, resolution: &[ResolutionRow], rows: &[Row]) -> String {
+/// Builds the fleet summary document as a JSON string. Every field is
+/// deterministic, and every fingerprint is a 16-digit hex string, so no
+/// precision is lost to JSON's doubles.
+pub fn fleet_summary_json(sweep: &Sweep, rows: &[Row]) -> String {
     let value = |key: &str, v: u64| {
         if is_fingerprint(key) {
             text(&format!("{v:016x}"))
@@ -420,16 +202,6 @@ pub fn fleet_summary_json(sweep: &Sweep, resolution: &[ResolutionRow], rows: &[R
         ("ops_per_round", num(f64::from(sweep.ops_per_round))),
         ("seed", num(sweep.seed as f64)),
     ]);
-    let resolution = resolution
-        .iter()
-        .map(|row| {
-            object(vec![
-                ("mode", text(row.mode)),
-                ("acquisitions", num(row.acquisitions as f64)),
-                ("devices", num(row.devices as f64)),
-            ])
-        })
-        .collect();
     let rows = rows
         .iter()
         .map(|row| {
@@ -451,7 +223,6 @@ pub fn fleet_summary_json(sweep: &Sweep, resolution: &[ResolutionRow], rows: &[R
     object(vec![
         ("schema", text(FLEET_SCHEMA)),
         ("sweep", sweep),
-        ("resolution", Value::Array(resolution)),
         ("rows", Value::Array(rows)),
     ])
     .to_string()
@@ -502,8 +273,8 @@ fn require_u64(entry: &Value, key: &str, context: &str) -> Result<u64, String> {
 /// # Errors
 ///
 /// A human-readable description of the first violation: bad JSON, a
-/// wrong or missing schema id, a missing or mistyped field, a zero in
-/// the sweep, or a missing resolution mode.
+/// wrong or missing schema id, a missing or mistyped field, or a zero in
+/// the sweep.
 pub fn parse_fleet_json(json: &str) -> Result<FleetSummary, String> {
     let root = parse_root(json, FLEET_SCHEMA)?;
     let sweep = root.get_field("sweep").ok_or("missing object sweep")?;
@@ -522,22 +293,6 @@ pub fn parse_fleet_json(json: &str) -> Result<FleetSummary, String> {
     };
     if !sweep.is_runnable() {
         return Err(format!("sweep: a count is zero: {sweep:?}"));
-    }
-
-    let resolution = require_array(&root, "resolution")?;
-    for (i, entry) in resolution.iter().enumerate() {
-        let context = format!("resolution[{i}]");
-        require_string(entry, "mode", &context)?;
-        require_u64(entry, "acquisitions", &context)?;
-        require_u64(entry, "devices", &context)?;
-    }
-    for mode in ["per-call-construction", "sharded-memoized"] {
-        if !resolution
-            .iter()
-            .any(|entry| matches!(entry.get_field("mode"), Some(Value::String(s)) if s == mode))
-        {
-            return Err(format!("resolution: missing row for mode {mode:?}"));
-        }
     }
 
     let rows = require_array(&root, "rows")?
@@ -577,75 +332,116 @@ pub fn validate_fleet_json(json: &str) -> Result<FleetSummary, String> {
     Ok(summary)
 }
 
+/// `fleet --compare`'s determinism check: `live` — every scenario re-run
+/// from `baseline`'s sweep — must equal the committed rows exactly, every
+/// counter included.
+///
+/// # Errors
+///
+/// One line per difference: a committed row with no live row, a live
+/// row with no committed row, and each value (`ops`, `errors`,
+/// `checksum` or a counter) that differs or is present on one side
+/// only.
+pub fn compare(baseline: &FleetSummary, live: &[Row]) -> Result<(), String> {
+    let same_arm = |a: &Row, b: &Row| a.scenario == b.scenario && a.arm == b.arm;
+    let show = |key: &str, value: Option<u64>| match value {
+        Some(v) if is_fingerprint(key) => format!("{v:016x}"),
+        Some(v) => v.to_string(),
+        None => "absent".to_owned(),
+    };
+    let mut problems = Vec::new();
+    for committed in &baseline.rows {
+        let name = format!("{}/{}", committed.scenario, committed.arm);
+        let Some(row) = live.iter().find(|r| same_arm(r, committed)) else {
+            problems.push(format!("{name}: committed row not reproduced"));
+            continue;
+        };
+        let counters: BTreeSet<&str> = committed
+            .counters
+            .keys()
+            .chain(row.counters.keys())
+            .map(String::as_str)
+            .collect();
+        for key in ["ops", "errors", "checksum"].into_iter().chain(counters) {
+            let (was, now) = (committed.value(key), row.value(key));
+            if was != now {
+                problems.push(format!(
+                    "{name}: {key} is {} live, {} committed",
+                    show(key, now),
+                    show(key, was)
+                ));
+            }
+        }
+    }
+    for row in live {
+        if !baseline.rows.iter().any(|r| same_arm(r, row)) {
+            problems.push(format!(
+                "{}/{}: live row has no committed row",
+                row.scenario, row.arm
+            ));
+        }
+    }
+    joined(problems)
+}
+
 #[cfg(test)]
 mod tests {
     use std::sync::OnceLock;
 
-    use mobivine_apps::fleet::{DurabilityFleetConfig, FleetConfig};
+    use mobivine_apps::fleet::FleetConfig;
 
     use super::*;
-    use crate::figure10::{run_figure10, run_resilience_overhead, run_telemetry_overhead, Scale};
-    use crate::fleet_bench::{
-        checksum_equal, render, run_resolution_comparison, run_scenario, Arm, Scenario,
-    };
+    use crate::figure10::run_figure10;
+    use crate::fleet_bench::{checksum_equal, render, run_scenario, Arm, Scenario};
+
+    fn figure10_rows() -> Vec<Figure10Row> {
+        run_figure10(Scale::ZeroCost, 2)
+    }
 
     fn sample() -> String {
-        summary_json(
-            "zero",
-            2,
-            &SummarySections {
-                rows: &run_figure10(Scale::ZeroCost, 2),
-                resilience: &run_resilience_overhead(Scale::ZeroCost, 2),
-                telemetry: &run_telemetry_overhead(Scale::ZeroCost, 2),
-                hotpath: &crate::telemetry_hotpath::run_hotpath_comparison(5_000),
-                bridge: &crate::bridge_overhead::run_bridge_overhead(20_000),
-                journal: &crate::figure10::run_journal_ablation(),
-            },
-        )
+        summary_json(Scale::ZeroCost, 2, &figure10_rows())
     }
 
     #[test]
     fn summary_round_trips_through_validation() {
-        let check = validate_summary_json(&sample()).expect("generated summary is valid");
-        assert_eq!(
-            check,
-            SummaryCheck {
-                figure10_rows: 9,
-                resilience_rows: 3,
-                telemetry_rows: 3,
-                hotpath_rows: 2,
-                bridge_rows: 3,
-                journal_rows: 3,
-            }
+        validate_summary_json(&sample()).expect("generated summary is valid");
+    }
+
+    #[test]
+    fn summary_rejects_zero_runs_and_an_unknown_scale() {
+        let rows = figure10_rows();
+        let err = validate_summary_json(&summary_json(Scale::ZeroCost, 0, &rows)).unwrap_err();
+        assert!(err.contains("runs is zero"), "{err}");
+        let json = sample().replace("\"scale\":\"zero\"", "\"scale\":\"bogus\"");
+        let err = validate_summary_json(&json).unwrap_err();
+        assert!(err.contains("unknown scale \"bogus\""), "{err}");
+    }
+
+    #[test]
+    fn summary_requires_each_paper_pair_once_with_the_paper_values() {
+        let rows = figure10_rows();
+        let invalid = |rows: &[Figure10Row]| {
+            validate_summary_json(&summary_json(Scale::ZeroCost, 2, rows)).unwrap_err()
+        };
+        let err = invalid(&rows[1..]);
+        assert!(
+            err.contains("missing pairs Android addProximityAlert"),
+            "{err}"
         );
-    }
-
-    #[test]
-    fn summary_rejects_missing_journal_mode() {
-        let json = sample().replace("journal+checkpoints", "journal+nothing");
-        let err = validate_summary_json(&json).unwrap_err();
-        assert!(err.contains("unknown mode"), "{err}");
-    }
-
-    #[test]
-    fn summary_rejects_an_unjournalled_ablation() {
-        let json = regex_free_replace(&sample(), "client_appends", 0.0);
-        let err = validate_summary_json(&json).unwrap_err();
-        assert!(err.contains("never journalled"), "{err}");
-    }
-
-    #[test]
-    fn summary_rejects_missing_bridge_mode() {
-        let json = sample().replace("wire-buf", "wire-gone");
-        let err = validate_summary_json(&json).unwrap_err();
-        assert!(err.contains("unknown mode"), "{err}");
-    }
-
-    #[test]
-    fn summary_rejects_missing_hotpath_mode() {
-        let json = sample().replace("cached-handles", "cached-nothing");
-        let err = validate_summary_json(&json).unwrap_err();
-        assert!(err.contains("cached-handles"), "{err}");
+        let mut duplicated = rows.clone();
+        duplicated[1] = rows[0].clone();
+        let err = invalid(&duplicated);
+        assert!(
+            err.contains("figure10[1]: Android addProximityAlert appears twice"),
+            "{err}"
+        );
+        let mut edited = rows;
+        edited[4].paper_ms.1 = 100.0;
+        let err = invalid(&edited);
+        assert!(
+            err.contains("figure10[4]: paper_with_ms is 100, the paper's is 121.7"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -657,8 +453,9 @@ mod tests {
 
     #[test]
     fn missing_section_is_rejected() {
-        let json = sample().replace("telemetry_overhead", "telemetry_dropped");
-        assert!(validate_summary_json(&json).is_err());
+        let json = sample().replace("\"figure10\":", "\"figure10_dropped\":");
+        let err = validate_summary_json(&json).unwrap_err();
+        assert!(err.contains("missing array figure10"), "{err}");
     }
 
     #[test]
@@ -684,8 +481,7 @@ mod tests {
     }
 
     fn build_fleet_sample() -> String {
-        let resolution = run_resolution_comparison(4, 100);
-        fleet_summary_json(&tiny(), &resolution, &fleet_rows(&scenarios(&tiny())))
+        fleet_summary_json(&tiny(), &fleet_rows(&scenarios(&tiny())))
     }
 
     fn fleet_sample() -> &'static str {
@@ -696,14 +492,14 @@ mod tests {
     #[test]
     fn fleet_summary_round_trips_through_validation() {
         let rows = fleet_rows(&scenarios(&tiny()));
-        let json = fleet_summary_json(&tiny(), &run_resolution_comparison(4, 100), &rows);
+        let json = fleet_summary_json(&tiny(), &rows);
         let summary = validate_fleet_json(&json).expect("generated fleet summary is valid");
         assert_eq!(summary.sweep, tiny());
         assert_eq!(summary.rows, rows, "parsing loses nothing");
         assert_eq!(
             rows.len(),
-            3 + 2 * 4,
-            "two shard counts + traced, four A/B pairs"
+            3 + 2 * 4 + 3,
+            "two shard counts + traced, four A/B pairs, three journal arms"
         );
     }
 
@@ -740,6 +536,31 @@ mod tests {
         assert_missing_arm_is_rejected("unprotected");
     }
 
+    #[test]
+    fn summary_rejects_missing_journal_mode() {
+        assert_missing_arm_is_rejected("checkpointed");
+    }
+
+    #[test]
+    fn fleet_summary_rejects_a_duplicated_arm() {
+        let mut summary = parse_fleet_json(fleet_sample()).expect("sample parses");
+        let mut again = summary
+            .rows
+            .iter()
+            .find(|r| r.scenario == "crash" && r.arm == "stormed")
+            .expect("stormed row")
+            .clone();
+        again.checksum = 1;
+        again.counters.insert("recovery.duplicates".into(), 5);
+        summary.rows.push(again);
+        let json = fleet_summary_json(&summary.sweep, &summary.rows);
+        let err = validate_fleet_json(&json).unwrap_err();
+        assert!(
+            err.contains("row crash/stormed appears more than once"),
+            "{err}"
+        );
+    }
+
     /// Sets counter `key` to `value` on every row of the sample file;
     /// `--check` must then name `gate` as failing.
     fn assert_file_gate_fails(key: &str, value: f64, gate: &str) {
@@ -767,6 +588,15 @@ mod tests {
     }
 
     #[test]
+    fn summary_rejects_an_unjournalled_ablation() {
+        assert_file_gate_fails(
+            "recovery.client_appends",
+            0.0,
+            "journaled.recovery.client_appends > 0",
+        );
+    }
+
+    #[test]
     fn fleet_summary_rejects_a_cold_cache() {
         assert_file_gate_fails("cache.hits", 0.0, "cached.cache.hits > 0");
     }
@@ -790,13 +620,6 @@ mod tests {
     }
 
     #[test]
-    fn fleet_summary_rejects_missing_resolution_mode() {
-        let json = fleet_sample().replace("sharded-memoized", "sharded-unknown");
-        let err = validate_fleet_json(&json).unwrap_err();
-        assert!(err.contains("sharded-memoized"), "{err}");
-    }
-
-    #[test]
     fn a_declared_sixth_scenario_needs_no_other_edit() {
         let small = FleetConfig {
             devices: 30,
@@ -807,37 +630,61 @@ mod tests {
             seed: 11,
             ..FleetConfig::default()
         };
-        let journal = Scenario {
-            name: "journal",
+        let workers = Scenario {
+            name: "workers",
             arms: vec![
                 Arm {
-                    name: "journaled".into(),
+                    name: "one".into(),
                     config: FleetConfig {
-                        durability: Some(DurabilityFleetConfig::default()),
+                        workers: 1,
                         ..small.clone()
                     },
                 },
                 Arm {
-                    name: "plain".into(),
+                    name: "three".into(),
                     config: small,
                 },
             ],
-            gates: vec![checksum_equal("journaled", "plain")],
+            gates: vec![checksum_equal("one", "three")],
         };
-        let declared = [journal];
+        let declared = [workers];
         let rows = fleet_rows(&declared);
-        let json = fleet_summary_json(&tiny(), &run_resolution_comparison(4, 100), &rows);
+        let json = fleet_summary_json(&tiny(), &rows);
         let summary = parse_fleet_json(&json).expect("the shape is fixed");
-        check_all(&declared, &summary.rows).expect("the journal gate holds");
+        check_all(&declared, &summary.rows).expect("the workers gate holds");
         assert_eq!(summary.rows, rows);
         assert!(render(&declared[0], &rows).contains(": holds"));
-        // The gates live in code: the declared table knows no journal
+        // The gates live in code: the declared table knows no workers
         // scenario, so its rows are rejected there.
         let err = validate_fleet_json(&json).unwrap_err();
         assert!(
-            err.contains("journal/plain belongs to no declared arm"),
+            err.contains("workers/one belongs to no declared arm"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn compare_names_a_perturbed_counter_a_missing_row_and_an_extra_row() {
+        let baseline = parse_fleet_json(fleet_sample()).expect("sample parses");
+        let live = baseline.rows.clone();
+        compare(&baseline, &live).expect("identical rows compare equal");
+
+        let mut perturbed = live.clone();
+        *perturbed[0].counters.get_mut("p99_ms").expect("p99_ms") += 1;
+        let err = compare(&baseline, &perturbed).unwrap_err();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.starts_with("scaling/shards1: p99_ms is "), "{err}");
+
+        let err = compare(&baseline, &live[1..]).unwrap_err();
+        assert_eq!(err, "scaling/shards1: committed row not reproduced");
+
+        let mut extra = live;
+        extra.push(Row {
+            arm: "shards16".into(),
+            ..extra[0].clone()
+        });
+        let err = compare(&baseline, &extra).unwrap_err();
+        assert_eq!(err, "scaling/shards16: live row has no committed row");
     }
 
     /// Replaces field `key`'s numeric value with `value` in every

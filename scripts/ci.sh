@@ -19,7 +19,8 @@ for platform in android s60 webview; do
 done
 
 # Smoke-run the bench summary end to end: emit the machine-readable
-# figure10 document at zero scale and schema-check it.
+# mobivine.figure10.v4 document (the nine Figure 10 pairs) at zero scale
+# and check it: every paper pair once, with the paper's values.
 summary="$(mktemp)"
 fleet_summary="$(mktemp)"
 trap 'rm -f "$summary" "$fleet_summary"' EXIT
@@ -28,14 +29,13 @@ cargo run -q --release -p mobivine-bench --bin figure10 -- \
 cargo run -q --release -p mobivine-bench --bin figure10 -- --check "$summary"
 
 # Fleet smoke: run every declared fleet scenario (the scaling sweep at
-# ~500 devices plus the fixed-size brownout, cache, bridge and crash
-# comparisons), emit the mobivine.fleet.v7 summary, and check it: every
-# gate each scenario declares in crates/bench/src/fleet_bench.rs
-# (SCENARIOS) is evaluated over the summary's rows. The figure10 run
-# above already smoke-runs the telemetry_hotpath and
-# bridge-marshalling ablations (its summary embeds and --check enforces
-# the per-call-lookup vs cached-handles rows and the ≥3x batched
-# wire-buf speedup over per-call marshalling).
+# ~500 devices plus the fixed-size brownout, cache, bridge, crash and
+# journal comparisons), emit the mobivine.fleet.v8 summary, and check
+# it: every gate each scenario declares in
+# crates/bench/src/fleet_bench.rs (SCENARIOS) is evaluated over the
+# summary's rows. The telemetry and bridge hot paths are guarded by the
+# zero-allocation pins that `cargo test` runs (checked below), and
+# their wall-clock cost by the crates/benchmark ladder.
 cargo run -q --release -p mobivine-bench --bin fleet -- \
     --devices 500 --shards 1,4 --workers 2 --rounds 2 --json "$fleet_summary"
 cargo run -q --release -p mobivine-bench --bin fleet -- --check "$fleet_summary"
@@ -45,11 +45,11 @@ cargo run -q --release -p mobivine-bench --bin fleet -- --check "$fleet_summary"
 cargo run -q --release -p mobivine-bench --bin fleet -- --scenario brownout
 cargo run -q --release -p mobivine-bench --bin fleet -- --scenario crash
 
-# Regression gate against the committed baselines: check both, then
-# rebuild every fleet scenario from BENCH_fleet.json's recorded sweep
-# (every committed arm's checksum must reproduce exactly, every gate
-# must hold, deterministic throughput may not drop more than 25%) and
-# the live acquisition + telemetry-recording 5x speedup bars.
+# Determinism gate against the committed baselines: check both, then
+# rebuild every fleet scenario from BENCH_fleet.json's recorded sweep;
+# every live row must equal its committed row exactly, every counter
+# included (the rows are virtual-clock determinism checks, not
+# performance figures).
 cargo run -q --release -p mobivine-bench --bin figure10 -- --check BENCH_figure10.json
 cargo run -q --release -p mobivine-bench --bin fleet -- --check BENCH_fleet.json
 cargo run -q --release -p mobivine-bench --bin fleet -- --compare BENCH_fleet.json

@@ -29,8 +29,9 @@
 //! The same bar holds with the cache, overload and resilience layers
 //! stacked under telemetry, each opening its own span: a cache hit, a
 //! forced cache miss that descends every layer to the platform, and the
-//! uncached `getLocationWithPower` multi-read all make exactly zero
-//! allocations once warm. Layer span names are compile-time constants,
+//! uncached `getLocationWithPower` multi-read (on WebView both as two
+//! crossings and batched into one) all make exactly zero allocations
+//! once warm. Layer span names are compile-time constants,
 //! span events are static and stored inline, and the built-in platform
 //! attribute is a static symbol.
 
@@ -41,8 +42,10 @@ use std::sync::Arc;
 use mobivine::api::LocationProxy;
 use mobivine::cache::CachePolicy;
 use mobivine::overload::OverloadPolicy;
+use mobivine::property::PropertyValue;
 use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
+use mobivine::webview::BATCH_PROPERTY;
 use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::Device;
 use mobivine_s60::S60Platform;
@@ -225,4 +228,12 @@ fn traced_get_location_allocates_nothing_after_warmup() {
     let webview = Arc::new(WebView::new(android.new_context()));
     let runtime = every_read_layer(Mobivine::builder().webview(webview));
     assert_layered_reads_allocate_nothing("webview", &device, &runtime);
+
+    // The same reads with the multi-read batched into one crossing.
+    runtime
+        .proxy::<dyn LocationProxy>()
+        .expect("webview supports Location")
+        .set_property(BATCH_PROPERTY, PropertyValue::Bool(true))
+        .expect("the webview proxy batches multi-reads");
+    assert_layered_reads_allocate_nothing("webview batched", &device, &runtime);
 }
