@@ -1,27 +1,26 @@
 //! Per-platform measurement fixtures.
 //!
-//! A fixture owns a freshly built device (with the requested latency
-//! calibration) plus everything needed to invoke one API natively and
-//! through its proxy. Each invocation pair is constructed the way the
-//! paper's measurement harness would have: the *without proxy* path
-//! calls the platform middleware directly; the *with proxy* path goes
-//! through the MobiVine binding.
+//! A fixture owns a freshly built device plus everything needed to
+//! invoke one API natively and through its proxy. Each invocation pair
+//! is constructed the way the paper's measurement harness would have:
+//! the *without proxy* path calls the platform middleware directly; the
+//! *with proxy* path goes through the MobiVine binding.
 
 use std::sync::Arc;
 
 use mobivine::api::{LocationProxy, SmsProxy};
-use mobivine::registry::Mobivine;
+use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
 use mobivine::types::{ProximityEvent, SharedProximityListener};
 use mobivine_android::context::Context;
 use mobivine_android::intent::Intent;
 use mobivine_android::{AndroidPlatform, SdkVersion};
-use mobivine_device::latency::LatencyModel;
 use mobivine_device::{Device, GeoPoint};
 use mobivine_s60::location::{Coordinates, Criteria, LocationProvider};
 use mobivine_s60::messaging::{MessageConnection, MessageType};
 use mobivine_s60::S60Platform;
 use mobivine_webview::bridge::{args, BridgeError, JavaScriptInterface};
+use mobivine_webview::webview::JsInterfaceHandle;
 use mobivine_webview::{JsValue, WebView};
 
 /// Fixture position (outside any alert radius so registrations do not
@@ -38,58 +37,142 @@ pub const FAR_REGION: (f64, f64) = (28.7, 77.6);
 /// SMS destination registered on every fixture.
 pub const SMS_DESTINATION: &str = "+91-98-SUPERVISOR";
 
-fn device_with(latency: LatencyModel) -> Device {
+fn fixture_device() -> Device {
     let device = Device::builder()
         .msisdn("+91-98-AGENT-7")
         .position(FIXTURE_POSITION)
-        .latency(latency)
         .build();
     device.smsc().register_address(SMS_DESTINATION);
     device
 }
 
-fn noop_listener() -> SharedProximityListener {
-    Arc::new(|_event: &ProximityEvent| {})
+/// The proxies a fixture times, over one platform binding: a runtime
+/// with no layer, and one with the resilience layer alone.
+pub struct Proxies {
+    location: Arc<dyn LocationProxy>,
+    sms: Arc<dyn SmsProxy>,
+    resilient_location: Arc<dyn LocationProxy>,
+}
+
+impl Proxies {
+    /// Builds both runtimes on the platform `select` picks.
+    fn new(select: impl Fn(MobivineBuilder) -> MobivineBuilder) -> Self {
+        let build = |builder| select(builder).build().expect("fixture runtime");
+        let bare = build(Mobivine::builder());
+        let resilient = build(Mobivine::builder().with_resilience(ResiliencePolicy::default()));
+        Self {
+            location: bare.proxy::<dyn LocationProxy>().expect("location proxy"),
+            sms: bare.proxy::<dyn SmsProxy>().expect("sms proxy"),
+            resilient_location: resilient
+                .proxy::<dyn LocationProxy>()
+                .expect("resilient location proxy"),
+        }
+    }
+}
+
+/// One platform's side of Figure 10: each API called natively and
+/// through its proxy, over one device.
+pub trait Fixture {
+    /// The simulated handset.
+    fn device(&self) -> &Device;
+
+    /// The platform's proxies.
+    fn proxies(&self) -> &Proxies;
+
+    /// Native `addProximityAlert`: register, then remove.
+    fn native_add_proximity_alert(&self);
+
+    /// Native location read.
+    fn native_get_location(&self);
+
+    /// Native SMS send.
+    fn native_send_sms(&self);
+
+    /// Proxy `addProximityAlert` (Fig. 8(a) / Fig. 9 path): register,
+    /// then remove.
+    fn proxy_add_proximity_alert(&self) {
+        let proxy = &self.proxies().location;
+        let listener: SharedProximityListener = Arc::new(|_event: &ProximityEvent| {});
+        proxy
+            .add_proximity_alert(
+                FAR_REGION.0,
+                FAR_REGION.1,
+                0.0,
+                100.0,
+                -1,
+                Arc::clone(&listener),
+            )
+            .expect("proxy registration succeeds");
+        proxy
+            .remove_proximity_alert(&listener)
+            .expect("proxy removal succeeds");
+    }
+
+    /// Proxy `getLocation`.
+    fn proxy_get_location(&self) {
+        self.proxies()
+            .location
+            .get_location()
+            .expect("proxy location succeeds");
+    }
+
+    /// Proxy `sendTextMessage`.
+    fn proxy_send_sms(&self) {
+        self.proxies()
+            .sms
+            .send_text_message(SMS_DESTINATION, "bench", None)
+            .expect("proxy sms succeeds");
+    }
+
+    /// Proxy `getLocation` through the resilience layer (happy path —
+    /// no faults, so this prices the retry/circuit bookkeeping alone).
+    fn resilient_get_location(&self) {
+        self.proxies()
+            .resilient_location
+            .get_location()
+            .expect("resilient location succeeds");
+    }
 }
 
 /// Android fixture: native middleware handles and proxy handles over
 /// one device.
 pub struct AndroidFixture {
-    /// The simulated handset.
-    pub device: Device,
+    device: Device,
     ctx: Context,
-    location_proxy: Arc<dyn LocationProxy>,
-    sms_proxy: Arc<dyn SmsProxy>,
-    resilient_location_proxy: Arc<dyn LocationProxy>,
+    proxies: Proxies,
 }
 
 impl AndroidFixture {
-    /// Builds the fixture with the given latency calibration.
-    pub fn new(latency: LatencyModel) -> Self {
-        let device = device_with(latency);
-        let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let ctx = platform.new_context();
-        let runtime = Mobivine::for_android(ctx.clone());
-        let resilient = Mobivine::builder()
-            .with_resilience(ResiliencePolicy::default())
-            .android(ctx.clone())
-            .build()
-            .expect("fixture runtime");
+    /// Builds the fixture.
+    pub fn new() -> Self {
+        let device = fixture_device();
+        let ctx = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context();
+        let proxies = Proxies::new(|builder| builder.android(ctx.clone()));
         Self {
             device,
             ctx,
-            location_proxy: runtime
-                .proxy::<dyn LocationProxy>()
-                .expect("android location proxy"),
-            sms_proxy: runtime.proxy::<dyn SmsProxy>().expect("android sms proxy"),
-            resilient_location_proxy: resilient
-                .proxy::<dyn LocationProxy>()
-                .expect("android resilient location proxy"),
+            proxies,
         }
     }
+}
 
-    /// Native `addProximityAlert` (Fig. 2(a) path).
-    pub fn native_add_proximity_alert(&self) {
+impl Default for AndroidFixture {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fixture for AndroidFixture {
+    fn device(&self) -> &Device {
+        &self.device
+    }
+
+    fn proxies(&self) -> &Proxies {
+        &self.proxies
+    }
+
+    /// Fig. 2(a) path.
+    fn native_add_proximity_alert(&self) {
         let registration = self
             .ctx
             .location_manager()
@@ -101,103 +184,65 @@ impl AndroidFixture {
         drop(registration);
     }
 
-    /// Native `getCurrentLocation`.
-    pub fn native_get_location(&self) {
+    /// `getCurrentLocation`.
+    fn native_get_location(&self) {
         self.ctx
             .location_manager()
             .get_current_location("gps")
             .expect("fixture gps is available");
     }
 
-    /// Native `sendTextMessage`.
-    pub fn native_send_sms(&self) {
+    /// `sendTextMessage`.
+    fn native_send_sms(&self) {
         self.ctx
             .sms_manager()
             .send_text_message(SMS_DESTINATION, None, "bench", None)
             .expect("fixture sms succeeds");
     }
-
-    /// Proxy `addProximityAlert` (Fig. 8(a) path).
-    pub fn proxy_add_proximity_alert(&self) {
-        let listener = noop_listener();
-        self.location_proxy
-            .add_proximity_alert(
-                FAR_REGION.0,
-                FAR_REGION.1,
-                0.0,
-                100.0,
-                -1,
-                Arc::clone(&listener),
-            )
-            .expect("proxy registration succeeds");
-        self.location_proxy
-            .remove_proximity_alert(&listener)
-            .expect("proxy removal succeeds");
-    }
-
-    /// Proxy `getLocation`.
-    pub fn proxy_get_location(&self) {
-        self.location_proxy
-            .get_location()
-            .expect("proxy location succeeds");
-    }
-
-    /// Proxy `sendTextMessage`.
-    pub fn proxy_send_sms(&self) {
-        self.sms_proxy
-            .send_text_message(SMS_DESTINATION, "bench", None)
-            .expect("proxy sms succeeds");
-    }
-
-    /// Proxy `getLocation` through the resilience layer (happy path —
-    /// no faults, so this prices the retry/circuit bookkeeping alone).
-    pub fn resilient_get_location(&self) {
-        self.resilient_location_proxy
-            .get_location()
-            .expect("resilient location succeeds");
-    }
 }
 
 /// S60 fixture.
 pub struct S60Fixture {
-    /// The simulated handset.
-    pub device: Device,
+    device: Device,
     platform: S60Platform,
     provider: LocationProvider,
-    location_proxy: Arc<dyn LocationProxy>,
-    sms_proxy: Arc<dyn SmsProxy>,
-    resilient_location_proxy: Arc<dyn LocationProxy>,
+    proxies: Proxies,
 }
 
 impl S60Fixture {
-    /// Builds the fixture with the given latency calibration.
-    pub fn new(latency: LatencyModel) -> Self {
-        let device = device_with(latency);
+    /// Builds the fixture.
+    pub fn new() -> Self {
+        let device = fixture_device();
         let platform = S60Platform::new(device.clone());
         let provider =
             LocationProvider::get_instance(&platform, Criteria::new()).expect("fixture provider");
-        let runtime = Mobivine::for_s60(platform.clone());
-        let resilient = Mobivine::builder()
-            .with_resilience(ResiliencePolicy::default())
-            .s60(platform.clone())
-            .build()
-            .expect("fixture runtime");
+        let proxies = Proxies::new(|builder| builder.s60(platform.clone()));
         Self {
             device,
             platform,
             provider,
-            location_proxy: runtime
-                .proxy::<dyn LocationProxy>()
-                .expect("s60 location proxy"),
-            sms_proxy: runtime.proxy::<dyn SmsProxy>().expect("s60 sms proxy"),
-            resilient_location_proxy: resilient
-                .proxy::<dyn LocationProxy>()
-                .expect("s60 resilient location proxy"),
+            proxies,
         }
     }
+}
 
-    /// Native `addProximityListener` (Fig. 2(b) path).
-    pub fn native_add_proximity_alert(&self) {
+impl Default for S60Fixture {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fixture for S60Fixture {
+    fn device(&self) -> &Device {
+        &self.device
+    }
+
+    fn proxies(&self) -> &Proxies {
+        &self.proxies
+    }
+
+    /// `addProximityListener` (Fig. 2(b) path).
+    fn native_add_proximity_alert(&self) {
         struct Noop;
         impl mobivine_s60::location::ProximityListener for Noop {
             fn proximity_event(&self, _c: &Coordinates, _l: &mobivine_s60::location::Location) {}
@@ -213,60 +258,21 @@ impl S60Fixture {
         LocationProvider::remove_proximity_listener(&self.platform, &listener);
     }
 
-    /// Native `getLocation`.
-    pub fn native_get_location(&self) {
+    /// `getLocation`.
+    fn native_get_location(&self) {
         self.provider
             .get_location(-1)
             .expect("fixture gps is available");
     }
 
-    /// Native JSR-120 send.
-    pub fn native_send_sms(&self) {
+    /// JSR-120 send.
+    fn native_send_sms(&self) {
         let connection =
             MessageConnection::open_client(&self.platform, &format!("sms://{SMS_DESTINATION}"))
                 .expect("fixture connection");
         let mut message = connection.new_message(MessageType::Text);
         message.set_payload_text("bench");
         connection.send(&message).expect("fixture send succeeds");
-    }
-
-    /// Proxy `addProximityAlert`.
-    pub fn proxy_add_proximity_alert(&self) {
-        let listener = noop_listener();
-        self.location_proxy
-            .add_proximity_alert(
-                FAR_REGION.0,
-                FAR_REGION.1,
-                0.0,
-                100.0,
-                -1,
-                Arc::clone(&listener),
-            )
-            .expect("proxy registration succeeds");
-        self.location_proxy
-            .remove_proximity_alert(&listener)
-            .expect("proxy removal succeeds");
-    }
-
-    /// Proxy `getLocation`.
-    pub fn proxy_get_location(&self) {
-        self.location_proxy
-            .get_location()
-            .expect("proxy location succeeds");
-    }
-
-    /// Proxy `sendTextMessage`.
-    pub fn proxy_send_sms(&self) {
-        self.sms_proxy
-            .send_text_message(SMS_DESTINATION, "bench", None)
-            .expect("proxy sms succeeds");
-    }
-
-    /// Proxy `getLocation` through the resilience layer (happy path).
-    pub fn resilient_get_location(&self) {
-        self.resilient_location_proxy
-            .get_location()
-            .expect("resilient location succeeds");
     }
 }
 
@@ -325,18 +331,15 @@ impl JavaScriptInterface for RawBridge {
 
 /// WebView fixture.
 pub struct WebViewFixture {
-    /// The simulated handset.
-    pub device: Device,
+    device: Device,
     webview: Arc<WebView>,
-    location_proxy: Arc<dyn LocationProxy>,
-    sms_proxy: Arc<dyn SmsProxy>,
-    resilient_location_proxy: Arc<dyn LocationProxy>,
+    proxies: Proxies,
 }
 
 impl WebViewFixture {
-    /// Builds the fixture with the given latency calibration.
-    pub fn new(latency: LatencyModel) -> Self {
-        let device = device_with(latency);
+    /// Builds the fixture.
+    pub fn new() -> Self {
+        let device = fixture_device();
         let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
         let webview = Arc::new(WebView::new(platform.new_context()));
         webview.add_javascript_interface(
@@ -345,33 +348,38 @@ impl WebViewFixture {
             }),
             "RawBridge",
         );
-        let runtime = Mobivine::for_webview(Arc::clone(&webview));
-        let resilient = Mobivine::builder()
-            .with_resilience(ResiliencePolicy::default())
-            .webview(Arc::clone(&webview))
-            .build()
-            .expect("fixture runtime");
+        let proxies = Proxies::new(|builder| builder.webview(Arc::clone(&webview)));
         Self {
             device,
-            webview: Arc::clone(&webview),
-            location_proxy: runtime
-                .proxy::<dyn LocationProxy>()
-                .expect("webview location proxy"),
-            sms_proxy: runtime.proxy::<dyn SmsProxy>().expect("webview sms proxy"),
-            resilient_location_proxy: resilient
-                .proxy::<dyn LocationProxy>()
-                .expect("webview resilient location proxy"),
+            webview,
+            proxies,
         }
     }
 
-    fn raw(&self) -> mobivine_webview::webview::JsInterfaceHandle {
+    fn raw(&self) -> JsInterfaceHandle {
         self.webview
             .js_interface("RawBridge")
             .expect("raw bridge installed")
     }
+}
 
-    /// Native (hand-bridged) `addProximityAlert`.
-    pub fn native_add_proximity_alert(&self) {
+impl Default for WebViewFixture {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Fixture for WebViewFixture {
+    fn device(&self) -> &Device {
+        &self.device
+    }
+
+    fn proxies(&self) -> &Proxies {
+        &self.proxies
+    }
+
+    /// Hand-bridged `addProximityAlert`.
+    fn native_add_proximity_alert(&self) {
         self.raw()
             .invoke(
                 "addProximityAlert",
@@ -380,15 +388,15 @@ impl WebViewFixture {
             .expect("raw registration succeeds");
     }
 
-    /// Native (hand-bridged) `getLocation`.
-    pub fn native_get_location(&self) {
+    /// Hand-bridged `getLocation`.
+    fn native_get_location(&self) {
         self.raw()
             .invoke("getLocation", &[])
             .expect("raw location succeeds");
     }
 
-    /// Native (hand-bridged) SMS send.
-    pub fn native_send_sms(&self) {
+    /// Hand-bridged SMS send.
+    fn native_send_sms(&self) {
         self.raw()
             .invoke(
                 "sendSms",
@@ -396,54 +404,13 @@ impl WebViewFixture {
             )
             .expect("raw sms succeeds");
     }
-
-    /// Proxy `addProximityAlert` (Fig. 9 path).
-    pub fn proxy_add_proximity_alert(&self) {
-        let listener = noop_listener();
-        self.location_proxy
-            .add_proximity_alert(
-                FAR_REGION.0,
-                FAR_REGION.1,
-                0.0,
-                100.0,
-                -1,
-                Arc::clone(&listener),
-            )
-            .expect("proxy registration succeeds");
-        self.location_proxy
-            .remove_proximity_alert(&listener)
-            .expect("proxy removal succeeds");
-    }
-
-    /// Proxy `getLocation`.
-    pub fn proxy_get_location(&self) {
-        self.location_proxy
-            .get_location()
-            .expect("proxy location succeeds");
-    }
-
-    /// Proxy `sendTextMessage`.
-    pub fn proxy_send_sms(&self) {
-        self.sms_proxy
-            .send_text_message(SMS_DESTINATION, "bench", None)
-            .expect("proxy sms succeeds");
-    }
-
-    /// Proxy `getLocation` through the resilience layer (happy path).
-    pub fn resilient_get_location(&self) {
-        self.resilient_location_proxy
-            .get_location()
-            .expect("resilient location succeeds");
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn android_fixture_paths_all_run() {
-        let fixture = AndroidFixture::new(LatencyModel::zero());
+    fn run_every_path(fixture: &dyn Fixture) {
         fixture.native_add_proximity_alert();
         fixture.native_get_location();
         fixture.native_send_sms();
@@ -451,29 +418,20 @@ mod tests {
         fixture.proxy_get_location();
         fixture.proxy_send_sms();
         fixture.resilient_get_location();
+    }
+
+    #[test]
+    fn android_fixture_paths_all_run() {
+        run_every_path(&AndroidFixture::new());
     }
 
     #[test]
     fn s60_fixture_paths_all_run() {
-        let fixture = S60Fixture::new(LatencyModel::zero());
-        fixture.native_add_proximity_alert();
-        fixture.native_get_location();
-        fixture.native_send_sms();
-        fixture.proxy_add_proximity_alert();
-        fixture.proxy_get_location();
-        fixture.proxy_send_sms();
-        fixture.resilient_get_location();
+        run_every_path(&S60Fixture::new());
     }
 
     #[test]
     fn webview_fixture_paths_all_run() {
-        let fixture = WebViewFixture::new(LatencyModel::zero());
-        fixture.native_add_proximity_alert();
-        fixture.native_get_location();
-        fixture.native_send_sms();
-        fixture.proxy_add_proximity_alert();
-        fixture.proxy_get_location();
-        fixture.proxy_send_sms();
-        fixture.resilient_get_location();
+        run_every_path(&WebViewFixture::new());
     }
 }

@@ -3,18 +3,18 @@
 //!
 //! [`figure10`] regenerates the paper's only quantitative artifact —
 //! Figure 10, "Time taken for invoking APIs on Android, Android WebView
-//! and Nokia S60" with and without proxies — by timing real invocations
-//! against each simulated platform with its native-API cost calibrated
-//! to the paper's measurements. [`harness`] holds the per-platform
-//! setup shared by the report binary and the Criterion benches.
-//! [`fleet_bench`] declares the fleet scenarios as data.
+//! and Nokia S60" with and without proxies — by timing each native call
+//! and its proxied counterpart in nanoseconds on the simulated
+//! platforms, beside the paper's handset milliseconds. [`harness`]
+//! holds the per-platform fixtures it times. [`fleet_bench`] declares
+//! the fleet scenarios as data.
 
 pub mod figure10;
 pub mod fleet_bench;
 pub mod harness;
 pub mod summary;
 
-pub use figure10::{measure, run_figure10, Figure10Row, LatencyStats, Scale};
+pub use figure10::{run_figure10, Figure10Row, Spread};
 pub use fleet_bench::{check, run_scenario, scenarios, Row, Scenario, Sweep, SCENARIOS};
 pub use summary::{
     compare, fleet_summary_json, parse_fleet_json, summary_json, validate_fleet_json,

@@ -1,8 +1,9 @@
 //! Machine-readable bench summaries (`figure10 --json`, `fleet --json`).
 //!
 //! One JSON document per binary: the `figure10` summary carries the
-//! nine Figure 10 pairs with their histogram-derived p50/p95/p99 tails;
-//! the `fleet` summary carries the sweep and one row per fleet scenario
+//! nine Figure 10 pairs, each with its native and proxied ns per call
+//! (median and IQR across blocks) beside the paper's milliseconds; the
+//! `fleet` summary carries the sweep and one row per fleet scenario
 //! arm. [`validate_summary_json`] / [`validate_fleet_json`] are the
 //! checks shared by each binary's `--check` mode and CI, and [`compare`]
 //! is `fleet --compare`'s determinism check. The fleet summary
@@ -13,13 +14,15 @@ use std::collections::BTreeSet;
 
 use serde_json::Value;
 
-use crate::figure10::{Figure10Row, LatencyStats, Scale, PAPER_VALUES};
+use crate::figure10::{paper_pair, Figure10Row, Spread, PAPER_VALUES};
 use crate::fleet_bench::{check_all, is_fingerprint, joined, scenarios, Row, Sweep};
 
 /// Schema identifier stamped into (and required from) every figure10
-/// summary: `{schema, scale, runs, figure10}`, where `figure10` holds
-/// exactly the paper's nine (platform, API) pairs.
-pub const SCHEMA: &str = "mobivine.figure10.v4";
+/// summary: `{schema, blocks, calls, figure10}`, where `figure10` holds
+/// exactly the paper's nine (platform, API) pairs as `{platform, api,
+/// native_ns: {median, iqr}, proxy_ns: {median, iqr}, paper_without_ms,
+/// paper_with_ms}`.
+pub const SCHEMA: &str = "mobivine.figure10.v5";
 
 /// Schema identifier of the fleet benchmark summary:
 /// `{schema, sweep, rows}`, one [`Row`] per scenario arm. The shape is
@@ -39,26 +42,23 @@ fn object(fields: Vec<(&str, Value)>) -> Value {
     Value::Object(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
-fn stats_value(stats: &LatencyStats) -> Value {
+fn spread_value(spread: Spread) -> Value {
     object(vec![
-        ("mean_ms", num(stats.mean_ms)),
-        ("p50_ms", num(stats.p50_ms)),
-        ("p95_ms", num(stats.p95_ms)),
-        ("p99_ms", num(stats.p99_ms)),
+        ("median", num(spread.median)),
+        ("iqr", num(spread.iqr)),
     ])
 }
 
 /// Builds the summary document of a Figure 10 run as a JSON string.
-pub fn summary_json(scale: Scale, runs: u32, rows: &[Figure10Row]) -> String {
+pub fn summary_json(blocks: usize, calls: usize, rows: &[Figure10Row]) -> String {
     let figure10 = rows
         .iter()
         .map(|row| {
             object(vec![
                 ("platform", text(row.platform)),
                 ("api", text(row.api)),
-                ("without", stats_value(&row.without_stats)),
-                ("with", stats_value(&row.with_stats)),
-                ("overhead_fraction", num(row.overhead_fraction())),
+                ("native_ns", spread_value(row.native_ns)),
+                ("proxy_ns", spread_value(row.proxy_ns)),
                 ("paper_without_ms", num(row.paper_ms.0)),
                 ("paper_with_ms", num(row.paper_ms.1)),
             ])
@@ -66,8 +66,8 @@ pub fn summary_json(scale: Scale, runs: u32, rows: &[Figure10Row]) -> String {
         .collect();
     object(vec![
         ("schema", text(SCHEMA)),
-        ("scale", text(scale.as_str())),
-        ("runs", num(f64::from(runs))),
+        ("blocks", num(blocks as f64)),
+        ("calls", num(calls as f64)),
         ("figure10", Value::Array(figure10)),
     ])
     .to_string()
@@ -96,20 +96,15 @@ fn require_array<'a>(root: &'a Value, key: &str) -> Result<&'a [Value], String> 
     }
 }
 
-fn check_stats(entry: &Value, key: &str, context: &str) -> Result<(), String> {
-    let stats = entry
+fn require_spread(entry: &Value, key: &str, context: &str) -> Result<Spread, String> {
+    let spread = entry
         .get_field(key)
-        .ok_or_else(|| format!("{context}: missing {key} stats"))?;
-    let p50 = require_number(stats, "p50_ms", context)?;
-    let p95 = require_number(stats, "p95_ms", context)?;
-    let p99 = require_number(stats, "p99_ms", context)?;
-    require_number(stats, "mean_ms", context)?;
-    if p50 > p95 || p95 > p99 {
-        return Err(format!(
-            "{context}: {key} quantiles are not ordered: p50={p50} p95={p95} p99={p99}"
-        ));
-    }
-    Ok(())
+        .ok_or_else(|| format!("{context}: missing {key}"))?;
+    let context = format!("{context}: {key}");
+    Ok(Spread {
+        median: require_number(spread, "median", &context)?,
+        iqr: require_number(spread, "iqr", &context)?,
+    })
 }
 
 /// Parses `json` and requires its `schema` field to be `schema`.
@@ -123,21 +118,23 @@ fn parse_root(json: &str, schema: &str) -> Result<Value, String> {
 }
 
 /// Validates a `figure10 --json` document against the [`SCHEMA`]
-/// shape: a known scale, a positive run count, and every pair of
-/// [`PAPER_VALUES`] exactly once, carrying the paper's values.
+/// shape: positive block and call counts, and every pair of
+/// [`PAPER_VALUES`] exactly once, carrying the paper's values and
+/// passing [`Figure10Row::check`] (finite, non-negative ns figures and
+/// the paper's claim).
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation: bad JSON, a
-/// wrong or missing schema id, a missing/mistyped field, zero runs, or
-/// a Figure 10 pair that is unknown, repeated, missing or carries other
-/// paper values.
+/// wrong or missing schema id, a missing/mistyped field, zero blocks or
+/// calls, a Figure 10 pair that is unknown, repeated, missing or
+/// carries other paper values, or a row that fails its check.
 pub fn validate_summary_json(json: &str) -> Result<(), String> {
     let root = parse_root(json, SCHEMA)?;
-    require_string(&root, "scale", "summary")?.parse::<Scale>()?;
-    let runs = require_u64(&root, "runs", "summary")?;
-    if runs == 0 {
-        return Err("summary: runs is zero, so nothing was measured".to_owned());
+    for key in ["blocks", "calls"] {
+        if require_u64(&root, key, "summary")? == 0 {
+            return Err(format!("summary: {key} is zero, so nothing was measured"));
+        }
     }
 
     let mut seen: Vec<(&str, &str)> = Vec::new();
@@ -145,10 +142,7 @@ pub fn validate_summary_json(json: &str) -> Result<(), String> {
         let context = format!("figure10[{i}]");
         let platform = require_string(entry, "platform", &context)?;
         let api = require_string(entry, "api", &context)?;
-        let Some(&(_, _, without, with)) = PAPER_VALUES
-            .iter()
-            .find(|(p, a, ..)| *p == platform && *a == api)
-        else {
+        let Some((platform, api, without, with)) = paper_pair(platform, api) else {
             return Err(format!(
                 "{context}: {platform} {api} is not a Figure 10 pair"
             ));
@@ -157,9 +151,6 @@ pub fn validate_summary_json(json: &str) -> Result<(), String> {
             return Err(format!("{context}: {platform} {api} appears twice"));
         }
         seen.push((platform, api));
-        check_stats(entry, "without", &context)?;
-        check_stats(entry, "with", &context)?;
-        require_number(entry, "overhead_fraction", &context)?;
         for (key, paper) in [("paper_without_ms", without), ("paper_with_ms", with)] {
             let value = require_number(entry, key, &context)?;
             if value != paper {
@@ -168,6 +159,15 @@ pub fn validate_summary_json(json: &str) -> Result<(), String> {
                 ));
             }
         }
+        Figure10Row {
+            platform,
+            api,
+            native_ns: require_spread(entry, "native_ns", &context)?,
+            proxy_ns: require_spread(entry, "proxy_ns", &context)?,
+            paper_ms: (without, with),
+        }
+        .check()
+        .map_err(|e| format!("{context}: {e}"))?;
     }
     let missing: Vec<String> = PAPER_VALUES
         .iter()
@@ -391,15 +391,34 @@ mod tests {
     use mobivine_apps::fleet::FleetConfig;
 
     use super::*;
-    use crate::figure10::run_figure10;
     use crate::fleet_bench::{checksum_equal, render, run_scenario, Arm, Scenario};
 
+    /// The nine pairs with fixed figures: 400 ns native, 900 ns proxied.
     fn figure10_rows() -> Vec<Figure10Row> {
-        run_figure10(Scale::ZeroCost, 2)
+        PAPER_VALUES
+            .iter()
+            .map(|&(platform, api, without, with)| Figure10Row {
+                platform,
+                api,
+                native_ns: Spread {
+                    median: 400.0,
+                    iqr: 10.0,
+                },
+                proxy_ns: Spread {
+                    median: 900.0,
+                    iqr: 20.0,
+                },
+                paper_ms: (without, with),
+            })
+            .collect()
     }
 
     fn sample() -> String {
-        summary_json(Scale::ZeroCost, 2, &figure10_rows())
+        summary_json(9, 200, &figure10_rows())
+    }
+
+    fn invalid(rows: &[Figure10Row]) -> String {
+        validate_summary_json(&summary_json(9, 200, rows)).unwrap_err()
     }
 
     #[test]
@@ -408,21 +427,17 @@ mod tests {
     }
 
     #[test]
-    fn summary_rejects_zero_runs_and_an_unknown_scale() {
+    fn summary_rejects_zero_blocks_or_calls() {
         let rows = figure10_rows();
-        let err = validate_summary_json(&summary_json(Scale::ZeroCost, 0, &rows)).unwrap_err();
-        assert!(err.contains("runs is zero"), "{err}");
-        let json = sample().replace("\"scale\":\"zero\"", "\"scale\":\"bogus\"");
-        let err = validate_summary_json(&json).unwrap_err();
-        assert!(err.contains("unknown scale \"bogus\""), "{err}");
+        let err = validate_summary_json(&summary_json(0, 200, &rows)).unwrap_err();
+        assert_eq!(err, "summary: blocks is zero, so nothing was measured");
+        let err = validate_summary_json(&summary_json(9, 0, &rows)).unwrap_err();
+        assert_eq!(err, "summary: calls is zero, so nothing was measured");
     }
 
     #[test]
     fn summary_requires_each_paper_pair_once_with_the_paper_values() {
         let rows = figure10_rows();
-        let invalid = |rows: &[Figure10Row]| {
-            validate_summary_json(&summary_json(Scale::ZeroCost, 2, rows)).unwrap_err()
-        };
         let err = invalid(&rows[1..]);
         assert!(
             err.contains("missing pairs Android addProximityAlert"),
@@ -442,6 +457,33 @@ mod tests {
             err.contains("figure10[4]: paper_with_ms is 100, the paper's is 121.7"),
             "{err}"
         );
+    }
+
+    #[test]
+    fn summary_rejects_a_claim_breaking_row() {
+        let mut rows = figure10_rows();
+        // 1% of Nokia S60 sendSMS's 15.6 ms is 156 µs.
+        rows[8].proxy_ns.median = 400.0 + 156_500.0;
+        let err = invalid(&rows);
+        assert!(
+            err.starts_with("figure10[8]: Nokia S60 sendSMS: the proxy adds 156500 ns"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn summary_rejects_a_negative_iqr() {
+        let mut rows = figure10_rows();
+        rows[2].proxy_ns.iqr = -3.0;
+        let err = invalid(&rows);
+        assert_eq!(err, "figure10[2]: Android sendSMS: proxy_ns.iqr is -3");
+    }
+
+    #[test]
+    fn summary_rejects_a_missing_pair() {
+        let rows = figure10_rows();
+        let err = invalid(&[&rows[..4], &rows[5..]].concat());
+        assert_eq!(err, "figure10: missing pairs Android WebView getLocation");
     }
 
     #[test]

@@ -13,13 +13,13 @@ fn exit_code(args: &[&str]) -> Option<i32> {
 }
 
 #[test]
-fn an_unknown_scale_or_a_bad_run_count_exits_2() {
+fn scale_runs_and_other_unknown_arguments_exit_2() {
     let bad: [&[&str]; 5] = [
-        &["--scale", "bogus", "--runs", "1"],
-        &["--scale", "zero", "--runs", "x"],
-        &["--scale", "zero", "--runs", "0"],
-        &["--scale", "zero", "--runs", "0", "--json"],
-        &["--scale"],
+        &["--scale", "zero"],
+        &["--runs", "3"],
+        &["--json", "--scale", "paper"],
+        &["--bogus"],
+        &["--check"],
     ];
     for args in bad {
         assert_eq!(exit_code(args), Some(2), "figure10 {args:?}");

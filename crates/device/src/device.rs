@@ -51,7 +51,6 @@ pub struct Device {
     contacts: Arc<ContactStore>,
     calendar: Arc<CalendarStore>,
     coverage: Arc<CellCoverage>,
-    latency: LatencyModel,
     metrics: Arc<MetricsRegistry>,
     fault_epoch: Arc<AtomicU64>,
     msisdn: String,
@@ -128,11 +127,6 @@ impl Device {
         self.coverage.signal_at(&self.gps.true_position())
     }
 
-    /// The calibrated native-API latency model.
-    pub fn latency(&self) -> &LatencyModel {
-        &self.latency
-    }
-
     /// The device-wide metrics registry. Every subsystem (GPS, SMSC,
     /// network, fault plan) publishes into it, and middleware layers
     /// above share it so one registry exports the whole call path.
@@ -206,7 +200,6 @@ pub struct DeviceBuilder {
     msisdn: String,
     position: GeoPoint,
     movement: MovementModel,
-    latency: LatencyModel,
 }
 
 impl Default for DeviceBuilder {
@@ -217,14 +210,13 @@ impl Default for DeviceBuilder {
 
 impl DeviceBuilder {
     /// Starts with defaults: seed 0, MSISDN `+000000`, position at the
-    /// null island, stationary, zero-cost native APIs.
+    /// null island, stationary.
     pub fn new() -> Self {
         Self {
             seed: 0,
             msisdn: "+000000".to_owned(),
             position: GeoPoint::default(),
             movement: MovementModel::stationary(),
-            latency: LatencyModel::zero(),
         }
     }
 
@@ -252,9 +244,11 @@ impl DeviceBuilder {
         self
     }
 
-    /// Sets the calibrated native-API latency model.
-    pub fn latency(mut self, latency: LatencyModel) -> Self {
-        self.latency = latency;
+    /// Accepts the zero [`LatencyModel`] and stores nothing: native
+    /// calls cost only the Rust that runs them. Kept only because the
+    /// `mobivine-benchmark` crate still calls it (see
+    /// [`crate::latency`]).
+    pub fn latency(self, _latency: LatencyModel) -> Self {
         self
     }
 
@@ -288,7 +282,6 @@ impl DeviceBuilder {
             contacts: Arc::new(ContactStore::new()),
             calendar: Arc::new(CalendarStore::new()),
             coverage: Arc::new(CellCoverage::new()),
-            latency: self.latency,
             metrics,
             fault_epoch: Arc::new(AtomicU64::new(0)),
             msisdn: self.msisdn,

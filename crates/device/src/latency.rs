@@ -1,241 +1,23 @@
-//! Calibrated native-API latency model.
+//! A compatibility shim for the removed native-latency model.
 //!
-//! Figure 10 of the paper reports the wall-clock time of native platform
-//! API invocations (without proxies) on real handsets. Those absolute
-//! numbers are testbed-specific; what the figure demonstrates is that the
-//! *proxy overhead on top of them* is a small fraction. To reproduce the
-//! figure's shape we calibrate each simulated platform's native call cost
-//! to the paper's measured value, and let the real (measured) Rust-side
-//! proxy code add its genuine overhead on top.
+//! Native platform calls on the simulated handset cost only the Rust
+//! that runs them; nothing sleeps or spins to imitate a handset. The
+//! paper's native milliseconds live beside the measured figures in
+//! `mobivine_bench::figure10::PAPER_VALUES`.
 //!
-//! Two presets exist per platform: **paper scale** (milliseconds, used by
-//! the `figure10` report binary) and **bench scale** (the same values in
-//! microseconds, used by the Criterion benches so they finish quickly).
-//! A zero-cost model is the default for unit tests.
+//! [`LatencyModel`] and [`crate::DeviceBuilder::latency`] remain only
+//! because the `mobivine-benchmark` crate, whose sources change only
+//! together with the benchmark, still calls
+//! `.latency(LatencyModel::zero())`. Both go with the next benchmark
+//! change.
 
-use std::fmt;
-use std::time::{Duration, Instant};
-
-/// The native platform API whose invocation cost is being modelled.
-///
-/// These are the interfaces the paper implements proxies for (§4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum NativeApi {
-    /// Register a proximity alert.
-    AddProximityAlert,
-    /// Obtain the current location.
-    GetLocation,
-    /// Send a text message.
-    SendSms,
-    /// Place a voice call.
-    MakeCall,
-    /// Perform an HTTP interaction.
-    HttpRequest,
-}
-
-impl NativeApi {
-    /// All modelled APIs, in the order Figure 10 lists them.
-    pub const ALL: [NativeApi; 5] = [
-        NativeApi::AddProximityAlert,
-        NativeApi::GetLocation,
-        NativeApi::SendSms,
-        NativeApi::MakeCall,
-        NativeApi::HttpRequest,
-    ];
-}
-
-impl fmt::Display for NativeApi {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            NativeApi::AddProximityAlert => "addProximityAlert",
-            NativeApi::GetLocation => "getLocation",
-            NativeApi::SendSms => "sendSMS",
-            NativeApi::MakeCall => "makeACall",
-            NativeApi::HttpRequest => "http",
-        };
-        f.write_str(s)
-    }
-}
-
-/// Native API costs in microseconds, applied as a real wall-clock wait.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LatencyModel {
-    add_proximity_alert_us: u64,
-    get_location_us: u64,
-    send_sms_us: u64,
-    make_call_us: u64,
-    http_request_us: u64,
-}
-
-/// Figure 10 native ("Without Proxy") measurements, in milliseconds:
-/// `(addProximityAlert, getLocation, sendSMS)`.
-pub const PAPER_ANDROID_MS: (f64, f64, f64) = (53.6, 15.5, 52.7);
-/// Figure 10 Android WebView native measurements, in milliseconds.
-pub const PAPER_WEBVIEW_MS: (f64, f64, f64) = (78.4, 120.0, 91.6);
-/// Figure 10 Nokia S60 native measurements, in milliseconds.
-pub const PAPER_S60_MS: (f64, f64, f64) = (141.0, 140.8, 15.6);
-
-impl Default for LatencyModel {
-    fn default() -> Self {
-        Self::zero()
-    }
-}
+/// A native-call cost model that is always zero and stores nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LatencyModel;
 
 impl LatencyModel {
-    /// A model where every native call is free (unit-test default).
+    /// The only model: every native call is free.
     pub const fn zero() -> Self {
-        Self {
-            add_proximity_alert_us: 0,
-            get_location_us: 0,
-            send_sms_us: 0,
-            make_call_us: 0,
-            http_request_us: 0,
-        }
-    }
-
-    /// Builds a model from per-API microsecond costs for the three
-    /// Figure 10 APIs; call and HTTP costs default to the SMS and
-    /// location costs respectively (the paper does not report them).
-    pub const fn from_us(add_proximity_alert: u64, get_location: u64, send_sms: u64) -> Self {
-        Self {
-            add_proximity_alert_us: add_proximity_alert,
-            get_location_us: get_location,
-            send_sms_us: send_sms,
-            make_call_us: send_sms,
-            http_request_us: get_location,
-        }
-    }
-
-    /// Paper-scale Android model (milliseconds, as in Figure 10).
-    pub const fn paper_android() -> Self {
-        Self::from_us(53_600, 15_500, 52_700)
-    }
-
-    /// Paper-scale Android WebView model.
-    pub const fn paper_webview() -> Self {
-        Self::from_us(78_400, 120_000, 91_600)
-    }
-
-    /// Paper-scale Nokia S60 model.
-    pub const fn paper_s60() -> Self {
-        Self::from_us(141_000, 140_800, 15_600)
-    }
-
-    /// Bench-scale Android model (paper values read as microseconds, so a
-    /// Criterion run completes in seconds).
-    pub const fn bench_android() -> Self {
-        Self::from_us(54, 16, 53)
-    }
-
-    /// Bench-scale Android WebView model.
-    pub const fn bench_webview() -> Self {
-        Self::from_us(78, 120, 92)
-    }
-
-    /// Bench-scale Nokia S60 model.
-    pub const fn bench_s60() -> Self {
-        Self::from_us(141, 141, 16)
-    }
-
-    /// Cost of one invocation of `api`, in microseconds.
-    pub fn cost_us(&self, api: NativeApi) -> u64 {
-        match api {
-            NativeApi::AddProximityAlert => self.add_proximity_alert_us,
-            NativeApi::GetLocation => self.get_location_us,
-            NativeApi::SendSms => self.send_sms_us,
-            NativeApi::MakeCall => self.make_call_us,
-            NativeApi::HttpRequest => self.http_request_us,
-        }
-    }
-
-    /// Consumes the native cost of `api` as real wall-clock time and
-    /// returns the nominal cost in milliseconds (callers may advance
-    /// their virtual clock by it).
-    ///
-    /// Costs of 5 ms and above use `thread::sleep`; shorter costs
-    /// busy-wait for precision.
-    pub fn consume(&self, api: NativeApi) -> f64 {
-        let us = self.cost_us(api);
-        if us == 0 {
-            return 0.0;
-        }
-        let duration = Duration::from_micros(us);
-        if us >= 5_000 {
-            std::thread::sleep(duration);
-        } else {
-            let start = Instant::now();
-            while start.elapsed() < duration {
-                std::hint::spin_loop();
-            }
-        }
-        us as f64 / 1000.0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn zero_model_is_free_and_instant() {
-        let model = LatencyModel::zero();
-        for api in NativeApi::ALL {
-            assert_eq!(model.cost_us(api), 0);
-        }
-        let start = Instant::now();
-        model.consume(NativeApi::GetLocation);
-        assert!(start.elapsed() < Duration::from_millis(1));
-    }
-
-    #[test]
-    fn paper_models_match_figure10() {
-        assert_eq!(
-            LatencyModel::paper_android().cost_us(NativeApi::AddProximityAlert),
-            53_600
-        );
-        assert_eq!(
-            LatencyModel::paper_webview().cost_us(NativeApi::GetLocation),
-            120_000
-        );
-        assert_eq!(
-            LatencyModel::paper_s60().cost_us(NativeApi::SendSms),
-            15_600
-        );
-    }
-
-    #[test]
-    fn bench_models_are_roughly_thousandth_of_paper() {
-        let paper = LatencyModel::paper_android().cost_us(NativeApi::SendSms);
-        let bench = LatencyModel::bench_android().cost_us(NativeApi::SendSms);
-        let ratio = paper as f64 / bench as f64;
-        assert!((900.0..1100.0).contains(&ratio), "ratio {ratio}");
-    }
-
-    #[test]
-    fn consume_waits_approximately_the_cost() {
-        let model = LatencyModel::from_us(0, 200, 0);
-        let start = Instant::now();
-        let nominal = model.consume(NativeApi::GetLocation);
-        let elapsed = start.elapsed();
-        assert!((nominal - 0.2).abs() < 1e-9);
-        assert!(elapsed >= Duration::from_micros(200));
-        assert!(elapsed < Duration::from_millis(50), "elapsed {elapsed:?}");
-    }
-
-    #[test]
-    fn unreported_apis_borrow_neighbouring_costs() {
-        let model = LatencyModel::from_us(1, 2, 3);
-        assert_eq!(model.cost_us(NativeApi::MakeCall), 3);
-        assert_eq!(model.cost_us(NativeApi::HttpRequest), 2);
-    }
-
-    #[test]
-    fn display_names_match_paper_labels() {
-        assert_eq!(
-            NativeApi::AddProximityAlert.to_string(),
-            "addProximityAlert"
-        );
-        assert_eq!(NativeApi::GetLocation.to_string(), "getLocation");
-        assert_eq!(NativeApi::SendSms.to_string(), "sendSMS");
+        Self
     }
 }

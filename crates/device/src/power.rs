@@ -1,7 +1,7 @@
 //! Power-consumption accounting.
 //!
 //! The S60 location stack lets applications trade accuracy for battery via
-//! a `powerConsumption` criterion — one of the platform-mandated
+//! the `powerConsumption` field of its `Criteria` — one of the platform-mandated
 //! attributes the paper's binding plane carries as a *property*. The
 //! simulated device keeps a per-component energy ledger so tests can
 //! observe that the property actually changes behaviour.

@@ -6,7 +6,6 @@
 
 use std::fmt;
 
-use mobivine_device::latency::NativeApi;
 use mobivine_device::net::{HttpRequest, HttpResponse, Method, NetworkError};
 
 use crate::context::Context;
@@ -81,7 +80,6 @@ impl HttpClient {
     pub fn execute(&self, request: &HttpUriRequest) -> Result<HttpResponse, AndroidException> {
         self.ctx.enforce_permission(Permission::Internet)?;
         let device = self.ctx.device();
-        device.latency().consume(NativeApi::HttpRequest);
         device.power().draw("radio", 1.5);
         match device.network().execute(&request.inner) {
             Ok((response, elapsed_ms)) => {

@@ -15,7 +15,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mobivine_device::gps::GpsError;
-use mobivine_device::latency::NativeApi;
 
 use crate::context::Context;
 use crate::error::AndroidException;
@@ -191,7 +190,6 @@ impl LocationManager {
             }
         };
         let device = self.ctx.device();
-        device.latency().consume(NativeApi::GetLocation);
         device.power().draw("gps", 1.0);
         let fix = device
             .gps()
@@ -347,7 +345,6 @@ impl LocationManager {
             ));
         }
         let device = self.ctx.device();
-        device.latency().consume(NativeApi::AddProximityAlert);
         let registration = Registration {
             active: Arc::new(AtomicBool::new(true)),
         };

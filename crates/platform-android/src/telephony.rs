@@ -8,7 +8,6 @@ use std::fmt;
 use std::sync::Arc;
 
 use mobivine_device::call::{CallId, CallState};
-use mobivine_device::latency::NativeApi;
 use mobivine_device::sms::{DeliveryStatus, MessageId};
 
 use crate::context::Context;
@@ -77,7 +76,6 @@ impl SmsManager {
                 "radio off network: no signal".to_owned(),
             ));
         }
-        device.latency().consume(NativeApi::SendSms);
         device.power().draw("radio", 0.8);
         let report = delivery_callback.map(|cb| {
             Box::new(move |id: MessageId, status: DeliveryStatus, _at: u64| {
@@ -131,7 +129,6 @@ impl Phone {
                 "radio off network: no signal".to_owned(),
             ));
         }
-        device.latency().consume(NativeApi::MakeCall);
         device.power().draw("radio", 2.0);
         Ok(device.call_switch().dial(number, device.now_ms()))
     }

@@ -10,7 +10,6 @@ use std::fmt;
 
 use parking_lot::Mutex;
 
-use mobivine_device::latency::NativeApi;
 use mobivine_device::net::{HttpRequest, Method, NetworkError, Url, UrlError};
 
 use crate::error::S60Exception;
@@ -220,7 +219,6 @@ impl HttpConnection {
             ConnState::Setup => {}
         }
         let device = self.platform.device();
-        device.latency().consume(NativeApi::HttpRequest);
         device.power().draw("radio", 1.5);
         let mut request = HttpRequest {
             method: self.method,

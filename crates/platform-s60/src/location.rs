@@ -21,7 +21,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mobivine_device::gps::GpsAvailability;
-use mobivine_device::latency::NativeApi;
 use mobivine_device::power::PowerLevel;
 use mobivine_device::GeoPoint;
 
@@ -337,7 +336,6 @@ impl LocationProvider {
 
     fn get_location_inner(&self) -> Result<Location, S60Exception> {
         let device = self.platform.device();
-        device.latency().consume(NativeApi::GetLocation);
         let level = self.criteria.power_consumption;
         device.power().draw("gps", 1.0 * level.draw_multiplier());
         let fix = device
@@ -434,10 +432,6 @@ impl LocationProvider {
                 "proximity monitoring unavailable".to_owned(),
             ));
         }
-        platform
-            .device()
-            .latency()
-            .consume(NativeApi::AddProximityAlert);
         let registration = ProximityRegistration {
             listener,
             active: Arc::new(AtomicBool::new(true)),

@@ -12,7 +12,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mobivine_device::latency::NativeApi;
 use mobivine_device::sms::InboxMessage;
 
 use crate::error::S60Exception;
@@ -209,7 +208,6 @@ impl MessageConnection {
         if !device.signal_strength().in_coverage() {
             return Err(S60Exception::Io("no network coverage".to_owned()));
         }
-        device.latency().consume(NativeApi::SendSms);
         device.power().draw("radio", 0.8);
         device
             .smsc()
@@ -250,7 +248,6 @@ impl MessageConnection {
         if !device.signal_strength().in_coverage() {
             return Err(S60Exception::Io("no network coverage".to_owned()));
         }
-        device.latency().consume(NativeApi::SendSms);
         device.power().draw("radio", 0.8);
         let id = device.smsc().submit(
             device.msisdn(),

@@ -56,6 +56,13 @@ impl fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
+/// Deepest nesting below the root element that [`XmlNode::parse`]
+/// accepts. The parser
+/// recurses once per level, so the bound keeps hostile input from
+/// overflowing the stack; the catalog's descriptors nest only a few
+/// levels.
+pub const MAX_DEPTH: usize = 64;
+
 impl XmlNode {
     /// Creates an element with no attributes, children or text.
     pub fn new(name: &str) -> Self {
@@ -156,6 +163,7 @@ impl XmlNode {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_prolog();
         let root = parser.parse_element()?;
@@ -228,6 +236,8 @@ pub fn unescape(s: &str) -> Result<String, usize> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Elements open above the one being parsed.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -381,7 +391,13 @@ impl<'a> Parser<'a> {
                 return Ok(node);
             }
             if self.peek() == Some(b'<') {
-                node.children.push(self.parse_element()?);
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error(&format!("elements nest deeper than {MAX_DEPTH}")));
+                }
+                self.depth += 1;
+                let child = self.parse_element();
+                self.depth -= 1;
+                node.children.push(child?);
                 continue;
             }
             let start = self.pos;
@@ -510,5 +526,22 @@ mod tests {
         }
         let parsed = XmlNode::parse(&doc.render()).unwrap();
         assert_eq!(parsed, doc);
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let deep = |levels: usize| "<a>".repeat(levels) + &"</a>".repeat(levels);
+        assert!(XmlNode::parse(&deep(MAX_DEPTH + 1)).is_ok());
+        let err = XmlNode::parse(&deep(MAX_DEPTH + 2)).unwrap_err();
+        assert!(err.message.contains("nest deeper"), "{err}");
+        // 100,000 levels (600 KB) once aborted the process; in a small
+        // thread stack it must come back as an error.
+        let parsed = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || XmlNode::parse(&deep(100_000)).is_err())
+            .expect("spawn")
+            .join()
+            .expect("the parser returned instead of overflowing the stack");
+        assert!(parsed);
     }
 }

@@ -7,10 +7,12 @@
 //! pre-allocated at their retention capacity, and per-call recording is
 //! atomics plus moves.
 //!
-//! The proof is a counting [`GlobalAlloc`] wrapper. This file holds a
-//! **single** `#[test]` on purpose: integration-test binaries run tests
-//! on their own threads, and a sibling test's allocations would corrupt
-//! the per-thread counter windows.
+//! The proof is a counting [`GlobalAlloc`] wrapper, and every pin goes
+//! through one helper, `assert_allocates_nothing`, which takes no
+//! bound: each pinned path must make exactly zero allocations. This
+//! file holds a **single** `#[test]` on purpose: integration-test
+//! binaries run tests on their own threads, and a sibling test's
+//! allocations would corrupt the per-thread counter windows.
 //!
 //! Per platform:
 //! - **Android** and **S60** calls are asserted to make *absolutely
@@ -46,10 +48,11 @@ use mobivine::property::PropertyValue;
 use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
 use mobivine::webview::BATCH_PROPERTY;
-use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::Device;
-use mobivine_s60::S60Platform;
-use mobivine_webview::WebView;
+
+mod common;
+
+use common::BUILDERS;
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -89,16 +92,6 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// Calls `getLocation` `calls` times and returns the allocations made.
-fn measure(proxy: &Arc<dyn LocationProxy>, calls: u32) -> u64 {
-    let before = allocations();
-    for _ in 0..calls {
-        let location = proxy.get_location().expect("getLocation succeeds");
-        std::hint::black_box(&location);
-    }
-    allocations() - before
-}
-
 /// Runs `prepare` then `call`, `calls` times, and returns the
 /// allocations `call` made; `prepare` runs outside the counted window.
 fn measure_each(calls: u32, prepare: &dyn Fn(), call: &dyn Fn()) -> u64 {
@@ -115,6 +108,26 @@ fn measure_each(calls: u32, prepare: &dyn Fn(), call: &dyn Fn()) -> u64 {
 const WARMUP_CALLS: u32 = 5;
 const MEASURED_CALLS: u32 = 50;
 
+/// The one zero-allocation pin: after [`WARMUP_CALLS`] warm-up calls,
+/// `call` must make no allocation at all over [`MEASURED_CALLS`] calls,
+/// each preceded by an uncounted `prepare`. It takes no bound, so no
+/// pin can be relaxed to "a few".
+fn assert_allocates_nothing(what: &str, prepare: &dyn Fn(), call: &dyn Fn()) {
+    measure_each(WARMUP_CALLS, prepare, call);
+    let allocs = measure_each(MEASURED_CALLS, prepare, call);
+    assert_eq!(
+        allocs, 0,
+        "{what} must not allocate after warm-up \
+         ({allocs} allocations over {MEASURED_CALLS} calls)"
+    );
+}
+
+fn location(runtime: &Mobivine) -> Arc<dyn LocationProxy> {
+    runtime
+        .proxy::<dyn LocationProxy>()
+        .expect("every platform supports Location")
+}
+
 /// A runtime on the platform `builder` targets, with telemetry, cache,
 /// overload and resilience on.
 fn every_read_layer(builder: MobivineBuilder) -> Mobivine {
@@ -127,21 +140,11 @@ fn every_read_layer(builder: MobivineBuilder) -> Mobivine {
         .expect("layered runtime builds")
 }
 
-/// A runtime on the platform `builder` targets, with telemetry on.
-fn traced(builder: MobivineBuilder) -> Mobivine {
-    builder
-        .with_telemetry()
-        .build()
-        .expect("traced runtime builds")
-}
-
 /// Pins the warmed, fully layered read paths of `runtime` at zero
 /// allocations: a cache hit, a forced miss (the clock moves past the
 /// cache TTL outside the counted window) and the uncached multi-read.
 fn assert_layered_reads_allocate_nothing(platform: &str, device: &Device, runtime: &Mobivine) {
-    let proxy = runtime
-        .proxy::<dyn LocationProxy>()
-        .expect("every platform supports Location");
+    let proxy = location(runtime);
     let ttl = CachePolicy::default().location_ttl();
     let get_location = || {
         std::hint::black_box(proxy.get_location().expect("getLocation succeeds"));
@@ -153,86 +156,39 @@ fn assert_layered_reads_allocate_nothing(platform: &str, device: &Device, runtim
     let expire = || {
         device.advance_ms(ttl + 1);
     };
-    let pin = |path: &str, prepare: &dyn Fn(), call: &dyn Fn()| {
-        measure_each(WARMUP_CALLS, prepare, call);
-        let allocs = measure_each(MEASURED_CALLS, prepare, call);
-        assert_eq!(
-            allocs, 0,
-            "fully layered {platform} {path} must not allocate after warm-up \
-             ({allocs} allocations over {MEASURED_CALLS} calls)"
-        );
-    };
-    pin("getLocation cache hit", &|| {}, &get_location);
-    pin("getLocation cache miss", &expire, &get_location);
-    pin("getLocationWithPower", &|| {}, &with_power);
+    let layered = |path: &str| format!("fully layered {platform} {path}");
+    assert_allocates_nothing(&layered("getLocation cache hit"), &|| {}, &get_location);
+    assert_allocates_nothing(&layered("getLocation cache miss"), &expire, &get_location);
+    assert_allocates_nothing(&layered("getLocationWithPower"), &|| {}, &with_power);
 }
 
 #[test]
 fn traced_get_location_allocates_nothing_after_warmup() {
-    // --- Android: absolute zero -----------------------------------
-    let android = AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15);
-    let runtime = traced(Mobivine::builder().android(android.new_context()));
-    let proxy = runtime
-        .proxy::<dyn LocationProxy>()
-        .expect("android supports Location");
-    measure(&proxy, WARMUP_CALLS);
-    let android_allocs = measure(&proxy, MEASURED_CALLS);
-    assert_eq!(
-        android_allocs, 0,
-        "traced android getLocation must not allocate after warm-up \
-         ({android_allocs} allocations over {MEASURED_CALLS} calls)"
-    );
+    for (platform, builder) in BUILDERS {
+        // --- Traced getLocation: absolute zero, the WebView bridge
+        // crossing included (scratch WireBuf pair, stack traceparent,
+        // static span names).
+        let device = common::device();
+        let runtime = builder(&device)
+            .with_telemetry()
+            .build()
+            .expect("traced runtime builds");
+        let proxy = location(&runtime);
+        assert_allocates_nothing(&format!("traced {platform} getLocation"), &|| {}, &|| {
+            std::hint::black_box(proxy.get_location().expect("getLocation succeeds"));
+        });
 
-    // --- S60: absolute zero ---------------------------------------
-    let runtime = traced(Mobivine::builder().s60(S60Platform::new(Device::builder().build())));
-    let proxy = runtime
-        .proxy::<dyn LocationProxy>()
-        .expect("s60 supports Location");
-    measure(&proxy, WARMUP_CALLS);
-    let s60_allocs = measure(&proxy, MEASURED_CALLS);
-    assert_eq!(
-        s60_allocs, 0,
-        "traced s60 getLocation must not allocate after warm-up \
-         ({s60_allocs} allocations over {MEASURED_CALLS} calls)"
-    );
+        // --- Every read layer: absolute zero ------------------------
+        let device = common::device();
+        let runtime = every_read_layer(builder(&device));
+        assert_layered_reads_allocate_nothing(platform, &device, &runtime);
+    }
 
-    // --- WebView: absolute zero through the wire arenas -----------
-    let android = AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15);
-    let webview = Arc::new(WebView::new(android.new_context()));
-    let runtime = traced(Mobivine::builder().webview(webview));
-    let proxy = runtime
-        .proxy::<dyn LocationProxy>()
-        .expect("webview supports Location");
-    measure(&proxy, WARMUP_CALLS);
-    let webview_allocs = measure(&proxy, MEASURED_CALLS);
-    assert_eq!(
-        webview_allocs, 0,
-        "traced webview getLocation must not allocate after warm-up \
-         ({webview_allocs} allocations over {MEASURED_CALLS} calls): the \
-         scratch WireBuf pair, stack traceparent and static span names \
-         make the bridge crossing itself allocation-free"
-    );
-
-    // --- Every read layer, on every platform: absolute zero --------
-    let device = Device::builder().build();
-    let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-    let runtime = every_read_layer(Mobivine::builder().android(android.new_context()));
-    assert_layered_reads_allocate_nothing("android", &device, &runtime);
-
-    let device = Device::builder().build();
-    let runtime = every_read_layer(Mobivine::builder().s60(S60Platform::new(device.clone())));
-    assert_layered_reads_allocate_nothing("s60", &device, &runtime);
-
-    let device = Device::builder().build();
-    let android = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-    let webview = Arc::new(WebView::new(android.new_context()));
-    let runtime = every_read_layer(Mobivine::builder().webview(webview));
-    assert_layered_reads_allocate_nothing("webview", &device, &runtime);
-
-    // The same reads with the multi-read batched into one crossing.
-    runtime
-        .proxy::<dyn LocationProxy>()
-        .expect("webview supports Location")
+    // The same WebView reads with the multi-read batched into one
+    // crossing.
+    let device = common::device();
+    let runtime = every_read_layer(common::webview_builder(&device));
+    location(&runtime)
         .set_property(BATCH_PROPERTY, PropertyValue::Bool(true))
         .expect("the webview proxy batches multi-reads");
     assert_layered_reads_allocate_nothing("webview batched", &device, &runtime);
