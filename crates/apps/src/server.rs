@@ -5,7 +5,7 @@
 //! etc." Built "using Web standards": JSON over HTTP routes on the
 //! simulated network.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -239,9 +239,34 @@ impl ServerRecoverySnapshot {
     }
 }
 
+/// One agent's slot in the per-agent task index.
+#[derive(Debug, Default)]
+struct AgentTasks {
+    /// Every task assigned to the agent, in assignment order.
+    tasks: Vec<Task>,
+    /// The cached `GET /tasks` body: the open tasks as JSON. Every
+    /// mutation that can change them drops it.
+    body: Option<Vec<u8>>,
+}
+
+impl AgentTasks {
+    /// The tasks of agent `agent_id` not in `completed`, in assignment
+    /// order.
+    fn open<'a>(
+        &'a self,
+        agent_id: u64,
+        completed: &'a [(u64, u64)],
+    ) -> impl Iterator<Item = &'a Task> {
+        self.tasks
+            .iter()
+            .filter(move |t| !completed.contains(&(agent_id, t.id)))
+    }
+}
+
 #[derive(Debug, Default)]
 struct ServerState {
-    tasks: Vec<(u64, Task)>,    // (assigned agent, task)
+    /// Assigned tasks by agent; only agents with a task have a slot.
+    agents: HashMap<u64, AgentTasks>,
     completed: Vec<(u64, u64)>, // (agent, task id)
     activity: Vec<ActivityEntry>,
     tracks: Vec<TrackPoint>,
@@ -256,6 +281,37 @@ struct ServerState {
     tracks_rejected: u64,
     /// Present on servers built with [`WfmServer::durable`].
     durability: Option<DurableState>,
+}
+
+impl ServerState {
+    /// Tasks ever assigned, across all agents.
+    fn assigned(&self) -> u64 {
+        self.agents.values().map(|a| a.tasks.len() as u64).sum()
+    }
+
+    /// Records that `agent_id` completed `task_id` and drops the agent's
+    /// cached body. Every completion, live or replayed, lands here.
+    fn complete(&mut self, agent_id: u64, task_id: u64) {
+        self.completed.push((agent_id, task_id));
+        if let Some(agent) = self.agents.get_mut(&agent_id) {
+            agent.body = None;
+        }
+    }
+
+    /// The `GET /tasks` body for `agent_id`: the cached one, or the
+    /// open tasks serialized once and cached. An agent with no task
+    /// gets `[]` and no slot.
+    fn tasks_body(&mut self, agent_id: u64) -> serde_json::Result<Vec<u8>> {
+        let Some(agent) = self.agents.get_mut(&agent_id) else {
+            return Ok(b"[]".to_vec());
+        };
+        if let Some(body) = &agent.body {
+            return Ok(body.clone());
+        }
+        let open: Vec<&Task> = agent.open(agent_id, &self.completed).collect();
+        let body = serde_json::to_vec(&open)?;
+        Ok(agent.body.insert(body).clone())
+    }
 }
 
 /// Completion report body, shared by the live route and journal replay.
@@ -308,7 +364,7 @@ fn apply_record(state: &mut ServerState, d: &mut DurableState, at: Lsn, payload:
             .map(|e| state.activity.push(e))
             .is_ok(),
         "complete" => serde_json::from_str::<CompleteBody>(json)
-            .map(|c| state.completed.push((c.agent_id, c.task_id)))
+            .map(|c| state.complete(c.agent_id, c.task_id))
             .is_ok(),
         _ => false,
     };
@@ -348,6 +404,13 @@ fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: Cras
         if let Ok(payload) = std::str::from_utf8(&record.payload) {
             apply_record(state, d, record.lsn, payload);
         }
+    }
+    // Bodies cached before the crash describe the dead generation. Replay
+    // drops those of the agents it touches, but the checkpoint's
+    // completions came back without `complete`, so drop them all rather
+    // than rely on checkpoint + replay reproducing the old state.
+    for agent in state.agents.values_mut() {
+        agent.body = None;
     }
     d.recoveries += 1;
     match kind {
@@ -474,7 +537,7 @@ impl std::fmt::Debug for WfmServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = self.state.lock();
         f.debug_struct("WfmServer")
-            .field("tasks", &state.tasks.len())
+            .field("tasks", &state.assigned())
             .field("activity", &state.activity.len())
             .finish()
     }
@@ -569,7 +632,10 @@ impl WfmServer {
     /// Assigns `task` to `agent_id` (the dispatcher's "request
     /// assignment" role).
     pub fn assign_task(&self, agent_id: u64, task: Task) {
-        self.state.lock().tasks.push((agent_id, task));
+        let mut state = self.state.lock();
+        let agent = state.agents.entry(agent_id).or_default();
+        agent.tasks.push(task);
+        agent.body = None;
     }
 
     /// Caps stored track points at `capacity`: further
@@ -590,12 +656,9 @@ impl WfmServer {
     /// Open tasks currently assigned to `agent_id`.
     pub fn tasks_for(&self, agent_id: u64) -> Vec<Task> {
         let state = self.state.lock();
-        state
-            .tasks
-            .iter()
-            .filter(|(a, t)| *a == agent_id && !state.completed.contains(&(*a, t.id)))
-            .map(|(_, t)| t.clone())
-            .collect()
+        state.agents.get(&agent_id).map_or_else(Vec::new, |agent| {
+            agent.open(agent_id, &state.completed).cloned().collect()
+        })
     }
 
     /// The activity log, in arrival order.
@@ -614,12 +677,12 @@ impl WfmServer {
             .collect()
     }
 
-    /// A size snapshot of the server's state (cheap: four lengths under
-    /// one lock).
+    /// A size snapshot of the server's state (three lengths and a sum
+    /// over the agents, under one lock).
     pub fn counts(&self) -> WfmServerCounts {
         let state = self.state.lock();
         WfmServerCounts {
-            tasks: state.tasks.len() as u64,
+            tasks: state.assigned(),
             completed: state.completed.len() as u64,
             activity: state.activity.len() as u64,
             tracks: state.tracks.len() as u64,
@@ -649,20 +712,9 @@ impl WfmServer {
                     .find_map(|kv| kv.strip_prefix("agent="))
                     .and_then(|v| v.parse().ok())
             });
-            match agent_id {
-                Some(agent_id) => {
-                    let state = state.lock();
-                    let tasks: Vec<&Task> = state
-                        .tasks
-                        .iter()
-                        .filter(|(a, t)| *a == agent_id && !state.completed.contains(&(*a, t.id)))
-                        .map(|(_, t)| t)
-                        .collect();
-                    match serde_json::to_vec(&tasks) {
-                        Ok(body) => HttpResponse::ok(body),
-                        Err(_) => HttpResponse::status_only(500),
-                    }
-                }
+            match agent_id.map(|agent_id| state.lock().tasks_body(agent_id)) {
+                Some(Ok(body)) => HttpResponse::ok(body),
+                Some(Err(_)) => HttpResponse::status_only(500),
                 None => HttpResponse::status_only(400),
             }
         });
@@ -727,7 +779,7 @@ impl WfmServer {
                         let key = idem_from_query(req.url.query.as_deref());
                         return durable_mutate(&mut state, "complete", key, &json, "completed");
                     }
-                    state.completed.push((c.agent_id, c.task_id));
+                    state.complete(c.agent_id, c.task_id);
                     HttpResponse::ok("completed")
                 }
                 Err(_) => HttpResponse::status_only(400),
@@ -1281,6 +1333,92 @@ mod tests {
                 assert_eq!(server.state_digest(), clean.state_digest(), "{context}");
                 assert_eq!(server.counts(), clean.counts(), "{context}");
             }
+        }
+    }
+
+    fn get_tasks(device: &Device, agent_id: u64) -> Vec<u8> {
+        let url = format!("http://wfm.example/tasks?agent={agent_id}");
+        let req = HttpRequest::get(&url).unwrap();
+        device.network().execute(&req).unwrap().0.body
+    }
+
+    fn post_complete(
+        device: &Device,
+        agent_id: u64,
+        task_id: u64,
+        key: Option<IdempotencyKey>,
+    ) -> u16 {
+        let query = key.map_or_else(String::new, |k| format!("?idem={}", k.to_hex()));
+        let url = format!("http://wfm.example/task-complete{query}");
+        let body = serde_json::to_vec(&CompleteBody { agent_id, task_id }).unwrap();
+        let req = HttpRequest::post(&url, body).unwrap();
+        device.network().execute(&req).unwrap().0.status
+    }
+
+    #[test]
+    fn tasks_bodies_are_never_stale() {
+        const AGENTS: u64 = 5;
+        const UNKNOWN: u64 = 1_000;
+        let kinds = [
+            CrashKind::TornWrite,
+            CrashKind::BeforeEffect,
+            CrashKind::AfterEffect,
+        ];
+        for durable in [false, true] {
+            let keys: Vec<IdempotencyKey> = (0..400)
+                .map(|op| IdempotencyKey::derive(5, 0, 1, op))
+                .collect();
+            let victims = keys
+                .iter()
+                .step_by(7)
+                .enumerate()
+                .map(|(i, k)| (k.0, kinds[i % kinds.len()]));
+            let schedule = CrashSchedule::new(victims);
+            schedule.arm();
+            let (device, server) = if durable {
+                durable_installed(DurabilityConfig {
+                    checkpoint_every: 4,
+                    crash: Some(Arc::clone(&schedule)),
+                    ..Default::default()
+                })
+            } else {
+                installed()
+            };
+            let mut rng = 42;
+            let mut next_task = 0;
+            for &key in &keys {
+                let r = splitmix64(&mut rng);
+                let agent_id = r % AGENTS;
+                // Completions name a task that may be open, done, or
+                // someone else's.
+                let task_id = (r >> 8) % (next_task + 1);
+                match (r >> 32) % 3 {
+                    0 => {
+                        server.assign_task(agent_id, task(next_task));
+                        next_task += 1;
+                    }
+                    1 => assert_eq!(post_complete(&device, agent_id, task_id, None), 200),
+                    _ => {
+                        if post_complete(&device, agent_id, task_id, Some(key)) == 503 {
+                            assert_eq!(post_complete(&device, agent_id, task_id, Some(key)), 200);
+                        }
+                    }
+                }
+                for agent_id in 0..AGENTS {
+                    let fresh = serde_json::to_vec(&server.tasks_for(agent_id)).unwrap();
+                    assert_eq!(get_tasks(&device, agent_id), fresh, "agent {agent_id}");
+                }
+                let slots = server.state.lock().agents.len();
+                assert_eq!(get_tasks(&device, UNKNOWN), b"[]");
+                assert_eq!(server.state.lock().agents.len(), slots, "index grew");
+            }
+            if durable {
+                let ledger = server.recovery_snapshot().unwrap();
+                assert!(ledger.torn_crashes > 0);
+                assert!(ledger.gap_crashes > 0);
+                assert!(ledger.effect_crashes > 0);
+            }
+            assert!(server.counts().completed > 0);
         }
     }
 

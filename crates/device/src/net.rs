@@ -124,10 +124,7 @@ impl FromStr for Url {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let rest = s.strip_prefix("http://").ok_or(UrlError::BadScheme)?;
-        let (authority, path_query) = match rest.find('/') {
-            Some(i) => (&rest[..i], &rest[i..]),
-            None => (rest, "/"),
-        };
+        let (authority, path_query) = rest.split_at(rest.find(['/', '?']).unwrap_or(rest.len()));
         if authority.is_empty() {
             return Err(UrlError::BadAuthority);
         }
@@ -142,13 +139,13 @@ impl FromStr for Url {
             return Err(UrlError::BadAuthority);
         }
         let (path, query) = match path_query.split_once('?') {
-            Some((p, q)) => (p.to_owned(), Some(q.to_owned())),
-            None => (path_query.to_owned(), None),
+            Some((p, q)) => (p, Some(q.to_owned())),
+            None => (path_query, None),
         };
         Ok(Url {
             host: host.to_owned(),
             port,
-            path,
+            path: if path.is_empty() { "/" } else { path }.to_owned(),
             query,
         })
     }
@@ -290,8 +287,10 @@ impl std::error::Error for NetworkError {}
 /// Server-side request handler.
 pub type RouteHandler = Box<dyn Fn(&HttpRequest) -> HttpResponse + Send>;
 
+/// One host's routes, by method then path, so a lookup borrows the
+/// request's path instead of building an owned key.
 struct Server {
-    routes: HashMap<(Method, String), RouteHandler>,
+    routes: HashMap<Method, HashMap<String, RouteHandler>>,
 }
 
 struct NetState {
@@ -299,6 +298,12 @@ struct NetState {
     base_latency_ms: u64,
     bytes_per_ms: u64,
     down: bool,
+}
+
+impl NetState {
+    fn round_trip_ms(&self, total_bytes: usize) -> u64 {
+        self.base_latency_ms + (total_bytes as u64) / self.bytes_per_ms
+    }
 }
 
 #[derive(Clone)]
@@ -386,7 +391,9 @@ impl SimNetwork {
                 routes: HashMap::new(),
             })
             .routes
-            .insert((method, path.to_owned()), Box::new(handler));
+            .entry(method)
+            .or_default()
+            .insert(path.to_owned(), Box::new(handler));
     }
 
     /// Brings the data bearer up or down.
@@ -418,8 +425,7 @@ impl SimNetwork {
     /// Computes the simulated round-trip time for a request/response pair
     /// of the given total byte size.
     pub fn round_trip_ms(&self, total_bytes: usize) -> u64 {
-        let state = self.state.lock();
-        state.base_latency_ms + (total_bytes as u64) / state.bytes_per_ms
+        self.state.lock().round_trip_ms(total_bytes)
     }
 
     /// Executes a request synchronously, returning the response and the
@@ -468,24 +474,23 @@ impl SimNetwork {
     }
 
     fn execute_inner(&self, request: &HttpRequest) -> Result<(HttpResponse, u64), NetworkError> {
-        let response = {
-            let state = self.state.lock();
-            if state.down {
-                return Err(NetworkError::NetworkDown);
-            }
-            let server = state
-                .servers
-                .get(&request.url.host)
-                .ok_or(NetworkError::UnknownHost)?;
-            match server
-                .routes
-                .get(&(request.method, request.url.path.clone()))
-            {
-                Some(handler) => handler(request),
-                None => HttpResponse::status_only(404),
-            }
+        let state = self.state.lock();
+        if state.down {
+            return Err(NetworkError::NetworkDown);
+        }
+        let server = state
+            .servers
+            .get(&request.url.host)
+            .ok_or(NetworkError::UnknownHost)?;
+        let handler = server
+            .routes
+            .get(&request.method)
+            .and_then(|paths| paths.get(request.url.path.as_str()));
+        let response = match handler {
+            Some(handler) => handler(request),
+            None => HttpResponse::status_only(404),
         };
-        let elapsed = self.round_trip_ms(request.body.len() + response.body.len());
+        let elapsed = state.round_trip_ms(request.body.len() + response.body.len());
         Ok((response, elapsed))
     }
 
@@ -554,6 +559,58 @@ mod tests {
         let url: Url = s.parse().unwrap();
         assert_eq!(url.to_string(), s);
         assert_eq!(url.to_string().parse::<Url>().unwrap(), url);
+    }
+
+    /// Parses `s`, checks the result against the expected parts, and
+    /// checks that its `Display` form parses back to it.
+    fn assert_parses(s: &str, host: &str, port: u16, path: &str, query: Option<&str>) {
+        let url: Url = s.parse().unwrap();
+        assert_eq!(
+            (url.host.as_str(), url.port, url.path.as_str()),
+            (host, port, path),
+            "{s}"
+        );
+        assert_eq!(url.query.as_deref(), query, "{s}");
+        assert_eq!(url.to_string().parse::<Url>().unwrap(), url, "{s}");
+    }
+
+    #[test]
+    fn url_query_may_follow_the_host() {
+        assert_parses(
+            "http://wfm.example?agent=7",
+            "wfm.example",
+            80,
+            "/",
+            Some("agent=7"),
+        );
+    }
+
+    #[test]
+    fn url_query_may_follow_the_port() {
+        assert_parses(
+            "http://wfm.example:8080?agent=7",
+            "wfm.example",
+            8080,
+            "/",
+            Some("agent=7"),
+        );
+    }
+
+    #[test]
+    fn url_slash_in_a_query_does_not_start_the_path() {
+        assert_parses("http://h?next=/a", "h", 80, "/", Some("next=/a"));
+    }
+
+    #[test]
+    fn re_registering_a_route_replaces_only_its_handler() {
+        let (_events, net) = network();
+        net.register_route("s", Method::Get, "/x", |_| HttpResponse::ok("old"));
+        net.register_route("s", Method::Post, "/x", |_| HttpResponse::ok("post"));
+        net.register_route("s", Method::Get, "/x", |_| HttpResponse::ok("new"));
+        let get = HttpRequest::get("http://s/x").unwrap();
+        assert_eq!(net.execute(&get).unwrap().0.body_text(), "new");
+        let post = HttpRequest::post("http://s/x", "").unwrap();
+        assert_eq!(net.execute(&post).unwrap().0.body_text(), "post");
     }
 
     #[test]

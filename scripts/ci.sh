@@ -55,6 +55,16 @@ cargo run -q --release -p mobivine-bench --bin figure10 -- --check BENCH_figure1
 cargo run -q --release -p mobivine-bench --bin fleet -- --check BENCH_fleet.json
 cargo run -q --release -p mobivine-bench --bin fleet -- --compare BENCH_fleet.json
 
+# Wall-clock benchmark smoke: a small run of each BENCHMARK.json workload
+# (about a second each). The timings are not gated here; the binary's own
+# correctness checks are: every planned op ran, none returned a wrong
+# outcome (a `GET /tasks` body must carry the agent's tasks), and the
+# servers hold what the clients posted. It exits non-zero when one fails.
+for workload in read_hot write_durable fleet_bare faulted; do
+    cargo run -q --release -p mobivine-benchmark --bin mobivine-benchmark -- \
+        --workload "$workload" --devices 60 --rounds 4 --trace 0 > /dev/null
+done
+
 # The deprecated per-interface accessors are gone; nothing in the tree
 # may reintroduce `#[allow(deprecated)]` (clippy -D warnings catches
 # un-allowed uses above).
