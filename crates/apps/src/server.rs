@@ -107,8 +107,7 @@ pub fn install_slo_route(network: &SimNetwork, host: &str, device: Device, runti
     });
 }
 
-/// A size snapshot of one [`WfmServer`]'s state, used by the fleet
-/// engine to report per-shard server load.
+/// A size snapshot of one [`WfmServer`]'s state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WfmServerCounts {
     /// Tasks ever assigned.
@@ -204,8 +203,8 @@ struct DurableState {
     recovery_cost_us: Vec<u64>,
 }
 
-/// The recovery ledger of a durable [`WfmServer`], reported by the
-/// fleet's crash-storm digest.
+/// The recovery ledger of a durable [`WfmServer`], folded into the
+/// fleet report's recovery counters.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServerRecoverySnapshot {
     /// Crashes survived (one recovery pass each).

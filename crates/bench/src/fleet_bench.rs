@@ -81,7 +81,10 @@ impl Arm {
     }
 }
 
-/// One arm's results. `counters` is [`mobivine_apps::FleetReport::counters`].
+/// One arm's results: the [`mobivine_apps::FleetReport`] of its run,
+/// less the two lists no gate reads (exemplar trace ids and breached
+/// objectives). `counters` is the report's counter map, as named by the
+/// fleet engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     /// The scenario the arm belongs to.
@@ -566,7 +569,7 @@ pub fn run_scenario(scenario: &Scenario) -> Vec<Row> {
                 ops: report.total_ops,
                 errors: report.errors,
                 checksum: report.checksum,
-                counters: report.counters(),
+                counters: report.counters,
             }
         })
         .collect()
@@ -721,6 +724,10 @@ mod tests {
         assert_eq!(rows[0].ops, 60 * 2 * 2);
         assert_eq!(rows[0].value("shard0.p99_ms"), rows[0].value("p99_ms"));
         assert!(rows[2].counters.contains_key("incidents.promoted_traces"));
+        // Only the planes an arm turns on report counters.
+        for plane in ["cache.", "bridge.", "recovery.", "incidents."] {
+            assert!(!rows[0].counters.keys().any(|k| k.starts_with(plane)));
+        }
     }
 
     #[test]
@@ -728,37 +735,74 @@ mod tests {
         let rows = holds_and_reproduces("brownout");
         let (on, off) = (&rows[0], &rows[1]);
         assert!(on.value("degraded") > Some(0) && on.value("deadline_exceeded") > Some(0));
+        assert_eq!(off.value("deadline_exceeded"), Some(0), "no overload layer");
         assert_ne!(off.value("incidents.incident_checksum"), Some(0));
     }
 
     #[test]
     fn cache_rows_hold_the_gate_and_are_deterministic() {
         let rows = holds_and_reproduces("cache");
+        let (cached, uncached) = (&rows[0], &rows[1]);
+        assert_eq!(cached.ops, uncached.ops);
+        assert_eq!((cached.errors, uncached.errors), (0, 0));
         assert_eq!(
-            rows[0].value("location_fixes"),
-            rows[1].value("location_fixes")
+            cached.value("location_fixes"),
+            uncached.value("location_fixes")
         );
-        assert_eq!(rows[1].value("cache.hits"), None, "no cache, no digest");
+        // Every fix is answered exactly once: from the cache or by a fill.
+        assert_eq!(
+            cached
+                .value("cache.hits")
+                .zip(cached.value("cache.misses"))
+                .map(|(h, m)| h + m),
+            cached.value("location_fixes")
+        );
+        assert_eq!(uncached.value("cache.hits"), None, "no cache, no counters");
     }
 
     #[test]
     fn bridge_rows_hold_the_gate_and_are_deterministic() {
         let rows = holds_and_reproduces("bridge");
-        assert_eq!(
-            rows[0].value("location_fixes"),
-            rows[1].value("location_fixes")
-        );
-        assert_eq!(rows[0].value("bridge.webview_devices"), Some(10));
+        let (batched, unbatched) = (&rows[0], &rows[1]);
+        assert_eq!(batched.ops, unbatched.ops);
+        assert_eq!((batched.errors, unbatched.errors), (0, 0));
+        for counter in ["location_fixes", "sms_sent", "http_ok"] {
+            assert_eq!(
+                batched.value(counter),
+                unbatched.value(counter),
+                "{counter}"
+            );
+        }
+        // 30 devices, every third a WebView.
+        assert_eq!(batched.value("bridge.webview_devices"), Some(10));
+        assert_eq!(unbatched.value("bridge.webview_devices"), Some(10));
     }
 
     #[test]
     fn crash_rows_hold_the_gate_and_are_deterministic() {
         let rows = holds_and_reproduces("crash");
+        assert_eq!(rows[0].ops, rows[1].ops);
+        for counter in ["http_ok", "sms_sent", "location_fixes"] {
+            assert_eq!(rows[0].value(counter), rows[1].value(counter), "{counter}");
+        }
+        let stormed = |name: &str| rows[0].value(name).expect(name);
         // Two replaying crash kinds (gap, post-effect) per shard, one
         // record each: the checkpoint taken right after every recovery
         // keeps a record from being replayed by a later crash.
-        assert_eq!(rows[0].value("recovery.replayed_records"), Some(8));
-        assert_eq!(rows[0].value("recovery.duplicates"), Some(0));
+        assert_eq!(stormed("recovery.replayed_records"), 8);
+        assert_eq!(stormed("recovery.duplicates"), 0);
+        // A torn write is truncated on recovery; a crash after a durable
+        // intent is answered from the journal when its call is retried.
+        assert_eq!(
+            stormed("recovery.torn_truncated"),
+            stormed("recovery.torn_crashes")
+        );
+        assert_eq!(
+            stormed("recovery.suppressed_duplicates"),
+            stormed("recovery.gap_crashes") + stormed("recovery.effect_crashes")
+        );
+        assert!(stormed("recovery.recovery_p50_us") > 0);
+        assert!(stormed("recovery.recovery_p99_us") >= stormed("recovery.recovery_p50_us"));
     }
 
     #[test]
@@ -771,6 +815,46 @@ mod tests {
             rows[2].value("recovery.client_appends"),
             "checkpoints change no client append"
         );
+        for row in &rows {
+            assert_eq!((row.ops, row.errors), (plain.ops, 0), "{}", row.arm);
+            assert_eq!(row.value("http_ok"), plain.value("http_ok"), "{}", row.arm);
+        }
+        for row in &rows[1..] {
+            // One fsync barrier per intent, and nothing to recover.
+            assert_eq!(
+                row.value("recovery.client_fsyncs"),
+                row.value("recovery.client_appends")
+            );
+            assert_eq!(row.value("recovery.recoveries"), Some(0), "{}", row.arm);
+            assert_eq!(row.value("recovery.duplicates"), Some(0), "{}", row.arm);
+        }
+    }
+
+    /// Worker-count invariance, checked once for every declared arm: run
+    /// at 1 and at 4 workers, each arm yields the row it yields at its
+    /// declared worker count, every counter included.
+    #[test]
+    fn every_arm_yields_its_declared_row_at_1_and_4_workers() {
+        for scenario in scenarios(&tiny()) {
+            let declared = run_scenario(&scenario);
+            for workers in [1, 4] {
+                let mut reworked = scenario.clone();
+                for arm in &mut reworked.arms {
+                    assert_ne!(
+                        arm.config.workers, workers,
+                        "{}/{}",
+                        scenario.name, arm.name
+                    );
+                    arm.config.workers = workers;
+                }
+                assert_eq!(
+                    run_scenario(&reworked),
+                    declared,
+                    "{} at {workers} workers",
+                    scenario.name
+                );
+            }
+        }
     }
 
     /// Sets the value `name` of `row` (`ops`, `errors`, `checksum` or a

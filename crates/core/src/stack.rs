@@ -922,6 +922,7 @@ pub(crate) mod tests {
 
     use crate::error::ProxyErrorKind;
     use crate::journal::Lsn;
+    use crate::registry::ProxyKind;
     use crate::types::ProximityEvent;
 
     /// The unerased decorator [`wrap`] would build, so unit tests can reach
@@ -936,6 +937,50 @@ pub(crate) mod tests {
             inner: binding,
             stack: Stack::new::<P>(&layers, device, "test").expect("a layer is enabled"),
             memo: P::Memo::default(),
+        }
+    }
+
+    /// The runtime's method table of `P` and the semantic plane of the
+    /// standard descriptor its kind names: `(interface, runtime methods,
+    /// described methods)`, each list sorted.
+    fn method_lists<P: ?Sized + Interface>() -> (&'static str, Vec<String>, Vec<String>) {
+        let interface = P::KIND.interface();
+        let mut runtime: Vec<String> = P::METHODS
+            .iter()
+            .inspect(|meta| assert_eq!(meta.proxy, interface, "{}", meta.method))
+            .map(|meta| meta.method.to_owned())
+            .collect();
+        let catalog = mobivine_proxydl::catalog::standard();
+        let descriptor = catalog
+            .iter()
+            .find(|d| d.name == interface)
+            .unwrap_or_else(|| panic!("no standard descriptor named {interface}"));
+        let mut described: Vec<String> = (descriptor.semantic.methods.iter())
+            .map(|m| m.name.clone())
+            .collect();
+        runtime.sort();
+        described.sort();
+        (interface, runtime, described)
+    }
+
+    /// M-Plugin generates calls from the catalog, so every method the
+    /// runtime exposes must be described there, and every described
+    /// method must be one the runtime serves.
+    #[test]
+    fn every_interface_serves_exactly_its_described_methods() {
+        let lists = [
+            method_lists::<dyn LocationProxy>(),
+            method_lists::<dyn SmsProxy>(),
+            method_lists::<dyn CallProxy>(),
+            method_lists::<dyn HttpProxy>(),
+            method_lists::<dyn ContactsProxy>(),
+            method_lists::<dyn CalendarProxy>(),
+        ];
+        let walked: Vec<&str> = lists.iter().map(|(interface, ..)| *interface).collect();
+        let every: Vec<&str> = ProxyKind::ALL.iter().map(ProxyKind::interface).collect();
+        assert_eq!(walked, every, "one entry per proxy kind");
+        for (interface, runtime, described) in lists {
+            assert_eq!(runtime, described, "{interface}: runtime vs catalog");
         }
     }
 

@@ -369,17 +369,6 @@ impl JavaScriptInterface for LocationWrapper {
         }
     }
 
-    fn call_traced(
-        &self,
-        method: &str,
-        call_args: &[JsValue],
-        traceparent: Option<&str>,
-    ) -> Result<JsValue, BridgeError> {
-        bridge_traced(&self.device, "LocationWrapper", method, traceparent, || {
-            self.call(method, call_args)
-        })
-    }
-
     fn call_with_context(
         &self,
         method: &str,
@@ -392,7 +381,11 @@ impl JavaScriptInterface for LocationWrapper {
             "LocationWrapper",
             method,
             deadline_budget_ms,
-            || self.call_traced(method, call_args, traceparent),
+            || {
+                bridge_traced(&self.device, "LocationWrapper", method, traceparent, || {
+                    self.call(method, call_args)
+                })
+            },
         )
     }
 
@@ -532,17 +525,6 @@ impl JavaScriptInterface for SmsWrapper {
         }
     }
 
-    fn call_traced(
-        &self,
-        method: &str,
-        call_args: &[JsValue],
-        traceparent: Option<&str>,
-    ) -> Result<JsValue, BridgeError> {
-        bridge_traced(&self.device, "SmsWrapper", method, traceparent, || {
-            self.call(method, call_args)
-        })
-    }
-
     fn call_with_context(
         &self,
         method: &str,
@@ -555,7 +537,11 @@ impl JavaScriptInterface for SmsWrapper {
             "SmsWrapper",
             method,
             deadline_budget_ms,
-            || self.call_traced(method, call_args, traceparent),
+            || {
+                bridge_traced(&self.device, "SmsWrapper", method, traceparent, || {
+                    self.call(method, call_args)
+                })
+            },
         )
     }
 
@@ -655,17 +641,6 @@ impl JavaScriptInterface for CallWrapper {
         }
     }
 
-    fn call_traced(
-        &self,
-        method: &str,
-        call_args: &[JsValue],
-        traceparent: Option<&str>,
-    ) -> Result<JsValue, BridgeError> {
-        bridge_traced(&self.device, "CallWrapper", method, traceparent, || {
-            self.call(method, call_args)
-        })
-    }
-
     fn call_with_context(
         &self,
         method: &str,
@@ -678,7 +653,11 @@ impl JavaScriptInterface for CallWrapper {
             "CallWrapper",
             method,
             deadline_budget_ms,
-            || self.call_traced(method, call_args, traceparent),
+            || {
+                bridge_traced(&self.device, "CallWrapper", method, traceparent, || {
+                    self.call(method, call_args)
+                })
+            },
         )
     }
 }
@@ -719,17 +698,6 @@ impl JavaScriptInterface for HttpWrapper {
         }
     }
 
-    fn call_traced(
-        &self,
-        method: &str,
-        call_args: &[JsValue],
-        traceparent: Option<&str>,
-    ) -> Result<JsValue, BridgeError> {
-        bridge_traced(&self.device, "HttpWrapper", method, traceparent, || {
-            self.call(method, call_args)
-        })
-    }
-
     fn call_with_context(
         &self,
         method: &str,
@@ -742,7 +710,11 @@ impl JavaScriptInterface for HttpWrapper {
             "HttpWrapper",
             method,
             deadline_budget_ms,
-            || self.call_traced(method, call_args, traceparent),
+            || {
+                bridge_traced(&self.device, "HttpWrapper", method, traceparent, || {
+                    self.call(method, call_args)
+                })
+            },
         )
     }
 }

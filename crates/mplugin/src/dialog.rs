@@ -347,6 +347,39 @@ mod tests {
         assert!(dialog.is_complete());
     }
 
+    /// M-Plugin generates a call to every method the catalog describes,
+    /// on every platform that binds it; the catalog in turn lists every
+    /// method the runtime serves (a `mobivine` stack test).
+    #[test]
+    fn every_described_method_generates_a_call() {
+        for descriptor in catalog::standard_catalog() {
+            for binding in &descriptor.bindings {
+                for method in &descriptor.semantic.methods {
+                    let platform = binding.platform.clone();
+                    let mut dialog =
+                        ConfigurationDialog::for_api(&descriptor, platform, &method.name).unwrap();
+                    let values: Vec<(String, String)> = (dialog.variables().iter())
+                        .map(|v| {
+                            let value = v.allowed_values.first().map_or("1", String::as_str);
+                            (v.name.clone(), value.to_owned())
+                        })
+                        .collect();
+                    for (name, value) in values {
+                        dialog.set_variable(&name, &value).unwrap();
+                    }
+                    let source = dialog.source_preview().unwrap();
+                    assert!(
+                        source.contains(&format!(".{}(", method.name)),
+                        "{}.{} on {:?}:\n{source}",
+                        descriptor.name,
+                        method.name,
+                        binding.platform
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn source_preview_requires_completeness() {
         let dialog = s60_proximity_dialog();

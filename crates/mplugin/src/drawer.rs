@@ -130,7 +130,12 @@ mod tests {
         let apis: Vec<&str> = location.items.iter().map(|i| i.api.as_str()).collect();
         assert_eq!(
             apis,
-            vec!["addProximityAlert", "getLocation", "removeProximityAlert"]
+            vec![
+                "addProximityAlert",
+                "getLocation",
+                "getLocationWithPower",
+                "removeProximityAlert"
+            ]
         );
         assert_eq!(location.group, "Telecom");
     }

@@ -159,38 +159,19 @@ pub trait JavaScriptInterface: Send + Sync {
     /// mismatches.
     fn call(&self, method: &str, args: &[JsValue]) -> Result<JsValue, BridgeError>;
 
-    /// Invokes `method` carrying an optional W3C `traceparent` string
-    /// across the bridge, so middleware above the page can stitch the
-    /// JavaScript side and the native side into one trace.
+    /// Invokes `method` carrying the two pieces of call context the page
+    /// side marshals over the bridge: an optional W3C `traceparent`
+    /// string, so middleware above the page can stitch the JavaScript
+    /// side and the native side into one trace, and the caller's
+    /// remaining deadline budget in virtual milliseconds. A budget of
+    /// `Some(0)` means the caller entered the bridge with nothing left;
+    /// deadline-aware wrappers fail fast with [`ErrorCode::Deadline`]
+    /// instead of invoking the platform.
     ///
-    /// The default implementation ignores the trace context and
-    /// delegates to [`JavaScriptInterface::call`]; trace-aware wrappers
+    /// The default implementation ignores both and delegates to
+    /// [`JavaScriptInterface::call`]; trace- and deadline-aware wrappers
     /// override it to parent their native-side spans on the caller's
-    /// context.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JavaScriptInterface::call`].
-    fn call_traced(
-        &self,
-        method: &str,
-        args: &[JsValue],
-        traceparent: Option<&str>,
-    ) -> Result<JsValue, BridgeError> {
-        let _ = traceparent;
-        self.call(method, args)
-    }
-
-    /// Invokes `method` carrying both the optional W3C `traceparent`
-    /// string and the caller's remaining deadline budget in virtual
-    /// milliseconds — the two pieces of call context the page side
-    /// marshals over the bridge. A budget of `Some(0)` means the caller
-    /// entered the bridge with nothing left; deadline-aware wrappers
-    /// fail fast with [`ErrorCode::Deadline`] instead of invoking the
-    /// platform.
-    ///
-    /// The default implementation ignores the budget and delegates to
-    /// [`JavaScriptInterface::call_traced`].
+    /// context and to honour the budget.
     ///
     /// # Errors
     ///
@@ -202,8 +183,8 @@ pub trait JavaScriptInterface: Send + Sync {
         traceparent: Option<&str>,
         deadline_budget_ms: Option<u64>,
     ) -> Result<JsValue, BridgeError> {
-        let _ = deadline_budget_ms;
-        self.call_traced(method, args, traceparent)
+        let _ = (traceparent, deadline_budget_ms);
+        self.call(method, args)
     }
 
     /// Invokes `method` with arena-encoded arguments, writing the result

@@ -193,23 +193,6 @@ impl JsInterfaceHandle {
         self.object.call(method, args)
     }
 
-    /// Invokes a method across the bridge carrying an optional W3C
-    /// `traceparent` string, the page-side half of cross-bridge trace
-    /// propagation. Wrappers that are not trace-aware ignore it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JsInterfaceHandle::invoke`].
-    pub fn invoke_traced(
-        &self,
-        method: &str,
-        args: &[JsValue],
-        traceparent: Option<&str>,
-    ) -> Result<JsValue, BridgeError> {
-        self.crossings.fetch_add(1, Ordering::Relaxed);
-        self.object.call_traced(method, args, traceparent)
-    }
-
     /// Invokes a method across the bridge carrying the full marshalled
     /// call context: an optional W3C `traceparent` plus the caller's
     /// remaining deadline budget in virtual milliseconds. Wrappers that
@@ -406,7 +389,7 @@ mod tests {
     #[test]
     fn call_only_interface_services_wire_invocations() {
         // `Adder` implements nothing but `call`; the default-delegation
-        // chain (call_wire → call_with_context → call_traced → call)
+        // chain (call_wire → call_with_context → call)
         // must still service the zero-copy entry point.
         let wv = webview();
         wv.add_javascript_interface(Arc::new(Adder), "Calc");

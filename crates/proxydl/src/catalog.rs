@@ -188,6 +188,7 @@ pub fn location() -> ProxyDescriptor {
                 .param("proximityListener", "callback receiving enter/exit alerts"),
         )
         .method(MethodSpec::new("getLocation").returns("location"))
+        .method(MethodSpec::new("getLocationWithPower").returns("locationWithPower"))
         .method(
             MethodSpec::new("removeProximityAlert")
                 .param("proximityListener", "the callback registered earlier"),
@@ -206,6 +207,10 @@ pub fn location() -> ProxyDescriptor {
         )
         .method(MethodTypes::new("getLocation").returns("com.ibm.telecom.proxy.Location"))
         .method(
+            MethodTypes::new("getLocationWithPower")
+                .returns("com.ibm.telecom.proxy.LocationWithPower"),
+        )
+        .method(
             MethodTypes::new("removeProximityAlert")
                 .param("com.ibm.telecom.proxy.ProximityListener"),
         );
@@ -222,6 +227,7 @@ pub fn location() -> ProxyDescriptor {
                 .callback("function", ""),
         )
         .method(MethodTypes::new("getLocation").returns("object"))
+        .method(MethodTypes::new("getLocationWithPower").returns("object"))
         .method(MethodTypes::new("removeProximityAlert").param("function"));
 
     let android = with_exceptions(
@@ -357,6 +363,11 @@ pub fn call() -> ProxyDescriptor {
                 .param("number", "callee address")
                 .returns("callId"),
         )
+        .method(
+            MethodSpec::new("callProgress")
+                .param("callId", "the call to query")
+                .returns("callProgress"),
+        )
         .method(MethodSpec::new("endCall").param("callId", "the call to terminate"));
     let java = SyntacticBinding::new(Language::Java)
         .method(
@@ -364,12 +375,22 @@ pub fn call() -> ProxyDescriptor {
                 .param("java.lang.String")
                 .returns("long"),
         )
+        .method(
+            MethodTypes::new("callProgress")
+                .param("long")
+                .returns("com.ibm.telecom.proxy.CallProgress"),
+        )
         .method(MethodTypes::new("endCall").param("long"));
     let javascript = SyntacticBinding::new(Language::JavaScript)
         .method(
             MethodTypes::new("makeACall")
                 .param("string")
                 .returns("number"),
+        )
+        .method(
+            MethodTypes::new("callProgress")
+                .param("number")
+                .returns("string"),
         )
         .method(MethodTypes::new("endCall").param("number"));
     let android = with_exceptions(

@@ -8,10 +8,12 @@ cargo test -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Run the self-asserting examples: `cargo test` above only compiles
-# them. Each exits non-zero when one of its own assertions fails.
-for example in quickstart cross_platform_port enrichment incident_debugging \
-    new_platform platform_migration; do
+# Run every example: `cargo test` above only compiles them. Each checks
+# its own results and exits non-zero when one of its assertions fails.
+# `workforce` takes a platform and runs once per platform below.
+for path in examples/*.rs; do
+    example="$(basename "$path" .rs)"
+    [ "$example" = workforce ] && continue
     cargo run -q --example "$example" > /dev/null
 done
 for platform in android s60 webview; do
