@@ -33,7 +33,6 @@ use mobivine::error::{ProxyError, ProxyErrorKind};
 use mobivine::overload::{with_deadline, Deadline, OverloadPolicy, OverloadSnapshot};
 use mobivine::property::PropertyValue;
 use mobivine::shard::ShardedRegistry;
-use mobivine::webview::BATCH_PROPERTY;
 use mobivine::{with_idempotency_key, IdempotencyKey, JournalPolicy, JournalSnapshot};
 use mobivine_android::{AndroidPlatform, SdkVersion};
 use mobivine_device::cohort::{Cohort, CohortPartition};
@@ -177,19 +176,6 @@ pub struct FleetConfig {
     pub slo: bool,
     /// Optional brownout scenario overwhelming one shard.
     pub brownout: Option<BrownoutConfig>,
-    /// Bridge-bound workload arm. `None` keeps the classic plan: every
-    /// `LocationFix` op is a plain `getLocation`. `Some(batched)` turns
-    /// every `LocationFix` into a *multi-read*
-    /// ([`LocationProxy::get_location_with_power`]): on WebView devices
-    /// the read crosses the JavaScript bridge, and `batched` selects
-    /// whether the two reads share one batched crossing (`true`) or
-    /// make two wire calls (`false`) — toggled per device through the
-    /// JavaScript-local [`BATCH_PROPERTY`] after warm-up. Android/S60
-    /// devices serve the same multi-read natively, so the two arms
-    /// compute identical counters and their checksums must match; the
-    /// crossing counts the arms differ by are reported as counters, kept
-    /// out of the checksum like the cache's.
-    pub bridge_batch: Option<bool>,
     /// When set, the fleet runs durable: client runtimes journal
     /// mutating calls, shard servers journal intents before effects,
     /// and every HTTP report carries a deterministic idempotency key.
@@ -223,7 +209,6 @@ impl Default for FleetConfig {
             telemetry: false,
             slo: false,
             brownout: None,
-            bridge_batch: None,
             durability: None,
             crash_plan: false,
         }
@@ -322,13 +307,13 @@ pub struct FleetReport {
     pub errors: u64,
     /// An FNV fold over every device's outcome counters in device-index
     /// order: two runs computed the same iff their checksums match.
-    /// Tracing, caching, bridge batching and durability stay out of it
+    /// Tracing, caching and durability stay out of it
     /// by design: they must not change what the fleet computes.
     pub checksum: u64,
     /// Every other numeric outcome, by the name bench scenarios gate
     /// on: the run-wide outcome counters and virtual latency quantiles,
     /// one p99 per shard, and the counters of each plane that is on
-    /// (cache, bridge, recovery, incidents) under the plane's prefix.
+    /// (cache, recovery, incidents) under the plane's prefix.
     /// Each name is written once, where its value is computed.
     pub counters: BTreeMap<String, u64>,
     /// The first few exemplar trace ids (16-hex, device-index order)
@@ -484,10 +469,6 @@ enum FleetOp {
 /// deterministic.
 struct TrafficBatch {
     ops: Vec<FleetOp>,
-    /// Widen every location fix into a fix + power-draw multi-read
-    /// (the bridge arms exercise this; native platforms serve it
-    /// directly, WebView over the JS bridge).
-    multi_read: bool,
 }
 
 impl TrafficBatch {
@@ -527,10 +508,7 @@ impl TrafficBatch {
                 }
             })
             .collect();
-        Self {
-            ops,
-            multi_read: config.bridge_batch.is_some(),
-        }
+        Self { ops }
     }
 }
 
@@ -570,7 +548,6 @@ impl TrafficBatch {
             idem_seed,
         } = ctx;
         let agent_id = device_index as u64;
-        let multi_read = self.multi_read;
         let flush_start_ms = device.clock().now_ms();
         for (ordinal, op) in self.ops.into_iter().enumerate() {
             stats.ops += 1;
@@ -582,15 +559,6 @@ impl TrafficBatch {
                 idem_seed.map(|seed| IdempotencyKey::derive(seed, agent_id, round, ordinal as u64));
             let mut execute = || -> Result<(), ProxyError> {
                 match op {
-                    // The bridge arm widens every fix into a multi-read
-                    // (fix + power draw). Android/S60 serve it natively
-                    // and WebView over the bridge — batched or not, the
-                    // counters below are identical, which is what the
-                    // cross-arm checksum gate pins.
-                    FleetOp::LocationFix if multi_read => registry
-                        .resolve::<dyn LocationProxy>(device_index)
-                        .and_then(|location| location.get_location_with_power())
-                        .map(|_| stats.location_fixes += 1),
                     FleetOp::LocationFix => registry
                         .resolve::<dyn LocationProxy>(device_index)
                         .and_then(|location| location.get_location())
@@ -696,9 +664,6 @@ pub struct Fleet {
     registry: Arc<ShardedRegistry>,
     cohort: Cohort,
     servers: Vec<WfmServer>,
-    /// The WebView substrates, in device-index order, retained so the
-    /// bridge digest can read their crossing counters after the run.
-    webviews: Vec<Arc<WebView>>,
 }
 
 impl fmt::Debug for Fleet {
@@ -748,7 +713,6 @@ impl Fleet {
             })
             .collect();
         let mut armed_shards = vec![false; config.shards];
-        let mut webviews: Vec<Arc<WebView>> = Vec::new();
 
         for index in 0..config.devices {
             let mut seed_state = config.seed ^ (index as u64).wrapping_mul(0xA076_1D64_78BD_642F);
@@ -854,7 +818,6 @@ impl Fleet {
                 _ => {
                     let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
                     let webview = Arc::new(WebView::new(platform.new_context()));
-                    webviews.push(Arc::clone(&webview));
                     registry.push_with(|b| instrument(b.webview(webview)))?;
                 }
             }
@@ -876,26 +839,11 @@ impl Fleet {
                 }
             }
         }
-        // The bridge arm's batching toggle: a JavaScript-local property
-        // flipped on every WebView device's location proxy (the same
-        // plumbing as the shed.droppable_path wiring above). It never
-        // crosses the bridge or touches the catalogs, so the property
-        // is valid on every decorator stack.
-        if let Some(batched) = config.bridge_batch {
-            for index in 0..config.devices {
-                if index % 3 == 2 {
-                    registry
-                        .resolve::<dyn LocationProxy>(index)?
-                        .set_property(BATCH_PROPERTY, PropertyValue::Bool(batched))?;
-                }
-            }
-        }
         Ok(Self {
             config,
             registry: Arc::new(registry),
             cohort,
             servers,
-            webviews,
         })
     }
 
@@ -1056,9 +1004,6 @@ impl Fleet {
         if self.config.cache {
             self.cache_counters(&mut counters);
         }
-        if self.config.bridge_batch.is_some() {
-            self.bridge_counters(&mut counters);
-        }
         if self.config.durability.is_some() {
             self.recovery_counters(&mut counters);
         }
@@ -1125,23 +1070,6 @@ impl Fleet {
                 ("client_already_applied", journal.already_applied),
             ]);
         }
-    }
-
-    /// Counts the WebView devices and sums their bridge crossings, in
-    /// device-index order. Each device is stepped by exactly one
-    /// worker, so the sums are as deterministic as the op counters.
-    fn bridge_counters(&self, counters: &mut BTreeMap<String, u64>) {
-        add(
-            counters,
-            "bridge.",
-            &[
-                ("webview_devices", self.webviews.len() as u64),
-                (
-                    "crossings",
-                    self.webviews.iter().map(|w| w.bridge_crossings()).sum(),
-                ),
-            ],
-        );
     }
 
     /// Walks every device runtime in index order and sums its cache
@@ -1457,7 +1385,7 @@ mod tests {
             "no brownout, no deadline budget"
         );
         // Only the planes a run turns on report counters.
-        for plane in ["cache.", "bridge.", "recovery."] {
+        for plane in ["cache.", "recovery."] {
             assert!(!has_prefix(&report, plane), "{plane} {report:?}");
         }
     }

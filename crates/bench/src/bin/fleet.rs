@@ -5,8 +5,8 @@
 //! [--json [PATH]] [--check PATH] [--compare PATH] [--scenario NAME]`
 //!
 //! Runs every scenario of [`SCENARIOS`] — the scaling sweep, which the
-//! sizing flags shape, and the fixed-size brownout, cache, bridge, crash
-//! and journal comparisons — prints each scenario's table with its gate
+//! sizing flags shape, and the fixed-size brownout, cache, crash and
+//! journal comparisons — prints each scenario's table with its gate
 //! verdicts, and exits non-zero if any gate fails. `--json` writes the
 //! `mobivine.fleet.v8` summary instead of the tables — deterministic for
 //! a fixed sweep — on stdout, or at `PATH` when one follows the flag.

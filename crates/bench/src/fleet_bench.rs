@@ -310,8 +310,7 @@ pub struct Scenario {
 }
 
 /// Every declared fleet scenario. Adding one is one entry here.
-pub const SCENARIOS: &[fn(&Sweep) -> Scenario] =
-    &[scaling, brownout, cache, bridge, crash, journal];
+pub const SCENARIOS: &[fn(&Sweep) -> Scenario] = &[scaling, brownout, cache, crash, journal];
 
 /// Every declared scenario, built for `sweep`.
 pub fn scenarios(sweep: &Sweep) -> Vec<Scenario> {
@@ -457,33 +456,6 @@ fn cache(_: &Sweep) -> Scenario {
             at("cached", "cache.hits").gt(0),
             at("cached", "cache.misses").gt(0),
             at("uncached", "location_fixes").ge(at("cached", "cache.misses").times(5)),
-        ],
-    }
-}
-
-/// The cache scenario's traffic with every fix widened into a
-/// fix + power-draw multi-read, WebView bridge batching on vs off: the
-/// batched arm crosses the bridge strictly fewer times.
-fn bridge(_: &Sweep) -> Scenario {
-    let arm = |name: &str, batched: bool| {
-        Arm::new(
-            name,
-            FleetConfig {
-                read_heavy: true,
-                rounds: 4,
-                ops_per_round: 6,
-                bridge_batch: Some(batched),
-                ..small()
-            },
-        )
-    };
-    Scenario {
-        name: "bridge",
-        arms: vec![arm("batched", true), arm("unbatched", false)],
-        gates: vec![
-            checksum_equal("batched", "unbatched"),
-            at("batched", "bridge.crossings").gt(0),
-            at("batched", "bridge.crossings").lt(at("unbatched", "bridge.crossings")),
         ],
     }
 }
@@ -725,7 +697,7 @@ mod tests {
         assert_eq!(rows[0].value("shard0.p99_ms"), rows[0].value("p99_ms"));
         assert!(rows[2].counters.contains_key("incidents.promoted_traces"));
         // Only the planes an arm turns on report counters.
-        for plane in ["cache.", "bridge.", "recovery.", "incidents."] {
+        for plane in ["cache.", "recovery.", "incidents."] {
             assert!(!rows[0].counters.keys().any(|k| k.starts_with(plane)));
         }
     }
@@ -758,24 +730,6 @@ mod tests {
             cached.value("location_fixes")
         );
         assert_eq!(uncached.value("cache.hits"), None, "no cache, no counters");
-    }
-
-    #[test]
-    fn bridge_rows_hold_the_gate_and_are_deterministic() {
-        let rows = holds_and_reproduces("bridge");
-        let (batched, unbatched) = (&rows[0], &rows[1]);
-        assert_eq!(batched.ops, unbatched.ops);
-        assert_eq!((batched.errors, unbatched.errors), (0, 0));
-        for counter in ["location_fixes", "sms_sent", "http_ok"] {
-            assert_eq!(
-                batched.value(counter),
-                unbatched.value(counter),
-                "{counter}"
-            );
-        }
-        // 30 devices, every third a WebView.
-        assert_eq!(batched.value("bridge.webview_devices"), Some(10));
-        assert_eq!(unbatched.value("bridge.webview_devices"), Some(10));
     }
 
     #[test]
@@ -929,28 +883,6 @@ mod tests {
             err.lines()
                 .any(|line| line.starts_with(&named) && line.contains(expected)),
             "expected `{expected}` in:\n{err}"
-        );
-    }
-
-    #[test]
-    fn bridge_gate_rejects_a_missing_or_drifted_arm() {
-        let scenario = declared("bridge");
-        let rows = run_scenario(&scenario);
-        rejected(&scenario, &rows[..1], "missing arm `unbatched`");
-        let mut drifted = rows.clone();
-        drifted[0].checksum ^= 1;
-        rejected(
-            &scenario,
-            &drifted,
-            "gate `batched.checksum == unbatched.checksum` fails",
-        );
-        let mut inflated = rows.clone();
-        let crossings = rows[1].value("bridge.crossings").expect("crossings");
-        set(&mut inflated[0], "bridge.crossings", crossings);
-        rejected(
-            &scenario,
-            &inflated,
-            "gate `batched.bridge.crossings < unbatched.bridge.crossings` fails",
         );
     }
 

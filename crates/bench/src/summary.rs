@@ -540,8 +540,8 @@ mod tests {
         assert_eq!(summary.rows, rows, "parsing loses nothing");
         assert_eq!(
             rows.len(),
-            3 + 2 * 4 + 3,
-            "two shard counts + traced, four A/B pairs, three journal arms"
+            3 + 2 * 3 + 3,
+            "two shard counts + traced, three A/B pairs, three journal arms"
         );
     }
 
@@ -561,11 +561,6 @@ mod tests {
     #[test]
     fn fleet_summary_rejects_a_missing_crash_arm() {
         assert_missing_arm_is_rejected("crash-free");
-    }
-
-    #[test]
-    fn fleet_summary_rejects_a_missing_bridge_arm() {
-        assert_missing_arm_is_rejected("unbatched");
     }
 
     #[test]
@@ -617,15 +612,6 @@ mod tests {
             "recovery.duplicates",
             1.0,
             "stormed.recovery.duplicates == 0",
-        );
-    }
-
-    #[test]
-    fn fleet_summary_rejects_a_bridge_arm_without_reduction() {
-        assert_file_gate_fails(
-            "bridge.crossings",
-            500.0,
-            "batched.bridge.crossings < unbatched.bridge.crossings",
         );
     }
 

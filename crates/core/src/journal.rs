@@ -230,7 +230,7 @@ pub struct Recovery {
 ///
 /// Appends land in a volatile buffer; [`Journal::fsync`] is the
 /// durability barrier that moves them into the durable image (a list
-/// of [`Segment`]s, rotated at record boundaries). [`Journal::crash`]
+/// of segments, rotated at record boundaries). [`Journal::crash`]
 /// models process death: the volatile buffer is lost, except an
 /// optional torn prefix that had reached the disk queue. Recovery
 /// validates frames from a given LSN and truncates the torn tail.
@@ -674,7 +674,7 @@ impl fmt::Debug for JournalEngine {
 
 /// Appends `?idem=<key>` (or `&idem=` when a query already exists) so
 /// the server-side durability layer can dedup at-least-once
-/// re-deliveries. The uniform [`HttpProxy`] surface carries no
+/// re-deliveries. The uniform [`HttpProxy`](crate::api::HttpProxy) surface carries no
 /// headers, so the key travels in the URL like any other query
 /// parameter.
 pub fn url_with_idempotency_key(url: &str, key: IdempotencyKey) -> String {

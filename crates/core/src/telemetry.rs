@@ -33,14 +33,14 @@
 //! static symbol, span events are static and stored inline, and error
 //! kinds map to static names through `kind_name`. What is resolved at
 //! wiring time (proxy resolution after `MobivineBuilder::with_telemetry`) is
-//! the proxy plane's [`CallInstruments`] bundle of counter/histogram
+//! the proxy plane's `CallInstruments` bundle of counter/histogram
 //! handles, one per method, found per call by the `CallMeta`'s index. A
 //! traced call is then: one ambient frame per span, two or three atomic
 //! increments, one histogram bucket add, and per span a record moved
 //! into a per-thread pending batch that is filed into the thread's span
 //! ring, under one lock, when the trace's root closes. `Labels::call`
 //! must never appear inside the per-call methods (CI greps for it); it
-//! belongs in [`CallInstruments::resolve`] alone.
+//! belongs in `CallInstruments::resolve` alone.
 //!
 //! The proxy plane also closes the incident-debugging loop: it stamps
 //! `deadline = blown` on the span when the ambient

@@ -8,7 +8,6 @@
 //! each retrieved notification to the registered callback.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -17,10 +16,9 @@ use mobivine_device::Device;
 use mobivine_proxydl::PlatformId;
 use mobivine_telemetry::span::ambient;
 use mobivine_telemetry::TraceparentBuf;
-use mobivine_webview::bridge::BridgeError;
 use mobivine_webview::notification::{NotifHandler, NotificationId, NotificationTable};
 use mobivine_webview::webview::JsInterfaceHandle;
-use mobivine_webview::wire::{BatchReplies, NodeId, WireBuf, WireValue};
+use mobivine_webview::wire::{NodeId, WireBuf, WireValue};
 use mobivine_webview::{JsValue, WebView};
 
 use crate::api::{CallProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy};
@@ -29,11 +27,13 @@ use crate::property::{PropertyBag, PropertyValue};
 use crate::types::{
     CallProgress, DeliveryListener, DeliveryOutcome, HttpResult, Location, SharedProximityListener,
 };
-use crate::webview::wrappers::{interface_names, location_from_wire, proximity_event_from_js};
+use crate::webview::wrappers::{interface_names, proximity_event_from_js};
 
-/// The JavaScript-local property that flips the location proxy's
-/// multi-read between one batched crossing and two wire calls. It never
-/// crosses the bridge — the JavaScript plane owns the batching policy.
+/// A retired key: it once folded the location proxy's multi-read into
+/// one batched crossing. Bridge batching saved crossings but no time,
+/// so it is gone; the WebView location proxy still accepts a boolean
+/// under this key and ignores it, because the wall-clock benchmark
+/// sets it. Delete it with the benchmark's next change.
 pub const BATCH_PROPERTY: &str = "bridge.batch";
 
 fn property_value_to_js_string(value: &PropertyValue) -> Result<String, ProxyError> {
@@ -54,6 +54,63 @@ fn wrapper_handle(webview: &WebView, name: &str) -> Result<JsInterfaceHandle, Pr
             ProxyErrorKind::Unavailable,
             format!("wrapper {name} is not injected — call install_wrappers first"),
         )
+    })
+}
+
+/// Encodes an argument array of strings.
+fn str_args(buf: &mut WireBuf, items: &[&str]) -> NodeId {
+    let mark = buf.begin();
+    for item in items {
+        let node = buf.push_str(item);
+        buf.stage_item(node);
+    }
+    buf.end_array(mark)
+}
+
+/// Encodes an argument array of numbers.
+fn number_args(buf: &mut WireBuf, items: &[f64]) -> NodeId {
+    let mark = buf.begin();
+    for &item in items {
+        let node = buf.push_number(item);
+        buf.stage_item(node);
+    }
+    buf.end_array(mark)
+}
+
+/// The error for a wrapper reply that lacks `field` or holds the wrong
+/// type there: the proxy fails closed rather than invent a value.
+fn malformed(method: &str, field: &str) -> ProxyError {
+    ProxyError::new(
+        ProxyErrorKind::Unavailable,
+        format!("wrapper reply to {method} has no valid {field}"),
+    )
+}
+
+/// The numeric `field` of an object reply.
+fn reply_number(reply: WireValue<'_>, method: &str, field: &str) -> Result<f64, ProxyError> {
+    reply
+        .get(field)
+        .and_then(|v| v.as_number())
+        .ok_or_else(|| malformed(method, field))
+}
+
+/// A scalar numeric reply, named `field` in the error.
+fn scalar_number(reply: WireValue<'_>, method: &str, field: &str) -> Result<f64, ProxyError> {
+    reply.as_number().ok_or_else(|| malformed(method, field))
+}
+
+/// Decodes a `getLocation` reply into the common [`Location`]; every
+/// field must be present and numeric.
+fn location_from_wire(reply: WireValue<'_>) -> Result<Location, ProxyError> {
+    let num = |field| reply_number(reply, "getLocation", field);
+    Ok(Location {
+        latitude: num("latitude")?,
+        longitude: num("longitude")?,
+        altitude: num("altitude")?,
+        accuracy_m: num("accuracy")?,
+        timestamp_ms: num("time")? as u64,
+        speed_mps: num("speed")?,
+        course_deg: num("bearing")?,
     })
 }
 
@@ -78,23 +135,6 @@ impl JsProxyCore {
         })
     }
 
-    /// Crosses the bridge with the full marshalled call context: the
-    /// ambient trace context rendered as a `traceparent` string (so the
-    /// Java-side wrapper can parent its Bridge-plane span off the
-    /// JavaScript caller's span) plus the ambient deadline's remaining
-    /// budget in virtual milliseconds (the ambient stack itself cannot
-    /// cross the marshalling boundary, so the budget is re-opened as a
-    /// native-side scope by the wrapper).
-    fn invoke(&self, method: &str, args: &[JsValue]) -> Result<JsValue, BridgeError> {
-        let (traceparent, deadline_budget_ms) = self.marshalled_context();
-        self.handle.invoke_with_context(
-            method,
-            args,
-            traceparent.as_ref().map(TraceparentBuf::as_str),
-            deadline_budget_ms,
-        )
-    }
-
     /// The two marshallable pieces of ambient call context: the trace
     /// context rendered into a fixed stack buffer (no heap) and the
     /// deadline's remaining budget as a plain integer.
@@ -105,38 +145,28 @@ impl JsProxyCore {
         (traceparent, deadline_budget_ms)
     }
 
-    /// Crosses the bridge through the zero-copy wire path with the same
-    /// marshalled context as [`JsProxyCore::invoke`].
-    fn invoke_wire<T>(
+    /// Crosses the bridge — the one way a proxy reaches its wrapper.
+    /// `encode` writes the argument array into the handle's scratch
+    /// arena and `decode` reads the reply view. The ambient trace
+    /// context crosses as a `traceparent` string (so the Java-side
+    /// wrapper can parent its Bridge-plane span off the JavaScript
+    /// caller's span) and the ambient deadline as its remaining budget
+    /// (the ambient stack itself cannot cross the marshalling
+    /// boundary, so the wrapper re-opens the budget natively).
+    fn invoke<T>(
         &self,
         method: &str,
         encode: impl FnOnce(&mut WireBuf) -> NodeId,
-        decode: impl FnOnce(WireValue<'_>) -> Result<T, BridgeError>,
-    ) -> Result<T, BridgeError> {
+        decode: impl FnOnce(WireValue<'_>) -> Result<T, ProxyError>,
+    ) -> Result<T, ProxyError> {
         let (traceparent, deadline_budget_ms) = self.marshalled_context();
         self.handle.invoke_wire(
             method,
             traceparent.as_ref().map(TraceparentBuf::as_str),
             deadline_budget_ms,
             encode,
-            decode,
-        )
-    }
-
-    /// One crossing carrying several queued wrapper calls, with the
-    /// same marshalled context as [`JsProxyCore::invoke`].
-    fn invoke_batch<T>(
-        &self,
-        encode: impl FnOnce(&mut WireBuf),
-        decode: impl FnOnce(BatchReplies<'_>) -> Result<T, BridgeError>,
-    ) -> Result<T, BridgeError> {
-        let (traceparent, deadline_budget_ms) = self.marshalled_context();
-        self.handle.invoke_batch(
-            traceparent.as_ref().map(TraceparentBuf::as_str),
-            deadline_budget_ms,
-            encode,
-            decode,
-        )
+            |reply| Ok(decode(reply)),
+        )?
     }
 
     fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
@@ -147,7 +177,11 @@ impl JsProxyCore {
         let rendered = property_value_to_js_string(&value)?;
         // Properties the Android side does not declare (e.g.
         // pollInterval) stay JavaScript-local.
-        let _ = self.invoke("setProperty", &[JsValue::str(key), JsValue::Str(rendered)]);
+        let _ = self.invoke(
+            "setProperty",
+            |buf| str_args(buf, &[key, &rendered]),
+            |_| Ok(()),
+        );
         Ok(())
     }
 
@@ -180,9 +214,6 @@ type AlertRegistration = (u64, Arc<NotifHandler>, SharedProximityListener);
 pub struct WebViewLocationProxy {
     core: JsProxyCore,
     registrations: Mutex<HashMap<usize, AlertRegistration>>,
-    /// Whether multi-reads cross the bridge as one batched crossing
-    /// (toggled through the JavaScript-local [`BATCH_PROPERTY`]).
-    batched: AtomicBool,
 }
 
 impl WebViewLocationProxy {
@@ -196,30 +227,21 @@ impl WebViewLocationProxy {
         Ok(Self {
             core: JsProxyCore::new(webview, interface_names::LOCATION, "Location")?,
             registrations: Mutex::new(HashMap::new()),
-            batched: AtomicBool::new(false),
         })
     }
 }
 
 impl ProxyBase for WebViewLocationProxy {
     fn set_property(&self, key: &str, value: PropertyValue) -> Result<(), ProxyError> {
-        // The batch toggle is a JavaScript-plane policy knob, not a
-        // platform property: intercept it before catalog validation so
-        // it never crosses the bridge.
+        // The retired batch toggle: accepted, ignored, never crossing.
         if key == BATCH_PROPERTY {
-            let on = match &value {
-                PropertyValue::Bool(b) => *b,
-                PropertyValue::Str(s) if s == "true" => true,
-                PropertyValue::Str(s) if s == "false" => false,
-                _ => {
-                    return Err(ProxyError::new(
-                        ProxyErrorKind::BadPropertyValue,
-                        format!("{BATCH_PROPERTY} takes a boolean"),
-                    ))
-                }
+            return match value {
+                PropertyValue::Bool(_) => Ok(()),
+                _ => Err(ProxyError::new(
+                    ProxyErrorKind::BadPropertyValue,
+                    format!("{BATCH_PROPERTY} takes a boolean"),
+                )),
             };
-            self.batched.store(on, Ordering::Relaxed);
-            return Ok(());
         }
         self.core.set_property(key, value)
     }
@@ -235,19 +257,16 @@ impl LocationProxy for WebViewLocationProxy {
         timer_s: i64,
         listener: SharedProximityListener,
     ) -> Result<(), ProxyError> {
-        let out = self.core.invoke(
+        let raw = self.core.invoke(
             "addProximityAlert",
-            &[
-                latitude.into(),
-                longitude.into(),
-                altitude.into(),
-                radius.into(),
-                (timer_s as f64).into(),
-            ],
-        )?;
-        let raw = out.as_number().ok_or_else(|| {
-            ProxyError::new(ProxyErrorKind::Unavailable, "wrapper returned no alert id")
-        })? as u64;
+            |buf| {
+                number_args(
+                    buf,
+                    &[latitude, longitude, altitude, radius, timer_s as f64],
+                )
+            },
+            |reply| scalar_number(reply, "addProximityAlert", "alertId"),
+        )? as u64;
         let notif_id = NotificationId::from_raw(raw).ok_or_else(|| {
             ProxyError::new(ProxyErrorKind::Unavailable, "wrapper returned bad alert id")
         })?;
@@ -271,66 +290,37 @@ impl LocationProxy for WebViewLocationProxy {
         match entry {
             Some((raw, handler, _listener)) => {
                 handler.stop_polling();
-                let removed = self
-                    .core
-                    .invoke("removeProximityAlert", &[JsValue::Number(raw as f64)])?;
+                let removed = self.core.invoke(
+                    "removeProximityAlert",
+                    |buf| number_args(buf, &[raw as f64]),
+                    |reply| {
+                        reply
+                            .as_bool()
+                            .ok_or_else(|| malformed("removeProximityAlert", "removed"))
+                    },
+                )?;
                 if let Some(id) = NotificationId::from_raw(raw) {
                     self.core.table.close(id);
                 }
-                Ok(removed.as_bool().unwrap_or(false))
+                Ok(removed)
             }
             None => Ok(false),
         }
     }
 
     fn get_location(&self) -> Result<Location, ProxyError> {
-        let location = self
-            .core
-            .invoke_wire("getLocation", WireBuf::empty_args, |reply| {
-                Ok(location_from_wire(reply))
-            })?;
-        Ok(location)
+        self.core
+            .invoke("getLocation", WireBuf::empty_args, location_from_wire)
     }
 
     fn get_location_with_power(&self) -> Result<(Location, f64), ProxyError> {
-        if self.batched.load(Ordering::Relaxed) {
-            // One crossing carrying both reads; per-entry errors are
-            // surfaced as the whole multi-read's failure.
-            let out = self.core.invoke_batch(
-                |buf| {
-                    let args = buf.empty_args();
-                    buf.push_frame("getLocation", args);
-                    let args = buf.empty_args();
-                    buf.push_frame("getPowerDrawn", args);
-                },
-                |replies| {
-                    let entry = |i: usize| match replies.get(i) {
-                        Some(Ok(value)) => Ok(value),
-                        Some(Err((code, message))) => Err(BridgeError {
-                            code,
-                            message: message.to_owned(),
-                        }),
-                        None => Err(BridgeError::bridge("batch reply missing")),
-                    };
-                    let location = location_from_wire(entry(0)?);
-                    let power = entry(1)?.as_number().unwrap_or(0.0);
-                    Ok((location, power))
-                },
-            )?;
-            Ok(out)
-        } else {
-            let location = self
-                .core
-                .invoke_wire("getLocation", WireBuf::empty_args, |reply| {
-                    Ok(location_from_wire(reply))
-                })?;
-            let power = self
-                .core
-                .invoke_wire("getPowerDrawn", WireBuf::empty_args, |reply| {
-                    Ok(reply.as_number().unwrap_or(0.0))
-                })?;
-            Ok((location, power))
-        }
+        let location = self.get_location()?;
+        let power = self
+            .core
+            .invoke("getPowerDrawn", WireBuf::empty_args, |reply| {
+                scalar_number(reply, "getPowerDrawn", "power")
+            })?;
+        Ok((location, power))
     }
 }
 
@@ -370,19 +360,28 @@ impl SmsProxy for WebViewSmsProxy {
         // Prune handlers whose one-shot report already arrived.
         self.handlers.lock().retain(|h| h.is_polling());
         let want_report = delivery_listener.is_some();
-        let out = self.core.invoke(
+        let (message_id, notif_raw) = self.core.invoke(
             "sendTextMessage",
-            &[
-                JsValue::str(destination),
-                JsValue::str(text),
-                JsValue::Bool(want_report),
-            ],
+            |buf| {
+                let mark = buf.begin();
+                let node = buf.push_str(destination);
+                buf.stage_item(node);
+                let node = buf.push_str(text);
+                buf.stage_item(node);
+                let node = buf.push_bool(want_report);
+                buf.stage_item(node);
+                buf.end_array(mark)
+            },
+            |reply| {
+                let message_id = reply_number(reply, "sendTextMessage", "messageId")? as u64;
+                // A report was asked for, so its notification id must
+                // have come back.
+                let notif_raw = want_report
+                    .then(|| reply_number(reply, "sendTextMessage", "notifId"))
+                    .transpose()?;
+                Ok((message_id, notif_raw))
+            },
         )?;
-        let message_id = out
-            .get_ref("messageId")
-            .and_then(JsValue::as_number)
-            .unwrap_or(0.0) as u64;
-        let notif_raw = out.get_ref("notifId").and_then(JsValue::as_number);
         if let (Some(listener), Some(raw)) = (delivery_listener, notif_raw) {
             if let Some(notif_id) = NotificationId::from_raw(raw as u64) {
                 let table = Arc::clone(&self.core.table);
@@ -450,29 +449,36 @@ impl ProxyBase for WebViewCallProxy {
 
 impl CallProxy for WebViewCallProxy {
     fn make_a_call(&self, number: &str) -> Result<u64, ProxyError> {
-        let out = self.core.invoke("makeACall", &[JsValue::str(number)])?;
-        Ok(out.as_number().unwrap_or(0.0) as u64)
+        let id = self.core.invoke(
+            "makeACall",
+            |buf| str_args(buf, &[number]),
+            |reply| scalar_number(reply, "makeACall", "callId"),
+        )?;
+        Ok(id as u64)
     }
 
     fn call_progress(&self, call_id: u64) -> Result<CallProgress, ProxyError> {
-        let out = self
-            .core
-            .invoke("callProgress", &[JsValue::Number(call_id as f64)])?;
-        match out.as_str() {
-            Some("connecting") => Ok(CallProgress::Connecting),
-            Some("connected") => Ok(CallProgress::Connected),
-            Some("ended") => Ok(CallProgress::Ended),
-            other => Err(ProxyError::new(
-                ProxyErrorKind::Unavailable,
-                format!("wrapper returned unknown progress {other:?}"),
-            )),
-        }
+        self.core.invoke(
+            "callProgress",
+            |buf| number_args(buf, &[call_id as f64]),
+            |reply| match reply.as_str() {
+                Some("connecting") => Ok(CallProgress::Connecting),
+                Some("connected") => Ok(CallProgress::Connected),
+                Some("ended") => Ok(CallProgress::Ended),
+                _ => Err(malformed("callProgress", "progress")),
+            },
+        )
     }
 
     fn end_call(&self, call_id: u64) -> Result<(), ProxyError> {
-        self.core
-            .invoke("endCall", &[JsValue::Number(call_id as f64)])?;
-        Ok(())
+        self.core.invoke(
+            "endCall",
+            |buf| number_args(buf, &[call_id as f64]),
+            |reply| match reply.type_of() {
+                "undefined" => Ok(()),
+                _ => Err(malformed("endCall", "undefined result")),
+            },
+        )
     }
 }
 
@@ -502,28 +508,23 @@ impl ProxyBase for WebViewHttpProxy {
 
 impl HttpProxy for WebViewHttpProxy {
     fn request(&self, method: &str, url: &str, body: &[u8]) -> Result<HttpResult, ProxyError> {
-        let body_text = String::from_utf8_lossy(body).into_owned();
-        let out = self.core.invoke(
+        let body = String::from_utf8_lossy(body);
+        self.core.invoke(
             "request",
-            &[
-                JsValue::str(method),
-                JsValue::str(url),
-                JsValue::Str(body_text),
-            ],
-        )?;
-        Ok(HttpResult {
-            status: out
-                .get_ref("status")
-                .and_then(JsValue::as_number)
-                .unwrap_or(0.0) as u16,
-            headers: Vec::new(),
-            body: out
-                .get_ref("body")
-                .and_then(JsValue::as_str)
-                .unwrap_or("")
-                .as_bytes()
-                .to_vec(),
-        })
+            |buf| str_args(buf, &[method, url, &body]),
+            |reply| {
+                let status = reply_number(reply, "request", "status")? as u16;
+                let body = reply
+                    .get("body")
+                    .and_then(|v| v.as_str())
+                    .ok_or_else(|| malformed("request", "body"))?;
+                Ok(HttpResult {
+                    status,
+                    headers: Vec::new(),
+                    body: body.as_bytes().to_vec(),
+                })
+            },
+        )
     }
 }
 
@@ -536,6 +537,7 @@ mod tests {
     use mobivine_device::movement::MovementModel;
     use mobivine_device::net::{HttpResponse, Method};
     use mobivine_device::{Device, GeoPoint};
+    use mobivine_webview::bridge::{BridgeError, JavaScriptInterface};
     use std::sync::Mutex as StdMutex;
 
     const HOME: GeoPoint = GeoPoint {
@@ -712,6 +714,78 @@ mod tests {
         let proxy = WebViewHttpProxy::new(&webview).unwrap();
         let err = proxy.request("GET", "http://ghost/", &[]).unwrap_err();
         assert_eq!(err.kind(), ProxyErrorKind::Io);
+    }
+
+    /// A wrapper that answers every method with one fixed value.
+    struct Rogue(JsValue);
+
+    impl JavaScriptInterface for Rogue {
+        fn call(&self, _method: &str, _args: &[JsValue]) -> Result<JsValue, BridgeError> {
+            Ok(self.0.clone())
+        }
+    }
+
+    #[test]
+    fn malformed_replies_fail_closed() {
+        let no_latitude = JsValue::object(
+            [
+                "longitude",
+                "altitude",
+                "accuracy",
+                "time",
+                "speed",
+                "bearing",
+            ]
+            .map(|field| (field, JsValue::Number(1.0))),
+        );
+        for reply in [JsValue::str("nope"), no_latitude] {
+            let platform = AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15);
+            let webview = WebView::new(platform.new_context());
+            for name in [
+                interface_names::LOCATION,
+                interface_names::SMS,
+                interface_names::CALL,
+                interface_names::HTTP,
+            ] {
+                webview.add_javascript_interface(Arc::new(Rogue(reply.clone())), name);
+            }
+            let location = WebViewLocationProxy::new(&webview).unwrap();
+            let sms = WebViewSmsProxy::new(&webview).unwrap();
+            let call = WebViewCallProxy::new(&webview).unwrap();
+            let http = WebViewHttpProxy::new(&webview).unwrap();
+            let listener: SharedProximityListener = Arc::new(|_: &ProximityEvent| {});
+            let report: Arc<dyn DeliveryListener> = Arc::new(|_: u64, _: DeliveryOutcome| {});
+            // `removeProximityAlert` is absent: with no alert ever
+            // registered it answers without crossing the bridge.
+            let outcomes = [
+                ("getLocation", location.get_location().map(drop)),
+                (
+                    "getLocationWithPower",
+                    location.get_location_with_power().map(drop),
+                ),
+                (
+                    "addProximityAlert",
+                    location.add_proximity_alert(0.0, 0.0, 0.0, 100.0, -1, listener),
+                ),
+                (
+                    "sendTextMessage",
+                    sms.send_text_message("+91-sup", "hi", None).map(drop),
+                ),
+                (
+                    "sendTextMessage with a report",
+                    sms.send_text_message("+91-sup", "hi", Some(report))
+                        .map(drop),
+                ),
+                ("makeACall", call.make_a_call("+91-sup").map(drop)),
+                ("callProgress", call.call_progress(1).map(drop)),
+                ("endCall", call.end_call(1)),
+                ("request", http.request("GET", "http://x/", &[]).map(drop)),
+            ];
+            for (method, outcome) in outcomes {
+                let err = outcome.expect_err(method);
+                assert_eq!(err.kind(), ProxyErrorKind::Unavailable, "{method}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //! arguments in, dynamically-typed results out, exceptions as error
 //! codes, and asynchronous callbacks redirected into the WebView's
 //! [`NotificationTable`] (JavaScript cannot receive Java callbacks
-//! directly — paper footnote 8).
+//! directly — paper footnote 8). Every method is written once, in the
+//! wrapper's one [`JavaScriptInterface::call_wire`], which reads the
+//! arguments as arena views and encodes the result in place; `call` is
+//! the owned-value adapter [`call_via_wire`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -15,8 +18,8 @@ use parking_lot::Mutex;
 use mobivine_device::Device;
 use mobivine_telemetry::span::{ambient, Plane, SpanName};
 use mobivine_telemetry::TraceContext;
-use mobivine_webview::bridge::{args, BridgeError, ErrorCode, JavaScriptInterface};
-use mobivine_webview::notification::{NotificationId, NotificationTable};
+use mobivine_webview::bridge::{call_via_wire, BridgeError, ErrorCode, JavaScriptInterface};
+use mobivine_webview::notification::NotificationTable;
 use mobivine_webview::wire::{NodeId, WireBuf, WireValue};
 use mobivine_webview::{JsValue, WebView};
 
@@ -24,7 +27,9 @@ use crate::android::{AndroidCallProxy, AndroidHttpProxy, AndroidLocationProxy, A
 use crate::api::{CallProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy};
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::property::PropertyValue;
-use crate::types::{DeliveryOutcome, Location, ProximityEvent, SharedProximityListener};
+use crate::types::{
+    CallProgress, DeliveryOutcome, Location, ProximityEvent, SharedProximityListener,
+};
 
 /// Interface names the wrappers are injected under.
 pub mod interface_names {
@@ -119,21 +124,6 @@ pub fn write_location(buf: &mut WireBuf, location: &Location) -> NodeId {
     buf.end_object(mark)
 }
 
-/// Decodes the wire object shape back into the common [`Location`] —
-/// the borrowed-view counterpart of [`location_from_js`].
-pub fn location_from_wire(value: WireValue<'_>) -> Location {
-    let num = |key| value.get(key).and_then(|v| v.as_number()).unwrap_or(0.0);
-    Location {
-        latitude: num("latitude"),
-        longitude: num("longitude"),
-        altitude: num("altitude"),
-        accuracy_m: num("accuracy"),
-        timestamp_ms: num("time") as u64,
-        speed_mps: num("speed"),
-        course_deg: num("bearing"),
-    }
-}
-
 /// Renders a proximity event as a notification object.
 pub fn proximity_event_to_js(event: &ProximityEvent) -> JsValue {
     JsValue::object([
@@ -219,18 +209,13 @@ fn error_code_name(code: ErrorCode) -> &'static str {
 /// ambient stack does not cross the marshalling boundary in a real
 /// WebView, so the wire string is the only legitimate parent source).
 /// Records nothing when no context crossed or no tracer is ambient.
-/// Generic over the result payload so the wire path traces without
-/// owned [`JsValue`] trees.
-fn bridge_traced<T, F>(
+fn bridge_traced(
     device: &Device,
     wrapper: &str,
     method: &str,
     traceparent: Option<&str>,
-    call: F,
-) -> Result<T, BridgeError>
-where
-    F: FnOnce() -> Result<T, BridgeError>,
-{
+    call: impl FnOnce() -> Result<NodeId, BridgeError>,
+) -> Result<NodeId, BridgeError> {
     let parent = traceparent.and_then(TraceContext::parse_traceparent);
     let mut span = parent.and_then(|ctx| {
         ambient::child_of(
@@ -258,16 +243,13 @@ where
 /// that is already zero fails fast with [`ErrorCode::Deadline`] before
 /// the wrapper touches the Android proxy; a positive budget re-opens a
 /// native-side cancellation scope for the layers below.
-fn with_bridge_deadline<T, F>(
+fn with_bridge_deadline(
     device: &Device,
     wrapper: &str,
     method: &str,
     deadline_budget_ms: Option<u64>,
-    call: F,
-) -> Result<T, BridgeError>
-where
-    F: FnOnce() -> Result<T, BridgeError>,
-{
+    call: impl FnOnce() -> Result<NodeId, BridgeError>,
+) -> Result<NodeId, BridgeError> {
     match deadline_budget_ms {
         Some(0) => Err(BridgeError {
             code: ErrorCode::Deadline,
@@ -282,6 +264,26 @@ where
         }
         None => call(),
     }
+}
+
+/// Serves `setProperty(key, value)` for any wrapper: the value crosses
+/// as a string and is re-validated against the Android plane.
+fn set_property(
+    proxy: &impl ProxyBase,
+    call_args: WireValue<'_>,
+    reply: &mut WireBuf,
+) -> Result<NodeId, BridgeError> {
+    let key = call_args.str_arg(0)?;
+    let value = call_args.str_arg(1)?;
+    proxy
+        .set_property(key, PropertyValue::str(value))
+        .map_err(to_bridge)?;
+    Ok(reply.push_undefined())
+}
+
+/// The error for a method the wrapper does not expose.
+fn no_method(wrapper: &str, method: &str) -> BridgeError {
+    BridgeError::bridge(format!("{wrapper} has no method {method}"))
 }
 
 /// The `LocationWrapper` Java class.
@@ -305,94 +307,9 @@ impl LocationWrapper {
 
 impl JavaScriptInterface for LocationWrapper {
     fn call(&self, method: &str, call_args: &[JsValue]) -> Result<JsValue, BridgeError> {
-        match method {
-            "setProperty" => {
-                let key = args::string(call_args, 0)?;
-                let value = args::string(call_args, 1)?;
-                self.proxy
-                    .set_property(key, PropertyValue::str(value))
-                    .map_err(to_bridge)?;
-                Ok(JsValue::Undefined)
-            }
-            "getLocation" => {
-                let location = self.proxy.get_location().map_err(to_bridge)?;
-                Ok(location_to_js(&location))
-            }
-            // Reads the GPS line of the device power ledger — paired
-            // with `getLocation` in the proxy plane's multi-read batch.
-            "getPowerDrawn" => Ok(JsValue::Number(self.device.power().component_total("gps"))),
-            "addProximityAlert" => {
-                let latitude = args::number(call_args, 0)?;
-                let longitude = args::number(call_args, 1)?;
-                let altitude = args::number(call_args, 2)?;
-                let radius = args::number(call_args, 3)?;
-                let timer = args::number(call_args, 4)? as i64;
-                // Allocate the notification-table row whose id is
-                // returned to the JavaScript side for polling.
-                let notif_id = self.table.allocate();
-                let table = Arc::clone(&self.table);
-                let listener: SharedProximityListener = Arc::new(move |e: &ProximityEvent| {
-                    table.post(notif_id, proximity_event_to_js(e));
-                });
-                self.proxy
-                    .add_proximity_alert(
-                        latitude,
-                        longitude,
-                        altitude,
-                        radius,
-                        timer,
-                        Arc::clone(&listener),
-                    )
-                    .map_err(to_bridge)?;
-                self.registrations
-                    .lock()
-                    .insert(notif_id_raw(notif_id), listener);
-                Ok(JsValue::Number(notif_id_raw(notif_id) as f64))
-            }
-            "removeProximityAlert" => {
-                let raw = args::number(call_args, 0)? as u64;
-                let listener = self.registrations.lock().remove(&raw);
-                match listener {
-                    Some(listener) => {
-                        let removed = self
-                            .proxy
-                            .remove_proximity_alert(&listener)
-                            .map_err(to_bridge)?;
-                        Ok(JsValue::Bool(removed))
-                    }
-                    None => Ok(JsValue::Bool(false)),
-                }
-            }
-            other => Err(BridgeError::bridge(format!(
-                "LocationWrapper has no method {other}"
-            ))),
-        }
+        call_via_wire(self, method, call_args)
     }
 
-    fn call_with_context(
-        &self,
-        method: &str,
-        call_args: &[JsValue],
-        traceparent: Option<&str>,
-        deadline_budget_ms: Option<u64>,
-    ) -> Result<JsValue, BridgeError> {
-        with_bridge_deadline(
-            &self.device,
-            "LocationWrapper",
-            method,
-            deadline_budget_ms,
-            || {
-                bridge_traced(&self.device, "LocationWrapper", method, traceparent, || {
-                    self.call(method, call_args)
-                })
-            },
-        )
-    }
-
-    // The zero-copy path for the hot read methods: the location is
-    // encoded straight into the caller's reply arena, so a warmed call
-    // crosses the bridge without owned `JsValue` trees. Cold methods
-    // fall back to the owned-value chain.
     fn call_wire(
         &self,
         method: &str,
@@ -401,44 +318,68 @@ impl JavaScriptInterface for LocationWrapper {
         traceparent: Option<&str>,
         deadline_budget_ms: Option<u64>,
     ) -> Result<NodeId, BridgeError> {
-        match method {
-            "getLocation" => with_bridge_deadline(
+        const WRAPPER: &str = interface_names::LOCATION;
+        with_bridge_deadline(&self.device, WRAPPER, method, deadline_budget_ms, || {
+            bridge_traced(
                 &self.device,
-                "LocationWrapper",
+                WRAPPER,
                 method,
-                deadline_budget_ms,
-                || {
-                    bridge_traced(&self.device, "LocationWrapper", method, traceparent, || {
+                traceparent,
+                || match method {
+                    "setProperty" => set_property(&self.proxy, call_args, reply),
+                    "getLocation" => {
                         let location = self.proxy.get_location().map_err(to_bridge)?;
                         Ok(write_location(reply, &location))
-                    })
-                },
-            ),
-            "getPowerDrawn" => with_bridge_deadline(
-                &self.device,
-                "LocationWrapper",
-                method,
-                deadline_budget_ms,
-                || {
-                    bridge_traced(&self.device, "LocationWrapper", method, traceparent, || {
+                    }
+                    // Reads the GPS line of the device power ledger — the
+                    // second read of the proxy plane's multi-read.
+                    "getPowerDrawn" => {
                         Ok(reply.push_number(self.device.power().component_total("gps")))
-                    })
+                    }
+                    "addProximityAlert" => {
+                        let latitude = call_args.number_arg(0)?;
+                        let longitude = call_args.number_arg(1)?;
+                        let altitude = call_args.number_arg(2)?;
+                        let radius = call_args.number_arg(3)?;
+                        let timer = call_args.number_arg(4)? as i64;
+                        // Allocate the notification-table row whose id is
+                        // returned to the JavaScript side for polling.
+                        let notif_id = self.table.allocate();
+                        let table = Arc::clone(&self.table);
+                        let listener: SharedProximityListener =
+                            Arc::new(move |e: &ProximityEvent| {
+                                table.post(notif_id, proximity_event_to_js(e));
+                            });
+                        self.proxy
+                            .add_proximity_alert(
+                                latitude,
+                                longitude,
+                                altitude,
+                                radius,
+                                timer,
+                                Arc::clone(&listener),
+                            )
+                            .map_err(to_bridge)?;
+                        self.registrations.lock().insert(notif_id.raw(), listener);
+                        Ok(reply.push_number(notif_id.raw() as f64))
+                    }
+                    "removeProximityAlert" => {
+                        let raw = call_args.number_arg(0)? as u64;
+                        let listener = self.registrations.lock().remove(&raw);
+                        let removed = match listener {
+                            Some(listener) => self
+                                .proxy
+                                .remove_proximity_alert(&listener)
+                                .map_err(to_bridge)?,
+                            None => false,
+                        };
+                        Ok(reply.push_bool(removed))
+                    }
+                    other => Err(no_method(WRAPPER, other)),
                 },
-            ),
-            _ => mobivine_webview::bridge::call_wire_via_values(
-                self,
-                method,
-                call_args,
-                reply,
-                traceparent,
-                deadline_budget_ms,
-            ),
-        }
+            )
+        })
     }
-}
-
-fn notif_id_raw(id: NotificationId) -> u64 {
-    id.raw()
 }
 
 /// The `SmsWrapper` Java class (the worked example of Fig. 6).
@@ -457,17 +398,13 @@ impl SmsWrapper {
         }
     }
 
-    /// The shared send path behind both calling conventions: arguments
-    /// arrive borrowed, the optional delivery report is wired into the
-    /// notification table, and `(messageId, notifId)` comes back as
-    /// plain values for the caller to encode.
-    fn send(
-        &self,
-        destination: &str,
-        text: &str,
-        want_report: bool,
-    ) -> Result<(u64, Option<u64>), BridgeError> {
-        let (notif_raw, listener) = if want_report {
+    /// `sendTextMsg` in Fig. 6: all parameters except the callback
+    /// cross the bridge; when a report is wanted, a Callback object
+    /// posts the delivery notification under the returned `notifId`.
+    fn send(&self, call_args: WireValue<'_>, reply: &mut WireBuf) -> Result<NodeId, BridgeError> {
+        let destination = call_args.str_arg(0)?;
+        let text = call_args.str_arg(1)?;
+        let (notif_id, listener) = if call_args.bool_arg_or(2, false) {
             let notif_id = self.table.allocate();
             let table = Arc::clone(&self.table);
             let listener: Arc<dyn crate::types::DeliveryListener> =
@@ -480,7 +417,7 @@ impl SmsWrapper {
                         ]),
                     );
                 });
-            (Some(notif_id_raw(notif_id)), Some(listener))
+            (Some(notif_id), Some(listener))
         } else {
             (None, None)
         };
@@ -488,66 +425,23 @@ impl SmsWrapper {
             .proxy
             .send_text_message(destination, text, listener)
             .map_err(to_bridge)?;
-        Ok((message_id, notif_raw))
+        let mark = reply.begin();
+        let node = reply.push_number(message_id as f64);
+        reply.stage_entry("messageId", node);
+        let node = match notif_id {
+            Some(id) => reply.push_number(id.raw() as f64),
+            None => reply.push_null(),
+        };
+        reply.stage_entry("notifId", node);
+        Ok(reply.end_object(mark))
     }
 }
 
 impl JavaScriptInterface for SmsWrapper {
     fn call(&self, method: &str, call_args: &[JsValue]) -> Result<JsValue, BridgeError> {
-        match method {
-            "setProperty" => {
-                let key = args::string(call_args, 0)?;
-                let value = args::string(call_args, 1)?;
-                self.proxy
-                    .set_property(key, PropertyValue::str(value))
-                    .map_err(to_bridge)?;
-                Ok(JsValue::Undefined)
-            }
-            // `sendTextMsg` in Fig. 6: all parameters except the
-            // callback cross the bridge; a Callback object posts the
-            // delivery notification under the returned id.
-            "sendTextMessage" => {
-                let destination = args::string(call_args, 0)?;
-                let text = args::string(call_args, 1)?;
-                let want_report = args::bool_or(call_args, 2, false);
-                let (message_id, notif_raw) = self.send(destination, text, want_report)?;
-                Ok(JsValue::object([
-                    ("messageId", message_id.into()),
-                    (
-                        "notifId",
-                        notif_raw.map(JsValue::from).unwrap_or(JsValue::Null),
-                    ),
-                ]))
-            }
-            other => Err(BridgeError::bridge(format!(
-                "SmsWrapper has no method {other}"
-            ))),
-        }
+        call_via_wire(self, method, call_args)
     }
 
-    fn call_with_context(
-        &self,
-        method: &str,
-        call_args: &[JsValue],
-        traceparent: Option<&str>,
-        deadline_budget_ms: Option<u64>,
-    ) -> Result<JsValue, BridgeError> {
-        with_bridge_deadline(
-            &self.device,
-            "SmsWrapper",
-            method,
-            deadline_budget_ms,
-            || {
-                bridge_traced(&self.device, "SmsWrapper", method, traceparent, || {
-                    self.call(method, call_args)
-                })
-            },
-        )
-    }
-
-    // The zero-copy path for the hot send method: destination and text
-    // are read as borrowed views out of the call arena and the result
-    // object is encoded straight into the reply arena.
     fn call_wire(
         &self,
         method: &str,
@@ -556,46 +450,20 @@ impl JavaScriptInterface for SmsWrapper {
         traceparent: Option<&str>,
         deadline_budget_ms: Option<u64>,
     ) -> Result<NodeId, BridgeError> {
-        match method {
-            "sendTextMessage" => with_bridge_deadline(
+        const WRAPPER: &str = interface_names::SMS;
+        with_bridge_deadline(&self.device, WRAPPER, method, deadline_budget_ms, || {
+            bridge_traced(
                 &self.device,
-                "SmsWrapper",
+                WRAPPER,
                 method,
-                deadline_budget_ms,
-                || {
-                    bridge_traced(&self.device, "SmsWrapper", method, traceparent, || {
-                        let destination = call_args
-                            .item(0)
-                            .and_then(|v| v.as_str())
-                            .ok_or_else(|| BridgeError::bridge("argument 0 must be a string"))?;
-                        let text = call_args
-                            .item(1)
-                            .and_then(|v| v.as_str())
-                            .ok_or_else(|| BridgeError::bridge("argument 1 must be a string"))?;
-                        let want_report =
-                            call_args.item(2).and_then(|v| v.as_bool()).unwrap_or(false);
-                        let (message_id, notif_raw) = self.send(destination, text, want_report)?;
-                        let mark = reply.begin();
-                        let node = reply.push_number(message_id as f64);
-                        reply.stage_entry("messageId", node);
-                        let node = match notif_raw {
-                            Some(raw) => reply.push_number(raw as f64),
-                            None => reply.push_null(),
-                        };
-                        reply.stage_entry("notifId", node);
-                        Ok(reply.end_object(mark))
-                    })
-                },
-            ),
-            _ => mobivine_webview::bridge::call_wire_via_values(
-                self,
-                method,
-                call_args,
-                reply,
                 traceparent,
-                deadline_budget_ms,
-            ),
-        }
+                || match method {
+                    "setProperty" => set_property(&self.proxy, call_args, reply),
+                    "sendTextMessage" => self.send(call_args, reply),
+                    other => Err(no_method(WRAPPER, other)),
+                },
+            )
+        })
     }
 }
 
@@ -607,58 +475,49 @@ pub struct CallWrapper {
 
 impl JavaScriptInterface for CallWrapper {
     fn call(&self, method: &str, call_args: &[JsValue]) -> Result<JsValue, BridgeError> {
-        match method {
-            "setProperty" => {
-                let key = args::string(call_args, 0)?;
-                let value = args::string(call_args, 1)?;
-                self.proxy
-                    .set_property(key, PropertyValue::str(value))
-                    .map_err(to_bridge)?;
-                Ok(JsValue::Undefined)
-            }
-            "makeACall" => {
-                let number = args::string(call_args, 0)?;
-                let id = self.proxy.make_a_call(number).map_err(to_bridge)?;
-                Ok(JsValue::Number(id as f64))
-            }
-            "callProgress" => {
-                let id = args::number(call_args, 0)? as u64;
-                let progress = self.proxy.call_progress(id).map_err(to_bridge)?;
-                Ok(JsValue::str(match progress {
-                    crate::types::CallProgress::Connecting => "connecting",
-                    crate::types::CallProgress::Connected => "connected",
-                    crate::types::CallProgress::Ended => "ended",
-                }))
-            }
-            "endCall" => {
-                let id = args::number(call_args, 0)? as u64;
-                self.proxy.end_call(id).map_err(to_bridge)?;
-                Ok(JsValue::Undefined)
-            }
-            other => Err(BridgeError::bridge(format!(
-                "CallWrapper has no method {other}"
-            ))),
-        }
+        call_via_wire(self, method, call_args)
     }
 
-    fn call_with_context(
+    fn call_wire(
         &self,
         method: &str,
-        call_args: &[JsValue],
+        call_args: WireValue<'_>,
+        reply: &mut WireBuf,
         traceparent: Option<&str>,
         deadline_budget_ms: Option<u64>,
-    ) -> Result<JsValue, BridgeError> {
-        with_bridge_deadline(
-            &self.device,
-            "CallWrapper",
-            method,
-            deadline_budget_ms,
-            || {
-                bridge_traced(&self.device, "CallWrapper", method, traceparent, || {
-                    self.call(method, call_args)
-                })
-            },
-        )
+    ) -> Result<NodeId, BridgeError> {
+        const WRAPPER: &str = interface_names::CALL;
+        with_bridge_deadline(&self.device, WRAPPER, method, deadline_budget_ms, || {
+            bridge_traced(
+                &self.device,
+                WRAPPER,
+                method,
+                traceparent,
+                || match method {
+                    "setProperty" => set_property(&self.proxy, call_args, reply),
+                    "makeACall" => {
+                        let number = call_args.str_arg(0)?;
+                        let id = self.proxy.make_a_call(number).map_err(to_bridge)?;
+                        Ok(reply.push_number(id as f64))
+                    }
+                    "callProgress" => {
+                        let id = call_args.number_arg(0)? as u64;
+                        let progress = self.proxy.call_progress(id).map_err(to_bridge)?;
+                        Ok(reply.push_str(match progress {
+                            CallProgress::Connecting => "connecting",
+                            CallProgress::Connected => "connected",
+                            CallProgress::Ended => "ended",
+                        }))
+                    }
+                    "endCall" => {
+                        let id = call_args.number_arg(0)? as u64;
+                        self.proxy.end_call(id).map_err(to_bridge)?;
+                        Ok(reply.push_undefined())
+                    }
+                    other => Err(no_method(WRAPPER, other)),
+                },
+            )
+        })
     }
 }
 
@@ -670,52 +529,45 @@ pub struct HttpWrapper {
 
 impl JavaScriptInterface for HttpWrapper {
     fn call(&self, method: &str, call_args: &[JsValue]) -> Result<JsValue, BridgeError> {
-        match method {
-            "setProperty" => {
-                let key = args::string(call_args, 0)?;
-                let value = args::string(call_args, 1)?;
-                self.proxy
-                    .set_property(key, PropertyValue::str(value))
-                    .map_err(to_bridge)?;
-                Ok(JsValue::Undefined)
-            }
-            "request" => {
-                let http_method = args::string(call_args, 0)?;
-                let url = args::string(call_args, 1)?;
-                let body = args::string(call_args, 2).unwrap_or("");
-                let result = self
-                    .proxy
-                    .request(http_method, url, body.as_bytes())
-                    .map_err(to_bridge)?;
-                Ok(JsValue::object([
-                    ("status", JsValue::Number(result.status as f64)),
-                    ("body", JsValue::Str(result.body_text())),
-                ]))
-            }
-            other => Err(BridgeError::bridge(format!(
-                "HttpWrapper has no method {other}"
-            ))),
-        }
+        call_via_wire(self, method, call_args)
     }
 
-    fn call_with_context(
+    fn call_wire(
         &self,
         method: &str,
-        call_args: &[JsValue],
+        call_args: WireValue<'_>,
+        reply: &mut WireBuf,
         traceparent: Option<&str>,
         deadline_budget_ms: Option<u64>,
-    ) -> Result<JsValue, BridgeError> {
-        with_bridge_deadline(
-            &self.device,
-            "HttpWrapper",
-            method,
-            deadline_budget_ms,
-            || {
-                bridge_traced(&self.device, "HttpWrapper", method, traceparent, || {
-                    self.call(method, call_args)
-                })
-            },
-        )
+    ) -> Result<NodeId, BridgeError> {
+        const WRAPPER: &str = interface_names::HTTP;
+        with_bridge_deadline(&self.device, WRAPPER, method, deadline_budget_ms, || {
+            bridge_traced(
+                &self.device,
+                WRAPPER,
+                method,
+                traceparent,
+                || match method {
+                    "setProperty" => set_property(&self.proxy, call_args, reply),
+                    "request" => {
+                        let http_method = call_args.str_arg(0)?;
+                        let url = call_args.str_arg(1)?;
+                        let body = call_args.item(2).and_then(|v| v.as_str()).unwrap_or("");
+                        let result = self
+                            .proxy
+                            .request(http_method, url, body.as_bytes())
+                            .map_err(to_bridge)?;
+                        let mark = reply.begin();
+                        let node = reply.push_number(result.status as f64);
+                        reply.stage_entry("status", node);
+                        let node = reply.push_str(&String::from_utf8_lossy(&result.body));
+                        reply.stage_entry("body", node);
+                        Ok(reply.end_object(mark))
+                    }
+                    other => Err(no_method(WRAPPER, other)),
+                },
+            )
+        })
     }
 }
 
@@ -779,7 +631,11 @@ pub fn install_wrappers(webview: &WebView) {
 mod tests {
     use super::*;
     use mobivine_android::{AndroidPlatform, SdkVersion};
+    use mobivine_device::net::{HttpResponse, Method};
     use mobivine_device::Device;
+    use mobivine_telemetry::span::SpanRecord;
+    use mobivine_telemetry::{TraceparentBuf, Tracer};
+    use mobivine_webview::notification::NotificationId;
 
     fn webview() -> (AndroidPlatform, WebView) {
         let platform = AndroidPlatform::new(
@@ -789,6 +645,172 @@ mod tests {
         let webview = WebView::new(platform.new_context());
         install_wrappers(&webview);
         (platform, webview)
+    }
+
+    /// A fresh page on a seeded device with one call placed and one
+    /// proximity alert registered, so every method of the table below
+    /// has something to act on. Two pages built here are identical.
+    fn seeded_page() -> (AndroidPlatform, WebView) {
+        let device = Device::builder().seed(11).msisdn("+91-me").build();
+        device.smsc().register_address("+91-sup");
+        device
+            .network()
+            .register_route("wfm.example", Method::Get, "/ping", |_| {
+                HttpResponse::ok("pong")
+            });
+        let platform = AndroidPlatform::new(device, SdkVersion::M5Rc15);
+        let webview = WebView::new(platform.new_context());
+        install_wrappers(&webview);
+        let handle = |name| webview.js_interface(name).unwrap();
+        handle(interface_names::CALL)
+            .invoke("makeACall", &[JsValue::str("+91-sup")])
+            .unwrap();
+        let alert = [0.0, 0.0, 0.0, 100.0, -1.0].map(JsValue::Number);
+        handle(interface_names::LOCATION)
+            .invoke("addProximityAlert", &alert)
+            .unwrap();
+        (platform, webview)
+    }
+
+    /// Every (wrapper, method) pair the four wrappers serve, with
+    /// arguments that succeed on a [`seeded_page`].
+    fn served_methods() -> Vec<(&'static str, &'static str, Vec<JsValue>)> {
+        let s = JsValue::str;
+        let n = JsValue::Number;
+        vec![
+            (
+                interface_names::LOCATION,
+                "setProperty",
+                vec![s("provider"), s("network")],
+            ),
+            (interface_names::LOCATION, "getLocation", vec![]),
+            (interface_names::LOCATION, "getPowerDrawn", vec![]),
+            (
+                interface_names::LOCATION,
+                "addProximityAlert",
+                vec![n(1.0), n(2.0), n(0.0), n(50.0), n(-1.0)],
+            ),
+            (
+                interface_names::LOCATION,
+                "removeProximityAlert",
+                vec![n(1.0)],
+            ),
+            (
+                interface_names::SMS,
+                "setProperty",
+                vec![s("retry.max_attempts"), s("3")],
+            ),
+            (
+                interface_names::SMS,
+                "sendTextMessage",
+                vec![s("+91-sup"), s("hello"), JsValue::Bool(true)],
+            ),
+            (
+                interface_names::CALL,
+                "setProperty",
+                vec![s("retry.max_attempts"), s("3")],
+            ),
+            (interface_names::CALL, "makeACall", vec![s("+91-sup")]),
+            (interface_names::CALL, "callProgress", vec![n(1.0)]),
+            (interface_names::CALL, "endCall", vec![n(1.0)]),
+            (
+                interface_names::HTTP,
+                "setProperty",
+                vec![s("retry.max_attempts"), s("3")],
+            ),
+            (
+                interface_names::HTTP,
+                "request",
+                vec![s("GET"), s("http://wfm.example/ping"), s("")],
+            ),
+        ]
+    }
+
+    /// Invokes `method` through the wire path with an owned-value
+    /// encoder and decoder, so its result compares with `invoke`'s.
+    fn invoke_wire(
+        webview: &WebView,
+        wrapper: &str,
+        method: &str,
+        call_args: &[JsValue],
+        traceparent: Option<&str>,
+        deadline_budget_ms: Option<u64>,
+    ) -> Result<JsValue, BridgeError> {
+        webview.js_interface(wrapper).unwrap().invoke_wire(
+            method,
+            traceparent,
+            deadline_budget_ms,
+            |call| call.push_js(&JsValue::Array(call_args.to_vec())),
+            |reply| Ok(reply.to_js()),
+        )
+    }
+
+    /// Runs `method` on a fresh page under a root span, passing the
+    /// root's context as the `traceparent`, and returns the result with
+    /// every span recorded besides the root.
+    fn traced(
+        wrapper: &str,
+        method: &str,
+        call_args: &[JsValue],
+        deadline_budget_ms: Option<u64>,
+    ) -> (Result<JsValue, BridgeError>, Vec<SpanRecord>) {
+        let (platform, webview) = seeded_page();
+        let tracer = Tracer::new();
+        let now = platform.device().now_ms();
+        let root = tracer.root("app:test", Plane::App, now);
+        let traceparent = TraceparentBuf::render(&root.context());
+        let out = invoke_wire(
+            &webview,
+            wrapper,
+            method,
+            call_args,
+            Some(traceparent.as_str()),
+            deadline_budget_ms,
+        );
+        root.end(platform.device().now_ms());
+        let spans = tracer
+            .take_finished()
+            .into_iter()
+            .filter(|span| span.plane != Plane::App)
+            .collect();
+        (out, spans)
+    }
+
+    #[test]
+    fn every_served_method_crosses_once_on_the_wire_path() {
+        for (wrapper, method, call_args) in &served_methods() {
+            let pair = format!("{wrapper}.{method}");
+            // The owned-value adapter and the wire path are one
+            // implementation: equal results on identical pages.
+            let (_p, owned_page) = seeded_page();
+            let owned = owned_page
+                .js_interface(wrapper)
+                .unwrap()
+                .invoke(method, call_args);
+            let (_p, wire_page) = seeded_page();
+            let wire = invoke_wire(&wire_page, wrapper, method, call_args, None, None);
+            assert!(owned.is_ok(), "{pair}: {owned:?}");
+            assert_eq!(owned, wire, "{pair}");
+
+            // A traceparent opens exactly one Bridge-plane span, under
+            // its static name.
+            let (out, spans) = traced(wrapper, method, call_args, None);
+            assert_eq!(out, wire, "{pair} traced");
+            let bridge: Vec<_> = spans.iter().filter(|s| s.plane == Plane::Bridge).collect();
+            assert_eq!(bridge.len(), 1, "{pair}: {spans:?}");
+            let expected = format!("bridge:{pair}");
+            assert!(
+                matches!(bridge[0].name, SpanName::Static(name) if name == expected),
+                "{pair}: {:?}",
+                bridge[0].name
+            );
+
+            // An exhausted budget fails fast, before the wrapper opens
+            // its span or reaches the Android proxy.
+            let (out, spans) = traced(wrapper, method, call_args, Some(0));
+            assert_eq!(out.unwrap_err().code, ErrorCode::Deadline, "{pair}");
+            assert!(spans.is_empty(), "{pair}: {spans:?}");
+        }
     }
 
     #[test]
@@ -886,17 +908,23 @@ mod tests {
     fn zero_deadline_budget_fails_fast_at_the_bridge() {
         let (platform, webview) = webview();
         platform.device().smsc().register_address("+91-sup");
-        let sms = webview.js_interface(interface_names::SMS).unwrap();
         let send_args = [
             JsValue::str("+91-sup"),
             JsValue::str("too late"),
             JsValue::Bool(false),
         ];
+        let send = |budget| {
+            invoke_wire(
+                &webview,
+                interface_names::SMS,
+                "sendTextMessage",
+                &send_args,
+                None,
+                budget,
+            )
+        };
 
-        // Context path: the exhausted budget is rejected at the bridge.
-        let err = sms
-            .invoke_with_context("sendTextMessage", &send_args, None, Some(0))
-            .unwrap_err();
+        let err = send(Some(0)).unwrap_err();
         assert_eq!(err.code, ErrorCode::Deadline);
         assert!(
             err.message.contains("deadline budget exhausted"),
@@ -904,58 +932,13 @@ mod tests {
             err.message
         );
 
-        // Wire path: the same fail-fast, surfaced from the arena
-        // crossing before any argument decoding pays off.
-        let err = sms
-            .invoke_wire(
-                "sendTextMessage",
-                None,
-                Some(0),
-                |call| {
-                    let mark = call.begin();
-                    let to = call.push_str("+91-sup");
-                    call.stage_item(to);
-                    let body = call.push_str("too late");
-                    call.stage_item(body);
-                    let report = call.push_bool(false);
-                    call.stage_item(report);
-                    call.end_array(mark)
-                },
-                |reply| Ok(reply.to_js()),
-            )
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::Deadline);
-
-        // Batched path: the exhausted budget poisons each entry with
-        // its own deadline code instead of failing the whole crossing.
-        let err = sms
-            .invoke_batch(
-                None,
-                Some(0),
-                |call| {
-                    let args = call.empty_args();
-                    call.push_frame("getServiceCenterAddress", args);
-                },
-                |replies| match replies.get(0) {
-                    Some(Ok(value)) => Ok(value.to_js()),
-                    Some(Err((code, message))) => Err(BridgeError {
-                        code,
-                        message: message.to_owned(),
-                    }),
-                    None => Err(BridgeError::bridge("missing reply")),
-                },
-            )
-            .unwrap_err();
-        assert_eq!(err.code, ErrorCode::Deadline);
-
-        // None of it reached the platform: nothing was ever submitted.
+        // It never reached the platform: nothing was ever submitted.
         platform.device().advance_ms(5_000);
         assert!(platform.device().smsc().inbox("+91-sup").is_empty());
 
         // A positive budget goes through — it was the budget, not the
         // call, that the bridge rejected.
-        sms.invoke_with_context("sendTextMessage", &send_args, None, Some(5_000))
-            .unwrap();
+        send(Some(5_000)).unwrap();
         platform.device().advance_ms(5_000);
         assert_eq!(platform.device().smsc().inbox("+91-sup").len(), 1);
     }

@@ -147,6 +147,14 @@ impl std::error::Error for BridgeError {}
 /// A Java object injected into the JavaScript world via
 /// `addJavaScriptInterface`. The paper's `SmsWrapper`,
 /// `LocationWrapper` etc. implement this.
+///
+/// There are two entry points and one is always written in terms of
+/// the other. A hand-written bridge implements only
+/// [`call`](JavaScriptInterface::call) and inherits a
+/// [`call_wire`](JavaScriptInterface::call_wire) that marshals through
+/// [`call_wire_via_values`]. A wire-aware interface implements
+/// `call_wire` and makes `call` the one-line adapter [`call_via_wire`];
+/// it must override `call_wire`, or the two defaults recurse forever.
 pub trait JavaScriptInterface: Send + Sync {
     /// Invokes `method` with JavaScript arguments, returning a
     /// JavaScript value.
@@ -159,46 +167,25 @@ pub trait JavaScriptInterface: Send + Sync {
     /// mismatches.
     fn call(&self, method: &str, args: &[JsValue]) -> Result<JsValue, BridgeError>;
 
-    /// Invokes `method` carrying the two pieces of call context the page
-    /// side marshals over the bridge: an optional W3C `traceparent`
-    /// string, so middleware above the page can stitch the JavaScript
-    /// side and the native side into one trace, and the caller's
-    /// remaining deadline budget in virtual milliseconds. A budget of
-    /// `Some(0)` means the caller entered the bridge with nothing left;
-    /// deadline-aware wrappers fail fast with [`ErrorCode::Deadline`]
-    /// instead of invoking the platform.
-    ///
-    /// The default implementation ignores both and delegates to
-    /// [`JavaScriptInterface::call`]; trace- and deadline-aware wrappers
-    /// override it to parent their native-side spans on the caller's
-    /// context and to honour the budget.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JavaScriptInterface::call`].
-    fn call_with_context(
-        &self,
-        method: &str,
-        args: &[JsValue],
-        traceparent: Option<&str>,
-        deadline_budget_ms: Option<u64>,
-    ) -> Result<JsValue, BridgeError> {
-        let _ = (traceparent, deadline_budget_ms);
-        self.call(method, args)
-    }
-
     /// Invokes `method` with arena-encoded arguments, writing the result
-    /// into the caller-owned `reply` buffer. This is the zero-copy entry
-    /// point: the arguments are borrowed views into the call arena and
-    /// the result is encoded in place, so a wire-aware wrapper crosses
-    /// the bridge without owned [`JsValue`] trees on either side.
+    /// into the caller-owned `reply` buffer. The arguments are borrowed
+    /// views into the call arena and the result is encoded in place, so
+    /// a wire-aware interface crosses the bridge without owned
+    /// [`JsValue`] trees on either side.
     ///
-    /// The default implementation decodes the arguments into owned
-    /// values and delegates to
-    /// [`call_with_context`](JavaScriptInterface::call_with_context), so
-    /// an interface that only implements [`call`](JavaScriptInterface::call)
-    /// still services wire invocations (paying the marshalling cost the
-    /// override avoids).
+    /// Next to the arguments cross the two pieces of call context the
+    /// page side marshals: an optional W3C `traceparent` string, so
+    /// middleware above the page can stitch the JavaScript side and the
+    /// native side into one trace, and the caller's remaining deadline
+    /// budget in virtual milliseconds. A budget of `Some(0)` means the
+    /// caller entered the bridge with nothing left; deadline-aware
+    /// interfaces fail fast with [`ErrorCode::Deadline`] instead of
+    /// invoking the platform.
+    ///
+    /// The default implementation ignores the context and services the
+    /// call through [`call_wire_via_values`], so an interface that only
+    /// implements [`call`](JavaScriptInterface::call) still services
+    /// wire invocations.
     ///
     /// # Errors
     ///
@@ -211,42 +198,15 @@ pub trait JavaScriptInterface: Send + Sync {
         traceparent: Option<&str>,
         deadline_budget_ms: Option<u64>,
     ) -> Result<NodeId, BridgeError> {
-        call_wire_via_values(self, method, args, reply, traceparent, deadline_budget_ms)
-    }
-
-    /// Services a batched crossing: every queued frame in `calls` is
-    /// invoked in order and exactly one reply frame — result node or
-    /// per-entry error code — is appended to `reply`. One entry failing
-    /// does not abort the rest of the batch.
-    ///
-    /// The default implementation loops over
-    /// [`call_wire`](JavaScriptInterface::call_wire), so batching
-    /// composes with the default-delegation chain down to plain
-    /// [`call`](JavaScriptInterface::call).
-    fn call_batch(
-        &self,
-        calls: &WireBuf,
-        reply: &mut WireBuf,
-        traceparent: Option<&str>,
-        deadline_budget_ms: Option<u64>,
-    ) {
-        for i in 0..calls.frame_count() {
-            let (method, args) = calls.frame(i);
-            match self.call_wire(method, args, reply, traceparent, deadline_budget_ms) {
-                Ok(node) => reply.push_ok_frame(node),
-                Err(e) => reply.push_err_frame(e.code, &e.message),
-            }
-        }
+        let _ = (traceparent, deadline_budget_ms);
+        call_wire_via_values(self, method, args, reply)
     }
 }
 
-/// The compatibility path behind the default
-/// [`JavaScriptInterface::call_wire`]: decode the argument views into
-/// owned values, delegate to `call_with_context`, and re-encode the
-/// owned result into the reply arena.
-///
-/// Wire-aware wrappers that override `call_wire` for their hot methods
-/// call this from their fallback arm so cold methods keep working.
+/// The default [`JavaScriptInterface::call_wire`]: decodes the argument
+/// views into owned values, delegates to
+/// [`call`](JavaScriptInterface::call), and re-encodes the owned result
+/// into the reply arena.
 ///
 /// # Errors
 ///
@@ -256,15 +216,42 @@ pub fn call_wire_via_values(
     method: &str,
     args: WireValue<'_>,
     reply: &mut WireBuf,
-    traceparent: Option<&str>,
-    deadline_budget_ms: Option<u64>,
 ) -> Result<NodeId, BridgeError> {
     let owned = args.to_js_args()?;
-    let out = iface.call_with_context(method, &owned, traceparent, deadline_budget_ms)?;
+    let out = iface.call(method, &owned)?;
     Ok(reply.push_js(&out))
 }
 
-/// Argument-extraction helpers shared by wrapper implementations.
+/// The mirror of [`call_wire_via_values`]: services an owned-value
+/// [`JavaScriptInterface::call`] through the interface's own
+/// [`call_wire`](JavaScriptInterface::call_wire), on fresh arenas and
+/// with no call context. A wire-aware interface's `call` is this one
+/// line, so each of its methods is written once.
+///
+/// # Errors
+///
+/// Same as [`JavaScriptInterface::call`].
+pub fn call_via_wire(
+    iface: &(impl JavaScriptInterface + ?Sized),
+    method: &str,
+    args: &[JsValue],
+) -> Result<JsValue, BridgeError> {
+    let mut call = WireBuf::new();
+    let mark = call.begin();
+    for arg in args {
+        let node = call.push_js(arg);
+        call.stage_item(node);
+    }
+    let args = call.end_array(mark);
+    let mut reply = WireBuf::new();
+    let node = iface.call_wire(method, call.view(args), &mut reply, None, None)?;
+    Ok(reply.view(node).to_js())
+}
+
+/// Argument-extraction helpers for owned-value
+/// [`JavaScriptInterface::call`] implementations. A wire-aware
+/// interface reads its arguments with
+/// [`WireValue::str_arg`]/[`WireValue::number_arg`]/[`WireValue::bool_arg_or`].
 pub mod args {
     use super::{BridgeError, JsValue};
 

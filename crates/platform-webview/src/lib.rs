@@ -30,4 +30,4 @@ pub mod wire;
 pub use bridge::{BridgeError, ErrorCode};
 pub use value::JsValue;
 pub use webview::WebView;
-pub use wire::{BatchReplies, NodeId, WireBuf, WireValue};
+pub use wire::{NodeId, WireBuf, WireValue};

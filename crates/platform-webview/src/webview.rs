@@ -14,10 +14,10 @@ use parking_lot::Mutex;
 
 use mobivine_android::Context;
 
-use crate::bridge::{BridgeError, ErrorCode, JavaScriptInterface};
+use crate::bridge::{BridgeError, JavaScriptInterface};
 use crate::notification::NotificationTable;
 use crate::value::JsValue;
-use crate::wire::{BatchReplies, NodeId, WireBuf, WireValue};
+use crate::wire::{NodeId, WireBuf, WireValue};
 
 /// A WebView page hosting JavaScript with injected Java interfaces.
 ///
@@ -76,9 +76,9 @@ impl WebView {
         }
     }
 
-    /// Total bridge crossings made through handles of this page, across
-    /// every invocation flavour. A batched call of N frames counts as
-    /// one crossing — the whole point of batching.
+    /// Total bridge crossings made through handles of this page: one
+    /// per [`JsInterfaceHandle::invoke`] or
+    /// [`JsInterfaceHandle::invoke_wire`].
     pub fn bridge_crossings(&self) -> u64 {
         self.crossings.load(Ordering::Relaxed)
     }
@@ -193,28 +193,6 @@ impl JsInterfaceHandle {
         self.object.call(method, args)
     }
 
-    /// Invokes a method across the bridge carrying the full marshalled
-    /// call context: an optional W3C `traceparent` plus the caller's
-    /// remaining deadline budget in virtual milliseconds. Wrappers that
-    /// are neither trace- nor deadline-aware ignore both.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`JsInterfaceHandle::invoke`]; deadline-aware wrappers
-    /// additionally fail fast with a deadline-coded error when the
-    /// budget is already exhausted.
-    pub fn invoke_with_context(
-        &self,
-        method: &str,
-        args: &[JsValue],
-        traceparent: Option<&str>,
-        deadline_budget_ms: Option<u64>,
-    ) -> Result<JsValue, BridgeError> {
-        self.crossings.fetch_add(1, Ordering::Relaxed);
-        self.object
-            .call_with_context(method, args, traceparent, deadline_budget_ms)
-    }
-
     /// Invokes a method through the zero-copy wire path: `encode` writes
     /// the argument array into the handle's reusable call arena,
     /// [`JavaScriptInterface::call_wire`] services it, and `decode`
@@ -246,45 +224,6 @@ impl JsInterfaceHandle {
             deadline_budget_ms,
         )?;
         decode(reply.view(node))
-    }
-
-    /// One crossing carrying N queued calls: `encode` pushes call
-    /// frames (method + argument array each), the interface services
-    /// them via [`JavaScriptInterface::call_batch`], and `decode` reads
-    /// the reply frames — one per call, in order, each carrying either
-    /// a result view or its own error code.
-    ///
-    /// # Errors
-    ///
-    /// Returns a bridge-coded error when the interface produced a
-    /// mismatched reply count; per-entry failures are surfaced to
-    /// `decode` inside the reply cursor instead of failing the batch.
-    pub fn invoke_batch<T>(
-        &self,
-        traceparent: Option<&str>,
-        deadline_budget_ms: Option<u64>,
-        encode: impl FnOnce(&mut WireBuf),
-        decode: impl FnOnce(BatchReplies<'_>) -> Result<T, BridgeError>,
-    ) -> Result<T, BridgeError> {
-        self.crossings.fetch_add(1, Ordering::Relaxed);
-        let mut scratch = self.scratch.lock();
-        let WireScratch { call, reply } = &mut *scratch;
-        call.clear();
-        reply.clear();
-        encode(call);
-        self.object
-            .call_batch(call, reply, traceparent, deadline_budget_ms);
-        if reply.reply_count() != call.frame_count() {
-            return Err(BridgeError {
-                code: ErrorCode::Bridge,
-                message: format!(
-                    "batch of {} frames produced {} replies",
-                    call.frame_count(),
-                    reply.reply_count()
-                ),
-            });
-        }
-        decode(reply.replies())
     }
 }
 
@@ -388,8 +327,7 @@ mod tests {
 
     #[test]
     fn call_only_interface_services_wire_invocations() {
-        // `Adder` implements nothing but `call`; the default-delegation
-        // chain (call_wire → call_with_context → call)
+        // `Adder` implements nothing but `call`; the default `call_wire`
         // must still service the zero-copy entry point.
         let wv = webview();
         wv.add_javascript_interface(Arc::new(Adder), "Calc");
@@ -418,76 +356,14 @@ mod tests {
     }
 
     #[test]
-    fn call_only_interface_services_batches_with_per_entry_errors() {
-        let wv = webview();
-        wv.add_javascript_interface(Arc::new(Adder), "Calc");
-        let calc = wv.js_interface("Calc").unwrap();
-        let out = calc
-            .invoke_batch(
-                None,
-                None,
-                |buf| {
-                    let mark = buf.begin();
-                    let a = buf.push_number(1.0);
-                    buf.stage_item(a);
-                    let b = buf.push_number(2.0);
-                    buf.stage_item(b);
-                    let args = buf.end_array(mark);
-                    buf.push_frame("add", args);
-                    let bad = buf.empty_args();
-                    buf.push_frame("mul", bad);
-                    let args2 = {
-                        let mark = buf.begin();
-                        let a = buf.push_number(10.0);
-                        buf.stage_item(a);
-                        let b = buf.push_number(20.0);
-                        buf.stage_item(b);
-                        buf.end_array(mark)
-                    };
-                    buf.push_frame("add", args2);
-                },
-                |replies| {
-                    Ok(replies
-                        .map(|r| match r {
-                            Ok(v) => Ok(v.as_number().unwrap()),
-                            Err((code, _)) => Err(code),
-                        })
-                        .collect::<Vec<_>>())
-                },
-            )
-            .unwrap();
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], Ok(3.0));
-        assert_eq!(out[1], Err(ErrorCode::Bridge));
-        assert_eq!(out[2], Ok(30.0));
-    }
-
-    #[test]
     fn crossings_count_every_invocation_once() {
         let wv = webview();
         wv.add_javascript_interface(Arc::new(Adder), "Calc");
         let calc = wv.js_interface("Calc").unwrap();
         assert_eq!(wv.bridge_crossings(), 0);
         let _ = calc.invoke("add", &[JsValue::Number(1.0), JsValue::Number(1.0)]);
-        let _ = calc.invoke_with_context(
-            "add",
-            &[JsValue::Number(1.0), JsValue::Number(1.0)],
-            None,
-            None,
-        );
-        // A three-frame batch is still one crossing.
-        let _ = calc.invoke_batch(
-            None,
-            None,
-            |buf| {
-                for _ in 0..3 {
-                    let args = buf.empty_args();
-                    buf.push_frame("mul", args);
-                }
-            },
-            |_replies| Ok(()),
-        );
-        assert_eq!(wv.bridge_crossings(), 3);
+        let _ = calc.invoke_wire("add", None, None, WireBuf::empty_args, |_reply| Ok(()));
+        assert_eq!(wv.bridge_crossings(), 2);
     }
 
     #[test]

@@ -24,11 +24,8 @@
 //!   and [`WireBuf::end_array`]/[`WireBuf::end_object`] drain the staged
 //!   range into `kids` in one go.  Inner containers always finish before
 //!   their parent stages the next child, so ranges never interleave.
-//! * `frames` (queued calls) and `replies` (per-entry results) support
-//!   batching: one crossing carries N calls and returns N replies with
-//!   individual error codes.
 
-use crate::bridge::{BridgeError, ErrorCode};
+use crate::bridge::BridgeError;
 use crate::value::JsValue;
 
 /// Index of an encoded value inside a [`WireBuf`].
@@ -60,27 +57,6 @@ struct Kid {
     node: NodeId,
 }
 
-/// One queued call in a batch: the method-name span plus the arguments
-/// array node.
-#[derive(Clone, Copy, Debug)]
-struct CallFrame {
-    method_start: u32,
-    method_len: u32,
-    args: NodeId,
-}
-
-/// One reply in a batch: either the result node or an error code with a
-/// message span.
-#[derive(Clone, Copy, Debug)]
-enum ReplyFrame {
-    Ok(NodeId),
-    Err {
-        code: ErrorCode,
-        msg_start: u32,
-        msg_len: u32,
-    },
-}
-
 /// Reusable arena for encoding bridge calls and replies.
 ///
 /// Cleared-not-freed: [`clear`](Self::clear) keeps all capacity, so a
@@ -91,8 +67,6 @@ pub struct WireBuf {
     bytes: Vec<u8>,
     kids: Vec<Kid>,
     scratch: Vec<Kid>,
-    frames: Vec<CallFrame>,
-    replies: Vec<ReplyFrame>,
 }
 
 impl WireBuf {
@@ -107,8 +81,6 @@ impl WireBuf {
         self.bytes.clear();
         self.kids.clear();
         self.scratch.clear();
-        self.frames.clear();
-        self.replies.clear();
     }
 
     fn push_node(&mut self, node: Node) -> NodeId {
@@ -247,70 +219,6 @@ impl WireBuf {
     pub fn view(&self, node: NodeId) -> WireValue<'_> {
         WireValue { buf: self, node }
     }
-
-    /// Queues one call frame for a batched crossing.
-    pub fn push_frame(&mut self, method: &str, args: NodeId) {
-        let (method_start, method_len) = self.push_bytes(method);
-        self.frames.push(CallFrame {
-            method_start,
-            method_len,
-            args,
-        });
-    }
-
-    /// Number of queued call frames.
-    pub fn frame_count(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// The `i`-th queued call frame as `(method, args)`.
-    ///
-    /// # Panics
-    /// Panics if `i >= frame_count()`.
-    pub fn frame(&self, i: usize) -> (&str, WireValue<'_>) {
-        let frame = self.frames[i];
-        (
-            self.span_str(frame.method_start, frame.method_len),
-            self.view(frame.args),
-        )
-    }
-
-    /// Appends a successful reply frame.
-    pub fn push_ok_frame(&mut self, node: NodeId) {
-        self.replies.push(ReplyFrame::Ok(node));
-    }
-
-    /// Appends a failed reply frame with its error code and message.
-    pub fn push_err_frame(&mut self, code: ErrorCode, message: &str) {
-        let (msg_start, msg_len) = self.push_bytes(message);
-        self.replies.push(ReplyFrame::Err {
-            code,
-            msg_start,
-            msg_len,
-        });
-    }
-
-    /// Number of reply frames.
-    pub fn reply_count(&self) -> usize {
-        self.replies.len()
-    }
-
-    /// Iterator-style accessor over the reply frames.
-    pub fn replies(&self) -> BatchReplies<'_> {
-        BatchReplies { buf: self, next: 0 }
-    }
-
-    /// The `i`-th reply frame, or `None` past the end.
-    pub fn reply(&self, i: usize) -> Option<Result<WireValue<'_>, (ErrorCode, &str)>> {
-        self.replies.get(i).map(|frame| match *frame {
-            ReplyFrame::Ok(node) => Ok(self.view(node)),
-            ReplyFrame::Err {
-                code,
-                msg_start,
-                msg_len,
-            } => Err((code, self.span_str(msg_start, msg_len))),
-        })
-    }
 }
 
 /// Borrowed view over one node of a [`WireBuf`].
@@ -424,6 +332,41 @@ impl<'a> WireValue<'a> {
         None
     }
 
+    /// The `index`-th item of an argument array as a number — the wire
+    /// counterpart of [`crate::bridge::args::number`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a bridge-coded error naming the position on a missing or
+    /// non-numeric argument.
+    pub fn number_arg(&self, index: usize) -> Result<f64, BridgeError> {
+        self.item(index)
+            .and_then(|v| v.as_number())
+            .ok_or_else(|| BridgeError::bridge(format!("argument {index} must be a number")))
+    }
+
+    /// The `index`-th item of an argument array as a string borrowed
+    /// from the arena — the wire counterpart of
+    /// [`crate::bridge::args::string`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a bridge-coded error naming the position on a missing or
+    /// non-string argument.
+    pub fn str_arg(&self, index: usize) -> Result<&'a str, BridgeError> {
+        self.item(index)
+            .and_then(|v| v.as_str())
+            .ok_or_else(|| BridgeError::bridge(format!("argument {index} must be a string")))
+    }
+
+    /// The `index`-th item of an argument array as a boolean, or
+    /// `default` when it is absent or not a boolean.
+    pub fn bool_arg_or(&self, index: usize, default: bool) -> bool {
+        self.item(index)
+            .and_then(|v| v.as_bool())
+            .unwrap_or(default)
+    }
+
     /// Decodes this view back into an owned [`JsValue`] tree.
     ///
     /// This allocates by design — it is the compatibility path for
@@ -463,41 +406,6 @@ impl<'a> WireValue<'a> {
                 "wire call arguments must be an array node",
             )),
         }
-    }
-}
-
-/// Borrowed cursor over a batch's reply frames.
-pub struct BatchReplies<'a> {
-    buf: &'a WireBuf,
-    next: usize,
-}
-
-impl<'a> BatchReplies<'a> {
-    /// Number of reply frames in the batch.
-    pub fn len(&self) -> usize {
-        self.buf.reply_count()
-    }
-
-    /// Whether the batch produced no replies.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Random access to the `i`-th reply.
-    pub fn get(&self, i: usize) -> Option<Result<WireValue<'a>, (ErrorCode, &'a str)>> {
-        self.buf.reply(i)
-    }
-}
-
-impl<'a> Iterator for BatchReplies<'a> {
-    type Item = Result<WireValue<'a>, (ErrorCode, &'a str)>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let item = self.buf.reply(self.next);
-        if item.is_some() {
-            self.next += 1;
-        }
-        item
     }
 }
 
@@ -564,48 +472,27 @@ mod tests {
         let mut buf = WireBuf::new();
         let value = JsValue::Array(vec![JsValue::str("warm"), JsValue::Number(1.0)]);
         buf.push_js(&value);
-        let args = buf.empty_args();
-        buf.push_frame("warm", args);
         let bytes_cap = buf.bytes.capacity();
         let nodes_cap = buf.nodes.capacity();
         buf.clear();
         assert_eq!(buf.nodes.len(), 0);
-        assert_eq!(buf.frame_count(), 0);
         assert_eq!(buf.bytes.capacity(), bytes_cap);
         assert_eq!(buf.nodes.capacity(), nodes_cap);
     }
 
     #[test]
-    fn frames_and_replies_preserve_order_and_codes() {
-        let mut call = WireBuf::new();
-        let a = call.empty_args();
-        call.push_frame("first", a);
-        let mark = call.begin();
-        let arg = call.push_str("x");
-        call.stage_item(arg);
-        let b = call.end_array(mark);
-        call.push_frame("second", b);
-        assert_eq!(call.frame_count(), 2);
-        assert_eq!(call.frame(0).0, "first");
-        assert_eq!(call.frame(1).1.item(0).and_then(|v| v.as_str()), Some("x"));
-
-        let mut reply = WireBuf::new();
-        let ok = reply.push_number(7.0);
-        reply.push_ok_frame(ok);
-        reply.push_err_frame(ErrorCode::Deadline, "budget exhausted");
-        let frames: Vec<_> = reply.replies().collect();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(
-            frames[0].as_ref().ok().and_then(|v| v.as_number()),
-            Some(7.0)
-        );
-        match &frames[1] {
-            Err((code, msg)) => {
-                assert_eq!(*code, ErrorCode::Deadline);
-                assert_eq!(*msg, "budget exhausted");
-            }
-            Ok(_) => panic!("expected an error frame"),
-        }
+    fn arg_helpers_read_argument_arrays() {
+        let mut buf = WireBuf::new();
+        let args = JsValue::Array(vec![JsValue::Number(2.0), JsValue::str("hi")]);
+        let id = buf.push_js(&args);
+        let view = buf.view(id);
+        assert_eq!(view.number_arg(0).unwrap(), 2.0);
+        assert_eq!(view.str_arg(1).unwrap(), "hi");
+        let err = view.number_arg(1).unwrap_err();
+        assert_eq!(err.message, "argument 1 must be a number");
+        assert!(view.str_arg(5).is_err());
+        assert!(view.bool_arg_or(5, true));
+        assert!(!view.bool_arg_or(0, false));
     }
 
     #[test]
@@ -623,7 +510,7 @@ mod tests {
         let mut buf = WireBuf::new();
         let id = buf.push_number(1.0);
         let err = buf.view(id).to_js_args().unwrap_err();
-        assert_eq!(err.code, ErrorCode::Bridge);
+        assert_eq!(err.code, crate::ErrorCode::Bridge);
     }
 
     /// Deterministic mirror of the workspace `properties.rs` round-trip
@@ -705,65 +592,6 @@ mod tests {
             let node = buf.push_js(&value);
             let back = buf.view(node).to_js();
             assert!(wire_eq(&back, &value), "case {case}: {back:?} != {value:?}");
-        }
-    }
-
-    /// Deterministic mirror of the batch-framing property: for random
-    /// frame counts and failure patterns, N frames in yield N replies
-    /// out, order and per-entry error codes intact.
-    #[test]
-    fn random_batches_preserve_framing_deterministically() {
-        fn next(state: &mut u64) -> u64 {
-            *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = *state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-
-        let mut state = 0xDEC0_DE00_0BAD_F00Du64;
-        let mut call = WireBuf::new();
-        let mut reply = WireBuf::new();
-        for _ in 0..64 {
-            let frames = (next(&mut state) % 7 + 1) as usize;
-            let failures: Vec<bool> = (0..frames)
-                .map(|_| next(&mut state).is_multiple_of(3))
-                .collect();
-            call.clear();
-            reply.clear();
-            for i in 0..frames {
-                let mark = call.begin();
-                let arg = call.push_number(i as f64);
-                call.stage_item(arg);
-                let args = call.end_array(mark);
-                call.push_frame(&format!("m{i}"), args);
-            }
-            assert_eq!(call.frame_count(), frames);
-            for (i, &failed) in failures.iter().enumerate() {
-                let (method, args) = call.frame(i);
-                assert_eq!(method, format!("m{i}"));
-                assert_eq!(args.item(0).and_then(|v| v.as_number()), Some(i as f64));
-                if failed {
-                    reply.push_err_frame(ErrorCode::Overloaded, &format!("shed {i}"));
-                } else {
-                    let node = reply.push_number(i as f64 * 2.0);
-                    reply.push_ok_frame(node);
-                }
-            }
-            assert_eq!(reply.reply_count(), frames);
-            for (i, &failed) in failures.iter().enumerate() {
-                match reply.reply(i).expect("one reply per frame") {
-                    Ok(value) => {
-                        assert!(!failed, "entry {i} lost its error");
-                        assert_eq!(value.as_number(), Some(i as f64 * 2.0));
-                    }
-                    Err((code, message)) => {
-                        assert!(failed, "entry {i} failed spuriously");
-                        assert_eq!(code, ErrorCode::Overloaded);
-                        assert_eq!(message, format!("shed {i}"));
-                    }
-                }
-            }
         }
     }
 }

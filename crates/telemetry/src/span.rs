@@ -34,7 +34,7 @@
 //! oldest record first within each sink; a trace whose root is still
 //! open is not visible there until the root closes.
 //!
-//! An optional [`Recorder`](crate::recorder::Recorder) installed with
+//! An optional [`Recorder`] installed with
 //! [`Tracer::install_recorder`] adds **tail-based promotion**: when a
 //! trace's root span files with an interesting outcome (error, blown
 //! deadline, latency over a per-operation threshold) the whole trace
@@ -530,7 +530,8 @@ impl Tracer {
         self.inner.recorder.set(recorder).is_ok()
     }
 
-    /// Mirrors eviction/promotion totals into registry [`Counter`]s
+    /// Mirrors eviction/promotion totals into registry
+    /// [`Counter`](crate::Counter)s
     /// (see [`RecorderCounters`]). The first install wins.
     pub fn install_counters(&self, counters: RecorderCounters) -> bool {
         self.inner.counters.set(counters).is_ok()

@@ -8,6 +8,10 @@ cargo test -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Rustdoc gate: every intra-doc link must resolve and none may point at
+# a private item, so deleting an item cannot leave a dangling link.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # Run every example: `cargo test` above only compiles them. Each checks
 # its own results and exits non-zero when one of its assertions fails.
 # `workforce` takes a platform and runs once per platform below.
@@ -31,8 +35,8 @@ cargo run -q --release -p mobivine-bench --bin figure10 -- --json "$summary"
 cargo run -q --release -p mobivine-bench --bin figure10 -- --check "$summary"
 
 # Fleet smoke: run every declared fleet scenario (the scaling sweep at
-# ~500 devices plus the fixed-size brownout, cache, bridge, crash and
-# journal comparisons), emit the mobivine.fleet.v8 summary, and check
+# ~500 devices plus the fixed-size brownout, cache, crash and journal
+# comparisons), emit the mobivine.fleet.v8 summary, and check
 # it: every gate each scenario declares in
 # crates/bench/src/fleet_bench.rs (SCENARIOS) is evaluated over the
 # summary's rows. The telemetry and bridge hot paths are guarded by the

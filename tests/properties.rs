@@ -503,52 +503,6 @@ proptest! {
         let node = buf.push_js(&value);
         prop_assert!(js_eq(&buf.view(node).to_js(), &value));
     }
-
-    /// Batch framing: N call frames in produce N reply frames out, in
-    /// order, each carrying either its result or its own error code —
-    /// one entry failing never disturbs its neighbours.
-    #[test]
-    fn batch_framing_preserves_order_and_error_codes(
-        methods in proptest::collection::vec("[a-z]{1,8}", 1..8),
-        failures in proptest::collection::vec(any::<bool>(), 1..8),
-    ) {
-        use mobivine_webview::ErrorCode;
-        let mut call = WireBuf::new();
-        for method in &methods {
-            let args = call.empty_args();
-            call.push_frame(method, args);
-        }
-        prop_assert_eq!(call.frame_count(), methods.len());
-        for (i, method) in methods.iter().enumerate() {
-            prop_assert_eq!(call.frame(i).0, method.as_str());
-        }
-        let mut reply = WireBuf::new();
-        for i in 0..methods.len() {
-            if failures[i % failures.len()] {
-                reply.push_err_frame(ErrorCode::Deadline, &format!("entry {i}"));
-            } else {
-                let node = reply.push_number(i as f64);
-                reply.push_ok_frame(node);
-            }
-        }
-        prop_assert_eq!(reply.reply_count(), methods.len());
-        let replies = reply.replies();
-        prop_assert_eq!(replies.len(), methods.len());
-        for i in 0..methods.len() {
-            let failed = failures[i % failures.len()];
-            match replies.get(i).expect("one reply per frame") {
-                Ok(value) => {
-                    prop_assert!(!failed, "entry {} lost its error", i);
-                    prop_assert_eq!(value.as_number(), Some(i as f64));
-                }
-                Err((code, message)) => {
-                    prop_assert!(failed, "entry {} failed spuriously", i);
-                    prop_assert_eq!(code, ErrorCode::Deadline);
-                    prop_assert_eq!(message, format!("entry {i}").as_str());
-                }
-            }
-        }
-    }
 }
 
 proptest! {

@@ -31,9 +31,8 @@
 //! The same bar holds with the cache, overload and resilience layers
 //! stacked under telemetry, each opening its own span: a cache hit, a
 //! forced cache miss that descends every layer to the platform, and the
-//! uncached `getLocationWithPower` multi-read (on WebView both as two
-//! crossings and batched into one) all make exactly zero allocations
-//! once warm. Layer span names are compile-time constants,
+//! uncached `getLocationWithPower` multi-read (two crossings on
+//! WebView) all make exactly zero allocations once warm. Layer span names are compile-time constants,
 //! span events are static and stored inline, and the built-in platform
 //! attribute is a static symbol.
 
@@ -44,10 +43,8 @@ use std::sync::Arc;
 use mobivine::api::LocationProxy;
 use mobivine::cache::CachePolicy;
 use mobivine::overload::OverloadPolicy;
-use mobivine::property::PropertyValue;
 use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
-use mobivine::webview::BATCH_PROPERTY;
 use mobivine_device::Device;
 
 mod common;
@@ -183,13 +180,4 @@ fn traced_get_location_allocates_nothing_after_warmup() {
         let runtime = every_read_layer(builder(&device));
         assert_layered_reads_allocate_nothing(platform, &device, &runtime);
     }
-
-    // The same WebView reads with the multi-read batched into one
-    // crossing.
-    let device = common::device();
-    let runtime = every_read_layer(common::webview_builder(&device));
-    location(&runtime)
-        .set_property(BATCH_PROPERTY, PropertyValue::Bool(true))
-        .expect("the webview proxy batches multi-reads");
-    assert_layered_reads_allocate_nothing("webview batched", &device, &runtime);
 }
