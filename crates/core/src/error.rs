@@ -87,7 +87,7 @@ pub struct ProxyError {
     message: String,
     /// The originating platform exception class, when the error wraps
     /// one (`java.lang.SecurityException`, …).
-    platform_exception: Option<String>,
+    platform_exception: Option<&'static str>,
     /// For [`ProxyErrorKind::Overloaded`]: how long the shedding layer
     /// suggests the caller waits before trying again, virtual ms.
     retry_after_ms: Option<u64>,
@@ -115,8 +115,8 @@ impl ProxyError {
     }
 
     /// The platform exception class this error wraps, if any.
-    pub fn platform_exception(&self) -> Option<&str> {
-        self.platform_exception.as_deref()
+    pub fn platform_exception(&self) -> Option<&'static str> {
+        self.platform_exception
     }
 
     /// The stable numeric error code used on the JavaScript bridge
@@ -162,8 +162,8 @@ impl ProxyError {
     /// Attaches the originating platform exception class
     /// (`java.lang.SecurityException`, …). Decorators that re-wrap an
     /// error use this to keep provenance flowing through the chain.
-    pub fn with_platform(mut self, class: &str) -> Self {
-        self.platform_exception = Some(class.to_owned());
+    pub fn with_platform(mut self, class: &'static str) -> Self {
+        self.platform_exception = Some(class);
         self
     }
 }

@@ -50,7 +50,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use mobivine_device::Device;
-use mobivine_telemetry::span::{ambient, Plane};
+use mobivine_telemetry::span::{ambient, AttrValue, Plane};
 
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::telemetry::layer_counters;
@@ -86,9 +86,20 @@ const FRAME_HEADER: usize = 12;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lsn(pub u64);
 
+/// What an [`Lsn`] renders as before its offset.
+const LSN_PREFIX: &str = "lsn:";
+
 impl fmt::Display for Lsn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lsn:{}", self.0)
+        write!(f, "{LSN_PREFIX}{}", self.0)
+    }
+}
+
+/// A span attribute that renders like the [`Lsn`]'s `Display`, only
+/// when the span is exported.
+impl From<Lsn> for AttrValue {
+    fn from(lsn: Lsn) -> Self {
+        AttrValue::Prefixed(LSN_PREFIX, lsn.0)
     }
 }
 
@@ -641,7 +652,7 @@ impl JournalEngine {
         if let Some(mut span) =
             ambient::child("journal:fsync", Plane::Resilience, self.device.now_ms())
         {
-            span.attr("lsn", lsn.to_string());
+            span.attr("lsn", lsn);
             span.end(self.device.now_ms());
         }
         lsn

@@ -485,9 +485,9 @@ impl ResilienceEngine {
                             // of which failure ate the budget.
                             s.attr("deadline.cause", crate::telemetry::kind_name(e.kind()));
                             if let Some(class) = e.platform_exception() {
-                                s.attr("deadline.platform_exception", class.to_owned());
+                                s.attr("deadline.platform_exception", class);
                             }
-                            s.attr("deadline.attempts", format!("{attempt}"));
+                            s.attr("deadline.attempts", u64::from(attempt));
                         }
                         let mut err = ProxyError::new(
                             ProxyErrorKind::DeadlineExceeded,

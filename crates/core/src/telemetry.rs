@@ -390,8 +390,7 @@ impl Instrument {
         };
         let entry = self.methods.get(meta.index);
         let now = self.device.now_ms();
-        let mut span = ambient::child(name, self.plane, now)
-            .unwrap_or_else(|| self.tracer.root(name, self.plane, now));
+        let mut span = self.tracer.span(name, self.plane, now);
         span.attr("platform", self.platform.clone());
         let result = call();
         let end = self.device.now_ms();

@@ -8,7 +8,7 @@
 //! OUT_OF_SERVICE).
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
@@ -59,12 +59,19 @@ pub enum GpsError {
     OutOfService,
 }
 
+impl GpsError {
+    /// The error's description, as its `Display` renders it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            GpsError::TemporarilyUnavailable => "gps temporarily unavailable",
+            GpsError::OutOfService => "gps out of service",
+        }
+    }
+}
+
 impl fmt::Display for GpsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GpsError::TemporarilyUnavailable => write!(f, "gps temporarily unavailable"),
-            GpsError::OutOfService => write!(f, "gps out of service"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -110,7 +117,7 @@ struct GpsMetrics {
 pub struct GpsEngine {
     clock: SimClock,
     state: Mutex<GpsState>,
-    metrics: Mutex<Option<GpsMetrics>>,
+    metrics: OnceLock<GpsMetrics>,
 }
 
 impl fmt::Debug for GpsEngine {
@@ -139,16 +146,17 @@ impl GpsEngine {
                 ttff_ms: 0,
                 started_at_ms: None,
             }),
-            metrics: Mutex::new(None),
+            metrics: OnceLock::new(),
         }
     }
 
     /// Connects the engine to a metrics registry: fixes and fix errors
     /// are counted under `device_gps_fixes_total` /
     /// `device_gps_errors_total`. Called by the device builder; engines
-    /// constructed standalone publish nothing.
+    /// constructed standalone publish nothing. A second binding is
+    /// ignored.
     pub fn bind_metrics(&self, registry: Arc<MetricsRegistry>) {
-        *self.metrics.lock() = Some(GpsMetrics {
+        let _ = self.metrics.set(GpsMetrics {
             fixes: registry.counter("device_gps_fixes_total", &Labels::empty()),
             errors: registry.counter("device_gps_errors_total", &Labels::empty()),
         });
@@ -214,15 +222,15 @@ impl GpsEngine {
         let now = self.clock.now_ms();
         let span = ambient::child("device:gps.currentFix", Plane::Device, now);
         let result = self.fix_at(now);
-        if let Some(metrics) = self.metrics.lock().as_ref() {
+        if let Some(metrics) = self.metrics.get() {
             match &result {
                 Ok(_) => metrics.fixes.inc(),
                 Err(_) => metrics.errors.inc(),
             }
         }
         if let Some(mut span) = span {
-            if let Err(e) = &result {
-                span.attr("error", e.to_string());
+            if let Err(e) = result {
+                span.attr("error", e.as_str());
             }
             span.end(self.clock.now_ms());
         }

@@ -9,7 +9,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mobivine_telemetry::span::{ambient, Plane};
 use mobivine_telemetry::{Counter, Histogram, Labels, MetricsRegistry};
@@ -33,16 +33,22 @@ pub enum Method {
     Head,
 }
 
-impl fmt::Display for Method {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Method {
+    /// The method's wire name, e.g. `GET`.
+    pub fn as_str(self) -> &'static str {
+        match self {
             Method::Get => "GET",
             Method::Post => "POST",
             Method::Put => "PUT",
             Method::Delete => "DELETE",
             Method::Head => "HEAD",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Method {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -272,13 +278,20 @@ pub enum NetworkError {
     TimedOut,
 }
 
+impl NetworkError {
+    /// The error's description, as its `Display` renders it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            NetworkError::UnknownHost => "unknown host",
+            NetworkError::NetworkDown => "network down",
+            NetworkError::TimedOut => "request timed out",
+        }
+    }
+}
+
 impl fmt::Display for NetworkError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            NetworkError::UnknownHost => write!(f, "unknown host"),
-            NetworkError::NetworkDown => write!(f, "network down"),
-            NetworkError::TimedOut => write!(f, "request timed out"),
-        }
+        f.write_str(self.as_str())
     }
 }
 
@@ -288,13 +301,15 @@ impl std::error::Error for NetworkError {}
 pub type RouteHandler = Box<dyn Fn(&HttpRequest) -> HttpResponse + Send>;
 
 /// One host's routes, by method then path, so a lookup borrows the
-/// request's path instead of building an owned key.
+/// request's path instead of building an owned key. Host and path keys
+/// are shared strings, so a traced request names its route in its span
+/// without copying either.
 struct Server {
-    routes: HashMap<Method, HashMap<String, RouteHandler>>,
+    routes: HashMap<Method, HashMap<Arc<str>, RouteHandler>>,
 }
 
 struct NetState {
-    servers: HashMap<String, Server>,
+    servers: HashMap<Arc<str>, Server>,
     base_latency_ms: u64,
     bytes_per_ms: u64,
     down: bool,
@@ -306,12 +321,18 @@ impl NetState {
     }
 }
 
-#[derive(Clone)]
 struct NetMetrics {
     requests: Counter,
     errors: Counter,
     rtt: Histogram,
     clock: SimClock,
+}
+
+/// The route-table keys a request matched, for its span.
+#[derive(Default)]
+struct Route {
+    host: Option<Arc<str>>,
+    path: Option<Arc<str>>,
 }
 
 /// The simulated network: registered servers plus a latency model.
@@ -336,7 +357,7 @@ struct NetMetrics {
 pub struct SimNetwork {
     events: Arc<EventQueue>,
     state: Arc<Mutex<NetState>>,
-    metrics: Mutex<Option<NetMetrics>>,
+    metrics: OnceLock<NetMetrics>,
 }
 
 impl fmt::Debug for SimNetwork {
@@ -360,16 +381,17 @@ impl SimNetwork {
                 bytes_per_ms: 4_096,
                 down: false,
             })),
-            metrics: Mutex::new(None),
+            metrics: OnceLock::new(),
         }
     }
 
     /// Connects this network to a metrics registry. The clock is needed
     /// because the network does not own one: request spans start at the
     /// current virtual time and end after the simulated round trip.
-    /// Until bound, the network publishes nothing.
+    /// Until bound, the network publishes nothing. A second binding is
+    /// ignored.
     pub fn bind_metrics(&self, registry: Arc<MetricsRegistry>, clock: SimClock) {
-        *self.metrics.lock() = Some(NetMetrics {
+        let _ = self.metrics.set(NetMetrics {
             requests: registry.counter("device_net_requests_total", &Labels::empty()),
             errors: registry.counter("device_net_errors_total", &Labels::empty()),
             rtt: registry.histogram("device_net_rtt_ms", &Labels::empty()),
@@ -386,14 +408,14 @@ impl SimNetwork {
         let mut state = self.state.lock();
         state
             .servers
-            .entry(host.to_owned())
+            .entry(host.into())
             .or_insert_with(|| Server {
                 routes: HashMap::new(),
             })
             .routes
             .entry(method)
             .or_default()
-            .insert(path.to_owned(), Box::new(handler));
+            .insert(path.into(), Box::new(handler));
     }
 
     /// Brings the data bearer up or down.
@@ -438,34 +460,47 @@ impl SimNetwork {
     /// URL's host. An unrouted path on a known host is a *successful*
     /// transport returning `404`.
     pub fn execute(&self, request: &HttpRequest) -> Result<(HttpResponse, u64), NetworkError> {
-        let metrics = self.metrics.lock().clone();
-        let now = metrics.as_ref().map(|m| m.clock.now_ms()).unwrap_or(0);
+        let metrics = self.metrics.get();
+        let now = metrics.map_or(0, |m| m.clock.now_ms());
         let mut span = ambient::child("device:net.request", Plane::Device, now);
-        if let Some(s) = span.as_mut() {
-            s.attr("method", request.method.to_string());
-            s.attr("host", request.url.host.clone());
-            s.attr("path", request.url.path.clone());
-        }
-        if let Some(m) = &metrics {
+        if let Some(m) = metrics {
             m.requests.inc();
         }
-        let outcome = self.execute_inner(request);
+        let mut route = span.as_ref().map(|_| Route::default());
+        let outcome = self.execute_inner(request, route.as_mut());
+        if let (Some(s), Some(route)) = (span.as_mut(), route) {
+            // A routed request names its route with the table's own
+            // keys; only an unrouted one copies the request's strings.
+            s.attr("method", request.method.as_str());
+            s.attr(
+                "host",
+                route
+                    .host
+                    .unwrap_or_else(|| request.url.host.as_str().into()),
+            );
+            s.attr(
+                "path",
+                route
+                    .path
+                    .unwrap_or_else(|| request.url.path.as_str().into()),
+            );
+        }
         match &outcome {
             Ok((response, elapsed)) => {
-                if let Some(m) = &metrics {
+                if let Some(m) = metrics {
                     m.rtt.record(*elapsed);
                 }
                 if let Some(mut s) = span {
-                    s.attr("status", response.status.to_string());
+                    s.attr("status", u64::from(response.status));
                     s.end(now + elapsed);
                 }
             }
             Err(err) => {
-                if let Some(m) = &metrics {
+                if let Some(m) = metrics {
                     m.errors.inc();
                 }
                 if let Some(mut s) = span {
-                    s.attr("error", err.to_string());
+                    s.attr("error", err.as_str());
                     s.end(now);
                 }
             }
@@ -473,21 +508,31 @@ impl SimNetwork {
         outcome
     }
 
-    fn execute_inner(&self, request: &HttpRequest) -> Result<(HttpResponse, u64), NetworkError> {
+    /// Runs `request` against its route. When `route` is given, it
+    /// receives the route table's host and path keys that matched.
+    fn execute_inner(
+        &self,
+        request: &HttpRequest,
+        route: Option<&mut Route>,
+    ) -> Result<(HttpResponse, u64), NetworkError> {
         let state = self.state.lock();
         if state.down {
             return Err(NetworkError::NetworkDown);
         }
-        let server = state
+        let (host, server) = state
             .servers
-            .get(&request.url.host)
+            .get_key_value(request.url.host.as_str())
             .ok_or(NetworkError::UnknownHost)?;
         let handler = server
             .routes
             .get(&request.method)
-            .and_then(|paths| paths.get(request.url.path.as_str()));
+            .and_then(|paths| paths.get_key_value(request.url.path.as_str()));
+        if let Some(route) = route {
+            route.host = Some(Arc::clone(host));
+            route.path = handler.map(|(path, _)| Arc::clone(path));
+        }
         let response = match handler {
-            Some(handler) => handler(request),
+            Some((_, handler)) => handler(request),
             None => HttpResponse::status_only(404),
         };
         let elapsed = state.round_trip_ms(request.body.len() + response.body.len());

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mobivine_telemetry::span::{ambient, Plane};
 use mobivine_telemetry::{Counter, Labels, MetricsRegistry};
@@ -203,7 +203,8 @@ struct SmscState {
 pub struct Smsc {
     events: Arc<EventQueue>,
     state: Arc<Mutex<SmscState>>,
-    metrics: Mutex<Option<SmsMetrics>>,
+    /// Shared with scheduled deliveries, which count their outcome.
+    metrics: Arc<OnceLock<SmsMetrics>>,
 }
 
 impl fmt::Debug for Smsc {
@@ -232,14 +233,15 @@ impl Smsc {
                 statuses: HashMap::new(),
                 report_listeners: HashMap::new(),
             })),
-            metrics: Mutex::new(None),
+            metrics: Arc::new(OnceLock::new()),
         }
     }
 
     /// Connects this SMSC to a metrics registry. Until bound, the SMSC
-    /// publishes nothing (standalone instances stay silent).
+    /// publishes nothing (standalone instances stay silent). A second
+    /// binding is ignored.
     pub fn bind_metrics(&self, registry: Arc<MetricsRegistry>) {
-        *self.metrics.lock() = Some(SmsMetrics {
+        let _ = self.metrics.set(SmsMetrics {
             submitted: registry.counter("device_sms_submitted_total", &Labels::empty()),
             delivered: registry.counter("device_sms_delivered_total", &Labels::empty()),
             lost: registry.counter("device_sms_lost_total", &Labels::empty()),
@@ -317,14 +319,13 @@ impl Smsc {
         now_ms: u64,
         report: Option<DeliveryReportFn>,
     ) -> MessageId {
-        let metrics = self.metrics.lock().clone();
         let mut span = ambient::child("device:sms.submit", Plane::Device, now_ms);
-        if let Some(m) = &metrics {
+        if let Some(m) = self.metrics.get() {
             m.submitted.inc();
         }
         let segments = segment_message(body);
         if let Some(s) = span.as_mut() {
-            s.attr("segments", segments.count().to_string());
+            s.attr("segments", segments.count() as u64);
         }
         let (id, deliver_at, lost) = {
             let mut state = self.state.lock();
@@ -339,6 +340,7 @@ impl Smsc {
             (id, now_ms + state.latency_ms, lost)
         };
         let state = Arc::clone(&self.state);
+        let metrics = Arc::clone(&self.metrics);
         let from = from.to_owned();
         let to = to.to_owned();
         let body = body.to_owned();
@@ -351,7 +353,7 @@ impl Smsc {
                 } else {
                     DeliveryStatus::Delivered
                 };
-                if let Some(m) = &metrics {
+                if let Some(m) = metrics.get() {
                     match final_status {
                         DeliveryStatus::Delivered => m.delivered.inc(),
                         _ => m.lost.inc(),

@@ -170,31 +170,34 @@ impl LocationManager {
         let result = self.get_current_location_inner(provider);
         if let Some(mut s) = span {
             if let Err(e) = &result {
-                s.attr("error", e.to_string());
+                match e {
+                    FixFailure::Gps(e) => s.attr("error", remote_exception(*e)),
+                    FixFailure::Other(e) => s.attr("error", e.to_string()),
+                }
             }
             s.end(device.now_ms());
         }
-        result
+        result.map_err(|failure| match failure {
+            FixFailure::Gps(e) => AndroidException::Remote(e.to_string()),
+            FixFailure::Other(e) => e,
+        })
     }
 
-    fn get_current_location_inner(&self, provider: &str) -> Result<Location, AndroidException> {
+    fn get_current_location_inner(&self, provider: &str) -> Result<Location, FixFailure> {
         self.ctx
             .enforce_permission(Permission::AccessFineLocation)?;
         let accuracy_multiplier = match provider {
             GPS_PROVIDER => 1.0f32,
             NETWORK_PROVIDER => 10.0,
             other => {
-                return Err(AndroidException::IllegalArgument(format!(
-                    "unknown location provider '{other}'"
+                return Err(FixFailure::Other(AndroidException::IllegalArgument(
+                    format!("unknown location provider '{other}'"),
                 )))
             }
         };
         let device = self.ctx.device();
         device.power().draw("gps", 1.0);
-        let fix = device
-            .gps()
-            .current_fix()
-            .map_err(|e: GpsError| AndroidException::Remote(e.to_string()))?;
+        let fix = device.gps().current_fix().map_err(FixFailure::Gps)?;
         Ok(Location {
             latitude: fix.point.latitude,
             longitude: fix.point.longitude,
@@ -460,6 +463,28 @@ fn schedule_updates(
         });
 }
 
+/// Why a one-shot fix failed: the receiver, whose exception renders
+/// from a closed vocabulary, or a permission or argument check.
+enum FixFailure {
+    Gps(GpsError),
+    Other(AndroidException),
+}
+
+impl From<AndroidException> for FixFailure {
+    fn from(e: AndroidException) -> Self {
+        FixFailure::Other(e)
+    }
+}
+
+/// The rendering of the `RemoteException` a receiver failure surfaces
+/// as, spelled statically for the span `error` attribute.
+fn remote_exception(e: GpsError) -> &'static str {
+    match e {
+        GpsError::TemporarilyUnavailable => "remote exception: gps temporarily unavailable",
+        GpsError::OutOfService => "remote exception: gps out of service",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -476,6 +501,14 @@ mod tests {
         longitude: 77.3910,
         altitude: 0.0,
     };
+
+    #[test]
+    fn remote_exception_spells_the_exception_rendering() {
+        for e in [GpsError::TemporarilyUnavailable, GpsError::OutOfService] {
+            let rendered = AndroidException::Remote(e.to_string()).to_string();
+            assert_eq!(remote_exception(e), rendered);
+        }
+    }
 
     struct RecordingReceiver {
         events: StdMutex<Vec<bool>>,

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mobivine_device::gps::GpsAvailability;
+use mobivine_device::gps::{GpsAvailability, GpsError};
 use mobivine_device::power::PowerLevel;
 use mobivine_device::GeoPoint;
 
@@ -326,22 +326,19 @@ impl LocationProvider {
         );
         let result = self.get_location_inner();
         if let Some(mut s) = span.take() {
-            if let Err(e) = &result {
-                s.attr("error", e.to_string());
+            if let Err(e) = result {
+                s.attr("error", location_exception(e));
             }
             s.end(device.now_ms());
         }
-        result
+        result.map_err(|e| S60Exception::Location(e.to_string()))
     }
 
-    fn get_location_inner(&self) -> Result<Location, S60Exception> {
+    fn get_location_inner(&self) -> Result<Location, GpsError> {
         let device = self.platform.device();
         let level = self.criteria.power_consumption;
         device.power().draw("gps", 1.0 * level.draw_multiplier());
-        let fix = device
-            .gps()
-            .current_fix()
-            .map_err(|e| S60Exception::Location(e.to_string()))?;
+        let fix = device.gps().current_fix()?;
         Ok(self.fix_to_location(fix, level))
     }
 
@@ -574,6 +571,15 @@ fn schedule_listener_pump(
         });
 }
 
+/// The rendering of the `LocationException` a receiver failure
+/// surfaces as, spelled statically for the span `error` attribute.
+fn location_exception(e: GpsError) -> &'static str {
+    match e {
+        GpsError::TemporarilyUnavailable => "location exception: gps temporarily unavailable",
+        GpsError::OutOfService => "location exception: gps out of service",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,6 +592,14 @@ mod tests {
         longitude: 77.3910,
         altitude: 0.0,
     };
+
+    #[test]
+    fn location_exception_spells_the_exception_rendering() {
+        for e in [GpsError::TemporarilyUnavailable, GpsError::OutOfService] {
+            let rendered = S60Exception::Location(e.to_string()).to_string();
+            assert_eq!(location_exception(e), rendered);
+        }
+    }
 
     struct RecordingProximity {
         events: StdMutex<Vec<(f64, f64)>>,

@@ -14,9 +14,14 @@
 //! symbol reuse across the thousands of per-device registries a fleet
 //! run creates, and a symbol minted through one registry stays valid in
 //! every other.
+//!
+//! Span records use a third table, `Sym`: every `&'static str` a span
+//! carries (its name, attribute keys and static values, event names)
+//! becomes a 16-bit symbol, so a record stores two bytes per string
+//! instead of a 16-byte fat pointer.
 
 use std::collections::HashMap;
-use std::sync::LazyLock;
+use std::sync::{LazyLock, OnceLock};
 
 use parking_lot::RwLock;
 
@@ -125,9 +130,104 @@ pub fn resolve_labels(key: LabelKey) -> Labels {
     LABEL_SETS.read().values[key.0 as usize].clone()
 }
 
+/// A `&'static str` as a 16-bit symbol, minted on first sight and
+/// stable for the life of the process.
+///
+/// The fast path is lock-free: the string's address and length hash to
+/// a slot of a fixed table, and a slot already holding that very string
+/// (compared by address and length, never by content) is the symbol.
+/// An empty slot is claimed once and for all. A string whose probe
+/// window is taken by others falls back to a locked content-keyed
+/// table, so minting never fails short of 65,536 distinct strings.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Sym(u16);
+
+/// Slots of the lock-free table; the span vocabulary is a few hundred
+/// strings.
+const SYM_SLOTS: usize = 4096;
+
+/// Slots probed before a string takes the locked fallback.
+const SYM_PROBES: usize = 32;
+
+static SYMS: [OnceLock<&'static str>; SYM_SLOTS] = [const { OnceLock::new() }; SYM_SLOTS];
+
+/// Strings whose probe window was full: symbols `SYM_SLOTS` and up.
+static SYM_OVERFLOW: LazyLock<RwLock<Table<&'static str>>> =
+    LazyLock::new(|| RwLock::new(Table::new()));
+
+impl Sym {
+    /// The symbol of `s`.
+    ///
+    /// # Panics
+    ///
+    /// Panics once 65,536 distinct strings have been minted, the same
+    /// cardinality failure as [`intern_name`]'s overflow.
+    #[inline]
+    pub(crate) fn of(s: &'static str) -> Sym {
+        let key = (s.as_ptr() as usize as u64) ^ ((s.len() as u64) << 48);
+        let start = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 52) as usize;
+        match SYMS[start].get() {
+            Some(held) if std::ptr::eq(*held, s) => Sym(start as u16),
+            _ => Self::probe(s, start),
+        }
+    }
+
+    /// The rest of [`Sym::of`]: claims an empty slot or probes past the
+    /// home slot `start`, then falls back to the locked table.
+    #[cold]
+    fn probe(s: &'static str, start: usize) -> Sym {
+        for probe in 0..SYM_PROBES {
+            let slot = (start + probe) % SYM_SLOTS;
+            if std::ptr::eq(*SYMS[slot].get_or_init(|| s), s) {
+                return Sym(slot as u16);
+            }
+        }
+        let symbol = SYM_OVERFLOW.write().intern(&s) as usize + SYM_SLOTS;
+        Sym(u16::try_from(symbol).expect("span symbol overflow"))
+    }
+
+    /// The string behind the symbol.
+    #[inline]
+    pub(crate) fn as_str(self) -> &'static str {
+        let index = usize::from(self.0);
+        match SYMS.get(index) {
+            Some(slot) => slot.get().copied().unwrap_or_default(),
+            None => Self::overflowed(index),
+        }
+    }
+
+    #[cold]
+    fn overflowed(index: usize) -> &'static str {
+        SYM_OVERFLOW.read().values[index - SYM_SLOTS]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One test, because filling the lock-free table changes where every
+    /// later string lands.
+    #[test]
+    fn static_symbols_resolve_to_their_string_past_a_full_table() {
+        let a = Sym::of("intern_test_span_a");
+        assert_eq!(a, Sym::of("intern_test_span_a"));
+        assert_eq!(a.as_str(), "intern_test_span_a");
+        let copy: &'static str = Box::leak(String::from("intern_test_span_a").into_boxed_str());
+        let b = Sym::of(copy);
+        assert_ne!(a, b, "the lock-free table keys by address, not content");
+        assert!(std::ptr::eq(b.as_str(), copy));
+
+        let leaked: Vec<&'static str> = (0..SYM_SLOTS + 64)
+            .map(|i| &*Box::leak(format!("intern_test_sym_{i}").into_boxed_str()))
+            .collect();
+        let symbols: Vec<Sym> = leaked.iter().map(|s| Sym::of(s)).collect();
+        assert!(symbols.iter().any(|sym| usize::from(sym.0) >= SYM_SLOTS));
+        for (sym, s) in symbols.iter().zip(&leaked) {
+            assert_eq!(sym.as_str(), *s);
+        }
+        assert_eq!(Sym::of("intern_test_span_a"), a);
+    }
 
     #[test]
     fn interning_is_idempotent_and_resolves_back() {

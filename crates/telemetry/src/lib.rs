@@ -60,6 +60,6 @@ pub use recorder::{
 };
 pub use slo::{SloEngine, SloObjective, SloRecorder, SloReport, SloStatus, SloTarget};
 pub use span::{
-    ambient, ActiveSpan, AttrList, EventList, InlineList, Plane, SpanEvent, SpanId, SpanName,
-    SpanRecord, TraceId, Tracer, DEFAULT_SPAN_RETENTION,
+    ambient, ActiveSpan, AttrList, AttrValue, EventList, InlineList, Plane, SpanEvent, SpanId,
+    SpanName, SpanRecord, TraceId, Tracer, DEFAULT_SPAN_RETENTION,
 };

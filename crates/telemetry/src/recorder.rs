@@ -76,6 +76,13 @@ impl PromotionReason {
     }
 }
 
+/// The root attribute naming a failed call's error kind.
+pub(crate) const ERROR_ATTR: &str = "error";
+
+/// The root attribute that reads `blown` when a call finished past its
+/// deadline.
+pub(crate) const DEADLINE_ATTR: &str = "deadline";
+
 /// Declarative rules for what counts as an interesting trace.
 ///
 /// The default policy promotes errored and deadline-blown traces and
@@ -143,20 +150,33 @@ impl PromotionPolicy {
         self.max_incidents
     }
 
-    /// Classifies a closing trace root. `None` — the common, healthy
-    /// case — allocates nothing.
-    pub fn classify(&self, root: &SpanRecord) -> Option<PromotionReason> {
-        if self.promote_deadline_blown && root.attrs.get("deadline") == Some("blown") {
+    /// Whether a root carrying neither [`ERROR_ATTR`] nor
+    /// [`DEADLINE_ATTR`] could still promote: only a latency threshold
+    /// promotes on the root's name and duration alone.
+    pub(crate) fn reads_durations(&self) -> bool {
+        !self.latency_thresholds.is_empty()
+    }
+
+    /// Classifies a closing trace root given its name, its duration and
+    /// a lookup of its first value under an attribute key, so the
+    /// tracer classifies its compact records without materializing
+    /// them. `None` — the common, healthy case — allocates nothing.
+    pub(crate) fn classify(
+        &self,
+        name: &str,
+        observed_ms: u64,
+        attr: impl Fn(&str) -> Option<SpanName>,
+    ) -> Option<PromotionReason> {
+        if self.promote_deadline_blown && attr(DEADLINE_ATTR).is_some_and(|value| value == "blown")
+        {
             return Some(PromotionReason::DeadlineBlown);
         }
         if self.promote_errors {
-            if let Some(kind) = root.attrs.get_name("error") {
-                return Some(PromotionReason::Error(kind.clone()));
+            if let Some(kind) = attr(ERROR_ATTR) {
+                return Some(PromotionReason::Error(kind));
             }
         }
-        let name = root.name.as_str();
         for (candidate, threshold_ms) in &self.latency_thresholds {
-            let observed_ms = root.end_ms - root.start_ms;
             if candidate == name && observed_ms >= *threshold_ms {
                 return Some(PromotionReason::SlowCall {
                     observed_ms,

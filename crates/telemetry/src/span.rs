@@ -1,38 +1,48 @@
 //! Span tracing on virtual time.
 //!
-//! A [`Tracer`] mints [`ActiveSpan`]s; finished spans accumulate as
-//! [`SpanRecord`]s inside the tracer, ready for export. Spans nest
-//! through an **ambient stack**: creating a span pushes its context
-//! onto a thread-local stack, so any lower layer — the resilience
-//! engine, a platform middleware module, a device subsystem — can call
-//! [`ambient::child`] and get a correctly parented span without the
-//! call path threading tracer handles through every signature. When no
-//! span is open the ambient constructors return `None` and
-//! instrumentation costs one thread-local read.
+//! A [`Tracer`] mints [`ActiveSpan`]s; finished spans accumulate inside
+//! the tracer and come back out as [`SpanRecord`]s, ready for export.
+//! Spans nest through an **ambient stack**: creating a span pushes its
+//! context onto a thread-local stack, so any lower layer — the
+//! resilience engine, a platform middleware module, a device subsystem
+//! — can call [`ambient::child`] and get a correctly parented span
+//! without the call path threading tracer handles through every
+//! signature. When no span is open the ambient constructors return
+//! `None` and instrumentation costs one thread-local read.
 //!
-//! The recording path is allocation-free after warm-up: span names are
-//! [`SpanName`] symbols (a `&'static str` or a shared `Arc<str>`
-//! resolved once at wiring time), events are `&'static str`, attributes
-//! and events live inline in an [`InlineList`] until they overflow, and
-//! only frames opened through a [`Tracer`] hold a tracer handle (an
-//! ambient child mints its id through its owner frame's). Finished
-//! records are filed **per trace**: while the outermost open span is a
-//! trace root, its descendants' records are moved, in finish order, into
-//! a per-thread pending buffer (cleared, never freed, so it stops
-//! allocating once it has held the longest trace), and when the root
-//! closes the whole batch is moved into a per-thread bounded sink under
-//! one sink lookup and one ring lock. A nested root, a
-//! [`Tracer::child_of`] span or a span closed out of order files at
-//! once, after the pending batch, so every ring still receives records
-//! in finish order. There is no global `Mutex<Vec<_>>` that every worker
-//! thread serialises through. Each sink is a **flight-recorder ring**:
-//! it pre-allocates its full retention capacity on creation and, once
+//! **Two representations.** The recording path never builds a
+//! [`SpanRecord`]. An open span, the per-thread pending batch and every
+//! ring slot hold one fixed-size, `Copy` record of at most 128 bytes:
+//! the ids (a parent of 0 means a root, because ids start at 1), the
+//! start and end times, the plane, the name as a 16-bit symbol, four
+//! inline attribute slots and two inline event slots. Every
+//! `&'static str` a span carries — name, attribute keys, static values,
+//! event names — is such a symbol; a number is stored as a `u64` and
+//! rendered only at export ([`AttrValue`]). What does not fit — a
+//! shared or owned string, a fifth attribute, a third event — goes to
+//! the record's **spill**, which the ring keeps beside its slots and
+//! frees only when it overwrites the record that owns it. A span whose
+//! values are all static or numeric writes no spill, and overwriting it
+//! runs no destructor. [`SpanRecord`]s are materialized from the
+//! compact form only by [`Tracer::finished`], [`Tracer::take_finished`]
+//! and trace promotion.
+//!
+//! **Filing per trace.** Opening a span and closing it each take one
+//! thread-local access: the thread's ambient stack, pending batch and
+//! sink table live in one structure. While the outermost open span is
+//! a trace root, the records of the spans that file into the same ring
+//! are copied, in finish order, into the pending batch (cleared, never
+//! freed), and when the root closes the whole batch is filed under one
+//! ring lock. A nested root, or a span closed out of order, files at
+//! once, after the batch, so every ring still receives records in
+//! finish order. Each sink is a **flight-recorder ring**: it
+//! pre-allocates its full retention capacity on creation and, once
 //! full, overwrites the oldest record in place (evictions are counted,
-//! never silent), so 50k-device fleet runs with tracing on have bounded memory while the
-//! most recent history is always resident. [`Tracer::finished`]
-//! stitches the per-thread sinks back together in registration order,
-//! oldest record first within each sink; a trace whose root is still
-//! open is not visible there until the root closes.
+//! never silent), so 50k-device fleet runs with tracing on have bounded
+//! memory while the most recent history is always resident.
+//! [`Tracer::finished`] stitches the per-thread sinks back together in
+//! registration order, oldest record first within each sink; a trace
+//! whose root is still open is not visible there until the root closes.
 //!
 //! An optional [`Recorder`] installed with
 //! [`Tracer::install_recorder`] adds **tail-based promotion**: when a
@@ -46,10 +56,9 @@
 //! caller (the simulated device clock in this workspace), never the
 //! wall clock — traces replay bit-identically.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{vec_deque, VecDeque};
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -57,7 +66,8 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::context::TraceContext;
-use crate::recorder::{IncidentStore, Recorder, RecorderCounters};
+use crate::intern::Sym;
+use crate::recorder::{IncidentStore, Recorder, RecorderCounters, DEADLINE_ATTR, ERROR_ATTR};
 
 /// Identifies one end-to-end trace (one logical operation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -188,11 +198,7 @@ impl From<Arc<str>> for SpanName {
     }
 }
 
-/// How many entries a span's attribute and event lists store without
-/// touching the heap. Proxy and platform spans carry one or two
-/// attributes (`platform`, plus `error` or `provider`) and layer spans
-/// one or two events (`cache_hit`, `admitted`, `attempt`); only the
-/// chatty device/net spans and retried calls overflow.
+/// How many entries an [`InlineList`] stores without touching the heap.
 const INLINE: usize = 2;
 
 /// An append-only list whose first two entries live inline; the
@@ -244,10 +250,11 @@ impl<T: PartialEq> PartialEq for InlineList<T> {
     }
 }
 
-/// Key/value annotations with inline storage for the common case.
-/// Keys are `&'static str` (attribute vocabularies are fixed at
-/// compile time); values are [`SpanName`]s so static values cost
-/// nothing and dynamic ones are a moved allocation, never a copy.
+/// A finished span's key/value annotations, in recording order. Keys
+/// are `&'static str` (attribute vocabularies are fixed at compile
+/// time); values are [`SpanName`]s: a static value or a shared string
+/// is handed over as is, a number is rendered when the record is
+/// materialized.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct AttrList {
     entries: InlineList<(&'static str, SpanName)>,
@@ -328,65 +335,322 @@ pub struct SpanRecord {
 /// [`Tracer::with_retention`] for the trade-off.
 pub const DEFAULT_SPAN_RETENTION: usize = 4096;
 
-/// One thread's flight-recorder ring of finished spans for one tracer.
-struct SpanSink {
-    ring: Mutex<Ring>,
+/// An attribute value as a span records it: a string symbol, or a
+/// number rendered only when the span is exported.
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttrValue {
+    /// A static or shared string. A static one is stored as a symbol;
+    /// a shared one goes to the span's spill.
+    Str(SpanName),
+    /// A number, rendered in decimal at export.
+    Num(u64),
+    /// A number rendered at export after a static prefix, such as
+    /// `lsn:42`.
+    Prefixed(&'static str, u64),
+}
+
+impl From<&'static str> for AttrValue {
+    fn from(s: &'static str) -> Self {
+        AttrValue::Str(SpanName::Static(s))
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(s: String) -> Self {
+        AttrValue::Str(s.into())
+    }
+}
+
+impl From<Arc<str>> for AttrValue {
+    fn from(s: Arc<str>) -> Self {
+        AttrValue::Str(SpanName::Shared(s))
+    }
+}
+
+impl From<SpanName> for AttrValue {
+    fn from(name: SpanName) -> Self {
+        AttrValue::Str(name)
+    }
+}
+
+impl From<u64> for AttrValue {
+    fn from(n: u64) -> Self {
+        AttrValue::Num(n)
+    }
+}
+
+/// Attribute slots a record holds inline: the device net span carries
+/// four (`method`, `host`, `path`, `status`), every other span one or
+/// two.
+const ATTR_SLOTS: usize = 4;
+
+/// Event slots a record holds inline: layer spans record one or two
+/// (`cache_hit`, `admitted`, `attempt`); a retried call spills.
+const EVENT_SLOTS: usize = 2;
+
+/// `Record::flags`: the name is the record's first spill entry.
+const SHARED_NAME: u8 = 1;
+
+/// `Record::flags`: an event went to the spill, so every later one does
+/// too and the export keeps them in order.
+const EVENTS_SPILLED: u8 = 2;
+
+/// `Record::flags`: the record carries an attribute that trace
+/// promotion reads (`error` or `deadline`). A root without one is not
+/// classified unless the policy has latency thresholds.
+const PROMOTION_ATTR: u8 = 4;
+
+/// How an attribute slot stores its value.
+#[derive(Clone, Copy, Default)]
+enum ValueKind {
+    /// The value is `sym`.
+    #[default]
+    Sym,
+    /// The value is `word`, in decimal.
+    Num,
+    /// The value is `word`, in decimal, after the `sym` prefix.
+    Prefixed,
+    /// The value is the string in the record's spill entry `word`.
+    Spilled,
+}
+
+/// One attribute: 16 bytes, no destructor.
+#[derive(Clone, Copy, Default)]
+struct Attr {
+    key: Sym,
+    sym: Sym,
+    kind: ValueKind,
+    word: u64,
+}
+
+/// One event: its name and its offset from the span's start.
+#[derive(Clone, Copy, Default)]
+struct Event {
+    name: Sym,
+    offset: u32,
+}
+
+/// A span as the recording path stores it: fixed-size and `Copy`, so
+/// filing it is one copy and overwriting it in a ring runs no
+/// destructor. Whatever does not fit is in the record's spill.
+#[derive(Clone, Copy)]
+struct Record {
+    trace_id: u64,
+    span_id: u64,
+    /// 0 for a trace root: ids start at 1.
+    parent_id: u64,
+    start_ms: u64,
+    end_ms: u64,
+    attrs: [Attr; ATTR_SLOTS],
+    events: [Event; EVENT_SLOTS],
+    name: Sym,
+    plane: Plane,
+    attr_len: u8,
+    event_len: u8,
+    flags: u8,
+    /// How many spill entries the record owns.
+    spilled: u16,
+}
+
+impl Record {
+    fn is_root(&self) -> bool {
+        self.parent_id == 0
+    }
+}
+
+/// A part of a span that does not fit its record.
+enum Spilled {
+    /// A shared span name or string attribute value.
+    Str(Arc<str>),
+    /// An attribute past the inline slots.
+    Attr(Attr),
+    /// An event past the inline slots, or too far from the start for
+    /// an offset: its name and time.
+    Event(Sym, u64),
+}
+
+/// A record read together with its spill entries, in push order.
+struct View<'a, I> {
+    record: &'a Record,
+    spill: I,
+}
+
+impl<'a, I: Iterator<Item = &'a Spilled> + Clone> View<'a, I> {
+    /// The string in spill entry `index`.
+    fn text(&self, index: u64) -> &'a Arc<str> {
+        let entry = usize::try_from(index)
+            .ok()
+            .and_then(|index| self.spill.clone().nth(index));
+        match entry {
+            Some(Spilled::Str(s)) => s,
+            _ => unreachable!("a spilled value indexes a string entry of its record"),
+        }
+    }
+
+    fn name(&self) -> &'a str {
+        if self.record.flags & SHARED_NAME != 0 {
+            self.text(0)
+        } else {
+            self.record.name.as_str()
+        }
+    }
+
+    fn value(&self, attr: &Attr) -> SpanName {
+        match attr.kind {
+            ValueKind::Sym => SpanName::Static(attr.sym.as_str()),
+            ValueKind::Num => SpanName::from(attr.word.to_string()),
+            ValueKind::Prefixed => SpanName::from(format!("{}{}", attr.sym.as_str(), attr.word)),
+            ValueKind::Spilled => SpanName::Shared(Arc::clone(self.text(attr.word))),
+        }
+    }
+
+    /// The attributes in the order they were recorded.
+    fn attrs(&self) -> impl Iterator<Item = &'a Attr> {
+        let record = self.record;
+        let spilled = self.spill.clone().filter_map(|entry| match entry {
+            Spilled::Attr(attr) => Some(attr),
+            _ => None,
+        });
+        record.attrs[..usize::from(record.attr_len)]
+            .iter()
+            .chain(spilled)
+    }
+
+    /// The first value recorded under `key`.
+    fn attr(&self, key: &str) -> Option<SpanName> {
+        let attr = self.attrs().find(|attr| attr.key.as_str() == key)?;
+        Some(self.value(attr))
+    }
+
+    /// The export form.
+    fn materialize(&self) -> SpanRecord {
+        let record = self.record;
+        let name = if record.flags & SHARED_NAME != 0 {
+            SpanName::Shared(Arc::clone(self.text(0)))
+        } else {
+            SpanName::Static(record.name.as_str())
+        };
+        let mut attrs = AttrList::default();
+        for attr in self.attrs() {
+            attrs.push(attr.key.as_str(), self.value(attr));
+        }
+        let mut events = EventList::default();
+        for event in &record.events[..usize::from(record.event_len)] {
+            events.push(SpanEvent {
+                name: event.name.as_str(),
+                at_ms: record.start_ms + u64::from(event.offset),
+            });
+        }
+        for entry in self.spill.clone() {
+            if let Spilled::Event(name, at_ms) = entry {
+                events.push(SpanEvent {
+                    name: name.as_str(),
+                    at_ms: *at_ms,
+                });
+            }
+        }
+        SpanRecord {
+            trace_id: TraceId(record.trace_id),
+            span_id: SpanId(record.span_id),
+            parent_id: (!record.is_root()).then_some(SpanId(record.parent_id)),
+            name,
+            plane: record.plane,
+            start_ms: record.start_ms,
+            end_ms: record.end_ms,
+            events,
+            attrs,
+        }
+    }
 }
 
 /// A fixed-capacity overwrite-oldest ring. `slots` grows (within its
 /// pre-allocated capacity) until full; after that `next` is the write
 /// cursor and doubles as the index of the oldest resident record.
+/// `spill` holds the resident records' spill entries in the same
+/// order, so the oldest record's entries are always at its front.
 struct Ring {
-    slots: Vec<SpanRecord>,
+    slots: Vec<Record>,
+    spill: VecDeque<Spilled>,
     next: usize,
     capacity: usize,
+    /// Records overwritten because the ring wrapped around.
+    evicted: u64,
 }
 
 impl Ring {
     fn with_capacity(capacity: usize) -> Self {
         Self {
             slots: Vec::with_capacity(capacity),
+            spill: VecDeque::with_capacity(capacity),
             next: 0,
             capacity,
+            evicted: 0,
         }
     }
 
-    /// Files one record, overwriting the oldest resident record when
-    /// the ring is full. Returns `true` when a record was evicted. The
-    /// evicted record is dropped in place — no reallocation either way.
-    fn push(&mut self, record: SpanRecord) -> bool {
-        if self.slots.len() < self.capacity {
+    /// Files one record and its spill entries, overwriting the oldest
+    /// resident record (and freeing its spill entries, if it has any)
+    /// when the ring is full. Returns `true` when a record was evicted.
+    fn push(&mut self, record: Record, spill: impl Iterator<Item = Spilled>) -> bool {
+        let evicted = if self.slots.len() < self.capacity {
             self.slots.push(record);
             false
         } else {
-            self.slots[self.next] = record;
-            self.next = (self.next + 1) % self.capacity;
+            let slot = &mut self.slots[self.next];
+            if slot.spilled > 0 {
+                self.spill.drain(..usize::from(slot.spilled));
+            }
+            *slot = record;
+            self.next += 1;
+            if self.next == self.capacity {
+                self.next = 0;
+            }
+            self.evicted += 1;
             true
+        };
+        if record.spilled > 0 {
+            self.spill.extend(spill);
         }
+        evicted
     }
 
-    /// Copies out every resident record, oldest first.
+    /// Every resident record with its spill entries, oldest first.
+    fn views(&self) -> impl Iterator<Item = View<'_, vec_deque::Iter<'_, Spilled>>> {
+        let mut at = 0;
+        let (newer, older) = self.slots.split_at(self.next);
+        older.iter().chain(newer).map(move |record| {
+            let end = at + usize::from(record.spilled);
+            let view = View {
+                record,
+                spill: self.spill.range(at..end),
+            };
+            at = end;
+            view
+        })
+    }
+
+    /// Materializes every resident record, oldest first.
     fn snapshot_into(&self, out: &mut Vec<SpanRecord>) {
-        out.extend_from_slice(&self.slots[self.next..]);
-        out.extend_from_slice(&self.slots[..self.next]);
+        out.extend(self.views().map(|view| view.materialize()));
     }
 
-    /// Copies out the resident records of one trace, oldest first.
-    fn collect_trace(&self, trace_id: TraceId) -> Vec<SpanRecord> {
-        self.slots[self.next..]
-            .iter()
-            .chain(self.slots[..self.next].iter())
-            .filter(|record| record.trace_id == trace_id)
-            .cloned()
+    /// Materializes the resident records of one trace, oldest first.
+    fn collect_trace(&self, trace_id: u64) -> Vec<SpanRecord> {
+        self.views()
+            .filter(|view| view.record.trace_id == trace_id)
+            .map(|view| view.materialize())
             .collect()
     }
 
-    /// Moves every resident record out (oldest first), leaving the
-    /// ring empty but at full capacity.
+    /// Materializes every resident record (oldest first) and empties
+    /// the ring, which keeps its capacity.
     fn drain(&mut self) -> Vec<SpanRecord> {
-        self.slots.rotate_left(self.next);
+        let mut out = Vec::with_capacity(self.slots.len());
+        self.snapshot_into(&mut out);
+        self.slots.clear();
+        self.spill.clear();
         self.next = 0;
-        self.slots.split_off(0)
+        out
     }
 }
 
@@ -398,11 +662,9 @@ struct TracerInner {
     /// Per-sink ring capacity; each sink's buffer is allocated at this
     /// capacity once, so filing a record never reallocates.
     retention: usize,
-    /// Spans overwritten because a full ring wrapped around.
-    evicted: AtomicU64,
     /// Every sink ever registered, in registration order. Only locked
     /// on sink creation and on drain — never on the recording path.
-    sinks: Mutex<Vec<Arc<SpanSink>>>,
+    sinks: Mutex<Vec<Arc<Mutex<Ring>>>>,
     /// Tail-based promotion: classifies closing trace roots and keeps
     /// the interesting trace trees. Installed at most once.
     recorder: OnceLock<Recorder>,
@@ -415,8 +677,8 @@ static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
 
 /// Hashes a tracer id with one multiply (Fibonacci hashing). Tracer ids
 /// are sequential and process-local, so SipHash's flooding resistance
-/// buys nothing on a lookup every span pays; the multiply spreads the
-/// id over the high bits the table probes with.
+/// buys nothing on a lookup every trace root pays; the multiply spreads
+/// the id over the high bits the table probes with.
 #[derive(Default)]
 struct TracerIdHasher(u64);
 
@@ -434,15 +696,6 @@ impl Hasher for TracerIdHasher {
     fn finish(&self) -> u64 {
         self.0
     }
-}
-
-type SinkTable = HashMap<u64, Arc<SpanSink>, BuildHasherDefault<TracerIdHasher>>;
-
-thread_local! {
-    /// This thread's sink per tracer id. An entry appears the first
-    /// time a thread files a span for a tracer and lives for the
-    /// thread's lifetime.
-    static LOCAL_SINKS: RefCell<SinkTable> = RefCell::new(SinkTable::default());
 }
 
 /// Mints spans and collects the finished records.
@@ -468,7 +721,7 @@ impl fmt::Debug for Tracer {
             .sinks
             .lock()
             .iter()
-            .map(|sink| sink.ring.lock().slots.len())
+            .map(|ring| ring.lock().slots.len())
             .sum();
         f.debug_struct("Tracer")
             .field("finished", &finished)
@@ -497,7 +750,6 @@ impl Tracer {
                 id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
                 next_id: AtomicU64::new(1),
                 retention: retention.max(1),
-                evicted: AtomicU64::new(0),
                 sinks: Mutex::new(Vec::new()),
                 recorder: OnceLock::new(),
                 counters: OnceLock::new(),
@@ -520,7 +772,8 @@ impl Tracer {
     /// How many spans have been overwritten by newer records because a
     /// full ring wrapped around.
     pub fn evicted_spans(&self) -> u64 {
-        self.inner.evicted.load(Ordering::Relaxed)
+        let sinks = self.inner.sinks.lock();
+        sinks.iter().map(|ring| ring.lock().evicted).sum()
     }
 
     /// Installs the tail-based promotion recorder. The first install
@@ -553,15 +806,16 @@ impl Tracer {
         self.inner.id
     }
 
-    fn fresh_id(&self) -> u64 {
-        self.inner.next_id.fetch_add(1, Ordering::Relaxed)
+    /// Reserves `count` consecutive ids and returns the first.
+    fn fresh_ids(&self, count: u64) -> u64 {
+        self.inner.next_id.fetch_add(count, Ordering::Relaxed)
     }
 
     /// Starts a new trace with a root span and pushes it onto the
     /// ambient stack.
     pub fn root(&self, name: impl Into<SpanName>, plane: Plane, now_ms: u64) -> ActiveSpan {
-        let trace_id = TraceId(self.fresh_id());
-        self.start(trace_id, None, name.into(), plane, now_ms)
+        let (ctx, parent_id) = ambient::push_in(self, None);
+        ActiveSpan::open(ctx, parent_id, name.into(), plane, now_ms)
     }
 
     /// Starts a span under an explicit parent context (same trace) and
@@ -573,35 +827,25 @@ impl Tracer {
         plane: Plane,
         now_ms: u64,
     ) -> ActiveSpan {
-        self.start(
-            parent.trace_id,
-            Some(parent.span_id),
-            name.into(),
-            plane,
-            now_ms,
-        )
+        let (ctx, parent_id) = ambient::push_in(self, Some(parent));
+        ActiveSpan::open(ctx, parent_id, name.into(), plane, now_ms)
     }
 
-    fn start(
-        &self,
-        trace_id: TraceId,
-        parent_id: Option<SpanId>,
-        name: SpanName,
-        plane: Plane,
-        now_ms: u64,
-    ) -> ActiveSpan {
-        let span_id = SpanId(self.fresh_id());
-        let ctx = TraceContext { trace_id, span_id };
-        ambient::push(self.clone(), ctx, parent_id.is_none());
-        ActiveSpan::open(ctx, parent_id, name, plane, now_ms)
+    /// Opens a child of the innermost open span, in that span's tracer,
+    /// or — when no span is open on this thread — a new trace root in
+    /// this tracer: [`ambient::child`] falling back to
+    /// [`Tracer::root`], under one thread-local access.
+    pub fn span(&self, name: impl Into<SpanName>, plane: Plane, now_ms: u64) -> ActiveSpan {
+        let (ctx, parent_id) = ambient::push_child_or_root(self);
+        ActiveSpan::open(ctx, parent_id, name.into(), plane, now_ms)
     }
 
-    /// Moves a batch of finished records, in finish order, into this
-    /// thread's ring for this tracer — one sink lookup and one ring
-    /// lock for the whole batch — creating (and registering) the sink on
-    /// first use. When the ring is full the oldest record is overwritten
-    /// in place; evictions are summed into one add per counter. The
-    /// batch is left empty with its capacity intact.
+    /// Files a batch of finished records, in finish order, into `ring`
+    /// (this thread's ring for this tracer) under one ring lock. `spill`
+    /// holds the records' spill entries in the same order. When the
+    /// ring is full the oldest record is overwritten in place;
+    /// evictions are summed into one add on the registry counter. Both
+    /// buffers are left empty with their capacity intact.
     ///
     /// Tail-based promotion happens here: a **root** record closing
     /// means its trace is complete — in this synchronous world every
@@ -609,47 +853,64 @@ impl Tracer {
     /// precedes it in the batch — so the installed [`Recorder`]
     /// classifies the root and, if the outcome is interesting and the
     /// incident store still has room, the trace tree is copied out
-    /// *before* the root is inserted (the collected set is exactly the
-    /// resident children plus the root). A batch holds at most one root,
-    /// its last record.
-    fn file(&self, batch: &mut Vec<SpanRecord>) {
-        let recorder = self.inner.recorder.get();
-        let (evicted, promotion) = LOCAL_SINKS.with(|sinks| {
-            let mut sinks = sinks.borrow_mut();
-            let sink = sinks.entry(self.inner.id).or_insert_with(|| {
-                let sink = Arc::new(SpanSink {
-                    ring: Mutex::new(Ring::with_capacity(self.inner.retention)),
-                });
-                self.inner.sinks.lock().push(Arc::clone(&sink));
-                sink
+    /// *after* the children are filed and *before* the root is (the
+    /// collected set is exactly the resident children plus the root).
+    /// A batch holds at most one root, its last record: the ambient
+    /// stack batches only non-root records behind the outermost root.
+    fn file(&self, ring: &Mutex<Ring>, batch: &mut Vec<Record>, spill: &mut Vec<Spilled>) {
+        let root = batch.last().copied().filter(Record::is_root);
+        let promotion = root
+            .zip(self.inner.recorder.get())
+            .filter(|(root, recorder)| {
+                root.flags & PROMOTION_ATTR != 0 || recorder.policy().reads_durations()
+            })
+            .and_then(|(root, recorder)| {
+                let tail = spill.len() - usize::from(root.spilled);
+                let view = View {
+                    record: &root,
+                    spill: spill[tail..].iter(),
+                };
+                let reason = recorder.policy().classify(
+                    view.name(),
+                    root.end_ms - root.start_ms,
+                    |key| view.attr(key),
+                )?;
+                let root_span = recorder.has_room().then(|| view.materialize());
+                Some((recorder, reason, root_span))
             });
-            let mut ring = sink.ring.lock();
-            let mut evicted = 0;
-            let mut promotion = None;
-            for record in batch.drain(..) {
-                if let (None, Some(recorder)) = (record.parent_id, recorder) {
-                    if let Some(reason) = recorder.policy().classify(&record) {
-                        let spans = recorder.has_room().then(|| {
-                            let mut spans = ring.collect_trace(record.trace_id);
-                            spans.push(record.clone());
-                            spans
-                        });
-                        promotion = Some((record.trace_id, reason, spans));
-                    }
-                }
-                evicted += u64::from(ring.push(record));
-            }
-            (evicted, promotion)
-        });
-        let counters = self.inner.counters.get();
-        if evicted > 0 {
-            self.inner.evicted.fetch_add(evicted, Ordering::Relaxed);
-            if let Some(counters) = counters {
-                counters.evicted.add(evicted);
-            }
+        let children = batch.len() - usize::from(root.is_some());
+        let mut entries = spill.drain(..);
+        let mut ring = ring.lock();
+        let evicted_before = ring.evicted;
+        for record in &batch[..children] {
+            ring.push(*record, entries.by_ref().take(usize::from(record.spilled)));
         }
-        if let (Some((trace_id, reason, spans)), Some(recorder)) = (promotion, recorder) {
-            recorder.promote(self.inner.id, trace_id, reason, spans, counters);
+        let promotion = promotion.map(|(recorder, reason, root_span)| {
+            let spans = root_span.map(|root_span| {
+                let mut spans = ring.collect_trace(root_span.trace_id.0);
+                spans.push(root_span);
+                spans
+            });
+            (recorder, reason, spans)
+        });
+        if let Some(root) = root {
+            ring.push(root, entries);
+        }
+        let evicted = ring.evicted - evicted_before;
+        drop(ring);
+        batch.clear();
+        let counters = self.inner.counters.get();
+        if let (true, Some(counters)) = (evicted > 0, counters) {
+            counters.evicted.add(evicted);
+        }
+        if let (Some((recorder, reason, spans)), Some(root)) = (promotion, root) {
+            recorder.promote(
+                self.inner.id,
+                TraceId(root.trace_id),
+                reason,
+                spans,
+                counters,
+            );
         }
     }
 
@@ -660,13 +921,12 @@ impl Tracer {
     /// The descendants of a trace root that is still open are not
     /// filed yet: the recording thread batches them and files them when
     /// the root closes, so until then no caller — on any thread — sees
-    /// them here. Nested roots and spans opened with
-    /// [`Tracer::child_of`] are filed as they close.
+    /// them here. Nested roots are filed as they close.
     pub fn finished(&self) -> Vec<SpanRecord> {
         let sinks = self.inner.sinks.lock();
         let mut out = Vec::new();
-        for sink in sinks.iter() {
-            sink.ring.lock().snapshot_into(&mut out);
+        for ring in sinks.iter() {
+            ring.lock().snapshot_into(&mut out);
         }
         out
     }
@@ -677,13 +937,8 @@ impl Tracer {
     pub fn take_finished(&self) -> Vec<SpanRecord> {
         let sinks = self.inner.sinks.lock();
         let mut out = Vec::new();
-        for sink in sinks.iter() {
-            let mut drained = sink.ring.lock().drain();
-            if out.is_empty() {
-                out = drained;
-            } else {
-                out.append(&mut drained);
-            }
+        for ring in sinks.iter() {
+            out.append(&mut ring.lock().drain());
         }
         out
     }
@@ -697,70 +952,129 @@ impl Tracer {
 /// thread-local, so a span is closed on the thread that opened it (it
 /// is not `Send`).
 pub struct ActiveSpan {
-    /// `Some` while open; `finish` moves the record out into the sink,
-    /// so closing a span copies nothing.
-    record: Option<SpanRecord>,
+    /// The record being written; its `span_id` is 0 once it is filed.
+    record: Record,
+    /// The record's spill entries. Empty and unallocated until the
+    /// first entry, when it takes a cleared buffer from the thread's
+    /// pool; closing the span returns the buffer there.
+    spill: Vec<Spilled>,
     _same_thread: PhantomData<*const ()>,
 }
 
 impl ActiveSpan {
     /// A span opened under `ctx` whose frame is already on the ambient
-    /// stack.
-    fn open(
-        ctx: TraceContext,
-        parent_id: Option<SpanId>,
-        name: SpanName,
-        plane: Plane,
-        now_ms: u64,
-    ) -> Self {
+    /// stack; `parent_id` is 0 for a root.
+    #[inline]
+    fn open(ctx: TraceContext, parent_id: u64, name: SpanName, plane: Plane, now_ms: u64) -> Self {
+        // Everything is computed before the span is built, so it is
+        // written once, in place.
+        let (name, flags, spill) = match name {
+            SpanName::Static(name) => (Sym::of(name), 0, Vec::new()),
+            SpanName::Shared(name) => {
+                let mut spill = ambient::spare_spill();
+                spill.push(Spilled::Str(name));
+                (Sym::default(), SHARED_NAME, spill)
+            }
+        };
         Self {
-            record: Some(SpanRecord {
-                trace_id: ctx.trace_id,
-                span_id: ctx.span_id,
+            record: Record {
+                trace_id: ctx.trace_id.0,
+                span_id: ctx.span_id.0,
                 parent_id,
-                name,
-                plane,
                 start_ms: now_ms,
                 end_ms: now_ms,
-                events: EventList::default(),
-                attrs: AttrList::default(),
-            }),
+                attrs: [Attr::default(); ATTR_SLOTS],
+                events: [Event::default(); EVENT_SLOTS],
+                name,
+                plane,
+                attr_len: 0,
+                event_len: 0,
+                flags,
+                spilled: spill.len() as u16,
+            },
+            spill,
             _same_thread: PhantomData,
         }
     }
 
-    /// The open record. Infallible by construction: `record` is `Some`
-    /// from `Tracer::span` until `finish`, and `finish` is reachable
-    /// only through `end(self)` (which consumes the span) or `Drop` —
-    /// no `&self` method can observe a closed span.
-    fn record(&self) -> &SpanRecord {
-        self.record.as_ref().expect("span is open until end/drop")
-    }
-
-    /// Mutable twin of [`Self::record`]; same invariant.
-    fn record_mut(&mut self) -> &mut SpanRecord {
-        self.record.as_mut().expect("span is open until end/drop")
+    /// Appends a spill entry and returns its index, or `None` once the
+    /// record owns `u16::MAX` entries (the entry is then dropped).
+    fn spill(&mut self, entry: Spilled) -> Option<u64> {
+        let index = self.record.spilled;
+        self.record.spilled = index.checked_add(1)?;
+        if self.spill.capacity() == 0 {
+            self.spill = ambient::spare_spill();
+        }
+        self.spill.push(entry);
+        Some(u64::from(index))
     }
 
     /// The propagatable identity of this span.
     pub fn context(&self) -> TraceContext {
-        let record = self.record();
         TraceContext {
-            trace_id: record.trace_id,
-            span_id: record.span_id,
+            trace_id: TraceId(self.record.trace_id),
+            span_id: SpanId(self.record.span_id),
         }
     }
 
     /// Records a point event at `at_ms` virtual time.
     pub fn event(&mut self, name: &'static str, at_ms: u64) {
-        self.record_mut().events.push(SpanEvent { name, at_ms });
+        let name = Sym::of(name);
+        let record = &mut self.record;
+        let offset = at_ms
+            .checked_sub(record.start_ms)
+            .and_then(|offset| u32::try_from(offset).ok());
+        let slot = usize::from(record.event_len);
+        match offset {
+            Some(offset) if slot < EVENT_SLOTS && record.flags & EVENTS_SPILLED == 0 => {
+                record.events[slot] = Event { name, offset };
+                record.event_len += 1;
+            }
+            _ => {
+                record.flags |= EVENTS_SPILLED;
+                self.spill(Spilled::Event(name, at_ms));
+            }
+        }
     }
 
-    /// Attaches (or appends) a key/value annotation. Static values are
-    /// free; pass owned `String`s for dynamic ones — they are moved,
-    /// not copied.
-    pub fn attr(&mut self, key: &'static str, value: impl Into<SpanName>) {
-        self.record_mut().attrs.push(key, value.into());
+    /// Attaches (or appends) a key/value annotation. Static strings and
+    /// numbers are stored in the record; a shared or owned string is
+    /// moved to the spill, never copied.
+    pub fn attr(&mut self, key: &'static str, value: impl Into<AttrValue>) {
+        // Folds away where `key` is a literal, as on every hot path.
+        if key == ERROR_ATTR || key == DEADLINE_ATTR {
+            self.record.flags |= PROMOTION_ATTR;
+        }
+        let mut attr = Attr {
+            key: Sym::of(key),
+            ..Attr::default()
+        };
+        match value.into() {
+            AttrValue::Str(SpanName::Static(s)) => attr.sym = Sym::of(s),
+            AttrValue::Str(SpanName::Shared(s)) => {
+                let Some(index) = self.spill(Spilled::Str(s)) else {
+                    return;
+                };
+                attr.kind = ValueKind::Spilled;
+                attr.word = index;
+            }
+            AttrValue::Num(n) => {
+                attr.kind = ValueKind::Num;
+                attr.word = n;
+            }
+            AttrValue::Prefixed(prefix, n) => {
+                attr.kind = ValueKind::Prefixed;
+                attr.sym = Sym::of(prefix);
+                attr.word = n;
+            }
+        }
+        let slot = usize::from(self.record.attr_len);
+        if slot < ATTR_SLOTS {
+            self.record.attrs[slot] = attr;
+            self.record.attr_len += 1;
+        } else {
+            self.spill(Spilled::Attr(attr));
+        }
     }
 
     /// Closes the span at `now_ms` and files the record with the
@@ -770,20 +1084,19 @@ impl ActiveSpan {
     }
 
     fn finish(&mut self, now_ms: u64) {
-        let Some(mut record) = self.record.take() else {
+        if self.record.span_id == 0 {
             return;
-        };
-        record.end_ms = now_ms.max(record.start_ms);
-        ambient::close(record);
+        }
+        self.record.end_ms = now_ms.max(self.record.start_ms);
+        ambient::close(&self.record, &mut self.spill);
+        self.record.span_id = 0;
     }
 }
 
 impl Drop for ActiveSpan {
     fn drop(&mut self) {
-        if let Some(record) = &self.record {
-            let started = record.start_ms;
-            self.finish(started);
-        }
+        let started = self.record.start_ms;
+        self.finish(started);
     }
 }
 
@@ -791,43 +1104,125 @@ impl Drop for ActiveSpan {
 /// telemetry-aware in their signatures.
 pub mod ambient {
     use std::cell::RefCell;
+    use std::collections::HashMap;
+    use std::hash::BuildHasherDefault;
+    use std::sync::Arc;
 
-    use super::{ActiveSpan, Plane, SpanId, SpanName, SpanRecord, Tracer};
+    use parking_lot::Mutex;
+
+    use super::{
+        ActiveSpan, Plane, Record, Ring, SpanId, SpanName, Spilled, Tracer, TracerIdHasher,
+    };
     use crate::context::TraceContext;
 
     /// One open span.
     struct Frame {
         ctx: TraceContext,
-        /// The tracer handle, held only by frames opened through a
-        /// [`Tracer`] (`root`, `child_of`); an ambient child borrows its
-        /// owner's.
-        tracer: Option<Tracer>,
-        /// Index of the frame holding this span's tracer: its own index
-        /// for a tracer-opened frame, its parent frame's owner for an
-        /// ambient child. Always a frame at or below this one whose
-        /// `tracer` is `Some`.
-        owner: usize,
-        /// Whether the span is a trace root (opened by [`Tracer::root`]).
+        /// Index of the span's sink in [`Ambient::sinks`].
+        sink: usize,
+        /// Whether the span is a trace root (opened by [`Tracer::root`]
+        /// or [`Tracer::span`] with nothing open).
         root: bool,
     }
 
-    impl Frame {
-        /// The tracer of a frame that is some frame's owner.
-        fn tracer(&self) -> &Tracer {
-            self.tracer
-                .as_ref()
-                .expect("an owner frame holds its tracer")
-        }
+    /// This thread's ring for one tracer, and the tracer it files into.
+    struct Sink {
+        tracer: Tracer,
+        ring: Arc<Mutex<Ring>>,
     }
 
-    /// This thread's open spans plus the finished records waiting for
-    /// the outermost root to close.
+    /// This thread's open spans, the finished records waiting for the
+    /// outermost root to close, and its sinks.
     struct Ambient {
         stack: Vec<Frame>,
-        /// Finished descendants of `stack[0]`, in finish order, filed
-        /// into its tracer when it closes. Only non-empty while
+        /// Finished records filing into `stack[0]`'s ring, in finish
+        /// order, filed with it when it closes. Only non-empty while
         /// `stack[0]` is a trace root; cleared, never freed.
-        pending: Vec<SpanRecord>,
+        pending: Vec<Record>,
+        /// The spill entries of `pending`, in the same order.
+        pending_spill: Vec<Spilled>,
+        /// Cleared spill buffers of closed spans, lent to the next spans
+        /// that spill, so a span's spill stops allocating once warm.
+        spare: Vec<Vec<Spilled>>,
+        /// Every sink this thread has opened a span for, in first-use
+        /// order. An entry lives for the thread's lifetime.
+        sinks: Vec<Sink>,
+        /// `sinks` index by tracer id.
+        by_tracer: HashMap<u64, usize, BuildHasherDefault<TracerIdHasher>>,
+    }
+
+    impl Ambient {
+        /// The index of this thread's sink for `tracer`, creating and
+        /// registering it on first use.
+        fn sink_of(&mut self, tracer: &Tracer) -> usize {
+            if let Some(&index) = self.by_tracer.get(&tracer.id()) {
+                return index;
+            }
+            let ring = Arc::new(Mutex::new(Ring::with_capacity(tracer.retention())));
+            tracer.inner.sinks.lock().push(Arc::clone(&ring));
+            let index = self.sinks.len();
+            self.sinks.push(Sink {
+                tracer: tracer.clone(),
+                ring,
+            });
+            self.by_tracer.insert(tracer.id(), index);
+            index
+        }
+
+        /// Pushes a frame in `tracer`: a root when `parent` is `None`.
+        fn push_in(
+            &mut self,
+            tracer: &Tracer,
+            parent: Option<TraceContext>,
+        ) -> (TraceContext, u64) {
+            let sink = self.sink_of(tracer);
+            // A root mints its trace id and span id with one add.
+            let (ctx, parent_id) = match parent {
+                Some(parent) => {
+                    let span_id = SpanId(tracer.fresh_ids(1));
+                    (TraceContext { span_id, ..parent }, parent.span_id.0)
+                }
+                None => {
+                    let trace_id = tracer.fresh_ids(2);
+                    let ctx = TraceContext {
+                        trace_id: super::TraceId(trace_id),
+                        span_id: SpanId(trace_id + 1),
+                    };
+                    (ctx, 0)
+                }
+            };
+            self.stack.push(Frame {
+                ctx,
+                sink,
+                root: parent.is_none(),
+            });
+            (ctx, parent_id)
+        }
+
+        /// Pushes a frame in the innermost open span's tracer, under
+        /// `parent` (that span when `None`); `None` when no span is
+        /// open.
+        fn push_child(&mut self, parent: Option<TraceContext>) -> Option<(TraceContext, u64)> {
+            let top = self.stack.last()?;
+            let parent = parent.unwrap_or(top.ctx);
+            let sink = top.sink;
+            let ctx = TraceContext {
+                trace_id: parent.trace_id,
+                span_id: SpanId(self.sinks[sink].tracer.fresh_ids(1)),
+            };
+            self.stack.push(Frame {
+                ctx,
+                sink,
+                root: false,
+            });
+            Some((ctx, parent.span_id.0))
+        }
+
+        /// Files `pending` into sink `sink`.
+        fn file_pending(&mut self, sink: usize) {
+            let Sink { tracer, ring } = &self.sinks[sink];
+            tracer.file(ring, &mut self.pending, &mut self.pending_spill);
+        }
     }
 
     thread_local! {
@@ -835,124 +1230,92 @@ pub mod ambient {
             RefCell::new(Ambient {
                 stack: Vec::new(),
                 pending: Vec::new(),
+                pending_spill: Vec::new(),
+                spare: Vec::new(),
+                sinks: Vec::new(),
+                by_tracer: HashMap::with_hasher(BuildHasherDefault::new()),
             })
         };
     }
 
-    /// Pushes the frame of a span opened through `tracer`.
-    pub(super) fn push(tracer: Tracer, ctx: TraceContext, root: bool) {
-        AMBIENT.with(|ambient| {
-            let stack = &mut ambient.borrow_mut().stack;
-            let owner = stack.len();
-            stack.push(Frame {
-                ctx,
-                tracer: Some(tracer),
-                owner,
-                root,
-            });
-        });
+    /// Pushes the frame of a span opened through `tracer`: a new trace
+    /// root, or a child of the explicit `parent`. Returns the span's
+    /// context and its parent id (0 for a root).
+    pub(super) fn push_in(tracer: &Tracer, parent: Option<TraceContext>) -> (TraceContext, u64) {
+        AMBIENT.with_borrow_mut(|ambient| ambient.push_in(tracer, parent))
     }
 
-    /// Removes the frame of `record`'s span and files the record.
+    /// Pushes the frame of a child of the innermost open span or, when
+    /// none is open, of a new root in `tracer`.
+    pub(super) fn push_child_or_root(tracer: &Tracer) -> (TraceContext, u64) {
+        AMBIENT.with_borrow_mut(|ambient| {
+            ambient
+                .push_child(None)
+                .unwrap_or_else(|| ambient.push_in(tracer, None))
+        })
+    }
+
+    /// Most spare spill buffers a thread keeps.
+    const SPARE_SPILLS: usize = 64;
+
+    /// A cleared spill buffer from this thread's pool, or a new empty
+    /// one.
+    pub(super) fn spare_spill() -> Vec<Spilled> {
+        AMBIENT.with_borrow_mut(|ambient| ambient.spare.pop().unwrap_or_default())
+    }
+
+    /// Removes the frame of `record`'s span and files the record with
+    /// its spill entries, returning the emptied `spill` buffer to the
+    /// thread's pool.
     ///
     /// While the outermost open span is a trace root, the records of
-    /// the spans that file into its tracer through it are batched and
-    /// filed together with the root when it closes. Everything else —
-    /// a nested root, a [`Tracer::child_of`] span and its children, a
-    /// span closed out of order — is filed at once, after the batch, so
-    /// every ring still receives its records in finish order. A record
-    /// whose frame is gone is dropped.
-    pub(super) fn close(record: SpanRecord) {
-        AMBIENT.with(|ambient| {
-            let Ambient { stack, pending } = &mut *ambient.borrow_mut();
+    /// the other spans that file into its ring are batched and filed
+    /// together with the root when it closes. Everything else — a
+    /// nested root, a span on another tracer's ring, a span closed out
+    /// of order — is filed at once, after the batch, so every ring
+    /// still receives its records in finish order. A record whose frame
+    /// is gone is dropped.
+    pub(super) fn close(record: &Record, spill: &mut Vec<Spilled>) {
+        AMBIENT.with_borrow_mut(|ambient| {
+            let stack = &mut ambient.stack;
             let Some(idx) = stack
                 .iter()
-                .rposition(|frame| frame.ctx.span_id == record.span_id)
+                .rposition(|frame| frame.ctx.span_id.0 == record.span_id)
             else {
                 return;
             };
-            // The top frame, filing through the outermost frame, which
-            // is a trace root: batch the record.
-            if idx + 1 == stack.len() && stack[idx].owner == 0 && stack[0].root {
-                let frame = stack.pop().expect("idx is the top frame");
-                pending.push(record);
-                if let Some(tracer) = frame.tracer {
-                    // The outermost root itself: file the whole trace.
-                    tracer.file(pending);
+            let outer = &stack[0];
+            let frame = &stack[idx];
+            let batched = idx + 1 == stack.len()
+                && outer.root
+                && outer.sink == frame.sink
+                && (idx == 0 || !frame.root);
+            let outer_sink = outer.sink;
+            let sink = frame.sink;
+            if idx + 1 == stack.len() {
+                stack.pop();
+            } else {
+                stack.remove(idx);
+            }
+            if !batched && !ambient.pending.is_empty() {
+                ambient.file_pending(outer_sink);
+            }
+            ambient.pending.push(*record);
+            if spill.capacity() > 0 {
+                ambient.pending_spill.append(spill);
+                if ambient.spare.len() < SPARE_SPILLS {
+                    ambient.spare.push(std::mem::take(spill));
                 }
-                return;
             }
-            if !pending.is_empty() {
-                stack[0].tracer().file(pending);
+            if !batched || idx == 0 {
+                ambient.file_pending(sink);
             }
-            let tracer = remove(stack, idx);
-            pending.push(record);
-            tracer.file(pending);
         });
-    }
-
-    /// Removes the frame at `idx` (not necessarily the top), returning
-    /// the tracer its span files into. When that frame owned the tracer
-    /// of frames still open above it, the first of them inherits it and
-    /// becomes the owner of the rest.
-    fn remove(stack: &mut Vec<Frame>, idx: usize) -> Tracer {
-        let frame = stack.remove(idx);
-        let tracer = match frame.tracer {
-            Some(tracer) => tracer,
-            None => stack[frame.owner].tracer().clone(),
-        };
-        let mut heir = None;
-        for (i, above) in stack.iter_mut().enumerate().skip(idx) {
-            if above.owner == idx {
-                above.owner = *heir.get_or_insert_with(|| {
-                    above.tracer = Some(tracer.clone());
-                    i
-                });
-            } else if above.owner > idx {
-                above.owner -= 1;
-            }
-        }
-        tracer
     }
 
     /// The innermost open span's context on this thread, if any.
     pub fn current() -> Option<TraceContext> {
-        AMBIENT.with(|ambient| ambient.borrow().stack.last().map(|frame| frame.ctx))
-    }
-
-    /// Opens a span under `parent` (the innermost open span's context
-    /// when `None`) in the innermost open span's tracer, all under one
-    /// borrow of the stack. The new frame holds no tracer handle: it
-    /// records the innermost span's owner and mints its id there.
-    fn open(
-        parent: Option<TraceContext>,
-        name: impl Into<SpanName>,
-        plane: Plane,
-        now_ms: u64,
-    ) -> Option<ActiveSpan> {
-        AMBIENT.with(|ambient| {
-            let stack = &mut ambient.borrow_mut().stack;
-            let top = stack.last()?;
-            let parent = parent.unwrap_or(top.ctx);
-            let owner = top.owner;
-            let ctx = TraceContext {
-                trace_id: parent.trace_id,
-                span_id: SpanId(stack[owner].tracer().fresh_id()),
-            };
-            stack.push(Frame {
-                ctx,
-                tracer: None,
-                owner,
-                root: false,
-            });
-            Some(ActiveSpan::open(
-                ctx,
-                Some(parent.span_id),
-                name.into(),
-                plane,
-                now_ms,
-            ))
-        })
+        AMBIENT.with_borrow(|ambient| ambient.stack.last().map(|frame| frame.ctx))
     }
 
     /// Opens a child of the innermost open span, using its tracer.
@@ -960,7 +1323,8 @@ pub mod ambient {
     /// instrumented code paths are free when telemetry is off. The
     /// name is only converted when a span is actually opened.
     pub fn child(name: impl Into<SpanName>, plane: Plane, now_ms: u64) -> Option<ActiveSpan> {
-        open(None, name, plane, now_ms)
+        let (ctx, parent_id) = AMBIENT.with_borrow_mut(|ambient| ambient.push_child(None))?;
+        Some(ActiveSpan::open(ctx, parent_id, name.into(), plane, now_ms))
     }
 
     /// Opens a span under an **explicit** parent context (e.g. one that
@@ -973,7 +1337,9 @@ pub mod ambient {
         plane: Plane,
         now_ms: u64,
     ) -> Option<ActiveSpan> {
-        open(Some(parent), name, plane, now_ms)
+        let (ctx, parent_id) =
+            AMBIENT.with_borrow_mut(|ambient| ambient.push_child(Some(parent)))?;
+        Some(ActiveSpan::open(ctx, parent_id, name.into(), plane, now_ms))
     }
 }
 
@@ -1295,6 +1661,117 @@ mod tests {
         assert!(tracer.finished().is_empty(), "nor on the recording thread");
         root.end(3);
         assert_eq!(names(&from_another_thread()), ["child", "root"]);
+    }
+
+    #[test]
+    fn the_stored_record_is_at_most_half_a_span_record() {
+        assert!(std::mem::size_of::<Record>() <= 128);
+        assert!(std::mem::size_of::<Record>() * 2 <= std::mem::size_of::<SpanRecord>());
+    }
+
+    fn attrs(span: &SpanRecord) -> Vec<(&'static str, &str)> {
+        span.attrs.iter().collect()
+    }
+
+    #[test]
+    fn four_attributes_and_an_owned_value_read_back_through_a_wrapping_ring() {
+        let tracer = recording(4);
+        let host: Arc<str> = Arc::from("wfm.example");
+        for i in 0..100u64 {
+            let mut root = tracer.root("proxy:Http.request", Plane::Proxy, i * 10);
+            let mut net = ambient::child("device:net.request", Plane::Device, i * 10).unwrap();
+            net.attr("method", "GET");
+            net.attr("host", Arc::clone(&host));
+            net.attr("path", format!("/tasks/{i}"));
+            net.attr("status", 200u64);
+            net.end(i * 10 + 1);
+            if i % 10 == 9 {
+                root.attr("error", "Timeout");
+            }
+            root.end(i * 10 + 2);
+        }
+        let expected = |i: u64| {
+            vec![
+                ("method", "GET".to_owned()),
+                ("host", "wfm.example".to_owned()),
+                ("path", format!("/tasks/{i}")),
+                ("status", "200".to_owned()),
+            ]
+        };
+        let owned = |span: &SpanRecord| -> Vec<(&'static str, String)> {
+            attrs(span)
+                .into_iter()
+                .map(|(k, v)| (k, v.to_owned()))
+                .collect()
+        };
+
+        // The ring kept the last two traces, oldest first.
+        let spans = tracer.finished();
+        assert_eq!(
+            names(&spans),
+            ["device:net.request", "proxy:Http.request"].repeat(2)
+        );
+        assert_eq!(owned(&spans[0]), expected(98));
+        assert_eq!(owned(&spans[2]), expected(99));
+        assert_eq!(attrs(&spans[3]), [("error", "Timeout")]);
+        assert_eq!(tracer.evicted_spans(), 196);
+
+        // Every tenth trace was promoted whole, the spilled values included.
+        let traces = tracer.incident_store().unwrap().traces();
+        assert_eq!(traces.len(), 10);
+        for (n, trace) in traces.iter().enumerate() {
+            assert!(trace.complete);
+            assert_eq!(owned(&trace.spans[0]), expected(n as u64 * 10 + 9));
+            assert_eq!(trace.spans[1].parent_id, None);
+        }
+
+        // The ring freed every overwritten spill: the shared host is held
+        // by the two resident net spans and the ten promoted ones only.
+        drop((spans, traces));
+        assert_eq!(Arc::strong_count(&host), 1 + 2 + 10);
+        tracer.take_finished();
+        assert_eq!(Arc::strong_count(&host), 1 + 10);
+    }
+
+    #[test]
+    fn spilled_parts_keep_their_order() {
+        let tracer = Tracer::with_retention(8);
+        let name: Arc<str> = Arc::from("bridge:Custom.call");
+        let mut span = tracer.root(SpanName::Shared(Arc::clone(&name)), Plane::Bridge, 100);
+        span.event("early", 99);
+        span.event("first", 100);
+        for (key, value) in [("a", 1u64), ("b", 2), ("c", 3), ("d", 4), ("e", 5)] {
+            span.attr(key, value);
+        }
+        span.attr("lsn", AttrValue::Prefixed("lsn:", 7));
+        span.event("second", 101);
+        span.event("far", 100 + u64::from(u32::MAX) + 1);
+        span.end(102);
+
+        let record = &tracer.finished()[0];
+        assert_eq!(record.name, SpanName::Shared(name));
+        assert_eq!(
+            attrs(record),
+            [
+                ("a", "1"),
+                ("b", "2"),
+                ("c", "3"),
+                ("d", "4"),
+                ("e", "5"),
+                ("lsn", "lsn:7")
+            ]
+        );
+        let events: Vec<(&str, u64)> = record.events.iter().map(|e| (e.name, e.at_ms)).collect();
+        assert_eq!(
+            events,
+            [
+                ("early", 99),
+                ("first", 100),
+                ("second", 101),
+                ("far", 100 + u64::from(u32::MAX) + 1)
+            ],
+            "once an event spills, the later ones follow it"
+        );
     }
 
     #[test]

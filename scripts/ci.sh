@@ -30,7 +30,8 @@ done
 # values, and every proxy overhead under 1% of the paper's native cost.
 summary="$(mktemp)"
 fleet_summary="$(mktemp)"
-trap 'rm -f "$summary" "$fleet_summary"' EXIT
+trace_dir="$(mktemp -d)"
+trap 'rm -rf "$summary" "$fleet_summary" "$trace_dir"' EXIT
 cargo run -q --release -p mobivine-bench --bin figure10 -- --json "$summary"
 cargo run -q --release -p mobivine-bench --bin figure10 -- --check "$summary"
 
@@ -70,6 +71,13 @@ for workload in read_hot write_durable fleet_bare faulted; do
     cargo run -q --release -p mobivine-benchmark --bin mobivine-benchmark -- \
         --workload "$workload" --devices 60 --rounds 4 --trace 0 > /dev/null
 done
+
+# Traced smoke (about two seconds): the traced pass and the per-layer
+# ladder, which prices the telemetry rungs, with the timeline written
+# to a temporary directory.
+cargo run -q --release -p mobivine-benchmark --bin mobivine-benchmark -- \
+    --workload read_hot --devices 60 --rounds 4 --trace 1 \
+    --ladder-blocks 2 --block-calls 100 --trace-dir "$trace_dir" > /dev/null
 
 # The deprecated per-interface accessors are gone; nothing in the tree
 # may reintroduce `#[allow(deprecated)]` (clippy -D warnings catches

@@ -35,21 +35,36 @@
 //! WebView) all make exactly zero allocations once warm. Layer span names are compile-time constants,
 //! span events are static and stored inline, and the built-in platform
 //! attribute is a static symbol.
+//!
+//! Calls that allocate on their own — a `sendTextMessage` queues the
+//! message, a `request` builds its response — are pinned relative to
+//! the same calls untraced: tracing them adds no allocation. Their span
+//! attributes are numbers rendered only at export (`segments`,
+//! `status`), static symbols (`method`) and the route table's own
+//! shared `host` and `path` strings, held in the span's spill.
+//!
+//! The spill itself is pinned through a retention-4 ring: a span with
+//! four attributes, two of them strings in its spill, allocates only
+//! its owned value once warm, and the ring releases each overwritten
+//! record's strings.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use mobivine::api::LocationProxy;
+use mobivine::api::{HttpProxy, LocationProxy, SmsProxy};
 use mobivine::cache::CachePolicy;
 use mobivine::overload::OverloadPolicy;
 use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
+use mobivine_device::net::{HttpResponse, Method};
 use mobivine_device::Device;
+use mobivine_telemetry::span::{ambient, Plane};
+use mobivine_telemetry::{Recorder, Tracer};
 
 mod common;
 
-use common::BUILDERS;
+use common::{PlatformBuilder, BUILDERS};
 
 thread_local! {
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
@@ -159,6 +174,99 @@ fn assert_layered_reads_allocate_nothing(platform: &str, device: &Device, runtim
     assert_allocates_nothing(&layered("getLocationWithPower"), &|| {}, &with_power);
 }
 
+/// Allocations `call` makes over [`MEASURED_CALLS`] calls after
+/// [`WARMUP_CALLS`] warm-up calls.
+fn warmed_allocations(call: &dyn Fn()) -> u64 {
+    measure_each(WARMUP_CALLS, &|| {}, call);
+    measure_each(MEASURED_CALLS, &|| {}, call)
+}
+
+const TASKS_URL: &str = "http://wfm.example/tasks";
+
+/// A runtime on the platform `builder` targets over a fresh device
+/// serving [`TASKS_URL`], traced or not.
+fn messaging_runtime(builder: PlatformBuilder, traced: bool) -> Mobivine {
+    let device = common::device();
+    device
+        .network()
+        .register_route("wfm.example", Method::Get, "/tasks", |_| {
+            HttpResponse::ok("[]")
+        });
+    let builder = builder(&device);
+    let builder = if traced {
+        builder.with_telemetry()
+    } else {
+        builder
+    };
+    builder.build().expect("runtime builds")
+}
+
+/// Pins the warmed traced `sendTextMessage` and `request` of one
+/// platform at exactly the allocations of the same calls untraced.
+fn assert_tracing_adds_no_allocation(platform: &str, builder: PlatformBuilder) {
+    let allocations = |traced: bool| {
+        let runtime = messaging_runtime(builder, traced);
+        let sms = runtime
+            .proxy::<dyn SmsProxy>()
+            .expect("every platform supports SMS");
+        let http = runtime
+            .proxy::<dyn HttpProxy>()
+            .expect("every platform supports HTTP");
+        let send = warmed_allocations(&|| {
+            let id = sms.send_text_message("+91-sup", "on my way", None);
+            std::hint::black_box(id.expect("sendTextMessage succeeds"));
+        });
+        let request = warmed_allocations(&|| {
+            let reply = http.request("GET", TASKS_URL, &[]);
+            std::hint::black_box(reply.expect("request succeeds"));
+        });
+        (send, request)
+    };
+    let (untraced_send, untraced_request) = allocations(false);
+    let (traced_send, traced_request) = allocations(true);
+    assert_eq!(
+        traced_send, untraced_send,
+        "traced {platform} sendTextMessage allocations over {MEASURED_CALLS} calls"
+    );
+    assert_eq!(
+        traced_request, untraced_request,
+        "traced {platform} request allocations over {MEASURED_CALLS} calls"
+    );
+}
+
+/// A span with four attributes — a shared host and an owned path held
+/// in its spill — filed 100 times through a retention-4 ring. Once warm
+/// the only allocation is the owned path becoming a shared string, one
+/// per call, and the ring frees the spill of every record it
+/// overwrites.
+fn assert_spilled_spans_allocate_flat() {
+    let tracer = Tracer::with_recorder(4, Recorder::default());
+    let host: Arc<str> = "wfm.example".into();
+    let path = std::cell::RefCell::new(None);
+    let prepare = || *path.borrow_mut() = Some(String::from("/tasks"));
+    let call = || {
+        let root = tracer.root("proxy:Http.request", Plane::Proxy, 0);
+        let mut net = ambient::child("device:net.request", Plane::Device, 0).expect("a root");
+        net.attr("method", "GET");
+        net.attr("host", Arc::clone(&host));
+        net.attr("path", path.borrow_mut().take().expect("prepared"));
+        net.attr("status", 200u64);
+        net.end(1);
+        root.end(2);
+    };
+    measure_each(20, &prepare, &call);
+    let allocs = measure_each(80, &prepare, &call);
+    assert_eq!(
+        allocs, 80,
+        "one owned path per call through a retention-4 ring"
+    );
+    assert_eq!(
+        Arc::strong_count(&host),
+        1 + 2,
+        "only the two resident net spans hold the shared host"
+    );
+}
+
 #[test]
 fn traced_get_location_allocates_nothing_after_warmup() {
     for (platform, builder) in BUILDERS {
@@ -179,5 +287,9 @@ fn traced_get_location_allocates_nothing_after_warmup() {
         let device = common::device();
         let runtime = every_read_layer(builder(&device));
         assert_layered_reads_allocate_nothing(platform, &device, &runtime);
+
+        // --- Messaging: tracing adds no allocation ------------------
+        assert_tracing_adds_no_allocation(platform, builder);
     }
+    assert_spilled_spans_allocate_flat();
 }
