@@ -1041,6 +1041,7 @@ impl Fleet {
                 ("torn_truncated", ledger.torn_truncated),
                 ("checkpoints", ledger.checkpoints),
                 ("suppressed_duplicates", ledger.suppressed_duplicates),
+                ("keyed_applies", ledger.keyed_applies),
                 ("duplicates", ledger.duplicates()),
             ]);
             costs.extend(ledger.recovery_cost_us);
@@ -1064,11 +1065,7 @@ impl Fleet {
                 .and_then(|runtime| runtime.journal_metrics())
                 .map(|metrics| metrics.snapshot())
                 .unwrap_or_default();
-            tally(&[
-                ("client_appends", journal.appends),
-                ("client_fsyncs", journal.fsyncs),
-                ("client_already_applied", journal.already_applied),
-            ]);
+            tally(&[("client_already_applied", journal.already_applied)]);
         }
     }
 

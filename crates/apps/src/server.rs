@@ -13,7 +13,9 @@ use serde::{Deserialize, Serialize};
 
 use mobivine::journal::fnv1a;
 use mobivine::registry::Mobivine;
-use mobivine::{IdempotencyKey, Journal, JournalMetrics, JournalPolicy, JournalSnapshot, Lsn};
+use mobivine::{
+    DurableLsn, IdempotencyKey, Journal, JournalMetrics, JournalPolicy, JournalSnapshot, Lsn,
+};
 use mobivine_device::fault::{CrashKind, CrashSchedule};
 use mobivine_device::net::{HttpResponse, Method, SimNetwork};
 use mobivine_device::Device;
@@ -141,8 +143,7 @@ pub struct DurabilityConfig {
     /// after this many applied mutations. `0` disables checkpoints —
     /// recovery replays from genesis.
     pub checkpoint_every: u32,
-    /// Journal knobs (segment size; fsync latency is a client-side
-    /// concern and unused here).
+    /// Journal knobs (the segment size).
     pub policy: JournalPolicy,
     /// When set, mutations whose idempotency key the schedule claims
     /// crash the server at the scheduled point (torn write / intent
@@ -338,19 +339,21 @@ fn encode_record(tag: &str, key: Option<IdempotencyKey>, json: &str) -> String {
     format!("{tag}|{key}|{json}")
 }
 
-/// Applies one decoded mutation, the journal record at `at`. This is
+/// Applies one decoded mutation, a committed journal record. This is
 /// the ONLY place journaled effects reach server state — live requests
 /// and recovery replay both come through here, which is what makes
 /// replay idempotent by construction. Returns `false` for an
 /// undecodable record.
 ///
-/// The write-ahead invariant is checked here: the record must already
-/// sit on the durable image, with nothing left unfsynced.
-fn apply_record(state: &mut ServerState, d: &mut DurableState, at: Lsn, payload: &str) -> bool {
-    debug_assert!(
-        at < d.journal.durable_end() && d.journal.volatile_len() == 0,
-        "write-ahead violated: the effect of the record at {at} ran before its intent was durable"
-    );
+/// The write-ahead invariant is a type: `_durable` can only come from
+/// `Journal::fsync` or from a recovered record, so no effect is applied
+/// before its record crossed the barrier.
+fn apply_record(
+    state: &mut ServerState,
+    d: &mut DurableState,
+    _durable: DurableLsn,
+    payload: &str,
+) -> bool {
     let mut parts = payload.splitn(3, '|');
     let (Some(tag), Some(key), Some(json)) = (parts.next(), parts.next(), parts.next()) else {
         return false;
@@ -401,7 +404,7 @@ fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: Cras
     let replayed = recovery.records.len() as u64;
     for record in &recovery.records {
         if let Ok(payload) = std::str::from_utf8(&record.payload) {
-            apply_record(state, d, record.lsn, payload);
+            apply_record(state, d, record.durable, payload);
         }
     }
     // Bodies cached before the crash describe the dead generation. Replay
@@ -463,7 +466,8 @@ fn checkpoint(state: &ServerState, d: &mut DurableState) {
 /// The durable mutation path: duplicate check → journal the intent →
 /// (scheduled crash?) → fsync barrier → effect → checkpoint. The
 /// intent is journaled and fsynced BEFORE `apply_record` runs — the
-/// write-ahead invariant, which `apply_record` asserts.
+/// write-ahead invariant: `apply_record` takes the barrier's
+/// [`DurableLsn`].
 fn durable_mutate(
     state: &mut ServerState,
     tag: &str,
@@ -483,7 +487,7 @@ fn durable_mutate(
         }
     }
     let payload = encode_record(tag, key, json);
-    let lsn = d.journal.append(payload.as_bytes());
+    d.journal.append(payload.as_bytes());
     let scheduled = key.and_then(|k| d.crash.as_ref().and_then(|c| c.take(k.0)));
     let response = match scheduled {
         Some(kind @ CrashKind::TornWrite) => {
@@ -505,15 +509,15 @@ fn durable_mutate(
         Some(kind @ CrashKind::AfterEffect) => {
             // Effect ran but the covering checkpoint didn't: the wipe
             // discards it and replay re-applies it — net exactly once.
-            d.journal.fsync();
-            apply_record(state, &mut d, lsn, &payload);
+            let durable = d.journal.fsync();
+            apply_record(state, &mut d, durable, &payload);
             d.journal.crash(None);
             recover_after_crash(state, &mut d, kind);
             HttpResponse::status_only(503)
         }
         None => {
-            d.journal.fsync();
-            if apply_record(state, &mut d, lsn, &payload) {
+            let durable = d.journal.fsync();
+            if apply_record(state, &mut d, durable, &payload) {
                 maybe_checkpoint(state, &mut d);
                 HttpResponse::ok(success_body)
             } else {

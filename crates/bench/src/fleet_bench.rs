@@ -514,7 +514,7 @@ fn journal(_: &Sweep) -> Scenario {
         gates: vec![
             checksum_equal("journaled", "plain"),
             checksum_equal("checkpointed", "plain"),
-            at("journaled", "recovery.client_appends").gt(0),
+            at("journaled", "recovery.keyed_applies").gt(0),
             at("journaled", "recovery.checkpoints").eq(0),
             at("checkpointed", "recovery.checkpoints").gt(0),
         ],
@@ -763,22 +763,19 @@ mod tests {
     fn journal_rows_hold_the_gate_and_are_deterministic() {
         let rows = holds_and_reproduces("journal");
         let (plain, journaled) = (&rows[0], &rows[1]);
-        assert_eq!(plain.value("recovery.client_appends"), None, "no journal");
+        assert_eq!(plain.value("recovery.keyed_applies"), None, "no journal");
         assert_eq!(
-            journaled.value("recovery.client_appends"),
-            rows[2].value("recovery.client_appends"),
-            "checkpoints change no client append"
+            journaled.value("recovery.keyed_applies"),
+            rows[2].value("recovery.keyed_applies"),
+            "checkpoints change no keyed apply"
         );
         for row in &rows {
             assert_eq!((row.ops, row.errors), (plain.ops, 0), "{}", row.arm);
             assert_eq!(row.value("http_ok"), plain.value("http_ok"), "{}", row.arm);
         }
         for row in &rows[1..] {
-            // One fsync barrier per intent, and nothing to recover.
-            assert_eq!(
-                row.value("recovery.client_fsyncs"),
-                row.value("recovery.client_appends")
-            );
+            // Every mutation keyed and applied once, nothing to recover.
+            assert_eq!(row.value("recovery.keyed_applies"), row.value("http_ok"));
             assert_eq!(row.value("recovery.recoveries"), Some(0), "{}", row.arm);
             assert_eq!(row.value("recovery.duplicates"), Some(0), "{}", row.arm);
         }
@@ -937,11 +934,11 @@ mod tests {
             "gate `checkpointed.checksum == plain.checksum` fails",
         );
         let mut unjournaled = rows;
-        set(&mut unjournaled[1], "recovery.client_appends", 0);
+        set(&mut unjournaled[1], "recovery.keyed_applies", 0);
         rejected(
             &scenario,
             &unjournaled,
-            "gate `journaled.recovery.client_appends > 0` fails",
+            "gate `journaled.recovery.keyed_applies > 0` fails",
         );
     }
 

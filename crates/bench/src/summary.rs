@@ -618,9 +618,9 @@ mod tests {
     #[test]
     fn summary_rejects_an_unjournalled_ablation() {
         assert_file_gate_fails(
-            "recovery.client_appends",
+            "recovery.keyed_applies",
             0.0,
-            "journaled.recovery.client_appends > 0",
+            "journaled.recovery.keyed_applies > 0",
         );
     }
 

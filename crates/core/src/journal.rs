@@ -1,5 +1,6 @@
-//! Crash-fault tolerance for the mutating M-Proxy paths: a simulated
-//! write-ahead journal, checkpoints, and idempotency keys.
+//! Crash-fault tolerance for the mutating M-Proxy paths: the
+//! server's write-ahead journal, checkpoints, idempotency keys and the
+//! client's journal layer.
 //!
 //! Every layer so far assumes the middleware process never dies: proxy
 //! state, cache stamps and circuit breakers all live in memory, so a
@@ -13,7 +14,10 @@
 //!   durable image by an explicit [`Journal::fsync`] barrier, segment
 //!   rotation at record boundaries, and torn-tail detection: recovery
 //!   scans the durable image, truncates the first incomplete or
-//!   checksum-corrupt frame, and replays only fully committed records;
+//!   checksum-corrupt frame, and replays only fully committed records.
+//!   The durable WFM server is its user. The barrier and the recovery
+//!   scan are the only sources of a [`DurableLsn`], so an effect that
+//!   demands one cannot be applied ahead of its record;
 //! * **checkpoint support** — a caller's state snapshot records
 //!   [`Journal::durable_end`] as the high-water mark it covers and
 //!   [`Journal::truncate_before`] drops the sealed segments below it,
@@ -23,34 +27,29 @@
 //! * **[`IdempotencyKey`]s** — deterministic per `(seed, device,
 //!   round, op)` and carried down the call path through an ambient
 //!   per-thread scope ([`with_idempotency_key`]), exactly like the
-//!   overload layer's deadlines. A mutation whose key is already
-//!   journaled as committed is answered from the journal — the typed
+//!   overload layer's deadlines;
+//! * the **journal layer** of the layer stack (`stack` module) for the
+//!   mutating proxy surfaces (SMS send, HTTP submit). It keeps no log
+//!   of its own: no client ever recovers, so a client log would have no
+//!   reader. It keeps what a retry or a re-delivery reads. An HTTP
+//!   submit carries the ambient key to the server as `?idem=`, stamped
+//!   once per logical call, and the server's journal owns
+//!   exactly-once. An SMS send is memoized by key: a duplicate delivery
+//!   is answered with the original message id — the typed
 //!   [`ProxyErrorKind::AlreadyApplied`] fast path, counted and
-//!   converted back into the memoized success, never surfaced as a
-//!   failure;
-//! * the **journal layer** of the layer stack (`stack` module) for the mutating
-//!   proxy surfaces (SMS send, HTTP submit, `setProperty`), which
-//!   appends an intent record and crosses the fsync barrier *before*
-//!   the side effect runs. It sits between the overload and resilience
-//!   layers (`… → Overload → Journal → Resilience → …`), so shed calls
-//!   burn no intent and resilience retries of one logical call never
-//!   re-append.
-//!
-//! The fsync barrier charges a deterministic latency
-//! ([`JournalPolicy::fsync_latency_ms`]) to the device's simulated
-//! clock — the same "the caller advances its clock" convention the
-//! network uses — so durability costs show up in latency distributions
-//! while every run still replays bit-identically.
+//!   converted back into the memoized success — and the radio is not
+//!   keyed twice. The memo holds the last [`SMS_MEMO_WINDOW`] keys. The
+//!   layer sits between the overload and resilience layers (`… →
+//!   Overload → Journal → Resilience → …`), so a shed call never
+//!   reaches the memo and the retries of one logical call share one key
+//!   and one memo entry.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-
-use mobivine_device::Device;
-use mobivine_telemetry::span::{ambient, AttrValue, Plane};
 
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::telemetry::layer_counters;
@@ -66,16 +65,9 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// fold the fleet report uses, so a corrupt frame and a corrupt
 /// checksum disagree with probability 1 − 2⁻⁶⁴ per bit pattern.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    fnv1a_fold(FNV_OFFSET, bytes)
-}
-
-/// Continues an FNV-1a hash over `bytes`, so a payload written in
-/// parts checksums the same as the parts concatenated.
-fn fnv1a_fold(mut hash: u64, bytes: &[u8]) -> u64 {
-    for b in bytes {
-        hash = (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    bytes.iter().fold(FNV_OFFSET, |hash, b| {
+        (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
+    })
 }
 
 /// Frame header size: `[u32 payload len LE][u64 FNV-1a checksum LE]`.
@@ -86,30 +78,27 @@ const FRAME_HEADER: usize = 12;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lsn(pub u64);
 
-/// What an [`Lsn`] renders as before its offset.
-const LSN_PREFIX: &str = "lsn:";
-
-impl fmt::Display for Lsn {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{LSN_PREFIX}{}", self.0)
-    }
-}
-
-/// A span attribute that renders like the [`Lsn`]'s `Display`, only
-/// when the span is exported.
-impl From<Lsn> for AttrValue {
-    fn from(lsn: Lsn) -> Self {
-        AttrValue::Prefixed(LSN_PREFIX, lsn.0)
-    }
-}
+/// Proof that the durable image reaches an LSN: every record that ends
+/// at or before it has crossed an fsync barrier. Only this module mints
+/// one — [`Journal::fsync`] returns the durable end it leaves, and
+/// [`Journal::recover`] stamps each committed record with its own end —
+/// so code that takes a `DurableLsn` cannot run ahead of the barrier.
+///
+/// ```compile_fail,E0423
+/// use mobivine::journal::{DurableLsn, Lsn};
+/// // The field is private: no caller can vouch for durability itself.
+/// let forged = DurableLsn(Lsn(0));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DurableLsn(Lsn);
 
 // ---------------------------------------------------------------------
 // Metrics
 // ---------------------------------------------------------------------
 
 layer_counters! {
-    /// Shared durability counters, updated by the journal, the
-    /// journal layers and the recovery path, snapshotted by
+    /// Shared durability counters, updated by the server's journal and
+    /// recovery path and by the client's SMS memo, snapshotted by
     /// observability code.
     ///
     /// A standalone block ([`JournalMetrics::shared`]) counts
@@ -134,8 +123,9 @@ layer_counters! {
         replayed,
         /// Recovery passes completed (one per crash survived).
         recoveries,
-        /// Mutations answered from the journal because their idempotency
-        /// key was already committed — the `AlreadyApplied` fast path.
+        /// Mutations answered without a second effect because their
+        /// idempotency key was already committed — the `AlreadyApplied`
+        /// fast path.
         already_applied,
         /// Checkpoints taken (state snapshot + high-water mark saved).
         checkpoints,
@@ -162,46 +152,26 @@ impl JournalMetrics {
 /// Tunable knobs for the durability layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalPolicy {
-    fsync_latency_ms: u64,
     segment_bytes: usize,
 }
 
 impl Default for JournalPolicy {
-    /// One simulated millisecond per fsync barrier — cheap flash, not
-    /// spinning rust — and 4 KiB segments so rotation actually happens
-    /// at simulation scale.
+    /// 4 KiB segments, so rotation actually happens at simulation
+    /// scale.
     fn default() -> Self {
         Self {
-            fsync_latency_ms: 1,
             segment_bytes: 4096,
         }
     }
 }
 
 impl JournalPolicy {
-    /// Sets the simulated latency charged per fsync barrier.
-    #[must_use]
-    pub fn fsync_latency_ms(mut self, ms: u64) -> Self {
-        self.fsync_latency_ms = ms;
-        self
-    }
-
     /// Sets the segment size; the active segment rotates at the first
     /// record boundary at or past this many bytes.
     #[must_use]
     pub fn segment_bytes(mut self, bytes: usize) -> Self {
         self.segment_bytes = bytes.max(FRAME_HEADER + 1);
         self
-    }
-
-    /// The configured fsync latency (virtual ms).
-    pub fn fsync_latency(&self) -> u64 {
-        self.fsync_latency_ms
-    }
-
-    /// The configured segment size (bytes).
-    pub fn segment_size(&self) -> usize {
-        self.segment_bytes
     }
 }
 
@@ -221,6 +191,9 @@ struct Segment {
 pub struct JournalRecord {
     /// The record's position (frame start) in the durable image.
     pub lsn: Lsn,
+    /// The end of the record's frame, proven durable by the scan that
+    /// found it.
+    pub durable: DurableLsn,
     /// The record payload, checksum-verified.
     pub payload: Vec<u8>,
 }
@@ -289,23 +262,12 @@ impl Journal {
     /// Appends one intent record to the volatile buffer and returns
     /// the LSN its frame will occupy once fsynced.
     pub fn append(&mut self, payload: &[u8]) -> Lsn {
-        self.append_parts(&[payload])
-    }
-
-    /// Appends one intent record whose payload is `parts` concatenated,
-    /// framed straight into the volatile buffer without first joining
-    /// the parts. Returns the LSN its frame will occupy once fsynced.
-    pub(crate) fn append_parts(&mut self, parts: &[&[u8]]) -> Lsn {
         let lsn = Lsn(self.durable_end().0 + self.volatile.len() as u64);
-        let len: usize = parts.iter().map(|part| part.len()).sum();
-        let checksum = parts
-            .iter()
-            .fold(FNV_OFFSET, |hash, part| fnv1a_fold(hash, part));
-        self.volatile.extend_from_slice(&(len as u32).to_le_bytes());
-        self.volatile.extend_from_slice(&checksum.to_le_bytes());
-        for part in parts {
-            self.volatile.extend_from_slice(part);
-        }
+        self.volatile
+            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        self.volatile
+            .extend_from_slice(&fnv1a(payload).to_le_bytes());
+        self.volatile.extend_from_slice(payload);
         self.metrics.appends.inc();
         lsn
     }
@@ -314,7 +276,9 @@ impl Journal {
     /// durable image and rotates the active segment at the record
     /// boundary if it has grown past the policy size. The buffer is
     /// cleared, not freed, so the next append reuses its capacity.
-    pub fn fsync(&mut self) {
+    /// Returns the durable end it leaves: the proof that every record
+    /// appended so far committed.
+    pub fn fsync(&mut self) -> DurableLsn {
         if !self.volatile.is_empty() {
             let pending = std::mem::take(&mut self.volatile);
             self.active_mut().bytes.extend_from_slice(&pending);
@@ -323,6 +287,7 @@ impl Journal {
         }
         self.metrics.fsyncs.inc();
         self.maybe_rotate();
+        DurableLsn(self.durable_end())
     }
 
     /// Process death. The volatile buffer is lost — except the first
@@ -378,8 +343,10 @@ impl Journal {
                     break 'segments;
                 }
                 let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+                let start = segment.start_lsn + offset as u64;
                 out.records.push(JournalRecord {
-                    lsn: Lsn(segment.start_lsn + offset as u64),
+                    lsn: Lsn(start),
+                    durable: DurableLsn(Lsn(start + (FRAME_HEADER + len) as u64)),
                     payload: rest[FRAME_HEADER..FRAME_HEADER + len].to_vec(),
                 });
                 offset += FRAME_HEADER + len;
@@ -491,16 +458,6 @@ impl IdempotencyKey {
         format!("{:016x}", self.0)
     }
 
-    /// The digits of [`IdempotencyKey::to_hex`], without allocating.
-    fn hex_digits(self) -> [u8; 16] {
-        let mut digits = [0u8; 16];
-        for (i, digit) in digits.iter_mut().enumerate() {
-            let nibble = (self.0 >> (60 - 4 * i)) & 0xF;
-            *digit = b"0123456789abcdef"[nibble as usize];
-        }
-        digits
-    }
-
     /// Parses the wire form back. `None` for anything that is not
     /// exactly 16 hex digits.
     pub fn from_hex(s: &str) -> Option<Self> {
@@ -556,40 +513,36 @@ pub fn current_idempotency_key() -> Option<IdempotencyKey> {
 // The client-side journal engine
 // ---------------------------------------------------------------------
 
-/// The client journal proper: the WAL plus the applied-key table the
-/// dedup fast path consults. One per runtime, shared by every
-/// journal layer the registry wires.
-#[derive(Debug)]
-struct ClientJournal {
-    journal: Journal,
-    /// Committed SMS sends by idempotency key → the message id the
-    /// binding returned, memoized so a duplicate delivery can answer
-    /// with the original id.
-    applied: HashMap<IdempotencyKey, u64>,
+/// How many of the most recent committed SMS sends the client memo
+/// remembers. A duplicate delivery of a key inside this window is answered
+/// with the original message id; an older key has left the memo. The
+/// window is far longer than any re-delivery distance the scenarios
+/// use: a retried or re-sent call repeats its key within a few sends.
+pub const SMS_MEMO_WINDOW: usize = 1024;
+
+/// Committed SMS sends by idempotency key → the message id the binding
+/// returned, for the last [`SMS_MEMO_WINDOW`] keys.
+#[derive(Debug, Default)]
+struct SmsMemo {
+    ids: HashMap<IdempotencyKey, u64>,
+    /// The keys of `ids`, oldest first: the next one to forget.
+    order: VecDeque<IdempotencyKey>,
 }
 
-/// Shared state + policy + metrics behind every journal layer of a
+/// The SMS memo and the counters behind every journal layer of a
 /// runtime.
+#[derive(Debug)]
 pub struct JournalEngine {
-    device: Device,
-    policy: JournalPolicy,
     metrics: Arc<JournalMetrics>,
-    state: Mutex<ClientJournal>,
+    memo: Mutex<SmsMemo>,
 }
 
 impl JournalEngine {
-    /// A fresh engine for `device` under `policy`, counting into
-    /// `metrics`.
-    pub fn new(device: Device, policy: JournalPolicy, metrics: Arc<JournalMetrics>) -> Self {
-        let journal = Journal::new(&policy, Arc::clone(&metrics));
+    /// A fresh engine counting into `metrics`.
+    pub fn new(metrics: Arc<JournalMetrics>) -> Self {
         Self {
-            device,
-            policy,
             metrics,
-            state: Mutex::new(ClientJournal {
-                journal,
-                applied: HashMap::new(),
-            }),
+            memo: Mutex::default(),
         }
     }
 
@@ -598,22 +551,17 @@ impl JournalEngine {
         &self.metrics
     }
 
-    /// The policy the engine was wired with.
-    pub fn policy(&self) -> &JournalPolicy {
-        &self.policy
-    }
-
     /// The typed duplicate check: `Err(AlreadyApplied)` when `key` is
-    /// already journaled as committed. The journal layer converts the
-    /// error back into the memoized success — callers of the uniform
-    /// API never see it — but the seam stays typed so tests (and any
-    /// future cross-process re-delivery path) can assert on it.
+    /// memoized as committed. The journal layer converts the error back
+    /// into the memoized success — callers of the uniform API never see
+    /// it — but the seam stays typed so tests (and any future
+    /// cross-process re-delivery path) can assert on it.
     pub fn check(&self, key: IdempotencyKey) -> Result<(), ProxyError> {
-        if self.state.lock().applied.contains_key(&key) {
+        if self.memo.lock().ids.contains_key(&key) {
             self.metrics.already_applied.inc();
             return Err(ProxyError::new(
                 ProxyErrorKind::AlreadyApplied,
-                format!("{key} already committed; answered from the journal"),
+                format!("{key} already committed; answered from the memo"),
             ));
         }
         Ok(())
@@ -621,65 +569,31 @@ impl JournalEngine {
 
     /// The message id memoized for a committed SMS key, if any.
     pub fn memoized_message(&self, key: IdempotencyKey) -> Option<u64> {
-        self.state.lock().applied.get(&key).copied()
-    }
-
-    /// Appends one intent record, `op|key-hex|detail` (`-` for no
-    /// key), and crosses the fsync barrier, charging the barrier's
-    /// simulated latency to the device clock. This MUST run before the
-    /// side effect it covers.
-    pub fn intent(&self, op: &str, key: Option<IdempotencyKey>, detail: &str) -> Lsn {
-        let hex;
-        let key: &[u8] = match key {
-            Some(key) => {
-                hex = key.hex_digits();
-                &hex
-            }
-            None => b"-",
-        };
-        let lsn = {
-            let mut state = self.state.lock();
-            let lsn =
-                state
-                    .journal
-                    .append_parts(&[op.as_bytes(), b"|", key, b"|", detail.as_bytes()]);
-            state.journal.fsync();
-            lsn
-        };
-        if self.policy.fsync_latency_ms > 0 {
-            self.device.advance_ms(self.policy.fsync_latency_ms);
-        }
-        if let Some(mut span) =
-            ambient::child("journal:fsync", Plane::Resilience, self.device.now_ms())
-        {
-            span.attr("lsn", lsn);
-            span.end(self.device.now_ms());
-        }
-        lsn
+        self.memo.lock().ids.get(&key).copied()
     }
 
     /// Marks an SMS key committed with the message id the binding
-    /// returned.
+    /// returned, forgetting the oldest key once the memo holds
+    /// [`SMS_MEMO_WINDOW`].
     pub fn mark_applied(&self, key: IdempotencyKey, message_id: u64) {
-        self.state.lock().applied.insert(key, message_id);
+        let mut memo = self.memo.lock();
+        if memo.ids.insert(key, message_id).is_some() {
+            return;
+        }
+        memo.order.push_back(key);
+        if memo.order.len() > SMS_MEMO_WINDOW {
+            if let Some(oldest) = memo.order.pop_front() {
+                memo.ids.remove(&oldest);
+            }
+        }
     }
 
-    /// Snapshot of the journal shape for observability/tests.
-    pub fn journal_stats(&self) -> (Lsn, usize, usize) {
-        let state = self.state.lock();
-        (
-            state.journal.durable_end(),
-            state.journal.volatile_len(),
-            state.journal.segment_count(),
-        )
-    }
-}
-
-impl fmt::Debug for JournalEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JournalEngine")
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
+    /// Keys the memo holds.
+    #[cfg(test)]
+    pub(crate) fn memo_len(&self) -> usize {
+        let memo = self.memo.lock();
+        assert_eq!(memo.ids.len(), memo.order.len(), "one order slot per key");
+        memo.ids.len()
     }
 }
 
@@ -721,7 +635,7 @@ mod tests {
         let (mut j, m) = journal();
         let a = j.append(b"alpha");
         let b = j.append(b"beta");
-        j.fsync();
+        let end = j.fsync();
         let rec = j.recover(Lsn(0));
         assert_eq!(rec.torn_records, 0);
         assert_eq!(
@@ -729,16 +643,32 @@ mod tests {
             vec![
                 JournalRecord {
                     lsn: a,
+                    durable: DurableLsn(b),
                     payload: b"alpha".to_vec()
                 },
                 JournalRecord {
                     lsn: b,
+                    durable: end,
                     payload: b"beta".to_vec()
                 },
             ]
         );
         assert_eq!(m.snapshot().replayed, 2);
         assert_eq!(m.snapshot().recoveries, 1);
+    }
+
+    #[test]
+    fn fsync_vouches_for_the_durable_end_and_recovery_for_each_record() {
+        let (mut j, _m) = journal();
+        let first = j.append(b"one");
+        let proof = j.fsync();
+        assert_eq!(proof, DurableLsn(j.durable_end()));
+        assert!(first < j.durable_end(), "the record is behind the proof");
+        j.append(b"two");
+        assert_eq!(j.fsync(), DurableLsn(j.durable_end()));
+        let rec = j.recover(Lsn(0));
+        assert_eq!(rec.records[0].durable, proof, "the same token, re-minted");
+        assert_eq!(rec.records[1].durable, DurableLsn(j.durable_end()));
     }
 
     #[test]
@@ -828,11 +758,6 @@ mod tests {
         assert_eq!(tail.records[0].payload, b"record-5-padding-padding");
     }
 
-    /// The journal's durable image, segments concatenated.
-    fn durable_bytes(j: &Journal) -> Vec<u8> {
-        j.segments.iter().flat_map(|s| s.bytes.clone()).collect()
-    }
-
     #[test]
     fn fsync_keeps_the_volatile_buffers_capacity() {
         let (mut j, _m) = journal();
@@ -844,51 +769,6 @@ mod tests {
         assert_eq!(j.volatile.capacity(), capacity, "cleared, not freed");
         j.append(b"second");
         assert_eq!(j.volatile.capacity(), capacity, "reused, not regrown");
-    }
-
-    #[test]
-    fn intent_frames_match_the_joined_payload_encoding() {
-        let engine = JournalEngine::new(
-            Device::builder().build(),
-            JournalPolicy::default(),
-            JournalMetrics::shared(),
-        );
-        let cases = [
-            ("http", Some(IdempotencyKey(0xabcd)), "x"),
-            (
-                "send_sms",
-                Some(IdempotencyKey(u64::MAX)),
-                "+91 98100 00001",
-            ),
-            (
-                "sendTextMessage",
-                Some(IdempotencyKey(0x0123_4567_89ab_cdef)),
-                "",
-            ),
-            ("set_property", None, "cache.ttl_ms"),
-        ];
-        // The encoding intents had when they were joined into a String
-        // before framing: `op|key-hex-or-dash|detail`.
-        let (mut joined, _m) = journal();
-        for (op, key, detail) in cases {
-            let lsn = engine.intent(op, key, detail);
-            let key = key
-                .map(IdempotencyKey::to_hex)
-                .unwrap_or_else(|| "-".into());
-            assert_eq!(
-                joined.append(format!("{op}|{key}|{detail}").as_bytes()),
-                lsn
-            );
-            joined.fsync();
-        }
-        let image = durable_bytes(&engine.state.lock().journal);
-        assert_eq!(image, durable_bytes(&joined));
-        // The first frame, spelled out: length, FNV-1a, payload.
-        let payload = b"http|000000000000abcd|x";
-        let mut frame = 23u32.to_le_bytes().to_vec();
-        frame.extend_from_slice(&0x6293_b2a2_78b0_f32fu64.to_le_bytes());
-        frame.extend_from_slice(payload);
-        assert_eq!(&image[..frame.len()], &frame[..]);
     }
 
     #[test]

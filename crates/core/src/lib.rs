@@ -88,8 +88,8 @@ pub use api::{CallProxy, HttpProxy, LocationProxy, SmsProxy};
 pub use cache::{CacheMetrics, CachePolicy, CacheSnapshot};
 pub use error::{ProxyError, ProxyErrorKind};
 pub use journal::{
-    current_idempotency_key, with_idempotency_key, IdempotencyKey, Journal, JournalMetrics,
-    JournalPolicy, JournalSnapshot, Lsn,
+    current_idempotency_key, with_idempotency_key, DurableLsn, IdempotencyKey, Journal,
+    JournalMetrics, JournalPolicy, JournalSnapshot, Lsn,
 };
 pub use overload::{
     current_deadline, with_deadline, AdmissionController, Bulkhead, Deadline, DegradeTier,

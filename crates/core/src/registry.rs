@@ -71,7 +71,7 @@ use mobivine_telemetry::{IncidentStore, MetricsRegistry, PromotionPolicy, SloEng
 use crate::api::{CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, SmsProxy};
 use crate::cache::{CacheMetrics, CachePolicy};
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::journal::{JournalEngine, JournalMetrics, JournalPolicy};
+use crate::journal::{JournalMetrics, JournalPolicy};
 use crate::overload::{OverloadMetrics, OverloadPolicy};
 use crate::resilience::{ResilienceMetrics, ResiliencePolicy};
 use crate::stack::{self, Interface, LayerPolicies, Layers};
@@ -331,12 +331,6 @@ impl Mobivine {
             .journal
             .as_ref()
             .map(|engine| Arc::clone(engine.metrics()))
-    }
-
-    /// The shared write-ahead journal engine, when
-    /// [`MobivineBuilder::with_journal`] was applied.
-    pub fn journal_engine(&self) -> Option<&Arc<JournalEngine>> {
-        self.layers.journal.as_ref()
     }
 
     fn telemetry(&self) -> Option<&TelemetryRuntime> {
@@ -599,17 +593,19 @@ impl MobivineBuilder {
     }
 
     /// Turns on the durability layer for the mutating proxies (SMS,
-    /// HTTP): every send or submit appends an intent record to a shared
-    /// write-ahead journal and crosses a simulated fsync barrier
-    /// *before* the side effect runs, and mutations carrying an ambient
-    /// [`crate::journal::IdempotencyKey`] are deduplicated against the
-    /// journal (the `AlreadyApplied` fast path). The layer sits
-    /// **inside** the overload gate (shed calls burn no intent) and
-    /// **outside** the retry engine (one logical call appends one
-    /// intent, however many retries it takes).
+    /// HTTP), keyed by the ambient
+    /// [`crate::journal::IdempotencyKey`]: an HTTP submit carries the
+    /// key to the server as `?idem=`, and an SMS send whose key is
+    /// already committed is answered with the memoized message id (the
+    /// `AlreadyApplied` fast path) instead of a second radio effect. The
+    /// layer keeps no client log; the policy's segment size is for a
+    /// server [`crate::journal::Journal`]. It sits **inside** the
+    /// overload gate (a shed call never reaches the memo) and
+    /// **outside** the retry engine (the retries of one logical call
+    /// share one key and one memo entry).
     ///
-    /// All proxies share one [`JournalEngine`], readable through
-    /// [`Mobivine::journal_engine`] and [`Mobivine::journal_metrics`].
+    /// All proxies share one memo and one counter block, readable
+    /// through [`Mobivine::journal_metrics`].
     #[must_use]
     pub fn with_journal(mut self, policy: JournalPolicy) -> Self {
         self.journal = Some(policy);
@@ -705,7 +701,7 @@ impl MobivineBuilder {
             resilience: self.resilience,
         };
         Mobivine {
-            layers: Layers::new(policies, device),
+            layers: Layers::new(policies),
             platform: plane.platform_id(),
             catalog: plane.catalog(),
             slo: self.slo,
@@ -1088,8 +1084,11 @@ mod tests {
         let (first, second) = (first.unwrap(), second.unwrap());
         assert_eq!(first, second, "duplicate answered with the memoized id");
         let snap = metrics.snapshot();
-        assert_eq!(snap.appends, 1, "one logical send, one intent");
-        assert_eq!(snap.fsyncs, 1);
+        assert_eq!(
+            (snap.appends, snap.fsyncs),
+            (0, 0),
+            "the client keeps no log"
+        );
         assert_eq!(snap.already_applied, 1, "the duplicate was counted");
         assert_eq!(
             resilience.snapshot().calls,
@@ -1101,7 +1100,7 @@ mod tests {
         let other = IdempotencyKey::derive(7, 1, 2, 0);
         let third = with_idempotency_key(other, || sms.send_text_message("100", "hi", None));
         assert_ne!(first, third.unwrap());
-        assert_eq!(metrics.snapshot().appends, 2);
+        assert_eq!(metrics.snapshot().already_applied, 1);
     }
 
     #[test]
@@ -1144,7 +1143,6 @@ mod tests {
             vec![Some(format!("idem={}", key.to_hex())), None],
             "the key travels as the idem query parameter"
         );
-        assert_eq!(runtime.journal_metrics().unwrap().snapshot().appends, 2);
     }
 
     /// Pins the canonical decorator layering,

@@ -73,7 +73,8 @@ pub(crate) enum Layer {
     /// Deadline fail-fast, bulkhead and admission control
     /// (`with_overload`).
     Overload,
-    /// Write-ahead intents and idempotency dedup (`with_journal`).
+    /// Idempotency keys on the wire and the SMS memo
+    /// (`with_journal`).
     Journal,
     /// Retries, circuit breaker and fallbacks (`with_resilience`).
     Resilience,
@@ -114,7 +115,8 @@ pub(crate) struct CallMeta {
     gated: bool,
     /// Served through the cache layer (idempotent reads only).
     cached: bool,
-    /// Journaled: a write-ahead intent precedes the effect.
+    /// A mutation: it passes through the journal layer, which keys it
+    /// for exactly-once.
     mutating: bool,
 }
 
@@ -230,15 +232,17 @@ impl Layers {
     /// built, once per runtime: on the telemetry registry when tracing
     /// is on (one exporter covers the whole call path), private
     /// otherwise.
-    pub(crate) fn new(policies: LayerPolicies, device: &Device) -> Self {
+    pub(crate) fn new(policies: LayerPolicies) -> Self {
         let registry = policies.telemetry.as_ref().map(TelemetryRuntime::metrics);
         Self {
             cache: (policies.cache.as_ref()).map(|_| home(registry, CacheMetrics::on_registry)),
             overload: (policies.overload.as_ref())
                 .map(|_| home(registry, OverloadMetrics::on_registry)),
-            journal: policies.journal.as_ref().map(|policy| {
-                let metrics = home(registry, JournalMetrics::on_registry);
-                Arc::new(JournalEngine::new(device.clone(), policy.clone(), metrics))
+            journal: (policies.journal.as_ref()).map(|_| {
+                Arc::new(JournalEngine::new(home(
+                    registry,
+                    JournalMetrics::on_registry,
+                )))
             }),
             resilience: (policies.resilience.as_ref())
                 .map(|_| home(registry, ResilienceMetrics::on_registry)),
@@ -374,7 +378,7 @@ impl Stack {
                 _ => next(),
             },
             Layer::Journal => match &self.journal {
-                Some(engine) if meta.mutating => hooks.journal(engine, meta, &next),
+                Some(engine) if meta.mutating => hooks.journal(engine, &next),
                 _ => next(),
             },
             Layer::Resilience => match &self.resilience {
@@ -393,9 +397,8 @@ impl Stack {
     /// cache claims `cache.*` keys and flushes on success — and flushes
     /// before forwarding any other key, because a write is a mutation
     /// signal whether or not it lands; overload claims its keys plus the
-    /// interface's own; the journal appends a `set_property` intent for
-    /// every key that reaches it; resilience claims its keys; `forward`
-    /// hands the rest to the binding.
+    /// interface's own; the journal claims none; resilience claims its
+    /// keys; `forward` hands the rest to the binding.
     fn set_property<P: ?Sized + Interface>(
         &self,
         memo: &P::Memo,
@@ -405,7 +408,7 @@ impl Stack {
     ) -> Reply<()> {
         for layer in ORDER {
             let claimed = match layer {
-                Layer::TraceProxy | Layer::TraceBinding => None,
+                Layer::TraceProxy | Layer::Journal | Layer::TraceBinding => None,
                 Layer::Cache => self.cache.as_ref().and_then(|engine| {
                     let claimed = engine.try_set_property(key, &value);
                     if !matches!(claimed, Some(Err(_))) {
@@ -417,12 +420,6 @@ impl Stack {
                     P::claim_overload_key(memo, key, &value)
                         .or_else(|| engine.try_set_policy_property(key, &value))
                 }),
-                Layer::Journal => {
-                    if let Some(engine) = &self.journal {
-                        engine.intent("set_property", None, key);
-                    }
-                    None
-                }
                 Layer::Resilience => self
                     .resilience
                     .as_ref()
@@ -455,10 +452,9 @@ pub(crate) trait Hooks<T> {
         result
     }
 
-    /// Journal layer: append the write-ahead intent, then run the
-    /// effect.
-    fn journal(&self, engine: &JournalEngine, meta: &CallMeta, effect: Next<T>) -> Reply<T> {
-        engine.intent(meta.method, current_idempotency_key(), "");
+    /// Journal layer: run the effect. The HTTP key travels in the URL
+    /// (`wire_url`), so only a memoized interface does anything here.
+    fn journal(&self, _engine: &JournalEngine, effect: Next<T>) -> Reply<T> {
         effect()
     }
 
@@ -703,13 +699,13 @@ impl LocationProxy for Layered<dyn LocationProxy> {
 
 const SEND_TEXT_MESSAGE: CallMeta = call_meta!(0, "SMS", "sendTextMessage").mutating();
 
-/// The SMS journal hook: one intent per logical send, and a duplicate
-/// delivery (same ambient idempotency key) answered with the memoized
-/// message id instead of a second radio effect.
-struct SendText<'a>(&'a str);
+/// The SMS journal hook: a duplicate delivery (same ambient idempotency
+/// key) is answered with the memoized message id instead of a second
+/// radio effect, and a committed send is memoized.
+struct SendText;
 
-impl Hooks<u64> for SendText<'_> {
-    fn journal(&self, engine: &JournalEngine, _meta: &CallMeta, effect: Next<u64>) -> Reply<u64> {
+impl Hooks<u64> for SendText {
+    fn journal(&self, engine: &JournalEngine, effect: Next<u64>) -> Reply<u64> {
         let key = current_idempotency_key();
         if let Some(key) = key {
             if engine.check(key).is_err() {
@@ -720,7 +716,6 @@ impl Hooks<u64> for SendText<'_> {
                 }
             }
         }
-        engine.intent("send_sms", key, self.0);
         let id = effect()?;
         if let Some(key) = key {
             engine.mark_applied(key, id);
@@ -745,11 +740,10 @@ impl SmsProxy for Layered<dyn SmsProxy> {
         text: &str,
         delivery_listener: Option<Arc<dyn DeliveryListener>>,
     ) -> Reply<u64> {
-        self.stack
-            .run(&SEND_TEXT_MESSAGE, &SendText(destination), &|| {
-                self.inner
-                    .send_text_message(destination, text, delivery_listener.clone())
-            })
+        self.stack.run(&SEND_TEXT_MESSAGE, &SendText, &|| {
+            self.inner
+                .send_text_message(destination, text, delivery_listener.clone())
+        })
     }
 }
 
@@ -790,8 +784,8 @@ impl CallProxy for Layered<dyn CallProxy> {
 
 const REQUEST: CallMeta = call_meta!(0, "Http", "request").mutating();
 
-/// The HTTP hooks of one request: the droppable-path degrade and the
-/// submit intent, both keyed by the URL the caller asked for.
+/// The HTTP hook of one request: the droppable-path degrade, keyed by
+/// the URL the caller asked for.
 struct Submit<'a> {
     /// The URL fragment marking droppable enrichment
     /// (`shed.droppable_path`).
@@ -802,16 +796,6 @@ struct Submit<'a> {
 impl Hooks<HttpResult> for Submit<'_> {
     fn overload(&self, engine: &OverloadEngine, result: Reply<HttpResult>) -> Reply<HttpResult> {
         result.or_else(|shed| engine.degrade_http(self.droppable.lock().as_deref(), self.url, shed))
-    }
-
-    fn journal(
-        &self,
-        engine: &JournalEngine,
-        _meta: &CallMeta,
-        effect: Next<HttpResult>,
-    ) -> Reply<HttpResult> {
-        engine.intent("http", current_idempotency_key(), self.url);
-        effect()
     }
 }
 
@@ -921,7 +905,7 @@ pub(crate) mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     use crate::error::ProxyErrorKind;
-    use crate::journal::Lsn;
+    use crate::journal::{with_idempotency_key, IdempotencyKey, SMS_MEMO_WINDOW};
     use crate::registry::ProxyKind;
     use crate::types::ProximityEvent;
 
@@ -932,7 +916,7 @@ pub(crate) mod tests {
         policies: LayerPolicies,
         device: &Device,
     ) -> Layered<P> {
-        let layers = Layers::new(policies, device);
+        let layers = Layers::new(policies);
         Layered {
             inner: binding,
             stack: Stack::new::<P>(&layers, device, "test").expect("a layer is enabled"),
@@ -1011,7 +995,7 @@ pub(crate) mod tests {
             stack.enabled.into_iter().flatten().collect()
         }
         let device = Device::builder().build();
-        let layers = Layers::new(every_layer(&device), &device);
+        let layers = Layers::new(every_layer(&device));
         use Layer::{Cache, Journal, Overload, Resilience, TraceBinding, TraceProxy};
         let gated = [TraceProxy, Overload, Resilience, TraceBinding];
         let location = [TraceProxy, Cache, Overload, Resilience, TraceBinding];
@@ -1098,7 +1082,7 @@ pub(crate) mod tests {
     #[test]
     fn a_new_binding_receives_every_layer_with_no_layer_code() {
         let device = Device::builder().build();
-        let layers = Layers::new(every_layer(&device), &device);
+        let layers = Layers::new(every_layer(&device));
         let toy = Arc::new(Toy::failing(1));
         let proxy = wrap::<dyn LocationProxy>(toy.clone(), &layers, &device, "toy");
 
@@ -1157,7 +1141,7 @@ pub(crate) mod tests {
     #[test]
     fn bypassed_methods_skip_their_layers_but_stay_traced() {
         let device = Device::builder().build();
-        let layers = Layers::new(every_layer(&device), &device);
+        let layers = Layers::new(every_layer(&device));
         let location = wrap::<dyn LocationProxy>(Arc::new(Toy::default()), &layers, &device, "toy");
         let call = wrap::<dyn CallProxy>(Arc::new(ToyCall), &layers, &device, "toy");
 
@@ -1254,17 +1238,8 @@ pub(crate) mod tests {
     #[test]
     fn set_property_is_claimed_down_the_declared_order() {
         let device = Device::builder().build();
-        let layers = Layers::new(every_layer(&device), &device);
+        let layers = Layers::new(every_layer(&device));
         let cache = Arc::clone(layers.cache.as_ref().unwrap());
-        let appends = || {
-            layers
-                .journal
-                .as_ref()
-                .unwrap()
-                .metrics()
-                .snapshot()
-                .appends
-        };
         let binding = Arc::new(Recorder::default());
         let location = wrap::<dyn LocationProxy>(binding.clone(), &layers, &device, "test");
         let http = wrap::<dyn HttpProxy>(binding.clone(), &layers, &device, "test");
@@ -1293,71 +1268,80 @@ pub(crate) mod tests {
             .set_property("shed.droppable_path", str("/x"))
             .unwrap();
         assert_eq!(*binding.keys.lock(), ["provider", "shed.droppable_path"]);
-        assert_eq!(appends(), 0, "Location is never journaled");
 
-        // HTTP: overload claims the droppable path before the journal.
+        // HTTP: overload claims the droppable path; the journal claims
+        // nothing, so resilience claims its knob below it and the rest
+        // is forwarded to the binding.
         http.set_property("shed.droppable_path", str("/enrich"))
             .unwrap();
-        assert_eq!(appends(), 0);
-        // The journal records every key that reaches it, claimed below
-        // (resilience) or forwarded to the binding.
         http.set_property("retry.max_attempts", PropertyValue::Int(2))
             .unwrap();
-        assert_eq!(appends(), 1);
         http.set_property("timeout", str("5")).unwrap();
-        assert_eq!(appends(), 2);
         assert_eq!(
             *binding.keys.lock(),
             ["provider", "shed.droppable_path", "timeout"]
         );
     }
 
-    /// A mutating binding that reads the journal's durable end inside
-    /// every effect. Its first send fails transiently.
-    struct WalProbe {
-        journal: Arc<JournalEngine>,
-        seen: Mutex<Vec<Lsn>>,
+    /// A mutating binding that counts its effects: every send keys the
+    /// radio and every request is recorded by URL. While `failures`
+    /// counts down, each effect fails transiently.
+    #[derive(Default)]
+    struct Radio {
+        failures: AtomicU64,
         sends: AtomicU64,
+        urls: Mutex<Vec<String>>,
     }
 
-    impl WalProbe {
-        fn observe(&self) {
-            let (durable_end, _, _) = self.journal.journal_stats();
-            self.seen.lock().push(durable_end);
+    impl Radio {
+        fn failing(failures: u64) -> Self {
+            Self {
+                failures: AtomicU64::new(failures),
+                ..Self::default()
+            }
+        }
+
+        fn blip(&self) -> Result<(), ProxyError> {
+            let left = self.failures.load(Ordering::Relaxed);
+            if left == 0 {
+                return Ok(());
+            }
+            self.failures.store(left - 1, Ordering::Relaxed);
+            Err(ProxyError::new(ProxyErrorKind::Io, "radio blip"))
+        }
+
+        fn sends(&self) -> u64 {
+            self.sends.load(Ordering::Relaxed)
         }
     }
 
-    impl ProxyBase for WalProbe {
+    impl ProxyBase for Radio {
         fn set_property(&self, _key: &str, _value: PropertyValue) -> Result<(), ProxyError> {
-            self.observe();
             Ok(())
         }
     }
 
-    impl SmsProxy for WalProbe {
+    impl SmsProxy for Radio {
         fn send_text_message(
             &self,
             _destination: &str,
             _text: &str,
             _delivery_listener: Option<Arc<dyn DeliveryListener>>,
         ) -> Result<u64, ProxyError> {
-            self.observe();
-            if self.sends.fetch_add(1, Ordering::Relaxed) == 0 {
-                return Err(ProxyError::new(ProxyErrorKind::Io, "radio blip"));
-            }
-            Ok(7)
+            let id = self.sends.fetch_add(1, Ordering::Relaxed);
+            self.blip().map(|()| id)
         }
     }
 
-    impl HttpProxy for WalProbe {
+    impl HttpProxy for Radio {
         fn request(
             &self,
             _method: &str,
-            _url: &str,
+            url: &str,
             _body: &[u8],
         ) -> Result<HttpResult, ProxyError> {
-            self.observe();
-            Ok(HttpResult {
+            self.urls.lock().push(url.to_owned());
+            self.blip().map(|()| HttpResult {
                 status: 200,
                 headers: Vec::new(),
                 body: Vec::new(),
@@ -1365,55 +1349,120 @@ pub(crate) mod tests {
         }
     }
 
-    /// The write-ahead invariant: no mutating effect runs before its
-    /// intent is durable.
-    #[test]
-    fn every_journaled_effect_runs_after_its_intent_is_durable() {
-        let device = Device::builder().build();
-        let layers = Layers::new(every_layer(&device), &device);
-        let journal = Arc::clone(layers.journal.as_ref().unwrap());
-        let probe = Arc::new(WalProbe {
-            journal: Arc::clone(&journal),
-            seen: Mutex::new(Vec::new()),
-            sends: AtomicU64::new(0),
+    /// A send through the journal layer alone, under `key`.
+    fn keyed_send(sms: &dyn SmsProxy, key: u64) -> u64 {
+        with_idempotency_key(IdempotencyKey(key), || {
+            sms.send_text_message("100", "hi", None)
+        })
+        .expect("the send commits")
+    }
+
+    /// `radio` behind a stack with only the journal layer, and its engine.
+    fn journaled_sms(
+        device: &Device,
+        radio: &Arc<Radio>,
+    ) -> (Arc<dyn SmsProxy>, Arc<JournalEngine>) {
+        let layers = Layers::new(LayerPolicies {
+            journal: Some(JournalPolicy::default()),
+            ..LayerPolicies::default()
         });
-        let sms = wrap::<dyn SmsProxy>(probe.clone(), &layers, &device, "test");
-        let http = wrap::<dyn HttpProxy>(probe.clone(), &layers, &device, "test");
-        let effects: [(&str, Next<()>); 4] = [
-            ("send", &|| {
-                sms.send_text_message("100", "hi", None).map(drop)
-            }),
-            ("request", &|| {
-                http.request("POST", "http://h/p", b"{}").map(drop)
-            }),
-            ("sms setProperty", &|| {
-                sms.set_property("provider", PropertyValue::str("x"))
-            }),
-            ("http setProperty", &|| {
-                http.set_property("provider", PropertyValue::str("x"))
-            }),
-        ];
-        for (what, effect) in effects {
-            let (before, _, _) = journal.journal_stats();
-            probe.seen.lock().clear();
-            effect().unwrap();
-            let seen = probe.seen.lock().clone();
-            assert!(!seen.is_empty(), "{what} reached the binding");
-            assert!(
-                seen.iter().all(|durable| *durable > before),
-                "{what} ran before its intent was durable: {before} then {seen:?}"
-            );
+        let journal = Arc::clone(layers.journal.as_ref().unwrap());
+        (
+            wrap::<dyn SmsProxy>(radio.clone(), &layers, device, "test"),
+            journal,
+        )
+    }
+
+    #[test]
+    fn a_send_retried_by_resilience_makes_one_memo_entry() {
+        let device = Device::builder().build();
+        let layers = Layers::new(every_layer(&device));
+        let journal = Arc::clone(layers.journal.as_ref().unwrap());
+        let radio = Arc::new(Radio::failing(1));
+        let sms = wrap::<dyn SmsProxy>(radio.clone(), &layers, &device, "test");
+
+        let id = keyed_send(&*sms, 7);
+        assert_eq!(radio.sends(), 2, "the send was retried");
+        assert_eq!(journal.memo_len(), 1, "one logical send, one entry");
+        assert_eq!(journal.memoized_message(IdempotencyKey(7)), Some(id));
+    }
+
+    #[test]
+    fn a_duplicate_delivery_returns_the_memoized_id_without_a_second_effect() {
+        let device = Device::builder().build();
+        let layers = Layers::new(every_layer(&device));
+        let journal = Arc::clone(layers.journal.as_ref().unwrap());
+        let radio = Arc::new(Radio::default());
+        let sms = wrap::<dyn SmsProxy>(radio.clone(), &layers, &device, "test");
+
+        let first = keyed_send(&*sms, 7);
+        let again = keyed_send(&*sms, 7);
+        assert_eq!(again, first, "answered with the original id");
+        assert_eq!(radio.sends(), 1, "the radio was keyed once");
+        assert_eq!(journal.metrics().snapshot().already_applied, 1);
+        let err = journal.check(IdempotencyKey(7)).unwrap_err();
+        assert_eq!(err.kind(), ProxyErrorKind::AlreadyApplied);
+        // Without a key there is nothing to deduplicate against.
+        sms.send_text_message("100", "hi", None).unwrap();
+        assert_eq!(radio.sends(), 2);
+        assert_eq!(journal.memo_len(), 1);
+    }
+
+    #[test]
+    fn the_idem_key_is_stamped_once_across_retries() {
+        let device = Device::builder().build();
+        let layers = Layers::new(every_layer(&device));
+        let radio = Arc::new(Radio::failing(2));
+        let http = wrap::<dyn HttpProxy>(radio.clone(), &layers, &device, "test");
+
+        let key = IdempotencyKey(0xabcd);
+        with_idempotency_key(key, || http.request("POST", "http://h/p?a=1", b"{}")).unwrap();
+        let stamped = format!("http://h/p?a=1&idem={}", key.to_hex());
+        assert_eq!(
+            *radio.urls.lock(),
+            [stamped.as_str(); 3],
+            "every attempt, one key"
+        );
+    }
+
+    #[test]
+    fn the_sms_memo_stays_flat_over_a_hundred_thousand_sends() {
+        let device = Device::builder().build();
+        let radio = Arc::new(Radio::default());
+        let (sms, journal) = journaled_sms(&device, &radio);
+        for key in 0..100_000 {
+            keyed_send(&*sms, key);
+            if (key + 1) % 10_000 == 0 {
+                assert_eq!(
+                    journal.memo_len(),
+                    SMS_MEMO_WINDOW,
+                    "after {} sends",
+                    key + 1
+                );
+            }
         }
-        assert_eq!(
-            probe.sends.load(Ordering::Relaxed),
-            2,
-            "the send was retried"
-        );
-        assert_eq!(
-            journal.metrics().snapshot().appends,
-            4,
-            "one intent per logical call, however many attempts"
-        );
+        assert_eq!(radio.sends(), 100_000, "every key is a fresh send");
+    }
+
+    #[test]
+    fn a_re_delivery_inside_the_window_is_still_deduplicated() {
+        let device = Device::builder().build();
+        let radio = Arc::new(Radio::default());
+        let (sms, _journal) = journaled_sms(&device, &radio);
+        let window = SMS_MEMO_WINDOW as u64;
+
+        let first = keyed_send(&*sms, 0);
+        for key in 1..window {
+            keyed_send(&*sms, key);
+        }
+        // Key 0 is the oldest of `window` memoized keys.
+        assert_eq!(keyed_send(&*sms, 0), first);
+        assert_eq!(radio.sends(), window, "the re-delivery sent nothing");
+        // One more key pushes it out of the window: a re-delivery now
+        // reaches the radio again.
+        keyed_send(&*sms, window);
+        assert_ne!(keyed_send(&*sms, 0), first);
+        assert_eq!(radio.sends(), window + 2);
     }
 
     #[test]

@@ -142,7 +142,6 @@ struct HistogramInner {
     /// hot path — and rendered in OpenMetrics exemplar syntax.
     exemplar_traces: Vec<AtomicU64>,
     exemplar_values: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
 }
 
@@ -192,17 +191,21 @@ impl Histogram {
                 buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
                 exemplar_traces: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
                 exemplar_values: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-                count: AtomicU64::new(0),
                 sum: AtomicU64::new(0),
             }),
         }
     }
 
-    /// Records one sample.
+    /// Records one sample: two atomic adds. The count is not stored;
+    /// it is the sum of the buckets, taken when read.
     pub fn record(&self, value: u64) {
         self.inner.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
         self.inner.sum.fetch_add(value, Ordering::Relaxed);
+    }
+
+    /// One load of every bucket.
+    fn bucket_counts(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|i| self.inner.buckets[i].load(Ordering::Relaxed))
     }
 
     /// Attaches `trace_id` as the exemplar for the bucket `value`
@@ -239,9 +242,9 @@ impl Histogram {
             .collect()
     }
 
-    /// Number of samples recorded.
+    /// Number of samples recorded: the sum of the buckets.
     pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
+        self.bucket_counts().iter().sum()
     }
 
     /// Sum of all samples.
@@ -263,7 +266,8 @@ impl Histogram {
     /// log buckets with linear interpolation inside the landing bucket.
     /// Returns `0.0` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let count = self.count();
+        let buckets = self.bucket_counts();
+        let count: u64 = buckets.iter().sum();
         if count == 0 {
             return 0.0;
         }
@@ -271,8 +275,7 @@ impl Histogram {
         // 0-based rank of the sample we are after.
         let target = (q * (count as f64 - 1.0)).round() as u64;
         let mut seen = 0u64;
-        for (i, bucket) in self.inner.buckets.iter().enumerate() {
-            let in_bucket = bucket.load(Ordering::Relaxed);
+        for (i, &in_bucket) in buckets.iter().enumerate() {
             if in_bucket == 0 {
                 continue;
             }
@@ -477,9 +480,10 @@ impl MetricsRegistry {
             // buckets, each carrying its exemplar (the last promoted
             // trace that landed there) in OpenMetrics syntax:
             //   name_bucket{...,le="X"} N # {trace_id="…"} value
+            // `+Inf` and `_count` both print the running total of this
+            // one pass, so they agree even while samples land.
             let mut cumulative = 0u64;
-            for bucket in 0..BUCKETS {
-                let in_bucket = histogram.inner.buckets[bucket].load(Ordering::Relaxed);
+            for (bucket, in_bucket) in histogram.bucket_counts().into_iter().enumerate() {
                 cumulative += in_bucket;
                 if in_bucket == 0 || bucket == BUCKETS - 1 {
                     continue;
@@ -499,9 +503,8 @@ impl MetricsRegistry {
             }
             let _ = write!(
                 out,
-                "{name}_bucket{} {}",
-                labels.render(&[("le", "+Inf")]),
-                histogram.count()
+                "{name}_bucket{} {cumulative}",
+                labels.render(&[("le", "+Inf")])
             );
             match histogram.exemplar(BUCKETS - 1) {
                 Some((trace_id, value)) => {
@@ -510,12 +513,7 @@ impl MetricsRegistry {
                 None => out.push('\n'),
             }
             let _ = writeln!(out, "{name}_sum{} {}", labels.render(&[]), histogram.sum());
-            let _ = writeln!(
-                out,
-                "{name}_count{} {}",
-                labels.render(&[]),
-                histogram.count()
-            );
+            let _ = writeln!(out, "{name}_count{} {cumulative}", labels.render(&[]));
         }
         out
     }
@@ -733,6 +731,59 @@ mod tests {
             text.contains("le=\"511\"} 2 # {trace_id=\"00000000000000ab\"} 300\n"),
             "exemplar in OpenMetrics syntax: {text}"
         );
+    }
+
+    /// The value printed on the line of `text` that starts with
+    /// `series` and a space.
+    fn series_value(text: &str, series: &str) -> u64 {
+        let line = text
+            .lines()
+            .find_map(|line| line.strip_prefix(series)?.strip_prefix(' '))
+            .unwrap_or_else(|| panic!("no `{series}` line in {text}"));
+        line.parse().expect("a count")
+    }
+
+    #[test]
+    fn count_matches_the_inf_bucket_on_every_render_while_recording() {
+        use std::sync::atomic::AtomicBool;
+
+        /// Stops the recorders when the renders end, by panic too.
+        struct Stop<'a>(&'a AtomicBool);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::Relaxed);
+            }
+        }
+
+        let registry = MetricsRegistry::new();
+        let h = registry.histogram("race_ms", &Labels::empty());
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for seed in [1u64, 2] {
+                let (h, stop) = (h.clone(), &stop);
+                scope.spawn(move || {
+                    let mut value = seed;
+                    while !stop.load(Ordering::Relaxed) {
+                        h.record(value % 5_000);
+                        value = value
+                            .wrapping_mul(6_364_136_223_846_793_005)
+                            .wrapping_add(1);
+                    }
+                });
+            }
+            let _stop = Stop(&stop);
+            while h.count() == 0 {
+                std::thread::yield_now();
+            }
+            for _ in 0..500 {
+                let text = registry.render_prometheus();
+                let inf = series_value(&text, "race_ms_bucket{le=\"+Inf\"}");
+                assert_eq!(series_value(&text, "race_ms_count"), inf, "{text}");
+            }
+        });
+        let text = registry.render_prometheus();
+        assert_eq!(series_value(&text, "race_ms_count"), h.count());
+        assert_eq!(text, registry.render_prometheus(), "quiescent: stable");
     }
 
     #[test]

@@ -344,9 +344,6 @@ pub enum AttrValue {
     Str(SpanName),
     /// A number, rendered in decimal at export.
     Num(u64),
-    /// A number rendered at export after a static prefix, such as
-    /// `lsn:42`.
-    Prefixed(&'static str, u64),
 }
 
 impl From<&'static str> for AttrValue {
@@ -408,8 +405,6 @@ enum ValueKind {
     Sym,
     /// The value is `word`, in decimal.
     Num,
-    /// The value is `word`, in decimal, after the `sym` prefix.
-    Prefixed,
     /// The value is the string in the record's spill entry `word`.
     Spilled,
 }
@@ -499,7 +494,6 @@ impl<'a, I: Iterator<Item = &'a Spilled> + Clone> View<'a, I> {
         match attr.kind {
             ValueKind::Sym => SpanName::Static(attr.sym.as_str()),
             ValueKind::Num => SpanName::from(attr.word.to_string()),
-            ValueKind::Prefixed => SpanName::from(format!("{}{}", attr.sym.as_str(), attr.word)),
             ValueKind::Spilled => SpanName::Shared(Arc::clone(self.text(attr.word))),
         }
     }
@@ -1060,11 +1054,6 @@ impl ActiveSpan {
             }
             AttrValue::Num(n) => {
                 attr.kind = ValueKind::Num;
-                attr.word = n;
-            }
-            AttrValue::Prefixed(prefix, n) => {
-                attr.kind = ValueKind::Prefixed;
-                attr.sym = Sym::of(prefix);
                 attr.word = n;
             }
         }
@@ -1743,7 +1732,7 @@ mod tests {
         for (key, value) in [("a", 1u64), ("b", 2), ("c", 3), ("d", 4), ("e", 5)] {
             span.attr(key, value);
         }
-        span.attr("lsn", AttrValue::Prefixed("lsn:", 7));
+        span.attr("lsn", "lsn:7");
         span.event("second", 101);
         span.event("far", 100 + u64::from(u32::MAX) + 1);
         span.end(102);

@@ -1,0 +1,171 @@
+//! Every dependency a workspace package declares is one its sources use.
+//!
+//! For the root package and each `crates/*/Cargo.toml`, every crate
+//! named in a `[dependencies]`, `[dev-dependencies]` or
+//! `[build-dependencies]` table must appear as a path in a `.rs` file of
+//! that package (`name::…`, `use name` or `extern crate name`, with `-`
+//! read as `_`). A declared crate that nothing imports costs a build
+//! and misstates what the package depends on.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// The manifest tables that declare dependencies.
+const DEPENDENCY_TABLES: [&str; 3] = ["dependencies", "dev-dependencies", "build-dependencies"];
+
+/// The directories of a package that hold its Rust sources.
+const SOURCE_DIRS: [&str; 4] = ["src", "tests", "examples", "benches"];
+
+/// The crate names `manifest` declares in its dependency tables, in
+/// order: `name = …` and `name.workspace = true` entries, and
+/// `[dependencies.name]` tables.
+fn declared_dependencies(manifest: &str) -> Vec<String> {
+    let mut in_table = false;
+    let mut names = Vec::new();
+    for line in manifest.lines().map(str::trim) {
+        if let Some(header) = line.strip_prefix('[') {
+            let header = header.trim_end_matches(']');
+            in_table = DEPENDENCY_TABLES.contains(&header);
+            if let Some((table, name)) = header.split_once('.') {
+                if DEPENDENCY_TABLES.contains(&table) {
+                    names.push(name.to_owned());
+                }
+            }
+        } else if in_table && !line.is_empty() && !line.starts_with('#') {
+            let key = line.split(['=', '.']).next().unwrap_or_default();
+            names.push(key.trim().to_owned());
+        }
+    }
+    names
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries {
+        let path = entry.expect("a readable directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The package's sources with plain `//` comment lines dropped (doc
+/// comments stay: their examples are compiled as doctests).
+fn package_sources(package: &Path) -> String {
+    let mut files = Vec::new();
+    for dir in SOURCE_DIRS {
+        rust_files(&package.join(dir), &mut files);
+    }
+    let mut sources = String::new();
+    for file in files {
+        let text = fs::read_to_string(&file).expect("a readable source file");
+        for line in text.lines() {
+            let code = line.trim_start();
+            if code.starts_with("//") && !code.starts_with("///") && !code.starts_with("//!") {
+                continue;
+            }
+            sources.push_str(line);
+            sources.push('\n');
+        }
+    }
+    sources
+}
+
+/// Whether `sources` name the crate `ident` as a path.
+fn uses_crate(sources: &str, ident: &str) -> bool {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    sources.match_indices(ident).any(|(at, _)| {
+        let before = &sources[..at];
+        let after = &sources[at + ident.len()..];
+        let starts_a_path = !before.ends_with(|c: char| is_ident(c) || c == ':');
+        let imported = before.ends_with("use ") || before.ends_with("extern crate ");
+        (starts_a_path && after.starts_with("::")) || (imported && !after.starts_with(is_ident))
+    })
+}
+
+/// The root package and every package under `crates/`.
+fn workspace_packages() -> Vec<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut packages = vec![root.to_path_buf()];
+    for entry in fs::read_dir(root.join("crates")).expect("a crates/ directory") {
+        let dir = entry.expect("a readable directory entry").path();
+        if dir.join("Cargo.toml").is_file() {
+            packages.push(dir);
+        }
+    }
+    packages.sort();
+    packages
+}
+
+#[test]
+fn every_declared_dependency_is_used_by_its_package() {
+    let packages = workspace_packages();
+    assert!(packages.len() > 10, "found {} packages", packages.len());
+    let mut unused = Vec::new();
+    let mut checked = 0;
+    for package in &packages {
+        let manifest = fs::read_to_string(package.join("Cargo.toml")).expect("a manifest");
+        let sources = package_sources(package);
+        for name in declared_dependencies(&manifest) {
+            checked += 1;
+            if !uses_crate(&sources, &name.replace('-', "_")) {
+                unused.push(format!("{}: {name}", package.display()));
+            }
+        }
+    }
+    assert!(checked > 40, "only {checked} dependencies declared");
+    assert!(
+        unused.is_empty(),
+        "dependencies no source file uses:\n{}",
+        unused.join("\n")
+    );
+}
+
+#[test]
+fn manifest_parsing_and_path_matching_follow_cargo_and_rust_syntax() {
+    let manifest = r#"
+[package]
+name = "demo"
+version.workspace = true
+
+[dependencies]
+parking_lot.workspace = true
+serde = { version = "1", features = ["derive"] }
+# rand = "0.8"
+
+[dev-dependencies]
+mobivine-device = { path = "../device" }
+
+[dependencies.serde_json]
+version = "1"
+
+[[bin]]
+name = "demo-bin"
+"#;
+    assert_eq!(
+        declared_dependencies(manifest),
+        ["parking_lot", "serde", "mobivine-device", "serde_json"]
+    );
+
+    let sources = "use serde::Serialize;\nlet m = parking_lot::Mutex::new(0);\n";
+    assert!(uses_crate(sources, "serde"));
+    assert!(uses_crate(sources, "parking_lot"));
+    assert!(uses_crate("extern crate rand;\n", "rand"));
+    assert!(
+        !uses_crate("crate::serde::x();\n", "serde"),
+        "a module path"
+    );
+    assert!(
+        !uses_crate("mobivine_device::Device\n", "mobivine"),
+        "a longer name"
+    );
+    assert!(
+        !uses_crate("/// the proptest stand-in\n", "proptest"),
+        "prose"
+    );
+}

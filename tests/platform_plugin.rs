@@ -117,9 +117,7 @@ const TOGGLES: [(&str, Toggle); 5] = [
     ("telemetry", |b| b.with_telemetry()),
     ("cache", |b| b.with_cache(CachePolicy::default())),
     ("overload", |b| b.with_overload(OverloadPolicy::default())),
-    ("journal", |b| {
-        b.with_journal(JournalPolicy::default().fsync_latency_ms(0))
-    }),
+    ("journal", |b| b.with_journal(JournalPolicy::default())),
     ("resilience", |b| {
         b.with_resilience(ResiliencePolicy::default())
     }),
