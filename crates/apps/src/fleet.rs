@@ -786,7 +786,7 @@ impl Fleet {
                 } else {
                     b
                 };
-                let b = match overload_policy.clone() {
+                let b = match overload_policy {
                     Some(policy) => b.with_overload(policy),
                     None => b,
                 };

@@ -709,6 +709,15 @@ mod tests {
         assert!(on.value("degraded") > Some(0) && on.value("deadline_exceeded") > Some(0));
         assert_eq!(off.value("deadline_exceeded"), Some(0), "no overload layer");
         assert_ne!(off.value("incidents.incident_checksum"), Some(0));
+        // The brownout arms ignore the sweep, so the committed rows are
+        // these rows: one changed shed decision fails here, not only in
+        // `fleet --compare`.
+        let mut committed =
+            crate::summary::parse_fleet_json(include_str!("../../../BENCH_fleet.json"))
+                .expect("the committed fleet summary parses");
+        committed.rows.retain(|row| row.scenario == "brownout");
+        assert_eq!(committed.rows.len(), rows.len());
+        crate::summary::compare(&committed, &rows).unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]

@@ -36,6 +36,7 @@
 //! `retry.*` family.
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -165,7 +166,7 @@ pub fn current_deadline() -> Option<Deadline> {
 ///
 /// Every field is also settable at run time through the property plane;
 /// the property keys are listed on each builder method.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadPolicy {
     /// Concurrent calls admitted past the bulkhead
     /// (`bulkhead.max_concurrency`).
@@ -265,62 +266,59 @@ impl OverloadPolicy {
 /// Callers that find every slot taken wait in a bounded queue — each
 /// turn advances the *simulated* clock by the configured wait — and are
 /// rejected with [`ProxyErrorKind::Overloaded`] once the queue is
-/// exhausted too.
+/// exhausted too. The cap and the in-flight count are atomics, and a
+/// slot is taken by compare-and-swap, so a free bulkhead takes no lock.
 pub struct Bulkhead {
-    cap: Mutex<u32>,
-    in_flight: Arc<Mutex<u32>>,
+    cap: AtomicU32,
+    in_flight: AtomicU32,
 }
 
 impl Bulkhead {
     /// A bulkhead with `cap` concurrent slots.
     pub fn new(cap: u32) -> Self {
         Self {
-            cap: Mutex::new(cap.max(1)),
-            in_flight: Arc::new(Mutex::new(0)),
+            cap: AtomicU32::new(cap.max(1)),
+            in_flight: AtomicU32::new(0),
         }
     }
 
     /// Re-tunes the cap at run time (the property plane). Does not evict
     /// calls already in flight.
     pub fn configure(&self, cap: u32) {
-        *self.cap.lock() = cap.max(1);
+        self.cap.store(cap.max(1), Ordering::Relaxed);
     }
 
     /// The configured concurrency cap.
     pub fn cap(&self) -> u32 {
-        *self.cap.lock()
+        self.cap.load(Ordering::Relaxed)
     }
 
     /// Calls currently holding a slot.
     pub fn in_flight(&self) -> u32 {
-        *self.in_flight.lock()
+        self.in_flight.load(Ordering::Relaxed)
     }
 
     /// Takes a slot immediately if one is free.
-    pub fn try_acquire(&self) -> Option<BulkheadPermit> {
-        let cap = *self.cap.lock();
-        let mut in_flight = self.in_flight.lock();
-        if *in_flight < cap {
-            *in_flight += 1;
-            Some(BulkheadPermit {
-                in_flight: Arc::clone(&self.in_flight),
+    pub fn try_acquire(&self) -> Option<BulkheadPermit<'_>> {
+        let cap = self.cap();
+        self.in_flight
+            .fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| {
+                (n < cap).then_some(n + 1)
             })
-        } else {
-            None
-        }
+            .ok()
+            .map(|_| BulkheadPermit { bulkhead: self })
     }
 }
 
 /// RAII slot handle: the slot frees when the permit drops, even on
 /// panic or early return.
-pub struct BulkheadPermit {
-    in_flight: Arc<Mutex<u32>>,
+pub struct BulkheadPermit<'a> {
+    bulkhead: &'a Bulkhead,
 }
 
-impl Drop for BulkheadPermit {
+impl Drop for BulkheadPermit<'_> {
     fn drop(&mut self) {
-        let mut in_flight = self.in_flight.lock();
-        *in_flight = in_flight.saturating_sub(1);
+        self.bulkhead.in_flight.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -349,13 +347,6 @@ pub enum DegradeTier {
     Minimal,
 }
 
-struct AdmissionState {
-    /// Admitted fraction numerator over [`ADMIT_SCALE`].
-    rate: u64,
-    /// splitmix64 stream state for the admission coin flips.
-    rng: u64,
-}
-
 /// A deterministic AIMD admission controller.
 ///
 /// Observes each completed call's sojourn time against the policy
@@ -364,60 +355,72 @@ struct AdmissionState {
 /// multiplicatively (×7/8, floored at 64/1024). Admission draws a
 /// seeded splitmix64 coin, so the shed pattern replays bit-identically
 /// for a given seed and call order.
+///
+/// The admitted fraction lives in an atomic that only changes under the
+/// coin lock. A fully open gate admits with one load, and an in-target
+/// observation at the full rate stores nothing; below the full rate the
+/// coin draws and the AIMD updates take the lock.
 pub struct AdmissionController {
-    state: Mutex<AdmissionState>,
+    /// Admitted fraction numerator over [`ADMIT_SCALE`].
+    rate: AtomicU64,
+    /// splitmix64 stream state for the admission coin flips.
+    coin: Mutex<u64>,
 }
 
 impl AdmissionController {
     /// A fully open controller flipping coins from `seed`.
     pub fn new(seed: u64) -> Self {
         Self {
-            state: Mutex::new(AdmissionState {
-                rate: ADMIT_SCALE,
-                rng: seed,
-            }),
+            rate: AtomicU64::new(ADMIT_SCALE),
+            coin: Mutex::new(seed),
         }
     }
 
     /// Reseeds the coin-flip stream and reopens the gate (property
     /// `shed.seed`).
     pub fn reseed(&self, seed: u64) {
-        let mut state = self.state.lock();
-        state.rng = seed;
-        state.rate = ADMIT_SCALE;
+        let mut coin = self.coin.lock();
+        *coin = seed;
+        self.rate.store(ADMIT_SCALE, Ordering::Release);
     }
 
     /// The admitted fraction numerator (0..=1024).
     pub fn rate(&self) -> u64 {
-        self.state.lock().rate
+        self.rate.load(Ordering::Acquire)
     }
 
     /// Draws the next admission coin. Deterministic per seed and call
     /// sequence.
     pub fn admit(&self) -> bool {
-        let mut state = self.state.lock();
-        if state.rate >= ADMIT_SCALE {
-            // Fully open: no coin is drawn, so an unloaded proxy's
-            // stream position is independent of traffic volume.
+        // Fully open: no coin is drawn, so an unloaded proxy's stream
+        // position is independent of traffic volume.
+        if self.rate() >= ADMIT_SCALE {
             return true;
         }
-        let draw = splitmix64(&mut state.rng) % ADMIT_SCALE;
-        draw < state.rate
+        let mut coin = self.coin.lock();
+        let rate = self.rate();
+        rate >= ADMIT_SCALE || splitmix64(&mut coin) % ADMIT_SCALE < rate
     }
 
     /// Feeds one completed call's sojourn time into the AIMD loop.
     pub fn observe(&self, sojourn_ms: u64, target_ms: u64) {
-        let mut state = self.state.lock();
-        if sojourn_ms <= target_ms {
-            state.rate = (state.rate + ADMIT_INCREASE).min(ADMIT_SCALE);
-        } else {
-            state.rate = (state.rate * 7 / 8).max(ADMIT_FLOOR);
+        let in_target = sojourn_ms <= target_ms;
+        if in_target && self.rate() >= ADMIT_SCALE {
+            return;
         }
+        let _coin = self.coin.lock();
+        let rate = self.rate();
+        let next = if in_target {
+            (rate + ADMIT_INCREASE).min(ADMIT_SCALE)
+        } else {
+            (rate * 7 / 8).max(ADMIT_FLOOR)
+        };
+        self.rate.store(next, Ordering::Release);
     }
 
     /// The degradation tier the current admitted fraction implies.
     pub fn tier(&self) -> DegradeTier {
-        let rate = self.state.lock().rate;
+        let rate = self.rate();
         if rate * 3 >= 2 * ADMIT_SCALE {
             DegradeTier::Full
         } else if rate * 3 >= ADMIT_SCALE {
@@ -431,7 +434,7 @@ impl AdmissionController {
     /// closed the gate, the longer the suggested wait (up to the
     /// sojourn target).
     pub fn retry_after_ms(&self, target_ms: u64) -> u64 {
-        let rate = self.state.lock().rate;
+        let rate = self.rate();
         ((ADMIT_SCALE - rate.min(ADMIT_SCALE)) * target_ms / ADMIT_SCALE).max(1)
     }
 }
@@ -492,9 +495,17 @@ pub(crate) const DEGRADED_HTTP_STATUS: u16 = 202;
 /// One proxy's deadline/bulkhead/shedding engine: the overload layer of
 /// its layer stack. Sits *outside* the resilience layer, so a shed
 /// call never spends retry budget.
+///
+/// Each [`OverloadPolicy`] knob is one atomic (the bulkhead holds
+/// `max_concurrency` as its cap), so reading the policy takes no lock.
 pub struct OverloadEngine {
     device: Device,
-    policy: Mutex<OverloadPolicy>,
+    queue_depth: AtomicU32,
+    queue_wait_ms: AtomicU64,
+    shed_enabled: AtomicBool,
+    target_ms: AtomicU64,
+    shed_seed: AtomicU64,
+    deadline_default_ms: AtomicU64,
     bulkhead: Bulkhead,
     admission: AdmissionController,
     metrics: Arc<OverloadMetrics>,
@@ -504,20 +515,32 @@ impl OverloadEngine {
     /// Builds an engine timing waits against `device`'s simulated clock
     /// and reporting into `metrics`.
     pub fn new(device: Device, policy: OverloadPolicy, metrics: Arc<OverloadMetrics>) -> Self {
-        let bulkhead = Bulkhead::new(policy.max_concurrency);
-        let admission = AdmissionController::new(policy.shed_seed);
         Self {
             device,
-            policy: Mutex::new(policy),
-            bulkhead,
-            admission,
+            queue_depth: AtomicU32::new(policy.queue_depth),
+            queue_wait_ms: AtomicU64::new(policy.queue_wait_ms),
+            shed_enabled: AtomicBool::new(policy.shed_enabled),
+            target_ms: AtomicU64::new(policy.target_ms),
+            shed_seed: AtomicU64::new(policy.shed_seed),
+            deadline_default_ms: AtomicU64::new(policy.deadline_default_ms),
+            bulkhead: Bulkhead::new(policy.max_concurrency),
+            admission: AdmissionController::new(policy.shed_seed),
             metrics,
         }
     }
 
-    /// The current policy (a copy).
+    /// The current policy, read knob by knob.
     pub fn policy(&self) -> OverloadPolicy {
-        self.policy.lock().clone()
+        let load = |knob: &AtomicU64| knob.load(Ordering::Relaxed);
+        OverloadPolicy {
+            max_concurrency: self.bulkhead.cap(),
+            queue_depth: self.queue_depth.load(Ordering::Relaxed),
+            queue_wait_ms: load(&self.queue_wait_ms),
+            shed_enabled: self.shed_enabled.load(Ordering::Relaxed),
+            target_ms: load(&self.target_ms),
+            shed_seed: load(&self.shed_seed),
+            deadline_default_ms: load(&self.deadline_default_ms),
+        }
     }
 
     /// The engine's counter block.
@@ -638,7 +661,7 @@ impl OverloadEngine {
         policy: &OverloadPolicy,
         deadline: &Deadline,
         mut span: Option<&mut ActiveSpan>,
-    ) -> Result<BulkheadPermit, ProxyError> {
+    ) -> Result<BulkheadPermit<'_>, ProxyError> {
         let mut waits: u32 = 0;
         loop {
             if let Some(permit) = self.bulkhead.try_acquire() {
@@ -693,32 +716,31 @@ impl OverloadEngine {
         key: &str,
         value: &PropertyValue,
     ) -> Option<Result<(), ProxyError>> {
-        let mut policy = self.policy.lock();
+        let store = |cell: &AtomicU64, min: i64| {
+            knob(LAYER, key, value, min).map(|n| cell.store(n, Ordering::Relaxed))
+        };
         let result = match key {
-            "bulkhead.max_concurrency" => knob(LAYER, key, value, 1).map(|n| {
-                policy.max_concurrency = n;
-                self.bulkhead.configure(n);
-            }),
-            "bulkhead.queue_depth" => knob(LAYER, key, value, 0).map(|n| policy.queue_depth = n),
-            "bulkhead.queue_wait_ms" => {
-                knob(LAYER, key, value, 1).map(|n| policy.queue_wait_ms = n)
+            "bulkhead.max_concurrency" => {
+                knob(LAYER, key, value, 1).map(|n| self.bulkhead.configure(n))
             }
+            "bulkhead.queue_depth" => {
+                knob(LAYER, key, value, 0).map(|n| self.queue_depth.store(n, Ordering::Relaxed))
+            }
+            "bulkhead.queue_wait_ms" => store(&self.queue_wait_ms, 1),
             "shed.enabled" => value
                 .parse_bool()
-                .map(|enabled| policy.shed_enabled = enabled)
+                .map(|enabled| self.shed_enabled.store(enabled, Ordering::Relaxed))
                 .ok_or_else(|| bad_value(LAYER, key, value)),
-            "shed.target_ms" => knob(LAYER, key, value, 1).map(|n| policy.target_ms = n),
+            "shed.target_ms" => store(&self.target_ms, 1),
             // Any integer seeds the coin-flip stream; negatives wrap.
             "shed.seed" => value
                 .parse_int()
                 .map(|n| {
-                    policy.shed_seed = n as u64;
-                    self.admission.reseed(policy.shed_seed);
+                    self.shed_seed.store(n as u64, Ordering::Relaxed);
+                    self.admission.reseed(n as u64);
                 })
                 .ok_or_else(|| bad_value(LAYER, key, value)),
-            "deadline.default_ms" => {
-                knob(LAYER, key, value, 1).map(|n| policy.deadline_default_ms = n)
-            }
+            "deadline.default_ms" => store(&self.deadline_default_ms, 1),
             _ => return None,
         };
         Some(result)
@@ -924,6 +946,32 @@ mod tests {
         drop(a);
         assert_eq!(bulkhead.in_flight(), 1);
         assert!(bulkhead.try_acquire().is_some(), "slot recycled");
+    }
+
+    #[test]
+    fn bulkhead_never_lets_more_than_its_cap_in_under_contention() {
+        const CAP: u32 = 3;
+        let bulkhead = Bulkhead::new(CAP);
+        let holders = std::sync::atomic::AtomicU32::new(0);
+        let peak = std::sync::atomic::AtomicU32::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for _ in 0..10_000 {
+                        let Some(_permit) = bulkhead.try_acquire() else {
+                            continue;
+                        };
+                        let held = holders.fetch_add(1, Ordering::SeqCst) + 1;
+                        peak.fetch_max(held.max(bulkhead.in_flight()), Ordering::SeqCst);
+                        std::thread::yield_now();
+                        holders.fetch_sub(1, Ordering::SeqCst);
+                    }
+                });
+            }
+        });
+        let peak = peak.load(Ordering::SeqCst);
+        assert!(peak <= CAP, "{peak} permits were held at once");
+        assert_eq!(bulkhead.in_flight(), 0, "every permit was returned");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //! resilience exactly the way they tune `powerConsumption` or
 //! `pollInterval`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -64,7 +64,7 @@ fn splitmix64(mut x: u64) -> u64 {
 ///
 /// Every field is also settable at run time through the property plane;
 /// the property keys are listed on each builder method.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResiliencePolicy {
     /// Total attempts per call, including the first (`retry.max_attempts`).
     pub max_attempts: u32,
@@ -195,17 +195,32 @@ pub enum CircuitState {
 }
 
 struct BreakerInner {
-    threshold: u32,
-    cooldown_ms: u64,
     consecutive_failures: u32,
     state: CircuitState,
     opened_at_ms: u64,
+    /// Whether the one half-open probe has been admitted and has not
+    /// reported back yet.
+    probe_out: bool,
 }
 
 /// A per-proxy circuit breaker driven entirely by the simulated device
 /// clock: callers pass `now_ms` in, so state transitions replay
 /// deterministically.
+///
+/// While the breaker is closed with no failure counted, [`admit`] and
+/// [`record_success`] are one atomic load each. Every transition, and
+/// every change to the failure count, takes the lock.
+///
+/// [`admit`]: CircuitBreaker::admit
+/// [`record_success`]: CircuitBreaker::record_success
 pub struct CircuitBreaker {
+    /// Re-tuned at run time by the engine's property plane.
+    threshold: AtomicU32,
+    cooldown_ms: AtomicU64,
+    /// Closed with zero consecutive failures, so no probe is out: the
+    /// state in which `admit` and `record_success` change nothing.
+    /// Written only under `inner`'s lock.
+    clean: AtomicBool,
     inner: Mutex<BreakerInner>,
     epoch: Arc<AtomicU64>,
 }
@@ -215,12 +230,14 @@ impl CircuitBreaker {
     /// consecutive failures and probes again `cooldown_ms` later.
     pub fn new(threshold: u32, cooldown_ms: u64) -> Self {
         Self {
+            threshold: AtomicU32::new(threshold.max(1)),
+            cooldown_ms: AtomicU64::new(cooldown_ms),
+            clean: AtomicBool::new(true),
             inner: Mutex::new(BreakerInner {
-                threshold: threshold.max(1),
-                cooldown_ms,
                 consecutive_failures: 0,
                 state: CircuitState::Closed,
                 opened_at_ms: 0,
+                probe_out: false,
             }),
             epoch: Arc::new(AtomicU64::new(0)),
         }
@@ -247,25 +264,44 @@ impl CircuitBreaker {
         Arc::clone(&self.epoch)
     }
 
-    /// Re-tunes threshold/cooldown at run time (the property plane).
-    pub fn configure(&self, threshold: u32, cooldown_ms: u64) {
-        let mut inner = self.inner.lock();
-        inner.threshold = threshold.max(1);
-        inner.cooldown_ms = cooldown_ms;
+    fn is_clean(&self) -> bool {
+        self.clean.load(Ordering::Acquire)
+    }
+
+    /// Moves to `state`, bumping the epoch, under the caller's lock.
+    fn transition(&self, inner: &mut BreakerInner, state: CircuitState) {
+        inner.state = state;
+        inner.probe_out = state == CircuitState::HalfOpen;
+        self.epoch.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Republishes the lock-free flag after a change under the lock.
+    fn publish(&self, inner: &BreakerInner) {
+        let clean = inner.state == CircuitState::Closed && inner.consecutive_failures == 0;
+        self.clean.store(clean, Ordering::Release);
     }
 
     /// Asks whether a call may proceed at simulated time `now_ms`.
     /// While open and cooling down this returns `false`; once the
     /// cooldown has elapsed the breaker moves to half-open and admits
-    /// one probe.
+    /// exactly one probe. Further callers are refused until the probe
+    /// records an outcome or is released.
     pub fn admit(&self, now_ms: u64) -> bool {
+        if self.is_clean() {
+            return true;
+        }
         let mut inner = self.inner.lock();
         match inner.state {
-            CircuitState::Closed | CircuitState::HalfOpen => true,
+            CircuitState::Closed => true,
+            CircuitState::HalfOpen if inner.probe_out => false,
+            CircuitState::HalfOpen => {
+                inner.probe_out = true;
+                true
+            }
             CircuitState::Open => {
-                if now_ms >= inner.opened_at_ms.saturating_add(inner.cooldown_ms) {
-                    inner.state = CircuitState::HalfOpen;
-                    self.epoch.fetch_add(1, Ordering::AcqRel);
+                let cooldown = self.cooldown_ms.load(Ordering::Relaxed);
+                if now_ms >= inner.opened_at_ms.saturating_add(cooldown) {
+                    self.transition(&mut inner, CircuitState::HalfOpen);
                     true
                 } else {
                     false
@@ -274,15 +310,27 @@ impl CircuitBreaker {
         }
     }
 
+    /// Hands back a half-open probe whose call ended without a verdict
+    /// on the binding (a fatal error or a load shed), so the next caller
+    /// may probe instead.
+    pub fn release_probe(&self) {
+        if !self.is_clean() {
+            self.inner.lock().probe_out = false;
+        }
+    }
+
     /// Records a successful call: the breaker closes and the failure
     /// count resets.
     pub fn record_success(&self) {
+        if self.is_clean() {
+            return;
+        }
         let mut inner = self.inner.lock();
         if inner.state != CircuitState::Closed {
-            self.epoch.fetch_add(1, Ordering::AcqRel);
+            self.transition(&mut inner, CircuitState::Closed);
         }
-        inner.state = CircuitState::Closed;
         inner.consecutive_failures = 0;
+        self.publish(&inner);
     }
 
     /// Records a failed (transient) call at simulated time `now_ms`.
@@ -290,26 +338,20 @@ impl CircuitBreaker {
     /// circuit.
     pub fn record_failure(&self, now_ms: u64) -> bool {
         let mut inner = self.inner.lock();
-        match inner.state {
-            CircuitState::HalfOpen => {
-                inner.state = CircuitState::Open;
-                inner.opened_at_ms = now_ms;
-                self.epoch.fetch_add(1, Ordering::AcqRel);
-                true
-            }
+        let opened = match inner.state {
+            CircuitState::HalfOpen => true,
             CircuitState::Closed => {
                 inner.consecutive_failures += 1;
-                if inner.consecutive_failures >= inner.threshold {
-                    inner.state = CircuitState::Open;
-                    inner.opened_at_ms = now_ms;
-                    self.epoch.fetch_add(1, Ordering::AcqRel);
-                    true
-                } else {
-                    false
-                }
+                inner.consecutive_failures >= self.threshold.load(Ordering::Relaxed)
             }
             CircuitState::Open => false,
+        };
+        if opened {
+            inner.opened_at_ms = now_ms;
+            self.transition(&mut inner, CircuitState::Open);
         }
+        self.publish(&inner);
+        opened
     }
 }
 
@@ -355,11 +397,35 @@ layer_counters! {
 /// The property family name in `BadPropertyValue` messages.
 const LAYER: &str = "resilience";
 
+/// Stored in place of a fallback coordinate that is not set. No `f64` a
+/// caller supplies has these bits: a NaN is stored canonical.
+const UNSET_COORDINATE: u64 = u64::MAX;
+
+fn coordinate_bits(value: Option<f64>) -> u64 {
+    value.map_or(UNSET_COORDINATE, |v| {
+        if v.is_nan() { f64::NAN } else { v }.to_bits()
+    })
+}
+
+fn coordinate(cell: &AtomicU64) -> Option<f64> {
+    let bits = cell.load(Ordering::Relaxed);
+    (bits != UNSET_COORDINATE).then(|| f64::from_bits(bits))
+}
+
 /// One proxy's retry/breaker engine: the resilience layer of its
 /// layer stack.
+///
+/// Each [`ResiliencePolicy`] knob is one atomic (the breaker holds the
+/// `circuit.*` pair, a fallback coordinate is stored as its bits), so
+/// reading the policy takes no lock.
 pub(crate) struct ResilienceEngine {
     device: Device,
-    policy: Mutex<ResiliencePolicy>,
+    max_attempts: AtomicU32,
+    backoff_base_ms: AtomicU64,
+    deadline_ms: AtomicU64,
+    jitter_seed: AtomicU64,
+    fallback_latitude: AtomicU64,
+    fallback_longitude: AtomicU64,
     pub(crate) breaker: CircuitBreaker,
     pub(crate) metrics: Arc<ResilienceMetrics>,
     /// Per-call salt source so two calls with the same policy seed
@@ -390,18 +456,33 @@ impl ResilienceEngine {
         policy: ResiliencePolicy,
         metrics: Arc<ResilienceMetrics>,
     ) -> Self {
-        let breaker = CircuitBreaker::new(policy.circuit_threshold, policy.circuit_cooldown_ms);
         Self {
             device,
-            policy: Mutex::new(policy),
-            breaker,
+            max_attempts: AtomicU32::new(policy.max_attempts),
+            backoff_base_ms: AtomicU64::new(policy.backoff_base_ms),
+            deadline_ms: AtomicU64::new(policy.deadline_ms),
+            jitter_seed: AtomicU64::new(policy.jitter_seed),
+            fallback_latitude: AtomicU64::new(coordinate_bits(policy.fallback_latitude)),
+            fallback_longitude: AtomicU64::new(coordinate_bits(policy.fallback_longitude)),
+            breaker: CircuitBreaker::new(policy.circuit_threshold, policy.circuit_cooldown_ms),
             metrics,
             seq: AtomicU64::new(0),
         }
     }
 
+    /// The current policy, read knob by knob.
     pub(crate) fn policy(&self) -> ResiliencePolicy {
-        self.policy.lock().clone()
+        let load = |knob: &AtomicU64| knob.load(Ordering::Relaxed);
+        ResiliencePolicy {
+            max_attempts: self.max_attempts.load(Ordering::Relaxed),
+            backoff_base_ms: load(&self.backoff_base_ms),
+            deadline_ms: load(&self.deadline_ms),
+            jitter_seed: load(&self.jitter_seed),
+            circuit_threshold: self.breaker.threshold.load(Ordering::Relaxed),
+            circuit_cooldown_ms: load(&self.breaker.cooldown_ms),
+            fallback_latitude: coordinate(&self.fallback_latitude),
+            fallback_longitude: coordinate(&self.fallback_longitude),
+        }
     }
 
     /// Runs `call` under the retry policy and circuit breaker,
@@ -514,7 +595,10 @@ impl ResilienceEngine {
                     // Retrying here would pile more load on a stack
                     // that just asked us to back off — but the failure
                     // is load, not correctness, so the fallback chain
-                    // may still serve a degraded answer.
+                    // may still serve a degraded answer. Neither says
+                    // anything about the binding, so a half-open probe
+                    // is handed back.
+                    self.breaker.release_probe();
                     self.metrics.fatal_failures.inc();
                     if let Some(s) = span.as_deref_mut() {
                         s.event("overload_shed", self.device.now_ms());
@@ -522,6 +606,7 @@ impl ResilienceEngine {
                     return Err(FailureMode::Degraded(e));
                 }
                 Err(e) => {
+                    self.breaker.release_probe();
                     self.metrics.fatal_failures.inc();
                     return Err(FailureMode::Fatal(e));
                 }
@@ -536,32 +621,30 @@ impl ResilienceEngine {
         key: &str,
         value: &PropertyValue,
     ) -> Option<Result<(), ProxyError>> {
-        let mut policy = self.policy.lock();
+        let store = |cell: &AtomicU64, min: i64| {
+            knob(LAYER, key, value, min).map(|n| cell.store(n, Ordering::Relaxed))
+        };
+        let store_count =
+            |cell: &AtomicU32| knob(LAYER, key, value, 1).map(|n| cell.store(n, Ordering::Relaxed));
+        let coordinate = |cell: &AtomicU64| {
+            value
+                .parse_float()
+                .map(|v| cell.store(coordinate_bits(Some(v)), Ordering::Relaxed))
+                .ok_or_else(|| bad_value(LAYER, key, value))
+        };
         let result = match key {
-            "retry.max_attempts" => knob(LAYER, key, value, 1).map(|n| policy.max_attempts = n),
-            "retry.backoff_ms" => knob(LAYER, key, value, 0).map(|n| policy.backoff_base_ms = n),
-            "retry.deadline_ms" => knob(LAYER, key, value, 0).map(|n| policy.deadline_ms = n),
+            "retry.max_attempts" => store_count(&self.max_attempts),
+            "retry.backoff_ms" => store(&self.backoff_base_ms, 0),
+            "retry.deadline_ms" => store(&self.deadline_ms, 0),
             // Any integer seeds the jitter stream; negatives wrap.
             "retry.jitter_seed" => value
                 .parse_int()
-                .map(|n| policy.jitter_seed = n as u64)
+                .map(|n| self.jitter_seed.store(n as u64, Ordering::Relaxed))
                 .ok_or_else(|| bad_value(LAYER, key, value)),
-            "circuit.threshold" => knob(LAYER, key, value, 1).map(|n| {
-                policy.circuit_threshold = n;
-                self.breaker.configure(n, policy.circuit_cooldown_ms);
-            }),
-            "circuit.cooldown_ms" => knob(LAYER, key, value, 0).map(|n| {
-                policy.circuit_cooldown_ms = n;
-                self.breaker.configure(policy.circuit_threshold, n);
-            }),
-            "fallback.latitude" => value
-                .parse_float()
-                .map(|lat| policy.fallback_latitude = Some(lat))
-                .ok_or_else(|| bad_value(LAYER, key, value)),
-            "fallback.longitude" => value
-                .parse_float()
-                .map(|lon| policy.fallback_longitude = Some(lon))
-                .ok_or_else(|| bad_value(LAYER, key, value)),
+            "circuit.threshold" => store_count(&self.breaker.threshold),
+            "circuit.cooldown_ms" => store(&self.breaker.cooldown_ms, 0),
+            "fallback.latitude" => coordinate(&self.fallback_latitude),
+            "fallback.longitude" => coordinate(&self.fallback_longitude),
             _ => return None,
         };
         Some(result)
@@ -615,14 +698,14 @@ mod tests {
     /// succeeds.
     struct Flaky {
         failures: AtomicU64,
-        kind: ProxyErrorKind,
+        kind: Mutex<ProxyErrorKind>,
     }
 
     impl Flaky {
         fn new(failures: u64, kind: ProxyErrorKind) -> Self {
             Self {
                 failures: AtomicU64::new(failures),
-                kind,
+                kind: Mutex::new(kind),
             }
         }
     }
@@ -657,7 +740,9 @@ mod tests {
             let left = self.failures.load(Ordering::Relaxed);
             if left > 0 {
                 self.failures.store(left - 1, Ordering::Relaxed);
-                return Err(ProxyError::new(self.kind, "injected").with_platform("fake.Exception"));
+                return Err(
+                    ProxyError::new(*self.kind.lock(), "injected").with_platform("fake.Exception")
+                );
             }
             Ok(Location {
                 latitude: 1.0,
@@ -871,6 +956,56 @@ mod tests {
         assert_eq!(breaker.state(), CircuitState::HalfOpen);
         breaker.record_success();
         assert_eq!(breaker.state(), CircuitState::Closed);
+    }
+
+    #[test]
+    fn halfopen_admits_exactly_one_probe() {
+        let breaker = CircuitBreaker::new(1, 1_000);
+        assert!(breaker.record_failure(0));
+        assert!(breaker.admit(1_000), "cooldown elapsed: the probe");
+        assert!(
+            !breaker.admit(1_000),
+            "a second caller is refused while the probe is out"
+        );
+        assert_eq!(breaker.state(), CircuitState::HalfOpen);
+        breaker.release_probe();
+        assert!(
+            breaker.admit(1_000),
+            "a released probe goes to the next caller"
+        );
+        assert!(!breaker.admit(1_000));
+        breaker.record_success();
+        assert!(breaker.admit(1_000) && breaker.admit(1_000), "closed again");
+    }
+
+    #[test]
+    fn fatal_and_shed_exits_release_the_probe() {
+        for kind in [ProxyErrorKind::Security, ProxyErrorKind::Overloaded] {
+            let dev = device();
+            let inner = Arc::new(Flaky::new(1, ProxyErrorKind::Unavailable));
+            let proxy = resilient_on(
+                &dev,
+                inner.clone(),
+                ResiliencePolicy::default()
+                    .max_attempts(1)
+                    .circuit_threshold(1)
+                    .circuit_cooldown_ms(1_000),
+            );
+            proxy.get_location().unwrap_err();
+            let breaker = &engine(&proxy).breaker;
+            assert_eq!(breaker.state(), CircuitState::Open);
+            dev.advance_ms(1_000);
+            // The probe ends in an error that says nothing about the
+            // binding; the next call must be admitted to probe again.
+            *inner.kind.lock() = kind;
+            inner.failures.store(1, Ordering::Relaxed);
+            assert_eq!(proxy.get_location().unwrap_err().kind(), kind, "{kind:?}");
+            assert_eq!(breaker.state(), CircuitState::HalfOpen);
+            proxy
+                .get_location()
+                .expect("the next caller probes and closes");
+            assert_eq!(breaker.state(), CircuitState::Closed);
+        }
     }
 
     #[test]

@@ -308,14 +308,14 @@ impl Stack {
             match layer {
                 Layer::TraceBinding => stack.trace_binding = trace(Plane::Binding),
                 Layer::Resilience => {
-                    let enabled = policies.resilience.clone().zip(layers.resilience.clone());
+                    let enabled = policies.resilience.zip(layers.resilience.clone());
                     stack.resilience = enabled.map(|(policy, metrics)| {
                         ResilienceEngine::new(device.clone(), policy, metrics)
                     });
                 }
                 Layer::Journal => stack.journal = layers.journal.clone(),
                 Layer::Overload => {
-                    let enabled = policies.overload.clone().zip(layers.overload.clone());
+                    let enabled = policies.overload.zip(layers.overload.clone());
                     stack.overload = enabled.map(|(policy, metrics)| {
                         OverloadEngine::new(device.clone(), policy, metrics)
                     });
@@ -707,14 +707,11 @@ struct SendText;
 impl Hooks<u64> for SendText {
     fn journal(&self, engine: &JournalEngine, effect: Next<u64>) -> Reply<u64> {
         let key = current_idempotency_key();
-        if let Some(key) = key {
-            if engine.check(key).is_err() {
-                if let Some(id) = engine.memoized_message(key) {
-                    // Counted, not errored: the effect already committed
-                    // once; re-delivery observes the original outcome.
-                    return Ok(id);
-                }
-            }
+        if let Some(id) = key.and_then(|key| engine.memoized_message(key)) {
+            // Counted, not errored: the effect already committed once;
+            // re-delivery observes the original outcome.
+            engine.metrics().note_already_applied();
+            return Ok(id);
         }
         let id = effect()?;
         if let Some(key) = key {

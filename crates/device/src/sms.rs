@@ -89,15 +89,7 @@ impl Segments {
 /// assert_eq!(long.count(), 2); // 153 + 47
 /// ```
 pub fn segment_message(body: &str) -> Segments {
-    let encoding = if body.chars().all(is_gsm7_char) {
-        SmsEncoding::Gsm7
-    } else {
-        SmsEncoding::Ucs2
-    };
-    let (single, concat) = match encoding {
-        SmsEncoding::Gsm7 => (GSM7_SINGLE_LIMIT, GSM7_CONCAT_LIMIT),
-        SmsEncoding::Ucs2 => (UCS2_SINGLE_LIMIT, UCS2_CONCAT_LIMIT),
-    };
+    let (encoding, single, concat) = encoding_and_limits(body);
     let chars: Vec<char> = body.chars().collect();
     let parts = if chars.len() <= single {
         vec![body.to_owned()]
@@ -108,6 +100,25 @@ pub fn segment_message(body: &str) -> Segments {
             .collect()
     };
     Segments { encoding, parts }
+}
+
+/// The encoding `body` travels in, with that encoding's single-part and
+/// per-segment character limits.
+fn encoding_and_limits(body: &str) -> (SmsEncoding, usize, usize) {
+    if body.chars().all(is_gsm7_char) {
+        (SmsEncoding::Gsm7, GSM7_SINGLE_LIMIT, GSM7_CONCAT_LIMIT)
+    } else {
+        (SmsEncoding::Ucs2, UCS2_SINGLE_LIMIT, UCS2_CONCAT_LIMIT)
+    }
+}
+
+/// `segment_message(body).count()`, without building the parts.
+fn segment_count(body: &str) -> usize {
+    let (_, single, concat) = encoding_and_limits(body);
+    match body.chars().count() {
+        chars if chars <= single => 1,
+        chars => chars.div_ceil(concat),
+    }
 }
 
 /// Identifier assigned by the SMSC to a submitted message.
@@ -177,7 +188,8 @@ struct SmscState {
     seed: u64,
     inboxes: HashMap<String, Vec<InboxMessage>>,
     inbox_listeners: HashMap<String, Vec<InboxListenerFn>>,
-    statuses: HashMap<MessageId, DeliveryStatus>,
+    /// Indexed by message id − 1: ids are dense from 1.
+    statuses: Vec<DeliveryStatus>,
     report_listeners: HashMap<MessageId, DeliveryReportFn>,
 }
 
@@ -230,7 +242,7 @@ impl Smsc {
                 seed,
                 inboxes: HashMap::new(),
                 inbox_listeners: HashMap::new(),
-                statuses: HashMap::new(),
+                statuses: Vec::new(),
                 report_listeners: HashMap::new(),
             })),
             metrics: Arc::new(OnceLock::new()),
@@ -302,7 +314,9 @@ impl Smsc {
 
     /// Current delivery status of a submitted message.
     pub fn status(&self, id: MessageId) -> Option<DeliveryStatus> {
-        self.state.lock().statuses.get(&id).copied()
+        let state = self.state.lock();
+        let index = id.0.checked_sub(1)?;
+        state.statuses.get(usize::try_from(index).ok()?).copied()
     }
 
     /// Submits a message for delivery at `now_ms` (the current virtual
@@ -323,15 +337,15 @@ impl Smsc {
         if let Some(m) = self.metrics.get() {
             m.submitted.inc();
         }
-        let segments = segment_message(body);
+        let segment_count = segment_count(body);
         if let Some(s) = span.as_mut() {
-            s.attr("segments", segments.count() as u64);
+            s.attr("segments", segment_count as u64);
         }
         let (id, deliver_at, lost) = {
             let mut state = self.state.lock();
             let id = MessageId(state.next_id);
             state.next_id += 1;
-            state.statuses.insert(id, DeliveryStatus::Pending);
+            state.statuses.push(DeliveryStatus::Pending);
             if let Some(report) = report {
                 state.report_listeners.insert(id, report);
             }
@@ -344,7 +358,6 @@ impl Smsc {
         let from = from.to_owned();
         let to = to.to_owned();
         let body = body.to_owned();
-        let segment_count = segments.count();
         self.events
             .schedule_at(deliver_at, "sms-delivery", move |at| {
                 let mut guard = state.lock();
@@ -359,43 +372,41 @@ impl Smsc {
                         _ => m.lost.inc(),
                     }
                 }
-                guard.statuses.insert(id, final_status);
+                let index = id.0.checked_sub(1).and_then(|i| usize::try_from(i).ok());
+                if let Some(status) = index.and_then(|i| guard.statuses.get_mut(i)) {
+                    *status = final_status;
+                }
+                let report = guard.report_listeners.remove(&id);
                 if final_status == DeliveryStatus::Delivered {
+                    // Take listeners out so callbacks run without the lock;
+                    // only they need a copy of the message.
+                    let listeners = guard.inbox_listeners.remove(&to);
                     let message = InboxMessage {
                         id,
-                        from: from.clone(),
-                        to: to.clone(),
-                        body: body.clone(),
+                        from,
+                        to,
+                        body,
                         delivered_at_ms: at,
                         segment_count,
                     };
-                    // The inbox exists (delivery requires `contains_key`
-                    // above, under the same lock); `entry` keeps the path
-                    // total either way.
-                    guard
-                        .inboxes
-                        .entry(to.clone())
-                        .or_default()
-                        .push(message.clone());
-                    // Take listeners out so callbacks run without the lock.
-                    let listeners = guard.inbox_listeners.remove(&to);
-                    let report = guard.report_listeners.remove(&id);
+                    let copy = listeners.as_ref().map(|_| message.clone());
+                    // The inbox exists: delivery requires `contains_key`
+                    // above, under the same lock.
+                    if let Some(inbox) = guard.inboxes.get_mut(&message.to) {
+                        inbox.push(message);
+                    }
                     drop(guard);
-                    if let Some(listeners) = listeners {
+                    if let Some((listeners, message)) = listeners.zip(copy) {
                         for l in &listeners {
                             l(&message);
                         }
-                        state.lock().inbox_listeners.insert(to.clone(), listeners);
-                    }
-                    if let Some(report) = report {
-                        report(id, DeliveryStatus::Delivered, at);
+                        state.lock().inbox_listeners.insert(message.to, listeners);
                     }
                 } else {
-                    let report = guard.report_listeners.remove(&id);
                     drop(guard);
-                    if let Some(report) = report {
-                        report(id, DeliveryStatus::Failed, at);
-                    }
+                }
+                if let Some(report) = report {
+                    report(id, final_status, at);
                 }
             });
         if let Some(s) = span {
@@ -459,6 +470,36 @@ mod tests {
         let body = "The quick brown fox ".repeat(20);
         let s = segment_message(&body);
         assert_eq!(s.parts.concat(), body);
+    }
+
+    #[test]
+    fn segment_count_agrees_with_segment_message() {
+        for body in [
+            String::new(),
+            "a".repeat(160),
+            "a".repeat(161),
+            "a".repeat(306),
+            "a".repeat(307),
+            "日".repeat(70),
+            "日".repeat(71),
+            format!("{}€", "b".repeat(200)),
+        ] {
+            assert_eq!(
+                segment_count(&body),
+                segment_message(&body).count(),
+                "{body}"
+            );
+        }
+    }
+
+    #[test]
+    fn status_of_an_id_never_issued_is_none() {
+        let (_events, smsc) = smsc();
+        assert_eq!(smsc.status(MessageId(0)), None);
+        assert_eq!(smsc.status(MessageId(1)), None);
+        let id = smsc.submit("+1", "+2", "a", 0, None);
+        assert_eq!(smsc.status(id), Some(DeliveryStatus::Pending));
+        assert_eq!(smsc.status(MessageId(id.0 + 1)), None);
     }
 
     #[test]

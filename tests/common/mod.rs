@@ -98,7 +98,7 @@ pub fn resilient_runtimes_isolated(
         .map(|(name, builder)| {
             let device = device();
             let runtime = builder(&device)
-                .with_resilience(policy.clone())
+                .with_resilience(*policy)
                 .build()
                 .expect("resilient runtime builds");
             (name, device, runtime)
