@@ -31,7 +31,6 @@ use mobivine::api::{HttpProxy, LocationProxy, SmsProxy};
 use mobivine::cache::{CachePolicy, CacheSnapshot};
 use mobivine::error::{ProxyError, ProxyErrorKind};
 use mobivine::overload::{with_deadline, Deadline, OverloadPolicy, OverloadSnapshot};
-use mobivine::property::PropertyValue;
 use mobivine::shard::ShardedRegistry;
 use mobivine::{with_idempotency_key, IdempotencyKey, JournalPolicy, JournalSnapshot};
 use mobivine_android::{AndroidPlatform, SdkVersion};
@@ -607,8 +606,9 @@ impl TrafficBatch {
                 }
             };
             // The ambient idempotency-key scope wraps the whole call
-            // path (client journal decorators read it; the HTTP
-            // decorator stamps it onto the wire).
+            // path: the HTTP decorator stamps it onto the wire as
+            // `?idem=` for the server's journal, and the SMS memo
+            // answers a re-delivered send with its first message id.
             let execute = || match key {
                 Some(k) => with_idempotency_key(k, execute),
                 None => execute(),
@@ -743,11 +743,19 @@ impl Fleet {
             // decorators resolve their span names and metric handles
             // once per device, so the run loop's proxy calls stay
             // allocation-free.
+            // Graceful degradation: the ramped shard's location reports
+            // are enrichment traffic the server can live without, so
+            // under shed pressure the overload HTTP decorator degrades
+            // them to a synthetic accept instead of surfacing an error.
             let overload_policy = config
                 .brownout
                 .as_ref()
                 .filter(|b| b.admission && shard == b.target_shard)
-                .map(|_| OverloadPolicy::default().target_ms(BROWNOUT_P99_TARGET_MS));
+                .map(|_| {
+                    OverloadPolicy::default()
+                        .target_ms(BROWNOUT_P99_TARGET_MS)
+                        .droppable_path("/report-location")
+                });
             // The target shard's devices additionally promote traces
             // whose root call ran longer than the brownout's p99
             // target; every device promotes errors and blown deadlines
@@ -798,9 +806,9 @@ impl Fleet {
                 } else {
                     b
                 };
-                // The durable arm journals client-side too: mutating
-                // proxy calls append an intent and cross the fsync
-                // barrier before their side effect.
+                // The durable arm keys its mutating calls: HTTP
+                // submits carry the `?idem=` stamp the server's journal
+                // dedups on, and SMS sends go through the memo.
                 if config.durability.is_some() {
                     b.with_journal(JournalPolicy::default())
                 } else {
@@ -825,20 +833,6 @@ impl Fleet {
         }
 
         registry.warm()?;
-        // Graceful degradation wiring: the ramped shard's location
-        // reports are enrichment traffic the server can live without,
-        // so under shed pressure the overload HTTP decorator degrades
-        // them to a synthetic accept instead of surfacing an error.
-        if let Some(brownout) = config.brownout.as_ref().filter(|b| b.admission) {
-            for index in 0..config.devices {
-                if registry.shard_of(index) == brownout.target_shard {
-                    registry.resolve::<dyn HttpProxy>(index)?.set_property(
-                        "shed.droppable_path",
-                        PropertyValue::str("/report-location"),
-                    )?;
-                }
-            }
-        }
         Ok(Self {
             config,
             registry: Arc::new(registry),
@@ -1022,11 +1016,11 @@ impl Fleet {
         }
     }
 
-    /// Folds every shard server's recovery ledger (shard order) and
-    /// every device runtime's client journal counters (device-index
-    /// order). Recovery costs are sorted before the quantile pull, so
-    /// the counters are worker-invariant even though shards absorb
-    /// their crashes in interleaving-dependent order.
+    /// Folds every shard server's journal recovery ledger (shard order)
+    /// and every device runtime's SMS-memo duplicate answers
+    /// (device-index order). Recovery costs are sorted before the
+    /// quantile pull, so the counters are worker-invariant even though
+    /// shards absorb their crashes in interleaving-dependent order.
     fn recovery_counters(&self, counters: &mut BTreeMap<String, u64>) {
         let mut tally = |fields: &[(&str, u64)]| add(counters, "recovery.", fields);
         let mut costs: Vec<u64> = Vec::new();

@@ -29,13 +29,13 @@
 //!
 //! Writes (SMS send, calls, HTTP requests, `setProperty`) are never
 //! cached; `setProperty` through a cached proxy invalidates before it
-//! forwards. Knobs travel the ordinary property plane (`cache.ttl_ms`,
-//! `cache.coalescing`) exactly like the `retry.*` and `bulkhead.*`
-//! families.
+//! forwards. The knobs are a [`CachePolicy`] handed to
+//! [`crate::registry::MobivineBuilder::with_cache`], fixed once the
+//! runtime is built.
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -44,7 +44,6 @@ use mobivine_device::Device;
 use mobivine_telemetry::span::ActiveSpan;
 
 use crate::error::ProxyError;
-use crate::property::{bad_value, knob, PropertyValue};
 use crate::registry::ProxyKind;
 use crate::telemetry::{layer_counters, layer_span};
 
@@ -193,22 +192,19 @@ pub struct Stamp {
 // Engine
 // ---------------------------------------------------------------------
 
-/// The property family name in `BadPropertyValue` messages.
-const LAYER: &str = "cache";
-
-/// One proxy's TTL/stamp/knob state: the cache layer of its
-/// layer stack.
+/// One proxy's TTL, coalescing switch and invalidation stamps: the
+/// cache layer of its layer stack.
 pub struct CacheEngine {
     device: Device,
     metrics: Arc<CacheMetrics>,
-    ttl_ms: AtomicU64,
-    coalescing: AtomicBool,
+    ttl_ms: u64,
+    coalescing: bool,
     generation: AtomicU64,
     circuit_epoch: Option<Arc<AtomicU64>>,
 }
 
 impl CacheEngine {
-    /// Creates an engine over `device` with the given starting TTL.
+    /// Creates an engine over `device` with the given TTL.
     /// `circuit_epoch` is the breaker's transition-epoch handle when a
     /// resilience layer sits below this cache.
     pub fn new(
@@ -221,8 +217,8 @@ impl CacheEngine {
         Self {
             device,
             metrics,
-            ttl_ms: AtomicU64::new(ttl_ms),
-            coalescing: AtomicBool::new(coalescing),
+            ttl_ms,
+            coalescing,
             generation: AtomicU64::new(0),
             circuit_epoch,
         }
@@ -233,14 +229,14 @@ impl CacheEngine {
         &self.metrics
     }
 
-    /// The current TTL (virtual ms).
+    /// The TTL (virtual ms).
     pub fn ttl_ms(&self) -> u64 {
-        self.ttl_ms.load(Ordering::Acquire)
+        self.ttl_ms
     }
 
-    /// Whether coalescing is currently enabled.
+    /// Whether coalescing is enabled.
     pub fn coalescing(&self) -> bool {
-        self.coalescing.load(Ordering::Acquire)
+        self.coalescing
     }
 
     /// The invalidation coordinates as of now.
@@ -259,26 +255,6 @@ impl CacheEngine {
     /// before the bump (including fills still in flight).
     pub fn bump_generation(&self) {
         self.generation.fetch_add(1, Ordering::AcqRel);
-    }
-
-    /// Intercepts the cache property keys; returns `None` for keys that
-    /// belong to the layers below.
-    pub(crate) fn try_set_property(
-        &self,
-        key: &str,
-        value: &PropertyValue,
-    ) -> Option<Result<(), ProxyError>> {
-        let result = match key {
-            "cache.ttl_ms" => {
-                knob(LAYER, key, value, 0).map(|ms: u64| self.ttl_ms.store(ms, Ordering::Release))
-            }
-            "cache.coalescing" => value
-                .parse_bool()
-                .map(|on| self.coalescing.store(on, Ordering::Release))
-                .ok_or_else(|| bad_value(LAYER, key, value)),
-            _ => return None,
-        };
-        Some(result)
     }
 }
 
@@ -791,30 +767,5 @@ mod tests {
         }
         assert_eq!(fills.load(Ordering::SeqCst), 2);
         assert_eq!(engine.metrics().snapshot().coalesced, 0);
-    }
-
-    #[test]
-    fn property_plane_tunes_ttl_and_coalescing() {
-        let device = Device::builder().build();
-        let engine = engine(&device, 10_000);
-        assert_eq!(
-            engine.try_set_property("cache.ttl_ms", &PropertyValue::Int(500)),
-            Some(Ok(()))
-        );
-        assert_eq!(engine.ttl_ms(), 500);
-        assert_eq!(
-            engine.try_set_property("cache.coalescing", &PropertyValue::Bool(false)),
-            Some(Ok(()))
-        );
-        assert!(!engine.coalescing());
-        assert!(matches!(
-            engine.try_set_property("cache.ttl_ms", &PropertyValue::Int(-1)),
-            Some(Err(_))
-        ));
-        assert_eq!(
-            engine.try_set_property("provider", &PropertyValue::str("gps")),
-            None,
-            "foreign keys fall through to the wrapped proxy"
-        );
     }
 }

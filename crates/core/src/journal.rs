@@ -149,7 +149,8 @@ impl JournalMetrics {
 // Policy
 // ---------------------------------------------------------------------
 
-/// Tunable knobs for the durability layer.
+/// Tunable knobs of a [`Journal`], the server's write-ahead log. The
+/// client journal layer reads none of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JournalPolicy {
     segment_bytes: usize,

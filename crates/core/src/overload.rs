@@ -31,12 +31,12 @@
 //! pressure) or synthesize an accepted-but-unenriched HTTP response for
 //! droppable paths.
 //!
-//! Knobs are reachable through the ordinary property plane
-//! (`bulkhead.max_concurrency`, `shed.target_ms`, …) exactly like the
-//! `retry.*` family.
+//! The knobs are an [`OverloadPolicy`] handed to
+//! [`crate::registry::MobivineBuilder::with_overload`], fixed once the
+//! runtime is built.
 
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -45,7 +45,6 @@ use mobivine_device::Device;
 use mobivine_telemetry::span::ActiveSpan;
 
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::{bad_value, knob, PropertyValue};
 use crate::stack::CallMeta;
 use crate::telemetry::{layer_counters, layer_span};
 use crate::types::{HttpResult, Location};
@@ -162,30 +161,29 @@ pub fn current_deadline() -> Option<Deadline> {
 // Policy
 // ---------------------------------------------------------------------
 
-/// Tunable knobs for the overload layer.
-///
-/// Every field is also settable at run time through the property plane;
-/// the property keys are listed on each builder method.
+/// Budget given to calls that arrive without an ambient deadline.
+pub(crate) const DEFAULT_DEADLINE_MS: u64 = 10_000;
+
+/// Tunable knobs for the overload layer, fixed when the runtime is
+/// built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadPolicy {
-    /// Concurrent calls admitted past the bulkhead
-    /// (`bulkhead.max_concurrency`).
+    /// Concurrent calls admitted past the bulkhead.
     pub max_concurrency: u32,
-    /// Callers allowed to wait for a bulkhead slot
-    /// (`bulkhead.queue_depth`).
+    /// Callers allowed to wait for a bulkhead slot.
     pub queue_depth: u32,
-    /// Simulated wait per queue turn (`bulkhead.queue_wait_ms`).
+    /// Simulated wait per queue turn.
     pub queue_wait_ms: u64,
-    /// Whether the admission controller sheds at all (`shed.enabled`).
+    /// Whether the admission controller sheds at all.
     pub shed_enabled: bool,
-    /// Sojourn target the AIMD loop steers toward (`shed.target_ms`).
+    /// Sojourn target the AIMD loop steers toward.
     pub target_ms: u64,
-    /// Seed of the deterministic admission coin-flip stream
-    /// (`shed.seed`).
+    /// Seed of the deterministic admission coin-flip stream.
     pub shed_seed: u64,
-    /// Budget given to calls that arrive without an ambient deadline
-    /// (`deadline.default_ms`).
-    pub deadline_default_ms: u64,
+    /// URL fragment marking an HTTP request as droppable enrichment: a
+    /// shed request whose URL contains it degrades to a synthetic
+    /// `202 Accepted` instead of an error.
+    pub droppable_path: Option<&'static str>,
 }
 
 impl Default for OverloadPolicy {
@@ -197,62 +195,59 @@ impl Default for OverloadPolicy {
             shed_enabled: true,
             target_ms: 256,
             shed_seed: 0x0BAD_CAFE,
-            deadline_default_ms: 10_000,
+            droppable_path: None,
         }
     }
 }
 
 impl OverloadPolicy {
-    /// Sets the bulkhead concurrency cap (property
-    /// `bulkhead.max_concurrency`).
+    /// Sets the bulkhead concurrency cap.
     #[must_use]
     pub fn max_concurrency(mut self, slots: u32) -> Self {
         self.max_concurrency = slots.max(1);
         self
     }
 
-    /// Sets the bulkhead wait-queue depth (property
-    /// `bulkhead.queue_depth`).
+    /// Sets the bulkhead wait-queue depth.
     #[must_use]
     pub fn queue_depth(mut self, depth: u32) -> Self {
         self.queue_depth = depth;
         self
     }
 
-    /// Sets the simulated wait per queue turn (property
-    /// `bulkhead.queue_wait_ms`).
+    /// Sets the simulated wait per queue turn.
     #[must_use]
     pub fn queue_wait_ms(mut self, ms: u64) -> Self {
         self.queue_wait_ms = ms.max(1);
         self
     }
 
-    /// Turns the admission controller on or off (property
-    /// `shed.enabled`).
+    /// Turns the admission controller on or off.
     #[must_use]
     pub fn shed_enabled(mut self, enabled: bool) -> Self {
         self.shed_enabled = enabled;
         self
     }
 
-    /// Sets the sojourn target (property `shed.target_ms`).
+    /// Sets the sojourn target.
     #[must_use]
     pub fn target_ms(mut self, ms: u64) -> Self {
         self.target_ms = ms.max(1);
         self
     }
 
-    /// Sets the admission coin-flip seed (property `shed.seed`).
+    /// Sets the admission coin-flip seed.
     #[must_use]
     pub fn shed_seed(mut self, seed: u64) -> Self {
         self.shed_seed = seed;
         self
     }
 
-    /// Sets the default per-call budget (property `deadline.default_ms`).
+    /// Marks HTTP requests whose URL contains `fragment` as droppable
+    /// under shed pressure. An empty fragment marks none.
     #[must_use]
-    pub fn deadline_default_ms(mut self, ms: u64) -> Self {
-        self.deadline_default_ms = ms.max(1);
+    pub fn droppable_path(mut self, fragment: &'static str) -> Self {
+        self.droppable_path = (!fragment.is_empty()).then_some(fragment);
         self
     }
 }
@@ -266,10 +261,10 @@ impl OverloadPolicy {
 /// Callers that find every slot taken wait in a bounded queue — each
 /// turn advances the *simulated* clock by the configured wait — and are
 /// rejected with [`ProxyErrorKind::Overloaded`] once the queue is
-/// exhausted too. The cap and the in-flight count are atomics, and a
-/// slot is taken by compare-and-swap, so a free bulkhead takes no lock.
+/// exhausted too. The in-flight count is an atomic and a slot is taken
+/// by compare-and-swap, so a free bulkhead takes no lock.
 pub struct Bulkhead {
-    cap: AtomicU32,
+    cap: u32,
     in_flight: AtomicU32,
 }
 
@@ -277,20 +272,14 @@ impl Bulkhead {
     /// A bulkhead with `cap` concurrent slots.
     pub fn new(cap: u32) -> Self {
         Self {
-            cap: AtomicU32::new(cap.max(1)),
+            cap: cap.max(1),
             in_flight: AtomicU32::new(0),
         }
     }
 
-    /// Re-tunes the cap at run time (the property plane). Does not evict
-    /// calls already in flight.
-    pub fn configure(&self, cap: u32) {
-        self.cap.store(cap.max(1), Ordering::Relaxed);
-    }
-
     /// The configured concurrency cap.
     pub fn cap(&self) -> u32 {
-        self.cap.load(Ordering::Relaxed)
+        self.cap
     }
 
     /// Calls currently holding a slot.
@@ -300,7 +289,7 @@ impl Bulkhead {
 
     /// Takes a slot immediately if one is free.
     pub fn try_acquire(&self) -> Option<BulkheadPermit<'_>> {
-        let cap = self.cap();
+        let cap = self.cap;
         self.in_flight
             .fetch_update(Ordering::Acquire, Ordering::Relaxed, |n| {
                 (n < cap).then_some(n + 1)
@@ -376,8 +365,7 @@ impl AdmissionController {
         }
     }
 
-    /// Reseeds the coin-flip stream and reopens the gate (property
-    /// `shed.seed`).
+    /// Reseeds the coin-flip stream and reopens the gate.
     pub fn reseed(&self, seed: u64) {
         let mut coin = self.coin.lock();
         *coin = seed;
@@ -483,9 +471,6 @@ impl OverloadMetrics {
 // Engine
 // ---------------------------------------------------------------------
 
-/// The property family name in `BadPropertyValue` messages.
-const LAYER: &str = "overload";
-
 /// Stated inaccuracy of a coarsened (Minimal-tier) degraded fix.
 pub(crate) const COARSE_ACCURACY_M: f64 = 500.0;
 
@@ -495,17 +480,9 @@ pub(crate) const DEGRADED_HTTP_STATUS: u16 = 202;
 /// One proxy's deadline/bulkhead/shedding engine: the overload layer of
 /// its layer stack. Sits *outside* the resilience layer, so a shed
 /// call never spends retry budget.
-///
-/// Each [`OverloadPolicy`] knob is one atomic (the bulkhead holds
-/// `max_concurrency` as its cap), so reading the policy takes no lock.
 pub struct OverloadEngine {
     device: Device,
-    queue_depth: AtomicU32,
-    queue_wait_ms: AtomicU64,
-    shed_enabled: AtomicBool,
-    target_ms: AtomicU64,
-    shed_seed: AtomicU64,
-    deadline_default_ms: AtomicU64,
+    policy: OverloadPolicy,
     bulkhead: Bulkhead,
     admission: AdmissionController,
     metrics: Arc<OverloadMetrics>,
@@ -517,30 +494,16 @@ impl OverloadEngine {
     pub fn new(device: Device, policy: OverloadPolicy, metrics: Arc<OverloadMetrics>) -> Self {
         Self {
             device,
-            queue_depth: AtomicU32::new(policy.queue_depth),
-            queue_wait_ms: AtomicU64::new(policy.queue_wait_ms),
-            shed_enabled: AtomicBool::new(policy.shed_enabled),
-            target_ms: AtomicU64::new(policy.target_ms),
-            shed_seed: AtomicU64::new(policy.shed_seed),
-            deadline_default_ms: AtomicU64::new(policy.deadline_default_ms),
+            policy,
             bulkhead: Bulkhead::new(policy.max_concurrency),
             admission: AdmissionController::new(policy.shed_seed),
             metrics,
         }
     }
 
-    /// The current policy, read knob by knob.
+    /// The policy the engine was built with.
     pub fn policy(&self) -> OverloadPolicy {
-        let load = |knob: &AtomicU64| knob.load(Ordering::Relaxed);
-        OverloadPolicy {
-            max_concurrency: self.bulkhead.cap(),
-            queue_depth: self.queue_depth.load(Ordering::Relaxed),
-            queue_wait_ms: load(&self.queue_wait_ms),
-            shed_enabled: self.shed_enabled.load(Ordering::Relaxed),
-            target_ms: load(&self.target_ms),
-            shed_seed: load(&self.shed_seed),
-            deadline_default_ms: load(&self.deadline_default_ms),
-        }
+        self.policy
     }
 
     /// The engine's counter block.
@@ -567,9 +530,9 @@ impl OverloadEngine {
     /// is open (tightened against the default budget's expiry never —
     /// the ambient caller knows best), else a fresh default-budget
     /// deadline opened now.
-    fn resolve_deadline(&self, policy: &OverloadPolicy) -> Deadline {
+    fn resolve_deadline(&self) -> Deadline {
         current_deadline()
-            .unwrap_or_else(|| Deadline::after(self.device.now_ms(), policy.deadline_default_ms))
+            .unwrap_or_else(|| Deadline::after(self.device.now_ms(), DEFAULT_DEADLINE_MS))
     }
 
     /// Runs `call` under deadline fail-fast, admission control and the
@@ -594,8 +557,8 @@ impl OverloadEngine {
         call: &dyn Fn() -> Result<T, ProxyError>,
         mut span: Option<&mut ActiveSpan>,
     ) -> Result<T, ProxyError> {
-        let policy = self.policy();
-        let deadline = self.resolve_deadline(&policy);
+        let policy = &self.policy;
+        let deadline = self.resolve_deadline();
 
         // 1. Deadline fail-fast: a call whose budget is already gone
         //    must not touch the binding plane at all.
@@ -640,7 +603,7 @@ impl OverloadEngine {
         }
 
         // 3. Bulkhead: take a slot, waiting bounded simulated turns.
-        let permit = self.acquire_slot(&policy, &deadline, span)?;
+        let permit = self.acquire_slot(&deadline, span)?;
 
         // 4. Run the call with the deadline ambient for the layers
         //    below (retry loop, bindings, the JS bridge).
@@ -658,10 +621,10 @@ impl OverloadEngine {
 
     fn acquire_slot(
         &self,
-        policy: &OverloadPolicy,
         deadline: &Deadline,
         mut span: Option<&mut ActiveSpan>,
     ) -> Result<BulkheadPermit<'_>, ProxyError> {
+        let policy = &self.policy;
         let mut waits: u32 = 0;
         loop {
             if let Some(permit) = self.bulkhead.try_acquire() {
@@ -709,43 +672,6 @@ impl OverloadEngine {
         }
     }
 
-    /// Intercepts the overload property keys; returns `None` for keys
-    /// that belong to the layers below.
-    pub fn try_set_policy_property(
-        &self,
-        key: &str,
-        value: &PropertyValue,
-    ) -> Option<Result<(), ProxyError>> {
-        let store = |cell: &AtomicU64, min: i64| {
-            knob(LAYER, key, value, min).map(|n| cell.store(n, Ordering::Relaxed))
-        };
-        let result = match key {
-            "bulkhead.max_concurrency" => {
-                knob(LAYER, key, value, 1).map(|n| self.bulkhead.configure(n))
-            }
-            "bulkhead.queue_depth" => {
-                knob(LAYER, key, value, 0).map(|n| self.queue_depth.store(n, Ordering::Relaxed))
-            }
-            "bulkhead.queue_wait_ms" => store(&self.queue_wait_ms, 1),
-            "shed.enabled" => value
-                .parse_bool()
-                .map(|enabled| self.shed_enabled.store(enabled, Ordering::Relaxed))
-                .ok_or_else(|| bad_value(LAYER, key, value)),
-            "shed.target_ms" => store(&self.target_ms, 1),
-            // Any integer seeds the coin-flip stream; negatives wrap.
-            "shed.seed" => value
-                .parse_int()
-                .map(|n| {
-                    self.shed_seed.store(n as u64, Ordering::Relaxed);
-                    self.admission.reseed(n as u64);
-                })
-                .ok_or_else(|| bad_value(LAYER, key, value)),
-            "deadline.default_ms" => store(&self.deadline_default_ms, 1),
-            _ => return None,
-        };
-        Some(result)
-    }
-
     /// Absorbs a shed `getLocation` into `cached`, the last fix the
     /// layer below answered: the Reduced tier serves it as-is, the
     /// Minimal tier coarsens its stated accuracy to at least 500 m.
@@ -767,17 +693,16 @@ impl OverloadEngine {
         }
     }
 
-    /// Absorbs a shed request whose URL contains the `droppable`
-    /// fragment (`shed.droppable_path`) into a synthetic `202 Accepted`
-    /// carrying an `X-Mobivine-Degraded` header: the enrichment is
-    /// dropped, the caller proceeds. Other sheds surface.
+    /// Absorbs a shed request whose URL contains the policy's
+    /// [`OverloadPolicy::droppable_path`] into a synthetic
+    /// `202 Accepted` carrying an `X-Mobivine-Degraded` header: the
+    /// enrichment is dropped, the caller proceeds. Other sheds surface.
     pub(crate) fn degrade_http(
         &self,
-        droppable: Option<&str>,
         url: &str,
         shed: ProxyError,
     ) -> Result<HttpResult, ProxyError> {
-        match droppable {
+        match self.policy.droppable_path {
             Some(fragment) if shed.kind().is_load_shed() && url.contains(fragment) => {
                 self.metrics.note_degraded();
                 Ok(HttpResult {
@@ -795,6 +720,7 @@ impl OverloadEngine {
 mod tests {
     use super::*;
     use crate::api::{HttpProxy, LocationProxy, ProxyBase};
+    use crate::property::PropertyValue;
     use crate::stack::tests::layered;
     use crate::stack::{Interface, LayerPolicies, Layered};
     use crate::types::SharedProximityListener;
@@ -1216,47 +1142,23 @@ mod tests {
     }
 
     #[test]
-    fn policy_is_tunable_through_the_property_plane() {
-        let dev = device();
-        let proxy = overloaded(&dev, 0, OverloadPolicy::default());
-        proxy
-            .set_property("bulkhead.max_concurrency", PropertyValue::Int(3))
-            .unwrap();
-        assert_eq!(engine(&proxy).bulkhead().cap(), 3);
-        proxy
-            .set_property("shed.enabled", PropertyValue::Bool(false))
-            .unwrap();
-        assert!(!engine(&proxy).policy().shed_enabled);
-        proxy
-            .set_property("shed.target_ms", PropertyValue::str("512"))
-            .unwrap();
-        assert_eq!(engine(&proxy).policy().target_ms, 512);
-        proxy
-            .set_property("deadline.default_ms", PropertyValue::Int(2_000))
-            .unwrap();
-        assert_eq!(engine(&proxy).policy().deadline_default_ms, 2_000);
-        let err = proxy
-            .set_property("bulkhead.max_concurrency", PropertyValue::Int(0))
-            .unwrap_err();
-        assert_eq!(err.kind(), ProxyErrorKind::BadPropertyValue);
-        // Non-overload keys flow to the wrapped proxy.
-        proxy
-            .set_property("provider", PropertyValue::str("gps"))
-            .unwrap();
-    }
-
-    #[test]
     fn reseeding_reopens_the_gate_deterministically() {
         let dev = device();
         let proxy = overloaded(&dev, 0, OverloadPolicy::default());
+        let admission = engine(&proxy).admission();
         for _ in 0..20 {
-            engine(&proxy).admission().observe(1_000, 100);
+            admission.observe(1_000, 100);
         }
-        assert!(engine(&proxy).admission().rate() < ADMIT_SCALE);
-        proxy
-            .set_property("shed.seed", PropertyValue::Int(99))
-            .unwrap();
-        assert_eq!(engine(&proxy).admission().rate(), ADMIT_SCALE);
+        assert!(admission.rate() < ADMIT_SCALE);
+        admission.reseed(99);
+        assert_eq!(admission.rate(), ADMIT_SCALE);
+        // From here on the gate replays a fresh controller seeded alike.
+        let fresh = AdmissionController::new(99);
+        admission.observe(1_000, 100);
+        fresh.observe(1_000, 100);
+        let a: Vec<bool> = (0..32).map(|_| admission.admit()).collect();
+        let b: Vec<bool> = (0..32).map(|_| fresh.admit()).collect();
+        assert_eq!(a, b);
     }
 
     // ---- HTTP degradation --------------------------------------------
@@ -1297,11 +1199,11 @@ mod tests {
                 device: dev.clone(),
                 service_ms: 1_000,
             }),
-            OverloadPolicy::default().target_ms(50).shed_seed(4),
+            OverloadPolicy::default()
+                .target_ms(50)
+                .shed_seed(4)
+                .droppable_path("/enrich"),
         );
-        proxy
-            .set_property("shed.droppable_path", PropertyValue::str("/enrich"))
-            .unwrap();
         let mut degraded = 0u32;
         let mut hard_sheds = 0u32;
         for i in 0..200 {

@@ -77,36 +77,6 @@ impl PropertyValue {
         }
     }
 
-    /// The value as an integer: an `Int`, or a `Str` that parses as one
-    /// (JavaScript and descriptor defaults deliver numbers as strings).
-    pub fn parse_int(&self) -> Option<i64> {
-        match self {
-            PropertyValue::Int(i) => Some(*i),
-            PropertyValue::Str(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a float: an `Int`, or a `Str` that parses as one.
-    pub fn parse_float(&self) -> Option<f64> {
-        match self {
-            PropertyValue::Int(i) => Some(*i as f64),
-            PropertyValue::Str(s) => s.parse().ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as a boolean: a `Bool`, an `Int` (non-zero is true),
-    /// or a `Str` spelling `true`/`false`.
-    pub fn parse_bool(&self) -> Option<bool> {
-        match self {
-            PropertyValue::Bool(b) => Some(*b),
-            PropertyValue::Int(i) => Some(*i != 0),
-            PropertyValue::Str(s) => s.parse().ok(),
-            PropertyValue::Opaque(_) => None,
-        }
-    }
-
     /// The value rendered as a string for constraint checking.
     fn constraint_repr(&self) -> Option<String> {
         match self {
@@ -127,33 +97,6 @@ impl fmt::Debug for PropertyValue {
             PropertyValue::Opaque(_) => write!(f, "Opaque(..)"),
         }
     }
-}
-
-/// The error a policy layer returns for a knob it owns but cannot set
-/// to `value` (`layer` names the family: `"resilience"`, `"overload"`,
-/// `"cache"`).
-pub(crate) fn bad_value(layer: &str, key: &str, value: &PropertyValue) -> ProxyError {
-    ProxyError::new(
-        ProxyErrorKind::BadPropertyValue,
-        format!("{layer} property '{key}' cannot take value {value:?}"),
-    )
-}
-
-/// Parses a numeric policy knob: an integer no smaller than `min` that
-/// fits `T` without truncation. `Int(1 << 32)` arriving over the
-/// WebView bridge is a `BadPropertyValue` for a `u32` knob, never a
-/// silent zero.
-pub(crate) fn knob<T: TryFrom<i64>>(
-    layer: &str,
-    key: &str,
-    value: &PropertyValue,
-    min: i64,
-) -> Result<T, ProxyError> {
-    value
-        .parse_int()
-        .filter(|n| *n >= min)
-        .and_then(|n| T::try_from(n).ok())
-        .ok_or_else(|| bad_value(layer, key, value))
 }
 
 /// A descriptor-validated property store, one per proxy instance. The

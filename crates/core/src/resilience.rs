@@ -17,12 +17,12 @@
 //!   its old timestamp) and then to a configured default position;
 //! * reports what it did through shared [`ResilienceMetrics`] counters.
 //!
-//! Policy knobs are also reachable through the ordinary property plane
-//! (`setProperty("retry.max_attempts", 5)`, …) so applications tune
-//! resilience exactly the way they tune `powerConsumption` or
-//! `pollInterval`.
+//! The knobs are a [`ResiliencePolicy`] handed to
+//! [`crate::registry::MobivineBuilder::with_resilience`], fixed once the
+//! runtime is built. The property plane stays with the platform
+//! properties such as `powerConsumption` or `pollInterval`.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -31,7 +31,6 @@ use mobivine_device::Device;
 use mobivine_telemetry::span::ActiveSpan;
 
 use crate::error::{ProxyError, ProxyErrorKind};
-use crate::property::{bad_value, knob, PropertyValue};
 use crate::stack::CallMeta;
 use crate::telemetry::{layer_counters, layer_span};
 use crate::types::Location;
@@ -60,31 +59,25 @@ fn splitmix64(mut x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Tunable knobs for the resilience layer.
-///
-/// Every field is also settable at run time through the property plane;
-/// the property keys are listed on each builder method.
+/// Tunable knobs for the resilience layer, fixed when the runtime is
+/// built.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ResiliencePolicy {
-    /// Total attempts per call, including the first (`retry.max_attempts`).
+    /// Total attempts per call, including the first.
     pub max_attempts: u32,
-    /// Base backoff before the second attempt; doubles per retry
-    /// (`retry.backoff_ms`).
+    /// Base backoff before the second attempt; doubles per retry.
     pub backoff_base_ms: u64,
-    /// Per-call budget of simulated time for retries (`retry.deadline_ms`).
+    /// Per-call budget of simulated time for retries.
     pub deadline_ms: u64,
-    /// Seed for the deterministic backoff jitter (`retry.jitter_seed`).
+    /// Seed for the deterministic backoff jitter.
     pub jitter_seed: u64,
-    /// Consecutive failures that open the circuit (`circuit.threshold`).
+    /// Consecutive failures that open the circuit.
     pub circuit_threshold: u32,
-    /// How long an open circuit rejects before a half-open probe
-    /// (`circuit.cooldown_ms`).
+    /// How long an open circuit rejects before a half-open probe.
     pub circuit_cooldown_ms: u64,
-    /// Last-resort latitude for the Location fallback chain
-    /// (`fallback.latitude`).
+    /// Last-resort latitude for the Location fallback chain.
     pub fallback_latitude: Option<f64>,
-    /// Last-resort longitude for the Location fallback chain
-    /// (`fallback.longitude`).
+    /// Last-resort longitude for the Location fallback chain.
     pub fallback_longitude: Option<f64>,
 }
 
@@ -104,43 +97,42 @@ impl Default for ResiliencePolicy {
 }
 
 impl ResiliencePolicy {
-    /// Sets the total attempts per call (property `retry.max_attempts`).
+    /// Sets the total attempts per call.
     #[must_use]
     pub fn max_attempts(mut self, attempts: u32) -> Self {
         self.max_attempts = attempts.max(1);
         self
     }
 
-    /// Sets the base backoff in milliseconds (property `retry.backoff_ms`).
+    /// Sets the base backoff in milliseconds.
     #[must_use]
     pub fn backoff_base_ms(mut self, ms: u64) -> Self {
         self.backoff_base_ms = ms;
         self
     }
 
-    /// Sets the per-call retry deadline (property `retry.deadline_ms`).
+    /// Sets the per-call retry deadline.
     #[must_use]
     pub fn deadline_ms(mut self, ms: u64) -> Self {
         self.deadline_ms = ms;
         self
     }
 
-    /// Sets the jitter seed (property `retry.jitter_seed`).
+    /// Sets the jitter seed.
     #[must_use]
     pub fn jitter_seed(mut self, seed: u64) -> Self {
         self.jitter_seed = seed;
         self
     }
 
-    /// Sets the circuit-opening failure threshold (property
-    /// `circuit.threshold`).
+    /// Sets the circuit-opening failure threshold.
     #[must_use]
     pub fn circuit_threshold(mut self, failures: u32) -> Self {
         self.circuit_threshold = failures.max(1);
         self
     }
 
-    /// Sets the open-circuit cooldown (property `circuit.cooldown_ms`).
+    /// Sets the open-circuit cooldown.
     #[must_use]
     pub fn circuit_cooldown_ms(mut self, ms: u64) -> Self {
         self.circuit_cooldown_ms = ms;
@@ -148,8 +140,7 @@ impl ResiliencePolicy {
     }
 
     /// Sets the configured default position terminating the Location
-    /// fallback chain (properties `fallback.latitude` /
-    /// `fallback.longitude`).
+    /// fallback chain.
     #[must_use]
     pub fn fallback_position(mut self, latitude: f64, longitude: f64) -> Self {
         self.fallback_latitude = Some(latitude);
@@ -214,9 +205,8 @@ struct BreakerInner {
 /// [`admit`]: CircuitBreaker::admit
 /// [`record_success`]: CircuitBreaker::record_success
 pub struct CircuitBreaker {
-    /// Re-tuned at run time by the engine's property plane.
-    threshold: AtomicU32,
-    cooldown_ms: AtomicU64,
+    threshold: u32,
+    cooldown_ms: u64,
     /// Closed with zero consecutive failures, so no probe is out: the
     /// state in which `admit` and `record_success` change nothing.
     /// Written only under `inner`'s lock.
@@ -230,8 +220,8 @@ impl CircuitBreaker {
     /// consecutive failures and probes again `cooldown_ms` later.
     pub fn new(threshold: u32, cooldown_ms: u64) -> Self {
         Self {
-            threshold: AtomicU32::new(threshold.max(1)),
-            cooldown_ms: AtomicU64::new(cooldown_ms),
+            threshold: threshold.max(1),
+            cooldown_ms,
             clean: AtomicBool::new(true),
             inner: Mutex::new(BreakerInner {
                 consecutive_failures: 0,
@@ -299,8 +289,7 @@ impl CircuitBreaker {
                 true
             }
             CircuitState::Open => {
-                let cooldown = self.cooldown_ms.load(Ordering::Relaxed);
-                if now_ms >= inner.opened_at_ms.saturating_add(cooldown) {
+                if now_ms >= inner.opened_at_ms.saturating_add(self.cooldown_ms) {
                     self.transition(&mut inner, CircuitState::HalfOpen);
                     true
                 } else {
@@ -342,7 +331,7 @@ impl CircuitBreaker {
             CircuitState::HalfOpen => true,
             CircuitState::Closed => {
                 inner.consecutive_failures += 1;
-                inner.consecutive_failures >= self.threshold.load(Ordering::Relaxed)
+                inner.consecutive_failures >= self.threshold
             }
             CircuitState::Open => false,
         };
@@ -394,38 +383,11 @@ layer_counters! {
     }
 }
 
-/// The property family name in `BadPropertyValue` messages.
-const LAYER: &str = "resilience";
-
-/// Stored in place of a fallback coordinate that is not set. No `f64` a
-/// caller supplies has these bits: a NaN is stored canonical.
-const UNSET_COORDINATE: u64 = u64::MAX;
-
-fn coordinate_bits(value: Option<f64>) -> u64 {
-    value.map_or(UNSET_COORDINATE, |v| {
-        if v.is_nan() { f64::NAN } else { v }.to_bits()
-    })
-}
-
-fn coordinate(cell: &AtomicU64) -> Option<f64> {
-    let bits = cell.load(Ordering::Relaxed);
-    (bits != UNSET_COORDINATE).then(|| f64::from_bits(bits))
-}
-
 /// One proxy's retry/breaker engine: the resilience layer of its
 /// layer stack.
-///
-/// Each [`ResiliencePolicy`] knob is one atomic (the breaker holds the
-/// `circuit.*` pair, a fallback coordinate is stored as its bits), so
-/// reading the policy takes no lock.
 pub(crate) struct ResilienceEngine {
     device: Device,
-    max_attempts: AtomicU32,
-    backoff_base_ms: AtomicU64,
-    deadline_ms: AtomicU64,
-    jitter_seed: AtomicU64,
-    fallback_latitude: AtomicU64,
-    fallback_longitude: AtomicU64,
+    policy: ResiliencePolicy,
     pub(crate) breaker: CircuitBreaker,
     pub(crate) metrics: Arc<ResilienceMetrics>,
     /// Per-call salt source so two calls with the same policy seed
@@ -458,31 +420,16 @@ impl ResilienceEngine {
     ) -> Self {
         Self {
             device,
-            max_attempts: AtomicU32::new(policy.max_attempts),
-            backoff_base_ms: AtomicU64::new(policy.backoff_base_ms),
-            deadline_ms: AtomicU64::new(policy.deadline_ms),
-            jitter_seed: AtomicU64::new(policy.jitter_seed),
-            fallback_latitude: AtomicU64::new(coordinate_bits(policy.fallback_latitude)),
-            fallback_longitude: AtomicU64::new(coordinate_bits(policy.fallback_longitude)),
+            policy,
             breaker: CircuitBreaker::new(policy.circuit_threshold, policy.circuit_cooldown_ms),
             metrics,
             seq: AtomicU64::new(0),
         }
     }
 
-    /// The current policy, read knob by knob.
+    /// The policy the engine was built with.
     pub(crate) fn policy(&self) -> ResiliencePolicy {
-        let load = |knob: &AtomicU64| knob.load(Ordering::Relaxed);
-        ResiliencePolicy {
-            max_attempts: self.max_attempts.load(Ordering::Relaxed),
-            backoff_base_ms: load(&self.backoff_base_ms),
-            deadline_ms: load(&self.deadline_ms),
-            jitter_seed: load(&self.jitter_seed),
-            circuit_threshold: self.breaker.threshold.load(Ordering::Relaxed),
-            circuit_cooldown_ms: load(&self.breaker.cooldown_ms),
-            fallback_latitude: coordinate(&self.fallback_latitude),
-            fallback_longitude: coordinate(&self.fallback_longitude),
-        }
+        self.policy
     }
 
     /// Runs `call` under the retry policy and circuit breaker,
@@ -509,7 +456,7 @@ impl ResilienceEngine {
         call: &dyn Fn() -> Result<T, ProxyError>,
         mut span: Option<&mut ActiveSpan>,
     ) -> Result<T, FailureMode> {
-        let policy = self.policy();
+        let policy = &self.policy;
         self.metrics.calls.inc();
         if !self.breaker.admit(self.device.now_ms()) {
             self.metrics.circuit_rejections.inc();
@@ -614,42 +561,6 @@ impl ResilienceEngine {
         }
     }
 
-    /// Intercepts the resilience property keys; returns `None` for keys
-    /// that belong to the layers below.
-    pub(crate) fn try_set_policy_property(
-        &self,
-        key: &str,
-        value: &PropertyValue,
-    ) -> Option<Result<(), ProxyError>> {
-        let store = |cell: &AtomicU64, min: i64| {
-            knob(LAYER, key, value, min).map(|n| cell.store(n, Ordering::Relaxed))
-        };
-        let store_count =
-            |cell: &AtomicU32| knob(LAYER, key, value, 1).map(|n| cell.store(n, Ordering::Relaxed));
-        let coordinate = |cell: &AtomicU64| {
-            value
-                .parse_float()
-                .map(|v| cell.store(coordinate_bits(Some(v)), Ordering::Relaxed))
-                .ok_or_else(|| bad_value(LAYER, key, value))
-        };
-        let result = match key {
-            "retry.max_attempts" => store_count(&self.max_attempts),
-            "retry.backoff_ms" => store(&self.backoff_base_ms, 0),
-            "retry.deadline_ms" => store(&self.deadline_ms, 0),
-            // Any integer seeds the jitter stream; negatives wrap.
-            "retry.jitter_seed" => value
-                .parse_int()
-                .map(|n| self.jitter_seed.store(n as u64, Ordering::Relaxed))
-                .ok_or_else(|| bad_value(LAYER, key, value)),
-            "circuit.threshold" => store_count(&self.breaker.threshold),
-            "circuit.cooldown_ms" => store(&self.breaker.cooldown_ms, 0),
-            "fallback.latitude" => coordinate(&self.fallback_latitude),
-            "fallback.longitude" => coordinate(&self.fallback_longitude),
-            _ => return None,
-        };
-        Some(result)
-    }
-
     /// Serves the Location fallback chain after a degraded failure: the
     /// last genuine fix (stale — its timestamp predates now), then the
     /// configured default position (infinite stated inaccuracy).
@@ -686,6 +597,7 @@ impl ResilienceEngine {
 mod tests {
     use super::*;
     use crate::api::{LocationProxy, ProxyBase};
+    use crate::property::PropertyValue;
     use crate::stack::tests::layered;
     use crate::stack::{LayerPolicies, Layered};
     use crate::types::SharedProximityListener;
@@ -1088,27 +1000,6 @@ mod tests {
             proxy.get_location().unwrap_err().kind(),
             ProxyErrorKind::Security
         );
-    }
-
-    #[test]
-    fn policy_is_tunable_through_the_property_plane() {
-        let proxy = resilient(
-            Flaky::new(4, ProxyErrorKind::Unavailable),
-            ResiliencePolicy::default().max_attempts(1),
-        );
-        proxy
-            .set_property("retry.max_attempts", PropertyValue::Int(5))
-            .unwrap();
-        proxy
-            .set_property("retry.backoff_ms", PropertyValue::str("50"))
-            .unwrap();
-        proxy.get_location().expect("5 attempts now allowed");
-        assert_eq!(engine(&proxy).policy().max_attempts, 5);
-        assert_eq!(engine(&proxy).policy().backoff_base_ms, 50);
-        let err = proxy
-            .set_property("circuit.threshold", PropertyValue::str("zero"))
-            .unwrap_err();
-        assert_eq!(err.kind(), ProxyErrorKind::BadPropertyValue);
     }
 
     #[test]

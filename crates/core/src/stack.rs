@@ -39,10 +39,10 @@ use crate::api::{
 use crate::cache::{CacheCell, CacheEngine, CacheMetrics, CachePolicy};
 use crate::error::ProxyError;
 use crate::journal::{
-    current_idempotency_key, url_with_idempotency_key, JournalEngine, JournalMetrics, JournalPolicy,
+    current_idempotency_key, url_with_idempotency_key, JournalEngine, JournalMetrics,
 };
 use crate::overload::{OverloadEngine, OverloadMetrics, OverloadPolicy};
-use crate::property::{bad_value, PropertyValue};
+use crate::property::PropertyValue;
 use crate::registry::ProxyApi;
 use crate::resilience::{FailureMode, ResilienceEngine, ResilienceMetrics, ResiliencePolicy};
 use crate::telemetry::{Instrument, TelemetryRuntime};
@@ -83,9 +83,8 @@ pub(crate) enum Layer {
     TraceBinding,
 }
 
-/// The canonical layer order, outermost first. Calls descend it,
-/// `setProperty` keys are routed down it, and every proxy's engines are
-/// built from it.
+/// The canonical layer order, outermost first. Calls descend it and
+/// every proxy's engines are built from it.
 pub(crate) const ORDER: [Layer; 6] = [
     Layer::TraceProxy,
     Layer::Cache,
@@ -205,13 +204,14 @@ const fn indexed(methods: &'static [CallMeta]) -> &'static [CallMeta] {
 // Runtime-wide wiring
 // ---------------------------------------------------------------------
 
-/// What the builder recorded: one slot per layer, `None` = off.
+/// What the builder recorded: one slot per layer, `None` = off. The
+/// journal layer has no knob, so its slot is a switch.
 #[derive(Default)]
 pub(crate) struct LayerPolicies {
     pub(crate) telemetry: Option<TelemetryRuntime>,
     pub(crate) cache: Option<CachePolicy>,
     pub(crate) overload: Option<OverloadPolicy>,
-    pub(crate) journal: Option<JournalPolicy>,
+    pub(crate) journal: bool,
     pub(crate) resilience: Option<ResiliencePolicy>,
 }
 
@@ -238,7 +238,7 @@ impl Layers {
             cache: (policies.cache.as_ref()).map(|_| home(registry, CacheMetrics::on_registry)),
             overload: (policies.overload.as_ref())
                 .map(|_| home(registry, OverloadMetrics::on_registry)),
-            journal: (policies.journal.as_ref()).map(|_| {
+            journal: policies.journal.then(|| {
                 Arc::new(JournalEngine::new(home(
                     registry,
                     JournalMetrics::on_registry,
@@ -391,46 +391,6 @@ impl Stack {
             },
         }
     }
-
-    /// Routes one `setProperty` down the declared order. The trace
-    /// planes forward untraced (configuration, not a platform call); the
-    /// cache claims `cache.*` keys and flushes on success — and flushes
-    /// before forwarding any other key, because a write is a mutation
-    /// signal whether or not it lands; overload claims its keys plus the
-    /// interface's own; the journal claims none; resilience claims its
-    /// keys; `forward` hands the rest to the binding.
-    fn set_property<P: ?Sized + Interface>(
-        &self,
-        memo: &P::Memo,
-        key: &str,
-        value: PropertyValue,
-        forward: impl FnOnce(&str, PropertyValue) -> Reply<()>,
-    ) -> Reply<()> {
-        for layer in ORDER {
-            let claimed = match layer {
-                Layer::TraceProxy | Layer::Journal | Layer::TraceBinding => None,
-                Layer::Cache => self.cache.as_ref().and_then(|engine| {
-                    let claimed = engine.try_set_property(key, &value);
-                    if !matches!(claimed, Some(Err(_))) {
-                        P::flush(memo, engine);
-                    }
-                    claimed
-                }),
-                Layer::Overload => self.overload.as_ref().and_then(|engine| {
-                    P::claim_overload_key(memo, key, &value)
-                        .or_else(|| engine.try_set_policy_property(key, &value))
-                }),
-                Layer::Resilience => self
-                    .resilience
-                    .as_ref()
-                    .and_then(|engine| engine.try_set_policy_property(key, &value)),
-            };
-            if let Some(result) = claimed {
-                return result;
-            }
-        }
-        forward(key, value)
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -493,15 +453,6 @@ pub(crate) trait Interface: ProxyApi + ProxyBase {
 
     /// The cache layer's flush of the interface's cells.
     fn flush(_memo: &Self::Memo, _cache: &CacheEngine) {}
-
-    /// Claims an interface-specific overload knob.
-    fn claim_overload_key(
-        _memo: &Self::Memo,
-        _key: &str,
-        _value: &PropertyValue,
-    ) -> Option<Reply<()>> {
-        None
-    }
 }
 
 /// The one layered decorator of a uniform interface: the bare binding,
@@ -513,10 +464,14 @@ pub(crate) struct Layered<P: ?Sized + Interface> {
 }
 
 impl<P: ?Sized + Interface> ProxyBase for Layered<P> {
+    /// The cache flushes first, because a write is a mutation signal
+    /// whether or not it lands; then the binding gets the key. No layer
+    /// claims a key: each is configured once, by its builder policy.
     fn set_property(&self, key: &str, value: PropertyValue) -> Reply<()> {
-        let forward = |key: &str, value| self.inner.set_property(key, value);
-        self.stack
-            .set_property::<P>(&self.memo, key, value, forward)
+        if let Some(engine) = &self.stack.cache {
+            P::flush(&self.memo, engine);
+        }
+        self.inner.set_property(key, value)
     }
 }
 
@@ -784,38 +739,21 @@ const REQUEST: CallMeta = call_meta!(0, "Http", "request").mutating();
 /// The HTTP hook of one request: the droppable-path degrade, keyed by
 /// the URL the caller asked for.
 struct Submit<'a> {
-    /// The URL fragment marking droppable enrichment
-    /// (`shed.droppable_path`).
-    droppable: &'a Mutex<Option<String>>,
     url: &'a str,
 }
 
 impl Hooks<HttpResult> for Submit<'_> {
     fn overload(&self, engine: &OverloadEngine, result: Reply<HttpResult>) -> Reply<HttpResult> {
-        result.or_else(|shed| engine.degrade_http(self.droppable.lock().as_deref(), self.url, shed))
+        result.or_else(|shed| engine.degrade_http(self.url, shed))
     }
 }
 
 impl Interface for dyn HttpProxy {
     const METHODS: &'static [CallMeta] = indexed(&[REQUEST]);
-    type Memo = Mutex<Option<String>>;
+    type Memo = ();
 
     fn erase(layered: Layered<Self>) -> Arc<Self> {
         Arc::new(layered)
-    }
-
-    fn claim_overload_key(
-        memo: &Self::Memo,
-        key: &str,
-        value: &PropertyValue,
-    ) -> Option<Reply<()>> {
-        (key == "shed.droppable_path").then(|| match value.as_str() {
-            Some(fragment) => {
-                *memo.lock() = (!fragment.is_empty()).then(|| fragment.to_owned());
-                Ok(())
-            }
-            None => Err(bad_value("overload", key, value)),
-        })
     }
 }
 
@@ -836,11 +774,7 @@ impl Layered<dyn HttpProxy> {
 impl HttpProxy for Layered<dyn HttpProxy> {
     fn request(&self, method: &str, url: &str, body: &[u8]) -> Reply<HttpResult> {
         let wire = self.wire_url(url);
-        let hooks = Submit {
-            droppable: &self.memo,
-            url,
-        };
-        self.stack.run(&REQUEST, &hooks, &|| {
+        self.stack.run(&REQUEST, &Submit { url }, &|| {
             self.inner.request(method, &wire, body)
         })
     }
@@ -1068,7 +1002,7 @@ pub(crate) mod tests {
             telemetry: Some(TelemetryRuntime::new(Arc::clone(device.metrics()))),
             cache: Some(CachePolicy::default()),
             overload: Some(OverloadPolicy::default()),
-            journal: Some(JournalPolicy::default()),
+            journal: true,
             resilience: Some(ResiliencePolicy::default()),
         }
     }
@@ -1233,7 +1167,7 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn set_property_is_claimed_down_the_declared_order() {
+    fn set_property_flushes_the_cache_and_forwards_every_key() {
         let device = Device::builder().build();
         let layers = Layers::new(every_layer(&device));
         let cache = Arc::clone(layers.cache.as_ref().unwrap());
@@ -1242,42 +1176,107 @@ pub(crate) mod tests {
         let http = wrap::<dyn HttpProxy>(binding.clone(), &layers, &device, "test");
         let str = PropertyValue::str;
 
-        // The cache claims its own knobs and flushes on success.
+        // The cache flushes before forwarding any key, and no layer
+        // claims one: a retired layer key reaches the binding too.
         location.get_location().unwrap();
-        location
-            .set_property("cache.ttl_ms", PropertyValue::Int(500))
-            .unwrap();
+        location.set_property("provider", str("gps")).unwrap();
         assert_eq!(cache.snapshot().invalidated, 1);
-        let err = location.set_property("cache.ttl_ms", PropertyValue::Int(-1));
-        assert_eq!(err.unwrap_err().kind(), ProxyErrorKind::BadPropertyValue);
-        // It flushes before forwarding any other key, claimed or not.
         location.get_location().unwrap();
-        location
-            .set_property("bulkhead.max_concurrency", PropertyValue::Int(4))
-            .unwrap();
-        assert_eq!(cache.snapshot().invalidated, 2);
         location
             .set_property("retry.max_attempts", PropertyValue::Int(4))
             .unwrap();
-        location.set_property("provider", str("gps")).unwrap();
-        // `shed.droppable_path` is an HTTP knob: Location forwards it.
-        location
-            .set_property("shed.droppable_path", str("/x"))
-            .unwrap();
-        assert_eq!(*binding.keys.lock(), ["provider", "shed.droppable_path"]);
-
-        // HTTP: overload claims the droppable path; the journal claims
-        // nothing, so resilience claims its knob below it and the rest
-        // is forwarded to the binding.
+        assert_eq!(cache.snapshot().invalidated, 2);
         http.set_property("shed.droppable_path", str("/enrich"))
-            .unwrap();
-        http.set_property("retry.max_attempts", PropertyValue::Int(2))
             .unwrap();
         http.set_property("timeout", str("5")).unwrap();
         assert_eq!(
             *binding.keys.lock(),
-            ["provider", "shed.droppable_path", "timeout"]
+            [
+                "provider",
+                "retry.max_attempts",
+                "shed.droppable_path",
+                "timeout"
+            ]
         );
+    }
+
+    /// The builder is the one way to configure a layer: a runtime built
+    /// with every policy field off its default hands each engine exactly
+    /// that policy.
+    #[test]
+    fn every_builder_policy_field_reaches_its_engine() {
+        use crate::api::{CalendarProxy, ContactsProxy};
+        use crate::overload::DEGRADED_HTTP_STATUS;
+        use crate::registry::Mobivine;
+        use mobivine_android::{AndroidPlatform, SdkVersion};
+
+        let overload = OverloadPolicy::default()
+            .max_concurrency(3)
+            .queue_depth(2)
+            .queue_wait_ms(7)
+            .shed_enabled(false)
+            .target_ms(99)
+            .shed_seed(42)
+            .droppable_path("/enrich");
+        let resilience = ResiliencePolicy::default()
+            .max_attempts(6)
+            .backoff_base_ms(11)
+            .deadline_ms(1_234)
+            .jitter_seed(9)
+            .circuit_threshold(2)
+            .circuit_cooldown_ms(777)
+            .fallback_position(1.5, 2.5);
+        let cache = CachePolicy::default()
+            .location_ttl_ms(1)
+            .contacts_ttl_ms(2)
+            .calendar_ttl_ms(3)
+            .coalescing(false);
+        assert_ne!(overload, OverloadPolicy::default());
+        assert_ne!(resilience, ResiliencePolicy::default());
+        assert_ne!(cache, CachePolicy::default());
+
+        let device = Device::builder().build();
+        let runtime = Mobivine::builder()
+            .with_overload(overload)
+            .with_resilience(resilience)
+            .with_cache(cache)
+            .android(AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context())
+            .build()
+            .unwrap();
+        let stack = |built: Option<Stack>| built.expect("a layer wraps it");
+        let layers = &runtime.layers;
+
+        let location = stack(Stack::new::<dyn LocationProxy>(layers, &device, "test"));
+        let engine = location.overload.as_ref().unwrap();
+        assert_eq!(engine.policy(), overload);
+        assert_eq!(engine.bulkhead().cap(), 3);
+        assert_eq!(location.resilience.as_ref().unwrap().policy(), resilience);
+        let location_cache = location.cache.as_ref().unwrap();
+        assert_eq!(location_cache.ttl_ms(), 1);
+        assert!(!location_cache.coalescing());
+        for (built, ttl) in [
+            (Stack::new::<dyn ContactsProxy>(layers, &device, "test"), 2),
+            (Stack::new::<dyn CalendarProxy>(layers, &device, "test"), 3),
+        ] {
+            let engine = stack(built).cache.expect("cached");
+            assert_eq!((engine.ttl_ms(), engine.coalescing()), (ttl, false));
+        }
+
+        // The droppable path came with the policy: with every bulkhead
+        // slot held, a droppable request degrades and any other sheds.
+        let http = Layered::<dyn HttpProxy> {
+            inner: Arc::new(Recorder::default()),
+            stack: stack(Stack::new::<dyn HttpProxy>(layers, &device, "test")),
+            memo: (),
+        };
+        let bulkhead = http.stack.overload.as_ref().unwrap().bulkhead();
+        let _slots: Vec<_> = (0..3).filter_map(|_| bulkhead.try_acquire()).collect();
+        let degraded = http
+            .request("GET", "http://svc/enrich/profile", b"")
+            .unwrap();
+        assert_eq!(degraded.status, DEGRADED_HTTP_STATUS);
+        let shed = http.request("GET", "http://svc/checkout", b"").unwrap_err();
+        assert_eq!(shed.kind(), ProxyErrorKind::Overloaded);
     }
 
     /// A mutating binding that counts its effects: every send keys the
@@ -1360,7 +1359,7 @@ pub(crate) mod tests {
         radio: &Arc<Radio>,
     ) -> (Arc<dyn SmsProxy>, Arc<JournalEngine>) {
         let layers = Layers::new(LayerPolicies {
-            journal: Some(JournalPolicy::default()),
+            journal: true,
             ..LayerPolicies::default()
         });
         let journal = Arc::clone(layers.journal.as_ref().unwrap());
@@ -1463,46 +1462,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn u32_knobs_reject_values_that_would_truncate() {
-        let device = Device::builder().build();
-        let policies = LayerPolicies {
-            overload: Some(OverloadPolicy::default()),
-            resilience: Some(ResiliencePolicy::default()),
-            ..LayerPolicies::default()
-        };
-        let proxy = layered::<dyn LocationProxy>(Arc::new(Toy::default()), policies, &device);
-        let overload = proxy.stack.overload.as_ref().unwrap();
-        let resilience = proxy.stack.resilience.as_ref().unwrap();
-        let knobs: [(&str, &dyn Fn() -> u32); 4] = [
-            ("bulkhead.max_concurrency", &|| overload.bulkhead().cap()),
-            ("bulkhead.queue_depth", &|| overload.policy().queue_depth),
-            ("retry.max_attempts", &|| resilience.policy().max_attempts),
-            ("circuit.threshold", &|| {
-                resilience.policy().circuit_threshold
-            }),
-        ];
-        for (key, read) in knobs {
-            let largest = PropertyValue::Int(i64::from(u32::MAX));
-            proxy.set_property(key, largest).unwrap();
-            assert_eq!(read(), u32::MAX, "{key}: the largest u32 fits");
-            proxy.set_property(key, PropertyValue::Int(7)).unwrap();
-            for overflow in [
-                PropertyValue::Int(1 << 32),
-                PropertyValue::str("4294967296"),
-                PropertyValue::Int(i64::MAX),
-            ] {
-                let err = proxy.set_property(key, overflow).unwrap_err();
-                assert_eq!(err.kind(), ProxyErrorKind::BadPropertyValue, "{key}");
-            }
-            assert_eq!(
-                read(),
-                7,
-                "{key}: a rejected value leaves the knob as it was"
-            );
-        }
-    }
-
-    #[test]
     fn resilience_remembers_successes_and_overload_remembers_fallbacks() {
         let device = Device::builder().build();
         let toy = Arc::new(Toy::failing(u64::MAX));
@@ -1543,10 +1502,9 @@ pub(crate) mod tests {
         let degraded = degraded.expect("a closed gate sheds");
         assert_eq!((degraded.latitude, degraded.longitude), (28.6, 77.2));
 
-        // A genuine success is what resilience falls back to next.
-        proxy
-            .set_property("shed.enabled", PropertyValue::Bool(false))
-            .unwrap();
+        // A genuine success is what resilience falls back to next. The
+        // reopened gate stays open: the toy answers within the target.
+        overload.admission().reseed(0);
         toy.failures.store(0, Ordering::Relaxed);
         let genuine = proxy.get_location().unwrap();
         toy.failures.store(u64::MAX, Ordering::Relaxed);

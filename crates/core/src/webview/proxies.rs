@@ -24,10 +24,8 @@ use mobivine_webview::{JsValue, WebView};
 use crate::api::{CallProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy};
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::property::{PropertyBag, PropertyValue};
-use crate::types::{
-    CallProgress, DeliveryListener, DeliveryOutcome, HttpResult, Location, SharedProximityListener,
-};
-use crate::webview::wrappers::{interface_names, proximity_event_from_js};
+use crate::types::{CallProgress, DeliveryListener, HttpResult, Location, SharedProximityListener};
+use crate::webview::wrappers::{delivery_report_from_js, interface_names, proximity_event_from_js};
 
 /// A retired key: it once folded the location proxy's multi-read into
 /// one batched crossing. Bridge batching saved crossings but no time,
@@ -271,8 +269,11 @@ impl LocationProxy for WebViewLocationProxy {
             ProxyError::new(ProxyErrorKind::Unavailable, "wrapper returned bad alert id")
         })?;
         let js_listener = Arc::clone(&listener);
+        // A malformed notification is dropped, never guessed at.
         let handler = self.core.start_handler(notif_id, move |value| {
-            js_listener.proximity_event(&proximity_event_from_js(&value));
+            if let Ok(event) = proximity_event_from_js(&value) {
+                js_listener.proximity_event(&event);
+            }
         });
         let key = Arc::as_ptr(&listener) as *const () as usize;
         self.registrations
@@ -392,18 +393,10 @@ impl SmsProxy for WebViewSmsProxy {
                     Arc::new(Mutex::new(None));
                 let self_stop_in_callback = Arc::clone(&self_stop);
                 let handler = self.core.start_handler(notif_id, move |value| {
-                    let id = value
-                        .get_ref("messageId")
-                        .and_then(JsValue::as_number)
-                        .unwrap_or(0.0) as u64;
-                    let delivered = value
-                        .get_ref("delivered")
-                        .and_then(JsValue::as_bool)
-                        .unwrap_or(false);
-                    let outcome = if delivered {
-                        DeliveryOutcome::Delivered
-                    } else {
-                        DeliveryOutcome::Failed
+                    // A malformed report is dropped and the handler
+                    // keeps polling for the real one.
+                    let Ok((id, outcome)) = delivery_report_from_js(&value) else {
+                        return;
                     };
                     listener.delivery_event(id, outcome);
                     table.close(notif_id);
@@ -531,8 +524,9 @@ impl HttpProxy for WebViewHttpProxy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::ProximityEvent;
+    use crate::types::{DeliveryOutcome, ProximityEvent};
     use crate::webview::install_wrappers;
+    use crate::webview::wrappers::location_to_js;
     use mobivine_android::{AndroidPlatform, SdkVersion};
     use mobivine_device::movement::MovementModel;
     use mobivine_device::net::{HttpResponse, Method};
@@ -666,6 +660,93 @@ mod tests {
         // Subsequent sends prune the finished handler.
         proxy.send_text_message("+91-sup", "again", None).unwrap();
         assert!(proxy.handlers.lock().is_empty());
+    }
+
+    /// Notifications are page input: a malformed one, missing a field
+    /// or holding the wrong type there, is dropped instead of handing
+    /// the listener invented values.
+    #[test]
+    fn malformed_proximity_notifications_are_dropped() {
+        let (platform, webview) = page(Device::builder().position(HOME).build());
+        let proxy = WebViewLocationProxy::new(&webview).unwrap();
+        let events = Arc::new(StdMutex::new(Vec::new()));
+        let sink = Arc::clone(&events);
+        let listener: SharedProximityListener = Arc::new(move |e: &ProximityEvent| {
+            sink.lock().unwrap().push(*e);
+        });
+        // A region the stationary device never nears: every event below
+        // is one the test posts.
+        let far = HOME.destination(0.0, 10_000.0);
+        proxy
+            .add_proximity_alert(far.latitude, far.longitude, 0.0, 100.0, -1, listener)
+            .unwrap();
+        let raw = proxy.registrations.lock().values().next().unwrap().0;
+        let id = NotificationId::from_raw(raw).unwrap();
+        let event = |entering: JsValue, current_location: JsValue| {
+            JsValue::object([
+                ("refLatitude", far.latitude.into()),
+                ("refLongitude", far.longitude.into()),
+                ("refAltitude", 0.0.into()),
+                ("entering", entering),
+                ("currentLocation", current_location),
+            ])
+        };
+        let fix = Location {
+            latitude: 1.0,
+            ..Location::default()
+        };
+        let table = webview.notifications();
+        for malformed in [
+            JsValue::object([("refLatitude", far.latitude.into())]),
+            event(JsValue::str("yes"), location_to_js(&fix)),
+            event(true.into(), JsValue::object([("latitude", 1.0.into())])),
+        ] {
+            assert!(table.post(id, malformed));
+            platform.device().advance_ms(1_000);
+        }
+        assert!(events.lock().unwrap().is_empty(), "{events:?}");
+
+        assert!(table.post(id, event(true.into(), location_to_js(&fix))));
+        platform.device().advance_ms(1_000);
+        let delivered = events.lock().unwrap().clone();
+        assert_eq!(delivered.len(), 1);
+        assert!(delivered[0].entering);
+        assert_eq!(delivered[0].current_location, fix);
+    }
+
+    #[test]
+    fn malformed_delivery_reports_are_dropped() {
+        let device = Device::builder().msisdn("+91-me").build();
+        device.smsc().register_address("+91-sup");
+        let (platform, webview) = page(device);
+        let proxy = WebViewSmsProxy::new(&webview).unwrap();
+        let reports = Arc::new(StdMutex::new(Vec::new()));
+        let sink = Arc::clone(&reports);
+        let message_id = proxy
+            .send_text_message(
+                "+91-sup",
+                "hello",
+                Some(Arc::new(move |id: u64, o: DeliveryOutcome| {
+                    sink.lock().unwrap().push((id, o));
+                })),
+            )
+            .unwrap();
+        // The report's row is the page's only one; the malformed
+        // reports land in it before the real one.
+        let table = webview.notifications();
+        assert_eq!(table.open_rows(), 1);
+        let row = NotificationId::from_raw(1).unwrap();
+        for malformed in [
+            JsValue::object([("delivered", true.into())]),
+            JsValue::object([("messageId", JsValue::str("7")), ("delivered", true.into())]),
+        ] {
+            assert!(table.post(row, malformed));
+        }
+        platform.device().advance_ms(2_000);
+        assert_eq!(
+            reports.lock().unwrap().as_slice(),
+            &[(message_id, DeliveryOutcome::Delivered)]
+        );
     }
 
     #[test]

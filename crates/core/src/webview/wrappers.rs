@@ -83,24 +83,48 @@ pub fn location_to_js(location: &Location) -> JsValue {
     ])
 }
 
+/// The error for a JavaScript object that lacks `field` or holds the
+/// wrong type there: a decoder of page input fails closed rather than
+/// invent a value.
+fn invalid_field(field: &str) -> ProxyError {
+    ProxyError::new(
+        ProxyErrorKind::IllegalArgument,
+        format!("JavaScript object has no valid {field}"),
+    )
+}
+
+/// The numeric `field` of a JavaScript object.
+fn js_number(value: &JsValue, field: &str) -> Result<f64, ProxyError> {
+    value
+        .get_ref(field)
+        .and_then(JsValue::as_number)
+        .ok_or_else(|| invalid_field(field))
+}
+
+/// The boolean `field` of a JavaScript object.
+fn js_bool(value: &JsValue, field: &str) -> Result<bool, ProxyError> {
+    value
+        .get_ref(field)
+        .and_then(JsValue::as_bool)
+        .ok_or_else(|| invalid_field(field))
+}
+
 /// Parses the JavaScript object shape back into the common
-/// [`Location`].
-pub fn location_from_js(value: &JsValue) -> Location {
-    let num = |key| {
-        value
-            .get_ref(key)
-            .and_then(JsValue::as_number)
-            .unwrap_or(0.0)
-    };
-    Location {
-        latitude: num("latitude"),
-        longitude: num("longitude"),
-        altitude: num("altitude"),
-        accuracy_m: num("accuracy"),
-        timestamp_ms: num("time") as u64,
-        speed_mps: num("speed"),
-        course_deg: num("bearing"),
-    }
+/// [`Location`]; every field must be present and numeric.
+///
+/// # Errors
+///
+/// `IllegalArgument` naming the first missing or mistyped field.
+pub fn location_from_js(value: &JsValue) -> Result<Location, ProxyError> {
+    Ok(Location {
+        latitude: js_number(value, "latitude")?,
+        longitude: js_number(value, "longitude")?,
+        altitude: js_number(value, "altitude")?,
+        accuracy_m: js_number(value, "accuracy")?,
+        timestamp_ms: js_number(value, "time")? as u64,
+        speed_mps: js_number(value, "speed")?,
+        course_deg: js_number(value, "bearing")?,
+    })
 }
 
 /// Encodes a [`Location`] directly into a reply arena — the wire-path
@@ -135,27 +159,38 @@ pub fn proximity_event_to_js(event: &ProximityEvent) -> JsValue {
     ])
 }
 
-/// Parses a notification object back into a proximity event.
-pub fn proximity_event_from_js(value: &JsValue) -> ProximityEvent {
-    let num = |key| {
-        value
-            .get_ref(key)
-            .and_then(JsValue::as_number)
-            .unwrap_or(0.0)
+/// Parses a notification object back into a proximity event; every
+/// field must be present and well typed.
+///
+/// # Errors
+///
+/// `IllegalArgument` naming the first missing or mistyped field.
+pub fn proximity_event_from_js(value: &JsValue) -> Result<ProximityEvent, ProxyError> {
+    Ok(ProximityEvent {
+        ref_latitude: js_number(value, "refLatitude")?,
+        ref_longitude: js_number(value, "refLongitude")?,
+        ref_altitude: js_number(value, "refAltitude")?,
+        entering: js_bool(value, "entering")?,
+        current_location: location_from_js(
+            value
+                .get_ref("currentLocation")
+                .ok_or_else(|| invalid_field("currentLocation"))?,
+        )?,
+    })
+}
+
+/// Parses a delivery-report notification into its message id and
+/// outcome; both fields must be present and well typed.
+pub(crate) fn delivery_report_from_js(
+    value: &JsValue,
+) -> Result<(u64, DeliveryOutcome), ProxyError> {
+    let id = js_number(value, "messageId")? as u64;
+    let outcome = if js_bool(value, "delivered")? {
+        DeliveryOutcome::Delivered
+    } else {
+        DeliveryOutcome::Failed
     };
-    ProximityEvent {
-        ref_latitude: num("refLatitude"),
-        ref_longitude: num("refLongitude"),
-        ref_altitude: num("refAltitude"),
-        entering: value
-            .get_ref("entering")
-            .and_then(JsValue::as_bool)
-            .unwrap_or(false),
-        current_location: value
-            .get_ref("currentLocation")
-            .map(location_from_js)
-            .unwrap_or_default(),
-    }
+    Ok((id, outcome))
 }
 
 /// The Bridge-plane span name for a wrapper invocation. Every method a
@@ -698,7 +733,7 @@ mod tests {
             (
                 interface_names::SMS,
                 "setProperty",
-                vec![s("retry.max_attempts"), s("3")],
+                vec![s("context"), s("this")],
             ),
             (
                 interface_names::SMS,
@@ -708,7 +743,7 @@ mod tests {
             (
                 interface_names::CALL,
                 "setProperty",
-                vec![s("retry.max_attempts"), s("3")],
+                vec![s("retries"), s("3")],
             ),
             (interface_names::CALL, "makeACall", vec![s("+91-sup")]),
             (interface_names::CALL, "callProgress", vec![n(1.0)]),
@@ -716,7 +751,7 @@ mod tests {
             (
                 interface_names::HTTP,
                 "setProperty",
-                vec![s("retry.max_attempts"), s("3")],
+                vec![s("context"), s("this")],
             ),
             (
                 interface_names::HTTP,
@@ -838,7 +873,7 @@ mod tests {
             speed_mps: 2.0,
             course_deg: 45.0,
         };
-        assert_eq!(location_from_js(&location_to_js(&loc)), loc);
+        assert_eq!(location_from_js(&location_to_js(&loc)), Ok(loc));
     }
 
     #[test]
@@ -855,7 +890,7 @@ mod tests {
         };
         assert_eq!(
             proximity_event_from_js(&proximity_event_to_js(&event)),
-            event
+            Ok(event)
         );
     }
 

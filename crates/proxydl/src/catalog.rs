@@ -46,120 +46,6 @@ fn s60_common_properties() -> Vec<PropertySpec> {
     ]
 }
 
-/// The resilience-layer knobs (§3.3 enrichment) every retry-capable
-/// binding declares, consumed by the core crate's resilient decorators.
-/// Deliberately without default values: generated configuration
-/// snippets must only mention resilience when an application opts in.
-fn resilience_properties() -> Vec<PropertySpec> {
-    vec![
-        PropertySpec::new(
-            "retry.max_attempts",
-            "int",
-            "total attempts per call, including the first",
-        ),
-        PropertySpec::new(
-            "retry.backoff_ms",
-            "int",
-            "base backoff before the second attempt; doubles per retry",
-        ),
-        PropertySpec::new(
-            "retry.deadline_ms",
-            "int",
-            "per-call retry budget, virtual ms",
-        ),
-        PropertySpec::new(
-            "retry.jitter_seed",
-            "int",
-            "seed for deterministic backoff jitter",
-        ),
-        PropertySpec::new(
-            "circuit.threshold",
-            "int",
-            "consecutive failures opening the circuit breaker",
-        ),
-        PropertySpec::new(
-            "circuit.cooldown_ms",
-            "int",
-            "open-circuit cooldown before a half-open probe, virtual ms",
-        ),
-    ]
-}
-
-/// Location additionally declares the configured-default fallback
-/// position terminating the resilience fallback chain.
-fn location_resilience_properties() -> Vec<PropertySpec> {
-    let mut properties = resilience_properties();
-    properties.push(PropertySpec::new(
-        "fallback.latitude",
-        "string",
-        "default-position latitude, decimal degrees",
-    ));
-    properties.push(PropertySpec::new(
-        "fallback.longitude",
-        "string",
-        "default-position longitude, decimal degrees",
-    ));
-    properties
-}
-
-/// The overload-protection knobs every retry-capable binding declares,
-/// consumed by the core crate's overload decorators (bulkhead +
-/// admission gate + deadline fail-fast). Like the resilience knobs,
-/// deliberately without default values: generated configuration
-/// snippets must only mention overload protection when an application
-/// opts in.
-fn overload_properties() -> Vec<PropertySpec> {
-    vec![
-        PropertySpec::new(
-            "bulkhead.max_concurrency",
-            "int",
-            "concurrent in-flight calls the bulkhead admits per proxy",
-        ),
-        PropertySpec::new(
-            "bulkhead.queue_depth",
-            "int",
-            "bounded wait-queue slots behind a saturated bulkhead",
-        ),
-        PropertySpec::new(
-            "bulkhead.queue_wait_ms",
-            "int",
-            "virtual ms one queued wait costs before re-probing the bulkhead",
-        ),
-        PropertySpec::new(
-            "shed.enabled",
-            "boolean",
-            "whether the adaptive admission gate sheds load",
-        ),
-        PropertySpec::new(
-            "shed.target_ms",
-            "int",
-            "sojourn-latency target the AIMD admission loop converges on, virtual ms",
-        ),
-        PropertySpec::new(
-            "shed.seed",
-            "int",
-            "seed for deterministic admission coin flips",
-        ),
-        PropertySpec::new(
-            "deadline.default_ms",
-            "int",
-            "deadline budget opened per call when no ambient deadline is set, virtual ms",
-        ),
-    ]
-}
-
-/// Http additionally declares which request paths are droppable under
-/// shed pressure (degraded to a synthetic 202 instead of an error).
-fn http_overload_properties() -> Vec<PropertySpec> {
-    let mut properties = overload_properties();
-    properties.push(PropertySpec::new(
-        "shed.droppable_path",
-        "string",
-        "URL fragment marking enrichment requests droppable under shed pressure",
-    ));
-    properties
-}
-
 fn with_properties(mut binding: PlatformBinding, properties: Vec<PropertySpec>) -> PlatformBinding {
     for p in properties {
         binding = binding.property(p);
@@ -276,18 +162,12 @@ pub fn location() -> ProxyDescriptor {
             .default_value("200"),
     );
 
-    let decorated = |binding| {
-        with_properties(
-            with_properties(binding, location_resilience_properties()),
-            overload_properties(),
-        )
-    };
     ProxyDescriptor::new("Location", "Telecom", semantic)
         .syntax(java)
         .syntax(javascript)
-        .binding(decorated(android))
-        .binding(decorated(s60))
-        .binding(decorated(webview))
+        .binding(android)
+        .binding(s60)
+        .binding(webview)
 }
 
 /// The SMS proxy descriptor.
@@ -341,18 +221,12 @@ pub fn sms() -> ProxyDescriptor {
             PropertySpec::new("pollInterval", "int", "notification poll period, ms")
                 .default_value("200"),
         );
-    let decorated = |binding| {
-        with_properties(
-            with_properties(binding, resilience_properties()),
-            overload_properties(),
-        )
-    };
     ProxyDescriptor::new("SMS", "Telecom", semantic)
         .syntax(java)
         .syntax(javascript)
-        .binding(decorated(android))
-        .binding(decorated(s60))
-        .binding(decorated(webview))
+        .binding(android)
+        .binding(s60)
+        .binding(webview)
 }
 
 /// The Call proxy descriptor — no S60 binding, per §4.1.
@@ -415,17 +289,11 @@ pub fn call() -> ProxyDescriptor {
         .default_value("0"),
     );
     let webview = PlatformBinding::new(PlatformId::AndroidWebView, "js/proxies/CallProxyImpl.js");
-    let decorated = |binding| {
-        with_properties(
-            with_properties(binding, resilience_properties()),
-            overload_properties(),
-        )
-    };
     ProxyDescriptor::new("Call", "Telecom", semantic)
         .syntax(java)
         .syntax(javascript)
-        .binding(decorated(android))
-        .binding(decorated(webview))
+        .binding(android)
+        .binding(webview)
 }
 
 /// The Http proxy descriptor.
@@ -482,18 +350,12 @@ pub fn http() -> ProxyDescriptor {
         ],
     );
     let webview = PlatformBinding::new(PlatformId::AndroidWebView, "js/proxies/HttpProxyImpl.js");
-    let decorated = |binding| {
-        with_properties(
-            with_properties(binding, resilience_properties()),
-            http_overload_properties(),
-        )
-    };
     ProxyDescriptor::new("Http", "Connectivity", semantic)
         .syntax(java)
         .syntax(javascript)
-        .binding(decorated(android))
-        .binding(decorated(s60))
-        .binding(decorated(webview))
+        .binding(android)
+        .binding(s60)
+        .binding(webview)
 }
 
 /// The Contacts proxy descriptor (paper future work, §7).
@@ -709,53 +571,6 @@ mod tests {
         assert!(b
             .exceptions
             .contains(&"javax.microedition.location.LocationException".to_owned()));
-    }
-
-    #[test]
-    fn resilient_interfaces_declare_the_resilience_property_plane() {
-        for descriptor in [location(), sms(), call(), http()] {
-            for binding in &descriptor.bindings {
-                for key in [
-                    "retry.max_attempts",
-                    "retry.backoff_ms",
-                    "retry.deadline_ms",
-                    "retry.jitter_seed",
-                    "circuit.threshold",
-                    "circuit.cooldown_ms",
-                    "bulkhead.max_concurrency",
-                    "bulkhead.queue_depth",
-                    "bulkhead.queue_wait_ms",
-                    "shed.enabled",
-                    "shed.target_ms",
-                    "shed.seed",
-                    "deadline.default_ms",
-                ] {
-                    let spec = binding.find_property(key).unwrap_or_else(|| {
-                        panic!("{} {:?} lacks {key}", descriptor.name, binding.platform)
-                    });
-                    assert!(
-                        spec.default_value.is_none(),
-                        "{key} must not have a default: codegen would emit it unconditionally"
-                    );
-                }
-            }
-        }
-        // The fallback position is a Location-only concept.
-        let location = location();
-        for binding in &location.bindings {
-            assert!(binding.find_property("fallback.latitude").is_some());
-            assert!(binding.find_property("fallback.longitude").is_some());
-        }
-        assert!(http().bindings[0]
-            .find_property("fallback.latitude")
-            .is_none());
-        // The droppable-path marker is an Http-only concept.
-        for binding in &http().bindings {
-            assert!(binding.find_property("shed.droppable_path").is_some());
-        }
-        assert!(location.bindings[0]
-            .find_property("shed.droppable_path")
-            .is_none());
     }
 
     #[test]

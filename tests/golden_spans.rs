@@ -3,9 +3,11 @@
 //! One runtime per platform runs with every policy layer on (telemetry,
 //! cache, overload, journal, resilience) and makes a fixed script of
 //! calls: a cache miss and a cache hit, the multi-read, a journaled
-//! send, a `getLocation` whose retries all fail during a GPS outage
-//! (served by the fallback), and an HTTP request the admission gate
-//! sheds. The spans of those calls, rendered by [`chrome_trace_json`],
+//! send and a `getLocation` whose retries all fail during a GPS outage
+//! (served by the fallback). A second runtime on the same device, built
+//! with a 1 ms sojourn target, then makes HTTP requests until its
+//! admission gate sheds one. The spans of those calls, rendered by
+//! [`chrome_trace_json`],
 //! must match the committed fixtures under `tests/golden/` byte for
 //! byte: every span name, event, attribute, id, parent link and
 //! timestamp is pinned, so a rewrite of the span path cannot silently
@@ -17,7 +19,6 @@ use mobivine::api::{HttpProxy, LocationProxy, SmsProxy};
 use mobivine::cache::CachePolicy;
 use mobivine::error::ProxyErrorKind;
 use mobivine::overload::OverloadPolicy;
-use mobivine::property::PropertyValue;
 use mobivine::registry::{Mobivine, MobivineBuilder};
 use mobivine::resilience::ResiliencePolicy;
 use mobivine::JournalPolicy;
@@ -30,21 +31,23 @@ use mobivine_telemetry::span::SpanRecord;
 /// Upper bound on requests before the tightened admission gate sheds.
 const MAX_REQUESTS_BEFORE_SHED: usize = 200;
 
-/// A runtime on the platform `builder` targets, every policy layer on.
-fn fully_layered(builder: MobivineBuilder) -> Mobivine {
+/// A runtime on the platform `builder` targets, every policy layer on,
+/// its admission gate run under `overload`.
+fn fully_layered(builder: MobivineBuilder, overload: OverloadPolicy) -> Mobivine {
     builder
         .with_telemetry()
         .with_cache(CachePolicy::default())
-        .with_overload(OverloadPolicy::default())
+        .with_overload(overload)
         .with_journal(JournalPolicy::default())
         .with_resilience(ResiliencePolicy::default())
         .build()
         .expect("layered runtime builds")
 }
 
-/// Runs the script on one platform and returns the spans of the
-/// captured calls, in finish order.
-fn script(device: &Device, runtime: &Mobivine) -> Vec<SpanRecord> {
+/// Runs the script on one platform, whose runtimes `build` makes, and
+/// returns the spans of the captured calls, in finish order.
+fn script(device: &Device, build: &dyn Fn(OverloadPolicy) -> Mobivine) -> Vec<SpanRecord> {
+    let runtime = build(OverloadPolicy::default());
     device.gps().set_noise_enabled(false);
     device.network().register_route(
         "backend.example",
@@ -55,7 +58,6 @@ fn script(device: &Device, runtime: &Mobivine) -> Vec<SpanRecord> {
     let tracer = runtime.tracer().expect("telemetry is on").clone();
     let location = runtime.proxy::<dyn LocationProxy>().unwrap();
     let sms = runtime.proxy::<dyn SmsProxy>().unwrap();
-    let http = runtime.proxy::<dyn HttpProxy>().unwrap();
 
     // Successes: a miss, a hit, the multi-read and a journaled send.
     location.get_location().expect("a fix on the miss");
@@ -78,10 +80,9 @@ fn script(device: &Device, runtime: &Mobivine) -> Vec<SpanRecord> {
     spans.extend(tracer.take_finished());
 
     // A shed call: a 1 ms sojourn target closes the HTTP proxy's gate.
-    http.set_property("shed.target_ms", PropertyValue::Int(1))
-        .unwrap();
-    http.set_property("shed.seed", PropertyValue::Int(7))
-        .unwrap();
+    let shedding = build(OverloadPolicy::default().target_ms(1).shed_seed(7));
+    let tracer = shedding.tracer().expect("telemetry is on").clone();
+    let http = shedding.proxy::<dyn HttpProxy>().unwrap();
     for _ in 0..MAX_REQUESTS_BEFORE_SHED {
         let result = http.request("POST", "http://backend.example/submit", b"{}");
         let call = tracer.take_finished();
@@ -97,12 +98,15 @@ fn script(device: &Device, runtime: &Mobivine) -> Vec<SpanRecord> {
 /// The rendered golden trace of one platform.
 fn render(platform: &str) -> String {
     let device = common::device();
-    let runtime = match platform {
-        "android" => common::android_builder(&device),
-        "s60" => common::s60_builder(&device),
-        _ => common::webview_builder(&device),
+    let build = |overload| {
+        let builder = match platform {
+            "android" => common::android_builder(&device),
+            "s60" => common::s60_builder(&device),
+            _ => common::webview_builder(&device),
+        };
+        fully_layered(builder, overload)
     };
-    let spans = script(&device, &fully_layered(runtime));
+    let spans = script(&device, &build);
     chrome_trace_json(&spans)
 }
 
