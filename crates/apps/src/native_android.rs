@@ -266,8 +266,7 @@ mod tests {
             scenario
                 .device
                 .smsc()
-                .inbox(&scenario.config.supervisor_msisdn)
-                .len(),
+                .inbox_len(&scenario.config.supervisor_msisdn),
             2
         );
     }

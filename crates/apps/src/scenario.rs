@@ -128,8 +128,7 @@ impl ScenarioOutcome {
             supervisor_messages: scenario
                 .device
                 .smsc()
-                .inbox(&scenario.config.supervisor_msisdn)
-                .len(),
+                .inbox_len(&scenario.config.supervisor_msisdn),
         }
     }
 

@@ -8,6 +8,7 @@
 //! each retrieved notification to the registered callback.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -392,12 +393,18 @@ impl SmsProxy for WebViewSmsProxy {
                 let self_stop: Arc<Mutex<Option<std::sync::Weak<NotifHandler>>>> =
                     Arc::new(Mutex::new(None));
                 let self_stop_in_callback = Arc::clone(&self_stop);
+                let reported = AtomicBool::new(false);
                 let handler = self.core.start_handler(notif_id, move |value| {
                     // A malformed report is dropped and the handler
                     // keeps polling for the real one.
                     let Ok((id, outcome)) = delivery_report_from_js(&value) else {
                         return;
                     };
+                    // One poll can drain several reports; only the first
+                    // well-formed one reaches the listener.
+                    if reported.swap(true, Ordering::AcqRel) {
+                        return;
+                    }
                     listener.delivery_event(id, outcome);
                     table.close(notif_id);
                     if let Some(handler) = self_stop_in_callback
@@ -746,6 +753,41 @@ mod tests {
         assert_eq!(
             reports.lock().unwrap().as_slice(),
             &[(message_id, DeliveryOutcome::Delivered)]
+        );
+    }
+
+    #[test]
+    fn one_poll_batch_delivers_only_the_first_report() {
+        let device = Device::builder().msisdn("+91-me").build();
+        device.smsc().register_address("+91-sup");
+        let (platform, webview) = page(device);
+        let proxy = WebViewSmsProxy::new(&webview).unwrap();
+        let reports = Arc::new(StdMutex::new(Vec::new()));
+        let sink = Arc::clone(&reports);
+        proxy
+            .send_text_message(
+                "+91-sup",
+                "hello",
+                Some(Arc::new(move |id: u64, o: DeliveryOutcome| {
+                    sink.lock().unwrap().push((id, o));
+                })),
+            )
+            .unwrap();
+        // Two well-formed reports wait in the row before the first poll
+        // drains it, ahead of the real one.
+        let table = webview.notifications();
+        let row = NotificationId::from_raw(1).unwrap();
+        for (id, delivered) in [(7.0, true), (8.0, false)] {
+            let report = JsValue::object([
+                ("messageId", JsValue::Number(id)),
+                ("delivered", delivered.into()),
+            ]);
+            assert!(table.post(row, report));
+        }
+        platform.device().advance_ms(2_000);
+        assert_eq!(
+            reports.lock().unwrap().as_slice(),
+            &[(7, DeliveryOutcome::Delivered)]
         );
     }
 

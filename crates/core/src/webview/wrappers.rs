@@ -301,14 +301,25 @@ fn with_bridge_deadline(
     }
 }
 
+/// The wrapper's Android `Context`: bound by the Java side when the
+/// wrappers are installed, never by the page.
+const CONTEXT_PROPERTY: &str = "context";
+
 /// Serves `setProperty(key, value)` for any wrapper: the value crosses
-/// as a string and is re-validated against the Android plane.
+/// as a string and is re-validated against the Android plane. The page
+/// may not set [`CONTEXT_PROPERTY`].
 fn set_property(
     proxy: &impl ProxyBase,
     call_args: WireValue<'_>,
     reply: &mut WireBuf,
 ) -> Result<NodeId, BridgeError> {
     let key = call_args.str_arg(0)?;
+    if key == CONTEXT_PROPERTY {
+        return Err(BridgeError {
+            code: ErrorCode::IllegalArgument,
+            message: format!("property '{CONTEXT_PROPERTY}' is set by the Java side only"),
+        });
+    }
     let value = call_args.str_arg(1)?;
     proxy
         .set_property(key, PropertyValue::str(value))
@@ -708,7 +719,9 @@ mod tests {
     }
 
     /// Every (wrapper, method) pair the four wrappers serve, with
-    /// arguments that succeed on a [`seeded_page`].
+    /// arguments that succeed on a [`seeded_page`], except for the SMS
+    /// and HTTP `setProperty` rows: those wrappers declare no property
+    /// the page may set, so they try the refused `context`.
     fn served_methods() -> Vec<(&'static str, &'static str, Vec<JsValue>)> {
         let s = JsValue::str;
         let n = JsValue::Number;
@@ -824,7 +837,12 @@ mod tests {
                 .invoke(method, call_args);
             let (_p, wire_page) = seeded_page();
             let wire = invoke_wire(&wire_page, wrapper, method, call_args, None, None);
-            assert!(owned.is_ok(), "{pair}: {owned:?}");
+            if call_args.first() == Some(&JsValue::str(CONTEXT_PROPERTY)) {
+                let code = owned.as_ref().map_err(|e| e.code);
+                assert_eq!(code, Err(ErrorCode::IllegalArgument), "{pair}");
+            } else {
+                assert!(owned.is_ok(), "{pair}: {owned:?}");
+            }
             assert_eq!(owned, wire, "{pair}");
 
             // A traceparent opens exactly one Bridge-plane span, under
@@ -975,7 +993,32 @@ mod tests {
         // call, that the bridge rejected.
         send(Some(5_000)).unwrap();
         platform.device().advance_ms(5_000);
-        assert_eq!(platform.device().smsc().inbox("+91-sup").len(), 1);
+        assert_eq!(platform.device().smsc().inbox_len("+91-sup"), 1);
+    }
+
+    #[test]
+    fn page_cannot_overwrite_the_wrapper_context() {
+        let (platform, webview) = webview();
+        platform.device().smsc().register_address("+91-sup");
+        let sms = webview.js_interface(interface_names::SMS).unwrap();
+        let err = sms
+            .invoke(
+                "setProperty",
+                &[JsValue::str("context"), JsValue::str("this")],
+            )
+            .unwrap_err();
+        assert_eq!(err.code, ErrorCode::IllegalArgument);
+        let out = sms
+            .invoke(
+                "sendTextMessage",
+                &[
+                    JsValue::str("+91-sup"),
+                    JsValue::str("still bound"),
+                    JsValue::Bool(false),
+                ],
+            )
+            .unwrap();
+        assert!(out.get("messageId").as_number().unwrap() > 0.0);
     }
 
     #[test]

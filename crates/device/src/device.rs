@@ -316,7 +316,7 @@ mod tests {
             .submit("+me", "+you", "hi", device.now_ms(), None);
         assert!(device.smsc().inbox("+you").is_empty());
         device.advance_ms(1_000);
-        assert_eq!(device.smsc().inbox("+you").len(), 1);
+        assert_eq!(device.smsc().inbox_len("+you"), 1);
     }
 
     #[test]
@@ -364,6 +364,6 @@ mod tests {
             smsc.submit("+a", "+b", "chained", at, None);
         });
         device.advance_ms(10_000);
-        assert_eq!(device.smsc().inbox("+b").len(), 1);
+        assert_eq!(device.smsc().inbox_len("+b"), 1);
     }
 }

@@ -181,22 +181,113 @@ struct SmsMetrics {
     lost: Counter,
 }
 
+/// One delivered message, as an [`Inbox`] stores it. The recipient is
+/// the inbox's own address, the sender an interned address id, and the
+/// body a range of the inbox's body arena.
+#[derive(Debug, Clone, Copy)]
+struct Stored {
+    id: u64,
+    delivered_at_ms: u64,
+    from: u32,
+    body_start: u32,
+    body_len: u32,
+    segment_count: u32,
+}
+
+/// The messages delivered to one registered address, oldest first.
+#[derive(Debug, Default)]
+struct Inbox {
+    records: Vec<Stored>,
+    /// Every record's body, concatenated in delivery order.
+    bodies: String,
+}
+
+impl Inbox {
+    fn push(&mut self, id: MessageId, from: u32, body: &str, at: u64, segment_count: usize) {
+        let (Ok(body_start), Ok(body_len), Ok(segment_count)) = (
+            u32::try_from(self.bodies.len()),
+            u32::try_from(body.len()),
+            u32::try_from(segment_count),
+        ) else {
+            panic!("an SMSC inbox holds at most 4 GiB of message bodies");
+        };
+        self.bodies.push_str(body);
+        self.records.push(Stored {
+            id: id.0,
+            delivered_at_ms: at,
+            from,
+            body_start,
+            body_len,
+            segment_count,
+        });
+    }
+
+    fn body(&self, record: &Stored) -> &str {
+        let start = record.body_start as usize;
+        &self.bodies[start..start + record.body_len as usize]
+    }
+}
+
+/// An address the SMSC has seen, as a sender, a recipient or a
+/// listener's subscription.
+struct Address {
+    name: Box<str>,
+    /// `Some` once the address is registered to receive messages.
+    inbox: Option<Inbox>,
+    listeners: Vec<InboxListenerFn>,
+}
+
 struct SmscState {
     next_id: u64,
     latency_ms: u64,
     loss_probability: f64,
     seed: u64,
-    inboxes: HashMap<String, Vec<InboxMessage>>,
-    inbox_listeners: HashMap<String, Vec<InboxListenerFn>>,
+    /// Indexed by interned address id.
+    addresses: Vec<Address>,
+    address_ids: HashMap<Box<str>, u32>,
     /// Indexed by message id − 1: ids are dense from 1.
     statuses: Vec<DeliveryStatus>,
     report_listeners: HashMap<MessageId, DeliveryReportFn>,
+}
+
+impl SmscState {
+    /// The id of `address`, interning it on first sight.
+    fn intern(&mut self, address: &str) -> u32 {
+        if let Some(&id) = self.address_ids.get(address) {
+            return id;
+        }
+        let id = u32::try_from(self.addresses.len()).expect("fewer than 2^32 SMSC addresses");
+        self.addresses.push(Address {
+            name: address.into(),
+            inbox: None,
+            listeners: Vec::new(),
+        });
+        self.address_ids.insert(address.into(), id);
+        id
+    }
+
+    fn address(&self, address: &str) -> Option<&Address> {
+        let id = *self.address_ids.get(address)?;
+        self.addresses.get(id as usize)
+    }
+
+    fn name(&self, id: u32) -> &str {
+        &self.addresses[id as usize].name
+    }
 }
 
 /// The store-and-forward message center.
 ///
 /// Delivery happens when the owning [`crate::Device`]'s event queue is
 /// pumped (i.e. when virtual time advances past submission latency).
+///
+/// Storage: every address is interned once, on first sight. A delivered
+/// message is kept for the SMSC's lifetime as a 32-byte record in its
+/// recipient's inbox (id, delivery time, sender id, segment count and a
+/// range of the inbox's body arena, which holds every body of that inbox
+/// back to back). [`Smsc::inbox`] builds [`InboxMessage`]s from these
+/// records on demand, and an inbox listener's message is built only when
+/// a listener exists.
 ///
 /// # Example
 ///
@@ -210,7 +301,8 @@ struct SmscState {
 /// smsc.register_address("+911234");
 /// smsc.submit("+919999", "+911234", "hello", 0, None);
 /// events.run_until(smsc.latency_ms());
-/// assert_eq!(smsc.inbox("+911234").len(), 1);
+/// assert_eq!(smsc.inbox_len("+911234"), 1);
+/// assert_eq!(smsc.inbox("+911234")[0].body, "hello");
 /// ```
 pub struct Smsc {
     events: Arc<EventQueue>,
@@ -222,10 +314,11 @@ pub struct Smsc {
 impl fmt::Debug for Smsc {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let state = self.state.lock();
+        let registered = state.addresses.iter().filter(|a| a.inbox.is_some()).count();
         f.debug_struct("Smsc")
             .field("latency_ms", &state.latency_ms)
             .field("loss_probability", &state.loss_probability)
-            .field("addresses", &state.inboxes.len())
+            .field("addresses", &registered)
             .finish()
     }
 }
@@ -240,8 +333,8 @@ impl Smsc {
                 latency_ms: 40,
                 loss_probability: 0.0,
                 seed,
-                inboxes: HashMap::new(),
-                inbox_listeners: HashMap::new(),
+                addresses: Vec::new(),
+                address_ids: HashMap::new(),
                 statuses: Vec::new(),
                 report_listeners: HashMap::new(),
             })),
@@ -277,16 +370,19 @@ impl Smsc {
 
     /// Registers `address` so it can receive messages. Idempotent.
     pub fn register_address(&self, address: &str) {
-        self.state
-            .lock()
-            .inboxes
-            .entry(address.to_owned())
-            .or_default();
+        let mut state = self.state.lock();
+        let id = state.intern(address);
+        state.addresses[id as usize]
+            .inbox
+            .get_or_insert_with(Inbox::default);
     }
 
     /// Returns `true` if `address` has been registered.
     pub fn is_registered(&self, address: &str) -> bool {
-        self.state.lock().inboxes.contains_key(address)
+        self.state
+            .lock()
+            .address(address)
+            .is_some_and(|a| a.inbox.is_some())
     }
 
     /// Subscribes to message arrivals at `address`.
@@ -294,22 +390,45 @@ impl Smsc {
     where
         F: Fn(&InboxMessage) + Send + 'static,
     {
-        self.state
-            .lock()
-            .inbox_listeners
-            .entry(address.to_owned())
-            .or_default()
+        let mut state = self.state.lock();
+        let id = state.intern(address);
+        state.addresses[id as usize]
+            .listeners
             .push(Box::new(listener));
     }
 
-    /// Snapshot of the inbox for `address` (empty if unregistered).
+    /// Snapshot of the inbox for `address`, oldest first (empty if
+    /// unregistered).
     pub fn inbox(&self, address: &str) -> Vec<InboxMessage> {
+        let state = self.state.lock();
+        let Some((to, inbox)) = state
+            .address(address)
+            .and_then(|a| Some((&a.name, a.inbox.as_ref()?)))
+        else {
+            return Vec::new();
+        };
+        inbox
+            .records
+            .iter()
+            .map(|record| InboxMessage {
+                id: MessageId(record.id),
+                from: state.name(record.from).to_owned(),
+                to: to.to_string(),
+                body: inbox.body(record).to_owned(),
+                delivered_at_ms: record.delivered_at_ms,
+                segment_count: record.segment_count as usize,
+            })
+            .collect()
+    }
+
+    /// Number of messages in the inbox for `address` (0 if
+    /// unregistered); `inbox(address).len()` without the snapshot.
+    pub fn inbox_len(&self, address: &str) -> usize {
         self.state
             .lock()
-            .inboxes
-            .get(address)
-            .cloned()
-            .unwrap_or_default()
+            .address(address)
+            .and_then(|a| a.inbox.as_ref())
+            .map_or(0, |inbox| inbox.records.len())
     }
 
     /// Current delivery status of a submitted message.
@@ -324,7 +443,8 @@ impl Smsc {
     /// clock). Returns the assigned [`MessageId`].
     ///
     /// If `report` is provided it is invoked exactly once with the final
-    /// [`DeliveryStatus`] when the message is delivered or lost.
+    /// [`DeliveryStatus`] when the message is delivered or lost. Whether
+    /// `to` is registered is decided at delivery, not at submission.
     pub fn submit(
         &self,
         from: &str,
@@ -341,7 +461,7 @@ impl Smsc {
         if let Some(s) = span.as_mut() {
             s.attr("segments", segment_count as u64);
         }
-        let (id, deliver_at, lost) = {
+        let (id, from, to, deliver_at, lost) = {
             let mut state = self.state.lock();
             let id = MessageId(state.next_id);
             state.next_id += 1;
@@ -349,19 +469,19 @@ impl Smsc {
             if let Some(report) = report {
                 state.report_listeners.insert(id, report);
             }
+            let from = state.intern(from);
+            let to = state.intern(to);
             let mut rng = StdRng::seed_from_u64(state.seed ^ id.0.rotate_left(23));
             let lost = rng.gen::<f64>() < state.loss_probability;
-            (id, now_ms + state.latency_ms, lost)
+            (id, from, to, now_ms + state.latency_ms, lost)
         };
         let state = Arc::clone(&self.state);
         let metrics = Arc::clone(&self.metrics);
-        let from = from.to_owned();
-        let to = to.to_owned();
-        let body = body.to_owned();
+        let body: Box<str> = body.into();
         self.events
             .schedule_at(deliver_at, "sms-delivery", move |at| {
                 let mut guard = state.lock();
-                let final_status = if lost || !guard.inboxes.contains_key(&to) {
+                let final_status = if lost || guard.addresses[to as usize].inbox.is_none() {
                     DeliveryStatus::Failed
                 } else {
                     DeliveryStatus::Delivered
@@ -378,29 +498,31 @@ impl Smsc {
                 }
                 let report = guard.report_listeners.remove(&id);
                 if final_status == DeliveryStatus::Delivered {
+                    let recipient = &mut guard.addresses[to as usize];
+                    if let Some(inbox) = recipient.inbox.as_mut() {
+                        inbox.push(id, from, &body, at, segment_count);
+                    }
                     // Take listeners out so callbacks run without the lock;
-                    // only they need a copy of the message.
-                    let listeners = guard.inbox_listeners.remove(&to);
-                    let message = InboxMessage {
+                    // only they need the message as an `InboxMessage`.
+                    let listeners = std::mem::take(&mut recipient.listeners);
+                    let message = (!listeners.is_empty()).then(|| InboxMessage {
                         id,
-                        from,
-                        to,
-                        body,
+                        from: guard.name(from).to_owned(),
+                        to: guard.name(to).to_owned(),
+                        body: body.into_string(),
                         delivered_at_ms: at,
                         segment_count,
-                    };
-                    let copy = listeners.as_ref().map(|_| message.clone());
-                    // The inbox exists: delivery requires `contains_key`
-                    // above, under the same lock.
-                    if let Some(inbox) = guard.inboxes.get_mut(&message.to) {
-                        inbox.push(message);
-                    }
+                    });
                     drop(guard);
-                    if let Some((listeners, message)) = listeners.zip(copy) {
+                    if let Some(message) = message {
                         for l in &listeners {
                             l(&message);
                         }
-                        state.lock().inbox_listeners.insert(message.to, listeners);
+                        // Listeners added during the callbacks follow.
+                        let mut guard = state.lock();
+                        let slot = &mut guard.addresses[to as usize].listeners;
+                        let added = std::mem::replace(slot, listeners);
+                        slot.extend(added);
                     }
                 } else {
                     drop(guard);
@@ -579,6 +701,119 @@ mod tests {
         let a = smsc.submit("+1", "+2", "a", 0, None);
         let b = smsc.submit("+1", "+2", "b", 0, None);
         assert!(b > a);
+    }
+
+    fn message(
+        id: u64,
+        from: &str,
+        to: &str,
+        body: &str,
+        delivered_at_ms: u64,
+        segment_count: usize,
+    ) -> InboxMessage {
+        InboxMessage {
+            id: MessageId(id),
+            from: from.to_owned(),
+            to: to.to_owned(),
+            body: body.to_owned(),
+            delivered_at_ms,
+            segment_count,
+        }
+    }
+
+    /// The compact store hands back exactly the messages a store of
+    /// whole `InboxMessage`s held: same ids, addresses, bodies, times
+    /// and segment counts, in delivery order.
+    #[test]
+    fn inbox_snapshots_rebuild_every_delivered_message() {
+        let (events, smsc) = smsc();
+        smsc.register_address("+a");
+        smsc.register_address("+b");
+        let gsm_160 = "a".repeat(160);
+        let gsm_161 = "b".repeat(161);
+        let ucs2 = "位置".repeat(40);
+        smsc.submit("+s1", "+a", "", 0, None);
+        smsc.submit("+s2", "+a", &gsm_160, 0, None);
+        smsc.submit("+s1", "+b", &gsm_161, 5, None);
+        smsc.set_loss_probability(1.0);
+        let lost = smsc.submit("+s2", "+a", "lost", 5, None);
+        smsc.set_loss_probability(0.0);
+        smsc.submit("+s2", "+a", &ucs2, 10, None);
+        smsc.submit("+s1", "+late", "registered after submit", 10, None);
+        let unregistered = smsc.submit("+s1", "+nobody", "x", 12, None);
+        smsc.submit("+s2", "+b", "tail", 20, None);
+        smsc.register_address("+late");
+        events.run_until(1_000);
+
+        assert_eq!(
+            smsc.inbox("+a"),
+            vec![
+                message(1, "+s1", "+a", "", 40, 1),
+                message(2, "+s2", "+a", &gsm_160, 40, 1),
+                message(5, "+s2", "+a", &ucs2, 50, 2),
+            ]
+        );
+        assert_eq!(
+            smsc.inbox("+b"),
+            vec![
+                message(3, "+s1", "+b", &gsm_161, 45, 2),
+                message(8, "+s2", "+b", "tail", 60, 1),
+            ]
+        );
+        assert_eq!(
+            smsc.inbox("+late"),
+            vec![message(6, "+s1", "+late", "registered after submit", 50, 1)]
+        );
+        assert!(smsc.inbox("+nobody").is_empty());
+        assert!(smsc.inbox("+s1").is_empty());
+        assert_eq!(smsc.status(lost), Some(DeliveryStatus::Failed));
+        assert_eq!(smsc.status(unregistered), Some(DeliveryStatus::Failed));
+        for address in ["+a", "+b", "+late", "+nobody", "+s1", "+never-seen"] {
+            assert_eq!(smsc.inbox_len(address), smsc.inbox(address).len());
+        }
+        assert!(!smsc.is_registered("+s1"));
+        assert!(!smsc.is_registered("+nobody"));
+    }
+
+    #[test]
+    fn listeners_see_the_message_the_inbox_holds() {
+        let (events, smsc) = smsc();
+        smsc.register_address("+a");
+        let seen = Arc::new(StdMutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        smsc.add_inbox_listener("+a", move |msg| sink.lock().unwrap().push(msg.clone()));
+        smsc.submit("+s1", "+a", "first", 0, None);
+        smsc.submit("+s2", "+a", &"日".repeat(71), 3, None);
+        smsc.submit("+s1", "+a", "", 7, None);
+        events.run_until(1_000);
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 3);
+        assert_eq!(*seen, smsc.inbox("+a"));
+    }
+
+    #[test]
+    fn a_listener_added_by_a_listener_is_kept() {
+        let (events, smsc) = smsc();
+        let smsc = Arc::new(smsc);
+        smsc.register_address("+a");
+        let count = Arc::new(AtomicUsize::new(0));
+        let (inner, c) = (Arc::clone(&smsc), Arc::clone(&count));
+        smsc.add_inbox_listener("+a", move |_| {
+            let c = Arc::clone(&c);
+            inner.add_inbox_listener("+a", move |_| {
+                c.fetch_add(1, Ordering::SeqCst);
+            });
+        });
+        smsc.submit("+s", "+a", "one", 0, None);
+        events.run_until(1_000);
+        smsc.submit("+s", "+a", "two", 1_000, None);
+        events.run_until(2_000);
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn stored_record_fits_32_bytes() {
+        assert!(std::mem::size_of::<Stored>() <= 32);
     }
 
     #[test]

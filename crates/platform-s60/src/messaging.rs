@@ -7,6 +7,7 @@
 //! `SmsManager.sendTextMessage` — name, structure and error model all
 //! differ.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 
@@ -73,7 +74,7 @@ pub struct MessageConnection {
     /// the local listening address (server mode).
     address: String,
     server_mode: bool,
-    received: Arc<Mutex<Vec<InboxMessage>>>,
+    received: Arc<Mutex<VecDeque<InboxMessage>>>,
     listener: Arc<Mutex<Option<Arc<dyn MessageListener>>>>,
 }
 
@@ -108,7 +109,7 @@ impl MessageConnection {
             platform: platform.clone(),
             address: address.to_owned(),
             server_mode: false,
-            received: Arc::new(Mutex::new(Vec::new())),
+            received: Arc::new(Mutex::new(VecDeque::new())),
             listener: Arc::new(Mutex::new(None)),
         })
     }
@@ -123,7 +124,7 @@ impl MessageConnection {
     /// Returns [`S60Exception::Security`] if receiving is denied.
     pub fn open_server(platform: &S60Platform) -> Result<Self, S60Exception> {
         platform.enforce(ApiPermission::SmsReceive)?;
-        let received = Arc::new(Mutex::new(Vec::new()));
+        let received = Arc::new(Mutex::new(VecDeque::new()));
         let listener: Arc<Mutex<Option<Arc<dyn MessageListener>>>> = Arc::new(Mutex::new(None));
         let sink = Arc::clone(&received);
         let notify = Arc::clone(&listener);
@@ -132,7 +133,7 @@ impl MessageConnection {
             .device()
             .smsc()
             .add_inbox_listener(&own, move |msg| {
-                sink.lock().push(msg.clone());
+                sink.lock().push_back(msg.clone());
                 let current = notify.lock().clone();
                 if let Some(listener) = current {
                     listener.notify_incoming_message();
@@ -278,11 +279,9 @@ impl MessageConnection {
                 "receive on a client-mode connection".to_owned(),
             ));
         }
-        let mut queue = self.received.lock();
-        if queue.is_empty() {
+        let Some(inbox_message) = self.received.lock().pop_front() else {
             return Ok(None);
-        }
-        let inbox_message = queue.remove(0);
+        };
         let mut message = TextMessage::default();
         message.set_address(&format!("sms://{}", inbox_message.from));
         message.set_payload_text(&inbox_message.body);
@@ -380,6 +379,24 @@ mod tests {
         let msg = server.receive().unwrap().unwrap();
         assert_eq!(msg.payload_text(), Some("new task: site 4"));
         assert_eq!(msg.address(), Some("sms://+91-sup"));
+        assert!(server.receive().unwrap().is_none());
+    }
+
+    #[test]
+    fn receive_returns_queued_messages_oldest_first() {
+        let platform = platform();
+        let server = MessageConnection::open_server(&platform).unwrap();
+        let smsc = platform.device().smsc();
+        smsc.submit("+91-sup", "+91-agent", "first", 0, None);
+        smsc.submit("+91-hq", "+91-agent", "second", 1, None);
+        platform.device().advance_ms(1_000);
+        assert_eq!(server.pending(), 2);
+        let first = server.receive().unwrap().unwrap();
+        assert_eq!(first.payload_text(), Some("first"));
+        assert_eq!(first.address(), Some("sms://+91-sup"));
+        let second = server.receive().unwrap().unwrap();
+        assert_eq!(second.payload_text(), Some("second"));
+        assert_eq!(second.address(), Some("sms://+91-hq"));
         assert!(server.receive().unwrap().is_none());
     }
 

@@ -189,5 +189,5 @@ fn builder_matches_legacy_constructor_behaviour() {
             .unwrap();
     }
     device.advance_ms(10_000);
-    assert_eq!(device.smsc().inbox("+91-sup").len(), 3);
+    assert_eq!(device.smsc().inbox_len("+91-sup"), 3);
 }

@@ -61,7 +61,7 @@ fn parallel_proxy_calls_from_many_threads() {
         handle.join().expect("worker thread panicked");
     }
     device.advance_ms(10_000);
-    assert_eq!(device.smsc().inbox("+hub").len(), 8 * 25);
+    assert_eq!(device.smsc().inbox_len("+hub"), 8 * 25);
 }
 
 #[test]
@@ -89,5 +89,5 @@ fn clock_advance_races_with_proxy_calls() {
     pump.join().unwrap();
     sender.join().unwrap();
     device.advance_ms(5_000);
-    assert_eq!(device.smsc().inbox("+hub").len(), 50);
+    assert_eq!(device.smsc().inbox_len("+hub"), 50);
 }
