@@ -38,9 +38,7 @@ use mobivine_device::cohort::{Cohort, CohortPartition};
 use mobivine_device::fault::{CrashKind, CrashSchedule, FaultPlan};
 use mobivine_device::Device;
 use mobivine_s60::S60Platform;
-use mobivine_telemetry::{
-    Labels, PromotionPolicy, PromotionReason, SloEngine, SloObjective, SloReport, SloTarget,
-};
+use mobivine_telemetry::{Labels, PromotionPolicy, PromotionReason};
 use mobivine_webview::WebView;
 
 use crate::server::{DurabilityConfig, TrackPoint, WfmServer};
@@ -167,12 +165,6 @@ pub struct FleetConfig {
     /// The traced hot path is allocation-free after wiring, so this
     /// costs atomics and span-record moves, not heap churn.
     pub telemetry: bool,
-    /// When `true` (requires `telemetry`), every device runtime gets a
-    /// per-device [`SloEngine`] over a fleet-wide objective template
-    /// (availability per proxy method per platform, plus latency
-    /// objectives under a brownout); the per-device reports are merged
-    /// in device-index order into the report's breached objectives.
-    pub slo: bool,
     /// Optional brownout scenario overwhelming one shard.
     pub brownout: Option<BrownoutConfig>,
     /// When set, the fleet runs durable: client runtimes journal
@@ -206,7 +198,6 @@ impl Default for FleetConfig {
             read_heavy: false,
             cache: false,
             telemetry: false,
-            slo: false,
             brownout: None,
             durability: None,
             crash_plan: false,
@@ -244,12 +235,6 @@ impl FleetConfig {
         }
         if self.ops_per_round == 0 {
             return illegal("ops_per_round");
-        }
-        if self.slo && !self.telemetry {
-            return Err(ProxyError::new(
-                ProxyErrorKind::IllegalArgument,
-                "FleetConfig: slo requires telemetry (outcomes are observed at the proxy plane)",
-            ));
         }
         if let Some(brownout) = &self.brownout {
             if brownout.target_shard >= self.shards {
@@ -318,10 +303,6 @@ pub struct FleetReport {
     /// The first few exemplar trace ids (16-hex, device-index order)
     /// pinned on `proxy_call_ms` histogram buckets; empty untraced.
     pub exemplar_trace_ids: Vec<String>,
-    /// Names of the worst breached SLO objectives (fast-burn
-    /// descending, capped), from the merged per-device reports; empty
-    /// when the run declared no objectives (`slo: false`).
-    pub top_breached: Vec<String>,
 }
 
 /// Adds each `(name, value)` to the counter `prefix` + `name`, creating
@@ -413,45 +394,6 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 
 fn fnv_fold(hash: u64, value: u64) -> u64 {
     (hash ^ value).wrapping_mul(0x0000_0100_0000_01B3)
-}
-
-/// The fleet-wide SLO objective template: availability per traffic
-/// method per platform, plus — under a brownout — a latency objective
-/// at the scenario's p99 target. Every device gets the *same* list (its
-/// recorder only matches its own platform's series), so the per-device
-/// reports merge index-for-index at digest time.
-fn fleet_slo_objectives(brownout: bool) -> Vec<SloObjective> {
-    let mut objectives = Vec::new();
-    for platform in ["android", "s60", "android-webview"] {
-        for (proxy, method) in [
-            ("Location", "getLocation"),
-            ("SMS", "sendTextMessage"),
-            ("Http", "request"),
-        ] {
-            objectives.push(SloObjective {
-                name: format!("avail:{proxy}.{method}@{platform}"),
-                proxy: proxy.into(),
-                method: method.into(),
-                platform: platform.into(),
-                target: SloTarget::Availability {
-                    target_ppm: 995_000,
-                },
-            });
-            if brownout {
-                objectives.push(SloObjective {
-                    name: format!("latency:{proxy}.{method}@{platform}"),
-                    proxy: proxy.into(),
-                    method: method.into(),
-                    platform: platform.into(),
-                    target: SloTarget::Latency {
-                        threshold_ms: BROWNOUT_P99_TARGET_MS,
-                        target_ppm: 990_000,
-                    },
-                });
-            }
-        }
-    }
-    objectives
 }
 
 /// One queued unit of traffic, dispatched at batch flush.
@@ -773,24 +715,10 @@ impl Fleet {
                 })
                 .unwrap_or_default()
                 .max_incidents(INCIDENT_CAPACITY);
-            // One engine *per device*: shared burn-rate windows would
-            // interleave worker writes; per-device engines merge in
-            // index order at report time, keeping the digest
-            // worker-count-independent.
-            let slo_engine = config.slo.then(|| {
-                Arc::new(SloEngine::new(fleet_slo_objectives(
-                    config.brownout.is_some(),
-                )))
-            });
             let instrument = |b: mobivine::registry::MobivineBuilder| {
                 let b = if config.telemetry {
-                    let b = b
-                        .with_telemetry_retention(SPAN_RETENTION)
-                        .with_promotion_policy(promotion.clone());
-                    match &slo_engine {
-                        Some(engine) => b.with_slo(Arc::clone(engine)),
-                        None => b,
-                    }
+                    b.with_telemetry_retention(SPAN_RETENTION)
+                        .with_promotion_policy(promotion.clone())
                 } else {
                     b
                 };
@@ -1001,10 +929,10 @@ impl Fleet {
         if self.config.durability.is_some() {
             self.recovery_counters(&mut counters);
         }
-        let (exemplar_trace_ids, top_breached) = if self.config.telemetry {
+        let exemplar_trace_ids = if self.config.telemetry {
             self.incident_counters(&mut counters)
         } else {
-            (Vec::new(), Vec::new())
+            Vec::new()
         };
         FleetReport {
             total_ops,
@@ -1012,7 +940,6 @@ impl Fleet {
             checksum,
             counters,
             exemplar_trace_ids,
-            top_breached,
         }
     }
 
@@ -1088,23 +1015,18 @@ impl Fleet {
     }
 
     /// Walks every device runtime in index order and folds its flight
-    /// recorder, histogram exemplars and SLO report: adds the incident
-    /// counters and returns the exemplar trace ids and the worst
-    /// breached objectives. Each device was stepped by exactly one
-    /// worker, so every input is as deterministic as the op counters.
+    /// recorder and histogram exemplars: adds the incident counters and
+    /// returns the exemplar trace ids. Each device was stepped by
+    /// exactly one worker, so every input is as deterministic as the op
+    /// counters.
     /// The incident checksum folds every kept promoted trace id and
     /// reason and every histogram exemplar; it is separate from the
     /// report's checksum so tracing stays invisible to that.
-    fn incident_counters(
-        &self,
-        counters: &mut BTreeMap<String, u64>,
-    ) -> (Vec<String>, Vec<String>) {
+    fn incident_counters(&self, counters: &mut BTreeMap<String, u64>) -> Vec<String> {
         const EXEMPLAR_ID_CAP: usize = 8;
         let mut tally = |fields: &[(&str, u64)]| add(counters, "incidents.", fields);
         let mut exemplar_trace_ids = Vec::new();
         let mut incident_checksum = FNV_OFFSET;
-        let mut merged_slo: Option<SloReport> = None;
-        let now_ms = self.config.rounds * self.config.tick_ms;
 
         for index in 0..self.config.devices {
             let Some(runtime) = self.registry.runtime(index) else {
@@ -1148,30 +1070,9 @@ impl Fleet {
                     }
                 }
             }
-            if let Some(engine) = runtime.slo_engine() {
-                let report = engine.report(now_ms);
-                match &mut merged_slo {
-                    // Same template everywhere, so the merge cannot
-                    // mismatch; a failure would be a bug worth hearing.
-                    Some(merged) => merged.merge(&report).expect("identical objective template"),
-                    None => merged_slo = Some(report),
-                }
-            }
         }
         tally(&[("incident_checksum", incident_checksum)]);
-
-        let top_breached = merged_slo
-            .map(|merged| {
-                let mut breached: Vec<(u64, String)> = merged
-                    .breached()
-                    .into_iter()
-                    .map(|status| (status.fast_burn_milli(), status.objective.name.clone()))
-                    .collect();
-                breached.sort_by(|a, b| b.0.cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-                breached.into_iter().take(5).map(|(_, name)| name).collect()
-            })
-            .unwrap_or_default();
-        (exemplar_trace_ids, top_breached)
+        exemplar_trace_ids
     }
 }
 
@@ -1348,21 +1249,8 @@ mod tests {
     fn traced_brownout_config(admission: bool) -> FleetConfig {
         FleetConfig {
             telemetry: true,
-            slo: true,
             ..brownout_config(admission)
         }
-    }
-
-    #[test]
-    fn slo_without_telemetry_is_rejected() {
-        let err = FleetConfig {
-            slo: true,
-            telemetry: false,
-            ..small_config()
-        }
-        .validated()
-        .unwrap_err();
-        assert_eq!(err.kind(), ProxyErrorKind::IllegalArgument);
     }
 
     #[test]
@@ -1370,7 +1258,6 @@ mod tests {
         let report = Fleet::build(small_config()).unwrap().run();
         assert!(!has_prefix(&report, "incidents."), "{report:?}");
         assert!(report.exemplar_trace_ids.is_empty());
-        assert!(report.top_breached.is_empty());
         assert_eq!(
             report.counters["deadline_blown"], 0,
             "no brownout, no deadline budget"
@@ -1418,18 +1305,8 @@ mod tests {
     }
 
     #[test]
-    fn protected_brownout_surfaces_breached_objectives() {
+    fn protected_brownout_promotes_shed_traces() {
         let report = Fleet::build(traced_brownout_config(true)).unwrap().run();
-        // Sheds are availability errors on the target shard's series:
-        // the merged burn-rate report must name the burning objectives.
-        assert!(
-            !report.top_breached.is_empty(),
-            "sheds must breach availability objectives: {report:?}"
-        );
-        assert!(report
-            .top_breached
-            .iter()
-            .all(|name| name.starts_with("avail:") || name.starts_with("latency:")));
         assert!(
             report.counters["incidents.promoted_traces"] > 0,
             "shed errors promote traces: {report:?}"

@@ -18,8 +18,6 @@ use mobivine::{
 };
 use mobivine_device::fault::{CrashKind, CrashSchedule};
 use mobivine_device::net::{HttpResponse, Method, SimNetwork};
-use mobivine_device::Device;
-use mobivine_telemetry::slo::{links_from_incidents, slo_report_json};
 use mobivine_telemetry::MetricsRegistry;
 
 use crate::model::{ActivityEntry, Task};
@@ -82,30 +80,6 @@ pub fn install_health_route(network: &SimNetwork, host: &str, runtime: Arc<Mobiv
             "incidents": incidents_json,
         });
         HttpResponse::ok(body.to_string())
-    });
-}
-
-/// Installs a `GET /slo` route on `network` under `host`, answering the
-/// `mobivine.slo.v1` burn-rate report for `runtime`'s SLO engine
-/// evaluated at `device`'s current virtual time, with links into the
-/// flight recorder's promoted traces
-/// ([`mobivine_telemetry::slo::validate_slo_json`] round-trips the
-/// body).
-///
-/// Answers `404` when the runtime has no SLO engine attached — the
-/// route is installable unconditionally; the status tells scrapers
-/// whether objectives are declared.
-pub fn install_slo_route(network: &SimNetwork, host: &str, device: Device, runtime: Arc<Mobivine>) {
-    network.register_route(host, Method::Get, "/slo", move |_req| {
-        let Some(engine) = runtime.slo_engine() else {
-            return HttpResponse::status_only(404);
-        };
-        let report = engine.report(device.now_ms());
-        let links = match runtime.incidents() {
-            Some(store) => links_from_incidents(std::slice::from_ref(store)),
-            None => Vec::new(),
-        };
-        HttpResponse::ok(slo_report_json(&report, &links))
     });
 }
 
@@ -935,68 +909,6 @@ mod tests {
             incidents.get_field("promoted"),
             Some(&serde_json::Value::Number(0.0))
         );
-    }
-
-    #[test]
-    fn slo_route_serves_a_valid_burn_rate_report() {
-        use mobivine::api::LocationProxy;
-        use mobivine_android::{AndroidPlatform, SdkVersion};
-        use mobivine_telemetry::slo::validate_slo_json;
-        use mobivine_telemetry::{SloEngine, SloObjective, SloTarget};
-
-        let device = Device::builder().build();
-        let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let engine = Arc::new(SloEngine::new(vec![SloObjective {
-            name: "location-availability".into(),
-            proxy: "Location".into(),
-            method: "getLocation".into(),
-            platform: "android".into(),
-            target: SloTarget::Availability {
-                target_ppm: 999_000,
-            },
-        }]));
-        let runtime = Arc::new(
-            mobivine::registry::Mobivine::builder()
-                .with_telemetry()
-                .with_slo(Arc::clone(&engine))
-                .android(platform.new_context())
-                .build()
-                .unwrap(),
-        );
-        let location = runtime.proxy::<dyn LocationProxy>().unwrap();
-        for _ in 0..4 {
-            location.get_location().unwrap();
-        }
-        install_slo_route(device.network(), "wfm.example", device.clone(), runtime);
-        let req = HttpRequest::get("http://wfm.example/slo").unwrap();
-        let (resp, _) = device.network().execute(&req).unwrap();
-        assert_eq!(resp.status, 200);
-        let body = String::from_utf8(resp.body).unwrap();
-        let summary = validate_slo_json(&body).expect("slo report round-trips");
-        assert_eq!(summary.objectives, 1);
-        assert_eq!(summary.breached, 0);
-    }
-
-    #[test]
-    fn slo_route_is_404_without_an_engine() {
-        use mobivine_android::{AndroidPlatform, SdkVersion};
-
-        let device = Device::builder().build();
-        let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
-        let runtime = mobivine::registry::Mobivine::builder()
-            .android(platform.new_context())
-            .with_telemetry()
-            .build()
-            .unwrap();
-        install_slo_route(
-            device.network(),
-            "wfm.example",
-            device.clone(),
-            Arc::new(runtime),
-        );
-        let req = HttpRequest::get("http://wfm.example/slo").unwrap();
-        let (resp, _) = device.network().execute(&req).unwrap();
-        assert_eq!(resp.status, 404);
     }
 
     #[test]

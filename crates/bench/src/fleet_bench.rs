@@ -82,8 +82,7 @@ impl Arm {
 }
 
 /// One arm's results: the [`mobivine_apps::FleetReport`] of its run,
-/// less the two lists no gate reads (exemplar trace ids and breached
-/// objectives). `counters` is the report's counter map, as named by the
+/// less the list no gate reads (exemplar trace ids). `counters` is the report's counter map, as named by the
 /// fleet engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
@@ -402,7 +401,6 @@ fn brownout(_: &Sweep) -> Scenario {
             name,
             FleetConfig {
                 telemetry: true,
-                slo: true,
                 brownout,
                 ..small()
             },

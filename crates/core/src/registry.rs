@@ -65,7 +65,7 @@ use std::sync::OnceLock;
 
 use mobivine_device::Device;
 use mobivine_proxydl::{PlatformId, ProxyDescriptor};
-use mobivine_telemetry::{IncidentStore, MetricsRegistry, PromotionPolicy, SloEngine};
+use mobivine_telemetry::{IncidentStore, MetricsRegistry, PromotionPolicy};
 
 use crate::api::{CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, SmsProxy};
 use crate::cache::{CacheMetrics, CachePolicy};
@@ -278,7 +278,6 @@ pub struct Mobivine {
     platform: PlatformId,
     catalog: Arc<Vec<ProxyDescriptor>>,
     pub(crate) layers: Layers,
-    slo: Option<Arc<SloEngine>>,
     resolved: ResolutionCache,
 }
 
@@ -354,12 +353,6 @@ impl Mobivine {
     /// when [`MobivineBuilder::with_telemetry`] was applied.
     pub fn incidents(&self) -> Option<&Arc<IncidentStore>> {
         self.telemetry().and_then(TelemetryRuntime::incidents)
-    }
-
-    /// The SLO engine grading proxy-plane calls, when
-    /// [`MobivineBuilder::with_slo`] was applied.
-    pub fn slo_engine(&self) -> Option<&Arc<SloEngine>> {
-        self.slo.as_ref()
     }
 
     /// The platform this runtime targets.
@@ -522,7 +515,6 @@ pub struct MobivineBuilder {
     telemetry: Option<usize>,
     /// Tail-based promotion policy override, when telemetry is enabled.
     promotion: Option<PromotionPolicy>,
-    slo: Option<Arc<SloEngine>>,
 }
 
 impl fmt::Debug for MobivineBuilder {
@@ -657,17 +649,6 @@ impl MobivineBuilder {
         self
     }
 
-    /// Attaches a declarative SLO engine: the proxy plane feeds every
-    /// finished call's `(ok, latency)` into the engine's matching
-    /// `(proxy, method, platform)` objectives, evaluated on virtual-time
-    /// multi-window burn rates. Without telemetry the engine records
-    /// nothing (the proxy plane is where outcomes are observed).
-    #[must_use]
-    pub fn with_slo(mut self, engine: Arc<SloEngine>) -> Self {
-        self.slo = Some(engine);
-        self
-    }
-
     /// Builds the runtime: every recorded option is wired in one pass,
     /// so the order the builder methods were called never matters.
     ///
@@ -689,12 +670,7 @@ impl MobivineBuilder {
         let device = plane.device();
         let promotion = self.promotion.unwrap_or_default();
         let telemetry = self.telemetry.map(|span_retention| {
-            let metrics = Arc::clone(device.metrics());
-            let telemetry = TelemetryRuntime::with_recorder(metrics, span_retention, promotion);
-            match &self.slo {
-                Some(engine) => telemetry.with_slo(Arc::clone(engine)),
-                None => telemetry,
-            }
+            TelemetryRuntime::with_recorder(Arc::clone(device.metrics()), span_retention, promotion)
         });
         let policies = LayerPolicies {
             telemetry,
@@ -707,7 +683,6 @@ impl MobivineBuilder {
             layers: Layers::new(policies),
             platform: plane.platform_id(),
             catalog: plane.catalog(),
-            slo: self.slo,
             resolved: ResolutionCache::default(),
             plane,
         }
@@ -950,44 +925,23 @@ mod tests {
     }
 
     #[test]
-    fn slo_composes_in_any_order_and_incidents_are_reachable() {
-        use mobivine_telemetry::{SloObjective, SloTarget};
-
-        let objectives = || {
-            vec![SloObjective {
-                name: "location-availability".into(),
-                proxy: "Location".into(),
-                method: "getLocation".into(),
-                platform: "android".into(),
-                target: SloTarget::Availability {
-                    target_ppm: 999_000,
-                },
-            }]
-        };
+    fn incidents_are_reachable_in_any_builder_order() {
         let context =
             || AndroidPlatform::new(Device::builder().build(), SdkVersion::M5Rc15).new_context();
-        let slo_first = Mobivine::builder()
-            .with_slo(Arc::new(SloEngine::new(objectives())))
+        let telemetry_first = Mobivine::builder()
             .with_telemetry()
             .android(context())
             .build()
             .unwrap();
-        let telemetry_first = Mobivine::builder()
+        let platform_first = Mobivine::builder()
             .android(context())
             .with_telemetry()
-            .with_slo(Arc::new(SloEngine::new(objectives())))
             .build()
             .unwrap();
 
-        for runtime in [slo_first, telemetry_first] {
-            let engine = Arc::clone(runtime.slo_engine().expect("slo engine"));
+        for runtime in [telemetry_first, platform_first] {
             let location = runtime.proxy::<dyn LocationProxy>().unwrap();
             location.get_location().unwrap();
-            let report = engine.report(1);
-            assert_eq!(
-                report.statuses[0].fast.good, 1,
-                "proxy plane feeds the engine regardless of wiring order"
-            );
             assert!(runtime.incidents().expect("incident store").is_empty());
         }
     }

@@ -45,11 +45,10 @@
 //! The proxy plane also closes the incident-debugging loop: it stamps
 //! `deadline = blown` on the span when the ambient
 //! [`crate::overload::Deadline`] expired mid-call (so the flight
-//! recorder's tail-based policy can promote the trace), attaches the
+//! recorder's tail-based policy can promote the trace) and attaches the
 //! promoted trace id to the latency histogram bucket as an OpenMetrics
-//! exemplar, and feeds `(ok, latency)` into any [`SloEngine`]
-//! objectives watching the series — all through handles resolved at
-//! wiring time, so the healthy warmed path stays allocation-free.
+//! exemplar — through handles resolved at wiring time, so the healthy
+//! warmed path stays allocation-free.
 //!
 //! Spans parent implicitly through the ambient span stack
 //! ([`mobivine_telemetry::span::ambient`]): if the application opened
@@ -63,21 +62,19 @@ use mobivine_telemetry::recorder::take_promotion;
 use mobivine_telemetry::span::{ambient, ActiveSpan, Plane, SpanName, DEFAULT_SPAN_RETENTION};
 use mobivine_telemetry::{
     Counter, Histogram, IncidentStore, Labels, MetricsRegistry, PromotionPolicy, Recorder,
-    RecorderCounters, SloEngine, SloRecorder, Tracer,
+    RecorderCounters, Tracer,
 };
 
 use crate::error::{ProxyError, ProxyErrorKind};
 use crate::stack::CallMeta;
 
 /// One runtime's telemetry wiring: the tracer collecting span records
-/// (with its flight-recorder promotion policy), the metrics registry
-/// every layer publishes into, and — when configured — the SLO engine
-/// grading proxy-plane outcomes against declared objectives.
+/// (with its flight-recorder promotion policy) and the metrics registry
+/// every layer publishes into.
 #[derive(Clone)]
 pub struct TelemetryRuntime {
     tracer: Tracer,
     metrics: Arc<MetricsRegistry>,
-    slo: Option<Arc<SloEngine>>,
 }
 
 impl TelemetryRuntime {
@@ -117,19 +114,7 @@ impl TelemetryRuntime {
             promoted: metrics.counter("telemetry_traces_promoted_total", &none),
             promoted_dropped: metrics.counter("telemetry_promotions_dropped_total", &none),
         });
-        Self {
-            tracer,
-            metrics,
-            slo: None,
-        }
-    }
-
-    /// Attaches an SLO engine; proxy planes wired after this
-    /// call feed every finished call's `(ok, latency)` into the
-    /// engine's matching objectives.
-    pub fn with_slo(mut self, slo: Arc<SloEngine>) -> Self {
-        self.slo = Some(slo);
-        self
+        Self { tracer, metrics }
     }
 
     /// The tracer holding every finished span.
@@ -140,12 +125,6 @@ impl TelemetryRuntime {
     /// The shared metrics registry.
     pub fn metrics(&self) -> &Arc<MetricsRegistry> {
         &self.metrics
-    }
-
-    /// The SLO engine, when one was attached via
-    /// [`TelemetryRuntime::with_slo`].
-    pub fn slo(&self) -> Option<&Arc<SloEngine>> {
-        self.slo.as_ref()
     }
 
     /// The bounded store of promoted (incident) traces, when the
@@ -308,14 +287,6 @@ impl CallInstruments {
     }
 }
 
-/// One method's proxy-plane state: its metric handles and the SLO
-/// recorder feeding whichever declared objectives watch this `(proxy,
-/// method, platform)` series.
-struct MethodInstrument {
-    instruments: CallInstruments,
-    slo: Option<SloRecorder>,
-}
-
 /// One proxy's instrumentation kit at one plane — a trace layer of its
 /// layer stack: where to time, trace and count. Span names come
 /// pre-spelled in each [`CallMeta`] and handles are resolved in
@@ -326,10 +297,10 @@ pub(crate) struct Instrument {
     tracer: Tracer,
     plane: Plane,
     platform: SpanName,
-    /// The proxy plane's per-method state, indexed by
+    /// The proxy plane's per-method metric handles, indexed by
     /// [`CallMeta::index`]; empty at the binding plane, which only
     /// traces.
-    methods: Vec<MethodInstrument>,
+    methods: Vec<CallInstruments>,
 }
 
 impl Instrument {
@@ -343,18 +314,8 @@ impl Instrument {
         let methods = if plane == Plane::Proxy {
             methods
                 .iter()
-                .map(|&CallMeta { proxy, method, .. }| MethodInstrument {
-                    instruments: CallInstruments::resolve(
-                        &runtime.metrics,
-                        proxy,
-                        method,
-                        platform,
-                    ),
-                    slo: runtime
-                        .slo
-                        .as_ref()
-                        .map(|engine| engine.recorder(proxy, method, platform))
-                        .filter(|recorder| !recorder.is_empty()),
+                .map(|&CallMeta { proxy, method, .. }| {
+                    CallInstruments::resolve(&runtime.metrics, proxy, method, platform)
                 })
                 .collect()
         } else {
@@ -370,9 +331,8 @@ impl Instrument {
     }
 
     /// Runs one proxy call inside a span; the proxy plane additionally
-    /// publishes call/error counters, the latency histogram (with an
-    /// OpenMetrics exemplar when the call's trace was just promoted),
-    /// and the SLO recorder for this series.
+    /// publishes call/error counters and the latency histogram (with an
+    /// OpenMetrics exemplar when the call's trace was just promoted).
     ///
     /// The span is ended *before* the latency record so that when this
     /// span is a trace root, the flight recorder's tail-based
@@ -405,7 +365,7 @@ impl Instrument {
             }
         }
         span.end(end);
-        if let Some(MethodInstrument { instruments, slo }) = entry {
+        if let Some(instruments) = entry {
             instruments.calls.inc();
             if result.is_err() {
                 instruments.errors.inc();
@@ -414,9 +374,6 @@ impl Instrument {
             instruments.latency.record(latency);
             if let Some(trace_id) = take_promotion(&self.tracer) {
                 instruments.latency.attach_exemplar(latency, trace_id);
-            }
-            if let Some(slo) = slo {
-                slo.record(end, result.is_ok(), latency);
             }
         }
         result
@@ -636,49 +593,6 @@ mod tests {
             .histogram("proxy_call_ms", &labels)
             .exemplars()
             .is_empty());
-    }
-
-    #[test]
-    fn proxy_plane_feeds_slo_objectives() {
-        use mobivine_telemetry::{SloObjective, SloTarget};
-
-        let device = Device::builder().build();
-        let engine = Arc::new(SloEngine::new(vec![
-            SloObjective {
-                name: "location-availability".into(),
-                proxy: "Location".into(),
-                method: "getLocation".into(),
-                platform: "android".into(),
-                target: SloTarget::Availability {
-                    target_ppm: 999_000,
-                },
-            },
-            SloObjective {
-                name: "sms-availability".into(),
-                proxy: "SMS".into(),
-                method: "sendTextMessage".into(),
-                platform: "android".into(),
-                target: SloTarget::Availability {
-                    target_ppm: 999_000,
-                },
-            },
-        ]));
-        let telemetry =
-            TelemetryRuntime::new(Arc::clone(device.metrics())).with_slo(Arc::clone(&engine));
-        let proxy = location(device.clone(), &telemetry, Plane::Proxy, "android");
-        for _ in 0..5 {
-            proxy.traced(get_location(), fix).unwrap();
-        }
-        let report = engine.report(device.now_ms());
-        let status = &report.statuses[0];
-        assert_eq!(status.fast.good, 5, "matching objective sees the calls");
-        assert_eq!(status.fast.bad, 0);
-        let sms = &report.statuses[1];
-        assert_eq!(
-            sms.fast.good + sms.fast.bad,
-            0,
-            "non-matching series stays idle"
-        );
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use mobivine_telemetry::span::{ambient, Plane};
 use mobivine_telemetry::{Counter, Labels, MetricsRegistry};
@@ -174,6 +174,52 @@ pub type DeliveryReportFn = Box<dyn Fn(MessageId, DeliveryStatus, u64) + Send>;
 /// Callback invoked when a message arrives at a registered address.
 pub type InboxListenerFn = Box<dyn Fn(&InboxMessage) + Send>;
 
+/// A subscribed inbox listener and the id of its [`InboxSubscription`].
+struct Listener {
+    id: u64,
+    call: InboxListenerFn,
+}
+
+/// An inbox listener's subscription, returned by
+/// [`Smsc::add_inbox_listener`]: the listener stays subscribed while
+/// this lives and is removed when it drops.
+#[must_use = "dropping the subscription removes the listener at once"]
+pub struct InboxSubscription {
+    state: Weak<Mutex<SmscState>>,
+    address: u32,
+    id: u64,
+}
+
+impl fmt::Debug for InboxSubscription {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("InboxSubscription")
+            .field("id", &self.id)
+            .finish()
+    }
+}
+
+impl Drop for InboxSubscription {
+    fn drop(&mut self) {
+        let Some(state) = self.state.upgrade() else {
+            return;
+        };
+        let mut guard = state.lock();
+        let listeners = &mut guard.addresses[self.address as usize].listeners;
+        match listeners.iter().position(|l| l.id == self.id) {
+            Some(index) => {
+                let listener = listeners.remove(index);
+                drop(guard);
+                // Dropped outside the lock: what the listener captured
+                // may hold subscriptions of its own.
+                drop(listener);
+            }
+            // A delivery has the listeners out of the lock; it does not
+            // put this one back.
+            None => guard.unsubscribed.push(self.id),
+        }
+    }
+}
+
 #[derive(Clone)]
 struct SmsMetrics {
     submitted: Counter,
@@ -234,7 +280,7 @@ struct Address {
     name: Box<str>,
     /// `Some` once the address is registered to receive messages.
     inbox: Option<Inbox>,
-    listeners: Vec<InboxListenerFn>,
+    listeners: Vec<Listener>,
 }
 
 struct SmscState {
@@ -248,6 +294,10 @@ struct SmscState {
     /// Indexed by message id − 1: ids are dense from 1.
     statuses: Vec<DeliveryStatus>,
     report_listeners: HashMap<MessageId, DeliveryReportFn>,
+    next_listener_id: u64,
+    /// Ids of subscriptions dropped while a delivery had their
+    /// listeners out of the lock.
+    unsubscribed: Vec<u64>,
 }
 
 impl SmscState {
@@ -337,6 +387,8 @@ impl Smsc {
                 address_ids: HashMap::new(),
                 statuses: Vec::new(),
                 report_listeners: HashMap::new(),
+                next_listener_id: 0,
+                unsubscribed: Vec::new(),
             })),
             metrics: Arc::new(OnceLock::new()),
         }
@@ -385,16 +437,25 @@ impl Smsc {
             .is_some_and(|a| a.inbox.is_some())
     }
 
-    /// Subscribes to message arrivals at `address`.
-    pub fn add_inbox_listener<F>(&self, address: &str, listener: F)
+    /// Subscribes `listener` to message arrivals at `address` until the
+    /// returned subscription drops.
+    pub fn add_inbox_listener<F>(&self, address: &str, listener: F) -> InboxSubscription
     where
         F: Fn(&InboxMessage) + Send + 'static,
     {
         let mut state = self.state.lock();
-        let id = state.intern(address);
-        state.addresses[id as usize]
-            .listeners
-            .push(Box::new(listener));
+        let address = state.intern(address);
+        let id = state.next_listener_id;
+        state.next_listener_id += 1;
+        state.addresses[address as usize].listeners.push(Listener {
+            id,
+            call: Box::new(listener),
+        });
+        InboxSubscription {
+            state: Arc::downgrade(&self.state),
+            address,
+            id,
+        }
     }
 
     /// Snapshot of the inbox for `address`, oldest first (empty if
@@ -504,7 +565,7 @@ impl Smsc {
                     }
                     // Take listeners out so callbacks run without the lock;
                     // only they need the message as an `InboxMessage`.
-                    let listeners = std::mem::take(&mut recipient.listeners);
+                    let mut listeners = std::mem::take(&mut recipient.listeners);
                     let message = (!listeners.is_empty()).then(|| InboxMessage {
                         id,
                         from: guard.name(from).to_owned(),
@@ -516,13 +577,21 @@ impl Smsc {
                     drop(guard);
                     if let Some(message) = message {
                         for l in &listeners {
-                            l(&message);
+                            (l.call)(&message);
                         }
-                        // Listeners added during the callbacks follow.
+                        // Listeners added during the callbacks follow;
+                        // those unsubscribed during them are not put back.
                         let mut guard = state.lock();
+                        let unsubscribed = &mut guard.unsubscribed;
+                        let gone: Vec<Listener> = listeners
+                            .extract_if(.., |l| unsubscribed.contains(&l.id))
+                            .collect();
+                        unsubscribed.retain(|id| gone.iter().all(|l| l.id != *id));
                         let slot = &mut guard.addresses[to as usize].listeners;
                         let added = std::mem::replace(slot, listeners);
                         slot.extend(added);
+                        drop(guard);
+                        drop(gone);
                     }
                 } else {
                     drop(guard);
@@ -685,7 +754,7 @@ mod tests {
         smsc.register_address("+2");
         let count = Arc::new(AtomicUsize::new(0));
         let c = Arc::clone(&count);
-        smsc.add_inbox_listener("+2", move |_msg| {
+        let _subscription = smsc.add_inbox_listener("+2", move |_msg| {
             c.fetch_add(1, Ordering::SeqCst);
         });
         smsc.submit("+1", "+2", "one", 0, None);
@@ -781,7 +850,8 @@ mod tests {
         smsc.register_address("+a");
         let seen = Arc::new(StdMutex::new(Vec::new()));
         let sink = Arc::clone(&seen);
-        smsc.add_inbox_listener("+a", move |msg| sink.lock().unwrap().push(msg.clone()));
+        let _subscription =
+            smsc.add_inbox_listener("+a", move |msg| sink.lock().unwrap().push(msg.clone()));
         smsc.submit("+s1", "+a", "first", 0, None);
         smsc.submit("+s2", "+a", &"日".repeat(71), 3, None);
         smsc.submit("+s1", "+a", "", 7, None);
@@ -797,18 +867,47 @@ mod tests {
         let smsc = Arc::new(smsc);
         smsc.register_address("+a");
         let count = Arc::new(AtomicUsize::new(0));
-        let (inner, c) = (Arc::clone(&smsc), Arc::clone(&count));
-        smsc.add_inbox_listener("+a", move |_| {
+        let added = Arc::new(StdMutex::new(Vec::new()));
+        let (inner, c, keep) = (Arc::clone(&smsc), Arc::clone(&count), Arc::clone(&added));
+        let _subscription = smsc.add_inbox_listener("+a", move |_| {
             let c = Arc::clone(&c);
-            inner.add_inbox_listener("+a", move |_| {
+            let subscription = inner.add_inbox_listener("+a", move |_| {
                 c.fetch_add(1, Ordering::SeqCst);
             });
+            keep.lock().unwrap().push(subscription);
         });
         smsc.submit("+s", "+a", "one", 0, None);
         events.run_until(1_000);
         smsc.submit("+s", "+a", "two", 1_000, None);
         events.run_until(2_000);
         assert_eq!(count.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn a_listener_that_drops_its_own_subscription_is_not_called_again() {
+        let (events, smsc) = smsc();
+        smsc.register_address("+a");
+        let count = Arc::new(AtomicUsize::new(0));
+        let own = Arc::new(StdMutex::new(None));
+        let (c, slot) = (Arc::clone(&count), Arc::clone(&own));
+        let subscription = smsc.add_inbox_listener("+a", move |_| {
+            c.fetch_add(1, Ordering::SeqCst);
+            drop(slot.lock().unwrap().take());
+        });
+        *own.lock().unwrap() = Some(subscription);
+        // A second listener on the same address keeps its place.
+        let others = Arc::new(AtomicUsize::new(0));
+        let o = Arc::clone(&others);
+        let _other = smsc.add_inbox_listener("+a", move |_| {
+            o.fetch_add(1, Ordering::SeqCst);
+        });
+        for at in [0, 1_000, 2_000] {
+            smsc.submit("+s", "+a", "ping", at, None);
+            events.run_until(at + 1_000);
+        }
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert_eq!(others.load(Ordering::SeqCst), 3);
+        assert_eq!(Arc::strong_count(&count), 1, "the listener is freed");
     }
 
     #[test]

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use mobivine_device::sms::InboxMessage;
+use mobivine_device::sms::{InboxMessage, InboxSubscription};
 
 use crate::error::S60Exception;
 use crate::permissions::ApiPermission;
@@ -73,16 +73,18 @@ pub struct MessageConnection {
     /// `sms://+number` the connection was opened on (client mode) or
     /// the local listening address (server mode).
     address: String,
-    server_mode: bool,
     received: Arc<Mutex<VecDeque<InboxMessage>>>,
     listener: Arc<Mutex<Option<Arc<dyn MessageListener>>>>,
+    /// The SMSC subscription feeding `received`, removed when the
+    /// connection drops; `Some` exactly in server mode.
+    subscription: Option<InboxSubscription>,
 }
 
 impl fmt::Debug for MessageConnection {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("MessageConnection")
             .field("address", &self.address)
-            .field("server_mode", &self.server_mode)
+            .field("server_mode", &self.server_mode())
             .finish()
     }
 }
@@ -108,16 +110,16 @@ impl MessageConnection {
         Ok(Self {
             platform: platform.clone(),
             address: address.to_owned(),
-            server_mode: false,
             received: Arc::new(Mutex::new(VecDeque::new())),
             listener: Arc::new(Mutex::new(None)),
+            subscription: None,
         })
     }
 
     /// `Connector.open("sms://:port")`-style server connection bound to
     /// this device's own number; incoming messages are queued for
     /// [`MessageConnection::receive`] and announced to the registered
-    /// [`MessageListener`], if any.
+    /// [`MessageListener`], if any, until the connection drops.
     ///
     /// # Errors
     ///
@@ -129,7 +131,7 @@ impl MessageConnection {
         let sink = Arc::clone(&received);
         let notify = Arc::clone(&listener);
         let own = platform.device().msisdn().to_owned();
-        platform
+        let subscription = platform
             .device()
             .smsc()
             .add_inbox_listener(&own, move |msg| {
@@ -142,9 +144,9 @@ impl MessageConnection {
         Ok(Self {
             platform: platform.clone(),
             address: own,
-            server_mode: true,
             received,
             listener,
+            subscription: Some(subscription),
         })
     }
 
@@ -159,13 +161,17 @@ impl MessageConnection {
         &self,
         listener: Option<Arc<dyn MessageListener>>,
     ) -> Result<(), S60Exception> {
-        if !self.server_mode {
+        if !self.server_mode() {
             return Err(S60Exception::Io(
                 "message listeners require a server-mode connection".to_owned(),
             ));
         }
         *self.listener.lock() = listener;
         Ok(())
+    }
+
+    fn server_mode(&self) -> bool {
+        self.subscription.is_some()
     }
 
     /// The address this connection is bound to.
@@ -177,7 +183,7 @@ impl MessageConnection {
     /// connection's peer.
     pub fn new_message(&self, kind: MessageType) -> TextMessage {
         let mut message = TextMessage::default();
-        if kind == MessageType::Text && !self.server_mode {
+        if kind == MessageType::Text && !self.server_mode() {
             message.set_address(&format!("sms://{}", self.address));
         }
         message
@@ -193,7 +199,7 @@ impl MessageConnection {
     ///   failures surface via the SMSC's delivery status, matching the
     ///   fire-and-forget J2ME API).
     pub fn send(&self, message: &TextMessage) -> Result<(), S60Exception> {
-        if self.server_mode {
+        if self.server_mode() {
             return Err(S60Exception::IllegalArgument(
                 "cannot send on a server-mode connection".to_owned(),
             ));
@@ -233,7 +239,7 @@ impl MessageConnection {
     where
         F: Fn(mobivine_device::sms::MessageId, bool) + Send + 'static,
     {
-        if self.server_mode {
+        if self.server_mode() {
             return Err(S60Exception::IllegalArgument(
                 "cannot send on a server-mode connection".to_owned(),
             ));
@@ -274,7 +280,7 @@ impl MessageConnection {
     /// Returns [`S60Exception::Io`] when called on a client-mode
     /// connection.
     pub fn receive(&self) -> Result<Option<TextMessage>, S60Exception> {
-        if !self.server_mode {
+        if !self.server_mode() {
             return Err(S60Exception::Io(
                 "receive on a client-mode connection".to_owned(),
             ));
@@ -439,6 +445,58 @@ mod tests {
         // Client-mode connections reject listeners.
         let client = MessageConnection::open_client(&platform, "sms://+1").unwrap();
         assert!(client.set_message_listener(None).is_err());
+    }
+
+    struct Counter(std::sync::atomic::AtomicUsize);
+
+    impl MessageListener for Counter {
+        fn notify_incoming_message(&self) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_dropped_server_connection_stops_receiving() {
+        let platform = platform();
+        let server = MessageConnection::open_server(&platform).unwrap();
+        let counter = Arc::new(Counter(Default::default()));
+        server
+            .set_message_listener(Some(Arc::clone(&counter) as Arc<dyn MessageListener>))
+            .unwrap();
+        drop(server);
+        let smsc = platform.device().smsc();
+        for body in ["one", "two", "three"] {
+            smsc.submit(
+                "+91-sup",
+                "+91-agent",
+                body,
+                platform.device().now_ms(),
+                None,
+            );
+        }
+        platform.device().advance_ms(1_000);
+        assert_eq!(counter.0.load(std::sync::atomic::Ordering::SeqCst), 0);
+        assert_eq!(
+            smsc.inbox_len("+91-agent"),
+            3,
+            "the device inbox still receives"
+        );
+    }
+
+    #[test]
+    fn dropped_server_connections_release_their_listeners() {
+        let platform = platform();
+        let listeners: Vec<Arc<Counter>> = (0..1_000)
+            .map(|_| {
+                let server = MessageConnection::open_server(&platform).unwrap();
+                let counter = Arc::new(Counter(Default::default()));
+                server
+                    .set_message_listener(Some(Arc::clone(&counter) as Arc<dyn MessageListener>))
+                    .unwrap();
+                counter
+            })
+            .collect();
+        assert!(listeners.iter().all(|l| Arc::strong_count(l) == 1));
     }
 
     #[test]

@@ -29,10 +29,6 @@
 //!   blown deadline, latency threshold) and promotes interesting trace
 //!   trees out of the overwrite-oldest rings into a bounded
 //!   [`IncidentStore`] before they can be overwritten.
-//! * [`slo`] — declarative availability / latency-quantile objectives
-//!   per `(proxy, method, platform)`, evaluated on virtual-time
-//!   multi-window burn rates (fast 5m / slow 1h) by an [`SloEngine`],
-//!   with a JSON report format linking breaches to promoted traces.
 //! * [`export`] — Chrome trace-event JSON for span trees (load the file
 //!   in `chrome://tracing` / Perfetto) and Prometheus-style text
 //!   exposition for the registry — including OpenMetrics exemplars on
@@ -48,7 +44,6 @@ pub mod export;
 pub mod intern;
 pub mod metrics;
 pub mod recorder;
-pub mod slo;
 pub mod span;
 
 pub use context::{TraceContext, TraceparentBuf};
@@ -58,7 +53,6 @@ pub use recorder::{
     IncidentStore, PromotedTrace, PromotionPolicy, PromotionReason, Recorder, RecorderCounters,
     DEFAULT_INCIDENT_CAPACITY,
 };
-pub use slo::{SloEngine, SloObjective, SloRecorder, SloReport, SloStatus, SloTarget};
 pub use span::{
     ambient, ActiveSpan, AttrList, AttrValue, EventList, InlineList, Plane, SpanEvent, SpanId,
     SpanName, SpanRecord, TraceId, Tracer, DEFAULT_SPAN_RETENTION,

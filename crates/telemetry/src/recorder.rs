@@ -65,15 +65,6 @@ impl PromotionReason {
             PromotionReason::SlowCall { .. } => 3,
         }
     }
-
-    /// Human-readable label for reports.
-    pub fn label(&self) -> &str {
-        match self {
-            PromotionReason::Error(kind) => kind.as_str(),
-            PromotionReason::DeadlineBlown => "deadline_blown",
-            PromotionReason::SlowCall { .. } => "slow_call",
-        }
-    }
 }
 
 /// The root attribute naming a failed call's error kind.

@@ -272,17 +272,6 @@ impl AttrList {
         self.entries.iter().map(|(k, v)| (*k, v.as_str()))
     }
 
-    /// The first value recorded under `key`, if any.
-    pub fn get(&self, key: &str) -> Option<&str> {
-        self.get_name(key).map(SpanName::as_str)
-    }
-
-    /// The first value recorded under `key` as the stored symbol, so a
-    /// caller keeping it clones a pointer, not the string.
-    pub fn get_name(&self, key: &str) -> Option<&SpanName> {
-        self.entries.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
-    }
-
     /// Number of annotations.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -1473,7 +1462,6 @@ mod tests {
         attrs.push("c", SpanName::from(String::from("3")));
         attrs.push("a", SpanName::Static("4"));
         assert_eq!(attrs.len(), 4);
-        assert_eq!(attrs.get("a"), Some("1"), "first value wins for get");
         let collected: Vec<_> = attrs.iter().collect();
         assert_eq!(
             collected,

@@ -1,18 +1,16 @@
 //! Incident debugging with the flight recorder: from a struggling
-//! runtime to a promoted trace, an exemplar-carrying histogram, and a
-//! burning SLO — the loop the README's "Incident debugging" walkthrough
-//! narrates.
+//! runtime to a promoted trace and an exemplar-carrying histogram — the
+//! loop the README's "Incident debugging" walkthrough narrates.
 //!
 //! The runtime keeps only a small ring of recent spans (cheap, fixed
 //! memory), but when a call ends interestingly — here: a blown batch
 //! deadline and a GPS outage — the whole trace tree is promoted into a
 //! bounded incident store. The Prometheus page then links the latency
-//! histogram to the promoted trace via an OpenMetrics exemplar, and the
-//! SLO engine reports which objective is burning.
+//! histogram to the promoted trace via an OpenMetrics exemplar. The
+//! example asserts both pieces of evidence and panics (exit non-zero)
+//! when either is missing.
 //!
 //! Run with: `cargo run --example incident_debugging`
-
-use std::sync::Arc;
 
 use mobivine_repro::android::{AndroidPlatform, SdkVersion};
 use mobivine_repro::device::gps::GpsAvailability;
@@ -20,8 +18,7 @@ use mobivine_repro::device::{Device, GeoPoint};
 use mobivine_repro::mobivine::overload::{with_deadline, Deadline};
 use mobivine_repro::mobivine::registry::Mobivine;
 use mobivine_repro::mobivine::LocationProxy;
-use mobivine_repro::telemetry::slo::{links_from_incidents, slo_report_json};
-use mobivine_repro::telemetry::{SloEngine, SloObjective, SloTarget};
+use mobivine_repro::telemetry::PromotionReason;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let device = Device::builder()
@@ -30,20 +27,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build();
     let platform = AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15);
 
-    // One availability objective over the call we are about to hurt.
-    let engine = Arc::new(SloEngine::new(vec![SloObjective {
-        name: "avail:Location.getLocation@android".to_owned(),
-        proxy: "Location".to_owned(),
-        method: "getLocation".to_owned(),
-        platform: "android".to_owned(),
-        target: SloTarget::Availability {
-            target_ppm: 999_000,
-        },
-    }]));
     let runtime = Mobivine::builder()
         .android(platform.new_context())
         .with_telemetry()
-        .with_slo(Arc::clone(&engine))
         .build()?;
     let proxy = runtime.proxy::<dyn LocationProxy>()?;
 
@@ -75,7 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         store.len(),
         runtime.tracer().expect("telemetry on").evicted_spans()
     );
-    for trace in store.traces() {
+    let traces = store.traces();
+    for trace in &traces {
         println!(
             "  trace {:016x}: {} spans, root {:?}, promoted for {:?}",
             trace.trace_id.0,
@@ -91,7 +78,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .telemetry_metrics()
         .expect("telemetry on")
         .render_prometheus();
-    for line in page.lines().filter(|l| l.contains("trace_id=")) {
+    let exemplars: Vec<&str> = page.lines().filter(|l| l.contains("trace_id=")).collect();
+    for line in &exemplars {
         println!("exemplar: {line}");
     }
     for line in page
@@ -101,10 +89,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("counter:  {line}");
     }
 
-    // And the SLO report names the burning objective, linking back to
-    // the promoted traces.
-    let report = engine.report(device.clock().now_ms());
-    let links = links_from_incidents(std::slice::from_ref(store));
-    println!("slo: {}", slo_report_json(&report, &links));
+    // The walkthrough's evidence: one trace per incident kind, and at
+    // least one exemplar linking the histogram to a promoted trace.
+    assert!(
+        traces
+            .iter()
+            .any(|t| t.reason == PromotionReason::DeadlineBlown),
+        "the blown deadline must promote its trace"
+    );
+    assert!(
+        traces
+            .iter()
+            .any(|t| matches!(t.reason, PromotionReason::Error(_))),
+        "the GPS outage must promote an errored trace"
+    );
+    assert!(
+        !exemplars.is_empty(),
+        "the Prometheus page must carry a trace_id exemplar"
+    );
     Ok(())
 }

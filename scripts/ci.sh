@@ -6,6 +6,9 @@ cd "$(dirname "$0")/.."
 cargo build --release
 cargo test -q
 cargo fmt --check
+# Which files may allow a lint at all is pinned by `cargo test` above
+# (tests/manifests.rs): none may allow `deprecated`, and only its
+# allowlist may allow a clippy lint.
 cargo clippy --workspace --all-targets -- -D warnings
 
 # Rustdoc gate: every intra-doc link must resolve and none may point at
@@ -78,34 +81,6 @@ done
 cargo run -q --release -p mobivine-benchmark --bin mobivine-benchmark -- \
     --workload read_hot --devices 60 --rounds 4 --trace 1 \
     --ladder-blocks 2 --block-calls 100 --trace-dir "$trace_dir" > /dev/null
-
-# The deprecated per-interface accessors are gone; nothing in the tree
-# may reintroduce `#[allow(deprecated)]` (clippy -D warnings catches
-# un-allowed uses above).
-allowed_deprecated=$(grep -rln "allow(deprecated)" --include='*.rs' . \
-    | grep -v -e '^\./target/' || true)
-if [ -n "$allowed_deprecated" ]; then
-    echo "error: allow(deprecated) has no sanctioned uses left:" >&2
-    echo "$allowed_deprecated" >&2
-    exit 1
-fi
-
-# clippy runs with -D warnings above, so every `#[allow(clippy::…)]` is
-# a pinned, reviewed exception. The allowlist below is exhaustive; a new
-# allow anywhere else must either fix the lint or extend this list in
-# the same change. crates/benchmark/src/workload.rs carries an
-# allow(clippy::too_many_arguments) that stays pinned until the next
-# benchmark change fixes that signature (ROADMAP, "Correctness you cannot
-# bypass").
-clippy_allows=$(grep -rln "allow(clippy" --include='*.rs' . \
-    | grep -v -e '^\./crates/benchmark/src/workload\.rs$' \
-              -e '^\./target/' \
-              -e '^\./stubs/' || true)
-if [ -n "$clippy_allows" ]; then
-    echo "error: allow(clippy::…) outside the pinned allowlist:" >&2
-    echo "$clippy_allows" >&2
-    exit 1
-fi
 
 # The traced hot path must stay allocation-free: label construction in
 # the telemetry module is sanctioned only inside CallInstruments::resolve

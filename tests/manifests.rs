@@ -1,4 +1,5 @@
-//! Every dependency a workspace package declares is one its sources use.
+//! Every dependency a workspace package declares is one its sources use,
+//! and no source silences a lint outside the pinned exceptions.
 //!
 //! For the root package and each `crates/*/Cargo.toml`, every crate
 //! named in a `[dependencies]`, `[dev-dependencies]` or
@@ -6,6 +7,11 @@
 //! that package (`name::…`, `use name` or `extern crate name`, with `-`
 //! read as `_`). A declared crate that nothing imports costs a build
 //! and misstates what the package depends on.
+//!
+//! Over every `.rs` file of the repository outside `target/`: no file
+//! allows the `deprecated` lint, and only the files on
+//! [`CLIPPY_ALLOWLIST`] allow a clippy lint (the vendored `stubs/` are
+//! not scanned for those).
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -168,4 +174,81 @@ name = "demo-bin"
         !uses_crate("/// the proptest stand-in\n", "proptest"),
         "prose"
     );
+}
+
+/// The files that may allow a clippy lint. Clippy runs with
+/// `-D warnings`, so each allow is a pinned, reviewed exception; a new
+/// one must fix the lint or extend this list in the same change.
+/// `workload.rs` allows `too_many_arguments` until the next benchmark
+/// change fixes that signature.
+const CLIPPY_ALLOWLIST: [&str; 1] = ["crates/benchmark/src/workload.rs"];
+
+/// The repository-relative paths (`/`-separated) of every `.rs` file
+/// outside the root `target/` directory (and `.git/`, which holds
+/// none) whose text contains `needle`, sorted; files under a top-level
+/// directory named in `skip` are left out.
+fn rust_files_containing(needle: &str, skip: &[&str]) -> Vec<String> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for entry in fs::read_dir(root).expect("a readable repository root") {
+        let path = entry.expect("a readable directory entry").path();
+        let name = path
+            .file_name()
+            .and_then(|n| n.to_str())
+            .unwrap_or_default();
+        if ["target", ".git"].contains(&name) || skip.contains(&name) {
+            continue;
+        }
+        if path.is_dir() {
+            rust_files(&path, &mut files);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            files.push(path);
+        }
+    }
+    assert!(files.len() > 100, "scanned only {} files", files.len());
+    let mut found: Vec<String> = files
+        .iter()
+        .filter(|file| {
+            fs::read_to_string(file)
+                .expect("a readable source file")
+                .contains(needle)
+        })
+        .map(|file| {
+            let relative = file.strip_prefix(root).expect("a file under the root");
+            let parts: Vec<_> = relative.iter().map(|part| part.to_string_lossy()).collect();
+            parts.join("/")
+        })
+        .collect();
+    found.sort();
+    found
+}
+
+#[test]
+fn no_source_allows_deprecated_items() {
+    // Split so this file does not match itself.
+    let found = rust_files_containing(concat!("allow", "(deprecated)"), &[]);
+    assert!(
+        found.is_empty(),
+        "the deprecated accessors are gone; nothing may allow the lint again:\n{}",
+        found.join("\n")
+    );
+}
+
+#[test]
+fn clippy_allows_stay_on_the_allowlist() {
+    let found = rust_files_containing(concat!("allow", "(clippy"), &["stubs"]);
+    let outside: Vec<&String> = found
+        .iter()
+        .filter(|path| !CLIPPY_ALLOWLIST.contains(&path.as_str()))
+        .collect();
+    assert!(
+        outside.is_empty(),
+        "clippy allows outside the pinned allowlist: {outside:?}"
+    );
+    for pinned in CLIPPY_ALLOWLIST {
+        assert!(
+            found.iter().any(|path| path == pinned),
+            "{pinned} no longer allows a clippy lint: drop it from the allowlist"
+        );
+    }
 }
