@@ -9,11 +9,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use parking_lot::Mutex;
 
 use crate::event::EventQueue;
+use crate::listeners::{self, Listener};
 
 /// Identifier of a call leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -84,6 +85,37 @@ pub enum DisconnectReason {
 /// Callback observing call state transitions.
 pub type CallListenerFn = Box<dyn Fn(CallId, CallState) + Send>;
 
+/// A call listener's subscription, returned by
+/// [`CallSwitch::add_listener`]: the listener stays subscribed while
+/// this lives and is removed when it drops.
+#[must_use = "dropping the subscription removes the listener at once"]
+pub struct CallSubscription {
+    state: Weak<Mutex<SwitchState>>,
+    id: u64,
+}
+
+impl fmt::Debug for CallSubscription {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CallSubscription")
+            .field("id", &self.id)
+            .finish()
+    }
+}
+
+impl Drop for CallSubscription {
+    fn drop(&mut self) {
+        let Some(state) = self.state.upgrade() else {
+            return;
+        };
+        let mut guard = state.lock();
+        let inner = &mut *guard;
+        let removed =
+            listeners::unsubscribe(&mut inner.listeners, &mut inner.unsubscribed, self.id);
+        drop(guard);
+        drop(removed);
+    }
+}
+
 struct CallRecord {
     callee: String,
     state: CallState,
@@ -96,7 +128,11 @@ struct SwitchState {
     no_answer_timeout_ms: u64,
     profiles: HashMap<String, CalleeProfile>,
     calls: HashMap<CallId, CallRecord>,
-    listeners: Vec<CallListenerFn>,
+    listeners: Vec<Listener<CallListenerFn>>,
+    next_listener_id: u64,
+    /// Ids of subscriptions dropped while a transition had their
+    /// listeners out of the lock.
+    unsubscribed: Vec<u64>,
 }
 
 /// The simulated circuit switch.
@@ -141,6 +177,8 @@ impl CallSwitch {
                 profiles: HashMap::new(),
                 calls: HashMap::new(),
                 listeners: Vec::new(),
+                next_listener_id: 0,
+                unsubscribed: Vec::new(),
             })),
         }
     }
@@ -169,13 +207,23 @@ impl CallSwitch {
         self.state.lock().no_answer_timeout_ms = ms;
     }
 
-    /// Registers a listener invoked on every state transition of every
-    /// call.
-    pub fn add_listener<F>(&self, listener: F)
+    /// Subscribes `listener` to every state transition of every call
+    /// until the returned subscription drops.
+    pub fn add_listener<F>(&self, listener: F) -> CallSubscription
     where
         F: Fn(CallId, CallState) + Send + 'static,
     {
-        self.state.lock().listeners.push(Box::new(listener));
+        let mut state = self.state.lock();
+        let id = state.next_listener_id;
+        state.next_listener_id += 1;
+        state.listeners.push(Listener {
+            id,
+            call: Box::new(listener),
+        });
+        CallSubscription {
+            state: Arc::downgrade(&self.state),
+            id,
+        }
     }
 
     /// Current state of a call, if it exists.
@@ -325,25 +373,25 @@ impl fmt::Display for CallControlError {
 impl std::error::Error for CallControlError {}
 
 fn transition(shared: &Arc<Mutex<SwitchState>>, id: CallId, next: CallState) {
-    let listeners_snapshot: Vec<(CallId, CallState)>;
-    {
-        let mut state = shared.lock();
-        if let Some(record) = state.calls.get_mut(&id) {
-            record.state = next;
-            listeners_snapshot = vec![(id, next)];
-        } else {
-            return;
-        }
-        // Notify outside the lock.
-        let listeners = std::mem::take(&mut state.listeners);
-        drop(state);
-        for l in &listeners {
-            for &(id, s) in &listeners_snapshot {
-                l(id, s);
-            }
-        }
-        shared.lock().listeners = listeners;
+    let mut state = shared.lock();
+    let Some(record) = state.calls.get_mut(&id) else {
+        return;
+    };
+    record.state = next;
+    // Take listeners out so callbacks run without the lock.
+    let listeners = std::mem::take(&mut state.listeners);
+    if listeners.is_empty() {
+        return;
     }
+    drop(state);
+    for l in &listeners {
+        (l.call)(id, next);
+    }
+    let mut guard = shared.lock();
+    let inner = &mut *guard;
+    let gone = listeners::put_back(&mut inner.listeners, listeners, &mut inner.unsubscribed);
+    drop(guard);
+    drop(gone);
 }
 
 fn transition_if(
@@ -364,6 +412,7 @@ fn transition_if(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex as StdMutex;
 
     fn switch() -> (Arc<EventQueue>, CallSwitch) {
@@ -477,11 +526,86 @@ mod tests {
         let (events, switch) = switch();
         let log = Arc::new(StdMutex::new(Vec::new()));
         let sink = Arc::clone(&log);
-        switch.add_listener(move |_, s| sink.lock().unwrap().push(s));
+        let _subscription = switch.add_listener(move |_, s| sink.lock().unwrap().push(s));
         let _id = switch.dial("+1", 0);
         events.run_until(10_000);
         let log = log.lock().unwrap();
         assert_eq!(log.as_slice(), &[CallState::Ringing, CallState::Active]);
+    }
+
+    fn counting_listener(switch: &CallSwitch) -> (Arc<AtomicUsize>, CallSubscription) {
+        let count = Arc::new(AtomicUsize::new(0));
+        let c = Arc::clone(&count);
+        let subscription = switch.add_listener(move |_, _| {
+            c.fetch_add(1, Ordering::SeqCst);
+        });
+        (count, subscription)
+    }
+
+    #[test]
+    fn a_dropped_subscription_is_not_notified() {
+        let (events, switch) = switch();
+        let (count, subscription) = counting_listener(&switch);
+        drop(subscription);
+        switch.dial("+1", 0);
+        events.run_until(10_000);
+        assert_eq!(count.load(Ordering::SeqCst), 0);
+        assert_eq!(Arc::strong_count(&count), 1, "the listener is freed");
+    }
+
+    #[test]
+    fn add_drop_cycles_return_to_the_baseline() {
+        let (_events, switch) = switch();
+        let _kept = counting_listener(&switch);
+        let baseline = switch.state.lock().listeners.len();
+        for _ in 0..1_000 {
+            drop(counting_listener(&switch));
+        }
+        assert_eq!(switch.state.lock().listeners.len(), baseline);
+    }
+
+    #[test]
+    fn a_listener_added_by_a_listener_is_kept() {
+        let (events, switch) = switch();
+        let switch = Arc::new(switch);
+        let count = Arc::new(AtomicUsize::new(0));
+        let added = Arc::new(StdMutex::new(Vec::new()));
+        let (inner, c, keep) = (Arc::clone(&switch), Arc::clone(&count), Arc::clone(&added));
+        let _subscription = switch.add_listener(move |_, state| {
+            if state == CallState::Ringing {
+                let c = Arc::clone(&c);
+                let subscription = inner.add_listener(move |_, _| {
+                    c.fetch_add(1, Ordering::SeqCst);
+                });
+                keep.lock().unwrap().push(subscription);
+            }
+        });
+        switch.dial("+1", 0);
+        events.run_until(10_000);
+        // Added while `Ringing` was dispatched, so it sees only `Active`.
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert_eq!(added.lock().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn a_listener_that_drops_its_own_subscription_is_not_called_again() {
+        let (events, switch) = switch();
+        let count = Arc::new(AtomicUsize::new(0));
+        let own = Arc::new(StdMutex::new(None));
+        let (c, slot) = (Arc::clone(&count), Arc::clone(&own));
+        let subscription = switch.add_listener(move |_, _| {
+            c.fetch_add(1, Ordering::SeqCst);
+            drop(slot.lock().unwrap().take());
+        });
+        *own.lock().unwrap() = Some(subscription);
+        // A second listener keeps its place.
+        let (others, _other) = counting_listener(&switch);
+        switch.dial("+1", 0);
+        events.run_until(10_000);
+        assert_eq!(count.load(Ordering::SeqCst), 1);
+        assert_eq!(others.load(Ordering::SeqCst), 2, "ringing and active");
+        assert_eq!(Arc::strong_count(&count), 1, "the listener is freed");
+        assert!(switch.state.lock().unsubscribed.is_empty());
     }
 
     #[test]

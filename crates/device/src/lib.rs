@@ -39,6 +39,7 @@ pub mod fault;
 pub mod geo;
 pub mod gps;
 pub mod latency;
+mod listeners;
 pub mod movement;
 pub mod net;
 pub mod power;

@@ -18,6 +18,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::event::EventQueue;
+use crate::listeners::{self, Listener};
 
 /// Maximum characters in a single-part GSM-7 message.
 pub const GSM7_SINGLE_LIMIT: usize = 160;
@@ -174,12 +175,6 @@ pub type DeliveryReportFn = Box<dyn Fn(MessageId, DeliveryStatus, u64) + Send>;
 /// Callback invoked when a message arrives at a registered address.
 pub type InboxListenerFn = Box<dyn Fn(&InboxMessage) + Send>;
 
-/// A subscribed inbox listener and the id of its [`InboxSubscription`].
-struct Listener {
-    id: u64,
-    call: InboxListenerFn,
-}
-
 /// An inbox listener's subscription, returned by
 /// [`Smsc::add_inbox_listener`]: the listener stays subscribed while
 /// this lives and is removed when it drops.
@@ -204,19 +199,11 @@ impl Drop for InboxSubscription {
             return;
         };
         let mut guard = state.lock();
-        let listeners = &mut guard.addresses[self.address as usize].listeners;
-        match listeners.iter().position(|l| l.id == self.id) {
-            Some(index) => {
-                let listener = listeners.remove(index);
-                drop(guard);
-                // Dropped outside the lock: what the listener captured
-                // may hold subscriptions of its own.
-                drop(listener);
-            }
-            // A delivery has the listeners out of the lock; it does not
-            // put this one back.
-            None => guard.unsubscribed.push(self.id),
-        }
+        let inner = &mut *guard;
+        let listeners = &mut inner.addresses[self.address as usize].listeners;
+        let removed = listeners::unsubscribe(listeners, &mut inner.unsubscribed, self.id);
+        drop(guard);
+        drop(removed);
     }
 }
 
@@ -280,7 +267,7 @@ struct Address {
     name: Box<str>,
     /// `Some` once the address is registered to receive messages.
     inbox: Option<Inbox>,
-    listeners: Vec<Listener>,
+    listeners: Vec<Listener<InboxListenerFn>>,
 }
 
 struct SmscState {
@@ -565,7 +552,7 @@ impl Smsc {
                     }
                     // Take listeners out so callbacks run without the lock;
                     // only they need the message as an `InboxMessage`.
-                    let mut listeners = std::mem::take(&mut recipient.listeners);
+                    let listeners = std::mem::take(&mut recipient.listeners);
                     let message = (!listeners.is_empty()).then(|| InboxMessage {
                         id,
                         from: guard.name(from).to_owned(),
@@ -579,17 +566,13 @@ impl Smsc {
                         for l in &listeners {
                             (l.call)(&message);
                         }
-                        // Listeners added during the callbacks follow;
-                        // those unsubscribed during them are not put back.
                         let mut guard = state.lock();
-                        let unsubscribed = &mut guard.unsubscribed;
-                        let gone: Vec<Listener> = listeners
-                            .extract_if(.., |l| unsubscribed.contains(&l.id))
-                            .collect();
-                        unsubscribed.retain(|id| gone.iter().all(|l| l.id != *id));
-                        let slot = &mut guard.addresses[to as usize].listeners;
-                        let added = std::mem::replace(slot, listeners);
-                        slot.extend(added);
+                        let inner = &mut *guard;
+                        let gone = listeners::put_back(
+                            &mut inner.addresses[to as usize].listeners,
+                            listeners,
+                            &mut inner.unsubscribed,
+                        );
                         drop(guard);
                         drop(gone);
                     }

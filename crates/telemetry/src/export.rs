@@ -16,7 +16,7 @@
 
 use serde_json::Value;
 
-use crate::span::{SpanRecord, TraceId};
+use crate::span::SpanRecord;
 
 fn hex_id(value: u64, width: usize) -> String {
     format!("{value:0width$x}")
@@ -393,22 +393,10 @@ pub fn validate_prometheus(text: &str) -> Result<PrometheusSummary, String> {
     Ok(summary)
 }
 
-/// Groups spans by trace id, preserving order within each trace.
-pub fn group_by_trace(spans: &[SpanRecord]) -> Vec<(TraceId, Vec<SpanRecord>)> {
-    let mut grouped: Vec<(TraceId, Vec<SpanRecord>)> = Vec::new();
-    for span in spans {
-        match grouped.iter_mut().find(|(id, _)| *id == span.trace_id) {
-            Some((_, bucket)) => bucket.push(span.clone()),
-            None => grouped.push((span.trace_id, vec![span.clone()])),
-        }
-    }
-    grouped
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::{ambient, Plane, Tracer};
+    use crate::span::{ambient, Plane, TraceId, Tracer};
 
     fn sample_spans() -> Vec<SpanRecord> {
         let tracer = Tracer::new();
@@ -492,15 +480,5 @@ mod tests {
         let page = "# TYPE c_total counter\nc_total 3 # {trace_id=\"00000000000000ab\"} 1\n";
         let err = validate_prometheus(page).unwrap_err();
         assert!(err.contains("non-bucket"), "{err}");
-    }
-
-    #[test]
-    fn grouping_separates_traces() {
-        let tracer = Tracer::new();
-        tracer.root("a", Plane::App, 0).end(1);
-        tracer.root("b", Plane::App, 0).end(1);
-        let grouped = group_by_trace(&tracer.take_finished());
-        assert_eq!(grouped.len(), 2);
-        assert!(grouped.iter().all(|(_, spans)| spans.len() == 1));
     }
 }

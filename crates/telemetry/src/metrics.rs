@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
@@ -135,14 +135,15 @@ const BUCKETS: usize = 65;
 struct HistogramInner {
     /// Bucket 0 holds exact zeros; bucket `i >= 1` holds values in
     /// `[2^(i-1), 2^i - 1]` — power-of-two (log-bucketed) boundaries.
-    buckets: Vec<AtomicU64>,
-    /// Per-bucket exemplar: the last promoted trace id whose sample
-    /// landed in the bucket (`0` = none) and that sample's value.
-    /// Written only on trace promotion — never on the plain recording
-    /// hot path — and rendered in OpenMetrics exemplar syntax.
-    exemplar_traces: Vec<AtomicU64>,
-    exemplar_values: Vec<AtomicU64>,
+    buckets: [AtomicU64; BUCKETS],
     sum: AtomicU64,
+    /// Per-bucket exemplar: `[trace id, sample value]` of the last
+    /// promoted trace whose sample landed in the bucket (trace `0` =
+    /// none), rendered in OpenMetrics exemplar syntax. Allocated by the
+    /// first [`Histogram::attach_exemplar`] — trace promotion, never the
+    /// plain recording hot path — so a healthy histogram is one
+    /// allocation.
+    exemplars: OnceLock<Box<[[AtomicU64; 2]; BUCKETS]>>,
 }
 
 /// A log-bucketed histogram of non-negative integer samples (virtual
@@ -188,10 +189,9 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             inner: Arc::new(HistogramInner {
-                buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-                exemplar_traces: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-                exemplar_values: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+                buckets: std::array::from_fn(|_| AtomicU64::new(0)),
                 sum: AtomicU64::new(0),
+                exemplars: OnceLock::new(),
             }),
         }
     }
@@ -209,29 +209,29 @@ impl Histogram {
     }
 
     /// Attaches `trace_id` as the exemplar for the bucket `value`
-    /// falls into (last writer wins). Two relaxed stores — no
-    /// allocation, safe on the warmed hot path; call it when a trace
-    /// is promoted so every bucket links to the most recent promoted
-    /// trace that landed there.
+    /// falls into (last writer wins): two relaxed stores. The first
+    /// call allocates the histogram's exemplar table; later calls
+    /// allocate nothing. Call it when a trace is promoted so every
+    /// bucket links to the most recent promoted trace that landed there.
     pub fn attach_exemplar(&self, value: u64, trace_id: TraceId) {
-        let bucket = bucket_index(value);
-        self.inner.exemplar_values[bucket].store(value, Ordering::Relaxed);
-        self.inner.exemplar_traces[bucket].store(trace_id.0, Ordering::Relaxed);
+        let table = self
+            .inner
+            .exemplars
+            .get_or_init(|| Box::new(std::array::from_fn(|_| Default::default())));
+        let [trace, sample] = &table[bucket_index(value)];
+        sample.store(value, Ordering::Relaxed);
+        trace.store(trace_id.0, Ordering::Relaxed);
     }
 
     /// The exemplar attached to `bucket`, as `(trace id, sample
     /// value)`, if any.
     pub fn exemplar(&self, bucket: usize) -> Option<(TraceId, u64)> {
-        let trace = self
-            .inner
-            .exemplar_traces
-            .get(bucket)?
-            .load(Ordering::Relaxed);
+        let [trace, sample] = self.inner.exemplars.get()?.get(bucket)?;
+        let trace = trace.load(Ordering::Relaxed);
         if trace == 0 {
             return None;
         }
-        let value = self.inner.exemplar_values[bucket].load(Ordering::Relaxed);
-        Some((TraceId(trace), value))
+        Some((TraceId(trace), sample.load(Ordering::Relaxed)))
     }
 
     /// Every exemplar currently attached, as `(bucket, trace id,
@@ -404,14 +404,6 @@ impl MetricsRegistry {
             .lock()
             .get(&id)
             .map_or(0, Counter::value)
-    }
-
-    /// Every counter as `(name, labels, value)`, sorted by key.
-    pub fn counter_values(&self) -> Vec<(String, Labels, u64)> {
-        self.sorted_entries(|shard| &shard.counters)
-            .into_iter()
-            .map(|(name, labels, counter)| (name, labels, counter.value()))
-            .collect()
     }
 
     /// Snapshots one metric kind across all shards, resolves the
@@ -795,10 +787,6 @@ mod tests {
             let labels = Labels::new(&[("series", &format!("{i:02}"))]);
             registry.counter(&name, &labels).add(i);
         }
-        let values = registry.counter_values();
-        let mut expected = values.clone();
-        expected.sort_by(|a, b| (&a.0, &a.1).cmp(&(&b.0, &b.1)));
-        assert_eq!(values, expected, "counter_values sorted by (name, labels)");
         let text = registry.render_prometheus();
         let lines: Vec<&str> = text
             .lines()

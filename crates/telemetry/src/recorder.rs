@@ -76,14 +76,12 @@ pub(crate) const DEADLINE_ATTR: &str = "deadline";
 
 /// Declarative rules for what counts as an interesting trace.
 ///
-/// The default policy promotes errored and deadline-blown traces and
+/// Every policy promotes errored and deadline-blown traces. The default
 /// has no latency thresholds; [`PromotionPolicy::latency_threshold`]
 /// adds per-operation ones keyed by the **root span name** (e.g.
 /// `proxy:Http.request`).
 #[derive(Debug, Clone)]
 pub struct PromotionPolicy {
-    promote_errors: bool,
-    promote_deadline_blown: bool,
     /// `(root span name, threshold in virtual ms)`; linear scan — the
     /// list is a handful of entries resolved against `&str` names, so
     /// classification never allocates.
@@ -94,8 +92,6 @@ pub struct PromotionPolicy {
 impl Default for PromotionPolicy {
     fn default() -> Self {
         Self {
-            promote_errors: true,
-            promote_deadline_blown: true,
             latency_thresholds: Vec::new(),
             max_incidents: DEFAULT_INCIDENT_CAPACITY,
         }
@@ -103,21 +99,9 @@ impl Default for PromotionPolicy {
 }
 
 impl PromotionPolicy {
-    /// The default policy (promote errors + blown deadlines).
+    /// The default policy: errors and blown deadlines only.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Whether traces whose root records an `error` attribute promote.
-    pub fn promote_errors(mut self, on: bool) -> Self {
-        self.promote_errors = on;
-        self
-    }
-
-    /// Whether traces marked `deadline=blown` promote.
-    pub fn promote_deadline_blown(mut self, on: bool) -> Self {
-        self.promote_deadline_blown = on;
-        self
     }
 
     /// Promotes traces whose root span named `root_name` ran for at
@@ -158,14 +142,11 @@ impl PromotionPolicy {
         observed_ms: u64,
         attr: impl Fn(&str) -> Option<SpanName>,
     ) -> Option<PromotionReason> {
-        if self.promote_deadline_blown && attr(DEADLINE_ATTR).is_some_and(|value| value == "blown")
-        {
+        if attr(DEADLINE_ATTR).is_some_and(|value| value == "blown") {
             return Some(PromotionReason::DeadlineBlown);
         }
-        if self.promote_errors {
-            if let Some(kind) = attr(ERROR_ATTR) {
-                return Some(PromotionReason::Error(kind));
-            }
+        if let Some(kind) = attr(ERROR_ATTR) {
+            return Some(PromotionReason::Error(kind));
         }
         for (candidate, threshold_ms) in &self.latency_thresholds {
             if candidate == name && observed_ms >= *threshold_ms {
@@ -560,19 +541,5 @@ mod tests {
             validate_tree(&traces[0].spans).unwrap(),
             traces[0].root_span
         );
-    }
-
-    #[test]
-    fn policy_knobs_disable_classes() {
-        let policy = PromotionPolicy::default()
-            .promote_errors(false)
-            .promote_deadline_blown(false);
-        let tracer = recorder_tracer(8, policy);
-        let mut root = tracer.root("op", Plane::Proxy, 0);
-        root.attr("error", "Timeout");
-        root.attr("deadline", "blown");
-        root.end(1);
-        assert!(tracer.incident_store().unwrap().is_empty());
-        assert_eq!(take_promotion(&tracer), None);
     }
 }

@@ -252,3 +252,59 @@ fn clippy_allows_stay_on_the_allowlist() {
         );
     }
 }
+
+/// The lines of `source` before its first `#[cfg(test)]` that construct
+/// a label set (`Labels::call`/`Labels::new`), with their 1-based line
+/// numbers; `//` comment lines (doc comments included) and the
+/// `sanctioned` call are left out.
+fn label_constructions<'a>(source: &'a str, sanctioned: &str) -> Vec<(usize, &'a str)> {
+    source
+        .lines()
+        .enumerate()
+        .take_while(|(_, line)| !line.contains("#[cfg(test)]"))
+        .filter(|(_, line)| !line.trim_start().starts_with("//"))
+        .filter(|(_, line)| {
+            (line.contains("Labels::call") || line.contains("Labels::new"))
+                && !line.contains(sanctioned)
+        })
+        .map(|(index, line)| (index + 1, line))
+        .collect()
+}
+
+#[test]
+fn traced_hot_path_builds_no_labels() {
+    // Label construction in the core telemetry module is sanctioned only
+    // inside `CallInstruments::resolve`, which runs once, at wiring
+    // time; any other is a per-call allocation on the traced hot path.
+    // `tests/zero_alloc_telemetry.rs` proves the property dynamically;
+    // this catches it in review.
+    const SANCTIONED: &str = "Labels::call(proxy, method, platform)";
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/telemetry.rs");
+    let source = fs::read_to_string(&path).expect("a readable telemetry module");
+    assert!(
+        source.contains(SANCTIONED),
+        "CallInstruments::resolve no longer builds its labels as pinned here"
+    );
+    let found = label_constructions(&source, SANCTIONED);
+    assert!(
+        found.is_empty(),
+        "label construction on the traced hot path (use the cached \
+         CallInstruments handles resolved at wiring time):\n{}",
+        found
+            .iter()
+            .map(|(line, text)| format!("crates/core/src/telemetry.rs:{line}: {text}"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    );
+    // The scan reads code only: comments, the sanctioned call and test
+    // code never match; a stray construction does.
+    let sample = "/// Labels::call in docs\n\
+                  let a = Labels::call(proxy, method, platform);\n\
+                  let b = Labels::new(&[]);\n\
+                  #[cfg(test)]\n\
+                  let c = Labels::call(\"L\", \"m\", \"p\");\n";
+    assert_eq!(
+        label_constructions(sample, SANCTIONED),
+        vec![(3, "let b = Labels::new(&[]);")]
+    );
+}
