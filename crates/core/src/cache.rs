@@ -29,9 +29,10 @@
 //!
 //! Writes (SMS send, calls, HTTP requests, `setProperty`) are never
 //! cached; `setProperty` through a cached proxy invalidates before it
-//! forwards. The knobs are a [`CachePolicy`] handed to
-//! [`crate::registry::MobivineBuilder::with_cache`], fixed once the
-//! runtime is built.
+//! forwards. [`crate::registry::MobivineBuilder::with_cache`] turns the
+//! layer on. It has no knobs: the TTLs are fixed at 10 s for location
+//! fixes and 60 s for contact and calendar lookups, and every cold key
+//! is filled single-flight.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -51,89 +52,36 @@ use crate::telemetry::{layer_counters, layer_span};
 // Policy
 // ---------------------------------------------------------------------
 
-/// Tunable knobs for the read-through cache layer.
-///
-/// TTLs are simulated milliseconds per proxy kind; a TTL of zero
-/// disables storage for that proxy (every read refills) while leaving
-/// coalescing active.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CachePolicy {
-    location_ttl_ms: u64,
-    contacts_ttl_ms: u64,
-    calendar_ttl_ms: u64,
-    coalescing: bool,
-}
+/// How long a cached `getLocation` fix stays fresh (virtual ms).
+const LOCATION_TTL_MS: u64 = 10_000;
+/// How long a cached `findContacts` result stays fresh (virtual ms).
+const CONTACTS_TTL_MS: u64 = 60_000;
+/// How long a cached `entriesBetween` result stays fresh (virtual ms).
+const CALENDAR_TTL_MS: u64 = 60_000;
 
-impl Default for CachePolicy {
-    /// Location fixes stay fresh for 10 s of simulated time; contact
-    /// and calendar lookups — which only change on writes the
-    /// invalidation stamps already catch — for 60 s. Coalescing on.
-    fn default() -> Self {
-        Self {
-            location_ttl_ms: 10_000,
-            contacts_ttl_ms: 60_000,
-            calendar_ttl_ms: 60_000,
-            coalescing: true,
-        }
-    }
-}
+/// The read-through cache layer's policy. It has no knobs: location
+/// fixes stay fresh for 10 s of simulated time, and contact and
+/// calendar lookups, which only change on writes the invalidation
+/// stamps already catch, for 60 s.
+///
+/// Braced rather than a unit struct, so the callers'
+/// `CachePolicy::default()` stays clean under clippy.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct CachePolicy {}
 
 impl CachePolicy {
-    /// Sets the `getLocation` result TTL (virtual ms).
-    #[must_use]
-    pub fn location_ttl_ms(mut self, ms: u64) -> Self {
-        self.location_ttl_ms = ms;
-        self
-    }
-
-    /// Sets the `findContacts` result TTL (virtual ms).
-    #[must_use]
-    pub fn contacts_ttl_ms(mut self, ms: u64) -> Self {
-        self.contacts_ttl_ms = ms;
-        self
-    }
-
-    /// Sets the `entriesBetween` result TTL (virtual ms).
-    #[must_use]
-    pub fn calendar_ttl_ms(mut self, ms: u64) -> Self {
-        self.calendar_ttl_ms = ms;
-        self
-    }
-
-    /// Enables or disables single-flight coalescing.
-    #[must_use]
-    pub fn coalescing(mut self, on: bool) -> Self {
-        self.coalescing = on;
-        self
-    }
-
-    /// The configured location TTL.
+    /// The location TTL (virtual ms).
     pub fn location_ttl(&self) -> u64 {
-        self.location_ttl_ms
+        LOCATION_TTL_MS
     }
+}
 
-    /// The configured contacts TTL.
-    pub fn contacts_ttl(&self) -> u64 {
-        self.contacts_ttl_ms
-    }
-
-    /// The configured calendar TTL.
-    pub fn calendar_ttl(&self) -> u64 {
-        self.calendar_ttl_ms
-    }
-
-    /// Whether coalescing is enabled.
-    pub fn coalescing_enabled(&self) -> bool {
-        self.coalescing
-    }
-
-    /// The TTL of the cached read of a `kind` proxy.
-    pub(crate) fn ttl_for(&self, kind: ProxyKind) -> u64 {
-        match kind {
-            ProxyKind::Contacts => self.contacts_ttl_ms,
-            ProxyKind::Calendar => self.calendar_ttl_ms,
-            _ => self.location_ttl_ms,
-        }
+/// The TTL of the cached read of a `kind` proxy.
+pub(crate) fn ttl_for(kind: ProxyKind) -> u64 {
+    match kind {
+        ProxyKind::Contacts => CONTACTS_TTL_MS,
+        ProxyKind::Calendar => CALENDAR_TTL_MS,
+        _ => LOCATION_TTL_MS,
     }
 }
 
@@ -192,13 +140,12 @@ pub struct Stamp {
 // Engine
 // ---------------------------------------------------------------------
 
-/// One proxy's TTL, coalescing switch and invalidation stamps: the
-/// cache layer of its layer stack.
+/// One proxy's TTL and invalidation stamps: the cache layer of its
+/// layer stack.
 pub struct CacheEngine {
     device: Device,
     metrics: Arc<CacheMetrics>,
     ttl_ms: u64,
-    coalescing: bool,
     generation: AtomicU64,
     circuit_epoch: Option<Arc<AtomicU64>>,
 }
@@ -210,7 +157,6 @@ impl CacheEngine {
     pub fn new(
         device: Device,
         ttl_ms: u64,
-        coalescing: bool,
         circuit_epoch: Option<Arc<AtomicU64>>,
         metrics: Arc<CacheMetrics>,
     ) -> Self {
@@ -218,7 +164,6 @@ impl CacheEngine {
             device,
             metrics,
             ttl_ms,
-            coalescing,
             generation: AtomicU64::new(0),
             circuit_epoch,
         }
@@ -232,11 +177,6 @@ impl CacheEngine {
     /// The TTL (virtual ms).
     pub fn ttl_ms(&self) -> u64 {
         self.ttl_ms
-    }
-
-    /// Whether coalescing is enabled.
-    pub fn coalescing(&self) -> bool {
-        self.coalescing
     }
 
     /// The invalidation coordinates as of now.
@@ -442,13 +382,6 @@ impl<K: Eq + Hash + Clone, V: Clone> CacheCell<K, V> {
             }
         }
 
-        if !engine.coalescing() {
-            if let Some(s) = span.as_deref_mut() {
-                s.event("cache_miss", now);
-            }
-            return self.fill_and_store(engine, key, stamp, fill);
-        }
-
         enum Role<V> {
             Leader(Arc<Flight<V>>),
             Follower(Arc<Flight<V>>),
@@ -529,25 +462,15 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn engine(device: &Device, ttl_ms: u64) -> CacheEngine {
-        CacheEngine::new(device.clone(), ttl_ms, true, None, CacheMetrics::shared())
+        CacheEngine::new(device.clone(), ttl_ms, None, CacheMetrics::shared())
     }
 
     #[test]
     fn policy_defaults_and_builders() {
-        let policy = CachePolicy::default();
-        assert_eq!(policy.location_ttl(), 10_000);
-        assert_eq!(policy.contacts_ttl(), 60_000);
-        assert_eq!(policy.calendar_ttl(), 60_000);
-        assert!(policy.coalescing_enabled());
-        let tuned = CachePolicy::default()
-            .location_ttl_ms(1)
-            .contacts_ttl_ms(2)
-            .calendar_ttl_ms(3)
-            .coalescing(false);
-        assert_eq!(tuned.location_ttl(), 1);
-        assert_eq!(tuned.contacts_ttl(), 2);
-        assert_eq!(tuned.calendar_ttl(), 3);
-        assert!(!tuned.coalescing_enabled());
+        assert_eq!(CachePolicy::default().location_ttl(), 10_000);
+        assert_eq!(ttl_for(ProxyKind::Location), 10_000);
+        assert_eq!(ttl_for(ProxyKind::Contacts), 60_000);
+        assert_eq!(ttl_for(ProxyKind::Calendar), 60_000);
     }
 
     #[test]
@@ -629,7 +552,6 @@ mod tests {
         let engine = CacheEngine::new(
             device.clone(),
             60_000,
-            true,
             Some(Arc::clone(&breaker_epoch)),
             CacheMetrics::shared(),
         );
@@ -750,22 +672,5 @@ mod tests {
             cell.get_or_fill(&engine, "cache:read", (), || Ok(0)).ok();
             device.advance_ms(60_001);
         }
-    }
-
-    #[test]
-    fn coalescing_off_fills_independently() {
-        let device = Device::builder().build();
-        let engine = CacheEngine::new(device, 0, false, None, CacheMetrics::shared());
-        let cell: CacheCell<(), u64> = CacheCell::new();
-        let fills = AtomicUsize::new(0);
-        for _ in 0..2 {
-            cell.get_or_fill(&engine, "cache:read", (), || {
-                fills.fetch_add(1, Ordering::SeqCst);
-                Ok(5)
-            })
-            .ok();
-        }
-        assert_eq!(fills.load(Ordering::SeqCst), 2);
-        assert_eq!(engine.metrics().snapshot().coalesced, 0);
     }
 }

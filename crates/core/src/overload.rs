@@ -14,9 +14,9 @@
 //!   that enters the overload layer with an exhausted budget fails fast
 //!   with [`ProxyErrorKind::DeadlineExceeded`] before touching the
 //!   binding plane;
-//! * a per-proxy [`Bulkhead`] — a semaphore-style concurrency cap with
-//!   a bounded wait queue, so one slow capability cannot absorb every
-//!   caller thread;
+//! * a per-proxy [`Bulkhead`] — a semaphore-style concurrency cap of
+//!   32 slots with a wait queue of 16 turns of 25 simulated ms, so one
+//!   slow capability cannot absorb every caller thread;
 //! * an [`AdmissionController`] — deterministic AIMD on observed call
 //!   sojourn time versus a per-proxy target. When calls run hot the
 //!   admitted fraction decays multiplicatively; when they run within
@@ -31,9 +31,10 @@
 //! pressure) or synthesize an accepted-but-unenriched HTTP response for
 //! droppable paths.
 //!
-//! The knobs are an [`OverloadPolicy`] handed to
+//! The sojourn target, the admission seed and the droppable HTTP path
+//! are an [`OverloadPolicy`] handed to
 //! [`crate::registry::MobivineBuilder::with_overload`], fixed once the
-//! runtime is built.
+//! runtime is built. The bulkhead's size and queue are constants.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -164,18 +165,19 @@ pub fn current_deadline() -> Option<Deadline> {
 /// Budget given to calls that arrive without an ambient deadline.
 pub(crate) const DEFAULT_DEADLINE_MS: u64 = 10_000;
 
+/// Concurrent calls a proxy's bulkhead admits at once.
+const MAX_CONCURRENCY: u32 = 32;
+/// Queue turns a caller waits for a bulkhead slot before it is
+/// rejected.
+const QUEUE_DEPTH: u32 = 16;
+/// Simulated wait per bulkhead queue turn.
+const QUEUE_WAIT_MS: u64 = 25;
+
 /// Tunable knobs for the overload layer, fixed when the runtime is
-/// built.
+/// built. The bulkhead has none: every proxy gets 32 slots and 16
+/// queue turns of 25 ms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverloadPolicy {
-    /// Concurrent calls admitted past the bulkhead.
-    pub max_concurrency: u32,
-    /// Callers allowed to wait for a bulkhead slot.
-    pub queue_depth: u32,
-    /// Simulated wait per queue turn.
-    pub queue_wait_ms: u64,
-    /// Whether the admission controller sheds at all.
-    pub shed_enabled: bool,
     /// Sojourn target the AIMD loop steers toward.
     pub target_ms: u64,
     /// Seed of the deterministic admission coin-flip stream.
@@ -189,10 +191,6 @@ pub struct OverloadPolicy {
 impl Default for OverloadPolicy {
     fn default() -> Self {
         Self {
-            max_concurrency: 32,
-            queue_depth: 16,
-            queue_wait_ms: 25,
-            shed_enabled: true,
             target_ms: 256,
             shed_seed: 0x0BAD_CAFE,
             droppable_path: None,
@@ -201,34 +199,6 @@ impl Default for OverloadPolicy {
 }
 
 impl OverloadPolicy {
-    /// Sets the bulkhead concurrency cap.
-    #[must_use]
-    pub fn max_concurrency(mut self, slots: u32) -> Self {
-        self.max_concurrency = slots.max(1);
-        self
-    }
-
-    /// Sets the bulkhead wait-queue depth.
-    #[must_use]
-    pub fn queue_depth(mut self, depth: u32) -> Self {
-        self.queue_depth = depth;
-        self
-    }
-
-    /// Sets the simulated wait per queue turn.
-    #[must_use]
-    pub fn queue_wait_ms(mut self, ms: u64) -> Self {
-        self.queue_wait_ms = ms.max(1);
-        self
-    }
-
-    /// Turns the admission controller on or off.
-    #[must_use]
-    pub fn shed_enabled(mut self, enabled: bool) -> Self {
-        self.shed_enabled = enabled;
-        self
-    }
-
     /// Sets the sojourn target.
     #[must_use]
     pub fn target_ms(mut self, ms: u64) -> Self {
@@ -259,7 +229,7 @@ impl OverloadPolicy {
 /// A semaphore-style per-proxy concurrency cap.
 ///
 /// Callers that find every slot taken wait in a bounded queue — each
-/// turn advances the *simulated* clock by the configured wait — and are
+/// turn advances the *simulated* clock by 25 ms — and are
 /// rejected with [`ProxyErrorKind::Overloaded`] once the queue is
 /// exhausted too. The in-flight count is an atomic and a slot is taken
 /// by compare-and-swap, so a free bulkhead takes no lock.
@@ -495,7 +465,7 @@ impl OverloadEngine {
         Self {
             device,
             policy,
-            bulkhead: Bulkhead::new(policy.max_concurrency),
+            bulkhead: Bulkhead::new(MAX_CONCURRENCY),
             admission: AdmissionController::new(policy.shed_seed),
             metrics,
         }
@@ -580,7 +550,7 @@ impl OverloadEngine {
         }
 
         // 2. Admission: a deterministic coin weighted by the AIMD gate.
-        if policy.shed_enabled && !self.admission.admit() {
+        if !self.admission.admit() {
             self.metrics.shed.inc();
             let retry_after = self.admission.retry_after_ms(policy.target_ms);
             if let Some(s) = span.as_deref_mut() {
@@ -624,13 +594,12 @@ impl OverloadEngine {
         deadline: &Deadline,
         mut span: Option<&mut ActiveSpan>,
     ) -> Result<BulkheadPermit<'_>, ProxyError> {
-        let policy = &self.policy;
         let mut waits: u32 = 0;
         loop {
             if let Some(permit) = self.bulkhead.try_acquire() {
                 return Ok(permit);
             }
-            if waits >= policy.queue_depth {
+            if waits >= QUEUE_DEPTH {
                 self.metrics.bulkhead_rejections.inc();
                 if let Some(s) = span.as_deref_mut() {
                     s.event("bulkhead_rejected", self.device.now_ms());
@@ -642,10 +611,10 @@ impl OverloadEngine {
                         self.bulkhead.cap()
                     ),
                 )
-                .with_retry_after(policy.queue_wait_ms.max(1)));
+                .with_retry_after(QUEUE_WAIT_MS));
             }
             let now = self.device.now_ms();
-            if deadline.remaining_ms(now) < policy.queue_wait_ms {
+            if deadline.remaining_ms(now) < QUEUE_WAIT_MS {
                 self.metrics.deadline_fail_fast.inc();
                 if let Some(s) = span.as_deref_mut() {
                     s.event("deadline_fail_fast", now);
@@ -659,7 +628,7 @@ impl OverloadEngine {
                     format!(
                         "deadline budget ({} ms left) cannot cover a {} ms bulkhead queue turn",
                         deadline.remaining_ms(now),
-                        policy.queue_wait_ms
+                        QUEUE_WAIT_MS
                     ),
                 ));
             }
@@ -668,7 +637,7 @@ impl OverloadEngine {
             if let Some(s) = span.as_deref_mut() {
                 s.event("bulkhead_wait", now);
             }
-            self.device.advance_ms(policy.queue_wait_ms);
+            self.device.advance_ms(QUEUE_WAIT_MS);
         }
     }
 
@@ -903,49 +872,41 @@ mod tests {
     #[test]
     fn bulkhead_queue_exhaustion_is_a_typed_overloaded_error() {
         let dev = device();
-        let proxy = overloaded(
-            &dev,
-            0,
-            OverloadPolicy::default()
-                .max_concurrency(1)
-                .queue_depth(3)
-                .queue_wait_ms(10)
-                .shed_enabled(false),
-        );
-        // Hold the only slot so every call must queue.
-        let _slot = engine(&proxy).bulkhead().try_acquire().unwrap();
+        let proxy = overloaded(&dev, 0, OverloadPolicy::default());
+        // Hold every slot so every call must queue.
+        let bulkhead = engine(&proxy).bulkhead();
+        let slots: Vec<_> = (0..MAX_CONCURRENCY)
+            .map_while(|_| bulkhead.try_acquire())
+            .collect();
+        assert_eq!(slots.len(), 32);
         let before = dev.now_ms();
         let err = proxy.get_location().unwrap_err();
         assert_eq!(err.kind(), ProxyErrorKind::Overloaded);
-        assert_eq!(err.retry_after_ms(), Some(10));
+        assert_eq!(err.retry_after_ms(), Some(25));
         assert_eq!(
             dev.now_ms() - before,
-            30,
-            "three simulated queue turns were waited"
+            16 * 25,
+            "sixteen simulated queue turns were waited"
         );
         let snap = engine(&proxy).metrics().snapshot();
-        assert_eq!(snap.bulkhead_waits, 3);
+        assert_eq!(snap.bulkhead_waits, 16);
         assert_eq!(snap.bulkhead_rejections, 1);
     }
 
     #[test]
     fn queued_caller_fails_fast_when_budget_cannot_cover_a_turn() {
         let dev = device();
-        let proxy = overloaded(
-            &dev,
-            0,
-            OverloadPolicy::default()
-                .max_concurrency(1)
-                .queue_depth(100)
-                .queue_wait_ms(50)
-                .shed_enabled(false),
-        );
-        let _slot = engine(&proxy).bulkhead().try_acquire().unwrap();
-        let err = with_deadline(Deadline::after(dev.now_ms(), 30), || {
+        let proxy = overloaded(&dev, 0, OverloadPolicy::default());
+        let bulkhead = engine(&proxy).bulkhead();
+        let _slots: Vec<_> = (0..MAX_CONCURRENCY)
+            .map_while(|_| bulkhead.try_acquire())
+            .collect();
+        let err = with_deadline(Deadline::after(dev.now_ms(), QUEUE_WAIT_MS - 1), || {
             proxy.get_location().unwrap_err()
         });
         assert_eq!(err.kind(), ProxyErrorKind::DeadlineExceeded);
         assert_eq!(engine(&proxy).metrics().snapshot().deadline_fail_fast, 1);
+        assert_eq!(engine(&proxy).metrics().snapshot().bulkhead_waits, 0);
     }
 
     // ---- Admission controller ----------------------------------------
@@ -1123,22 +1084,6 @@ mod tests {
         }
         assert_eq!(engine(&proxy).tier(), DegradeTier::Minimal);
         assert!(saw_coarse, "minimal tier coarsens the cached fix");
-    }
-
-    #[test]
-    fn shed_disabled_admits_everything() {
-        let dev = device();
-        let proxy = overloaded(
-            &dev,
-            1_000,
-            OverloadPolicy::default().target_ms(10).shed_enabled(false),
-        );
-        for _ in 0..50 {
-            proxy.get_location().unwrap();
-        }
-        let snap = engine(&proxy).metrics().snapshot();
-        assert_eq!(snap.shed, 0);
-        assert_eq!(snap.admitted, 50);
     }
 
     #[test]

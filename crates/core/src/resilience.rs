@@ -75,10 +75,9 @@ pub struct ResiliencePolicy {
     pub circuit_threshold: u32,
     /// How long an open circuit rejects before a half-open probe.
     pub circuit_cooldown_ms: u64,
-    /// Last-resort latitude for the Location fallback chain.
-    pub fallback_latitude: Option<f64>,
-    /// Last-resort longitude for the Location fallback chain.
-    pub fallback_longitude: Option<f64>,
+    /// Last-resort `(latitude, longitude)` for the Location fallback
+    /// chain.
+    pub fallback: Option<(f64, f64)>,
 }
 
 impl Default for ResiliencePolicy {
@@ -90,8 +89,7 @@ impl Default for ResiliencePolicy {
             jitter_seed: 0x5EED,
             circuit_threshold: 5,
             circuit_cooldown_ms: 30_000,
-            fallback_latitude: None,
-            fallback_longitude: None,
+            fallback: None,
         }
     }
 }
@@ -143,17 +141,8 @@ impl ResiliencePolicy {
     /// fallback chain.
     #[must_use]
     pub fn fallback_position(mut self, latitude: f64, longitude: f64) -> Self {
-        self.fallback_latitude = Some(latitude);
-        self.fallback_longitude = Some(longitude);
+        self.fallback = Some((latitude, longitude));
         self
-    }
-
-    /// The configured default position, when both coordinates are set.
-    pub fn fallback(&self) -> Option<(f64, f64)> {
-        match (self.fallback_latitude, self.fallback_longitude) {
-            (Some(lat), Some(lon)) => Some((lat, lon)),
-            _ => None,
-        }
     }
 
     /// Deterministic backoff before retry number `attempt` (1-based:
@@ -577,7 +566,7 @@ impl ResilienceEngine {
             self.metrics.fallback_last_known.inc();
             return Ok(stale);
         }
-        if let Some((lat, lon)) = self.policy().fallback() {
+        if let Some((lat, lon)) = self.policy().fallback {
             self.metrics.fallback_default.inc();
             return Ok(Location {
                 latitude: lat,

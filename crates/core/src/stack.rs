@@ -36,7 +36,7 @@ use mobivine_telemetry::MetricsRegistry;
 use crate::api::{
     CalendarProxy, CallProxy, ContactsProxy, HttpProxy, LocationProxy, ProxyBase, SmsProxy,
 };
-use crate::cache::{CacheCell, CacheEngine, CacheMetrics, CachePolicy};
+use crate::cache::{ttl_for, CacheCell, CacheEngine, CacheMetrics};
 use crate::error::ProxyError;
 use crate::journal::{
     current_idempotency_key, url_with_idempotency_key, JournalEngine, JournalMetrics,
@@ -205,11 +205,11 @@ const fn indexed(methods: &'static [CallMeta]) -> &'static [CallMeta] {
 // ---------------------------------------------------------------------
 
 /// What the builder recorded: one slot per layer, `None` = off. The
-/// journal layer has no knob, so its slot is a switch.
+/// cache and journal layers have no knob, so their slots are switches.
 #[derive(Default)]
 pub(crate) struct LayerPolicies {
     pub(crate) telemetry: Option<TelemetryRuntime>,
-    pub(crate) cache: Option<CachePolicy>,
+    pub(crate) cache: bool,
     pub(crate) overload: Option<OverloadPolicy>,
     pub(crate) journal: bool,
     pub(crate) resilience: Option<ResiliencePolicy>,
@@ -235,7 +235,9 @@ impl Layers {
     pub(crate) fn new(policies: LayerPolicies) -> Self {
         let registry = policies.telemetry.as_ref().map(TelemetryRuntime::metrics);
         Self {
-            cache: (policies.cache.as_ref()).map(|_| home(registry, CacheMetrics::on_registry)),
+            cache: policies
+                .cache
+                .then(|| home(registry, CacheMetrics::on_registry)),
             overload: (policies.overload.as_ref())
                 .map(|_| home(registry, OverloadMetrics::on_registry)),
             journal: policies.journal.then(|| {
@@ -322,11 +324,8 @@ impl Stack {
                 }
                 Layer::Cache => {
                     let epoch = stack.resilience.as_ref().map(|r| r.breaker.epoch_handle());
-                    let enabled = policies.cache.as_ref().zip(layers.cache.clone());
-                    stack.cache = enabled.map(|(policy, metrics)| {
-                        let ttl = policy.ttl_for(P::KIND);
-                        let coalescing = policy.coalescing_enabled();
-                        CacheEngine::new(device.clone(), ttl, coalescing, epoch, metrics)
+                    stack.cache = layers.cache.clone().map(|metrics| {
+                        CacheEngine::new(device.clone(), ttl_for(P::KIND), epoch, metrics)
                     });
                 }
                 Layer::TraceProxy => stack.trace_proxy = trace(Plane::Proxy),
@@ -1000,7 +999,7 @@ pub(crate) mod tests {
     fn every_layer(device: &Device) -> LayerPolicies {
         LayerPolicies {
             telemetry: Some(TelemetryRuntime::new(Arc::clone(device.metrics()))),
-            cache: Some(CachePolicy::default()),
+            cache: true,
             overload: Some(OverloadPolicy::default()),
             journal: true,
             resilience: Some(ResiliencePolicy::default()),
@@ -1202,19 +1201,17 @@ pub(crate) mod tests {
 
     /// The builder is the one way to configure a layer: a runtime built
     /// with every policy field off its default hands each engine exactly
-    /// that policy.
+    /// that policy. The cache has no policy fields; each cached proxy
+    /// gets its kind's fixed TTL.
     #[test]
     fn every_builder_policy_field_reaches_its_engine() {
         use crate::api::{CalendarProxy, ContactsProxy};
+        use crate::cache::CachePolicy;
         use crate::overload::DEGRADED_HTTP_STATUS;
         use crate::registry::Mobivine;
         use mobivine_android::{AndroidPlatform, SdkVersion};
 
         let overload = OverloadPolicy::default()
-            .max_concurrency(3)
-            .queue_depth(2)
-            .queue_wait_ms(7)
-            .shed_enabled(false)
             .target_ms(99)
             .shed_seed(42)
             .droppable_path("/enrich");
@@ -1226,20 +1223,14 @@ pub(crate) mod tests {
             .circuit_threshold(2)
             .circuit_cooldown_ms(777)
             .fallback_position(1.5, 2.5);
-        let cache = CachePolicy::default()
-            .location_ttl_ms(1)
-            .contacts_ttl_ms(2)
-            .calendar_ttl_ms(3)
-            .coalescing(false);
         assert_ne!(overload, OverloadPolicy::default());
         assert_ne!(resilience, ResiliencePolicy::default());
-        assert_ne!(cache, CachePolicy::default());
 
         let device = Device::builder().build();
         let runtime = Mobivine::builder()
             .with_overload(overload)
             .with_resilience(resilience)
-            .with_cache(cache)
+            .with_cache(CachePolicy::default())
             .android(AndroidPlatform::new(device.clone(), SdkVersion::M5Rc15).new_context())
             .build()
             .unwrap();
@@ -1249,17 +1240,19 @@ pub(crate) mod tests {
         let location = stack(Stack::new::<dyn LocationProxy>(layers, &device, "test"));
         let engine = location.overload.as_ref().unwrap();
         assert_eq!(engine.policy(), overload);
-        assert_eq!(engine.bulkhead().cap(), 3);
         assert_eq!(location.resilience.as_ref().unwrap().policy(), resilience);
-        let location_cache = location.cache.as_ref().unwrap();
-        assert_eq!(location_cache.ttl_ms(), 1);
-        assert!(!location_cache.coalescing());
+        assert_eq!(location.cache.as_ref().unwrap().ttl_ms(), 10_000);
         for (built, ttl) in [
-            (Stack::new::<dyn ContactsProxy>(layers, &device, "test"), 2),
-            (Stack::new::<dyn CalendarProxy>(layers, &device, "test"), 3),
+            (
+                Stack::new::<dyn ContactsProxy>(layers, &device, "test"),
+                60_000,
+            ),
+            (
+                Stack::new::<dyn CalendarProxy>(layers, &device, "test"),
+                60_000,
+            ),
         ] {
-            let engine = stack(built).cache.expect("cached");
-            assert_eq!((engine.ttl_ms(), engine.coalescing()), (ttl, false));
+            assert_eq!(stack(built).cache.expect("cached").ttl_ms(), ttl);
         }
 
         // The droppable path came with the policy: with every bulkhead
@@ -1270,7 +1263,10 @@ pub(crate) mod tests {
             memo: (),
         };
         let bulkhead = http.stack.overload.as_ref().unwrap().bulkhead();
-        let _slots: Vec<_> = (0..3).filter_map(|_| bulkhead.try_acquire()).collect();
+        let slots: Vec<_> = (0..bulkhead.cap())
+            .map_while(|_| bulkhead.try_acquire())
+            .collect();
+        assert_eq!(slots.len(), 32);
         let degraded = http
             .request("GET", "http://svc/enrich/profile", b"")
             .unwrap();

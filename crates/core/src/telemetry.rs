@@ -85,14 +85,7 @@ impl TelemetryRuntime {
     /// errored and deadline-blown traces are promoted into the
     /// incident store before ring wrap-around can overwrite them.
     pub fn new(metrics: Arc<MetricsRegistry>) -> Self {
-        Self::with_retention(metrics, DEFAULT_SPAN_RETENTION)
-    }
-
-    /// Like [`TelemetryRuntime::new`], but the tracer's per-thread
-    /// span rings keep at most `span_retention` records each — the
-    /// knob fleet-scale runs use to bound trace memory per device.
-    pub fn with_retention(metrics: Arc<MetricsRegistry>, span_retention: usize) -> Self {
-        Self::with_recorder(metrics, span_retention, PromotionPolicy::default())
+        Self::with_recorder(metrics, DEFAULT_SPAN_RETENTION, PromotionPolicy::default())
     }
 
     /// Full-control constructor: span retention plus an explicit

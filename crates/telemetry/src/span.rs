@@ -43,9 +43,11 @@
 //! [`Tracer::finished`] stitches the per-thread sinks back together in
 //! registration order, oldest record first within each sink; a trace
 //! whose root is still open is not visible there until the root closes.
+//! A thread's sink outlives its tracer only until the thread next opens
+//! a sink for another tracer with no span open, which frees it.
 //!
-//! An optional [`Recorder`] installed with
-//! [`Tracer::install_recorder`] adds **tail-based promotion**: when a
+//! An optional [`Recorder`], given at construction by
+//! [`Tracer::with_recorder`], adds **tail-based promotion**: when a
 //! trace's root span files with an interesting outcome (error, blown
 //! deadline, latency over a per-operation threshold) the whole trace
 //! tree — the children were filed into the same thread's ring just
@@ -649,8 +651,8 @@ struct TracerInner {
     /// on sink creation and on drain — never on the recording path.
     sinks: Mutex<Vec<Arc<Mutex<Ring>>>>,
     /// Tail-based promotion: classifies closing trace roots and keeps
-    /// the interesting trace trees. Installed at most once.
-    recorder: OnceLock<Recorder>,
+    /// the interesting trace trees. Fixed at construction.
+    recorder: Option<Recorder>,
     /// Registry counters mirroring the eviction/promotion totals, so
     /// the flight recorder's health shows up in a Prometheus scrape.
     counters: OnceLock<RecorderCounters>,
@@ -728,23 +730,25 @@ impl Tracer {
     /// A full sink overwrites its oldest record (flight-recorder
     /// semantics); evictions are counted ([`Tracer::evicted_spans`]).
     pub fn with_retention(retention: usize) -> Self {
+        Self::build(retention, None)
+    }
+
+    /// A tracer with tail-based promotion by `recorder`.
+    pub fn with_recorder(retention: usize, recorder: Recorder) -> Self {
+        Self::build(retention, Some(recorder))
+    }
+
+    fn build(retention: usize, recorder: Option<Recorder>) -> Self {
         Self {
             inner: Arc::new(TracerInner {
                 id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
                 next_id: AtomicU64::new(1),
                 retention: retention.max(1),
                 sinks: Mutex::new(Vec::new()),
-                recorder: OnceLock::new(),
+                recorder,
                 counters: OnceLock::new(),
             }),
         }
-    }
-
-    /// A tracer with tail-based promotion installed from the start.
-    pub fn with_recorder(retention: usize, recorder: Recorder) -> Self {
-        let tracer = Self::with_retention(retention);
-        tracer.install_recorder(recorder);
-        tracer
     }
 
     /// The per-thread sink capacity.
@@ -759,13 +763,6 @@ impl Tracer {
         sinks.iter().map(|ring| ring.lock().evicted).sum()
     }
 
-    /// Installs the tail-based promotion recorder. The first install
-    /// wins; returns `false` (and changes nothing) when a recorder is
-    /// already present.
-    pub fn install_recorder(&self, recorder: Recorder) -> bool {
-        self.inner.recorder.set(recorder).is_ok()
-    }
-
     /// Mirrors eviction/promotion totals into registry
     /// [`Counter`](crate::Counter)s
     /// (see [`RecorderCounters`]). The first install wins.
@@ -773,15 +770,15 @@ impl Tracer {
         self.inner.counters.set(counters).is_ok()
     }
 
-    /// The installed promotion recorder, if any.
+    /// The promotion recorder, if any.
     pub fn recorder(&self) -> Option<&Recorder> {
-        self.inner.recorder.get()
+        self.inner.recorder.as_ref()
     }
 
-    /// The incident store holding promoted traces, when a recorder is
-    /// installed.
+    /// The incident store holding promoted traces, when the tracer has
+    /// a recorder.
     pub fn incident_store(&self) -> Option<&Arc<IncidentStore>> {
-        self.inner.recorder.get().map(Recorder::store)
+        self.recorder().map(Recorder::store)
     }
 
     /// The process-unique tracer identity (keys thread-local state).
@@ -833,7 +830,7 @@ impl Tracer {
     /// Tail-based promotion happens here: a **root** record closing
     /// means its trace is complete — in this synchronous world every
     /// child was filed into the same thread-local ring before it, or
-    /// precedes it in the batch — so the installed [`Recorder`]
+    /// precedes it in the batch — so the tracer's [`Recorder`]
     /// classifies the root and, if the outcome is interesting and the
     /// incident store still has room, the trace tree is copied out
     /// *after* the children are filed and *before* the root is (the
@@ -843,7 +840,7 @@ impl Tracer {
     fn file(&self, ring: &Mutex<Ring>, batch: &mut Vec<Record>, spill: &mut Vec<Spilled>) {
         let root = batch.last().copied().filter(Record::is_root);
         let promotion = root
-            .zip(self.inner.recorder.get())
+            .zip(self.inner.recorder.as_ref())
             .filter(|(root, recorder)| {
                 root.flags & PROMOTION_ATTR != 0 || recorder.policy().reads_durations()
             })
@@ -1123,10 +1120,14 @@ pub mod ambient {
         /// that spill, so a span's spill stops allocating once warm.
         spare: Vec<Vec<Spilled>>,
         /// Every sink this thread has opened a span for, in first-use
-        /// order. An entry lives for the thread's lifetime.
+        /// order. A sink whose tracer only this table still holds is
+        /// dropped, ring and all, by the next [`Ambient::prune`].
         sinks: Vec<Sink>,
         /// `sinks` index by tracer id.
         by_tracer: HashMap<u64, usize, BuildHasherDefault<TracerIdHasher>>,
+        /// The length of `sinks` at which the next new sink prunes
+        /// first.
+        prune_at: usize,
     }
 
     impl Ambient {
@@ -1135,6 +1136,9 @@ pub mod ambient {
         fn sink_of(&mut self, tracer: &Tracer) -> usize {
             if let Some(&index) = self.by_tracer.get(&tracer.id()) {
                 return index;
+            }
+            if self.stack.is_empty() && self.sinks.len() >= self.prune_at {
+                self.prune();
             }
             let ring = Arc::new(Mutex::new(Ring::with_capacity(tracer.retention())));
             tracer.inner.sinks.lock().push(Arc::clone(&ring));
@@ -1145,6 +1149,26 @@ pub mod ambient {
             });
             self.by_tracer.insert(tracer.id(), index);
             index
+        }
+
+        /// Drops the sinks of the tracers that only this table still
+        /// holds: their owners are gone, so no span can file into them
+        /// again and nobody can read their rings. Runs only while no
+        /// frame is open, because frames index `sinks`. The next prune
+        /// waits until the table has doubled, so a new sink pays O(1)
+        /// amortized for it.
+        ///
+        /// A tracer that traced on several threads stays until all but
+        /// one of them have exited, because each of their tables holds
+        /// it.
+        fn prune(&mut self) {
+            self.sinks
+                .retain(|sink| Arc::strong_count(&sink.tracer.inner) > 1);
+            self.by_tracer.clear();
+            for (index, sink) in self.sinks.iter().enumerate() {
+                self.by_tracer.insert(sink.tracer.id(), index);
+            }
+            self.prune_at = (2 * self.sinks.len()).max(1);
         }
 
         /// Pushes a frame in `tracer`: a root when `parent` is `None`.
@@ -1212,6 +1236,7 @@ pub mod ambient {
                 spare: Vec::new(),
                 sinks: Vec::new(),
                 by_tracer: HashMap::with_hasher(BuildHasherDefault::new()),
+                prune_at: 1,
             })
         };
     }
@@ -1517,6 +1542,35 @@ mod tests {
         let starts: Vec<u64> = tracer.finished().iter().map(|s| s.start_ms).collect();
         assert_eq!(starts, vec![21, 22, 23, 24]);
         assert_eq!(tracer.evicted_spans(), 8);
+    }
+
+    #[test]
+    fn a_dropped_tracers_ring_goes_with_the_next_new_sink() {
+        let live = Tracer::new();
+        live.root("live", Plane::App, 0).end(1);
+        let dropped = Tracer::with_retention(4);
+        dropped.root("gone", Plane::App, 0).end(1);
+        let inner = Arc::downgrade(&dropped.inner);
+        drop(dropped);
+        assert!(
+            inner.upgrade().is_some(),
+            "the thread's table still holds it"
+        );
+        // A new sink under an open frame prunes nothing: the open frame
+        // indexes the table.
+        let outer = live.root("outer", Plane::App, 2);
+        let nested = Tracer::new();
+        nested.root("nested", Plane::App, 3).end(4);
+        outer.end(5);
+        assert!(inner.upgrade().is_some(), "no prune under an open frame");
+        // With nothing open, the next new sink drops it, ring and all.
+        Tracer::new().root("next", Plane::App, 6).end(7);
+        assert!(inner.upgrade().is_none(), "the dropped tracer was freed");
+        // The live tracers keep their rings and still file into them.
+        live.root("again", Plane::App, 8).end(9);
+        assert_eq!(names(&live.finished()), ["live", "outer", "again"]);
+        nested.root("nested again", Plane::App, 10).end(11);
+        assert_eq!(names(&nested.finished()), ["nested", "nested again"]);
     }
 
     fn names(spans: &[SpanRecord]) -> Vec<&str> {

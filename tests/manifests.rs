@@ -12,7 +12,12 @@
 //! allows the `deprecated` lint, and only the files on
 //! [`CLIPPY_ALLOWLIST`] allow a clippy lint (the vendored `stubs/` are
 //! not scanned for those).
+//!
+//! Every name a knob table of DESIGN.md or README.md lists is still
+//! declared in the workspace's non-test sources, so a deleted knob
+//! cannot stay documented.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -307,4 +312,140 @@ fn traced_hot_path_builds_no_labels() {
         label_constructions(sample, SANCTIONED),
         vec![(3, "let b = Labels::new(&[]);")]
     );
+}
+
+/// The backticked first-column names of every `| Field |` or `| Knob |`
+/// table in `markdown`, with their 1-based line numbers. A `(…)`
+/// argument list is dropped and a `a`/`b` cell gives both names; a
+/// name that is not backticked is kept as written, so it cannot match.
+fn knob_table_names(markdown: &str) -> Vec<(usize, String)> {
+    let mut in_table = false;
+    let mut names = Vec::new();
+    for (index, line) in markdown.lines().enumerate() {
+        if line.starts_with("| Field |") || line.starts_with("| Knob |") {
+            in_table = true;
+            continue;
+        }
+        if !in_table || !line.starts_with('|') {
+            in_table = false;
+            continue;
+        }
+        let cell = line.split('|').nth(1).unwrap_or_default();
+        if cell.trim_start().starts_with("---") {
+            continue;
+        }
+        let mut bare = String::new();
+        let mut depth = 0usize;
+        for c in cell.chars() {
+            match c {
+                '(' => depth += 1,
+                ')' => depth = depth.saturating_sub(1),
+                _ if depth == 0 => bare.push(c),
+                _ => {}
+            }
+        }
+        for name in bare.split('/').map(str::trim) {
+            let unquoted = name
+                .strip_prefix('`')
+                .and_then(|n| n.strip_suffix('`'))
+                .unwrap_or(name);
+            names.push((index + 1, unquoted.to_owned()));
+        }
+    }
+    names
+}
+
+/// Every identifier the code of `source` before its first
+/// `#[cfg(test)]` declares as a `fn`, or writes at the start of a line
+/// as `name:` (a field, a struct-literal member or a parameter on its
+/// own line). `//` comment lines are skipped.
+fn declared_names(source: &str, out: &mut BTreeSet<String>) {
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    for line in source
+        .lines()
+        .take_while(|line| !line.contains("#[cfg(test)]"))
+    {
+        let code = line.trim_start();
+        if code.starts_with("//") {
+            continue;
+        }
+        for (at, _) in code.match_indices("fn ") {
+            let name: String = code[at + 3..]
+                .chars()
+                .take_while(|&c| is_ident(c))
+                .collect();
+            if at == 0 || !code[..at].ends_with(is_ident) {
+                out.insert(name);
+            }
+        }
+        let field = ["pub(crate) ", "pub(super) ", "pub "]
+            .iter()
+            .find_map(|vis| code.strip_prefix(vis))
+            .unwrap_or(code);
+        let name: String = field.chars().take_while(|&c| is_ident(c)).collect();
+        let rest = &field[name.len()..];
+        if !name.is_empty() && rest.starts_with(':') && !rest.starts_with("::") {
+            out.insert(name);
+        }
+    }
+}
+
+#[test]
+fn knob_tables_name_live_fields() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for package in workspace_packages() {
+        rust_files(&package.join("src"), &mut files);
+    }
+    let mut declared = BTreeSet::new();
+    for file in &files {
+        declared_names(
+            &fs::read_to_string(file).expect("a readable source file"),
+            &mut declared,
+        );
+    }
+    let mut checked = 0;
+    let mut stale = Vec::new();
+    for doc in ["DESIGN.md", "README.md"] {
+        let markdown = fs::read_to_string(root.join(doc)).expect("a readable document");
+        for (line, name) in knob_table_names(&markdown) {
+            checked += 1;
+            if !declared.contains(&name) {
+                stale.push(format!("{doc}:{line}: `{name}`"));
+            }
+        }
+    }
+    assert!(checked > 20, "only {checked} knob-table names found");
+    assert!(
+        stale.is_empty(),
+        "knob-table rows naming no field or fn of the non-test sources:\n{}",
+        stale.join("\n")
+    );
+
+    // The scanners on samples: the table parser strips argument lists
+    // and splits paired names; the declaration scan reads fields, fns
+    // and parameters of code only.
+    let table = "| Knob | Where |\n|---|---|\n\
+                 | `a_ms` | x |\n\
+                 | `f(root, ms)` | x |\n\
+                 | `lat`/`lon` | x |\n\
+                 | bare | x |\n\
+                 \n| `outside` | x |\n";
+    let names: Vec<String> = knob_table_names(table)
+        .into_iter()
+        .map(|(_, name)| name)
+        .collect();
+    assert_eq!(names, ["a_ms", "f", "lat", "lon", "bare"]);
+    let mut found = BTreeSet::new();
+    declared_names(
+        "pub struct P {\n    pub a_ms: u64,\n    b: Option<u8>,\n}\n\
+         pub(crate) fn f<T>(x: T) {}\n\
+         // c: u8\n\
+         let d: u8 = 0;\n\
+         e::call();\n\
+         #[cfg(test)]\n\
+         fn g() {}\n",
+        &mut found,
+    );
+    assert_eq!(found.into_iter().collect::<Vec<_>>(), ["a_ms", "b", "f"]);
 }

@@ -10,7 +10,10 @@
 //!   attaches an exemplar, and never again;
 //! - building and warming a telemetry-wired runtime on one device keeps
 //!   at most [`RUNTIME_BYTES`] live bytes per platform, so a new
-//!   per-device structure fails a test instead of a 15 s RSS run.
+//!   per-device structure fails a test instead of a 15 s RSS run;
+//! - a runtime's telemetry ends with the runtime: [`CHURN_CYCLES`]
+//!   build → warm → traced `getLocation` → drop cycles on one device
+//!   keep no more live bytes than one cycle does.
 //!
 //! Like `tests/zero_alloc_telemetry.rs`, this file holds a **single**
 //! `#[test]`: the counters are per thread, but a sibling test running
@@ -19,6 +22,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use mobivine::api::LocationProxy;
 use mobivine_device::Device;
 use mobivine_telemetry::span::TraceId;
 use mobivine_telemetry::Histogram;
@@ -93,6 +97,9 @@ const HISTOGRAM_BYTES: i64 = 600;
 /// 31,012, 23,528 and 33,744 bytes.
 const RUNTIME_BYTES: [(&str, i64); 3] = [("android", 23_000), ("s60", 18_500), ("webview", 26_000)];
 
+/// Runtimes built and dropped per platform by the churn check.
+const CHURN_CYCLES: usize = 1_000;
+
 #[test]
 fn telemetry_wiring_retains_a_pinned_number_of_bytes() {
     let (histogram, allocs, bytes) = measure(Histogram::new);
@@ -134,6 +141,31 @@ fn telemetry_wiring_retains_a_pinned_number_of_bytes() {
         assert!(
             bytes <= bound,
             "a telemetry-wired {platform} runtime keeps {bytes} bytes (at most {bound})"
+        );
+    }
+
+    // Each cycle's traced call leaves the runtime's tracer in this
+    // thread's span-sink table. The first one also interns the names
+    // and grows the table; after it, each cycle frees the one before.
+    for (platform, builder) in BUILDERS {
+        let device = common::device();
+        let cycle = || {
+            let runtime = builder(&device)
+                .with_telemetry_retention(16)
+                .build()
+                .expect("telemetry-wired runtime builds");
+            runtime.warm().expect("every binding resolves");
+            let location = runtime
+                .proxy::<dyn LocationProxy>()
+                .expect("a location proxy");
+            location.get_location().expect("a fix");
+        };
+        cycle();
+        let ((), _, one) = measure(cycle);
+        let ((), _, churned) = measure(|| (0..CHURN_CYCLES).for_each(|_| cycle()));
+        assert!(
+            churned <= one,
+            "{CHURN_CYCLES} {platform} runtime cycles keep {churned} bytes, one keeps {one}"
         );
     }
 }
