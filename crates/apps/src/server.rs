@@ -6,12 +6,13 @@
 //! simulated network.
 
 use std::collections::{HashMap, HashSet};
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use mobivine::journal::fnv1a;
+use mobivine::journal::{fnv1a, fnv1a_continue};
 use mobivine::registry::Mobivine;
 use mobivine::{
     DurableLsn, IdempotencyKey, Journal, JournalMetrics, JournalPolicy, JournalSnapshot, Lsn,
@@ -125,24 +126,64 @@ pub struct DurabilityConfig {
     pub crash: Option<Arc<CrashSchedule>>,
 }
 
-/// The checkpoint: everything the journal protects, plus the journal
-/// high-water mark it covers. Task assignments and capacity knobs are
-/// dispatcher-owned configuration (they arrive out-of-band, not
-/// through the mutating HTTP routes) and survive a middleware crash on
-/// their own.
+mod append_only {
+    /// An append-only log: it grows by [`Log::push`] and shrinks only
+    /// by [`Log::rewind`] to an earlier length. A length read at any
+    /// time is therefore a mark whose prefix stays intact until a
+    /// rewind to it or below.
+    #[derive(Debug)]
+    pub struct Log<T>(Vec<T>);
+
+    impl<T> Default for Log<T> {
+        fn default() -> Self {
+            Self(Vec::new())
+        }
+    }
+
+    impl<T> Log<T> {
+        /// Appends one entry.
+        pub fn push(&mut self, value: T) {
+            self.0.push(value);
+        }
+
+        /// Entries appended and not rewound.
+        pub fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        /// The entries, oldest first.
+        pub fn as_slice(&self) -> &[T] {
+            &self.0
+        }
+
+        /// Drops every entry past `mark`, a length read earlier.
+        pub(crate) fn rewind(&mut self, mark: usize) {
+            debug_assert!(mark <= self.0.len(), "a mark is a past length");
+            self.0.truncate(mark);
+        }
+    }
+}
+
+use append_only::Log;
+
+/// The checkpoint: marks into everything the journal protects, plus
+/// the journal high-water mark it covers. Task assignments and capacity
+/// knobs are dispatcher-owned configuration (they arrive out-of-band,
+/// not through the mutating HTTP routes) and survive a middleware crash
+/// on their own.
 ///
-/// Between crashes the live vectors only grow by appends and the live
-/// key set only gains keys, and recovery rebuilds the live state as
-/// this snapshot plus the replayed suffix. So the snapshot is always a
-/// prefix of the live state, and a checkpoint only has to append what
-/// was applied since the last one. The empty default covers nothing:
-/// recovery replays from genesis.
-#[derive(Debug, Default, PartialEq)]
+/// The three state vectors are [`Log`]s, so between crashes they only
+/// grow, and recovery rewinds them to these lengths before replaying
+/// the journal past `high_water`. The checkpointed state is therefore
+/// always a prefix of the live state, and lengths are all it needs to
+/// keep. Its keys are the live keys minus
+/// [`DurableState::applied_since_checkpoint`]. The zero default covers
+/// nothing: recovery replays from genesis.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 struct DurableSnapshot {
-    completed: Vec<(u64, u64)>,
-    activity: Vec<ActivityEntry>,
-    tracks: Vec<TrackPoint>,
-    applied: HashSet<u64>,
+    completed: usize,
+    activity: usize,
+    tracks: usize,
     keyed_applies: u64,
     high_water: Lsn,
 }
@@ -153,15 +194,17 @@ struct DurableSnapshot {
 struct DurableState {
     journal: Journal,
     metrics: Arc<JournalMetrics>,
-    /// A separate copy a crash cannot touch.
+    /// Marks a crash cannot touch.
     checkpoint: DurableSnapshot,
     checkpoint_every: u32,
     since_checkpoint: u32,
     /// Idempotency keys whose effect committed in the current state
-    /// generation (wiped by a crash, rebuilt by checkpoint + replay).
+    /// generation (wiped back to the checkpoint's by a crash, rebuilt
+    /// by replay).
     applied: HashSet<u64>,
-    /// The keys of `applied` the checkpoint does not hold yet, in apply
-    /// order: what the next checkpoint inserts.
+    /// The keys of `applied` the checkpoint does not cover, in apply
+    /// order: what a crash removes. Always empty with checkpoints off,
+    /// where a crash clears `applied` instead.
     applied_since_checkpoint: Vec<u64>,
     /// Total keyed applies in the current generation. Exactly-once
     /// holds iff this equals `applied.len()` — the duplicates gate.
@@ -174,8 +217,12 @@ struct DurableState {
     gap_crashes: u64,
     effect_crashes: u64,
     replayed_records: u64,
+    /// Records the most recent recovery replayed.
+    last_replayed_records: u64,
     /// Deterministic virtual recovery cost per crash survived, µs.
     recovery_cost_us: Vec<u64>,
+    /// The journal record being written, reused across mutations.
+    record: Vec<u8>,
 }
 
 /// The recovery ledger of a durable [`WfmServer`], folded into the
@@ -204,6 +251,14 @@ pub struct ServerRecoverySnapshot {
     pub distinct_keys: u64,
     /// Virtual recovery cost per crash, µs, in crash order.
     pub recovery_cost_us: Vec<u64>,
+    /// Durable journal bytes past the checkpoint's high-water mark:
+    /// what a crash now would scan.
+    pub journal_tail_bytes: u64,
+    /// Mutations applied past the checkpoint, live or replayed: what a
+    /// crash now would rewind.
+    pub applies_since_checkpoint: u64,
+    /// Records the most recent recovery replayed (0 before any crash).
+    pub last_replayed_records: u64,
 }
 
 impl ServerRecoverySnapshot {
@@ -241,9 +296,9 @@ impl AgentTasks {
 struct ServerState {
     /// Assigned tasks by agent; only agents with a task have a slot.
     agents: HashMap<u64, AgentTasks>,
-    completed: Vec<(u64, u64)>, // (agent, task id)
-    activity: Vec<ActivityEntry>,
-    tracks: Vec<TrackPoint>,
+    completed: Log<(u64, u64)>, // (agent, task id)
+    activity: Log<ActivityEntry>,
+    tracks: Log<TrackPoint>,
     /// When set, `/report-location` stops accepting once this many
     /// track points are stored and answers `503` + `Retry-After`
     /// instead — the server-side half of the overload story, giving
@@ -282,7 +337,7 @@ impl ServerState {
         if let Some(body) = &agent.body {
             return Ok(body.clone());
         }
-        let open: Vec<&Task> = agent.open(agent_id, &self.completed).collect();
+        let open: Vec<&Task> = agent.open(agent_id, self.completed.as_slice()).collect();
         let body = serde_json::to_vec(&open)?;
         Ok(agent.body.insert(body).clone())
     }
@@ -305,86 +360,124 @@ fn idem_from_query(query: Option<&str>) -> Option<IdempotencyKey> {
     })
 }
 
-/// Encodes one journal record: `{tag}|{key-hex-or-dash}|{json}`.
-fn encode_record(tag: &str, key: Option<IdempotencyKey>, json: &str) -> String {
-    let key = key
-        .map(IdempotencyKey::to_hex)
-        .unwrap_or_else(|| "-".into());
-    format!("{tag}|{key}|{json}")
+/// One journaled mutation, decoded: what a live request carries and
+/// what a replayed record decodes to.
+#[derive(Debug)]
+enum Mutation {
+    Track(TrackPoint),
+    Activity(ActivityEntry),
+    Complete(CompleteBody),
 }
 
-/// Applies one decoded mutation, a committed journal record. This is
-/// the ONLY place journaled effects reach server state — live requests
-/// and recovery replay both come through here, which is what makes
-/// replay idempotent by construction. Returns `false` for an
-/// undecodable record.
+impl Mutation {
+    fn tag(&self) -> &'static str {
+        match self {
+            Self::Track(_) => "track",
+            Self::Activity(_) => "activity",
+            Self::Complete(_) => "complete",
+        }
+    }
+
+    /// Writes the journal record `{tag}|{key-hex-or-dash}|{json}` into
+    /// `record`, replacing what it held.
+    fn encode(&self, key: Option<IdempotencyKey>, record: &mut Vec<u8>) -> serde_json::Result<()> {
+        record.clear();
+        record.extend_from_slice(self.tag().as_bytes());
+        record.push(b'|');
+        match key {
+            Some(k) => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                record.extend(
+                    (0..16)
+                        .rev()
+                        .map(|nibble| HEX[(k.0 >> (4 * nibble)) as usize & 0xf]),
+                );
+            }
+            None => record.push(b'-'),
+        }
+        record.push(b'|');
+        match self {
+            Self::Track(point) => serde_json::to_writer(record, point),
+            Self::Activity(entry) => serde_json::to_writer(record, entry),
+            Self::Complete(body) => serde_json::to_writer(record, body),
+        }
+    }
+
+    /// Decodes a committed record. `None` for an undecodable one; a key
+    /// field that is not 16 hex digits decodes as no key.
+    fn decode(payload: &[u8]) -> Option<(Self, Option<IdempotencyKey>)> {
+        let payload = std::str::from_utf8(payload).ok()?;
+        let mut parts = payload.splitn(3, '|');
+        let (tag, key, json) = (parts.next()?, parts.next()?, parts.next()?);
+        let mutation = match tag {
+            "track" => Self::Track(serde_json::from_str(json).ok()?),
+            "activity" => Self::Activity(serde_json::from_str(json).ok()?),
+            "complete" => Self::Complete(serde_json::from_str(json).ok()?),
+            _ => return None,
+        };
+        Some((mutation, IdempotencyKey::from_hex(key)))
+    }
+}
+
+/// Applies one committed mutation. This is the ONLY place journaled
+/// effects reach server state — live requests apply the value they
+/// decoded and recovery replay applies what each record decodes to,
+/// which is what makes replay idempotent by construction.
 ///
 /// The write-ahead invariant is a type: `_durable` can only come from
 /// `Journal::fsync` or from a recovered record, so no effect is applied
 /// before its record crossed the barrier.
-fn apply_record(
+fn apply(
     state: &mut ServerState,
     d: &mut DurableState,
     _durable: DurableLsn,
-    payload: &str,
-) -> bool {
-    let mut parts = payload.splitn(3, '|');
-    let (Some(tag), Some(key), Some(json)) = (parts.next(), parts.next(), parts.next()) else {
-        return false;
-    };
-    let applied = match tag {
-        "track" => serde_json::from_str::<TrackPoint>(json)
-            .map(|p| state.tracks.push(p))
-            .is_ok(),
-        "activity" => serde_json::from_str::<ActivityEntry>(json)
-            .map(|e| state.activity.push(e))
-            .is_ok(),
-        "complete" => serde_json::from_str::<CompleteBody>(json)
-            .map(|c| state.complete(c.agent_id, c.task_id))
-            .is_ok(),
-        _ => false,
-    };
-    if applied {
-        if let Some(k) = IdempotencyKey::from_hex(key) {
-            d.applied.insert(k.0);
-            d.applied_since_checkpoint.push(k.0);
-            d.keyed_applies += 1;
-        }
+    mutation: Mutation,
+    key: Option<IdempotencyKey>,
+) {
+    match mutation {
+        Mutation::Track(point) => state.tracks.push(point),
+        Mutation::Activity(entry) => state.activity.push(entry),
+        Mutation::Complete(c) => state.complete(c.agent_id, c.task_id),
     }
-    applied
+    if let Some(k) = key {
+        if d.applied.insert(k.0) && d.checkpoint_every != 0 {
+            d.applied_since_checkpoint.push(k.0);
+        }
+        d.keyed_applies += 1;
+    }
 }
 
-/// Wipes the crashed generation and rebuilds it from a copy of the
-/// checkpoint plus a journal replay, recording the crash in the
-/// recovery ledger. With checkpoints on, the rebuilt state is
-/// checkpointed at once, so a later crash never replays this
-/// recovery's records again: each recovery replays only what its own
-/// crash left past the checkpoint, whatever traffic (if any) landed
-/// between two crashes.
+/// Rewinds the crashed generation to the checkpoint's marks and
+/// rebuilds it by a journal replay, recording the crash in the recovery
+/// ledger. With checkpoints on, the rebuilt state is checkpointed at
+/// once, so a later crash never replays this recovery's records again:
+/// each recovery replays only what its own crash left past the
+/// checkpoint, whatever traffic (if any) landed between two crashes.
 fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: CrashKind) {
-    // Process death: journal-protected in-memory state is gone.
-    state.completed.clear();
-    state.activity.clear();
-    state.tracks.clear();
-    d.applied.clear();
-    d.applied_since_checkpoint.clear();
-    let snap = &d.checkpoint;
-    state.completed.extend_from_slice(&snap.completed);
-    state.activity.extend_from_slice(&snap.activity);
-    state.tracks.extend_from_slice(&snap.tracks);
-    d.applied.clone_from(&snap.applied);
+    // Process death: journal-protected state past the checkpoint is gone.
+    let snap = d.checkpoint;
+    state.completed.rewind(snap.completed);
+    state.activity.rewind(snap.activity);
+    state.tracks.rewind(snap.tracks);
+    if d.checkpoint_every == 0 {
+        d.applied.clear();
+    } else {
+        for key in d.applied_since_checkpoint.drain(..) {
+            d.applied.remove(&key);
+        }
+    }
     d.keyed_applies = snap.keyed_applies;
     let recovery = d.journal.recover(snap.high_water);
     let replayed = recovery.records.len() as u64;
-    for record in &recovery.records {
-        if let Ok(payload) = std::str::from_utf8(&record.payload) {
-            apply_record(state, d, record.durable, payload);
+    for record in recovery.records {
+        if let Some((mutation, key)) = Mutation::decode(&record.payload) {
+            apply(state, d, record.durable, mutation, key);
         }
     }
     // Bodies cached before the crash describe the dead generation. Replay
-    // drops those of the agents it touches, but the checkpoint's
-    // completions came back without `complete`, so drop them all rather
-    // than rely on checkpoint + replay reproducing the old state.
+    // drops those of the agents it touches, but the rewind drops
+    // completions without `complete`, so drop them all rather than rely
+    // on replay reproducing the old state.
     for agent in state.agents.values_mut() {
         agent.body = None;
     }
@@ -395,6 +488,7 @@ fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: Cras
         CrashKind::AfterEffect => d.effect_crashes += 1,
     }
     d.replayed_records += replayed;
+    d.last_replayed_records = replayed;
     // Deterministic virtual recovery cost: a fixed restart overhead,
     // per-record replay work, and a torn-tail scan surcharge (µs).
     let cost_us = 150 + 40 * replayed + 90 * recovery.torn_records;
@@ -417,90 +511,105 @@ fn maybe_checkpoint(state: &ServerState, d: &mut DurableState) {
     checkpoint(state, d);
 }
 
-/// Extends the checkpoint by what was applied since the last one (the
-/// snapshot is a prefix of the live state, so this costs O(applies
-/// since), not O(state)), then GCs sealed journal segments below the
-/// new high-water mark.
+/// Moves the checkpoint's marks to the live lengths and the journal's
+/// durable end (O(1): the live state is its own snapshot), forgets the
+/// key delta, then GCs sealed journal segments below the new mark.
 fn checkpoint(state: &ServerState, d: &mut DurableState) {
     d.since_checkpoint = 0;
-    let snap = &mut d.checkpoint;
-    snap.completed
-        .extend_from_slice(&state.completed[snap.completed.len()..]);
-    snap.activity
-        .extend_from_slice(&state.activity[snap.activity.len()..]);
-    snap.tracks
-        .extend_from_slice(&state.tracks[snap.tracks.len()..]);
-    snap.applied.extend(d.applied_since_checkpoint.drain(..));
-    snap.keyed_applies = d.keyed_applies;
-    snap.high_water = d.journal.durable_end();
-    d.journal.truncate_before(snap.high_water);
+    d.checkpoint = DurableSnapshot {
+        completed: state.completed.len(),
+        activity: state.activity.len(),
+        tracks: state.tracks.len(),
+        keyed_applies: d.keyed_applies,
+        high_water: d.journal.durable_end(),
+    };
+    d.applied_since_checkpoint.clear();
+    d.journal.truncate_before(d.checkpoint.high_water);
     d.metrics.note_checkpoint();
 }
 
 /// The durable mutation path: duplicate check → journal the intent →
 /// (scheduled crash?) → fsync barrier → effect → checkpoint. The
-/// intent is journaled and fsynced BEFORE `apply_record` runs — the
-/// write-ahead invariant: `apply_record` takes the barrier's
-/// [`DurableLsn`].
+/// intent is journaled and fsynced BEFORE [`apply`] runs — the
+/// write-ahead invariant: `apply` takes the barrier's [`DurableLsn`].
 fn durable_mutate(
     state: &mut ServerState,
-    tag: &str,
+    mutation: Mutation,
     key: Option<IdempotencyKey>,
-    json: &str,
     success_body: &str,
 ) -> HttpResponse {
     let Some(mut d) = state.durability.take() else {
         return HttpResponse::status_only(500);
     };
+    let response = durable_mutate_with(state, &mut d, mutation, key, success_body);
+    state.durability = Some(d);
+    response
+}
+
+/// [`durable_mutate`] with the durable state taken out of `state`, so
+/// every exit puts it back in one place.
+fn durable_mutate_with(
+    state: &mut ServerState,
+    d: &mut DurableState,
+    mutation: Mutation,
+    key: Option<IdempotencyKey>,
+    success_body: &str,
+) -> HttpResponse {
     if let Some(k) = key {
         if d.applied.contains(&k.0) {
             d.suppressed_duplicates += 1;
             d.metrics.note_already_applied();
-            state.durability = Some(d);
             return HttpResponse::ok("already-applied");
         }
     }
-    let payload = encode_record(tag, key, json);
-    d.journal.append(payload.as_bytes());
-    let scheduled = key.and_then(|k| d.crash.as_ref().and_then(|c| c.take(k.0)));
-    let response = match scheduled {
+    if mutation.encode(key, &mut d.record).is_err() {
+        return HttpResponse::status_only(500);
+    }
+    d.journal.append(&d.record);
+    match key.and_then(|k| d.crash.as_ref().and_then(|c| c.take(k.0))) {
         Some(kind @ CrashKind::TornWrite) => {
             // Process dies mid-write: all but the last byte of the
             // frame reached the disk queue — a torn tail for recovery
             // to truncate.
             let keep = d.journal.volatile_len().saturating_sub(1);
             d.journal.crash(Some(keep));
-            recover_after_crash(state, &mut d, kind);
+            recover_after_crash(state, d, kind);
             HttpResponse::status_only(503)
         }
         Some(kind @ CrashKind::BeforeEffect) => {
             // Intent is durable, effect never ran: replay applies it.
             d.journal.fsync();
             d.journal.crash(None);
-            recover_after_crash(state, &mut d, kind);
+            recover_after_crash(state, d, kind);
             HttpResponse::status_only(503)
         }
         Some(kind @ CrashKind::AfterEffect) => {
-            // Effect ran but the covering checkpoint didn't: the wipe
+            // Effect ran but the covering checkpoint didn't: the rewind
             // discards it and replay re-applies it — net exactly once.
             let durable = d.journal.fsync();
-            apply_record(state, &mut d, durable, &payload);
+            apply(state, d, durable, mutation, key);
             d.journal.crash(None);
-            recover_after_crash(state, &mut d, kind);
+            recover_after_crash(state, d, kind);
             HttpResponse::status_only(503)
         }
         None => {
             let durable = d.journal.fsync();
-            if apply_record(state, &mut d, durable, &payload) {
-                maybe_checkpoint(state, &mut d);
-                HttpResponse::ok(success_body)
-            } else {
-                HttpResponse::status_only(500)
-            }
+            apply(state, d, durable, mutation, key);
+            maybe_checkpoint(state, d);
+            HttpResponse::ok(success_body)
         }
-    };
-    state.durability = Some(d);
-    response
+    }
+}
+
+/// FNV-1a folded through [`fmt::Write`]: `write!`-ing into it hashes
+/// what [`fnv1a`] would hash over the concatenated text, with no buffer.
+struct Fnv1a(u64);
+
+impl fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_continue(self.0, s.as_bytes());
+        Ok(())
+    }
 }
 
 /// The workforce-management server: agent tracking, request assignment
@@ -552,7 +661,9 @@ impl WfmServer {
             gap_crashes: 0,
             effect_crashes: 0,
             replayed_records: 0,
+            last_replayed_records: 0,
             recovery_cost_us: Vec::new(),
+            record: Vec::new(),
         });
         server
     }
@@ -581,6 +692,13 @@ impl WfmServer {
             keyed_applies: d.keyed_applies,
             distinct_keys: d.applied.len() as u64,
             recovery_cost_us: d.recovery_cost_us.clone(),
+            journal_tail_bytes: d.journal.durable_end().0 - d.checkpoint.high_water.0,
+            applies_since_checkpoint: (state.completed.len() - d.checkpoint.completed
+                + state.activity.len()
+                - d.checkpoint.activity
+                + state.tracks.len()
+                - d.checkpoint.tracks) as u64,
+            last_replayed_records: d.last_replayed_records,
         })
     }
 
@@ -590,20 +708,22 @@ impl WfmServer {
     /// any number of recoveries — digest identically.
     pub fn state_digest(&self) -> u64 {
         let state = self.state.lock();
-        let mut buf = String::new();
-        for (agent, task) in &state.completed {
-            buf.push_str(&format!("c|{agent}|{task}\n"));
+        let mut hash = Fnv1a(fnv1a(b""));
+        // `Fnv1a::write_str` never fails.
+        for (agent, task) in state.completed.as_slice() {
+            let _ = writeln!(hash, "c|{agent}|{task}");
         }
-        for e in &state.activity {
-            buf.push_str(&format!("a|{}|{}|{}\n", e.agent_id, e.at_ms, e.event));
+        for e in state.activity.as_slice() {
+            let _ = writeln!(hash, "a|{}|{}|{}", e.agent_id, e.at_ms, e.event);
         }
-        for p in &state.tracks {
-            buf.push_str(&format!(
-                "t|{}|{:.6}|{:.6}|{}\n",
+        for p in state.tracks.as_slice() {
+            let _ = writeln!(
+                hash,
+                "t|{}|{:.6}|{:.6}|{}",
                 p.agent_id, p.latitude, p.longitude, p.at_ms
-            ));
+            );
         }
-        fnv1a(buf.as_bytes())
+        hash.0
     }
 
     /// Assigns `task` to `agent_id` (the dispatcher's "request
@@ -634,13 +754,16 @@ impl WfmServer {
     pub fn tasks_for(&self, agent_id: u64) -> Vec<Task> {
         let state = self.state.lock();
         state.agents.get(&agent_id).map_or_else(Vec::new, |agent| {
-            agent.open(agent_id, &state.completed).cloned().collect()
+            agent
+                .open(agent_id, state.completed.as_slice())
+                .cloned()
+                .collect()
         })
     }
 
     /// The activity log, in arrival order.
     pub fn activity_log(&self) -> Vec<ActivityEntry> {
-        self.state.lock().activity.clone()
+        self.state.lock().activity.as_slice().to_vec()
     }
 
     /// All recorded track points for `agent_id`.
@@ -648,6 +771,7 @@ impl WfmServer {
         self.state
             .lock()
             .tracks
+            .as_slice()
             .iter()
             .filter(|t| t.agent_id == agent_id)
             .cloned()
@@ -671,6 +795,7 @@ impl WfmServer {
         self.state
             .lock()
             .completed
+            .as_slice()
             .iter()
             .filter(|(a, _)| *a == agent_id)
             .map(|(_, t)| *t)
@@ -702,11 +827,13 @@ impl WfmServer {
                 Ok(entry) => {
                     let mut state = state.lock();
                     if state.durability.is_some() {
-                        let Ok(json) = serde_json::to_string(&entry) else {
-                            return HttpResponse::status_only(500);
-                        };
                         let key = idem_from_query(req.url.query.as_deref());
-                        return durable_mutate(&mut state, "activity", key, &json, "logged");
+                        return durable_mutate(
+                            &mut state,
+                            Mutation::Activity(entry),
+                            key,
+                            "logged",
+                        );
                     }
                     state.activity.push(entry);
                     HttpResponse::ok("logged")
@@ -731,11 +858,8 @@ impl WfmServer {
                         }
                     }
                     if state.durability.is_some() {
-                        let Ok(json) = serde_json::to_string(&point) else {
-                            return HttpResponse::status_only(500);
-                        };
                         let key = idem_from_query(req.url.query.as_deref());
-                        return durable_mutate(&mut state, "track", key, &json, "tracked");
+                        return durable_mutate(&mut state, Mutation::Track(point), key, "tracked");
                     }
                     state.tracks.push(point);
                     HttpResponse::ok("tracked")
@@ -750,11 +874,8 @@ impl WfmServer {
                 Ok(c) => {
                     let mut state = state.lock();
                     if state.durability.is_some() {
-                        let Ok(json) = serde_json::to_string(&c) else {
-                            return HttpResponse::status_only(500);
-                        };
                         let key = idem_from_query(req.url.query.as_deref());
-                        return durable_mutate(&mut state, "complete", key, &json, "completed");
+                        return durable_mutate(&mut state, Mutation::Complete(c), key, "completed");
                     }
                     state.complete(c.agent_id, c.task_id);
                     HttpResponse::ok("completed")
@@ -1154,52 +1275,54 @@ mod tests {
         device.network().execute(&req).unwrap().0.status
     }
 
-    /// Checks a durable server's checkpoint against its live state and
-    /// returns the checkpoint count. Always: the snapshot is a prefix of
-    /// the live state and the key delta holds exactly the keyed applies
-    /// the snapshot lacks. When a checkpoint was taken since
-    /// `checkpoints_before`: the snapshot equals a from-scratch clone of
-    /// the live state, with the journal's durable end as its mark.
+    /// Checks a durable server's checkpoint marks against its live
+    /// state and returns the checkpoint count. Always: the marks are at
+    /// most the live lengths, every delta key is a live key, and the
+    /// delta holds exactly the keyed applies past the checkpoint (none
+    /// with checkpoints off). When a checkpoint was taken since
+    /// `checkpoints_before`: the marks equal the live lengths and the
+    /// journal's durable end.
     fn check_checkpoint(server: &WfmServer, checkpoints_before: u64) -> u64 {
         let state = server.state.lock();
         let d = state.durability.as_ref().unwrap();
-        let snap = &d.checkpoint;
+        let snap = d.checkpoint;
         let checkpoints = d.metrics.snapshot().checkpoints;
+        let live = DurableSnapshot {
+            completed: state.completed.len(),
+            activity: state.activity.len(),
+            tracks: state.tracks.len(),
+            keyed_applies: d.keyed_applies,
+            high_water: d.journal.durable_end(),
+        };
         if checkpoints > checkpoints_before {
-            let full = DurableSnapshot {
-                completed: state.completed.clone(),
-                activity: state.activity.clone(),
-                tracks: state.tracks.clone(),
-                applied: d.applied.clone(),
-                keyed_applies: d.keyed_applies,
-                high_water: d.journal.durable_end(),
-            };
-            assert_eq!(*snap, full, "incremental checkpoint != full clone");
+            assert_eq!(snap, live, "a checkpoint marks the live state");
         }
-        assert!(state.completed.starts_with(&snap.completed));
-        assert!(state.activity.starts_with(&snap.activity));
-        assert!(state.tracks.starts_with(&snap.tracks));
+        assert!(snap.completed <= live.completed);
+        assert!(snap.activity <= live.activity);
+        assert!(snap.tracks <= live.tracks);
+        assert!(snap.high_water <= live.high_water);
         let delta = &d.applied_since_checkpoint;
-        assert_eq!(
-            delta.len() as u64,
-            d.keyed_applies - snap.keyed_applies,
-            "key delta holds exactly the applies since the checkpoint"
-        );
-        assert!(delta
-            .iter()
-            .all(|k| d.applied.contains(k) && !snap.applied.contains(k)));
-        assert_eq!(snap.applied.len() + delta.len(), d.applied.len());
+        if d.checkpoint_every == 0 {
+            assert!(delta.is_empty(), "checkpoints off keep no delta");
+        } else {
+            assert_eq!(
+                delta.len() as u64,
+                d.keyed_applies - snap.keyed_applies,
+                "key delta holds exactly the applies since the checkpoint"
+            );
+        }
+        assert!(delta.iter().all(|k| d.applied.contains(k)));
         checkpoints
     }
 
     #[test]
-    fn incremental_checkpoints_equal_a_full_clone_through_every_crash_kind() {
+    fn checkpoint_marks_track_the_live_state_through_every_crash_kind() {
         let kinds = [
             CrashKind::TornWrite,
             CrashKind::BeforeEffect,
             CrashKind::AfterEffect,
         ];
-        for checkpoint_every in [1, 3, 64] {
+        for checkpoint_every in [0, 1, 3, 64] {
             for seed in 1..=3u64 {
                 let mut rng = seed;
                 let keys: Vec<IdempotencyKey> = (0..300)
@@ -1243,12 +1366,148 @@ mod tests {
                 assert!(ledger.torn_crashes > 0, "{context}");
                 assert!(ledger.gap_crashes > 0, "{context}");
                 assert!(ledger.effect_crashes > 0, "{context}");
-                assert!(ledger.checkpoints > 0, "{context}");
+                assert_eq!(ledger.checkpoints > 0, checkpoint_every != 0, "{context}");
                 assert_eq!(ledger.duplicates(), 0, "{context}");
                 assert_eq!(server.state_digest(), clean.state_digest(), "{context}");
                 assert_eq!(server.counts(), clean.counts(), "{context}");
             }
         }
+    }
+
+    #[test]
+    fn journal_records_keep_their_bytes() {
+        let key = Some(IdempotencyKey(0x0123_4567_89ab_cdef));
+        let cases = [
+            (
+                Mutation::Track(TrackPoint {
+                    agent_id: 3,
+                    latitude: 28.5,
+                    longitude: -77.25,
+                    at_ms: 1_000,
+                }),
+                key,
+                r#"track|0123456789abcdef|{"agent_id":3,"latitude":28.5,"longitude":-77.25,"at_ms":1000}"#,
+            ),
+            (
+                Mutation::Activity(ActivityEntry {
+                    agent_id: 4,
+                    at_ms: 7,
+                    event: "arrived | \"gate\"".into(),
+                }),
+                None,
+                r#"activity|-|{"agent_id":4,"at_ms":7,"event":"arrived | \"gate\""}"#,
+            ),
+            (
+                Mutation::Complete(CompleteBody {
+                    agent_id: 5,
+                    task_id: 9,
+                }),
+                Some(IdempotencyKey(10)),
+                r#"complete|000000000000000a|{"agent_id":5,"task_id":9}"#,
+            ),
+        ];
+        let mut record = b"stale".to_vec();
+        for (mutation, key, want) in cases {
+            mutation.encode(key, &mut record).unwrap();
+            assert_eq!(std::str::from_utf8(&record).unwrap(), want);
+            let (decoded, decoded_key) = Mutation::decode(&record).expect("decodes");
+            assert_eq!(decoded_key, key);
+            assert_eq!(decoded.tag(), mutation.tag());
+        }
+        assert!(Mutation::decode(b"track|-|not json").is_none());
+        assert!(Mutation::decode(b"unknown|-|{}").is_none());
+        assert!(Mutation::decode(b"track").is_none());
+    }
+
+    #[test]
+    fn state_digest_hashes_the_concatenated_state() {
+        let (device, server) = installed();
+        for (agent, at_ms) in [(1u64, 100u64), (2, 200)] {
+            let point = TrackPoint {
+                agent_id: agent,
+                latitude: 28.123_456_789,
+                longitude: -77.000_000_4,
+                at_ms,
+            };
+            let req = HttpRequest::post(
+                "http://wfm.example/report-location",
+                serde_json::to_vec(&point).unwrap(),
+            )
+            .unwrap();
+            device.network().execute(&req).unwrap();
+            let entry = ActivityEntry {
+                agent_id: agent,
+                at_ms,
+                event: format!("event {agent}"),
+            };
+            let req = HttpRequest::post(
+                "http://wfm.example/activity-log",
+                serde_json::to_vec(&entry).unwrap(),
+            )
+            .unwrap();
+            device.network().execute(&req).unwrap();
+            assert_eq!(post_complete(&device, agent, at_ms, None), 200);
+        }
+        let mut buf = String::new();
+        for task in server.completed_tasks(1) {
+            buf.push_str(&format!("c|1|{task}\n"));
+        }
+        for task in server.completed_tasks(2) {
+            buf.push_str(&format!("c|2|{task}\n"));
+        }
+        for e in server.activity_log() {
+            buf.push_str(&format!("a|{}|{}|{}\n", e.agent_id, e.at_ms, e.event));
+        }
+        for p in server.track(1).into_iter().chain(server.track(2)) {
+            buf.push_str(&format!(
+                "t|{}|{:.6}|{:.6}|{}\n",
+                p.agent_id, p.latitude, p.longitude, p.at_ms
+            ));
+        }
+        assert_eq!(server.state_digest(), fnv1a(buf.as_bytes()));
+        assert_ne!(server.state_digest(), WfmServer::new().state_digest());
+    }
+
+    #[test]
+    fn recovery_ledger_reports_the_journal_tail_past_the_checkpoint() {
+        let crash_key = IdempotencyKey::derive(9, 0, 1, 4);
+        let schedule = CrashSchedule::new([(crash_key.0, CrashKind::BeforeEffect)]);
+        schedule.arm();
+        let (device, server) = durable_installed(DurabilityConfig {
+            checkpoint_every: 3,
+            crash: Some(Arc::clone(&schedule)),
+            ..Default::default()
+        });
+        for op in 0..4u64 {
+            let key = IdempotencyKey::derive(9, 0, 1, op);
+            assert_eq!(post_track(&device, key, 100 + op), 200);
+        }
+        // One checkpoint after the third apply; the fourth lies past it.
+        let mut record = Vec::new();
+        let fourth = Mutation::Track(TrackPoint {
+            agent_id: 1,
+            latitude: 28.0,
+            longitude: 77.0,
+            at_ms: 103,
+        });
+        fourth
+            .encode(Some(IdempotencyKey::derive(9, 0, 1, 3)), &mut record)
+            .unwrap();
+        let ledger = server.recovery_snapshot().unwrap();
+        assert_eq!(ledger.checkpoints, 1);
+        assert_eq!(ledger.journal_tail_bytes, 12 + record.len() as u64);
+        assert_eq!(ledger.applies_since_checkpoint, 1);
+        assert_eq!(ledger.last_replayed_records, 0);
+        // The crash replays the fourth apply and the crashed intent,
+        // then checkpoints the rebuilt state.
+        assert_eq!(post_track(&device, crash_key, 104), 503);
+        let ledger = server.recovery_snapshot().unwrap();
+        assert_eq!(ledger.recoveries, 1);
+        assert_eq!(ledger.last_replayed_records, 2);
+        assert_eq!(ledger.journal_tail_bytes, 0);
+        assert_eq!(ledger.applies_since_checkpoint, 0);
+        assert_eq!(server.counts().tracks, 5);
+        assert_eq!(ledger.duplicates(), 0);
     }
 
     fn get_tasks(device: &Device, agent_id: u64) -> Vec<u8> {

@@ -65,7 +65,14 @@ const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 /// fold the fleet report uses, so a corrupt frame and a corrupt
 /// checksum disagree with probability 1 − 2⁻⁶⁴ per bit pattern.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |hash, b| {
+    fnv1a_continue(FNV_OFFSET, bytes)
+}
+
+/// Continues an FNV-1a fold from `hash`:
+/// `fnv1a_continue(fnv1a(a), b) == fnv1a(a ++ b)`, so text can be
+/// hashed piece by piece without concatenating it first.
+pub fn fnv1a_continue(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |hash, b| {
         (hash ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01B3)
     })
 }

@@ -34,6 +34,10 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>> {
     to_string(value).map(String::into_bytes)
 }
 
+pub fn to_writer<W: std::io::Write, T: Serialize + ?Sized>(mut writer: W, value: &T) -> Result<()> {
+    write!(writer, "{}", value.serialize_value()).map_err(|e| Error(e.to_string()))
+}
+
 // ---- deserialization ----------------------------------------------
 
 struct Parser<'a> {

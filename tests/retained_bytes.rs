@@ -13,7 +13,10 @@
 //!   per-device structure fails a test instead of a 15 s RSS run;
 //! - a runtime's telemetry ends with the runtime: [`CHURN_CYCLES`]
 //!   build → warm → traced `getLocation` → drop cycles on one device
-//!   keep no more live bytes than one cycle does.
+//!   keep no more live bytes than one cycle does;
+//! - a durable [`WfmServer`] keeps at most [`DURABLE_POST_BYTES`] live
+//!   bytes per keyed `/report-location` post: its state once, with the
+//!   checkpoint as marks into it, not as a second copy.
 //!
 //! Like `tests/zero_alloc_telemetry.rs`, this file holds a **single**
 //! `#[test]`: the counters are per thread, but a sibling test running
@@ -23,6 +26,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use mobivine::api::LocationProxy;
+use mobivine::IdempotencyKey;
+use mobivine_apps::server::{DurabilityConfig, WfmServer};
+use mobivine_device::net::HttpRequest;
 use mobivine_device::Device;
 use mobivine_telemetry::span::TraceId;
 use mobivine_telemetry::Histogram;
@@ -100,6 +106,17 @@ const RUNTIME_BYTES: [(&str, i64); 3] = [("android", 23_000), ("s60", 18_500), (
 /// Runtimes built and dropped per platform by the churn check.
 const CHURN_CYCLES: usize = 1_000;
 
+/// Live bytes a durable server checkpointing every 64 applies may keep
+/// per keyed track post: the measured 66.9 bytes on x86_64 Linux (a
+/// 32-byte track point and its applied key, each in a growing table)
+/// plus headroom. With a second copy of the track points and keys in
+/// the checkpoint it was 133.9 bytes.
+const DURABLE_POST_BYTES: f64 = 90.0;
+
+/// Keyed posts sent before and during the durable-server measurement.
+const DURABLE_WARM_POSTS: u64 = 100;
+const DURABLE_MEASURED_POSTS: u64 = 20_000;
+
 #[test]
 fn telemetry_wiring_retains_a_pinned_number_of_bytes() {
     let (histogram, allocs, bytes) = measure(Histogram::new);
@@ -168,4 +185,35 @@ fn telemetry_wiring_retains_a_pinned_number_of_bytes() {
             "{CHURN_CYCLES} {platform} runtime cycles keep {churned} bytes, one keeps {one}"
         );
     }
+
+    let device = common::device();
+    let server = WfmServer::durable(DurabilityConfig {
+        checkpoint_every: 64,
+        ..Default::default()
+    });
+    server.install(device.network(), "wfm.example");
+    let post = |op: u64| {
+        let key = IdempotencyKey::derive(1, 0, 1, op);
+        let url = format!("http://wfm.example/report-location?idem={}", key.to_hex());
+        let body = format!(
+            "{{\"agent_id\":{},\"latitude\":28.5,\"longitude\":77.25,\"at_ms\":{op}}}",
+            op % 8
+        );
+        let req = HttpRequest::post(&url, body.into_bytes()).expect("a report request");
+        let (response, _) = device.network().execute(&req).expect("the route answers");
+        assert_eq!(response.status, 200);
+    };
+    (0..DURABLE_WARM_POSTS).for_each(post);
+    let ((), _, bytes) = measure(|| {
+        (DURABLE_WARM_POSTS..DURABLE_WARM_POSTS + DURABLE_MEASURED_POSTS).for_each(post);
+    });
+    let per_post = bytes as f64 / DURABLE_MEASURED_POSTS as f64;
+    assert_eq!(
+        server.counts().tracks,
+        DURABLE_WARM_POSTS + DURABLE_MEASURED_POSTS
+    );
+    assert!(
+        per_post <= DURABLE_POST_BYTES,
+        "a durable server keeps {per_post:.1} bytes per keyed post (at most {DURABLE_POST_BYTES})"
+    );
 }
