@@ -118,7 +118,7 @@ pub struct DurabilityConfig {
     /// after this many applied mutations. `0` disables checkpoints —
     /// recovery replays from genesis.
     pub checkpoint_every: u32,
-    /// Journal knobs (the segment size).
+    /// The journal's policy, which has no knobs.
     pub policy: JournalPolicy,
     /// When set, mutations whose idempotency key the schedule claims
     /// crash the server at the scheduled point (torn write / intent
@@ -188,8 +188,9 @@ struct DurableSnapshot {
     high_water: Lsn,
 }
 
-/// Per-server durability state: the WAL, the checkpoint, the
-/// applied-key table, the crash schedule and the recovery ledger.
+/// Per-server durability state: the WAL and its counters, the
+/// checkpoint, the applied-key table, the crash schedule and what the
+/// counters do not hold of the recovery ledger.
 #[derive(Debug)]
 struct DurableState {
     journal: Journal,
@@ -209,14 +210,10 @@ struct DurableState {
     /// Total keyed applies in the current generation. Exactly-once
     /// holds iff this equals `applied.len()` — the duplicates gate.
     keyed_applies: u64,
-    /// Re-deliveries answered from the journal (`already-applied`).
-    suppressed_duplicates: u64,
     crash: Option<Arc<CrashSchedule>>,
-    recoveries: u64,
     torn_crashes: u64,
     gap_crashes: u64,
     effect_crashes: u64,
-    replayed_records: u64,
     /// Records the most recent recovery replayed.
     last_replayed_records: u64,
     /// Deterministic virtual recovery cost per crash survived, µs.
@@ -350,8 +347,8 @@ struct CompleteBody {
     task_id: u64,
 }
 
-/// Extracts the `idem` query parameter carried by the client-side
-/// `Journaled` HTTP decorator.
+/// Extracts the `idem` query parameter the client's journal layer
+/// stamps on an HTTP submit.
 fn idem_from_query(query: Option<&str>) -> Option<IdempotencyKey> {
     query.and_then(|q| {
         q.split('&')
@@ -417,10 +414,21 @@ impl Mutation {
         };
         Some((mutation, IdempotencyKey::from_hex(key)))
     }
+
+    /// The mutation's effect on server state: the one place a mutation,
+    /// plain or journaled, live or replayed, reaches it.
+    fn apply_to(self, state: &mut ServerState) {
+        match self {
+            Self::Track(point) => state.tracks.push(point),
+            Self::Activity(entry) => state.activity.push(entry),
+            Self::Complete(c) => state.complete(c.agent_id, c.task_id),
+        }
+    }
 }
 
-/// Applies one committed mutation. This is the ONLY place journaled
-/// effects reach server state — live requests apply the value they
+/// Applies one committed mutation through [`Mutation::apply_to`] and
+/// records its key. This is the ONLY place journaled effects reach
+/// server state — live requests apply the value they
 /// decoded and recovery replay applies what each record decodes to,
 /// which is what makes replay idempotent by construction.
 ///
@@ -434,11 +442,7 @@ fn apply(
     mutation: Mutation,
     key: Option<IdempotencyKey>,
 ) {
-    match mutation {
-        Mutation::Track(point) => state.tracks.push(point),
-        Mutation::Activity(entry) => state.activity.push(entry),
-        Mutation::Complete(c) => state.complete(c.agent_id, c.task_id),
-    }
+    mutation.apply_to(state);
     if let Some(k) = key {
         if d.applied.insert(k.0) && d.checkpoint_every != 0 {
             d.applied_since_checkpoint.push(k.0);
@@ -448,9 +452,10 @@ fn apply(
 }
 
 /// Rewinds the crashed generation to the checkpoint's marks and
-/// rebuilds it by a journal replay, recording the crash in the recovery
-/// ledger. With checkpoints on, the rebuilt state is checkpointed at
-/// once, so a later crash never replays this recovery's records again:
+/// rebuilds it by a journal replay (which counts the recovery and its
+/// records), recording the crash kind. With checkpoints on, the rebuilt
+/// state is checkpointed at once, so a later crash never replays this
+/// recovery's records again:
 /// each recovery replays only what its own crash left past the
 /// checkpoint, whatever traffic (if any) landed between two crashes.
 fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: CrashKind) {
@@ -481,13 +486,11 @@ fn recover_after_crash(state: &mut ServerState, d: &mut DurableState, kind: Cras
     for agent in state.agents.values_mut() {
         agent.body = None;
     }
-    d.recoveries += 1;
     match kind {
         CrashKind::TornWrite => d.torn_crashes += 1,
         CrashKind::BeforeEffect => d.gap_crashes += 1,
         CrashKind::AfterEffect => d.effect_crashes += 1,
     }
-    d.replayed_records += replayed;
     d.last_replayed_records = replayed;
     // Deterministic virtual recovery cost: a fixed restart overhead,
     // per-record replay work, and a torn-tail scan surcharge (µs).
@@ -513,7 +516,7 @@ fn maybe_checkpoint(state: &ServerState, d: &mut DurableState) {
 
 /// Moves the checkpoint's marks to the live lengths and the journal's
 /// durable end (O(1): the live state is its own snapshot), forgets the
-/// key delta, then GCs sealed journal segments below the new mark.
+/// key delta, then truncates the journal below the new mark.
 fn checkpoint(state: &ServerState, d: &mut DurableState) {
     d.since_checkpoint = 0;
     d.checkpoint = DurableSnapshot {
@@ -528,36 +531,47 @@ fn checkpoint(state: &ServerState, d: &mut DurableState) {
     d.metrics.note_checkpoint();
 }
 
-/// The durable mutation path: duplicate check → journal the intent →
-/// (scheduled crash?) → fsync barrier → effect → checkpoint. The
-/// intent is journaled and fsynced BEFORE [`apply`] runs — the
-/// write-ahead invariant: `apply` takes the barrier's [`DurableLsn`].
-fn durable_mutate(
+/// The one mutation path of every POST route. Over-capacity track
+/// points are shed first, so a rejected post burns no intent record. A
+/// plain server then applies the effect; a durable one takes
+/// [`durable_mutate`].
+fn mutate(
     state: &mut ServerState,
     mutation: Mutation,
     key: Option<IdempotencyKey>,
-    success_body: &str,
+    ok_body: &'static str,
 ) -> HttpResponse {
+    if let (Mutation::Track(_), Some(capacity)) = (&mutation, state.track_capacity) {
+        if state.tracks.len() as u64 >= capacity {
+            state.tracks_rejected += 1;
+            let retry_after_secs = state.retry_after_ms.div_ceil(1_000);
+            return HttpResponse::status_only(503)
+                .header("Retry-After", retry_after_secs.to_string());
+        }
+    }
     let Some(mut d) = state.durability.take() else {
-        return HttpResponse::status_only(500);
+        mutation.apply_to(state);
+        return HttpResponse::ok(ok_body);
     };
-    let response = durable_mutate_with(state, &mut d, mutation, key, success_body);
+    let response = durable_mutate(state, &mut d, mutation, key, ok_body);
     state.durability = Some(d);
     response
 }
 
-/// [`durable_mutate`] with the durable state taken out of `state`, so
-/// every exit puts it back in one place.
-fn durable_mutate_with(
+/// The durable mutation path, with the durable state taken out of
+/// `state`: duplicate check → journal the intent → (scheduled crash?)
+/// → fsync barrier → effect → checkpoint. The intent is journaled and
+/// fsynced BEFORE [`apply`] runs — the write-ahead invariant: `apply`
+/// takes the barrier's [`DurableLsn`].
+fn durable_mutate(
     state: &mut ServerState,
     d: &mut DurableState,
     mutation: Mutation,
     key: Option<IdempotencyKey>,
-    success_body: &str,
+    ok_body: &'static str,
 ) -> HttpResponse {
     if let Some(k) = key {
         if d.applied.contains(&k.0) {
-            d.suppressed_duplicates += 1;
             d.metrics.note_already_applied();
             return HttpResponse::ok("already-applied");
         }
@@ -596,7 +610,7 @@ fn durable_mutate_with(
             let durable = d.journal.fsync();
             apply(state, d, durable, mutation, key);
             maybe_checkpoint(state, d);
-            HttpResponse::ok(success_body)
+            HttpResponse::ok(ok_body)
         }
     }
 }
@@ -643,7 +657,7 @@ impl WfmServer {
     /// recovers at the scheduled crash points.
     pub fn durable(config: DurabilityConfig) -> Self {
         let metrics = JournalMetrics::shared();
-        let journal = Journal::new(&config.policy, Arc::clone(&metrics));
+        let journal = Journal::new(Arc::clone(&metrics));
         let server = Self::default();
         server.state.lock().durability = Some(DurableState {
             journal,
@@ -654,13 +668,10 @@ impl WfmServer {
             applied: HashSet::new(),
             applied_since_checkpoint: Vec::new(),
             keyed_applies: 0,
-            suppressed_duplicates: 0,
             crash: config.crash,
-            recoveries: 0,
             torn_crashes: 0,
             gap_crashes: 0,
             effect_crashes: 0,
-            replayed_records: 0,
             last_replayed_records: 0,
             recovery_cost_us: Vec::new(),
             record: Vec::new(),
@@ -678,17 +689,21 @@ impl WfmServer {
     }
 
     /// The recovery ledger, when built with [`WfmServer::durable`].
+    /// Recoveries, replayed records, torn tails, checkpoints and
+    /// suppressed duplicates are the journal's counters.
     pub fn recovery_snapshot(&self) -> Option<ServerRecoverySnapshot> {
         let state = self.state.lock();
-        state.durability.as_ref().map(|d| ServerRecoverySnapshot {
-            recoveries: d.recoveries,
+        let d = state.durability.as_ref()?;
+        let journal = d.metrics.snapshot();
+        Some(ServerRecoverySnapshot {
+            recoveries: journal.recoveries,
             torn_crashes: d.torn_crashes,
             gap_crashes: d.gap_crashes,
             effect_crashes: d.effect_crashes,
-            replayed_records: d.replayed_records,
-            torn_truncated: d.metrics.snapshot().torn_truncated,
-            checkpoints: d.metrics.snapshot().checkpoints,
-            suppressed_duplicates: d.suppressed_duplicates,
+            replayed_records: journal.replayed,
+            torn_truncated: journal.torn_truncated,
+            checkpoints: journal.checkpoints,
+            suppressed_duplicates: journal.already_applied,
             keyed_applies: d.keyed_applies,
             distinct_keys: d.applied.len() as u64,
             recovery_cost_us: d.recovery_cost_us.clone(),
@@ -821,67 +836,28 @@ impl WfmServer {
             }
         });
 
-        let state = Arc::clone(&self.state);
-        network.register_route(host, Method::Post, "/activity-log", move |req| {
-            match serde_json::from_slice::<ActivityEntry>(&req.body) {
-                Ok(entry) => {
-                    let mut state = state.lock();
-                    if state.durability.is_some() {
+        let post = |path: &str,
+                    ok_body: &'static str,
+                    decode: fn(&[u8]) -> serde_json::Result<Mutation>| {
+            let state = Arc::clone(&self.state);
+            network.register_route(host, Method::Post, path, move |req| {
+                match decode(&req.body) {
+                    Ok(mutation) => {
                         let key = idem_from_query(req.url.query.as_deref());
-                        return durable_mutate(
-                            &mut state,
-                            Mutation::Activity(entry),
-                            key,
-                            "logged",
-                        );
+                        mutate(&mut state.lock(), mutation, key, ok_body)
                     }
-                    state.activity.push(entry);
-                    HttpResponse::ok("logged")
+                    Err(_) => HttpResponse::status_only(400),
                 }
-                Err(_) => HttpResponse::status_only(400),
-            }
+            });
+        };
+        post("/activity-log", "logged", |body| {
+            serde_json::from_slice(body).map(Mutation::Activity)
         });
-
-        let state = Arc::clone(&self.state);
-        network.register_route(host, Method::Post, "/report-location", move |req| {
-            match serde_json::from_slice::<TrackPoint>(&req.body) {
-                Ok(point) => {
-                    let mut state = state.lock();
-                    // Capacity shedding happens before journaling: a
-                    // rejected request burns no intent record.
-                    if let Some(capacity) = state.track_capacity {
-                        if state.tracks.len() as u64 >= capacity {
-                            state.tracks_rejected += 1;
-                            let retry_after_secs = state.retry_after_ms.div_ceil(1_000);
-                            return HttpResponse::status_only(503)
-                                .header("Retry-After", retry_after_secs.to_string());
-                        }
-                    }
-                    if state.durability.is_some() {
-                        let key = idem_from_query(req.url.query.as_deref());
-                        return durable_mutate(&mut state, Mutation::Track(point), key, "tracked");
-                    }
-                    state.tracks.push(point);
-                    HttpResponse::ok("tracked")
-                }
-                Err(_) => HttpResponse::status_only(400),
-            }
+        post("/report-location", "tracked", |body| {
+            serde_json::from_slice(body).map(Mutation::Track)
         });
-
-        let state = Arc::clone(&self.state);
-        network.register_route(host, Method::Post, "/task-complete", move |req| {
-            match serde_json::from_slice::<CompleteBody>(&req.body) {
-                Ok(c) => {
-                    let mut state = state.lock();
-                    if state.durability.is_some() {
-                        let key = idem_from_query(req.url.query.as_deref());
-                        return durable_mutate(&mut state, Mutation::Complete(c), key, "completed");
-                    }
-                    state.complete(c.agent_id, c.task_id);
-                    HttpResponse::ok("completed")
-                }
-                Err(_) => HttpResponse::status_only(400),
-            }
+        post("/task-complete", "completed", |body| {
+            serde_json::from_slice(body).map(Mutation::Complete)
         });
     }
 }
@@ -960,11 +936,18 @@ mod tests {
 
     #[test]
     fn malformed_posts_are_400() {
-        let (device, server) = installed();
-        let req = HttpRequest::post("http://wfm.example/activity-log", "not json").unwrap();
-        let (resp, _) = device.network().execute(&req).unwrap();
-        assert_eq!(resp.status, 400);
-        assert!(server.activity_log().is_empty());
+        for (device, server) in [installed(), durable_installed(DurabilityConfig::default())] {
+            for path in ["activity-log", "report-location", "task-complete"] {
+                let url = format!("http://wfm.example/{path}?idem=000000000000000a");
+                let req = HttpRequest::post(&url, "not json").unwrap();
+                let (resp, _) = device.network().execute(&req).unwrap();
+                assert_eq!(resp.status, 400, "{path}");
+            }
+            assert_eq!(server.counts(), WfmServerCounts::default());
+            if let Some(journal) = server.journal_snapshot() {
+                assert_eq!(journal.appends, 0, "a 400 journals nothing");
+            }
+        }
     }
 
     #[test]
@@ -1168,6 +1151,7 @@ mod tests {
             checkpoint_every: 1,
             ..Default::default()
         });
+        let (plain_device, plain) = installed();
         for round in 1..=3u64 {
             for op in 0..4u64 {
                 let key = IdempotencyKey::derive(11, 0, round, op);
@@ -1177,10 +1161,13 @@ mod tests {
                     assert_eq!(post_track(&crashing_device, key, at_ms), 200);
                 }
                 assert_eq!(post_track(&clean_device, key, at_ms), 200);
+                assert_eq!(post_track(&plain_device, key, at_ms), 200);
             }
         }
         assert_eq!(crashing.state_digest(), clean.state_digest());
         assert_eq!(crashing.counts(), clean.counts());
+        assert_eq!(plain.state_digest(), clean.state_digest());
+        assert_eq!(plain.counts(), clean.counts());
         assert_eq!(crashing.recovery_snapshot().unwrap().duplicates(), 0);
         assert_eq!(crashing.recovery_snapshot().unwrap().recoveries, 1);
     }
@@ -1598,30 +1585,37 @@ mod tests {
 
     #[test]
     fn over_capacity_tracks_get_503_with_retry_after() {
-        let (device, server) = installed();
-        server.set_track_capacity(2, 2_500);
-        let post = |at_ms: u64| {
-            let point = TrackPoint {
-                agent_id: 1,
-                latitude: 28.0,
-                longitude: 77.0,
-                at_ms,
+        for (device, server) in [installed(), durable_installed(DurabilityConfig::default())] {
+            server.set_track_capacity(2, 2_500);
+            let post = |at_ms: u64| {
+                let point = TrackPoint {
+                    agent_id: 1,
+                    latitude: 28.0,
+                    longitude: 77.0,
+                    at_ms,
+                };
+                let url = format!(
+                    "http://wfm.example/report-location?idem={}",
+                    IdempotencyKey(at_ms).to_hex()
+                );
+                let req = HttpRequest::post(&url, serde_json::to_vec(&point).unwrap()).unwrap();
+                device.network().execute(&req).unwrap().0
             };
-            let req = HttpRequest::post(
-                "http://wfm.example/report-location",
-                serde_json::to_vec(&point).unwrap(),
-            )
-            .unwrap();
-            device.network().execute(&req).unwrap().0
-        };
-        assert_eq!(post(1).status, 200);
-        assert_eq!(post(2).status, 200);
-        let rejected = post(3);
-        assert_eq!(rejected.status, 503);
-        // 2500ms rounds up to 3 whole seconds on the wire.
-        assert_eq!(rejected.header_value("retry-after"), Some("3"));
-        assert_eq!(server.track(1).len(), 2, "over-capacity post not stored");
-        assert_eq!(server.tracks_rejected(), 1);
-        assert_eq!(server.counts().tracks, 2);
+            assert_eq!(post(1).status, 200);
+            assert_eq!(post(2).status, 200);
+            let appends = server.journal_snapshot().map(|j| j.appends);
+            let rejected = post(3);
+            assert_eq!(rejected.status, 503);
+            // 2500ms rounds up to 3 whole seconds on the wire.
+            assert_eq!(rejected.header_value("retry-after"), Some("3"));
+            assert_eq!(server.track(1).len(), 2, "over-capacity post not stored");
+            assert_eq!(server.tracks_rejected(), 1);
+            assert_eq!(server.counts().tracks, 2);
+            assert_eq!(
+                server.journal_snapshot().map(|j| j.appends),
+                appends,
+                "a shed post journals nothing"
+            );
+        }
     }
 }

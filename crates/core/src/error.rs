@@ -47,11 +47,6 @@ pub enum ProxyErrorKind {
     /// bulkhead) before reaching the platform binding. Carries a
     /// deterministic retry hint via [`ProxyError::retry_after_ms`].
     Overloaded,
-    /// A mutating call whose idempotency key is already journaled as
-    /// committed. The durability layer answers from the journal without
-    /// re-running the effect — an observed no-op on at-least-once
-    /// re-delivery, counted (never surfaced as a failure to callers).
-    AlreadyApplied,
 }
 
 impl ProxyErrorKind {
@@ -69,14 +64,6 @@ impl ProxyErrorKind {
     /// must not spend resilience retry budget.
     pub fn is_load_shed(self) -> bool {
         matches!(self, ProxyErrorKind::Overloaded)
-    }
-
-    /// Whether this "error" records a duplicate-suppressed mutation —
-    /// the journal already holds a committed record for the call's
-    /// idempotency key, so the effect was applied exactly once by an
-    /// earlier delivery. Retrying is harmless and pointless.
-    pub fn is_duplicate(self) -> bool {
-        matches!(self, ProxyErrorKind::AlreadyApplied)
     }
 }
 
@@ -136,7 +123,6 @@ impl ProxyError {
             ProxyErrorKind::CircuitOpen => 10,
             ProxyErrorKind::DeadlineExceeded => 11,
             ProxyErrorKind::Overloaded => 12,
-            ProxyErrorKind::AlreadyApplied => 13,
         }
     }
 
@@ -307,7 +293,6 @@ mod tests {
             ProxyErrorKind::CircuitOpen,
             ProxyErrorKind::DeadlineExceeded,
             ProxyErrorKind::Overloaded,
-            ProxyErrorKind::AlreadyApplied,
         ];
         let mut codes: Vec<i32> = kinds
             .iter()
@@ -350,7 +335,6 @@ mod tests {
             ProxyErrorKind::CircuitOpen,
             ProxyErrorKind::DeadlineExceeded,
             ProxyErrorKind::Overloaded,
-            ProxyErrorKind::AlreadyApplied,
         ];
         for kind in retryable {
             assert!(kind.is_retryable(), "{kind:?} retries");
@@ -361,10 +345,6 @@ mod tests {
         }
         assert!(ProxyErrorKind::Overloaded.is_load_shed());
         assert!(!ProxyErrorKind::DeadlineExceeded.is_load_shed());
-        assert!(ProxyErrorKind::AlreadyApplied.is_duplicate());
-        assert!(!ProxyErrorKind::Io.is_duplicate());
-        assert!(!ProxyErrorKind::AlreadyApplied.is_retryable());
-        assert!(!ProxyErrorKind::AlreadyApplied.is_load_shed());
     }
 
     #[test]

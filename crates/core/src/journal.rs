@@ -11,19 +11,19 @@
 //!
 //! * a **[`Journal`]** — an append-only write-ahead log with length +
 //!   FNV-1a checksum record framing, a volatile buffer drained to the
-//!   durable image by an explicit [`Journal::fsync`] barrier, segment
-//!   rotation at record boundaries, and torn-tail detection: recovery
-//!   scans the durable image, truncates the first incomplete or
-//!   checksum-corrupt frame, and replays only fully committed records.
-//!   The durable WFM server is its user. The barrier and the recovery
-//!   scan are the only sources of a [`DurableLsn`], so an effect that
-//!   demands one cannot be applied ahead of its record;
-//! * **checkpoint support** — a caller's state snapshot records
+//!   durable image (one byte log) by an explicit [`Journal::fsync`]
+//!   barrier, and torn-tail detection: recovery scans the durable
+//!   image, truncates the first incomplete or checksum-corrupt frame,
+//!   and replays only fully committed records. The durable WFM server
+//!   is its user. The barrier and the recovery scan are the only
+//!   sources of a [`DurableLsn`], so an effect that demands one cannot
+//!   be applied ahead of its record;
+//! * **checkpoint support** — a caller's checkpoint records
 //!   [`Journal::durable_end`] as the high-water mark it covers and
-//!   [`Journal::truncate_before`] drops the sealed segments below it,
-//!   so recovery replays only the suffix past the checkpoint, never
-//!   from genesis (the durable WFM server extends its snapshot
-//!   incrementally);
+//!   [`Journal::truncate_before`] drops the durable bytes below it, so
+//!   recovery replays only the suffix past the checkpoint, never from
+//!   genesis (the durable WFM server's checkpoint is marks into its
+//!   append-only state logs);
 //! * **[`IdempotencyKey`]s** — deterministic per `(seed, device,
 //!   round, op)` and carried down the call path through an ambient
 //!   per-thread scope ([`with_idempotency_key`]), exactly like the
@@ -35,14 +35,12 @@
 //!   submit carries the ambient key to the server as `?idem=`, stamped
 //!   once per logical call, and the server's journal owns
 //!   exactly-once. An SMS send is memoized by key: a duplicate delivery
-//!   is answered with the original message id — the typed
-//!   [`ProxyErrorKind::AlreadyApplied`] fast path, counted and
-//!   converted back into the memoized success — and the radio is not
-//!   keyed twice. The memo holds the last [`SMS_MEMO_WINDOW`] keys. The
-//!   layer sits between the overload and resilience layers (`… →
-//!   Overload → Journal → Resilience → …`), so a shed call never
-//!   reaches the memo and the retries of one logical call share one key
-//!   and one memo entry.
+//!   is answered with the original message id, counted as
+//!   `already_applied`, and the radio is not keyed twice. The memo
+//!   holds the last [`SMS_MEMO_WINDOW`] keys. The layer sits between
+//!   the overload and resilience layers (`… → Overload → Journal →
+//!   Resilience → …`), so a shed call never reaches the memo and the
+//!   retries of one logical call share one key and one memo entry.
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
@@ -51,7 +49,6 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use crate::error::{ProxyError, ProxyErrorKind};
 use crate::telemetry::layer_counters;
 
 // ---------------------------------------------------------------------
@@ -81,7 +78,7 @@ pub fn fnv1a_continue(hash: u64, bytes: &[u8]) -> u64 {
 const FRAME_HEADER: usize = 12;
 
 /// A log sequence number — a global byte offset into the journal's
-/// durable image. Monotone, never reused, survives segment rotation.
+/// durable image. Monotone, never reused, unchanged by truncation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Lsn(pub u64);
 
@@ -121,8 +118,6 @@ layer_counters! {
         appends,
         /// fsync barriers crossed (volatile buffer drained durably).
         fsyncs,
-        /// Segments sealed and rotated out of the active position.
-        rotations,
         /// Torn tail records truncated during recovery (incomplete or
         /// checksum-corrupt frames that never committed).
         torn_truncated,
@@ -131,8 +126,7 @@ layer_counters! {
         /// Recovery passes completed (one per crash survived).
         recoveries,
         /// Mutations answered without a second effect because their
-        /// idempotency key was already committed — the `AlreadyApplied`
-        /// fast path.
+        /// idempotency key was already committed.
         already_applied,
         /// Checkpoints taken (state snapshot + high-water mark saved).
         checkpoints,
@@ -140,8 +134,8 @@ layer_counters! {
 }
 
 impl JournalMetrics {
-    /// Counts one `AlreadyApplied` fast-path hit (callers outside this
-    /// module — e.g. a server-side durability layer — dedup too).
+    /// Counts one mutation answered without a second effect (the SMS
+    /// memo and the durable server both dedup).
     pub fn note_already_applied(&self) {
         self.already_applied.inc();
     }
@@ -156,43 +150,17 @@ impl JournalMetrics {
 // Policy
 // ---------------------------------------------------------------------
 
-/// Tunable knobs of a [`Journal`], the server's write-ahead log. The
-/// client journal layer reads none of them.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JournalPolicy {
-    segment_bytes: usize,
-}
-
-impl Default for JournalPolicy {
-    /// 4 KiB segments, so rotation actually happens at simulation
-    /// scale.
-    fn default() -> Self {
-        Self {
-            segment_bytes: 4096,
-        }
-    }
-}
-
-impl JournalPolicy {
-    /// Sets the segment size; the active segment rotates at the first
-    /// record boundary at or past this many bytes.
-    #[must_use]
-    pub fn segment_bytes(mut self, bytes: usize) -> Self {
-        self.segment_bytes = bytes.max(FRAME_HEADER + 1);
-        self
-    }
-}
+/// The server journal's policy. It has no knobs: the durable image is
+/// one byte log, and a checkpoint truncates it below its mark.
+///
+/// Braced rather than a unit struct, so the callers'
+/// `JournalPolicy::default()` stays clean under clippy.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct JournalPolicy {}
 
 // ---------------------------------------------------------------------
 // The journal
 // ---------------------------------------------------------------------
-
-/// One sealed-or-active run of durable bytes.
-#[derive(Debug, Clone)]
-struct Segment {
-    start_lsn: u64,
-    bytes: Vec<u8>,
-}
 
 /// A committed record handed back by [`Journal::recover`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -221,50 +189,41 @@ pub struct Recovery {
 /// A simulated append-only write-ahead log.
 ///
 /// Appends land in a volatile buffer; [`Journal::fsync`] is the
-/// durability barrier that moves them into the durable image (a list
-/// of segments, rotated at record boundaries). [`Journal::crash`]
-/// models process death: the volatile buffer is lost, except an
-/// optional torn prefix that had reached the disk queue. Recovery
-/// validates frames from a given LSN and truncates the torn tail.
+/// durability barrier that moves them into the durable image, one byte
+/// log whose first byte sits at LSN `base`. [`Journal::crash`] models
+/// process death: the volatile buffer is lost, except an optional torn
+/// prefix that had reached the disk queue. Recovery validates frames
+/// from a given LSN and truncates the torn tail.
 #[derive(Debug)]
 pub struct Journal {
-    segments: Vec<Segment>,
+    /// The durable image from LSN `base` on.
+    durable: Vec<u8>,
+    /// The LSN of `durable[0]`: [`Journal::truncate_before`] dropped
+    /// every byte below it.
+    base: u64,
     volatile: Vec<u8>,
-    segment_bytes: usize,
     metrics: Arc<JournalMetrics>,
 }
 
 impl Journal {
-    /// An empty journal rotating at `policy.segment_bytes`, counting
-    /// into `metrics`.
-    pub fn new(policy: &JournalPolicy, metrics: Arc<JournalMetrics>) -> Self {
+    /// An empty journal counting into `metrics`.
+    pub fn new(metrics: Arc<JournalMetrics>) -> Self {
         Self {
-            segments: vec![Segment {
-                start_lsn: 0,
-                bytes: Vec::new(),
-            }],
+            durable: Vec::new(),
+            base: 0,
             volatile: Vec::new(),
-            segment_bytes: policy.segment_bytes,
             metrics,
         }
     }
 
-    /// Total durable bytes (the LSN the next fsync extends from).
+    /// The LSN the next fsync extends from.
     pub fn durable_end(&self) -> Lsn {
-        match self.segments.last() {
-            Some(last) => Lsn(last.start_lsn + last.bytes.len() as u64),
-            None => Lsn(0),
-        }
+        Lsn(self.base + self.durable.len() as u64)
     }
 
     /// Bytes appended but not yet fsynced.
     pub fn volatile_len(&self) -> usize {
         self.volatile.len()
-    }
-
-    /// Number of durable segments (sealed + active).
-    pub fn segment_count(&self) -> usize {
-        self.segments.len()
     }
 
     /// Appends one intent record to the volatile buffer and returns
@@ -280,21 +239,13 @@ impl Journal {
         lsn
     }
 
-    /// The durability barrier: copies the volatile buffer into the
-    /// durable image and rotates the active segment at the record
-    /// boundary if it has grown past the policy size. The buffer is
-    /// cleared, not freed, so the next append reuses its capacity.
-    /// Returns the durable end it leaves: the proof that every record
-    /// appended so far committed.
+    /// The durability barrier: moves the volatile buffer onto the
+    /// durable image. The buffer is emptied, not freed, so the next
+    /// append reuses its capacity. Returns the durable end it leaves:
+    /// the proof that every record appended so far committed.
     pub fn fsync(&mut self) -> DurableLsn {
-        if !self.volatile.is_empty() {
-            let pending = std::mem::take(&mut self.volatile);
-            self.active_mut().bytes.extend_from_slice(&pending);
-            self.volatile = pending;
-            self.volatile.clear();
-        }
+        self.durable.append(&mut self.volatile);
         self.metrics.fsyncs.inc();
-        self.maybe_rotate();
         DurableLsn(self.durable_end())
     }
 
@@ -304,10 +255,7 @@ impl Journal {
     /// checksum-corrupt) tail for recovery to truncate.
     pub fn crash(&mut self, torn_keep: Option<usize>) {
         let keep = torn_keep.unwrap_or(0).min(self.volatile.len());
-        if keep > 0 {
-            let torn: Vec<u8> = self.volatile[..keep].to_vec();
-            self.active_mut().bytes.extend_from_slice(&torn);
-        }
+        self.durable.extend_from_slice(&self.volatile[..keep]);
         self.volatile.clear();
     }
 
@@ -323,72 +271,49 @@ impl Journal {
     pub fn recover(&mut self, from: Lsn) -> Recovery {
         self.volatile.clear();
         let mut out = Recovery::default();
-        let mut torn_at: Option<(usize, usize)> = None; // (segment idx, offset)
-        'segments: for (idx, segment) in self.segments.iter().enumerate() {
-            let seg_end = segment.start_lsn + segment.bytes.len() as u64;
-            if seg_end <= from.0 {
-                continue;
-            }
-            // Frames never span segments (rotation happens at fsync,
-            // which only moves whole records), so scanning restarts
-            // cleanly at each segment head.
-            let mut offset = usize::try_from(from.0.saturating_sub(segment.start_lsn))
-                .unwrap_or(segment.bytes.len());
-            while offset < segment.bytes.len() {
-                let rest = &segment.bytes[offset..];
-                let frame_ok = rest.len() >= FRAME_HEADER && {
-                    let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-                    rest.len() >= FRAME_HEADER + len && {
-                        let want = u64::from_le_bytes([
-                            rest[4], rest[5], rest[6], rest[7], rest[8], rest[9], rest[10],
-                            rest[11],
-                        ]);
-                        fnv1a(&rest[FRAME_HEADER..FRAME_HEADER + len]) == want
-                    }
-                };
-                if !frame_ok {
-                    torn_at = Some((idx, offset));
-                    break 'segments;
-                }
+        let mut offset =
+            usize::try_from(from.0.saturating_sub(self.base)).unwrap_or(self.durable.len());
+        while offset < self.durable.len() {
+            let rest = &self.durable[offset..];
+            let frame_ok = rest.len() >= FRAME_HEADER && {
                 let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-                let start = segment.start_lsn + offset as u64;
-                out.records.push(JournalRecord {
-                    lsn: Lsn(start),
-                    durable: DurableLsn(Lsn(start + (FRAME_HEADER + len) as u64)),
-                    payload: rest[FRAME_HEADER..FRAME_HEADER + len].to_vec(),
-                });
-                offset += FRAME_HEADER + len;
+                rest.len() >= FRAME_HEADER + len && {
+                    let want = u64::from_le_bytes([
+                        rest[4], rest[5], rest[6], rest[7], rest[8], rest[9], rest[10], rest[11],
+                    ]);
+                    fnv1a(&rest[FRAME_HEADER..FRAME_HEADER + len]) == want
+                }
+            };
+            if !frame_ok {
+                out.torn_records = 1;
+                out.torn_bytes = rest.len() as u64;
+                self.durable.truncate(offset);
+                self.metrics.torn_truncated.inc();
+                break;
             }
-        }
-        if let Some((idx, offset)) = torn_at {
-            let dropped: u64 = (self.segments[idx].bytes.len() - offset) as u64
-                + self.segments[idx + 1..]
-                    .iter()
-                    .map(|s| s.bytes.len() as u64)
-                    .sum::<u64>();
-            self.segments[idx].bytes.truncate(offset);
-            self.segments.truncate(idx + 1);
-            out.torn_records = 1;
-            out.torn_bytes = dropped;
-            self.metrics.torn_truncated.inc();
+            let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
+            let start = self.base + offset as u64;
+            out.records.push(JournalRecord {
+                lsn: Lsn(start),
+                durable: DurableLsn(Lsn(start + (FRAME_HEADER + len) as u64)),
+                payload: rest[FRAME_HEADER..FRAME_HEADER + len].to_vec(),
+            });
+            offset += FRAME_HEADER + len;
         }
         self.metrics.recoveries.inc();
         self.metrics.replayed.add(out.records.len() as u64);
         out
     }
 
-    /// Garbage-collects sealed segments that end at or before `upto`
-    /// (typically a checkpoint high-water mark). The active segment is
-    /// never dropped.
+    /// Drops the durable bytes below `upto` (typically a checkpoint
+    /// high-water mark, so a record boundary) and moves `base` up to
+    /// it. No LSN changes: [`Journal::durable_end`] stays put and a
+    /// recovery from `upto` finds the same records.
     pub fn truncate_before(&mut self, upto: Lsn) {
-        while self.segments.len() > 1 {
-            let first = &self.segments[0];
-            if first.start_lsn + first.bytes.len() as u64 <= upto.0 {
-                self.segments.remove(0);
-            } else {
-                break;
-            }
-        }
+        let cut = usize::try_from(upto.0.saturating_sub(self.base))
+            .map_or(self.durable.len(), |cut| cut.min(self.durable.len()));
+        self.durable.drain(..cut);
+        self.base += cut as u64;
     }
 
     /// Test-only bit rot: flips one byte of the durable image at
@@ -396,41 +321,8 @@ impl Journal {
     /// genuinely corrupt (not merely incomplete) frame to reject.
     #[cfg(test)]
     fn corrupt_durable_byte(&mut self, at: u64) {
-        for segment in &mut self.segments {
-            let end = segment.start_lsn + segment.bytes.len() as u64;
-            if at >= segment.start_lsn && at < end {
-                let idx = (at - segment.start_lsn) as usize;
-                segment.bytes[idx] ^= 0xFF;
-                return;
-            }
-        }
-        panic!("offset {at} is not durable");
-    }
-
-    fn active_mut(&mut self) -> &mut Segment {
-        if self.segments.is_empty() {
-            self.segments.push(Segment {
-                start_lsn: 0,
-                bytes: Vec::new(),
-            });
-        }
-        let last = self.segments.len() - 1;
-        &mut self.segments[last]
-    }
-
-    fn maybe_rotate(&mut self) {
-        let end = self.durable_end().0;
-        let rotate = self
-            .segments
-            .last()
-            .is_some_and(|active| active.bytes.len() >= self.segment_bytes);
-        if rotate {
-            self.segments.push(Segment {
-                start_lsn: end,
-                bytes: Vec::new(),
-            });
-            self.metrics.rotations.inc();
-        }
+        let idx = usize::try_from(at - self.base).expect("a durable offset");
+        self.durable[idx] ^= 0xFF;
     }
 }
 
@@ -559,22 +451,6 @@ impl JournalEngine {
         &self.metrics
     }
 
-    /// The typed duplicate check: `Err(AlreadyApplied)` when `key` is
-    /// memoized as committed. The journal layer converts the error back
-    /// into the memoized success — callers of the uniform API never see
-    /// it — but the seam stays typed so tests (and any future
-    /// cross-process re-delivery path) can assert on it.
-    pub fn check(&self, key: IdempotencyKey) -> Result<(), ProxyError> {
-        if self.memo.lock().ids.contains_key(&key) {
-            self.metrics.already_applied.inc();
-            return Err(ProxyError::new(
-                ProxyErrorKind::AlreadyApplied,
-                format!("{key} already committed; answered from the memo"),
-            ));
-        }
-        Ok(())
-    }
-
     /// The message id memoized for a committed SMS key, if any.
     pub fn memoized_message(&self, key: IdempotencyKey) -> Option<u64> {
         self.memo.lock().ids.get(&key).copied()
@@ -621,10 +497,7 @@ mod tests {
 
     fn journal() -> (Journal, Arc<JournalMetrics>) {
         let metrics = JournalMetrics::shared();
-        (
-            Journal::new(&JournalPolicy::default(), Arc::clone(&metrics)),
-            metrics,
-        )
+        (Journal::new(Arc::clone(&metrics)), metrics)
     }
 
     #[test]
@@ -745,25 +618,25 @@ mod tests {
     }
 
     #[test]
-    fn segments_rotate_at_record_boundaries_and_gc() {
-        let metrics = JournalMetrics::shared();
-        let policy = JournalPolicy::default().segment_bytes(64);
-        let mut j = Journal::new(&policy, Arc::clone(&metrics));
+    fn truncate_before_drops_the_prefix_and_keeps_every_lsn() {
+        let (mut j, _m) = journal();
         for i in 0..8 {
             j.append(format!("record-{i}-padding-padding").as_bytes());
             j.fsync();
         }
-        assert!(j.segment_count() > 1, "64-byte segments must rotate");
-        assert!(metrics.snapshot().rotations > 0);
         let all = j.recover(Lsn(0));
         assert_eq!(all.records.len(), 8);
-        // GC everything below the 6th record; replay from there still
-        // works and earlier segments are gone.
-        let keep_from = all.records[5].lsn;
-        j.truncate_before(keep_from);
-        let tail = j.recover(keep_from);
-        assert_eq!(tail.records.len(), 3);
-        assert_eq!(tail.records[0].payload, b"record-5-padding-padding");
+        let mark = all.records[5].lsn;
+        let end = j.durable_end();
+        let before = j.recover(mark);
+        j.truncate_before(mark);
+        assert_eq!(j.durable_end(), end, "truncation moves no LSN");
+        assert_eq!(j.durable.len() as u64, end.0 - mark.0, "the prefix is gone");
+        let after = j.recover(mark);
+        assert_eq!(after, before, "the same records at the same LSNs");
+        assert_eq!(after.records.len(), 3);
+        assert_eq!(after.records[0].payload, b"record-5-padding-padding");
+        assert_eq!(j.append(b"next"), end, "appends go on from the old end");
     }
 
     #[test]

@@ -591,17 +591,15 @@ impl MobivineBuilder {
     /// HTTP), keyed by the ambient
     /// [`crate::journal::IdempotencyKey`]: an HTTP submit carries the
     /// key to the server as `?idem=`, and an SMS send whose key is
-    /// already committed is answered with the memoized message id (the
-    /// `AlreadyApplied` fast path) instead of a second radio effect. It
-    /// sits **inside** the overload gate (a shed call never reaches the
-    /// memo) and **outside** the retry engine (the retries of one
+    /// already committed is answered with the memoized message id
+    /// (counted as `already_applied`) instead of a second radio effect.
+    /// It sits **inside** the overload gate (a shed call never reaches
+    /// the memo) and **outside** the retry engine (the retries of one
     /// logical call share one key and one memo entry).
     ///
-    /// `_policy` configures nothing on the client: the layer keeps no
-    /// log, and a [`JournalPolicy`] sizes the segments of a server
-    /// [`crate::journal::Journal`]. The argument stays until the
-    /// benchmark's next change lets this become a plain
-    /// `with_journal()`.
+    /// `_policy` configures nothing: [`JournalPolicy`] has no knobs. The
+    /// argument stays until the benchmark's next change lets this become
+    /// a plain `with_journal()`.
     ///
     /// All proxies share one memo and one counter block, readable
     /// through [`Mobivine::journal_metrics`].

@@ -39,8 +39,9 @@
 //! increments, one histogram bucket add, and per span a record moved
 //! into a per-thread pending batch that is filed into the thread's span
 //! ring, under one lock, when the trace's root closes. `Labels::call`
-//! must never appear inside the per-call methods (CI greps for it); it
-//! belongs in `CallInstruments::resolve` alone.
+//! must never appear inside the per-call methods (the Tier-1 test
+//! `tests/manifests.rs::traced_hot_path_builds_no_labels` fails if it
+//! does); it belongs in `CallInstruments::resolve` alone.
 //!
 //! The proxy plane also closes the incident-debugging loop: it stamps
 //! `deadline = blown` on the span when the ambient
@@ -248,7 +249,6 @@ pub(crate) fn kind_name(kind: ProxyErrorKind) -> &'static str {
         ProxyErrorKind::CircuitOpen => "CircuitOpen",
         ProxyErrorKind::DeadlineExceeded => "DeadlineExceeded",
         ProxyErrorKind::Overloaded => "Overloaded",
-        ProxyErrorKind::AlreadyApplied => "AlreadyApplied",
     }
 }
 

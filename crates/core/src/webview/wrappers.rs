@@ -51,13 +51,7 @@ fn to_bridge(e: ProxyError) -> BridgeError {
         | ProxyErrorKind::UnknownProperty
         | ProxyErrorKind::BadPropertyValue
         | ProxyErrorKind::MissingProperty => ErrorCode::IllegalArgument,
-        // AlreadyApplied never reaches applications (the journal layer
-        // converts it back into the memoized success before the bridge
-        // sees it); should one ever leak, Remote is the honest
-        // retry-safe mapping — the original effect committed remotely.
-        ProxyErrorKind::Unavailable
-        | ProxyErrorKind::CircuitOpen
-        | ProxyErrorKind::AlreadyApplied => ErrorCode::Remote,
+        ProxyErrorKind::Unavailable | ProxyErrorKind::CircuitOpen => ErrorCode::Remote,
         ProxyErrorKind::Io => ErrorCode::Io,
         ProxyErrorKind::DeadlineExceeded => ErrorCode::Deadline,
         ProxyErrorKind::Overloaded => ErrorCode::Overloaded,

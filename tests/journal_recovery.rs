@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use mobivine::{IdempotencyKey, Journal, JournalMetrics, JournalPolicy, Lsn};
+use mobivine::{IdempotencyKey, Journal, JournalMetrics, Lsn};
 use mobivine_apps::server::{DurabilityConfig, WfmServer};
 use mobivine_device::fault::{CrashKind, CrashSchedule};
 use mobivine_device::net::HttpRequest;
@@ -44,7 +44,7 @@ fn seeded_payloads(seed: u64, count: usize, max_len: usize) -> Vec<Vec<u8>> {
 }
 
 fn journal_with(payloads: &[Vec<u8>]) -> Journal {
-    let mut journal = Journal::new(&JournalPolicy::default(), JournalMetrics::shared());
+    let mut journal = Journal::new(JournalMetrics::shared());
     for payload in payloads {
         journal.append(payload);
     }

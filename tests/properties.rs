@@ -520,8 +520,8 @@ proptest! {
             1..20,
         ),
     ) {
-        use mobivine::{Journal, JournalMetrics, JournalPolicy, Lsn};
-        let mut journal = Journal::new(&JournalPolicy::default(), JournalMetrics::shared());
+        use mobivine::{Journal, JournalMetrics, Lsn};
+        let mut journal = Journal::new(JournalMetrics::shared());
         for payload in &payloads {
             journal.append(payload);
             journal.fsync();
@@ -549,8 +549,8 @@ proptest! {
         tail in proptest::collection::vec(any::<u8>(), 0..48),
         torn_keep in any::<usize>(),
     ) {
-        use mobivine::{Journal, JournalMetrics, JournalPolicy, Lsn};
-        let mut journal = Journal::new(&JournalPolicy::default(), JournalMetrics::shared());
+        use mobivine::{Journal, JournalMetrics, Lsn};
+        let mut journal = Journal::new(JournalMetrics::shared());
         for payload in &committed {
             journal.append(payload);
         }
