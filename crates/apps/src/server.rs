@@ -17,6 +17,7 @@ use mobivine::registry::Mobivine;
 use mobivine::{
     DurableLsn, IdempotencyKey, Journal, JournalMetrics, JournalPolicy, JournalSnapshot, Lsn,
 };
+use mobivine_device::delta::{DeltaLog, DeltaReader, DeltaRecord, DeltaWriter, Mark};
 use mobivine_device::fault::{CrashKind, CrashSchedule};
 use mobivine_device::net::{HttpResponse, Method, SimNetwork};
 use mobivine_telemetry::MetricsRegistry;
@@ -98,7 +99,7 @@ pub struct WfmServerCounts {
 }
 
 /// A recorded agent position.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TrackPoint {
     /// Reporting agent.
     pub agent_id: u64,
@@ -108,6 +109,27 @@ pub struct TrackPoint {
     pub longitude: f64,
     /// Report time, virtual ms.
     pub at_ms: u64,
+}
+
+/// A server keeps its track points in a [`DeltaLog`]: consecutive
+/// reports share most of their bits, so a point takes about 14 bytes
+/// there instead of 32.
+impl DeltaRecord for TrackPoint {
+    fn encode(&self, prev: &Self, out: &mut DeltaWriter<'_>) {
+        out.int(prev.agent_id, self.agent_id);
+        out.int(prev.at_ms, self.at_ms);
+        out.float(prev.latitude, self.latitude);
+        out.float(prev.longitude, self.longitude);
+    }
+
+    fn decode(prev: &Self, input: &mut DeltaReader<'_>) -> Self {
+        Self {
+            agent_id: input.int(prev.agent_id),
+            at_ms: input.int(prev.at_ms),
+            latitude: input.float(prev.latitude),
+            longitude: input.float(prev.longitude),
+        }
+    }
 }
 
 /// Knobs for a crash-fault-tolerant [`WfmServer`]
@@ -172,18 +194,20 @@ use append_only::Log;
 /// not through the mutating HTTP routes) and survive a middleware crash
 /// on their own.
 ///
-/// The three state vectors are [`Log`]s, so between crashes they only
-/// grow, and recovery rewinds them to these lengths before replaying
-/// the journal past `high_water`. The checkpointed state is therefore
-/// always a prefix of the live state, and lengths are all it needs to
-/// keep. Its keys are the live keys minus
+/// The three state vectors are append-only ([`Log`]s and the track
+/// points' [`DeltaLog`]), so between crashes they only grow, and
+/// recovery rewinds them to these marks before replaying the journal
+/// past `high_water`. The checkpointed state is therefore always a
+/// prefix of the live state, and marks are all it needs to keep: a
+/// length, or for the track points a [`Mark`] (length, byte length and
+/// last point). Its keys are the live keys minus
 /// [`DurableState::applied_since_checkpoint`]. The zero default covers
 /// nothing: recovery replays from genesis.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct DurableSnapshot {
     completed: usize,
     activity: usize,
-    tracks: usize,
+    tracks: Mark<TrackPoint>,
     keyed_applies: u64,
     high_water: Lsn,
 }
@@ -295,7 +319,7 @@ struct ServerState {
     agents: HashMap<u64, AgentTasks>,
     completed: Log<(u64, u64)>, // (agent, task id)
     activity: Log<ActivityEntry>,
-    tracks: Log<TrackPoint>,
+    tracks: DeltaLog<TrackPoint>,
     /// When set, `/report-location` stops accepting once this many
     /// track points are stored and answers `503` + `Retry-After`
     /// instead — the server-side half of the overload story, giving
@@ -522,7 +546,7 @@ fn checkpoint(state: &ServerState, d: &mut DurableState) {
     d.checkpoint = DurableSnapshot {
         completed: state.completed.len(),
         activity: state.activity.len(),
-        tracks: state.tracks.len(),
+        tracks: state.tracks.mark(),
         keyed_applies: d.keyed_applies,
         high_water: d.journal.durable_end(),
     };
@@ -712,7 +736,7 @@ impl WfmServer {
                 + state.activity.len()
                 - d.checkpoint.activity
                 + state.tracks.len()
-                - d.checkpoint.tracks) as u64,
+                - d.checkpoint.tracks.len()) as u64,
             last_replayed_records: d.last_replayed_records,
         })
     }
@@ -731,7 +755,7 @@ impl WfmServer {
         for e in state.activity.as_slice() {
             let _ = writeln!(hash, "a|{}|{}|{}", e.agent_id, e.at_ms, e.event);
         }
-        for p in state.tracks.as_slice() {
+        for p in state.tracks.iter() {
             let _ = writeln!(
                 hash,
                 "t|{}|{:.6}|{:.6}|{}",
@@ -786,10 +810,8 @@ impl WfmServer {
         self.state
             .lock()
             .tracks
-            .as_slice()
             .iter()
             .filter(|t| t.agent_id == agent_id)
-            .cloned()
             .collect()
     }
 
@@ -1277,7 +1299,7 @@ mod tests {
         let live = DurableSnapshot {
             completed: state.completed.len(),
             activity: state.activity.len(),
-            tracks: state.tracks.len(),
+            tracks: state.tracks.mark(),
             keyed_applies: d.keyed_applies,
             high_water: d.journal.durable_end(),
         };
@@ -1286,7 +1308,7 @@ mod tests {
         }
         assert!(snap.completed <= live.completed);
         assert!(snap.activity <= live.activity);
-        assert!(snap.tracks <= live.tracks);
+        assert!(snap.tracks.len() <= live.tracks.len());
         assert!(snap.high_water <= live.high_water);
         let delta = &d.applied_since_checkpoint;
         if d.checkpoint_every == 0 {
@@ -1404,6 +1426,37 @@ mod tests {
         assert!(Mutation::decode(b"track|-|not json").is_none());
         assert!(Mutation::decode(b"unknown|-|{}").is_none());
         assert!(Mutation::decode(b"track").is_none());
+    }
+
+    /// Activity bodies carry free text: escapes, multi-byte characters
+    /// and runs of either decode to the text that was posted.
+    #[test]
+    fn posted_text_decodes_through_escapes_and_multi_byte_runs() {
+        for event in [
+            String::new(),
+            "arrived".to_owned(),
+            "\"quoted\" \\ back/slash\n\r\t\u{1}".to_owned(),
+            "dépôt 日本 🚚 done".to_owned(),
+            "日".repeat(300),
+            format!("{}\\{}\"", "a".repeat(1_000), "é".repeat(500)),
+        ] {
+            let entry = ActivityEntry {
+                agent_id: 2,
+                at_ms: 9,
+                event,
+            };
+            let body = serde_json::to_vec(&entry).unwrap();
+            let decoded: ActivityEntry = serde_json::from_slice(&body).unwrap();
+            assert_eq!(decoded, entry);
+        }
+        let escaped: ActivityEntry =
+            serde_json::from_str(r#"{"agent_id":1,"at_ms":2,"event":"café \/ \"日\"\\x"}"#)
+                .unwrap();
+        assert_eq!(escaped.event, "café / \"日\"\\x");
+        let invalid = b"{\"agent_id\":1,\"at_ms\":2,\"event\":\"ok \xff\"}";
+        assert!(serde_json::from_slice::<ActivityEntry>(invalid).is_err());
+        let unterminated = br#"{"agent_id":1,"at_ms":2,"event":"no end"#;
+        assert!(serde_json::from_slice::<ActivityEntry>(unterminated).is_err());
     }
 
     #[test]

@@ -33,6 +33,7 @@ pub mod call;
 pub mod clock;
 pub mod cohort;
 pub mod contacts;
+pub mod delta;
 pub mod device;
 pub mod event;
 pub mod fault;

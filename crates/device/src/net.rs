@@ -55,15 +55,18 @@ impl fmt::Display for Method {
 impl FromStr for Method {
     type Err = UrlError;
 
+    /// Matches a wire name in any case, without allocating.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_uppercase().as_str() {
-            "GET" => Ok(Method::Get),
-            "POST" => Ok(Method::Post),
-            "PUT" => Ok(Method::Put),
-            "DELETE" => Ok(Method::Delete),
-            "HEAD" => Ok(Method::Head),
-            _ => Err(UrlError::UnsupportedMethod),
-        }
+        [
+            Method::Get,
+            Method::Post,
+            Method::Put,
+            Method::Delete,
+            Method::Head,
+        ]
+        .into_iter()
+        .find(|method| method.as_str().eq_ignore_ascii_case(s))
+        .ok_or(UrlError::UnsupportedMethod)
     }
 }
 
@@ -760,7 +763,26 @@ mod tests {
     #[test]
     fn method_parses_case_insensitively() {
         assert_eq!("get".parse::<Method>().unwrap(), Method::Get);
+        assert_eq!("Get".parse::<Method>().unwrap(), Method::Get);
+        assert_eq!("post".parse::<Method>().unwrap(), Method::Post);
         assert_eq!("POST".parse::<Method>().unwrap(), Method::Post);
-        assert!("PATCH".parse::<Method>().is_err());
+        assert_eq!("dElEtE".parse::<Method>().unwrap(), Method::Delete);
+        for method in [
+            Method::Get,
+            Method::Post,
+            Method::Put,
+            Method::Delete,
+            Method::Head,
+        ] {
+            assert_eq!(method.as_str().parse::<Method>(), Ok(method));
+            assert_eq!(method.as_str().to_lowercase().parse::<Method>(), Ok(method));
+        }
+        for unsupported in ["PATCH", "patch", "", "GE", "GETS", "G ET"] {
+            assert_eq!(
+                unsupported.parse::<Method>(),
+                Err(UrlError::UnsupportedMethod),
+                "{unsupported:?}"
+            );
+        }
     }
 }

@@ -17,6 +17,7 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::delta::{DeltaLog, DeltaReader, DeltaRecord, DeltaWriter};
 use crate::event::EventQueue;
 use crate::listeners::{self, Listener};
 
@@ -214,50 +215,65 @@ struct SmsMetrics {
     lost: Counter,
 }
 
-/// One delivered message, as an [`Inbox`] stores it. The recipient is
-/// the inbox's own address, the sender an interned address id, and the
-/// body a range of the inbox's body arena.
-#[derive(Debug, Clone, Copy)]
-struct Stored {
+/// One delivered message's header, as an [`Inbox`] stores it. The
+/// recipient is the inbox's own address, the sender an interned address
+/// id, and the body the next `body_len` bytes of the inbox's body arena.
+/// Its segment count is not stored: it is [`segment_count`] of the body.
+#[derive(Debug, Clone, Copy, Default)]
+struct Header {
     id: u64,
     delivered_at_ms: u64,
     from: u32,
-    body_start: u32,
-    body_len: u32,
-    segment_count: u32,
+    body_len: u64,
+}
+
+impl DeltaRecord for Header {
+    fn encode(&self, prev: &Self, out: &mut DeltaWriter<'_>) {
+        out.int(prev.id, self.id);
+        out.int(prev.delivered_at_ms, self.delivered_at_ms);
+        out.int(u64::from(prev.from), u64::from(self.from));
+        out.int(prev.body_len, self.body_len);
+    }
+
+    fn decode(prev: &Self, input: &mut DeltaReader<'_>) -> Self {
+        Self {
+            id: input.int(prev.id),
+            delivered_at_ms: input.int(prev.delivered_at_ms),
+            // Every delta was taken between two `u32` ids.
+            from: input.int(u64::from(prev.from)) as u32,
+            body_len: input.int(prev.body_len),
+        }
+    }
 }
 
 /// The messages delivered to one registered address, oldest first.
 #[derive(Debug, Default)]
 struct Inbox {
-    records: Vec<Stored>,
-    /// Every record's body, concatenated in delivery order.
+    headers: DeltaLog<Header>,
+    /// Every message's body, concatenated in delivery order.
     bodies: String,
 }
 
 impl Inbox {
-    fn push(&mut self, id: MessageId, from: u32, body: &str, at: u64, segment_count: usize) {
-        let (Ok(body_start), Ok(body_len), Ok(segment_count)) = (
-            u32::try_from(self.bodies.len()),
-            u32::try_from(body.len()),
-            u32::try_from(segment_count),
-        ) else {
-            panic!("an SMSC inbox holds at most 4 GiB of message bodies");
-        };
+    fn push(&mut self, id: MessageId, from: u32, body: &str, at: u64) {
         self.bodies.push_str(body);
-        self.records.push(Stored {
+        self.headers.push(Header {
             id: id.0,
             delivered_at_ms: at,
             from,
-            body_start,
-            body_len,
-            segment_count,
+            body_len: body.len() as u64,
         });
     }
 
-    fn body(&self, record: &Stored) -> &str {
-        let start = record.body_start as usize;
-        &self.bodies[start..start + record.body_len as usize]
+    /// Every message's header and body, oldest first.
+    fn messages(&self) -> impl Iterator<Item = (Header, &str)> {
+        let mut start = 0;
+        self.headers.iter().map(move |header| {
+            let end = start + header.body_len as usize;
+            let body = &self.bodies[start..end];
+            start = end;
+            (header, body)
+        })
     }
 }
 
@@ -319,12 +335,14 @@ impl SmscState {
 /// pumped (i.e. when virtual time advances past submission latency).
 ///
 /// Storage: every address is interned once, on first sight. A delivered
-/// message is kept for the SMSC's lifetime as a 32-byte record in its
-/// recipient's inbox (id, delivery time, sender id, segment count and a
-/// range of the inbox's body arena, which holds every body of that inbox
-/// back to back). [`Smsc::inbox`] builds [`InboxMessage`]s from these
-/// records on demand, and an inbox listener's message is built only when
-/// a listener exists.
+/// message is kept for the SMSC's lifetime in its recipient's inbox, as
+/// a header in a [`DeltaLog`] (id, delivery time, sender id and body
+/// length, each coded as its difference from the previous message's:
+/// a few bytes) and its body in the inbox's body arena, which holds
+/// every body of that inbox back to back. [`Smsc::inbox`] decodes the
+/// headers in order and builds [`InboxMessage`]s on demand, recomputing
+/// each segment count from the body; an inbox listener's message is
+/// built only when a listener exists.
 ///
 /// # Example
 ///
@@ -456,15 +474,14 @@ impl Smsc {
             return Vec::new();
         };
         inbox
-            .records
-            .iter()
-            .map(|record| InboxMessage {
-                id: MessageId(record.id),
-                from: state.name(record.from).to_owned(),
+            .messages()
+            .map(|(header, body)| InboxMessage {
+                id: MessageId(header.id),
+                from: state.name(header.from).to_owned(),
                 to: to.to_string(),
-                body: inbox.body(record).to_owned(),
-                delivered_at_ms: record.delivered_at_ms,
-                segment_count: record.segment_count as usize,
+                body: body.to_owned(),
+                delivered_at_ms: header.delivered_at_ms,
+                segment_count: segment_count(body),
             })
             .collect()
     }
@@ -476,7 +493,7 @@ impl Smsc {
             .lock()
             .address(address)
             .and_then(|a| a.inbox.as_ref())
-            .map_or(0, |inbox| inbox.records.len())
+            .map_or(0, |inbox| inbox.headers.len())
     }
 
     /// Current delivery status of a submitted message.
@@ -548,7 +565,7 @@ impl Smsc {
                 if final_status == DeliveryStatus::Delivered {
                     let recipient = &mut guard.addresses[to as usize];
                     if let Some(inbox) = recipient.inbox.as_mut() {
-                        inbox.push(id, from, &body, at, segment_count);
+                        inbox.push(id, from, &body, at);
                     }
                     // Take listeners out so callbacks run without the lock;
                     // only they need the message as an `InboxMessage`.
@@ -891,11 +908,6 @@ mod tests {
         assert_eq!(count.load(Ordering::SeqCst), 1);
         assert_eq!(others.load(Ordering::SeqCst), 3);
         assert_eq!(Arc::strong_count(&count), 1, "the listener is freed");
-    }
-
-    #[test]
-    fn stored_record_fits_32_bytes() {
-        assert!(std::mem::size_of::<Stored>() <= 32);
     }
 
     #[test]

@@ -192,12 +192,17 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
+                    // Copy the run up to the next quote or escape,
+                    // validating it once. Neither byte occurs inside a
+                    // multi-byte UTF-8 sequence, so a run of valid input
+                    // ends on a character boundary.
+                    let start = self.pos;
+                    while self.peek().is_some_and(|b| b != b'"' && b != b'\\') {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().ok_or("unexpected end")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
                 None => return Err("unterminated string".to_owned()),
             }

@@ -16,7 +16,11 @@
 //!   keep no more live bytes than one cycle does;
 //! - a durable [`WfmServer`] keeps at most [`DURABLE_POST_BYTES`] live
 //!   bytes per keyed `/report-location` post: its state once, with the
-//!   checkpoint as marks into it, not as a second copy.
+//!   checkpoint as marks into it, not as a second copy;
+//! - a plain [`WfmServer`] keeps at most [`REPORT_POST_BYTES`] per post
+//!   of the fleet's report mix, and an SMSC at most [`SMS_BYTES`] per
+//!   delivered `"agent N checking in"` text: the two stores that grow
+//!   with every op of the bare fleet, both delta-coded logs.
 //!
 //! Like `tests/zero_alloc_telemetry.rs`, this file holds a **single**
 //! `#[test]`: the counters are per thread, but a sibling test running
@@ -25,7 +29,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mobivine::api::LocationProxy;
+use std::fmt::Write as _;
+
+use mobivine::api::{LocationProxy, SmsProxy};
 use mobivine::IdempotencyKey;
 use mobivine_apps::server::{DurabilityConfig, WfmServer};
 use mobivine_device::net::HttpRequest;
@@ -107,15 +113,44 @@ const RUNTIME_BYTES: [(&str, i64); 3] = [("android", 23_000), ("s60", 18_500), (
 const CHURN_CYCLES: usize = 1_000;
 
 /// Live bytes a durable server checkpointing every 64 applies may keep
-/// per keyed track post: the measured 66.9 bytes on x86_64 Linux (a
-/// 32-byte track point and its applied key, each in a growing table)
-/// plus headroom. With a second copy of the track points and keys in
-/// the checkpoint it was 133.9 bytes.
-const DURABLE_POST_BYTES: f64 = 90.0;
+/// per keyed track post: the measured 21.2 bytes on x86_64 Linux (a
+/// delta-coded track point and its applied key, each in a growing
+/// table) plus under 10 % headroom. With 32-byte track points it was
+/// 66.9 bytes, and 133.9 with a second copy of the track points and
+/// keys in the checkpoint.
+const DURABLE_POST_BYTES: f64 = 23.0;
 
 /// Keyed posts sent before and during the durable-server measurement.
 const DURABLE_WARM_POSTS: u64 = 100;
 const DURABLE_MEASURED_POSTS: u64 = 20_000;
+
+/// Live bytes a plain server may keep per report of the fleet's mix:
+/// the measured 26.1 bytes on x86_64 Linux (a delta-coded track point,
+/// about 14 bytes, in a growing buffer) plus under 10 % headroom. With
+/// 32-byte track points it was 52.2 bytes.
+const REPORT_POST_BYTES: f64 = 28.5;
+
+/// Agents one server hears from, and the reports sent before and
+/// during the plain-server measurement.
+const REPORT_AGENTS: u64 = 2_500;
+const REPORT_WARM_POSTS: u64 = 100;
+const REPORT_MEASURED_POSTS: u64 = 20_000;
+
+/// Live bytes a bare runtime's SMSC may keep per delivered message:
+/// the measured 39.2 bytes on x86_64 Linux (a delta-coded header of a
+/// few bytes, the 19- to 22-byte body and a status byte, each in a
+/// growing buffer) plus under 10 % headroom. With a 32-byte record per
+/// message it was 84.9 bytes.
+const SMS_BYTES: f64 = 43.0;
+
+/// The address every fleet agent texts.
+const SUPERVISOR: &str = "+91-sup";
+
+/// Messages sent per 40 ms tick, before and during the SMS
+/// measurement.
+const SMS_PER_TICK: u64 = 10;
+const SMS_WARM_MESSAGES: u64 = 100;
+const SMS_MEASURED_MESSAGES: u64 = 20_000;
 
 #[test]
 fn telemetry_wiring_retains_a_pinned_number_of_bytes() {
@@ -186,6 +221,13 @@ fn telemetry_wiring_retains_a_pinned_number_of_bytes() {
         );
     }
 
+    durable_server_posts();
+    plain_server_report_mix();
+    sms_deliveries();
+}
+
+/// A durable server checkpointing every 64 applies, fed keyed posts.
+fn durable_server_posts() {
     let device = common::device();
     let server = WfmServer::durable(DurabilityConfig {
         checkpoint_every: 64,
@@ -216,4 +258,82 @@ fn telemetry_wiring_retains_a_pinned_number_of_bytes() {
         per_post <= DURABLE_POST_BYTES,
         "a durable server keeps {per_post:.1} bytes per keyed post (at most {DURABLE_POST_BYTES})"
     );
+}
+
+/// A plain server fed the fleet's report mix: one shard's agents
+/// reporting in turn, a round apart, at coordinates that vary in the
+/// sixth decimal.
+fn plain_server_report_mix() {
+    let device = common::device();
+    let server = WfmServer::new();
+    server.install(device.network(), "wfm.example");
+    let mut draws = 0x5eed_u64;
+    let mut post = |op: u64| {
+        let draw = splitmix64(&mut draws);
+        let body = format!(
+            "{{\"agent_id\":{},\"latitude\":{},\"longitude\":{},\"at_ms\":{}}}",
+            op % REPORT_AGENTS * 4,
+            28.5 + (draw % 1_000) as f64 * 1e-6,
+            77.3 + (draw % 977) as f64 * 1e-6,
+            op / REPORT_AGENTS * 40,
+        );
+        let req = HttpRequest::post("http://wfm.example/report-location", body.into_bytes())
+            .expect("a report request");
+        let (response, _) = device.network().execute(&req).expect("the route answers");
+        assert_eq!(response.status, 200);
+    };
+    (0..REPORT_WARM_POSTS).for_each(&mut post);
+    let ((), _, bytes) = measure(|| {
+        (REPORT_WARM_POSTS..REPORT_WARM_POSTS + REPORT_MEASURED_POSTS).for_each(&mut post);
+    });
+    let per_post = bytes as f64 / REPORT_MEASURED_POSTS as f64;
+    assert_eq!(
+        server.counts().tracks,
+        REPORT_WARM_POSTS + REPORT_MEASURED_POSTS
+    );
+    assert!(
+        per_post <= REPORT_POST_BYTES,
+        "a plain server keeps {per_post:.1} bytes per report (at most {REPORT_POST_BYTES})"
+    );
+}
+
+/// A bare runtime texting the supervisor, as every fleet agent does.
+fn sms_deliveries() {
+    let device = common::device();
+    let runtime = common::android_builder(&device)
+        .build()
+        .expect("a bare runtime builds");
+    let sms = runtime.proxy::<dyn SmsProxy>().expect("an SMS proxy");
+    let mut text = String::new();
+    let mut send = |n: u64| {
+        text.clear();
+        let _ = write!(text, "agent {} checking in", n % 10_000);
+        sms.send_text_message(SUPERVISOR, &text, None)
+            .expect("the SMSC accepts the message");
+        if n % SMS_PER_TICK == SMS_PER_TICK - 1 {
+            device.advance_ms(40);
+        }
+    };
+    (0..SMS_WARM_MESSAGES).for_each(&mut send);
+    let ((), _, bytes) = measure(|| {
+        (SMS_WARM_MESSAGES..SMS_WARM_MESSAGES + SMS_MEASURED_MESSAGES).for_each(&mut send);
+        device.advance_ms(1_000);
+    });
+    let per_message = bytes as f64 / SMS_MEASURED_MESSAGES as f64;
+    assert_eq!(
+        device.smsc().inbox_len(SUPERVISOR) as u64,
+        SMS_WARM_MESSAGES + SMS_MEASURED_MESSAGES
+    );
+    assert!(
+        per_message <= SMS_BYTES,
+        "an SMSC keeps {per_message:.1} bytes per delivered message (at most {SMS_BYTES})"
+    );
+}
+
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
