@@ -53,14 +53,6 @@ impl PropertyValue {
         }
     }
 
-    /// The value as an integer, if it is one.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            PropertyValue::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-
     /// The value as a boolean, if it is one.
     pub fn as_bool(&self) -> Option<bool> {
         match self {

@@ -16,6 +16,15 @@ use parking_lot::Mutex;
 use crate::event::EventQueue;
 use crate::listeners::{self, Listener};
 
+/// Call setup latency (dial → ringing).
+const SETUP_MS: u64 = 300;
+
+/// Answer delay (ringing → active).
+const ANSWER_MS: u64 = 2_000;
+
+/// Ringing timeout for no-answer callees.
+const NO_ANSWER_MS: u64 = 30_000;
+
 /// Identifier of a call leg.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CallId(u64);
@@ -123,9 +132,6 @@ struct CallRecord {
 
 struct SwitchState {
     next_id: u64,
-    setup_latency_ms: u64,
-    answer_delay_ms: u64,
-    no_answer_timeout_ms: u64,
     profiles: HashMap<String, CalleeProfile>,
     calls: HashMap<CallId, CallRecord>,
     listeners: Vec<Listener<CallListenerFn>>,
@@ -171,9 +177,6 @@ impl CallSwitch {
             events,
             state: Arc::new(Mutex::new(SwitchState {
                 next_id: 1,
-                setup_latency_ms: 300,
-                answer_delay_ms: 2_000,
-                no_answer_timeout_ms: 30_000,
                 profiles: HashMap::new(),
                 calls: HashMap::new(),
                 listeners: Vec::new(),
@@ -190,21 +193,6 @@ impl CallSwitch {
             .lock()
             .profiles
             .insert(callee.to_owned(), profile);
-    }
-
-    /// Sets call-setup latency (dial → ringing), default 300 ms.
-    pub fn set_setup_latency_ms(&self, ms: u64) {
-        self.state.lock().setup_latency_ms = ms;
-    }
-
-    /// Sets answer delay (ringing → active), default 2000 ms.
-    pub fn set_answer_delay_ms(&self, ms: u64) {
-        self.state.lock().answer_delay_ms = ms;
-    }
-
-    /// Sets the ringing timeout for no-answer callees, default 30 s.
-    pub fn set_no_answer_timeout_ms(&self, ms: u64) {
-        self.state.lock().no_answer_timeout_ms = ms;
     }
 
     /// Subscribes `listener` to every state transition of every call
@@ -241,7 +229,7 @@ impl CallSwitch {
     /// The call progresses asynchronously as the event queue is pumped:
     /// `Dialing` → `Ringing` → (`Active` | `Disconnected`).
     pub fn dial(&self, callee: &str, now_ms: u64) -> CallId {
-        let (id, profile, setup, answer, timeout) = {
+        let (id, profile) = {
             let mut state = self.state.lock();
             let id = CallId(state.next_id);
             state.next_id += 1;
@@ -253,18 +241,12 @@ impl CallSwitch {
                 },
             );
             let profile = state.profiles.get(callee).copied().unwrap_or_default();
-            (
-                id,
-                profile,
-                state.setup_latency_ms,
-                state.answer_delay_ms,
-                state.no_answer_timeout_ms,
-            )
+            (id, profile)
         };
         let shared = Arc::clone(&self.state);
         let events = Arc::clone(&self.events);
         self.events
-            .schedule_at(now_ms + setup, "call-setup", move |at| match profile {
+            .schedule_at(now_ms + SETUP_MS, "call-setup", move |at| match profile {
                 CalleeProfile::Busy => {
                     transition(&shared, id, CallState::Disconnected(DisconnectReason::Busy));
                 }
@@ -278,14 +260,14 @@ impl CallSwitch {
                 CalleeProfile::Answers => {
                     transition(&shared, id, CallState::Ringing);
                     let shared2 = Arc::clone(&shared);
-                    events.schedule_at(at + answer, "call-answer", move |_| {
+                    events.schedule_at(at + ANSWER_MS, "call-answer", move |_| {
                         transition_if(&shared2, id, CallState::Ringing, CallState::Active);
                     });
                 }
                 CalleeProfile::NoAnswer => {
                     transition(&shared, id, CallState::Ringing);
                     let shared2 = Arc::clone(&shared);
-                    events.schedule_at(at + timeout, "call-timeout", move |_| {
+                    events.schedule_at(at + NO_ANSWER_MS, "call-timeout", move |_| {
                         transition_if(
                             &shared2,
                             id,

@@ -194,12 +194,6 @@ impl GpsEngine {
         self.state.lock().availability
     }
 
-    /// Replaces the movement model (e.g. when a simulated agent is given a
-    /// new route).
-    pub fn set_movement(&self, movement: MovementModel) {
-        self.state.lock().movement = movement;
-    }
-
     /// The *true* (noise-free) position at the current virtual time.
     ///
     /// Always succeeds — the device is somewhere even when the receiver

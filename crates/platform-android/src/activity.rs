@@ -94,11 +94,6 @@ impl<A: Activity> ActivityHost<A> {
         &self.activity
     }
 
-    /// Mutable access to the hosted activity.
-    pub fn activity_mut(&mut self) -> &mut A {
-        &mut self.activity
-    }
-
     /// The context the activity runs on.
     pub fn context(&self) -> &Context {
         &self.ctx

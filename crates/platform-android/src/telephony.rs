@@ -7,7 +7,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use mobivine_device::call::{CallId, CallState, CallSubscription};
+use mobivine_device::call::{CallId, CallState};
 use mobivine_device::sms::{DeliveryStatus, MessageId};
 
 use crate::context::Context;
@@ -150,15 +150,6 @@ impl Phone {
             .call_switch()
             .hangup(id)
             .map_err(|e| AndroidException::IllegalArgument(e.to_string()))
-    }
-
-    /// Registers an observer of call-state transitions (the
-    /// `PhoneStateListener` role) until the returned subscription drops.
-    pub fn add_call_listener<F>(&self, listener: F) -> CallSubscription
-    where
-        F: Fn(CallId, CallState) + Send + 'static,
-    {
-        self.ctx.device().call_switch().add_listener(listener)
     }
 }
 

@@ -47,9 +47,6 @@ pub struct Criteria {
     vertical_accuracy_m: i32,
     preferred_response_time_ms: i32,
     power_consumption: PowerLevel,
-    cost_allowed: bool,
-    speed_and_course_required: bool,
-    altitude_required: bool,
 }
 
 impl Default for Criteria {
@@ -59,9 +56,6 @@ impl Default for Criteria {
             vertical_accuracy_m: NO_REQUIREMENT,
             preferred_response_time_ms: NO_REQUIREMENT,
             power_consumption: PowerLevel::NoRequirement,
-            cost_allowed: true,
-            speed_and_course_required: false,
-            altitude_required: false,
         }
     }
 }
@@ -93,24 +87,6 @@ impl Criteria {
     /// `setPreferredPowerConsumption`.
     pub fn set_preferred_power_consumption(&mut self, level: PowerLevel) -> &mut Self {
         self.power_consumption = level;
-        self
-    }
-
-    /// `setCostAllowed`.
-    pub fn set_cost_allowed(&mut self, allowed: bool) -> &mut Self {
-        self.cost_allowed = allowed;
-        self
-    }
-
-    /// `setSpeedAndCourseRequired`.
-    pub fn set_speed_and_course_required(&mut self, required: bool) -> &mut Self {
-        self.speed_and_course_required = required;
-        self
-    }
-
-    /// `setAltitudeRequired`.
-    pub fn set_altitude_required(&mut self, required: bool) -> &mut Self {
-        self.altitude_required = required;
         self
     }
 

@@ -71,14 +71,6 @@ impl JsValue {
         }
     }
 
-    /// The value as an array slice, if it is one.
-    pub fn as_array(&self) -> Option<&[JsValue]> {
-        match self {
-            JsValue::Array(a) => Some(a),
-            _ => None,
-        }
-    }
-
     /// Object property lookup (`value.key`); `undefined` for
     /// non-objects or missing keys, as in JavaScript.
     pub fn get(&self, key: &str) -> JsValue {

@@ -9,8 +9,10 @@
 //! `DeadlineExceeded`, a retry exhaustion), the root is marked
 //! `deadline=blown` (the call finished past its propagated budget), or
 //! the root's duration crossed a per-operation latency threshold.
-//! Promoted traces are copied whole into a bounded [`IncidentStore`]
-//! before the ring can overwrite them, and the store keeps the
+//! A promoted trace's resident records are copied, in the ring's
+//! compact form, into a bounded [`IncidentStore`] before the ring can
+//! overwrite them; [`IncidentStore::traces`] materializes them as
+//! [`PromotedTrace`]s when they are read. The store keeps the
 //! *earliest* incidents (keep-first), so the promoted set for a
 //! deterministic run is itself deterministic and independent of how
 //! work is split across workers: every trace is classified on the one
@@ -21,7 +23,8 @@
 //! recorder can stay on in the zero-allocation traced configurations.
 //! So is a promotion the store would drop: once the keep-first store is
 //! full, the trace is counted and noted for its exemplar but not copied
-//! out of the ring.
+//! out of the ring. The store allocates its list on the first kept
+//! trace, so a healthy run that never promotes keeps none.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,7 +33,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use crate::metrics::Counter;
-use crate::span::{validate_tree, SpanId, SpanName, SpanRecord, TraceId, Tracer};
+use crate::span::{validate_tree, CompactTrace, SpanId, SpanName, SpanRecord, TraceId, Tracer};
 
 /// Default incident-store capacity: roomy enough that a brownout run
 /// keeps one promoted trace per breached call, small enough that a
@@ -160,8 +163,8 @@ impl PromotionPolicy {
     }
 }
 
-/// One promoted trace: the whole tree, copied out of the ring at the
-/// moment the root closed.
+/// One promoted trace, as [`IncidentStore::traces`] materializes it:
+/// the spans the ring held when the root closed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PromotedTrace {
     /// The trace's id.
@@ -191,36 +194,49 @@ impl PromotedTrace {
     }
 }
 
-/// A bounded keep-first store of promoted traces.
+/// Traces the store's list reserves on its first kept trace; a larger
+/// store grows past it as it fills.
+const FIRST_RESERVE: usize = 64;
+
+/// A bounded keep-first store of promoted traces, each kept as the
+/// ring's compact records until it is read.
 #[derive(Debug)]
 pub struct IncidentStore {
     capacity: usize,
     promoted: AtomicU64,
     dropped: AtomicU64,
-    traces: Mutex<Vec<PromotedTrace>>,
+    traces: Mutex<Vec<(TraceId, PromotionReason, CompactTrace)>>,
 }
 
 impl IncidentStore {
     /// An empty store keeping at most `capacity` traces (minimum 1).
+    /// Nothing is allocated until the first trace is kept.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
         Self {
-            capacity,
+            capacity: capacity.max(1),
             promoted: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            traces: Mutex::new(Vec::with_capacity(capacity.min(64))),
+            traces: Mutex::new(Vec::new()),
         }
     }
 
     /// Counts one promotion and stores its trace if there is room;
-    /// `None` is a promotion whose trace was not collected because the
+    /// `None` is a promotion whose trace was not copied because the
     /// store was already full. Returns whether the trace was kept.
-    fn push(&self, trace: Option<PromotedTrace>) -> bool {
+    fn push(
+        &self,
+        trace_id: TraceId,
+        reason: PromotionReason,
+        trace: Option<CompactTrace>,
+    ) -> bool {
         self.promoted.fetch_add(1, Ordering::Relaxed);
         if let Some(trace) = trace {
             let mut traces = self.traces.lock();
             if traces.len() < self.capacity {
-                traces.push(trace);
+                if traces.capacity() == 0 {
+                    traces.reserve_exact(self.capacity.min(FIRST_RESERVE));
+                }
+                traces.push((trace_id, reason, trace));
                 return true;
             }
         }
@@ -253,9 +269,27 @@ impl IncidentStore {
         self.len() == 0
     }
 
-    /// A copy of the kept traces, in promotion order.
+    /// The kept traces, in promotion order, each materialized from its
+    /// compact records; `complete` is checked here.
     pub fn traces(&self) -> Vec<PromotedTrace> {
-        self.traces.lock().clone()
+        let traces = self.traces.lock();
+        traces
+            .iter()
+            .map(|(trace_id, reason, trace)| {
+                let spans = trace.materialize();
+                let root = spans.last().expect("a kept trace ends with its root");
+                PromotedTrace {
+                    trace_id: *trace_id,
+                    root_span: root.span_id,
+                    root_name: root.name.clone(),
+                    reason: reason.clone(),
+                    start_ms: root.start_ms,
+                    end_ms: root.end_ms,
+                    complete: validate_tree(&spans).is_ok(),
+                    spans,
+                }
+            })
+            .collect()
     }
 }
 
@@ -321,30 +355,17 @@ impl Recorder {
     }
 
     /// Promotes trace `trace_id` (called by `Tracer::file` with the
-    /// resident trace spans, root last, or `None` when the store had no
-    /// room for them).
+    /// trace's compact records, root last, or `None` when the store had
+    /// no room for them).
     pub(crate) fn promote(
         &self,
         tracer_id: u64,
         trace_id: TraceId,
         reason: PromotionReason,
-        spans: Option<Vec<SpanRecord>>,
+        trace: Option<CompactTrace>,
         counters: Option<&RecorderCounters>,
     ) {
-        let trace = spans.and_then(|spans| {
-            let root = spans.last()?;
-            Some(PromotedTrace {
-                trace_id,
-                root_span: root.span_id,
-                root_name: root.name.clone(),
-                reason,
-                start_ms: root.start_ms,
-                end_ms: root.end_ms,
-                complete: validate_tree(&spans).is_ok(),
-                spans,
-            })
-        });
-        let kept = self.store.push(trace);
+        let kept = self.store.push(trace_id, reason, trace);
         if let Some(counters) = counters {
             counters.promoted.inc();
             if !kept {
@@ -511,6 +532,60 @@ mod tests {
         assert_eq!(store.traces(), at_fill, "nothing kept after the fill");
         assert_eq!(store.traces()[..], roomy_store.traces()[..2]);
         assert_eq!(full.finished(), roomy.finished());
+    }
+
+    /// One errored trace whose spans use every kind of spill entry: a
+    /// shared name, a fifth (numeric) attribute, a shared value, events
+    /// past the inline slots and one too far from its start for an
+    /// offset. `late` is a child of `bridge`, filed after it.
+    fn spilling_trace(tracer: &Tracer) {
+        let name: Arc<str> = Arc::from("bridge:Custom.call");
+        let mut root = tracer.root(SpanName::Shared(Arc::clone(&name)), Plane::Proxy, 100);
+        let mut bridge = ambient::child(SpanName::Shared(name), Plane::Bridge, 100).unwrap();
+        bridge.event("early", 99);
+        bridge.event("first", 100);
+        for (key, value) in [("a", 1u64), ("b", 2), ("c", 3), ("d", 4), ("e", 5)] {
+            bridge.attr(key, value);
+        }
+        bridge.attr("lsn", String::from("lsn:7"));
+        bridge.event("second", 101);
+        bridge.event("far", 100 + u64::from(u32::MAX) + 1);
+        let parent = bridge.context();
+        bridge.end(103);
+        ambient::child_of(parent, "late", Plane::Platform, 104)
+            .unwrap()
+            .end(105);
+        ambient::child("platform:gps", Plane::Platform, 106)
+            .unwrap()
+            .end(107);
+        root.attr("status", 503u64);
+        root.attr("error", "Timeout");
+        root.end(108);
+    }
+
+    #[test]
+    fn a_kept_trace_reads_back_as_the_ring_recorded_it() {
+        let tracer = recorder_tracer(64, PromotionPolicy::default());
+        spilling_trace(&tracer);
+        let traces = tracer.incident_store().unwrap().traces();
+        assert_eq!(traces.len(), 1);
+        let trace = &traces[0];
+        assert_eq!(trace.spans, tracer.finished());
+        assert_eq!(trace.spans.len(), 4);
+        assert!(trace.complete);
+        assert_eq!(trace.root_name, "bridge:Custom.call");
+        assert_eq!(trace.root_span, trace.spans[3].span_id);
+        assert_eq!((trace.start_ms, trace.end_ms), (100, 108));
+        assert_eq!(trace.reason, PromotionReason::Error("Timeout".into()));
+
+        // A ring of two evicts `bridge` before the root closes, so the
+        // copied `late` has no parent.
+        let small = recorder_tracer(2, PromotionPolicy::default());
+        spilling_trace(&small);
+        let traces = small.incident_store().unwrap().traces();
+        let names: Vec<&str> = traces[0].spans.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, ["late", "platform:gps", "bridge:Custom.call"]);
+        assert!(!traces[0].complete, "late's parent was evicted");
     }
 
     #[test]

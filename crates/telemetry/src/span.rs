@@ -25,7 +25,7 @@
 //! values are all static or numeric writes no spill, and overwriting it
 //! runs no destructor. [`SpanRecord`]s are materialized from the
 //! compact form only by [`Tracer::finished`], [`Tracer::take_finished`]
-//! and trace promotion.
+//! and [`IncidentStore::traces`].
 //!
 //! **Filing per trace.** Opening a span and closing it each take one
 //! thread-local access: the thread's ambient stack, pending batch and
@@ -51,8 +51,9 @@
 //! trace's root span files with an interesting outcome (error, blown
 //! deadline, latency over a per-operation threshold) the whole trace
 //! tree — the children were filed into the same thread's ring just
-//! before it — is copied out into a bounded incident store before the
-//! ring can overwrite it, unless the store is already full.
+//! before it — is copied out, still as compact records with their spill
+//! entries, into a bounded incident store before the ring can overwrite
+//! it, unless the store is already full.
 //!
 //! All timestamps are `u64` virtual milliseconds supplied by the
 //! caller (the simulated device clock in this workspace), never the
@@ -445,6 +446,7 @@ impl Record {
 }
 
 /// A part of a span that does not fit its record.
+#[derive(Clone)]
 enum Spilled {
     /// A shared span name or string attribute value.
     Str(Arc<str>),
@@ -548,6 +550,42 @@ impl<'a, I: Iterator<Item = &'a Spilled> + Clone> View<'a, I> {
     }
 }
 
+/// A promoted trace as the ring held it: its resident records, root
+/// last, and their spill entries in the same order, each in one
+/// exact-size buffer. It is materialized only when it is read.
+pub(crate) struct CompactTrace {
+    records: Box<[Record]>,
+    spill: Box<[Spilled]>,
+}
+
+impl CompactTrace {
+    /// The export form of every record, oldest first (root last).
+    pub(crate) fn materialize(&self) -> Vec<SpanRecord> {
+        let mut at = 0;
+        self.records
+            .iter()
+            .map(|record| {
+                let end = at + usize::from(record.spilled);
+                let view = View {
+                    record,
+                    spill: self.spill[at..end].iter(),
+                };
+                at = end;
+                view.materialize()
+            })
+            .collect()
+    }
+}
+
+impl fmt::Debug for CompactTrace {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CompactTrace")
+            .field("records", &self.records.len())
+            .field("spilled", &self.spill.len())
+            .finish()
+    }
+}
+
 /// A fixed-capacity overwrite-oldest ring. `slots` grows (within its
 /// pre-allocated capacity) until full; after that `next` is the write
 /// cursor and doubles as the index of the oldest resident record.
@@ -619,12 +657,29 @@ impl Ring {
         out.extend(self.views().map(|view| view.materialize()));
     }
 
-    /// Materializes the resident records of one trace, oldest first.
-    fn collect_trace(&self, trace_id: u64) -> Vec<SpanRecord> {
-        self.views()
-            .filter(|view| view.record.trace_id == trace_id)
-            .map(|view| view.materialize())
-            .collect()
+    /// Copies the resident records of `root`'s trace, oldest first,
+    /// then `root`, each with its spill entries (`root_spill` for the
+    /// root): the trace as the ring holds it, in exact-size buffers.
+    fn copy_trace(&self, root: &Record, root_spill: &[Spilled]) -> CompactTrace {
+        let trace = || {
+            self.views()
+                .filter(|view| view.record.trace_id == root.trace_id)
+        };
+        let (records, spilled) = trace().fold((1, root_spill.len()), |(records, spilled), view| {
+            (records + 1, spilled + usize::from(view.record.spilled))
+        });
+        let mut records = Vec::with_capacity(records);
+        let mut spill = Vec::with_capacity(spilled);
+        for view in trace() {
+            records.push(*view.record);
+            spill.extend(view.spill.cloned());
+        }
+        records.push(*root);
+        spill.extend_from_slice(root_spill);
+        CompactTrace {
+            records: records.into_boxed_slice(),
+            spill: spill.into_boxed_slice(),
+        }
     }
 
     /// Materializes every resident record (oldest first) and empties
@@ -832,9 +887,10 @@ impl Tracer {
     /// child was filed into the same thread-local ring before it, or
     /// precedes it in the batch — so the tracer's [`Recorder`]
     /// classifies the root and, if the outcome is interesting and the
-    /// incident store still has room, the trace tree is copied out
-    /// *after* the children are filed and *before* the root is (the
-    /// collected set is exactly the resident children plus the root).
+    /// incident store still has room, the trace tree's compact records
+    /// are copied out *after* the children are filed and *before* the
+    /// root is (the copied set is exactly the resident children plus
+    /// the root). Nothing is materialized here.
     /// A batch holds at most one root, its last record: the ambient
     /// stack batches only non-root records behind the outermost root.
     fn file(&self, ring: &Mutex<Ring>, batch: &mut Vec<Record>, spill: &mut Vec<Spilled>) {
@@ -855,8 +911,7 @@ impl Tracer {
                     root.end_ms - root.start_ms,
                     |key| view.attr(key),
                 )?;
-                let root_span = recorder.has_room().then(|| view.materialize());
-                Some((recorder, reason, root_span))
+                Some((recorder, reason, recorder.has_room().then_some(root)))
             });
         let children = batch.len() - usize::from(root.is_some());
         let mut entries = spill.drain(..);
@@ -865,13 +920,10 @@ impl Tracer {
         for record in &batch[..children] {
             ring.push(*record, entries.by_ref().take(usize::from(record.spilled)));
         }
-        let promotion = promotion.map(|(recorder, reason, root_span)| {
-            let spans = root_span.map(|root_span| {
-                let mut spans = ring.collect_trace(root_span.trace_id.0);
-                spans.push(root_span);
-                spans
-            });
-            (recorder, reason, spans)
+        let promotion = promotion.map(|(recorder, reason, copy)| {
+            // What `entries` still holds is the root's spill.
+            let trace = copy.map(|root| ring.copy_trace(&root, entries.as_slice()));
+            (recorder, reason, trace)
         });
         if let Some(root) = root {
             ring.push(root, entries);
@@ -883,12 +935,12 @@ impl Tracer {
         if let (true, Some(counters)) = (evicted > 0, counters) {
             counters.evicted.add(evicted);
         }
-        if let (Some((recorder, reason, spans)), Some(root)) = (promotion, root) {
+        if let (Some((recorder, reason, trace)), Some(root)) = (promotion, root) {
             recorder.promote(
                 self.inner.id,
                 TraceId(root.trace_id),
                 reason,
-                spans,
+                trace,
                 counters,
             );
         }
